@@ -19,6 +19,7 @@ import numpy as np
 
 from ..qmatrix import QMatrix, require_pow2
 from ..rng import QuatRNG
+from ..solvers import _drive
 from .fftpack import fft2, ifft2
 from .images import image_to_qmat, psnr, qmat_to_image
 
@@ -82,18 +83,15 @@ def scalar_ns_reciprocal(T: np.ndarray, tol: float, maxit: int):
 
     y0 is the scalar 2/(min T + max T); iterates until
     max |1 - T y| <= tol. Returns (y, iterations)."""
-    tmin = float(T.min())
-    tmax = float(T.max())
-    y = np.full_like(T, 2.0 / (tmin + tmax))
-    iters = 0
-    for k in range(maxit + 1):
-        resid = float(np.max(np.abs(1.0 - T * y)))
-        if resid <= tol or k == maxit:
-            iters = k
-            break
-        y = y * (2.0 - T * y)
-        iters = k + 1
-    return y, iters
+    y0 = np.full_like(T, 2.0 / (float(T.min()) + float(T.max())))
+
+    def measure(y):
+        Ty = T * y
+        return float(np.max(np.abs(1.0 - Ty))), Ty
+
+    y, _, report = _drive("ns-scalar", y0, lambda y, Ty: y * (2.0 - Ty),
+                          measure, tol, maxit)
+    return y, report.iterations
 
 
 def deblur_fft_ns(problem: DeblurProblem):

@@ -1,62 +1,38 @@
-"""Radix-2 complex FFT, iterative Cooley-Tukey, vectorized over rows.
+"""Power-of-two FFTs over numpy.fft.
 
 Transforms are unnormalized forward; the inverse divides by the length,
 so round trips are exact up to rounding and Parseval reads
-||x||^2 = ||fft(x)||^2 / N.
+||x||^2 = ||fft(x)||^2 / N. Every transformed length must be a power of
+two, as the deblurring pipeline requires.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonPowerOfTwo
+from ..qmatrix import require_pow2
 
 
-def _check_pow2(n: int) -> None:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise NonPowerOfTwo(f"length {n} is not a power of two")
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _checked(x, axes) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    for axis in axes:
+        require_pow2(x.shape[axis])
+    return x
 
 
 def fft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT along the given axis."""
-    x = np.asarray(x, dtype=np.complex128)
-    x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    _check_pow2(n)
-    out = x[..., _bit_reverse_indices(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(out.shape[:-1] + (n // size, size))
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return np.moveaxis(out, -1, axis)
+    """1-D FFT along the given axis."""
+    return np.fft.fft(_checked(x, (axis,)), axis=axis)
 
 
 def ifft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[axis]
-    return np.conj(fft1(np.conj(x), axis)) / n
+    return np.fft.ifft(_checked(x, (axis,)), axis=axis)
 
 
 def fft2(x: np.ndarray) -> np.ndarray:
     """2-D FFT of an (H, W) array; both dims must be powers of two."""
-    return fft1(fft1(x, axis=1), axis=0)
+    return np.fft.fft2(_checked(x, (0, 1)), axes=(0, 1))
 
 
 def ifft2(x: np.ndarray) -> np.ndarray:
-    return fft1(fft1(np.conj(x), axis=1), axis=0).conj() / (x.shape[0] * x.shape[1])
+    return np.fft.ifft2(_checked(x, (0, 1)), axes=(0, 1))

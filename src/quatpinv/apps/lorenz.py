@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Divergence
-from ..qmatrix import QMatrix, op_norm_est
+from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import SolverReport
+from ..solvers import SIDE_LEFT, _deviation, _drive, _ns_step, auto_alpha
 
 
 @dataclass
@@ -92,46 +91,24 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     """Square Newton-Schulz inverse X_k <- X_k (2I - X X_k), w = X_k Y.
 
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. If the initial
-    spectral scaling is not contractive, damped steps are taken until
-    the residual enters the quadratic regime.
+    spectral scaling is not contractive (||I - X X_k||_F >= N), the step
+    is halved until the residual enters the quadratic regime.
     """
     N = X.rows
     if maxit is None:
         maxit = N
     t0 = time.perf_counter()
-    est = op_norm_est(X, iters=20, seed=0)
-    alpha = 0.99 / (est * est) if est > 0 else 1.0
-    Xk = X.adjoint().scale(alpha)
-    I = QMatrix.identity(N)
     ynorm = max(Y.fro_norm(), 1e-300)
-    history = []
-    converged = False
-    iters = 0
-    gamma_damp = 0.5
-    prev = None
-    for k in range(maxit + 1):
+
+    def step(Xk, _):
+        E = _deviation(X, Xk, SIDE_LEFT)
+        Xn = _ns_step(E, Xk, SIDE_LEFT)
+        return Xn.scale(0.5) if E.fro_norm() >= float(N) else Xn
+
+    def measure(Xk):
         w = Xk @ Y
-        relres = (X @ w - Y).fro_norm() / ynorm
-        history.append((k, relres))
-        if relres <= tol:
-            converged = True
-            iters = k
-            break
-        if prev is not None and relres > 10.0 * prev and relres > 1e3:
-            raise Divergence("NS residual exploded; scaling invalid")
-        if k == maxit:
-            iters = k
-            break
-        E = I - X @ Xk
-        if E.fro_norm() >= float(N):
-            # outside the contraction region: damped step
-            Xk = Xk @ (I.scale(1.0 - gamma_damp) + E.scale(gamma_damp))
-        else:
-            Xk = Xk @ (I + E)
-        prev = relres
-        iters = k + 1
-    w = Xk @ Y
-    wall = time.perf_counter() - t0
-    report = SolverReport("ns-q-square", iters, history, wall,
-                          (0.0, 0.0, 0.0, 0.0), converged)
+        return (X @ w - Y).fro_norm() / ynorm, w
+
+    _, w, report = _drive("ns-q-square", X.adjoint().scale(auto_alpha(X)),
+                          step, measure, tol, maxit, diverge=True, t0=t0)
     return w, report

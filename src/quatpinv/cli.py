@@ -83,25 +83,24 @@ def _run_method(method, A, args, seed):
     sk = SketchConfig(block_r=args.block_r, test_s=args.test_s,
                       cycle_T=args.cycle_T, seed=seed)
     if method == "ns":
-        X, rep = ns_damped(A, cfg)
+        _, rep = ns_damped(A, cfg)
     elif method == "hyperpower":
-        X, rep = ns_hyperpower(A, cfg)
+        _, rep = ns_hyperpower(A, cfg)
     elif method == "cgne":
-        X, rep = cgne_q(A, cfg)
+        _, rep = cgne_q(A, cfg)
     elif method == "rsp":
         if A.rows >= A.cols:
-            X, rep = rsp_column(A, cfg, sk)
+            _, rep = rsp_column(A, cfg, sk)
         else:
-            X, rep = rsp_row(A, cfg, sk)
+            _, rep = rsp_row(A, cfg, sk)
     elif method == "hybrid":
-        X, rep = hybrid_rsp_ns(A, cfg, sk)
+        _, rep = hybrid_rsp_ns(A, cfg, sk)
     elif method == "qsvd-baseline":
         return _timed_baseline("qsvd-baseline", pinv_qsvd, A, seed)
     elif method == "normal-eq":
         return _timed_baseline("normal-eq", pinv_normal_eq, A, seed)
     else:
         raise QuatpinvError(f"unknown method {method!r}")
-    rep.penrose = penrose_residuals(A, X)
     return rep.csv_row(A.rows, A.cols, seed)
 
 
@@ -122,25 +121,6 @@ def cmd_pinv_bench(args):
     if args.out and args.out != "-":
         with open(args.out + ".gp", "w") as fh:
             fh.write(GNUPLOT_TEMPLATE.format(csv=os.path.basename(args.out)))
-    return 0
-
-
-def cmd_rsp_bench(args):
-    lines = [SOLVER_HEADER]
-    for n in args.sizes:
-        for seed in args.seeds:
-            A = randn_qmat(n + 20, n, seed)
-            cfg = _solver_cfg(args)
-            sk = SketchConfig(block_r=args.block_r, test_s=args.test_s,
-                              cycle_T=args.cycle_T, seed=seed)
-            try:
-                X, rep = rsp_column(A, cfg, sk)
-                rep.penrose = penrose_residuals(A, X)
-                lines.append(rep.csv_row(A.rows, A.cols, seed))
-            except QuatpinvError:
-                lines.append(f"rsp-q-col,{n + 20},{n},{seed},-1,0.0,"
-                             "nan,nan,nan,nan,nan")
-    _write_lines(args.out, lines)
     return 0
 
 
@@ -275,7 +255,7 @@ def build_parser():
 
     p = sub.add_parser("rsp-bench", help="sketch-and-project benchmark")
     _add_common(p, [20, 50], 500)
-    p.set_defaults(fn=cmd_rsp_bench)
+    p.set_defaults(fn=cmd_pinv_bench, method="rsp")
 
     p = sub.add_parser("recurrence-check", help="residual recurrence check")
     _add_common(p, [10], 12)
@@ -284,7 +264,7 @@ def build_parser():
     p = sub.add_parser("cur-complete", help="CUR completion pipeline")
     _add_common(p, [60], 25)
     p.add_argument("--method", choices=["u-opt", "w-pinv"], default="u-opt")
-    p.set_defaults(fn=cmd_cur_complete, seeds_default=[4])
+    p.set_defaults(fn=cmd_cur_complete, seeds=[4])
 
     p = sub.add_parser("lorenz", help="Lorenz filter pipeline")
     _add_common(p, [50], 80, default_tol=1e-6)
@@ -308,8 +288,6 @@ def main(argv=None):
         parser.error("--sizes must name at least one size")
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
-    if getattr(args, "seeds_default", None) and args.seeds == [0]:
-        args.seeds = args.seeds_default
     try:
         return args.fn(args)
     except QuatpinvError as exc:

@@ -12,7 +12,9 @@ Five solver families live here:
 Tall inputs (m >= n) drive the right deviation F = I - XA toward zero;
 wide inputs drive the left deviation E = I - AX. All solvers start from
 X0 = alpha * A^H with alpha strictly inside (0, 2/||A||_2^2), except the
-row sketch-and-project variant which starts from zero.
+row sketch-and-project variant which starts from zero. Every solver, and
+the square Newton-Schulz loops of the Lorenz and deblurring apps, runs the
+one stopping loop in ``_drive``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class SolverConfig:
             raise ValueError("order must be >= 2")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.side not in (SIDE_AUTO, SIDE_RIGHT, SIDE_LEFT):
+            raise ValueError(f"unknown side {self.side!r}")
+        if self.maxit < 0:
+            raise ValueError("maxit must be >= 0")
 
 
 @dataclass
@@ -140,22 +146,46 @@ def _deviation(A: QMatrix, X: QMatrix, side: str) -> QMatrix:
     return QMatrix.identity(A.rows) - A @ X
 
 
-class _DivergenceGuard:
-    def __init__(self):
-        self.first = None
-        self.run = 0
+def _drive(method: str, state, step, measure, tol: float, maxit: int,
+           diverge: bool = False, t0: float | None = None):
+    """The stopping loop shared by every solver.
 
-    def check(self, res: float) -> None:
-        if self.first is None:
-            self.first = res
-            return
-        if res >= _DIVERGE_FACTOR * max(self.first, 1e-300):
-            self.run += 1
-            if self.run >= _DIVERGE_RUN:
+    Before each step k = 0..maxit, measure(state) returns (residual, aux);
+    the run stops at the first residual <= tol or after maxit steps, and
+    otherwise step(state, aux) returns the next state. With diverge, a
+    residual >= 10x the initial one for 5 consecutive measures raises
+    Divergence. wall_time runs from t0 (default: entry), so a caller can
+    time its own setup. Returns (state, last aux, SolverReport) with the
+    Penrose residuals left at zero for the caller to fill in.
+    """
+    if t0 is None:
+        t0 = time.perf_counter()
+    if maxit < 0:
+        raise ValueError("maxit must be >= 0")
+    history = []
+    run = 0
+    for k in range(maxit + 1):
+        res, aux = measure(state)
+        history.append((k, res))
+        if diverge and k > 0 and \
+                res >= _DIVERGE_FACTOR * max(history[0][1], 1e-300):
+            run += 1
+            if run >= _DIVERGE_RUN:
                 raise Divergence(
                     "residual grew >= 10x initial for 5 consecutive iterations")
         else:
-            self.run = 0
+            run = 0
+        if res <= tol or k == maxit:
+            break
+        state = step(state, aux)
+    wall = time.perf_counter() - t0
+    return state, aux, SolverReport(method, k, history, wall,
+                                    converged=bool(res <= tol))
+
+
+def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
+    report.penrose = penrose_residuals(A, X)
+    return X, report
 
 
 def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
@@ -222,6 +252,20 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
     raise InvalidOrder(f"unknown schedule {schedule!r}")
 
 
+def _ns_step(R: QMatrix, X: QMatrix, side: str, order: int = 2,
+             schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0,
+             counter: ProductCounter | None = None) -> QMatrix:
+    """One Newton-Schulz / hyperpower update of X given its deviation R.
+
+    gamma < 1 is the damped order-2 step X + gamma*R X (tall) or
+    X + gamma*X R (wide); otherwise the order-p Neumann polynomial is
+    applied under the given schedule.
+    """
+    if gamma != 1.0:
+        return X + (R @ X if side == SIDE_RIGHT else X @ R).scale(gamma)
+    return eval_neumann_poly(R, X, order, schedule, side, counter)
+
+
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
                           steps: int = 10):
     """Per-iteration deviation between the measured deviation matrix and
@@ -239,13 +283,10 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
     out = []
     for k in range(1, steps + 1):
         if kind == "ns":
-            if side == SIDE_RIGHT:
-                X = X + (R @ X).scale(cfg.gamma)
-            else:
-                X = X + (X @ R).scale(cfg.gamma)
+            X = _ns_step(R, X, side, gamma=cfg.gamma)
             pred = R.scale(1.0 - cfg.gamma) + (R @ R).scale(cfg.gamma)
         else:
-            X = eval_neumann_poly(R, X, cfg.order, cfg.schedule, side)
+            X = _ns_step(R, X, side, cfg.order, cfg.schedule)
             pred = R
             for _ in range(cfg.order - 1):
                 pred = pred @ R
@@ -258,64 +299,30 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # Newton-Schulz family
 # ---------------------------------------------------------------------------
 
-def ns_damped(A: QMatrix, cfg: SolverConfig):
-    """Damped Newton-Schulz: X <- X + gamma*F*X (tall) / X + gamma*X*E (wide)."""
+def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
     side, alpha = _resolve(A, cfg)
     t0 = time.perf_counter()
-    X = A.adjoint().scale(alpha)
-    history = []
-    guard = _DivergenceGuard()
-    converged = False
-    iters = 0
-    for k in range(cfg.maxit + 1):
+
+    def measure(X):
         R = _deviation(A, X, side)
-        res = R.fro_norm()
-        history.append((k, res))
-        guard.check(res)
-        if res <= cfg.tol:
-            converged = True
-            iters = k
-            break
-        if k == cfg.maxit:
-            iters = k
-            break
-        if side == SIDE_RIGHT:
-            X = X + (R @ X).scale(cfg.gamma)
-        else:
-            X = X + (X @ R).scale(cfg.gamma)
-        iters = k + 1
-    wall = time.perf_counter() - t0
-    return X, SolverReport("ns", iters, history, wall,
-                           penrose_residuals(A, X), converged)
+        return R.fro_norm(), R
+
+    X, _, rep = _drive(method, A.adjoint().scale(alpha),
+                       lambda X, R: _ns_step(R, X, side, **step_kw), measure,
+                       cfg.tol, cfg.maxit, diverge=True, t0=t0)
+    return _verified(A, X, rep)
+
+
+def ns_damped(A: QMatrix, cfg: SolverConfig):
+    """Damped Newton-Schulz: X <- X + gamma*F*X (tall) / X + gamma*X*E (wide)."""
+    return _ns_solve(A, cfg, "ns", gamma=cfg.gamma)
 
 
 def ns_hyperpower(A: QMatrix, cfg: SolverConfig,
                   counter: ProductCounter | None = None):
     """Order-p hyperpower updates; residual recurrence R_{k+1} = R_k^p."""
-    side, alpha = _resolve(A, cfg)
-    t0 = time.perf_counter()
-    X = A.adjoint().scale(alpha)
-    history = []
-    guard = _DivergenceGuard()
-    converged = False
-    iters = 0
-    for k in range(cfg.maxit + 1):
-        R = _deviation(A, X, side)
-        res = R.fro_norm()
-        history.append((k, res))
-        guard.check(res)
-        if res <= cfg.tol:
-            converged = True
-            iters = k
-            break
-        if k == cfg.maxit:
-            iters = k
-            break
-        X = eval_neumann_poly(R, X, cfg.order, cfg.schedule, side, counter)
-        iters = k + 1
-    wall = time.perf_counter() - t0
-    return X, SolverReport(f"hyperpower-{cfg.order}", iters, history, wall,
-                           penrose_residuals(A, X), converged)
+    return _ns_solve(A, cfg, f"hyperpower-{cfg.order}", order=cfg.order,
+                     schedule=cfg.schedule, counter=counter)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +355,41 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
+def _rsp_row_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
+                  rng: QuatRNG) -> QMatrix:
+    """One row sketch-and-project update; redraws rank-deficient sketches."""
+    m = A.rows
+    for _ in range(_MAX_REDRAWS):
+        S = randn_qmat_rng(m, sk.block_r, rng)
+        Z = S.adjoint() @ A
+        try:
+            W = hpd_solve(Z @ Z.adjoint(), S.adjoint() - Z @ X, ridge=1e-10)
+        except (RankDeficient, Indefinite):
+            continue
+        return X + (Z.adjoint() @ W).scale(sk.relaxation)
+    raise SketchFailure("10 consecutive rank-deficient sketches")
+
+
+def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG,
+                         side: str):
+    """Relative residual on a fixed Gaussian test sketch Pi, with A Pi (or
+    Pi A) precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
+    ||I_n - XA||_F (right side), ||Pi - Pi A X||_F / ||Pi||_F estimates
+    ||I_m - AX||_F (left side)."""
+    if side == SIDE_RIGHT:
+        Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
+        APi = A @ Pi
+    else:
+        Pi = randn_qmat_rng(sk.test_s, A.rows, rng)
+        PiA = Pi @ A
+    pi_norm = Pi.fro_norm()
+
+    def measure(X):
+        image = X @ APi if side == SIDE_RIGHT else PiA @ X
+        return (Pi - image).fro_norm() / pi_norm, None
+    return measure
+
+
 def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for XA = I_n (full column rank, m >= n).
 
@@ -362,28 +404,11 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     _, alpha = _resolve(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
-    X = A.adjoint().scale(alpha)
-    Pi = randn_qmat_rng(n, sk.test_s, rng)
-    APi = A @ Pi
-    pi_norm = Pi.fro_norm()
-    history = []
-    converged = False
-    iters = 0
-    for k in range(cfg.maxit + 1):
-        crit = (Pi - X @ APi).fro_norm() / pi_norm
-        history.append((k, crit))
-        if crit <= cfg.tol:
-            converged = True
-            iters = k
-            break
-        if k == cfg.maxit:
-            iters = k
-            break
-        X = _rsp_col_step(A, X, sk, rng)
-        iters = k + 1
-    wall = time.perf_counter() - t0
-    return X, SolverReport("rsp", iters, history, wall,
-                           penrose_residuals(A, X), converged)
+    X, _, rep = _drive("rsp", A.adjoint().scale(alpha),
+                       lambda X, _: _rsp_col_step(A, X, sk, rng),
+                       _test_sketch_measure(A, sk, rng, SIDE_RIGHT),
+                       cfg.tol, cfg.maxit, t0=t0)
+    return _verified(A, X, rep)
 
 
 def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -395,39 +420,11 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
         raise ValueError("block_r must be <= min(m, n)")
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
-    X = QMatrix.zeros(n, m)
-    Pi = randn_qmat_rng(sk.test_s, m, rng)
-    PiA = Pi @ A
-    pi_norm = Pi.fro_norm()
-    history = []
-    converged = False
-    iters = 0
-    for k in range(cfg.maxit + 1):
-        crit = (Pi - PiA @ X).fro_norm() / pi_norm
-        history.append((k, crit))
-        if crit <= cfg.tol:
-            converged = True
-            iters = k
-            break
-        if k == cfg.maxit:
-            iters = k
-            break
-        for _ in range(_MAX_REDRAWS):
-            S = randn_qmat_rng(m, sk.block_r, rng)
-            Z = S.adjoint() @ A
-            try:
-                W = hpd_solve(Z @ Z.adjoint(), S.adjoint() - Z @ X,
-                              ridge=1e-10)
-            except (RankDeficient, Indefinite):
-                continue
-            X = X + (Z.adjoint() @ W).scale(sk.relaxation)
-            break
-        else:
-            raise SketchFailure("10 consecutive rank-deficient sketches")
-        iters = k + 1
-    wall = time.perf_counter() - t0
-    return X, SolverReport("rsp-row", iters, history, wall,
-                           penrose_residuals(A, X), converged)
+    X, _, rep = _drive("rsp-row", QMatrix.zeros(n, m),
+                       lambda X, _: _rsp_row_step(A, X, sk, rng),
+                       _test_sketch_measure(A, sk, rng, SIDE_LEFT),
+                       cfg.tol, cfg.maxit, t0=t0)
+    return _verified(A, X, rep)
 
 
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -439,32 +436,18 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     _, alpha = _resolve(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
-    X = A.adjoint().scale(alpha)
-    Pi = randn_qmat_rng(n, sk.test_s, rng)
-    APi = A @ Pi
-    pi_norm = Pi.fro_norm()
-    I_n = QMatrix.identity(n)
-    history = []
-    converged = False
-    cycles = 0
-    for k in range(cfg.maxit + 1):
-        crit = (Pi - X @ APi).fro_norm() / pi_norm
-        history.append((k, crit))
-        if crit <= cfg.tol:
-            converged = True
-            cycles = k
-            break
-        if k == cfg.maxit:
-            cycles = k
-            break
+
+    def cycle(X, _):
         for _ in range(sk.cycle_T):
             X = _rsp_col_step(A, X, sk, rng)
-        F = I_n - X @ A
-        X = eval_neumann_poly(F, X, cfg.order, SCHEDULE_PS, SIDE_RIGHT)
-        cycles = k + 1
-    wall = time.perf_counter() - t0
-    return X, SolverReport(f"hybrid-T{sk.cycle_T}-p{cfg.order}", cycles,
-                           history, wall, penrose_residuals(A, X), converged)
+        return _ns_step(_deviation(A, X, SIDE_RIGHT), X, SIDE_RIGHT,
+                        cfg.order, SCHEDULE_PS)
+
+    X, _, rep = _drive(f"hybrid-T{sk.cycle_T}-p{cfg.order}",
+                       A.adjoint().scale(alpha), cycle,
+                       _test_sketch_measure(A, sk, rng, SIDE_RIGHT),
+                       cfg.tol, cfg.maxit, t0=t0)
+    return _verified(A, X, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -513,50 +496,34 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     """
     m, n = A.shape
     column = m >= n
+    side = SIDE_RIGHT if column else SIDE_LEFT
     _, alpha = _resolve(A, cfg)
     t0 = time.perf_counter()
     Ah = A.adjoint()
-    X = Ah.scale(alpha)
+    X0 = Ah.scale(alpha)
     M = None
     if precond is not None:
-        M = _NystromPrecond(A if column else A.adjoint(), precond)
+        M = _NystromPrecond(A if column else Ah, precond)
 
-    if column:
-        R = QMatrix.identity(n) - X @ A
-        Z = R @ Ah
-        Zt = M.apply_right(Z) if M else Z
-    else:
-        R = QMatrix.identity(m) - A @ X
-        Z = Ah @ R
-        Zt = M.apply_left(Z) if M else Z
-    D = Zt
-    zz = _frob(Zt, Z)
-    history = [(0, R.fro_norm())]
-    converged = history[0][1] <= cfg.tol
-    iters = 0
-    while not converged and iters < cfg.maxit:
+    def step(state, _):
+        # state (X, R, D, zz): iterate, residual, previous direction and
+        # its <Zt, Z>; the new direction is formed first, from R
+        X, R, D, zz = state
+        Z = R @ Ah if column else Ah @ R
+        Zt = (M.apply_right(Z) if column else M.apply_left(Z)) if M else Z
+        zz_new = _frob(Zt, Z)
+        D = Zt if D is None else Zt + D.scale(zz_new / zz)
         W = D @ A if column else A @ D
         wn2 = _frob(W, W)
         if wn2 == 0.0:
             raise Breakdown("search direction image vanished before convergence")
         a_k = _frob(R, W) / wn2
-        X = X + D.scale(a_k)
-        R = R - W.scale(a_k)
-        iters += 1
-        res = R.fro_norm()
-        history.append((iters, res))
-        if res <= cfg.tol:
-            converged = True
-            break
-        Z = R @ Ah if column else Ah @ R
-        Zt_new = (M.apply_right(Z) if column else M.apply_left(Z)) if M else Z
-        zz_new = _frob(Zt_new, Z)
-        beta = zz_new / zz
-        D = Zt_new + D.scale(beta)
-        zz = zz_new
-    wall = time.perf_counter() - t0
-    return X, SolverReport("cgne", iters, history, wall,
-                           penrose_residuals(A, X), converged)
+        return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+
+    (X, *_), _, rep = _drive("cgne", (X0, _deviation(A, X0, side), None, None),
+                             step, lambda state: (state[1].fro_norm(), None),
+                             cfg.tol, cfg.maxit, t0=t0)
+    return _verified(A, X, rep)
 
 
 # ---------------------------------------------------------------------------

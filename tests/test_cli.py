@@ -99,3 +99,26 @@ def test_cur_complete_cmd(tmp_path):
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     for tag in ("original", "masked", "completed"):
         assert (tmp_path / f"cur_n60_s4_{tag}.ppm").exists()
+
+
+def test_cur_complete_explicit_seed_zero(tmp_path):
+    argv = ["cur-complete", "--sizes", "30", "--maxit", "3"]
+    out = tmp_path / "zero.csv"
+    assert main(argv + ["--seeds", "0", "--out", str(out)]) == 0
+    assert all(";seed=0;" in line for line in rows(out)[1:])
+    assert (tmp_path / "zero_n30_s0_completed.ppm").exists()
+    out = tmp_path / "dflt.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert all(";seed=4;" in line for line in rows(out)[1:])
+    for tag in ("original", "masked", "completed"):
+        assert (tmp_path / f"dflt_n30_s4_{tag}.ppm").exists()
+
+
+def test_rsp_bench_rows(tmp_path):
+    out = tmp_path / "rsp.csv"
+    assert main(["rsp-bench", "--sizes", "6", "--seeds", "0,1", "--maxit", "3",
+                 "--block-r", "3", "--out", str(out)]) == 0
+    lines = rows(out)
+    assert lines[0] == SOLVER_HEADER
+    assert [line.split(",")[:4] for line in lines[1:]] == \
+        [["rsp", "26", "6", "0"], ["rsp", "26", "6", "1"]]

@@ -308,3 +308,49 @@ def test_config_validation():
         SketchConfig(block_r=0)
     with pytest.raises(ValueError):
         SketchConfig(relaxation=2.0)
+
+
+def test_config_rejects_unknown_side():
+    with pytest.raises(ValueError):
+        SolverConfig(side="rigth")
+
+
+def test_config_rejects_negative_maxit():
+    with pytest.raises(ValueError):
+        SolverConfig(maxit=-1)
+
+
+# ---------------------------------------------------------------------------
+# report invariants shared through the iteration driver
+# ---------------------------------------------------------------------------
+
+def _lorenz(tol, maxit):
+    from quatpinv.apps.lorenz import LorenzProblem, lorenz_build, lorenz_solve_ns
+    X, Y, _ = lorenz_build(LorenzProblem(N=12, T_end=2.0))
+    return lorenz_solve_ns(X, Y, tol=tol, maxit=maxit)
+
+
+_SK = SketchConfig(block_r=3, test_s=3, cycle_T=2, seed=1)
+_CALLERS = {
+    "ns": lambda c: ns_damped(randn_qmat(12, 7, 2), c),
+    "hyperpower": lambda c: ns_hyperpower(
+        randn_qmat(7, 12, 2), SolverConfig(order=3, tol=c.tol, maxit=c.maxit)),
+    "rsp_column": lambda c: rsp_column(randn_qmat(12, 5, 3), c, _SK),
+    "rsp_row": lambda c: rsp_row(randn_qmat(5, 12, 3), c, _SK),
+    "hybrid": lambda c: hybrid_rsp_ns(randn_qmat(12, 5, 4), c, _SK),
+    "cgne": lambda c: cgne_q(randn_qmat(12, 7, 5), c),
+    "cgne_nystrom": lambda c: cgne_q(randn_qmat(7, 12, 5), c, precond=_SK),
+    "lorenz_solve_ns": lambda c: _lorenz(c.tol, c.maxit),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+@pytest.mark.parametrize("tol,maxit", [(1e-8, 400), (0.0, 3), (1e-8, 0)])
+def test_report_invariants(caller, tol, maxit):
+    _, rep = _CALLERS[caller](SolverConfig(tol=tol, maxit=maxit))
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert [k for k, _ in rep.residual_history] == list(range(rep.iterations + 1))
+    assert rep.iterations <= maxit
+    assert rep.converged == (rep.final_residual <= tol)
+    if not rep.converged:
+        assert rep.iterations == maxit
