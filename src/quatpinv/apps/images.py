@@ -61,12 +61,11 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     squeeze = img.ndim == 2
     if squeeze:
         img = img[:, :, None]
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        p = np.pad(img[:, :, c], rad, mode="edge")
-        p = np.apply_along_axis(lambda v: np.convolve(v, k, mode="valid"), 0, p)
-        p = np.apply_along_axis(lambda v: np.convolve(v, k, mode="valid"), 1, p)
-        out[:, :, c] = p
+    h, w, _ = img.shape
+    p = np.pad(img, ((rad, rad), (rad, rad), (0, 0)), mode="edge")
+    # k is symmetric, so the valid convolution is a weighted sum of shifts
+    p = sum(kt * p[t:t + h] for t, kt in enumerate(k))
+    out = sum(kt * p[:, t:t + w] for t, kt in enumerate(k))
     return out[:, :, 0] if squeeze else out
 
 

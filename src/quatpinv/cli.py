@@ -290,6 +290,9 @@ def main(argv=None):
         parser.error("--seeds must name at least one seed")
     try:
         return args.fn(args)
+    except ValueError as exc:
+        # a parameter value the solvers or the app problems reject
+        parser.error(str(exc))
     except QuatpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

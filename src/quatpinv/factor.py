@@ -1,10 +1,10 @@
 """Direct factorizations: thin QR, Hermitian-PD solves, SVD, and the
 closed-form / SVD-based pseudoinverse baselines.
 
-The SVD runs on the complex adjoint embedding with a one-sided Jacobi
-sweep, then reassembles quaternion factors from the paired complex
-singular vectors. These routines serve as oracles for the iterative
-solvers and as micro-solvers inside the randomized methods.
+The SVD is LAPACK's, run on the complex adjoint embedding; quaternion
+factors are reassembled from its singular vectors, which come in pairs
+(v, phi(v)). These routines serve as oracles for the iterative solvers
+and as micro-solvers inside the randomized methods.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import _qops
 from .errors import (ConvergenceFailure, Indefinite, NotHermitian,
                      RankDeficient)
-from .qmatrix import QMatrix, op_norm_est
+from .qmatrix import QMatrix
 
 
 @dataclass
@@ -181,8 +181,8 @@ def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
     """Solve (G + ridge*I) Z = B for Hermitian positive definite G.
 
     Cholesky first; if a pivot fails or the residual is poor, a CG
-    micro-solver takes over (iteration cap 4r), then a few Newton-Schulz
-    steps for G^{-1} as a last resort. Raises NotHermitian / Indefinite.
+    micro-solver takes over (iteration cap 4r). Raises NotHermitian, or
+    Indefinite when G has a negative eigenvalue or CG stagnates.
     """
     r, _ = G.shape
     if G.cols != r:
@@ -205,7 +205,7 @@ def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
             return Z
     else:
         # pivot failure: distinguish indefinite from merely singular/ill-
-        # conditioned before handing off to the iterative fallbacks
+        # conditioned before handing off to the CG fallback
         lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
         if lo < -1e-10 * max(G.fro_norm(), 1e-300):
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
@@ -230,70 +230,12 @@ def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
         rs = rs_new
     if (Gr @ Z - B).fro_norm() <= tol * bnorm:
         return Z
-
-    # Newton-Schulz fallback for G^{-1}
-    est = op_norm_est(Gr, iters=20, seed=0)
-    if est > 0:
-        X = Gr.adjoint().scale(0.9 / est ** 2)
-        I = QMatrix.identity(r)
-        for _ in range(100):
-            E = I - Gr @ X
-            if E.fro_norm() <= 1e-14 * r:
-                break
-            X = X @ (I + E)
-        Z = X @ B
-        if (Gr @ Z - B).fro_norm() <= tol * bnorm:
-            return Z
-    raise Indefinite("Cholesky failed and CG/NS fallbacks stagnated")
+    raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
 
 # ---------------------------------------------------------------------------
-# SVD via the complex adjoint embedding + one-sided Jacobi
+# SVD via the complex adjoint embedding (LAPACK)
 # ---------------------------------------------------------------------------
-
-def _jacobi_one_sided(M: np.ndarray, max_sweeps: int = 60,
-                      tol: float = 1e-12):
-    """Orthogonalize the columns of complex M in place; returns (M, V).
-
-    Stops when the Gram off-diagonal norm drops below tol * ||M||_F^2.
-    """
-    M = M.copy()
-    n = M.shape[1]
-    V = np.eye(n, dtype=np.complex128)
-    scale2 = float(np.sum(np.abs(M) ** 2))
-    if scale2 == 0.0:
-        return M, V
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                gij = np.vdot(M[:, i], M[:, j])
-                r = abs(gij)
-                off2 += r * r
-                if r <= 1e-30:
-                    continue
-                gii = float(np.real(np.vdot(M[:, i], M[:, i])))
-                gjj = float(np.real(np.vdot(M[:, j], M[:, j])))
-                if r <= 1e-16 * np.sqrt(gii * gjj):
-                    continue
-                phase = gij / r
-                tau = (gjj - gii) / (2.0 * r)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                mi = M[:, i].copy()
-                mj = M[:, j].copy()
-                M[:, i] = c * mi - (s * np.conj(phase)) * mj
-                M[:, j] = (s * phase) * mi + c * mj
-                vi = V[:, i].copy()
-                vj = V[:, j].copy()
-                V[:, i] = c * vi - (s * np.conj(phase)) * vj
-                V[:, j] = (s * phase) * vi + c * vj
-        if np.sqrt(off2) <= tol * scale2:
-            return M, V
-    raise ConvergenceFailure("one-sided Jacobi exceeded 60 sweeps")
-
 
 def _phi(v: np.ndarray) -> np.ndarray:
     """Structure map pairing singular vectors of the embedding."""
@@ -303,102 +245,52 @@ def _phi(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_to_quaternion_columns(Vc: np.ndarray, order: np.ndarray,
-                                n: int) -> QMatrix:
-    """Select one complex singular vector per structure pair and assemble
-    the n quaternion columns of the right singular factor."""
-    basis: list[np.ndarray] = []
-    chosen: list[np.ndarray] = []
-    for idx in order:
-        if len(chosen) == n:
-            break
-        v = Vc[:, idx].copy()
-        for b in basis:
-            v -= b * np.vdot(b, v)
-        nv = np.linalg.norm(v)
-        if nv < 0.3:
-            continue
-        v /= nv
-        p = _phi(v)
-        for b in basis:
-            p -= b * np.vdot(b, p)
-        p -= v * np.vdot(v, p)
-        p /= np.linalg.norm(p)
-        chosen.append(v)
-        basis.append(v)
-        basis.append(p)
-    if len(chosen) != n:
-        raise ConvergenceFailure("failed to pair embedding singular vectors")
-    cols = np.zeros((n, n, 4))
-    for jcol, v in enumerate(chosen):
-        x = v[0::2]
-        y = v[1::2]
-        cols[:, jcol, 0] = x.real
-        cols[:, jcol, 1] = x.imag
-        cols[:, jcol, 2] = -y.real
-        cols[:, jcol, 3] = y.imag
-    return QMatrix(cols)
+def _quaternion_basis(W: np.ndarray, k: int) -> np.ndarray:
+    """k orthonormal quaternion columns, as an (rows/2, k, 4) array, that
+    span the phi-closed subspace with orthonormal complex basis W.
+
+    Each pick is the column of W with the largest residual; it and its
+    phi partner are then projected out of W. After t picks the squared
+    residuals of W's 2k columns sum to 2(k - t), so a pick is never
+    shorter than sqrt(1/k).
+    """
+    W = W.copy()
+    cols = np.empty((W.shape[0] // 2, k, 4))
+    for j in range(k):
+        norms = np.linalg.norm(W, axis=0)
+        i = int(np.argmax(norms))
+        v = W[:, i] / norms[i]
+        P = np.stack([v, _phi(v)], axis=1)
+        W -= P @ (P.conj().T @ W)
+        x, y = v[0::2], v[1::2]
+        cols[:, j] = np.stack([x.real, x.imag, -y.real, y.imag], axis=1)
+    return cols
 
 
-def _complete_unitary(cols: np.ndarray, m: int) -> np.ndarray:
-    """Extend orthonormal quaternion columns (m, k, 4) to an m x m basis."""
-    have = [cols[:, j, :] for j in range(cols.shape[1])]
-    cand = 0
-    while len(have) < m and cand < 4 * m + 4:
-        e = np.zeros((m, 4))
-        if cand < m:
-            e[cand, 0] = 1.0
-        else:
-            # deterministic fallback directions
-            e[cand % m, 1 + (cand // m) % 3] = 1.0
-        for b in have:
-            coef = _qops.qdot(b, e)
-            e = e - _qops.qmul(b, coef)
-        nrm = np.sqrt(np.sum(e * e))
-        if nrm > 0.3:
-            have.append(e / nrm)
-        cand += 1
-    if len(have) < m:
-        raise ConvergenceFailure("could not complete unitary basis")
-    return np.stack(have, axis=1)
-
-
-def qsvd(A: QMatrix, max_sweeps: int = 60) -> QSVDFactors:
+def qsvd(A: QMatrix) -> QSVDFactors:
     """Quaternion SVD A = U diag(S) V^H with full unitary U, V.
 
-    Route: complex adjoint embedding -> one-sided Jacobi -> structured
-    extraction of paired singular vectors -> quaternion factors.
+    Route: LAPACK SVD of the complex adjoint embedding -> V paired from
+    its right singular vectors -> U = A V / sigma on the numerical range,
+    completed from the left singular vectors of the left null space.
     """
     m, n = A.shape
-    if m < n:
-        f = qsvd(A.adjoint(), max_sweeps)
-        return QSVDFactors(U=f.V, S=f.S, V=f.U)
+    if not np.all(np.isfinite(A.data)):
+        raise ConvergenceFailure("qsvd needs finite entries")
+    try:
+        Uc, _, Vch = np.linalg.svd(A.to_complex_adjoint())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
+    V = _quaternion_basis(Vch.conj().T, n)
 
-    C = A.to_complex_adjoint()
-    B, Vc = _jacobi_one_sided(C, max_sweeps=max_sweeps)
-    sig = np.linalg.norm(B, axis=0)
-    order = np.argsort(-sig, kind="stable")
-    Vq = _pair_to_quaternion_columns(Vc, order, n)
-
-    AV = A @ Vq
-    s = np.sqrt(_qops.qnormsq(AV.data).sum(axis=0))
+    AV = (A @ QMatrix(V)).data
+    s = np.sqrt(_qops.qnormsq(AV).sum(axis=0))
     perm = np.argsort(-s, kind="stable")
-    s = s[perm]
-    Vq = QMatrix(Vq.data[:, perm, :].copy())
-    AVd = AV.data[:, perm, :]
-
-    smax = s[0] if s.size else 0.0
-    ucols = []
-    for i in range(n):
-        if smax > 0 and s[i] > 1e-13 * smax:
-            ucols.append(AVd[:, i, :] / s[i])
-        else:
-            s[i] = max(s[i], 0.0)
-    if ucols:
-        Udat = _complete_unitary(np.stack(ucols, axis=1), m)
-    else:
-        Udat = _complete_unitary(np.zeros((m, 0, 4)), m)
-    return QSVDFactors(U=QMatrix(Udat), S=s, V=Vq)
+    s, V, AV = s[perm], V[:, perm], AV[:, perm]
+    r = int(np.sum(s > 1e-13 * s.max(initial=0.0)))
+    U = np.concatenate([AV[:, :r] / s[:r, None],
+                        _quaternion_basis(Uc[:, 2 * r:], m - r)], axis=1)
+    return QSVDFactors(U=QMatrix(U), S=s[:min(m, n)], V=QMatrix(V))
 
 
 def pinv_qsvd(A: QMatrix, rank_tol: float = 1e-10) -> QMatrix:

@@ -87,6 +87,22 @@ def test_gaussian_smooth_reduces_variation():
     assert out.min() >= img.min() - 1e-12 and out.max() <= img.max() + 1e-12
 
 
+def test_gaussian_smooth_matches_np_convolve():
+    img = np.random.default_rng(3).random((7, 9, 3))
+    sigma, rad = 1.3, 3
+    t = np.arange(-rad, rad + 1)
+    k = np.exp(-0.5 * (t / sigma) ** 2)
+    k /= k.sum()
+    p = np.pad(img, ((rad, rad), (rad, rad), (0, 0)), mode="edge")
+    ref = np.empty_like(img)
+    for c in range(3):
+        cols = np.stack([np.convolve(p[:, j, c], k, mode="valid")
+                         for j in range(p.shape[1])], axis=1)
+        ref[:, :, c] = [np.convolve(row, k, mode="valid") for row in cols]
+    assert np.abs(gaussian_smooth(img, sigma) - ref).max() <= 1e-14
+    assert np.abs(gaussian_smooth(img[:, :, 1], sigma) - ref[:, :, 1]).max() <= 1e-14
+
+
 def test_ppm_roundtrip(tmp_path):
     img = synthetic_image(9, seed=2)
     path = tmp_path / "img.ppm"

@@ -26,6 +26,31 @@ def test_usage_no_subcommand():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pinv-bench", "--sizes", "5", "--method", "rsp"],
+    ["pinv-bench", "--sizes", "5", "--gamma", "0"],
+    ["pinv-bench", "--sizes", "5", "--maxit", "-1"],
+    ["lorenz", "--sizes", "1"],
+    ["deblur", "--sizes", "16", "--lambda", "0"],
+])
+def test_usage_bad_parameter_value(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_pinv_bench_qsvd_baseline_has_no_failure_rows(tmp_path):
+    out = tmp_path / "qsvd.csv"
+    assert main(["pinv-bench", "--sizes", "5,30", "--method", "qsvd-baseline",
+                 "--out", str(out)]) == 0
+    lines = rows(out)
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cols = line.split(",")
+        assert cols[4] != "-1" and max(float(c) for c in cols[6:10]) <= 1e-9
+
+
 def test_pinv_bench_csv_schema(tmp_path):
     out = tmp_path / "pinv.csv"
     rc = main(["pinv-bench", "--sizes", "20", "--seeds", "0,1",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatpinv.errors import Indefinite, NotHermitian, RankDeficient
+from quatpinv.errors import (ConvergenceFailure, Indefinite, NotHermitian,
+                             RankDeficient)
 from quatpinv.factor import (hpd_solve, pinv_from_qr, pinv_normal_eq,
                              pinv_qsvd, qsvd, solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat
@@ -11,6 +13,12 @@ from quatpinv.solvers import penrose_residuals
 
 def is_identity(A: QMatrix, tol=1e-12) -> bool:
     return (A - QMatrix.identity(A.rows)).fro_norm() <= tol
+
+
+def reconstruct(f, m: int, n: int) -> QMatrix:
+    Sig = np.zeros((m, n))
+    Sig[:len(f.S), :len(f.S)] = np.diag(f.S)
+    return f.U @ QMatrix.from_real(Sig) @ f.V.adjoint()
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +97,18 @@ def test_hpd_solve_indefinite():
         hpd_solve(G, QMatrix.identity(3))
 
 
+def test_hpd_solve_cg_fallback():
+    # a repeated column makes G singular: the Cholesky pivot fails and CG
+    # solves a right-hand side in the range of G, but not one outside it
+    C = randn_qmat(12, 4, 0).take_cols([0, 0, 1, 2, 3])
+    G = C.adjoint() @ C
+    B = G @ randn_qmat(5, 2, 1)
+    X = hpd_solve(G, B, ridge=0.0)
+    assert (G @ X - B).fro_norm() <= 1e-10 * B.fro_norm()
+    with pytest.raises(Indefinite):
+        hpd_solve(G, randn_qmat(5, 2, 2), ridge=0.0)
+
+
 # ---------------------------------------------------------------------------
 # QSVD
 # ---------------------------------------------------------------------------
@@ -100,10 +120,7 @@ def test_qsvd_reconstruction(m, n, seed):
     assert is_identity(f.U.adjoint() @ f.U, tol=1e-12)
     assert is_identity(f.V.adjoint() @ f.V, tol=1e-12)
     assert np.all(np.diff(f.S) <= 1e-12) and np.all(f.S >= 0)
-    Sig = np.zeros((m, n))
-    Sig[:len(f.S), :len(f.S)] = np.diag(f.S)
-    R = f.U @ QMatrix.from_real(Sig) @ f.V.adjoint()
-    assert (R - A).fro_norm() <= 1e-8 * A.fro_norm()
+    assert (reconstruct(f, m, n) - A).fro_norm() <= 1e-8 * A.fro_norm()
 
 
 def test_qsvd_spectrum_matches_gram():
@@ -121,16 +138,45 @@ def test_qsvd_rank_deficient():
     A = G @ H.adjoint()
     f = qsvd(A)
     assert np.sum(f.S > 1e-8 * f.S[0]) == 2
-    Sig = np.zeros((6, 5))
-    Sig[:5, :5] = np.diag(f.S)
-    R = f.U @ QMatrix.from_real(Sig) @ f.V.adjoint()
-    assert (R - A).fro_norm() <= 1e-8 * A.fro_norm()
+    assert (reconstruct(f, 6, 5) - A).fro_norm() <= 1e-8 * A.fro_norm()
 
 
 def test_qsvd_zero_matrix():
     f = qsvd(QMatrix.zeros(3, 2))
     assert np.all(f.S == 0.0)
     assert is_identity(f.U.adjoint() @ f.U, tol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_qsvd_property(m, n, seed):
+    A = randn_qmat(m, n, seed)
+    f = qsvd(A)
+    assert is_identity(f.U.adjoint() @ f.U, tol=1e-12)
+    assert is_identity(f.V.adjoint() @ f.V, tol=1e-12)
+    assert np.all(np.diff(f.S) <= 0) and np.all(f.S >= 0)
+    assert (reconstruct(f, m, n) - A).fro_norm() <= 1e-10 * A.fro_norm()
+
+
+@pytest.mark.parametrize("A", [QMatrix.identity(6),
+                               thin_qr(randn_qmat(9, 4, 12)).Q,
+                               thin_qr(randn_qmat(9, 4, 12)).Q.adjoint()],
+                         ids=["identity", "orthonormal-cols", "orthonormal-rows"])
+def test_qsvd_degenerate_spectrum(A):
+    m, n = A.shape
+    f = qsvd(A)
+    assert np.abs(f.S - 1.0).max() <= 1e-12
+    assert is_identity(f.U.adjoint() @ f.U, tol=1e-12)
+    assert is_identity(f.V.adjoint() @ f.V, tol=1e-12)
+    assert (reconstruct(f, m, n) - A).fro_norm() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qsvd_rejects_non_finite(bad):
+    A = randn_qmat(5, 4, 13)
+    A.data[2, 1, 3] = bad
+    with pytest.raises(ConvergenceFailure):
+        qsvd(A)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +191,16 @@ def test_pinv_routes_agree(m, n):
     assert (X1 - X2).fro_norm() <= 1e-10 * X2.fro_norm()
     assert max(penrose_residuals(A, X1)) <= 1e-9
     assert max(penrose_residuals(A, X2)) <= 1e-9
+
+
+@pytest.mark.parametrize("m,n", [(25, 24), (50, 30), (70, 50), (220, 200)])
+def test_pinv_qsvd_completes_unitary_basis(m, n):
+    # these shapes (seed 0) once failed to complete the unitary U
+    A = randn_qmat(m, n, 0)
+    X1 = pinv_qsvd(A)
+    X2 = pinv_normal_eq(A)
+    assert (X1 - X2).fro_norm() <= 1e-10 * X2.fro_norm()
+    assert max(penrose_residuals(A, X1)) <= 1e-9
 
 
 def test_pinv_zeros():
