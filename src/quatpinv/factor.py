@@ -252,19 +252,39 @@ def _quaternion_basis(W: np.ndarray, k: int) -> np.ndarray:
     Each pick is the column of W with the largest residual; it and its
     phi partner are then projected out of W. After t picks the squared
     residuals of W's 2k columns sum to 2(k - t), so a pick is never
-    shorter than sqrt(1/k).
+    shorter than sqrt(1/k). The squared residuals are downdated after each
+    projection; only the picked column's norm is computed afresh.
     """
     W = W.copy()
+    nsq = np.sum(np.abs(W) ** 2, axis=0)
     cols = np.empty((W.shape[0] // 2, k, 4))
     for j in range(k):
-        norms = np.linalg.norm(W, axis=0)
-        i = int(np.argmax(norms))
-        v = W[:, i] / norms[i]
+        i = int(np.argmax(nsq))
+        v = W[:, i] / np.linalg.norm(W[:, i])
         P = np.stack([v, _phi(v)], axis=1)
-        W -= P @ (P.conj().T @ W)
+        C = P.conj().T @ W
+        W -= P @ C
+        nsq -= np.sum(np.abs(C) ** 2, axis=0)
         x, y = v[0::2], v[1::2]
         cols[:, j] = np.stack([x.real, x.imag, -y.real, y.imag], axis=1)
     return cols
+
+
+def _right_factor(A: QMatrix):
+    """LAPACK SVD of the embedding, then V paired from its right singular
+    vectors. Returns (Uc, s, V, AV): the complex left singular vectors,
+    and s = ||A v_j||, V and AV sorted so that s is nonincreasing."""
+    if not np.all(np.isfinite(A.data)):
+        raise ConvergenceFailure("qsvd needs finite entries")
+    try:
+        Uc, _, Vch = np.linalg.svd(A.to_complex_adjoint())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
+    V = _quaternion_basis(Vch.conj().T, A.cols)
+    AV = (A @ QMatrix(V)).data
+    s = np.sqrt(_qops.qnormsq(AV).sum(axis=0))
+    perm = np.argsort(-s, kind="stable")
+    return Uc, s[perm], V[:, perm], AV[:, perm]
 
 
 def qsvd(A: QMatrix) -> QSVDFactors:
@@ -275,18 +295,7 @@ def qsvd(A: QMatrix) -> QSVDFactors:
     completed from the left singular vectors of the left null space.
     """
     m, n = A.shape
-    if not np.all(np.isfinite(A.data)):
-        raise ConvergenceFailure("qsvd needs finite entries")
-    try:
-        Uc, _, Vch = np.linalg.svd(A.to_complex_adjoint())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
-    V = _quaternion_basis(Vch.conj().T, n)
-
-    AV = (A @ QMatrix(V)).data
-    s = np.sqrt(_qops.qnormsq(AV).sum(axis=0))
-    perm = np.argsort(-s, kind="stable")
-    s, V, AV = s[perm], V[:, perm], AV[:, perm]
+    Uc, s, V, AV = _right_factor(A)
     r = int(np.sum(s > 1e-13 * s.max(initial=0.0)))
     U = np.concatenate([AV[:, :r] / s[:r, None],
                         _quaternion_basis(Uc[:, 2 * r:], m - r)], axis=1)
@@ -294,13 +303,18 @@ def qsvd(A: QMatrix) -> QSVDFactors:
 
 
 def pinv_qsvd(A: QMatrix, rank_tol: float = 1e-10) -> QMatrix:
-    """Pseudoinverse V Sigma^+ U^H; sigma <= rank_tol * max sigma -> 0."""
-    f = qsvd(A)
-    k = f.S.size
-    smax = f.S[0] if k else 0.0
-    sinv = np.where(f.S > rank_tol * max(smax, 1e-300), 1.0 / np.maximum(f.S, 1e-300), 0.0)
-    Vk = f.V.data[:, :k, :] * sinv[None, :, None]
-    return QMatrix(Vk) @ QMatrix(f.U.data[:, :k, :].copy()).adjoint()
+    """Pseudoinverse V Sigma^+ U^H; sigma <= rank_tol * max sigma -> 0.
+
+    With U = A V / sigma on the kept columns this is
+    V diag(1 / sigma^2) (A V)^H, so U itself is never formed.
+    """
+    _, s, V, AV = _right_factor(A)
+    k = min(A.shape)
+    s, V, AV = s[:k], V[:, :k], AV[:, :k]
+    smax = s[0] if k else 0.0
+    keep = s > rank_tol * max(smax, 1e-300)
+    sinv = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
+    return QMatrix(V * (sinv ** 2)[None, :, None]) @ QMatrix(AV).adjoint()
 
 
 def pinv_normal_eq(A: QMatrix, ridge: float = 0.0) -> QMatrix:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quatpinv.errors import Breakdown, DimensionMismatch, Divergence
 from quatpinv.factor import pinv_normal_eq
@@ -182,6 +183,36 @@ def test_rsp_monotone_error():
         cur = (X - Xstar).fro_norm()
         assert cur <= prev * (1 + 1e-12)
         prev = cur
+
+
+# (n, r): sketches of at least half the columns reach the floor in < 150
+# steps; the example is test_rsp_monotone_error's instance
+_rsp_shapes = st.integers(4, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers((n + 1) // 2, n - 1)))
+
+
+@settings(deadline=None, max_examples=8)
+@given(_rsp_shapes, st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+@example((10, 4), 12, 2)
+def test_rsp_contraction_until_floor(shape, a_seed, sketch_seed):
+    # the projection step never increases the error; checked only while
+    # the error stands above 1e-12 ||X*||, clear of rounding in X* itself
+    n, r = shape
+    A = randn_qmat(3 * n, n, a_seed)
+    Xstar = pinv_normal_eq(A)
+    floor = 1e-12 * Xstar.fro_norm()
+    sk = SketchConfig(block_r=r, seed=sketch_seed)
+    rng = QuatRNG(sketch_seed)
+    X = A.adjoint().scale(auto_alpha(A))
+    prev = (X - Xstar).fro_norm()
+    for _ in range(200):
+        X = _rsp_col_step(A, X, sk, rng)
+        cur = (X - Xstar).fro_norm()
+        assert cur <= prev * (1 + 1e-12)
+        if cur <= floor:
+            break
+        prev = cur
+    assert cur <= floor
 
 
 def test_rsp_row_example():
