@@ -111,12 +111,15 @@ def cmd_pinv_bench(args):
         for seed in args.seeds:
             A = randn_qmat(n + 20, n, seed)
             for method in methods:
+                t0 = time.perf_counter()
                 try:
                     lines.append(_run_method(method, A, args, seed))
                 except QuatpinvError:
-                    # failed run: sentinel row, grid continues
-                    lines.append(f"{method},{n + 20},{n},{seed},-1,0.0,"
-                                 "nan,nan,nan,nan,nan")
+                    # failed run: sentinel row with the seconds it ran for,
+                    # grid continues
+                    wall = time.perf_counter() - t0
+                    lines.append(f"{method},{A.rows},{A.cols},{seed},-1,"
+                                 f"{wall:.6f},nan,nan,nan,nan,nan")
     _write_lines(args.out, lines)
     if args.out and args.out != "-":
         with open(args.out + ".gp", "w") as fh:

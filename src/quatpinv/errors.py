@@ -33,6 +33,10 @@ class ConvergenceFailure(QuatpinvError):
     pass
 
 
+class NonFinite(QuatpinvError):
+    """Input holds a NaN or infinite entry."""
+
+
 class Divergence(QuatpinvError):
     """Iteration residual grew persistently; scaling is outside its valid interval."""
 

@@ -4,7 +4,9 @@ closed-form / SVD-based pseudoinverse baselines.
 The SVD is LAPACK's, run on the complex adjoint embedding; quaternion
 factors are reassembled from its singular vectors, which come in pairs
 (v, phi(v)). These routines serve as oracles for the iterative solvers
-and as micro-solvers inside the randomized methods.
+and as micro-solvers inside the randomized methods. A Hermitian positive
+definite G is factored once (``hpd_factor``) and solved against each
+right-hand side (``HPDFactor.solve``); ``hpd_solve`` does both for one.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
         x = W[k:, k, :]
         normx = float(np.sqrt(np.sum(x * x)))
         if normx == 0.0:
-            reflectors.append(None)
             continue
         x1 = x[0]
         ax1 = float(np.sqrt(np.sum(x1 * x1)))
@@ -61,7 +62,6 @@ def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
         v[0] = v[0] + phi * normx
         vns = float(np.sum(v * v))
         if vns == 0.0:
-            reflectors.append(None)
             continue
         vcol = v[:, None, :]
         vH = _qops.qconj(v)[None, :, :]
@@ -70,42 +70,34 @@ def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
         # reflector maps the column to -phi*normx * e1 exactly
         W[k, k, :] = -phi * normx
         W[k + 1:, k, :] = 0.0
-        reflectors.append((k, vcol, vns))
+        reflectors.append((k, vcol, vH, vns))
 
+    # unit quaternions d_k = conj(R_kk) / |R_kk| make the diagonal real
+    # positive: R <- diag(d) R and Q <- Q diag(conj(d)); a zero R_kk keeps
+    # d_k = 1 and its row is left as it is
     Rdat = W[:r, :, :].copy()
-    # unit-quaternion row scaling to make the diagonal real positive
-    dvals = []
-    for k in range(r):
-        rkk = Rdat[k, k, :]
-        mag = float(np.sqrt(np.sum(rkk * rkk)))
-        if mag == 0.0:
-            dvals.append(np.array([1.0, 0.0, 0.0, 0.0]))
-            continue
-        d = rkk.copy()
-        d[1:] *= -1.0
-        d /= mag
-        Rdat[k, :, :] = _qops.qmul(d, Rdat[k, :, :])
-        Rdat[k, k, :] = np.array([mag, 0.0, 0.0, 0.0])
-        dvals.append(d)
+    ks = np.arange(r)
+    rkk = Rdat[ks, ks]
+    mag = np.sqrt(np.sum(rkk * rkk, axis=1))
+    nz = np.flatnonzero(mag != 0.0)
+    D = np.zeros((r, 4))
+    D[:, 0] = 1.0
+    D[nz] = _qops.qconj(rkk[nz]) / mag[nz, None]
+    Rdat[nz] = _qops.qmul(D[nz, None, :], Rdat[nz])
+    Rdat[nz, nz] = 0.0
+    Rdat[nz, nz, 0] = mag[nz]
 
-    diag = Rdat[np.arange(r), np.arange(r), 0]
+    diag = Rdat[ks, ks, 0]
     if diag.min() <= rank_tol * max(scale, 1e-300):
         raise RankDeficient(
             f"R diagonal {diag.min():.3e} <= {rank_tol:.1e} * {scale:.3e}")
 
     Qdat = np.zeros((m, r, 4))
-    Qdat[np.arange(r), np.arange(r), 0] = 1.0
-    for ref in reversed(reflectors):
-        if ref is None:
-            continue
-        k, vcol, vns = ref
-        vH = _qops.qconj(vcol[:, 0, :])[None, :, :]
+    Qdat[ks, ks, 0] = 1.0
+    for k, vcol, vH, vns in reversed(reflectors):
         t = _qops.qmatmul(vH, Qdat[k:, :, :])
         Qdat[k:, :, :] -= (2.0 / vns) * _qops.qmatmul(vcol, t)
-    for k in range(r):
-        dbar = dvals[k].copy()
-        dbar[1:] *= -1.0
-        Qdat[:, k, :] = _qops.qmul(Qdat[:, k, :], dbar)
+    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[None, :, :])
 
     return QRFactors(Q=QMatrix(Qdat), R=QMatrix(Rdat))
 
@@ -117,10 +109,10 @@ def solve_upper_triangular(R: QMatrix, B: QMatrix) -> QMatrix:
     Rd = R.data
     Bd = B.data
     for j in range(r - 1, -1, -1):
-        acc = Bd[j:j + 1, :, :].copy()
+        Z[j] = Bd[j]
         if j + 1 < r:
-            acc = acc - _qops.qmatmul(Rd[j:j + 1, j + 1:, :], Z[j + 1:, :, :])
-        Z[j, :, :] = acc[0] / Rd[j, j, 0]
+            Z[j] -= _qops.qmatmul(Rd[j:j + 1, j + 1:, :], Z[j + 1:, :, :])[0]
+        Z[j] /= Rd[j, j, 0]
     return QMatrix(Z)
 
 
@@ -146,29 +138,30 @@ def _cholesky(Gd: np.ndarray) -> np.ndarray | None:
         ljj = np.sqrt(d)
         L[j, j, 0] = ljj
         if j + 1 < r:
-            acc = Gd[j + 1:, j, :].copy()
+            L[j + 1:, j] = Gd[j + 1:, j]
             if j > 0:
                 conj_row = _qops.qconj(L[j, :j, :])[:, None, :]
-                acc -= _qops.qmatmul(L[j + 1:, :j, :], conj_row)[:, 0, :]
-            L[j + 1:, j, :] = acc / ljj
+                L[j + 1:, j] -= _qops.qmatmul(L[j + 1:, :j, :],
+                                              conj_row)[:, 0, :]
+            L[j + 1:, j] /= ljj
     return L
 
 
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
+    """Solve L L^H Z = B: forward substitution with L, then back
+    substitution with L^H (formed once), in place in one array."""
     r = L.shape[0]
-    Y = np.zeros_like(Bd)
-    for j in range(r):
-        acc = Bd[j:j + 1, :, :].copy()
-        if j > 0:
-            acc = acc - _qops.qmatmul(L[j:j + 1, :j, :], Y[:j, :, :])
-        Y[j, :, :] = acc[0] / L[j, j, 0]
+    LH = _qops.qconj(L.transpose(1, 0, 2))
     Z = np.zeros_like(Bd)
+    for j in range(r):
+        Z[j] = Bd[j]
+        if j > 0:
+            Z[j] -= _qops.qmatmul(L[j:j + 1, :j, :], Z[:j, :, :])[0]
+        Z[j] /= L[j, j, 0]
     for j in range(r - 1, -1, -1):
-        acc = Y[j:j + 1, :, :].copy()
         if j + 1 < r:
-            LH = _qops.qconj(L[j + 1:, j, :])[None, :, :]
-            acc = acc - _qops.qmatmul(LH, Z[j + 1:, :, :])
-        Z[j, :, :] = acc[0] / L[j, j, 0]
+            Z[j] -= _qops.qmatmul(LH[j:j + 1, j + 1:, :], Z[j + 1:, :, :])[0]
+        Z[j] /= L[j, j, 0]
     return Z
 
 
@@ -176,61 +169,80 @@ def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
-              tol: float = 1e-10) -> QMatrix:
-    """Solve (G + ridge*I) Z = B for Hermitian positive definite G.
+@dataclass
+class HPDFactor:
+    """G + ridge*I, factored once by ``hpd_factor`` and then solved against
+    any number of right-hand sides."""
+    G: QMatrix               # G + ridge*I
+    L: np.ndarray | None     # its Cholesky factor; None: solves run CG
 
-    Cholesky first; if a pivot fails or the residual is poor, a CG
-    micro-solver takes over (iteration cap 4r). Raises NotHermitian, or
-    Indefinite when G has a negative eigenvalue or CG stagnates.
+    def solve(self, B: QMatrix, tol: float = 1e-10) -> QMatrix:
+        """Z with (G + ridge*I) Z = B: the two triangular solves, kept when
+        their residual is within tol * ||B||; otherwise a CG micro-solver
+        (iteration cap 4r) takes over. Raises Indefinite when CG
+        stagnates."""
+        r = self.G.rows
+        if B.rows != r:
+            raise NotHermitian("B row count differs from G")
+        bnorm = max(B.fro_norm(), 1e-300)
+        if self.L is not None:
+            Z = QMatrix(_chol_solve(self.L, B.data))
+            if (self.G @ Z - B).fro_norm() <= tol * bnorm:
+                return Z
+
+        # CG fallback in the real trace inner product
+        Z = QMatrix.zeros(r, B.cols)
+        Rres = B - self.G @ Z
+        P = Rres.copy()
+        rs = _frob_inner(Rres.data, Rres.data)
+        for _ in range(4 * r):
+            if np.sqrt(rs) <= tol * bnorm:
+                break
+            GP = self.G @ P
+            denom = _frob_inner(P.data, GP.data)
+            if denom <= 0:
+                break
+            a = rs / denom
+            Z = QMatrix(Z.data + a * P.data)
+            Rres = QMatrix(Rres.data - a * GP.data)
+            rs_new = _frob_inner(Rres.data, Rres.data)
+            P = QMatrix(Rres.data + (rs_new / rs) * P.data)
+            rs = rs_new
+        if (self.G @ Z - B).fro_norm() <= tol * bnorm:
+            return Z
+        raise Indefinite("Cholesky failed and the CG fallback stagnated")
+
+
+def hpd_factor(G: QMatrix, ridge: float = 1e-10) -> HPDFactor:
+    """Factor G + ridge*I for Hermitian positive definite G, once per G.
+
+    Raises NotHermitian, or Indefinite when a Cholesky pivot fails and G
+    has a negative eigenvalue; a pivot failure on a merely singular or
+    ill-conditioned G leaves L None, and every solve then runs CG.
     """
     r, _ = G.shape
     if G.cols != r:
-        raise NotHermitian("hpd_solve needs a square matrix")
+        raise NotHermitian("hpd_factor needs a square matrix")
     herm_gap = (G - G.adjoint()).fro_norm()
     if herm_gap > 1e-10 * max(G.fro_norm(), 1e-300):
         raise NotHermitian(f"||G - G^H|| = {herm_gap:.3e}")
-    if B.rows != r:
-        raise NotHermitian("B row count differs from G")
-
     Gd = G.data.copy()
     Gd[np.arange(r), np.arange(r), 0] += ridge
-    Gr = QMatrix(Gd)
-    bnorm = max(B.fro_norm(), 1e-300)
-
     L = _cholesky(Gd)
-    if L is not None:
-        Z = QMatrix(_chol_solve(L, B.data))
-        if (Gr @ Z - B).fro_norm() <= tol * bnorm:
-            return Z
-    else:
-        # pivot failure: distinguish indefinite from merely singular/ill-
-        # conditioned before handing off to the CG fallback
+    if L is None:
         lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
         if lo < -1e-10 * max(G.fro_norm(), 1e-300):
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
+    return HPDFactor(QMatrix(Gd), L)
 
-    # CG fallback in the real trace inner product
-    Z = QMatrix.zeros(r, B.cols)
-    Rres = B - Gr @ Z
-    P = Rres.copy()
-    rs = _frob_inner(Rres.data, Rres.data)
-    for _ in range(4 * r):
-        if np.sqrt(rs) <= tol * bnorm:
-            break
-        GP = Gr @ P
-        denom = _frob_inner(P.data, GP.data)
-        if denom <= 0:
-            break
-        a = rs / denom
-        Z = QMatrix(Z.data + a * P.data)
-        Rres = QMatrix(Rres.data - a * GP.data)
-        rs_new = _frob_inner(Rres.data, Rres.data)
-        P = QMatrix(Rres.data + (rs_new / rs) * P.data)
-        rs = rs_new
-    if (Gr @ Z - B).fro_norm() <= tol * bnorm:
-        return Z
-    raise Indefinite("Cholesky failed and the CG fallback stagnated")
+
+def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
+              tol: float = 1e-10) -> QMatrix:
+    """Solve (G + ridge*I) Z = B for Hermitian positive definite G:
+    ``hpd_factor(G, ridge).solve(B, tol)``. A caller with several
+    right-hand sides for one G factors it once and calls ``solve`` on each.
+    """
+    return hpd_factor(G, ridge).solve(B, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ q = a + bi + cj + dk to the 2x2 complex block
     [[ a + bi,  c + di],
      [-c + di,  a - bi]]
 
-and is used only off the solver path: by the SVD baseline, and by
-hpd_solve's eigenvalue check after a failed Cholesky pivot.
+and is used only off the solver path: by the SVD baseline, by
+rsp_rate_bound's smallest singular value, and by hpd_factor's eigenvalue
+check after a failed Cholesky pivot.
 """
 
 from __future__ import annotations

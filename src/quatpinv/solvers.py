@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
-                     InvalidOrder, RankDeficient, SketchFailure)
-from .factor import hpd_solve, pinv_from_qr, pinv_normal_eq, qsvd
+                     InvalidOrder, NonFinite, RankDeficient, SketchFailure)
+from .factor import hpd_factor, hpd_solve, pinv_from_qr, pinv_normal_eq
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng
 from .rng import QuatRNG
 
@@ -130,6 +130,11 @@ def auto_alpha(A: QMatrix, power_iters: int = 20, seed: int = 0) -> float:
     if est == 0.0:
         return 1.0
     return 0.99 / (est * est)
+
+
+def _require_finite(A: QMatrix) -> None:
+    if not np.all(np.isfinite(A.data)):
+        raise NonFinite("A has a NaN or infinite entry")
 
 
 def _resolve(A: QMatrix, cfg: SolverConfig):
@@ -300,6 +305,7 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # ---------------------------------------------------------------------------
 
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
+    _require_finite(A)
     side, alpha = _resolve(A, cfg)
     t0 = time.perf_counter()
 
@@ -360,13 +366,14 @@ def _rsp_row_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
     """One row sketch-and-project update; redraws rank-deficient sketches."""
     m = A.rows
     for _ in range(_MAX_REDRAWS):
-        S = randn_qmat_rng(m, sk.block_r, rng)
-        Z = S.adjoint() @ A
+        Sh = randn_qmat_rng(m, sk.block_r, rng).adjoint()
+        Z = Sh @ A
+        Zh = Z.adjoint()
         try:
-            W = hpd_solve(Z @ Z.adjoint(), S.adjoint() - Z @ X, ridge=1e-10)
+            W = hpd_solve(Z @ Zh, Sh - Z @ X, ridge=1e-10)
         except (RankDeficient, Indefinite):
             continue
-        return X + (Z.adjoint() @ W).scale(sk.relaxation)
+        return X + (Zh @ W).scale(sk.relaxation)
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -396,6 +403,7 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     Progress is monitored against an independent test sketch Pi with A@Pi
     precomputed once; the criterion estimates ||I_n - X A||_F.
     """
+    _require_finite(A)
     m, n = A.shape
     if m < n:
         raise DimensionMismatch("rsp_column requires m >= n")
@@ -413,6 +421,7 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 
 def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for AX = I_m (full row rank, m <= n); X0 = 0."""
+    _require_finite(A)
     m, n = A.shape
     if m > n:
         raise DimensionMismatch("rsp_row requires m <= n")
@@ -430,6 +439,7 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Cycles of T sketch-and-project steps plus one exact hyperpower
     correction on the right residual (column case only)."""
+    _require_finite(A)
     m, n = A.shape
     if m < n:
         raise DimensionMismatch("hybrid is defined for the column case (m >= n)")
@@ -462,8 +472,10 @@ class _NystromPrecond:
     """Approximate (AA^H)^{-1} from a thin sketch Y = A*Omega, applied on
     the right: Z -> Z (Y G^{-1} G^{-1} Y^H + theta I), G = Y^H Y.
 
-    The identity shift theta keeps the preconditioner positive definite
-    (the pure Nystrom term is rank-r singular).
+    G is constant, so it is factored once, here; each apply is then two
+    solves against that factor. The identity shift theta keeps the
+    preconditioner positive definite (the pure Nystrom term is rank-r
+    singular).
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig):
@@ -471,18 +483,16 @@ class _NystromPrecond:
         n = A.cols
         Omega = randn_qmat_rng(n, sk.block_r, rng)
         self.Y = A @ Omega
-        self.G = self.Y.adjoint() @ self.Y
+        self.G = hpd_factor(self.Y.adjoint() @ self.Y, ridge=1e-12)
         self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
         T = (Z @ self.Y).adjoint()            # r x k
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        T = hpd_solve(self.G, T, ridge=1e-12)
+        T = self.G.solve(self.G.solve(T))
         return (self.Y @ T).adjoint() + Z.scale(self.theta)
 
     def apply_left(self, Z: QMatrix) -> QMatrix:
-        T = hpd_solve(self.G, self.Y.adjoint() @ Z, ridge=1e-12)
-        T = hpd_solve(self.G, T, ridge=1e-12)
+        T = self.G.solve(self.G.solve(self.Y.adjoint() @ Z))
         return self.Y @ T + Z.scale(self.theta)
 
 
@@ -494,6 +504,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     to g(X) = 0.5*||AX - I_m||_F^2. Optional right preconditioning uses a
     thin-sketch Nystrom approximate inverse.
     """
+    _require_finite(A)
     m, n = A.shape
     column = m >= n
     side = SIDE_RIGHT if column else SIDE_LEFT
@@ -532,8 +543,10 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
 
 def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     """Theoretical expected contraction factor 1 - r*sigma_min^2/||A||_F^2."""
-    s = qsvd(A).S
-    return 1.0 - block_r * float(s[-1]) ** 2 / A.fro_norm() ** 2
+    _require_finite(A)
+    # the embedding's singular values are A's, each twice
+    smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
+    return 1.0 - block_r * float(smin) ** 2 / A.fro_norm() ** 2
 
 
 def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,

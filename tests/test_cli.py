@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+from quatpinv import cli
 from quatpinv.cli import APP_HEADER, RECURRENCE_HEADER, SOLVER_HEADER, main
+from quatpinv.errors import SketchFailure
 
 
 def rows(path):
@@ -147,3 +151,17 @@ def test_rsp_bench_rows(tmp_path):
     assert lines[0] == SOLVER_HEADER
     assert [line.split(",")[:4] for line in lines[1:]] == \
         [["rsp", "26", "6", "0"], ["rsp", "26", "6", "1"]]
+
+
+def test_pinv_bench_failure_row_records_elapsed_time(tmp_path, monkeypatch):
+    def fail_after_a_while(A, cfg):
+        time.sleep(0.05)
+        raise SketchFailure("no usable sketch")
+    monkeypatch.setattr(cli, "ns_damped", fail_after_a_while)
+    out = tmp_path / "fail.csv"
+    assert main(["pinv-bench", "--sizes", "5", "--method", "ns",
+                 "--out", str(out)]) == 0
+    cols = rows(out)[1].split(",")
+    assert cols[:5] == ["ns", "25", "5", "0", "-1"]
+    assert 0.05 <= float(cols[5]) < 5.0
+    assert cols[6:] == ["nan"] * 5

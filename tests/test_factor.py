@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from quatpinv import _qops, solvers
 from quatpinv.errors import (ConvergenceFailure, Indefinite, NotHermitian,
-                             RankDeficient)
-from quatpinv.factor import (hpd_solve, pinv_from_qr, pinv_normal_eq,
-                             pinv_qsvd, qsvd, solve_upper_triangular, thin_qr)
-from quatpinv.qmatrix import QMatrix, randn_qmat
+                             QuatpinvError, RankDeficient)
+from quatpinv.factor import (_chol_solve, _cholesky, hpd_solve, pinv_from_qr,
+                             pinv_normal_eq, pinv_qsvd, qsvd,
+                             solve_upper_triangular, thin_qr)
+from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.quaternion import Quaternion
-from quatpinv.solvers import penrose_residuals
+from quatpinv.rng import QuatRNG
+from quatpinv.solvers import (SketchConfig, SolverConfig, cgne_q,
+                              penrose_residuals)
 
 
 def is_identity(A: QMatrix, tol=1e-12) -> bool:
@@ -214,3 +218,279 @@ def test_pinv_rank_deficient_qsvd():
     A = G @ H.adjoint()
     X = pinv_qsvd(A)
     assert max(penrose_residuals(A, X)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# bitwise parity with the loops the micro-solves replaced
+# ---------------------------------------------------------------------------
+# The references keep the earlier code: thin_qr scaling R's rows and Q's
+# columns by one qmul each, substitutions that copy each right-hand-side
+# row before subtracting, one qconj per back-substitution step, and one
+# hpd_solve (so one Cholesky) per Nystrom apply. The current code must
+# round exactly as they do.
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.ascontiguousarray(x).tobytes()
+            == np.ascontiguousarray(y).tobytes())
+
+
+def _thin_qr_loop(Y: QMatrix, rank_tol: float = 1e-12):
+    m, r = Y.shape
+    scale = Y.fro_norm()
+    W = Y.data.copy()
+    reflectors = []
+    for k in range(r):
+        x = W[k:, k, :]
+        normx = float(np.sqrt(np.sum(x * x)))
+        if normx == 0.0:
+            continue
+        x1 = x[0]
+        ax1 = float(np.sqrt(np.sum(x1 * x1)))
+        phi = x1 / ax1 if ax1 > 0 else np.array([1.0, 0.0, 0.0, 0.0])
+        v = x.copy()
+        v[0] = v[0] + phi * normx
+        vns = float(np.sum(v * v))
+        if vns == 0.0:
+            continue
+        vcol = v[:, None, :]
+        t = _qops.qmatmul(_qops.qconj(v)[None, :, :], W[k:, k:, :])
+        W[k:, k:, :] -= (2.0 / vns) * _qops.qmatmul(vcol, t)
+        W[k, k, :] = -phi * normx
+        W[k + 1:, k, :] = 0.0
+        reflectors.append((k, vcol, vns))
+    Rdat = W[:r, :, :].copy()
+    dvals = []
+    for k in range(r):
+        rkk = Rdat[k, k, :]
+        mag = float(np.sqrt(np.sum(rkk * rkk)))
+        if mag == 0.0:
+            dvals.append(np.array([1.0, 0.0, 0.0, 0.0]))
+            continue
+        d = rkk.copy()
+        d[1:] *= -1.0
+        d /= mag
+        Rdat[k, :, :] = _qops.qmul(d, Rdat[k, :, :])
+        Rdat[k, k, :] = np.array([mag, 0.0, 0.0, 0.0])
+        dvals.append(d)
+    diag = Rdat[np.arange(r), np.arange(r), 0]
+    if diag.min() <= rank_tol * max(scale, 1e-300):
+        raise RankDeficient("R diagonal below rank_tol")
+    Qdat = np.zeros((m, r, 4))
+    Qdat[np.arange(r), np.arange(r), 0] = 1.0
+    for k, vcol, vns in reversed(reflectors):
+        vH = _qops.qconj(vcol[:, 0, :])[None, :, :]
+        t = _qops.qmatmul(vH, Qdat[k:, :, :])
+        Qdat[k:, :, :] -= (2.0 / vns) * _qops.qmatmul(vcol, t)
+    for k in range(r):
+        dbar = dvals[k].copy()
+        dbar[1:] *= -1.0
+        Qdat[:, k, :] = _qops.qmul(Qdat[:, k, :], dbar)
+    return Qdat, Rdat
+
+
+def _solve_upper_loop(Rd: np.ndarray, Bd: np.ndarray) -> np.ndarray:
+    r = Rd.shape[0]
+    Z = np.zeros_like(Bd)
+    for j in range(r - 1, -1, -1):
+        acc = Bd[j:j + 1, :, :].copy()
+        if j + 1 < r:
+            acc = acc - _qops.qmatmul(Rd[j:j + 1, j + 1:, :], Z[j + 1:, :, :])
+        Z[j, :, :] = acc[0] / Rd[j, j, 0]
+    return Z
+
+
+def _cholesky_loop(Gd: np.ndarray):
+    r = Gd.shape[0]
+    L = np.zeros_like(Gd)
+    gscale = float(np.sqrt(np.sum(Gd * Gd)))
+    for j in range(r):
+        d = Gd[j, j, 0] - float(np.sum(L[j, :j, :] * L[j, :j, :]))
+        if d <= 1e-14 * max(gscale, 1e-300):
+            return None
+        ljj = np.sqrt(d)
+        L[j, j, 0] = ljj
+        if j + 1 < r:
+            acc = Gd[j + 1:, j, :].copy()
+            if j > 0:
+                conj_row = _qops.qconj(L[j, :j, :])[:, None, :]
+                acc -= _qops.qmatmul(L[j + 1:, :j, :], conj_row)[:, 0, :]
+            L[j + 1:, j, :] = acc / ljj
+    return L
+
+
+def _chol_solve_loop(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
+    r = L.shape[0]
+    Y = np.zeros_like(Bd)
+    for j in range(r):
+        acc = Bd[j:j + 1, :, :].copy()
+        if j > 0:
+            acc = acc - _qops.qmatmul(L[j:j + 1, :j, :], Y[:j, :, :])
+        Y[j, :, :] = acc[0] / L[j, j, 0]
+    Z = np.zeros_like(Bd)
+    for j in range(r - 1, -1, -1):
+        acc = Y[j:j + 1, :, :].copy()
+        if j + 1 < r:
+            LH = _qops.qconj(L[j + 1:, j, :])[None, :, :]
+            acc = acc - _qops.qmatmul(LH, Z[j + 1:, :, :])
+        Z[j, :, :] = acc[0] / L[j, j, 0]
+    return Z
+
+
+def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
+                    tol: float = 1e-10) -> QMatrix:
+    r = G.rows
+    if G.cols != r or B.rows != r:
+        raise NotHermitian("shape")
+    if (G - G.adjoint()).fro_norm() > 1e-10 * max(G.fro_norm(), 1e-300):
+        raise NotHermitian("not Hermitian")
+    Gd = G.data.copy()
+    Gd[np.arange(r), np.arange(r), 0] += ridge
+    Gr = QMatrix(Gd)
+    bnorm = max(B.fro_norm(), 1e-300)
+    L = _cholesky_loop(Gd)
+    if L is not None:
+        Z = QMatrix(_chol_solve_loop(L, B.data))
+        if (Gr @ Z - B).fro_norm() <= tol * bnorm:
+            return Z
+    else:
+        lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
+        if lo < -1e-10 * max(G.fro_norm(), 1e-300):
+            raise Indefinite("negative eigenvalue")
+    Z = QMatrix.zeros(r, B.cols)
+    Rres = B - Gr @ Z
+    P = Rres.copy()
+    rs = float(np.sum(Rres.data * Rres.data))
+    for _ in range(4 * r):
+        if np.sqrt(rs) <= tol * bnorm:
+            break
+        GP = Gr @ P
+        denom = float(np.sum(P.data * GP.data))
+        if denom <= 0:
+            break
+        a = rs / denom
+        Z = QMatrix(Z.data + a * P.data)
+        Rres = QMatrix(Rres.data - a * GP.data)
+        rs_new = float(np.sum(Rres.data * Rres.data))
+        P = QMatrix(Rres.data + (rs_new / rs) * P.data)
+        rs = rs_new
+    if (Gr @ Z - B).fro_norm() <= tol * bnorm:
+        return Z
+    raise Indefinite("CG stagnated")
+
+
+class _NystromPrecondLoop:
+    """The preconditioner with one hpd_solve per application of G^-1."""
+
+    def __init__(self, A: QMatrix, sk: SketchConfig):
+        Omega = randn_qmat_rng(A.cols, sk.block_r, QuatRNG(sk.seed))
+        self.Y = A @ Omega
+        self.G = self.Y.adjoint() @ self.Y
+        self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
+
+    def apply_right(self, Z: QMatrix) -> QMatrix:
+        T = (Z @ self.Y).adjoint()
+        T = hpd_solve(self.G, T, ridge=1e-12)
+        T = hpd_solve(self.G, T, ridge=1e-12)
+        return (self.Y @ T).adjoint() + Z.scale(self.theta)
+
+    def apply_left(self, Z: QMatrix) -> QMatrix:
+        T = hpd_solve(self.G, self.Y.adjoint() @ Z, ridge=1e-12)
+        T = hpd_solve(self.G, T, ridge=1e-12)
+        return self.Y @ T + Z.scale(self.theta)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class of the error it raised."""
+    try:
+        return fn(*args)
+    except QuatpinvError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 10), st.integers(0, 12), st.integers(0, 2**31 - 1),
+       st.sampled_from([None, 0, -1]))
+@example(1, 0, 0, None)
+@example(10, 0, 1, None)
+@example(4, 3, 2, 0)
+@example(6, 0, 3, -1)
+def test_thin_qr_matches_loop_version(r, extra, seed, zero_col):
+    # a zero column takes the d_k = 1 branch; rank_tol < 0 lets it through
+    Y = randn_qmat(r + extra, r, seed)
+    rank_tol = 1e-12
+    if zero_col is not None:
+        Y.data[:, zero_col] = 0.0
+        rank_tol = -1.0
+    f = thin_qr(Y, rank_tol)
+    Q, R = _thin_qr_loop(Y, rank_tol)
+    assert _same_bits(f.Q.data, Q) and _same_bits(f.R.data, R)
+
+
+def test_thin_qr_rank_deficient_matches_loop_version():
+    Y = randn_qmat(6, 2, 1)
+    Y = QMatrix(np.concatenate([Y.data, Y.data[:, :1, :]], axis=1))
+    assert _outcome(thin_qr, Y) is _outcome(_thin_qr_loop, Y) is RankDeficient
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**31 - 1))
+@example(1, 1, 0)
+def test_solve_upper_triangular_matches_loop_version(r, ncols, seed):
+    R = thin_qr(randn_qmat(r + 2, r, seed)).R
+    B = randn_qmat(r, ncols, seed + 1)
+    assert _same_bits(solve_upper_triangular(R, B).data,
+                      _solve_upper_loop(R.data, B.data))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**31 - 1))
+@example(1, 1, 0)
+def test_cholesky_and_chol_solve_match_loop_versions(r, ncols, seed):
+    C = randn_qmat(r + 3, r, seed)
+    Gd = (C.adjoint() @ C).data
+    L = _cholesky(Gd)
+    assert _same_bits(L, _cholesky_loop(Gd))
+    Bd = randn_qmat(r, ncols, seed + 1).data
+    assert _same_bits(_chol_solve(L, Bd), _chol_solve_loop(L, Bd))
+
+
+def test_cholesky_pivot_failure_matches_loop_version():
+    C = randn_qmat(12, 4, 0).take_cols([0, 0, 1, 2, 3])
+    Gd = (C.adjoint() @ C).data
+    assert _cholesky(Gd) is None and _cholesky_loop(Gd) is None
+
+
+_C = randn_qmat(12, 4, 0).take_cols([0, 0, 1, 2, 3])
+_G_SINGULAR = _C.adjoint() @ _C
+_G_GRAM = randn_qmat(10, 4, 6).adjoint() @ randn_qmat(10, 4, 6)
+
+
+@pytest.mark.parametrize("G,B,ridge", [
+    (_G_GRAM, randn_qmat(4, 2, 7), 1e-10),
+    (QMatrix.identity(3), randn_qmat(3, 2, 5), 0.0),
+    (_G_SINGULAR, _G_SINGULAR @ randn_qmat(5, 2, 1), 0.0),   # CG rescues
+    (_G_SINGULAR, randn_qmat(5, 2, 2), 0.0),                 # CG stagnates
+    (QMatrix.from_real(-np.eye(3)), QMatrix.identity(3), 1e-10),
+], ids=["gram", "identity", "cg-fallback", "cg-stagnates", "indefinite"])
+def test_hpd_solve_matches_loop_version(G, B, ridge):
+    got = _outcome(hpd_solve, G, B, ridge)
+    ref = _outcome(_hpd_solve_loop, G, B, ridge)
+    if isinstance(ref, QMatrix):
+        assert _same_bits(got.data, ref.data)
+    else:
+        assert got is ref
+
+
+@pytest.mark.parametrize("shape", [(20, 8), (8, 20)])
+def test_cgne_nystrom_matches_one_hpd_solve_per_apply(shape, monkeypatch):
+    A = randn_qmat(*shape, 21)
+    cfg = SolverConfig(tol=1e-10, maxit=60)
+    sk = SketchConfig(block_r=6, seed=2)
+    X, rep = cgne_q(A, cfg, precond=sk)
+    monkeypatch.setattr(solvers, "_NystromPrecond", _NystromPrecondLoop)
+    Xref, ref = cgne_q(A, cfg, precond=sk)
+    assert _same_bits(X.data, Xref.data)
+    assert rep.iterations == ref.iterations > 1
+    assert rep.residual_history == ref.residual_history
+    assert rep.penrose == ref.penrose

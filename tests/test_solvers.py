@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatpinv.errors import Breakdown, DimensionMismatch, Divergence
-from quatpinv.factor import pinv_normal_eq
+from quatpinv import factor
+from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
+                             NonFinite)
+from quatpinv.factor import pinv_normal_eq, qsvd
 from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               ProductCounter, SketchConfig, SolverConfig,
@@ -248,6 +250,14 @@ def test_rsp_rate_bound_and_check():
     assert mean <= bound + 0.1   # loose here; acceptance pins 3*SE
 
 
+@pytest.mark.parametrize("m,n,r", [(30, 10, 4), (10, 30, 4), (12, 12, 3)])
+def test_rsp_rate_bound_matches_qsvd(m, n, r):
+    A = randn_qmat(m, n, 14)
+    smin = qsvd(A).S[-1]
+    ref = 1.0 - r * float(smin) ** 2 / A.fro_norm() ** 2
+    assert abs(rsp_rate_bound(A, r) - ref) <= 1e-12 * abs(ref)
+
+
 def test_rsp_full_sketch_rate_zero():
     A = randn_qmat(12, 4, 15)
     mean = rsp_rate_check(A, SketchConfig(block_r=4, seed=5), trials=5)
@@ -319,9 +329,52 @@ def test_cgne_preconditioned():
     assert (X - Xref).fro_norm() <= 1e-6 * Xref.fro_norm()
 
 
+def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
+    # G = Y^H Y is constant: one Cholesky per call, not two per iteration
+    calls = []
+    cholesky = factor._cholesky
+
+    def counting(Gd):
+        calls.append(Gd.shape)
+        return cholesky(Gd)
+    monkeypatch.setattr(factor, "_cholesky", counting)
+    for A in (randn_qmat(20, 8, 21), randn_qmat(8, 20, 21)):
+        calls.clear()
+        _, rep = cgne_q(A, SolverConfig(tol=1e-10, maxit=40),
+                        precond=SketchConfig(block_r=6, seed=2))
+        assert rep.iterations > 1
+        assert calls == [(6, 6, 4)]
+
+
 def test_cgne_breakdown():
     with pytest.raises(Breakdown):
         cgne_q(QMatrix.zeros(3, 2), SolverConfig(maxit=5))
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+_SK_NF = SketchConfig(block_r=3, seed=1)
+_FINITE_ONLY = {
+    "ns_damped": lambda A: ns_damped(A, SolverConfig()),
+    "ns_hyperpower": lambda A: ns_hyperpower(A, SolverConfig(order=3)),
+    "cgne_q": lambda A: cgne_q(A, SolverConfig(), precond=_SK_NF),
+    "rsp_column": lambda A: rsp_column(A, SolverConfig(), _SK_NF),
+    "rsp_row": lambda A: rsp_row(A.adjoint(), SolverConfig(), _SK_NF),
+    "hybrid_rsp_ns": lambda A: hybrid_rsp_ns(A, SolverConfig(), _SK_NF),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", sorted(_FINITE_ONLY))
+def test_solver_rejects_non_finite(solver, bad):
+    # a 12x8 input (8x12 for rsp_row) with one bad entry once ran to maxit,
+    # returned NaN residuals or raised SketchFailure, depending on the solver
+    A = randn_qmat(12, 8, 3)
+    A.data[5, 2, 1] = bad
+    with pytest.raises(NonFinite):
+        _FINITE_ONLY[solver](A)
 
 
 # ---------------------------------------------------------------------------
