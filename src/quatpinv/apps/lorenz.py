@@ -3,8 +3,8 @@
 The three Lorenz state channels ride on the imaginary units; the filter
 input is a one-step-delayed noisy copy of the target. Stacking delayed
 samples gives a Toeplitz quaternion system X * w = Y solved by a square
-Newton-Schulz inverse, with all products kept in right-multiplication
-order.
+Newton-Schulz inverse, the solvers' step on the deviation I - X_k X, with
+all products kept in right-multiplication order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import SIDE_LEFT, _deviation, _drive, _ns_step, auto_alpha
+from ..solvers import _deviation, _drive, _ns_step, auto_alpha
 
 
 @dataclass
@@ -88,10 +88,10 @@ def lorenz_build(problem: LorenzProblem):
 
 def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
                     maxit: int | None = None):
-    """Square Newton-Schulz inverse X_k <- X_k (2I - X X_k), w = X_k Y.
+    """Square Newton-Schulz inverse X_k <- (2I - X_k X) X_k, w = X_k Y.
 
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. If the initial
-    spectral scaling is not contractive (||I - X X_k||_F >= N), the step
+    spectral scaling is not contractive (||I - X_k X||_F >= N), the step
     is halved until the residual enters the quadratic regime.
     """
     N = X.rows
@@ -101,9 +101,9 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     ynorm = max(Y.fro_norm(), 1e-300)
 
     def step(Xk, _):
-        E = _deviation(X, Xk, SIDE_LEFT)
-        Xn = _ns_step(E, Xk, SIDE_LEFT)
-        return Xn.scale(0.5) if E.fro_norm() >= float(N) else Xn
+        F = _deviation(X, Xk)
+        Xn = _ns_step(F, Xk)
+        return Xn.scale(0.5) if F.fro_norm() >= float(N) else Xn
 
     def measure(Xk):
         w = Xk @ Y

@@ -63,10 +63,10 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _solver_cfg(args, side="auto"):
+def _solver_cfg(args):
     return SolverConfig(gamma=args.gamma, order=args.order,
                         schedule=args.schedule, tol=args.tol,
-                        maxit=args.maxit, side=side)
+                        maxit=args.maxit)
 
 
 def _timed_baseline(name, fn, A, seed):

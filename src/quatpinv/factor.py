@@ -7,6 +7,8 @@ factors are reassembled from its singular vectors, which come in pairs
 and as micro-solvers inside the randomized methods. A Hermitian positive
 definite G is factored once (``hpd_factor``) and solved against each
 right-hand side (``HPDFactor.solve``); ``hpd_solve`` does both for one.
+``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
+when A holds a NaN or infinite entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import _qops
 from .errors import (ConvergenceFailure, Indefinite, NotHermitian,
                      RankDeficient)
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, require_finite
 
 
 @dataclass
@@ -149,20 +151,15 @@ def _cholesky(Gd: np.ndarray) -> np.ndarray | None:
 
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     """Solve L L^H Z = B: forward substitution with L, then back
-    substitution with L^H (formed once), in place in one array."""
-    r = L.shape[0]
-    LH = _qops.qconj(L.transpose(1, 0, 2))
+    substitution with L^H, whose real diagonal is L's."""
     Z = np.zeros_like(Bd)
-    for j in range(r):
+    for j in range(L.shape[0]):
         Z[j] = Bd[j]
         if j > 0:
             Z[j] -= _qops.qmatmul(L[j:j + 1, :j, :], Z[:j, :, :])[0]
         Z[j] /= L[j, j, 0]
-    for j in range(r - 1, -1, -1):
-        if j + 1 < r:
-            Z[j] -= _qops.qmatmul(LH[j:j + 1, j + 1:, :], Z[j + 1:, :, :])[0]
-        Z[j] /= L[j, j, 0]
-    return Z
+    LH = QMatrix(_qops.qconj(L.transpose(1, 0, 2)))
+    return solve_upper_triangular(LH, QMatrix(Z)).data
 
 
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -286,8 +283,7 @@ def _right_factor(A: QMatrix):
     """LAPACK SVD of the embedding, then V paired from its right singular
     vectors. Returns (Uc, s, V, AV): the complex left singular vectors,
     and s = ||A v_j||, V and AV sorted so that s is nonincreasing."""
-    if not np.all(np.isfinite(A.data)):
-        raise ConvergenceFailure("qsvd needs finite entries")
+    require_finite(A)
     try:
         Uc, _, Vch = np.linalg.svd(A.to_complex_adjoint())
     except np.linalg.LinAlgError as exc:
@@ -335,6 +331,7 @@ def pinv_normal_eq(A: QMatrix, ridge: float = 0.0) -> QMatrix:
     Tall (and square) inputs use (A^H A)^{-1} A^H; wide inputs use
     A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency.
     """
+    require_finite(A)
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _qops
-from .errors import DimensionMismatch, NonPowerOfTwo, StructureViolation
+from .errors import (DimensionMismatch, NonFinite, NonPowerOfTwo,
+                     StructureViolation)
 from .quaternion import Quaternion
 from .rng import QuatRNG
 
@@ -120,10 +121,6 @@ class QMatrix:
         """A * q (scalar on the right of every entry)."""
         qa = np.array([q.a, q.b, q.c, q.d])
         return QMatrix(_qops.qmul(self.data, qa))
-
-    @property
-    def H(self) -> "QMatrix":
-        return self.adjoint()
 
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose A^H; reverses products: (AB)^H = B^H A^H."""
@@ -280,3 +277,8 @@ def pad_pow2(x: np.ndarray) -> np.ndarray:
 def require_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise NonPowerOfTwo(f"{n} is not a power of two")
+
+
+def require_finite(A: QMatrix) -> None:
+    if not np.all(np.isfinite(A.data)):
+        raise NonFinite("A has a NaN or infinite entry")

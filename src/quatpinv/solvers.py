@@ -9,12 +9,14 @@ Five solver families live here:
   hyperpower correction,
 * conjugate gradient on the normal equations in matrix form.
 
-Tall inputs (m >= n) drive the right deviation F = I - XA toward zero;
-wide inputs drive the left deviation E = I - AX. All solvers start from
-X0 = alpha * A^H with alpha strictly inside (0, 2/||A||_2^2), except the
-row sketch-and-project variant which starts from zero. Every solver, and
-the square Newton-Schulz loops of the Lorenz and deblurring apps, runs the
-one stopping loop in ``_drive``.
+All solvers start from X0 = alpha * A^H with alpha strictly inside
+(0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero, except
+the row sketch-and-project variant, which starts from zero and drives
+I - AX for a wide A. Newton-Schulz, hyperpower and CGNE solve a wide A as
+its tall adjoint, since (A^H)^+ = (A^+)^H, and return the adjoint of that
+result; alpha is estimated on A itself. Every solver, and the square
+Newton-Schulz loops of the Lorenz and deblurring apps, runs the one
+stopping loop in ``_drive``.
 """
 
 from __future__ import annotations
@@ -26,19 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
-                     InvalidOrder, NonFinite, RankDeficient, SketchFailure)
+                     InvalidOrder, RankDeficient, SketchFailure)
 from .factor import hpd_factor, hpd_solve, pinv_from_qr, pinv_normal_eq
-from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng
+from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
 SCHEDULE_NAIVE = "naive"
 SCHEDULE_BINARY = "binary-pow2"
 SCHEDULE_PS = "paterson-stockmeyer"
 SCHEDULES = (SCHEDULE_NAIVE, SCHEDULE_BINARY, SCHEDULE_PS)
-
-SIDE_AUTO = "auto"
-SIDE_RIGHT = "right"  # tall/column branch, deviation F = I - XA
-SIDE_LEFT = "left"    # wide/row branch, deviation E = I - AX
 
 _DIVERGE_FACTOR = 10.0
 _DIVERGE_RUN = 5
@@ -52,7 +50,6 @@ class SolverConfig:
     schedule: str = SCHEDULE_NAIVE
     tol: float = 1e-8
     maxit: int = 100
-    side: str = SIDE_AUTO
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
@@ -61,8 +58,6 @@ class SolverConfig:
             raise ValueError("order must be >= 2")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.side not in (SIDE_AUTO, SIDE_RIGHT, SIDE_LEFT):
-            raise ValueError(f"unknown side {self.side!r}")
         if self.maxit < 0:
             raise ValueError("maxit must be >= 0")
 
@@ -73,14 +68,11 @@ class SketchConfig:
     test_s: int = 5
     cycle_T: int = 5
     seed: int = 0
-    relaxation: float = 1.0
     gram_path: bool = False  # False: thin QR for Y^dagger; True: SPD Gram solve
 
     def __post_init__(self):
         if self.block_r < 1 or self.test_s < 1:
             raise ValueError("block_r and test_s must be >= 1")
-        if not (0.0 < self.relaxation < 2.0):
-            raise ValueError("relaxation must lie in (0, 2)")
 
 
 @dataclass
@@ -132,23 +124,13 @@ def auto_alpha(A: QMatrix, power_iters: int = 20, seed: int = 0) -> float:
     return 0.99 / (est * est)
 
 
-def _require_finite(A: QMatrix) -> None:
-    if not np.all(np.isfinite(A.data)):
-        raise NonFinite("A has a NaN or infinite entry")
+def _alpha(A: QMatrix, cfg: SolverConfig) -> float:
+    return auto_alpha(A) if cfg.alpha == "auto" else float(cfg.alpha)
 
 
-def _resolve(A: QMatrix, cfg: SolverConfig):
-    side = cfg.side
-    if side == SIDE_AUTO:
-        side = SIDE_RIGHT if A.rows >= A.cols else SIDE_LEFT
-    alpha = auto_alpha(A) if cfg.alpha == "auto" else float(cfg.alpha)
-    return side, alpha
-
-
-def _deviation(A: QMatrix, X: QMatrix, side: str) -> QMatrix:
-    if side == SIDE_RIGHT:
-        return QMatrix.identity(A.cols) - X @ A
-    return QMatrix.identity(A.rows) - A @ X
+def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
+    """F = I - XA."""
+    return QMatrix.identity(A.cols) - X @ A
 
 
 def _drive(method: str, state, step, measure, tol: float, maxit: int,
@@ -193,27 +175,35 @@ def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
     return X, report
 
 
-def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
-                      side: str = SIDE_RIGHT,
-                      counter: ProductCounter | None = None) -> QMatrix:
-    """Apply the truncated Neumann polynomial sum_{i<p} R^i to X.
+def _solve_tall(A: QMatrix, cfg: SolverConfig, solve):
+    """Run solve(B, alpha, t0) -> (X, report) on B, the tall one of A and
+    A^H, and return A's (X, report): a wide A's result is adjointed, since
+    (A^H)^+ = (A^+)^H. alpha is estimated on A, before the flip, and the
+    Penrose residuals are computed on A and the returned X."""
+    require_finite(A)
+    alpha = _alpha(A, cfg)
+    t0 = time.perf_counter()
+    wide = A.rows < A.cols
+    X, report = solve(A.adjoint() if wide else A, alpha, t0)
+    return _verified(A, X.adjoint() if wide else X, report)
 
-    side "right" returns (sum R^i) X, side "left" returns X (sum R^i).
+
+def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
+                      counter: ProductCounter | None = None) -> QMatrix:
+    """Return (sum_{i<p} R^i) X, the truncated Neumann polynomial applied
+    to X.
+
     The binary schedule is valid only for p = 2^q and applies the product
     factorization prod_j (I + R^{2^j}) factor by factor.
     """
     if p < 2:
         raise InvalidOrder("p must be >= 2")
-    right = side == SIDE_RIGHT
-
-    def apply(M, Y):
-        return M @ Y if right else Y @ M
 
     if schedule == SCHEDULE_NAIVE:
         acc = X
         term = X
         for _ in range(p - 1):
-            term = apply(R, term)
+            term = R @ term
             acc = acc + term
         return acc
 
@@ -228,7 +218,7 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
                 cur = cur @ cur
                 if counter is not None:
                     counter.s_products += 1
-            Y = Y + apply(cur, Y)
+            Y = Y + cur @ Y
         return Y
 
     if schedule == SCHEDULE_PS:
@@ -252,23 +242,23 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
                 S = Bj + powers[a] @ S
                 if counter is not None:
                     counter.s_products += 1
-        return apply(S, X)
+        return S @ X
 
     raise InvalidOrder(f"unknown schedule {schedule!r}")
 
 
-def _ns_step(R: QMatrix, X: QMatrix, side: str, order: int = 2,
+def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
              schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0,
              counter: ProductCounter | None = None) -> QMatrix:
-    """One Newton-Schulz / hyperpower update of X given its deviation R.
+    """One Newton-Schulz / hyperpower update of X given its deviation
+    R = I - XA.
 
-    gamma < 1 is the damped order-2 step X + gamma*R X (tall) or
-    X + gamma*X R (wide); otherwise the order-p Neumann polynomial is
-    applied under the given schedule.
+    gamma < 1 is the damped order-2 step X + gamma*R X; otherwise the
+    order-p Neumann polynomial is applied under the given schedule.
     """
     if gamma != 1.0:
-        return X + (R @ X if side == SIDE_RIGHT else X @ R).scale(gamma)
-    return eval_neumann_poly(R, X, order, schedule, side, counter)
+        return X + (R @ X).scale(gamma)
+    return eval_neumann_poly(R, X, order, schedule, counter)
 
 
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
@@ -279,23 +269,26 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
     kind "ns" checks F_{k+1} = (1-gamma) F_k + gamma F_k^2 under the damped
     update; kind "hyperpower" checks R_{k+1} = R_k^p under the order-p
     update. Returns [(k, ||measured - predicted||_F), ...] for k = 1..steps.
+    A wide A is run as its tall adjoint, as in the solvers.
     """
     if kind not in ("ns", "hyperpower"):
         raise ValueError(f"unknown kind {kind!r}")
-    side, alpha = _resolve(A, cfg)
+    alpha = _alpha(A, cfg)
+    if A.rows < A.cols:
+        A = A.adjoint()
     X = A.adjoint().scale(alpha)
-    R = _deviation(A, X, side)
+    R = _deviation(A, X)
     out = []
     for k in range(1, steps + 1):
         if kind == "ns":
-            X = _ns_step(R, X, side, gamma=cfg.gamma)
+            X = _ns_step(R, X, gamma=cfg.gamma)
             pred = R.scale(1.0 - cfg.gamma) + (R @ R).scale(cfg.gamma)
         else:
-            X = _ns_step(R, X, side, cfg.order, cfg.schedule)
+            X = _ns_step(R, X, cfg.order, cfg.schedule)
             pred = R
             for _ in range(cfg.order - 1):
                 pred = pred @ R
-        R = _deviation(A, X, side)
+        R = _deviation(A, X)
         out.append((k, (R - pred).fro_norm()))
     return out
 
@@ -305,22 +298,20 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # ---------------------------------------------------------------------------
 
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
-    _require_finite(A)
-    side, alpha = _resolve(A, cfg)
-    t0 = time.perf_counter()
+    def solve(B, alpha, t0):
+        def measure(X):
+            F = _deviation(B, X)
+            return F.fro_norm(), F
 
-    def measure(X):
-        R = _deviation(A, X, side)
-        return R.fro_norm(), R
-
-    X, _, rep = _drive(method, A.adjoint().scale(alpha),
-                       lambda X, R: _ns_step(R, X, side, **step_kw), measure,
-                       cfg.tol, cfg.maxit, diverge=True, t0=t0)
-    return _verified(A, X, rep)
+        X, _, rep = _drive(method, B.adjoint().scale(alpha),
+                           lambda X, F: _ns_step(F, X, **step_kw), measure,
+                           cfg.tol, cfg.maxit, diverge=True, t0=t0)
+        return X, rep
+    return _solve_tall(A, cfg, solve)
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):
-    """Damped Newton-Schulz: X <- X + gamma*F*X (tall) / X + gamma*X*E (wide)."""
+    """Damped Newton-Schulz: X <- X + gamma*F*X with F = I - XA."""
     return _ns_solve(A, cfg, "ns", gamma=cfg.gamma)
 
 
@@ -357,7 +348,7 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
         except (RankDeficient, Indefinite):
             continue
         Rk = Omega - X @ Y
-        return X + (Rk @ Ydag).scale(sk.relaxation)
+        return X + Rk @ Ydag
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -373,28 +364,33 @@ def _rsp_row_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
             W = hpd_solve(Z @ Zh, Sh - Z @ X, ridge=1e-10)
         except (RankDeficient, Indefinite):
             continue
-        return X + (Zh @ W).scale(sk.relaxation)
+        return X + Zh @ W
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG,
-                         side: str):
+                         row: bool = False):
     """Relative residual on a fixed Gaussian test sketch Pi, with A Pi (or
     Pi A) precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
-    ||I_n - XA||_F (right side), ||Pi - Pi A X||_F / ||Pi||_F estimates
-    ||I_m - AX||_F (left side)."""
-    if side == SIDE_RIGHT:
-        Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
-        APi = A @ Pi
-    else:
+    ||I_n - XA||_F; with row, ||Pi - Pi A X||_F / ||Pi||_F estimates
+    ||I_m - AX||_F."""
+    if row:
         Pi = randn_qmat_rng(sk.test_s, A.rows, rng)
         PiA = Pi @ A
+    else:
+        Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
+        APi = A @ Pi
     pi_norm = Pi.fro_norm()
 
     def measure(X):
-        image = X @ APi if side == SIDE_RIGHT else PiA @ X
+        image = PiA @ X if row else X @ APi
         return (Pi - image).fro_norm() / pi_norm, None
     return measure
+
+
+def _require_block(A: QMatrix, sk: SketchConfig) -> None:
+    if sk.block_r > min(A.shape):
+        raise ValueError("block_r must be <= min(m, n)")
 
 
 def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -403,59 +399,58 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     Progress is monitored against an independent test sketch Pi with A@Pi
     precomputed once; the criterion estimates ||I_n - X A||_F.
     """
-    _require_finite(A)
+    require_finite(A)
     m, n = A.shape
     if m < n:
         raise DimensionMismatch("rsp_column requires m >= n")
-    if sk.block_r > n:
-        raise ValueError("block_r must be <= min(m, n)")
-    _, alpha = _resolve(A, cfg)
+    _require_block(A, sk)
+    alpha = _alpha(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
     X, _, rep = _drive("rsp", A.adjoint().scale(alpha),
                        lambda X, _: _rsp_col_step(A, X, sk, rng),
-                       _test_sketch_measure(A, sk, rng, SIDE_RIGHT),
+                       _test_sketch_measure(A, sk, rng),
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
 
 def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for AX = I_m (full row rank, m <= n); X0 = 0."""
-    _require_finite(A)
+    require_finite(A)
     m, n = A.shape
     if m > n:
         raise DimensionMismatch("rsp_row requires m <= n")
-    if sk.block_r > m:
-        raise ValueError("block_r must be <= min(m, n)")
+    _require_block(A, sk)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
     X, _, rep = _drive("rsp-row", QMatrix.zeros(n, m),
                        lambda X, _: _rsp_row_step(A, X, sk, rng),
-                       _test_sketch_measure(A, sk, rng, SIDE_LEFT),
+                       _test_sketch_measure(A, sk, rng, row=True),
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
 
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Cycles of T sketch-and-project steps plus one exact hyperpower
-    correction on the right residual (column case only)."""
-    _require_finite(A)
+    correction on the residual I - XA (column case only)."""
+    require_finite(A)
     m, n = A.shape
     if m < n:
         raise DimensionMismatch("hybrid is defined for the column case (m >= n)")
-    _, alpha = _resolve(A, cfg)
+    if sk.cycle_T:  # T = 0 draws no sketch of A
+        _require_block(A, sk)
+    alpha = _alpha(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
 
     def cycle(X, _):
         for _ in range(sk.cycle_T):
             X = _rsp_col_step(A, X, sk, rng)
-        return _ns_step(_deviation(A, X, SIDE_RIGHT), X, SIDE_RIGHT,
-                        cfg.order, SCHEDULE_PS)
+        return _ns_step(_deviation(A, X), X, cfg.order, SCHEDULE_PS)
 
     X, _, rep = _drive(f"hybrid-T{sk.cycle_T}-p{cfg.order}",
                        A.adjoint().scale(alpha), cycle,
-                       _test_sketch_measure(A, sk, rng, SIDE_RIGHT),
+                       _test_sketch_measure(A, sk, rng),
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -491,50 +486,41 @@ class _NystromPrecond:
         T = self.G.solve(self.G.solve(T))
         return (self.Y @ T).adjoint() + Z.scale(self.theta)
 
-    def apply_left(self, Z: QMatrix) -> QMatrix:
-        T = self.G.solve(self.G.solve(self.Y.adjoint() @ Z))
-        return self.Y @ T + Z.scale(self.theta)
-
 
 def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     """Matrix-form CG on the normal equations.
 
-    Column form (m >= n) minimizes f(X) = 0.5*||XA - I_n||_F^2 with exact
-    line search and Fletcher-Reeves directions; the row analogue applies
-    to g(X) = 0.5*||AX - I_m||_F^2. Optional right preconditioning uses a
-    thin-sketch Nystrom approximate inverse.
+    Minimizes f(X) = 0.5*||XA - I_n||_F^2 for the tall one of A and A^H
+    with exact line search and Fletcher-Reeves directions. Optional right
+    preconditioning uses a thin-sketch Nystrom approximate inverse.
     """
-    _require_finite(A)
-    m, n = A.shape
-    column = m >= n
-    side = SIDE_RIGHT if column else SIDE_LEFT
-    _, alpha = _resolve(A, cfg)
-    t0 = time.perf_counter()
-    Ah = A.adjoint()
-    X0 = Ah.scale(alpha)
-    M = None
-    if precond is not None:
-        M = _NystromPrecond(A if column else Ah, precond)
+    def solve(B, alpha, t0):
+        Bh = B.adjoint()
+        X0 = Bh.scale(alpha)
+        M = None if precond is None else _NystromPrecond(B, precond)
 
-    def step(state, _):
-        # state (X, R, D, zz): iterate, residual, previous direction and
-        # its <Zt, Z>; the new direction is formed first, from R
-        X, R, D, zz = state
-        Z = R @ Ah if column else Ah @ R
-        Zt = (M.apply_right(Z) if column else M.apply_left(Z)) if M else Z
-        zz_new = _frob(Zt, Z)
-        D = Zt if D is None else Zt + D.scale(zz_new / zz)
-        W = D @ A if column else A @ D
-        wn2 = _frob(W, W)
-        if wn2 == 0.0:
-            raise Breakdown("search direction image vanished before convergence")
-        a_k = _frob(R, W) / wn2
-        return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+        def step(state, _):
+            # state (X, R, D, zz): iterate, residual, previous direction and
+            # its <Zt, Z>; the new direction is formed first, from R
+            X, R, D, zz = state
+            Z = R @ Bh
+            Zt = M.apply_right(Z) if M else Z
+            zz_new = _frob(Zt, Z)
+            D = Zt if D is None else Zt + D.scale(zz_new / zz)
+            W = D @ B
+            wn2 = _frob(W, W)
+            if wn2 == 0.0:
+                raise Breakdown(
+                    "search direction image vanished before convergence")
+            a_k = _frob(R, W) / wn2
+            return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
 
-    (X, *_), _, rep = _drive("cgne", (X0, _deviation(A, X0, side), None, None),
-                             step, lambda state: (state[1].fro_norm(), None),
-                             cfg.tol, cfg.maxit, t0=t0)
-    return _verified(A, X, rep)
+        (X, *_), _, rep = _drive(
+            "cgne", (X0, _deviation(B, X0), None, None), step,
+            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
+            t0=t0)
+        return X, rep
+    return _solve_tall(A, cfg, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +529,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
 
 def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     """Theoretical expected contraction factor 1 - r*sigma_min^2/||A||_F^2."""
-    _require_finite(A)
+    require_finite(A)
     # the embedding's singular values are A's, each twice
     smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
     return 1.0 - block_r * float(smin) ** 2 / A.fro_norm() ** 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, solvers
-from quatpinv.errors import (ConvergenceFailure, Indefinite, NotHermitian,
+from quatpinv.errors import (Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
 from quatpinv.factor import (_chol_solve, _cholesky, hpd_solve, pinv_from_qr,
                              pinv_normal_eq, pinv_qsvd, qsvd,
@@ -179,7 +179,7 @@ def test_qsvd_degenerate_spectrum(A):
 def test_qsvd_rejects_non_finite(bad):
     A = randn_qmat(5, 4, 13)
     A.data[2, 1, 3] = bad
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(NonFinite):
         qsvd(A)
 
 
@@ -393,11 +393,6 @@ class _NystromPrecondLoop:
         T = hpd_solve(self.G, T, ridge=1e-12)
         T = hpd_solve(self.G, T, ridge=1e-12)
         return (self.Y @ T).adjoint() + Z.scale(self.theta)
-
-    def apply_left(self, Z: QMatrix) -> QMatrix:
-        T = hpd_solve(self.G, self.Y.adjoint() @ Z, ridge=1e-12)
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        return self.Y @ T + Z.scale(self.theta)
 
 
 def _outcome(fn, *args):

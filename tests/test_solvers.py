@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from quatpinv import factor
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
                              NonFinite)
-from quatpinv.factor import pinv_normal_eq, qsvd
+from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd
 from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               ProductCounter, SketchConfig, SolverConfig,
@@ -234,6 +234,14 @@ def test_rsp_gram_path_matches_qr_path():
     assert (X1 - X2).fro_norm() <= 1e-8 * max(X1.fro_norm(), 1.0)
 
 
+@pytest.mark.parametrize("solver", [rsp_column, hybrid_rsp_ns])
+def test_sketch_block_larger_than_n_rejected(solver):
+    # hybrid once estimated alpha, ran 10 rank-deficient QR redraws and
+    # raised SketchFailure here
+    with pytest.raises(ValueError):
+        solver(randn_qmat(12, 5, 0), SolverConfig(), SketchConfig(block_r=8))
+
+
 def test_rsp_side_preconditions():
     with pytest.raises(DimensionMismatch):
         rsp_column(randn_qmat(3, 5, 0), SolverConfig(), SketchConfig(block_r=2))
@@ -346,6 +354,37 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
         assert calls == [(6, 6, 4)]
 
 
+# ---------------------------------------------------------------------------
+# wide inputs
+# ---------------------------------------------------------------------------
+
+_SK_W = SketchConfig(block_r=4, seed=3)
+_WIDE = {
+    "ns_damped": ns_damped,
+    "ns_hyperpower": lambda A, c: ns_hyperpower(
+        A, SolverConfig(alpha=c.alpha, order=8, schedule=SCHEDULE_PS,
+                        tol=c.tol, maxit=c.maxit)),
+    "cgne_q": cgne_q,
+    "cgne_q_nystrom": lambda A, c: cgne_q(A, c, precond=_SK_W),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_WIDE))
+def test_wide_solve_is_adjoint_of_tall_solve(solver):
+    # (A^H)^+ = (A^+)^H: a wide A is solved as its tall adjoint, bit for bit
+    A = randn_qmat(7, 12, 22)
+    cfg = SolverConfig(alpha=auto_alpha(A), tol=1e-10, maxit=60)
+    X, rep = _WIDE[solver](A, cfg)
+    Xt, tall = _WIDE[solver](A.adjoint(), cfg)
+    assert np.array_equal(X.data, Xt.adjoint().data)
+    assert rep.residual_history == tall.residual_history
+    assert rep.iterations == tall.iterations > 0 and rep.converged
+    assert max(rep.penrose) <= 1e-8
+    # alpha is estimated on A itself, not on the adjoint that is solved
+    X0, _ = _WIDE[solver](A, SolverConfig(maxit=0))
+    assert np.array_equal(X0.data, A.adjoint().scale(auto_alpha(A)).data)
+
+
 def test_cgne_breakdown():
     with pytest.raises(Breakdown):
         cgne_q(QMatrix.zeros(3, 2), SolverConfig(maxit=5))
@@ -363,6 +402,9 @@ _FINITE_ONLY = {
     "rsp_column": lambda A: rsp_column(A, SolverConfig(), _SK_NF),
     "rsp_row": lambda A: rsp_row(A.adjoint(), SolverConfig(), _SK_NF),
     "hybrid_rsp_ns": lambda A: hybrid_rsp_ns(A, SolverConfig(), _SK_NF),
+    "pinv_normal_eq_tall": pinv_normal_eq,
+    "pinv_normal_eq_wide": lambda A: pinv_normal_eq(A.adjoint()),
+    "pinv_qsvd": pinv_qsvd,
 }
 
 
@@ -370,7 +412,8 @@ _FINITE_ONLY = {
 @pytest.mark.parametrize("solver", sorted(_FINITE_ONLY))
 def test_solver_rejects_non_finite(solver, bad):
     # a 12x8 input (8x12 for rsp_row) with one bad entry once ran to maxit,
-    # returned NaN residuals or raised SketchFailure, depending on the solver
+    # returned NaN residuals or raised SketchFailure, depending on the
+    # solver; the oracles raised Indefinite or ConvergenceFailure
     A = randn_qmat(12, 8, 3)
     A.data[5, 2, 1] = bad
     with pytest.raises(NonFinite):
@@ -390,13 +433,6 @@ def test_config_validation():
         SolverConfig(schedule="bogus")
     with pytest.raises(ValueError):
         SketchConfig(block_r=0)
-    with pytest.raises(ValueError):
-        SketchConfig(relaxation=2.0)
-
-
-def test_config_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        SolverConfig(side="rigth")
 
 
 def test_config_rejects_negative_maxit():
