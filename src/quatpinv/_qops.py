@@ -23,11 +23,24 @@ one 4k-term sum per entry; its rounding error is 1.4-2.7x larger, and the
 error floor that sketch-and-project iterates settle on rose with it (from
 about 2.3e-16 to 3-4e-16 at 30 x 10).
 
+Small products, the bulk of the micro-solves' calls, cost mostly numpy's
+per-call overhead, so each side keeps its call count low: the left side
+builds its four blocks with one product by a (16, 4) sign table and
+regroups the terms with one row gather; a right-side product with
+(m + k) n <= 2048 builds all four slabs with one product by the sign
+table and runs its four GEMMs as one batched call (for k = 1, where
+numpy's matmul runs its own loop of one rounded product per entry, as
+one einsum that does the same faster). No path changes a GEMM's shape or
+the order of the adds, so the results are bitwise those of one call per
+GEMM. A larger right-side product builds and multiplies one slab at a
+time: holding all slabs and products at once (16 (m + k) n elements)
+made it slower, up to 1.5x at 200 x 120 @ 120 x 60, and would raise the
+peak memory of the large solves.
+
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
-planes, the expanded slab or block of one operand lives only inside one
-call (one 4kn slab at a time on the right side), and no 4m x 4n real
-counterpart of a whole matrix is ever formed.
+planes, the expanded slabs or blocks of one operand live only inside one
+call, and no 4m x 4n real counterpart of a whole matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -62,11 +75,15 @@ def qnormsq(x: np.ndarray) -> np.ndarray:
 # product with it builds a slab or block of an operand; every entry is then
 # exactly one component or its negative.
 _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
-_SIGN_LEFT = _SIGN.transpose(1, 2, 0).copy()  # [u, t, s]
+_SIGN_LEFT = _SIGN.transpose(1, 2, 0).reshape(16, 4)  # [(u, t), s]
 # _TERM_U[s, t]: the component of y that meets component s of x in
 # component t of the product
 _TERM_U = np.abs(_SIGN).argmax(axis=1)
-_T = np.arange(4)
+# the row (u, t) of the left side's block products that holds the term
+# (s, t), in the order (s, t)
+_TERM_ROWS = (4 * _TERM_U + np.arange(4)).ravel()
+# right-side products with (m + k) n up to this run as one batched call
+_BATCH_MAX = 2048
 
 
 def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -77,18 +94,29 @@ def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # (its block), 4kn (the planes of y) and 36mn (the terms, their
     # reordering and the result).
     if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n:
-        # L[u, i, t, p] = sum_s x[i, p, s] _SIGN[s, u, t]
-        L = np.matmul(_SIGN_LEFT[:, None], x.transpose(0, 2, 1)[None])
+        # L[(u, t, i), p] = sum_s _SIGN[s, u, t] x[i, p, s]: block u holds
+        # the rows (t, i), in any order a row's k-term sum is the same
+        L = _SIGN_LEFT @ x.reshape(m * k, 4).T
         planes = np.ascontiguousarray(y.transpose(2, 0, 1))
-        P = np.matmul(L.reshape(4, 4 * m, k), planes).reshape(4, m, 4, n)
-        # Q[s, t] = P[_TERM_U[s, t], :, t]
-        Q = P[_TERM_U, :, _T]
-        Z = Q[0] + Q[1]
-        Z += Q[2]
-        Z += Q[3]
-        return np.ascontiguousarray(Z.transpose(1, 2, 0))
+        P = np.matmul(L.reshape(4, 4 * m, k), planes).reshape(16, m * n)
+        Q = P.take(_TERM_ROWS, axis=0)
+        Z = Q[0:4] + Q[4:8]
+        Z += Q[8:12]
+        Z += Q[12:16]
+        return np.ascontiguousarray(Z.T).reshape(m, n, 4)
     planes = np.ascontiguousarray(x.transpose(2, 0, 1))
     yq = y.reshape(k * n, 4)
+    if (m + k) * n <= _BATCH_MAX:
+        # S[s, p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
+        S = (yq @ _SIGN).reshape(4, k, 4 * n)
+        # with k = 1 numpy's matmul runs its own loop, one rounded product
+        # added to +0.0 per entry; einsum does the same, faster
+        P = (np.einsum("smk,skn->smn", planes, S) if k == 1
+             else np.matmul(planes, S))
+        Z = P[0] + P[1]
+        Z += P[2]
+        Z += P[3]
+        return Z.reshape(m, n, 4)
     Z = planes[0] @ yq.reshape(k, 4 * n)  # unit 1 leaves y as it is
     for s in range(1, 4):
         # R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]

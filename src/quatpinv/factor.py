@@ -13,6 +13,7 @@ when A holds a NaN or infinite entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,15 @@ def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
     reflectors = []
     for k in range(r):
         x = W[k:, k, :]
-        normx = float(np.sqrt(np.sum(x * x)))
+        normx = math.sqrt((x * x).sum())
         if normx == 0.0:
             continue
         x1 = x[0]
-        ax1 = float(np.sqrt(np.sum(x1 * x1)))
+        ax1 = math.sqrt((x1 * x1).sum())
         phi = x1 / ax1 if ax1 > 0 else np.array([1.0, 0.0, 0.0, 0.0])
         v = x.copy()
         v[0] = v[0] + phi * normx
-        vns = float(np.sum(v * v))
+        vns = float((v * v).sum())
         if vns == 0.0:
             continue
         vcol = v[:, None, :]
@@ -80,7 +81,7 @@ def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
     Rdat = W[:r, :, :].copy()
     ks = np.arange(r)
     rkk = Rdat[ks, ks]
-    mag = np.sqrt(np.sum(rkk * rkk, axis=1))
+    mag = np.sqrt((rkk * rkk).sum(axis=1))
     nz = np.flatnonzero(mag != 0.0)
     D = np.zeros((r, 4))
     D[:, 0] = 1.0
@@ -132,12 +133,12 @@ def _cholesky(Gd: np.ndarray) -> np.ndarray | None:
     """Quaternion Cholesky G = L L^H; returns None on a nonpositive pivot."""
     r = Gd.shape[0]
     L = np.zeros_like(Gd)
-    gscale = float(np.sqrt(np.sum(Gd * Gd)))
+    gscale = math.sqrt((Gd * Gd).sum())
     for j in range(r):
-        d = Gd[j, j, 0] - float(np.sum(L[j, :j, :] * L[j, :j, :]))
+        d = Gd[j, j, 0] - float((L[j, :j, :] * L[j, :j, :]).sum())
         if d <= 1e-14 * max(gscale, 1e-300):
             return None
-        ljj = np.sqrt(d)
+        ljj = math.sqrt(d)
         L[j, j, 0] = ljj
         if j + 1 < r:
             L[j + 1:, j] = Gd[j + 1:, j]
@@ -163,7 +164,7 @@ def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
 
 
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(x * y))
+    return float((x * y).sum())
 
 
 @dataclass
@@ -193,7 +194,7 @@ class HPDFactor:
         P = Rres.copy()
         rs = _frob_inner(Rres.data, Rres.data)
         for _ in range(4 * r):
-            if np.sqrt(rs) <= tol * bnorm:
+            if math.sqrt(rs) <= tol * bnorm:
                 break
             GP = self.G @ P
             denom = _frob_inner(P.data, GP.data)

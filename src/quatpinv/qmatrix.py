@@ -15,6 +15,8 @@ check after a failed Cholesky pivot.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _qops
@@ -149,7 +151,7 @@ class QMatrix:
     # -- norms --------------------------------------------------------------
 
     def fro_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.data * self.data)))
+        return math.sqrt((self.data * self.data).sum())
 
     def abs2(self) -> np.ndarray:
         """Entrywise squared magnitudes, real (m, n)."""

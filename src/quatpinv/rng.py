@@ -7,6 +7,8 @@ is pinned here and reproducible across platforms and numpy versions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -21,7 +23,7 @@ class QuatRNG:
 
     def normals(self, shape) -> np.ndarray:
         """Standard normal array of the given shape via Box-Muller."""
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         pairs = (n + 1) // 2
         # guard against log(0)
         u1 = 1.0 - self._gen.random(pairs)

@@ -175,12 +175,17 @@ def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
     return X, report
 
 
-def _solve_tall(A: QMatrix, cfg: SolverConfig, solve):
+def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     """Run solve(B, alpha, t0) -> (X, report) on B, the tall one of A and
     A^H, and return A's (X, report): a wide A's result is adjointed, since
     (A^H)^+ = (A^+)^H. alpha is estimated on A, before the flip, and the
-    Penrose residuals are computed on A and the returned X."""
+    Penrose residuals are computed on A and the returned X. A zero A
+    returns its pseudoinverse, zero, at once: no iterations, converged and
+    an empty residual history."""
     require_finite(A)
+    if not A.data.any():
+        return _verified(A, QMatrix.zeros(A.cols, A.rows),
+                         SolverReport(method, 0, converged=True))
     alpha = _alpha(A, cfg)
     t0 = time.perf_counter()
     wide = A.rows < A.cols
@@ -307,7 +312,7 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
                            lambda X, F: _ns_step(F, X, **step_kw), measure,
                            cfg.tol, cfg.maxit, diverge=True, t0=t0)
         return X, rep
-    return _solve_tall(A, cfg, solve)
+    return _solve_tall(A, cfg, method, solve)
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):
@@ -460,7 +465,7 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 # ---------------------------------------------------------------------------
 
 def _frob(x: QMatrix, y: QMatrix) -> float:
-    return float(np.sum(x.data * y.data))
+    return float((x.data * y.data).sum())
 
 
 class _NystromPrecond:
@@ -520,7 +525,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
             lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
             t0=t0)
         return X, rep
-    return _solve_tall(A, cfg, solve)
+    return _solve_tall(A, cfg, "cgne", solve)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quatpinv import _qops, factor, solvers
 from quatpinv._qops import qconj, qmatmul, qmul
+from quatpinv.apps import completion
+from quatpinv.qmatrix import randn_qmat
 from quatpinv.quaternion import Quaternion
+from quatpinv.rng import QuatRNG
 
 # Small-integer entries keep every partial sum exact in float64, so any
 # summation order must reproduce the scalar loop bit for bit.
@@ -42,12 +46,13 @@ def test_qmatmul_exact_on_integers(m, k, n, seed):
     assert np.array_equal(qmatmul(x, y), loop_product(x, y))
 
 
-def _views(j: int):
-    """The strided operands the factor routines pass, cut at step j."""
-    W = int_qarray((9, 7), 1)
-    L = int_qarray((9, 9), 2)
-    Rd = int_qarray((7, 7), 3)
-    Z = int_qarray((7, 5), 4)
+def _views(j: int, make=int_qarray):
+    """The strided operands the factor routines pass, cut at step j;
+    make(shape, seed) fills the matrices they are cut from."""
+    W = make((9, 7), 1)
+    L = make((9, 9), 2)
+    Rd = make((7, 7), 3)
+    Z = make((7, 5), 4)
     return [
         # thin_qr: v^H W[k:, k:] and v (v^H W[k:, k:])
         (qconj(W[j:, j])[None], W[j:, j:]),
@@ -86,3 +91,155 @@ def test_qmatmul_sums_in_hamilton_order(m, k, n, seed):
     y = rng.standard_normal((k, n, 4)) * 10.0 ** rng.integers(-8, 9, (k, n, 4))
     expect = qmul(x[:, p][:, None], y[p][None])
     assert np.array_equal(qmatmul(x, y), expect)
+
+
+# ---------------------------------------------------------------------------
+# bitwise parity with the one-call-per-GEMM kernel
+# ---------------------------------------------------------------------------
+
+# the parent's sign tables, kept here so that the reference stands alone
+_SIGN_REF = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])  # [s, u, t]
+_SIGN_LEFT_REF = _SIGN_REF.transpose(1, 2, 0).copy()  # [u, t, s]
+_TERM_U_REF = np.abs(_SIGN_REF).argmax(axis=1)
+_T = np.arange(4)
+
+
+def _qmatmul_parent(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The kernel before the small-product paths: one numpy call per GEMM,
+    the left blocks built by a broadcast product and regrouped by a fancy
+    index, the right slabs built and multiplied one at a time."""
+    m, k, _ = x.shape
+    n = y.shape[1]
+    if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n:
+        L = np.matmul(_SIGN_LEFT_REF[:, None], x.transpose(0, 2, 1)[None])
+        planes = np.ascontiguousarray(y.transpose(2, 0, 1))
+        P = np.matmul(L.reshape(4, 4 * m, k), planes).reshape(4, m, 4, n)
+        Q = P[_TERM_U_REF, :, _T]
+        Z = Q[0] + Q[1]
+        Z += Q[2]
+        Z += Q[3]
+        return np.ascontiguousarray(Z.transpose(1, 2, 0))
+    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
+    yq = y.reshape(k * n, 4)
+    Z = planes[0] @ yq.reshape(k, 4 * n)
+    for s in range(1, 4):
+        R = (yq @ _SIGN_REF[s]).reshape(k, 4 * n)
+        Z += planes[s] @ R
+    return Z.reshape(m, n, 4)
+
+
+def _wide_range_qarray(shape, rng) -> np.ndarray:
+    """Gaussian entries scaled by 10^U(-8, 8), about one in eight an exact
+    0.0 and one in eight an exact -0.0."""
+    a = rng.standard_normal(shape + (4,)) * 10.0 ** rng.uniform(-8, 8, shape + (4,))
+    pick = rng.random(a.shape)
+    a[pick < 0.125] = 0.0
+    a[pick > 0.875] = -0.0
+    return a
+
+
+def _side(m, k, n):
+    return "left" if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n else "right"
+
+
+def _batched(m, k, n):
+    return (m + k) * n <= _qops._BATCH_MAX
+
+
+dims40 = st.integers(1, 40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(dims40, dims40, dims40, st.integers(0, 2**31 - 1))
+# left side, m = 1 and m > 1
+@example(1, 20, 8, 0)
+@example(3, 40, 40, 0)
+# right side on both sides of the batch rule: (m + k) n = 2048 and 2052,
+# the next value reachable with m, k, n <= 40
+@example(24, 40, 32, 0)
+@example(1, 1, 1, 0)
+@example(30, 1, 8, 0)
+@example(9, 9, 1, 0)
+@example(40, 40, 40, 0)
+@example(27, 27, 38, 0)
+def test_qmatmul_bitwise_equals_parent_kernel(m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    x = _wide_range_qarray((m, k), rng)
+    y = _wide_range_qarray((k, n), rng)
+    assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+def test_parity_examples_cover_every_path():
+    # the explicit examples above reach the left side and both right paths,
+    # with the batch rule's boundary met exactly and just missed
+    assert _side(1, 20, 8) == _side(3, 40, 40) == "left"
+    assert _side(24, 40, 32) == "right" and (24 + 40) * 32 == _qops._BATCH_MAX
+    assert _side(27, 27, 38) == "right" and (27 + 27) * 38 == _qops._BATCH_MAX + 4
+    assert _batched(24, 40, 32) and not _batched(27, 27, 38)
+    assert _side(40, 40, 40) == "right" and not _batched(40, 40, 40)
+
+
+@pytest.mark.parametrize("m,k,n", [(1, 20, 8), (30, 1, 8), (9, 9, 1),
+                                   (24, 40, 32), (40, 40, 40)])
+@pytest.mark.parametrize("zero_side", ["x", "y"])
+def test_qmatmul_signed_zeros_match_parent(m, k, n, zero_side):
+    # one operand all -0.0: every term is a signed zero, and the result's
+    # zero signs must be the parent kernel's (its GEMMs start at +0.0)
+    rng = np.random.default_rng(m * k * n)
+    x = rng.standard_normal((m, k, 4))
+    y = rng.standard_normal((k, n, 4))
+    if zero_side == "x":
+        x[:] = -0.0
+    else:
+        y[:] = -0.0
+    assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_qmatmul_bitwise_equals_parent_on_strided_views(j, seed):
+    def make(shape, i):
+        return _wide_range_qarray(shape, np.random.default_rng([seed, i]))
+    for x, y in _views(j, make):
+        assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+def _completion(pinv):
+    n = 20
+    A = randn_qmat(n, 3, 1) @ randn_qmat(n, 3, 2).adjoint()
+    rows, cols = completion.sample_cur_indices(n, n, 3, 3)
+    mask = (QuatRNG(4).uniform((n, n)) > 0.5).astype(float)
+    prob = completion.CompletionProblem(M=A.mask(mask), mask=mask, rank=3,
+                                        iters=4, col_idx=cols, row_idx=rows)
+    return completion.complete(prob, pinv)
+
+
+_SK8 = solvers.SketchConfig(block_r=8, test_s=5, cycle_T=5, seed=7)
+_RSP = solvers.SolverConfig(tol=1e-9, maxit=300)
+_SOLVER_CALLS = {
+    "rsp_column": lambda: solvers.rsp_column(randn_qmat(30, 20, 1), _RSP, _SK8),
+    "rsp_row": lambda: solvers.rsp_row(randn_qmat(20, 30, 2), _RSP, _SK8),
+    "hybrid_rsp_ns": lambda: solvers.hybrid_rsp_ns(
+        randn_qmat(40, 30, 3), solvers.SolverConfig(tol=1e-8, maxit=30), _SK8),
+    "cgne_q_nystrom": lambda: solvers.cgne_q(
+        randn_qmat(20, 8, 4), solvers.SolverConfig(tol=1e-8, maxit=100),
+        precond=solvers.SketchConfig(block_r=4, seed=5)),
+    "pinv_normal_eq": lambda: (factor.pinv_normal_eq(randn_qmat(12, 5, 6)), []),
+    "complete": lambda: _completion(factor.pinv_normal_eq),
+}
+
+
+def _pinned(result):
+    X, rep = result
+    if isinstance(rep, solvers.SolverReport):
+        return X.data.tobytes(), rep.iterations, rep.residual_history
+    return X.data.tobytes(), rep  # complete's history, or nothing
+
+
+@pytest.mark.parametrize("call", sorted(_SOLVER_CALLS))
+def test_solvers_bitwise_equal_on_parent_kernel(call, monkeypatch):
+    # each solve's X bytes, iteration count and residual history are those
+    # of the same solve with every quaternion product on the parent kernel
+    got = _pinned(_SOLVER_CALLS[call]())
+    monkeypatch.setattr(_qops, "qmatmul", _qmatmul_parent)
+    assert got == _pinned(_SOLVER_CALLS[call]())

@@ -386,8 +386,24 @@ def test_wide_solve_is_adjoint_of_tall_solve(solver):
 
 
 def test_cgne_breakdown():
+    # A = e1 e1^T is rank-deficient; with alpha = 1, X0 = A^H leaves the
+    # residual I - X0 A = e2 e2^T, whose image R A^H is exactly zero, so the
+    # first search direction vanishes before convergence
+    A = QMatrix.zeros(3, 2)
+    A.data[0, 0, 0] = 1.0
     with pytest.raises(Breakdown):
-        cgne_q(QMatrix.zeros(3, 2), SolverConfig(maxit=5))
+        cgne_q(A, SolverConfig(alpha=1.0, maxit=5))
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30), (1, 1)])
+@pytest.mark.parametrize("solver", [ns_damped, ns_hyperpower, cgne_q])
+def test_zero_matrix_returns_zero_at_once(solver, shape):
+    m, n = shape
+    X, rep = solver(QMatrix.zeros(m, n), SolverConfig())
+    assert X.shape == (n, m) and not X.data.any()
+    assert rep.iterations == 0 and rep.converged
+    assert rep.residual_history == []
+    assert rep.penrose == (0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
