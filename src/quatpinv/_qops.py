@@ -33,9 +33,24 @@ numpy's matmul runs its own loop of one rounded product per entry, as
 one einsum that does the same faster). No path changes a GEMM's shape or
 the order of the adds, so the results are bitwise those of one call per
 GEMM. A larger right-side product builds and multiplies one slab at a
-time: holding all slabs and products at once (16 (m + k) n elements)
-made it slower, up to 1.5x at 200 x 120 @ 120 x 60, and would raise the
-peak memory of the large solves.
+time (each product an einsum too when k = 1): holding all slabs and
+products at once (16 (m + k) n elements) made it slower, up to 1.5x at
+200 x 120 @ 120 x 60, and would raise the peak memory of the large
+solves.
+
+That slab path keeps its scratch -- the (4, m, k) planes of x, one (k, 4n)
+slab and one slab's (m, 4n) product, 4 (mk + kn + mn) elements -- in a
+workspace reused from call to call. Fresh scratch on every call is slow
+at the sizes of the dense solves: glibc hands freed blocks of this size
+back to the kernel, and the next call faults every page in again, about
+4 us per 4 KiB page on the 2-core VM this was measured on. A loop of
+200 x 200 @ 200 x 220 products took 11.5-12.3 ms a product with fresh
+scratch and 8.4-8.9 ms with the workspace. The workspace belongs to the
+calling thread (``threading.local``), so concurrent products never share
+it. It grows to the largest need seen and retains at most _WORKSPACE_MAX
+elements (8 MiB) per thread; the 220 x 200 solves use 4.4 MB of it, and a
+larger product takes fresh scratch. The returned array is always fresh,
+never a view of the workspace.
 
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
@@ -44,6 +59,9 @@ call, and no 4m x 4n real counterpart of a whole matrix is ever formed.
 """
 
 from __future__ import annotations
+
+import functools
+import threading
 
 import numpy as np
 
@@ -84,6 +102,21 @@ _TERM_U = np.abs(_SIGN).argmax(axis=1)
 _TERM_ROWS = (4 * _TERM_U + np.arange(4)).ravel()
 # right-side products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
+# float64 elements of scratch a thread keeps between products (8 MiB)
+_WORKSPACE_MAX = 1 << 20
+_local = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """size float64 elements of scratch: a prefix of this thread's
+    workspace, which grows to the largest size asked for up to
+    _WORKSPACE_MAX, or a fresh array above that bound."""
+    if size > _WORKSPACE_MAX:
+        return np.empty(size)
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.size < size:
+        ws = _local.workspace = np.empty(size)
+    return ws[:size]
 
 
 def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -104,9 +137,9 @@ def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         Z += Q[8:12]
         Z += Q[12:16]
         return np.ascontiguousarray(Z.T).reshape(m, n, 4)
-    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
     yq = y.reshape(k * n, 4)
     if (m + k) * n <= _BATCH_MAX:
+        planes = np.ascontiguousarray(x.transpose(2, 0, 1))
         # S[s, p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
         S = (yq @ _SIGN).reshape(4, k, 4 * n)
         # with k = 1 numpy's matmul runs its own loop, one rounded product
@@ -117,9 +150,18 @@ def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         Z += P[2]
         Z += P[3]
         return Z.reshape(m, n, 4)
-    Z = planes[0] @ yq.reshape(k, 4 * n)  # unit 1 leaves y as it is
+    # the planes of x, one slab and one slab's product, in scratch
+    mk, kn = 4 * m * k, 4 * k * n
+    ws = _scratch(mk + kn + 4 * m * n)
+    planes = ws[:mk].reshape(4, m, k)
+    np.copyto(planes, x.transpose(2, 0, 1))
+    R = ws[mk:mk + kn].reshape(k * n, 4)
+    P = ws[mk + kn:].reshape(m, 4 * n)
+    # k = 1 runs as einsum, as in the batched call
+    gemm = np.matmul if k != 1 else functools.partial(np.einsum, "mk,kn->mn")
+    Z = gemm(planes[0], yq.reshape(k, 4 * n))  # unit 1 leaves y as it is
     for s in range(1, 4):
         # R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
-        R = (yq @ _SIGN[s]).reshape(k, 4 * n)
-        Z += planes[s] @ R
+        np.matmul(yq, _SIGN[s], out=R)
+        Z += gemm(planes[s], R.reshape(k, 4 * n), out=P)
     return Z.reshape(m, n, 4)

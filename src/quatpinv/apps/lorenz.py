@@ -77,10 +77,9 @@ def lorenz_build(problem: LorenzProblem):
     x_sig = traj[:-1] + problem.noise_level * y_sig.std(axis=0) * noise
 
     t0 = N - 1
+    lag = np.arange(N)
     Xd = np.zeros((N, N, 4))
-    for p_ in range(N):
-        for q_ in range(N):
-            Xd[p_, q_, 1:] = x_sig[t0 + p_ - q_]
+    Xd[:, :, 1:] = x_sig[t0 + lag[:, None] - lag[None, :]]
     Yd = np.zeros((N, 1, 4))
     Yd[:, 0, 1:] = y_sig[t0:t0 + N]
     return QMatrix(Xd), QMatrix(Yd), {"y": y_sig, "x": x_sig}

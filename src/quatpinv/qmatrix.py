@@ -1,8 +1,9 @@
 """Dense quaternion matrices.
 
 A QMatrix stores an (m, n, 4) float64 array of (a, b, c, d) components.
-Values are treated as immutable after construction; every operation returns
-a fresh matrix. The complex adjoint embedding maps each entry
+Every operation returns a fresh matrix, and values are treated as immutable
+once a matrix is shared; only the solvers' loops write, in place, into
+matrices they alone hold. The complex adjoint embedding maps each entry
 q = a + bi + cj + dk to the 2x2 complex block
 
     [[ a + bi,  c + di],

@@ -16,7 +16,11 @@ I - AX for a wide A. Newton-Schulz, hyperpower and CGNE solve a wide A as
 its tall adjoint, since (A^H)^+ = (A^+)^H, and return the adjoint of that
 result; alpha is estimated on A itself. Every solver, and the square
 Newton-Schulz loops of the Lorenz and deblurring apps, runs the one
-stopping loop in ``_drive``.
+stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
+updates are written into arrays the loop alone holds -- the product that
+feeds them, or one scratch buffer per solve -- so an iteration allocates
+nothing beyond its quaternion products; no argument or returned matrix is
+written to, and every result is bitwise that of fresh intermediates.
 """
 
 from __future__ import annotations
@@ -129,8 +133,37 @@ def _alpha(A: QMatrix, cfg: SolverConfig) -> float:
 
 
 def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
-    """F = I - XA."""
-    return QMatrix.identity(A.cols) - X @ A
+    """F = I - XA, formed in the buffer of the product XA: 0 - p is -p
+    exactly (+0 for p = +-0), so 1 added on the diagonal gives 1 - p, and
+    F is bitwise I - XA without an identity matrix."""
+    F = X @ A
+    np.subtract(0.0, F.data, out=F.data)
+    d = np.arange(A.cols)
+    F.data[d, d, 0] += 1.0
+    return F
+
+
+class _Scratch:
+    """One buffer of a solve, reused for the elementwise products its loop
+    sums and the scaled copies it adds; each result is bitwise that of a
+    fresh array."""
+
+    def __init__(self, size: int):
+        self._buf = np.empty(size)
+
+    def _view(self, x: QMatrix) -> np.ndarray:
+        return self._buf[:x.data.size].reshape(x.data.shape)
+
+    def dot(self, x: QMatrix, y: QMatrix) -> float:
+        """The real Frobenius inner product <x, y>."""
+        return float(np.multiply(x.data, y.data, out=self._view(x)).sum())
+
+    def fro_norm(self, x: QMatrix) -> float:
+        return math.sqrt(self.dot(x, x))
+
+    def scaled(self, x: QMatrix, s: float) -> np.ndarray:
+        """x times a real scalar, valid until the next use of the buffer."""
+        return np.multiply(x.data, float(s), out=self._view(x))
 
 
 def _drive(method: str, state, step, measure, tol: float, maxit: int,
@@ -204,13 +237,17 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
     if p < 2:
         raise InvalidOrder("p must be >= 2")
 
+    # every sum that ends in a product's own buffer is formed there; no
+    # argument is written to
     if schedule == SCHEDULE_NAIVE:
         acc = X
         term = X
-        for _ in range(p - 1):
+        for _ in range(p - 2):
             term = R @ term
             acc = acc + term
-        return acc
+        term = R @ term
+        np.add(acc.data, term.data, out=term.data)
+        return term
 
     if schedule == SCHEDULE_BINARY:
         q = int(round(math.log2(p)))
@@ -223,7 +260,9 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
                 cur = cur @ cur
                 if counter is not None:
                     counter.s_products += 1
-            Y = Y + cur @ Y
+            T = cur @ Y
+            np.add(Y.data, T.data, out=T.data)
+            Y = T
         return Y
 
     if schedule == SCHEDULE_PS:
@@ -233,8 +272,10 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
             powers.append(powers[-1] @ R)
             if counter is not None:
                 counter.s_products += 1
-        prefix = [QMatrix.zeros(R.rows, R.rows)]
-        for i in range(a):
+        # prefix[i] = sum_{l<i} R^l; every block has length >= 1, so the
+        # zero matrix prefix[0] is never used, and 0 + I is I bit for bit
+        prefix = [None, powers[0]]
+        for i in range(1, a):
             prefix.append(prefix[-1] + powers[i])
         nblocks = (p + a - 1) // a
         S = None
@@ -244,7 +285,9 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
             if S is None:
                 S = Bj
             else:
-                S = Bj + powers[a] @ S
+                T = powers[a] @ S
+                np.add(Bj.data, T.data, out=T.data)
+                S = T
                 if counter is not None:
                     counter.s_products += 1
         return S @ X
@@ -262,7 +305,10 @@ def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
     order-p Neumann polynomial is applied under the given schedule.
     """
     if gamma != 1.0:
-        return X + (R @ X).scale(gamma)
+        T = R @ X
+        np.multiply(T.data, float(gamma), out=T.data)
+        np.add(X.data, T.data, out=T.data)
+        return T
     return eval_neumann_poly(R, X, order, schedule, counter)
 
 
@@ -304,9 +350,11 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
     def solve(B, alpha, t0):
+        scratch = _Scratch(4 * B.cols * B.cols)
+
         def measure(X):
             F = _deviation(B, X)
-            return F.fro_norm(), F
+            return scratch.fro_norm(F), F
 
         X, _, rep = _drive(method, B.adjoint().scale(alpha),
                            lambda X, F: _ns_step(F, X, **step_kw), measure,
@@ -464,10 +512,6 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 # CGNE in matrix form
 # ---------------------------------------------------------------------------
 
-def _frob(x: QMatrix, y: QMatrix) -> float:
-    return float((x.data * y.data).sum())
-
-
 class _NystromPrecond:
     """Approximate (AA^H)^{-1} from a thin sketch Y = A*Omega, applied on
     the right: Z -> Z (Y G^{-1} G^{-1} Y^H + theta I), G = Y^H Y.
@@ -503,27 +547,36 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
         Bh = B.adjoint()
         X0 = Bh.scale(alpha)
         M = None if precond is None else _NystromPrecond(B, precond)
+        scratch = _Scratch(X0.data.size)  # X is the largest operand
 
         def step(state, _):
             # state (X, R, D, zz): iterate, residual, previous direction and
-            # its <Zt, Z>; the new direction is formed first, from R
+            # its <Zt, Z>; the new direction is formed first, from R. X, R
+            # and D are this loop's own and are updated in place.
             X, R, D, zz = state
             Z = R @ Bh
             Zt = M.apply_right(Z) if M else Z
-            zz_new = _frob(Zt, Z)
-            D = Zt if D is None else Zt + D.scale(zz_new / zz)
+            zz_new = scratch.dot(Zt, Z)
+            if D is None:
+                D = Zt
+            else:  # D = Zt + (zz_new / zz) D
+                np.multiply(D.data, zz_new / zz, out=D.data)
+                np.add(Zt.data, D.data, out=D.data)
             W = D @ B
-            wn2 = _frob(W, W)
+            wn2 = scratch.dot(W, W)
             if wn2 == 0.0:
                 raise Breakdown(
                     "search direction image vanished before convergence")
-            a_k = _frob(R, W) / wn2
-            return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+            a_k = scratch.dot(R, W) / wn2
+            np.add(X.data, scratch.scaled(D, a_k), out=X.data)
+            np.multiply(W.data, a_k, out=W.data)
+            np.subtract(R.data, W.data, out=R.data)
+            return X, R, D, zz_new
 
         (X, *_), _, rep = _drive(
             "cgne", (X0, _deviation(B, X0), None, None), step,
-            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
-            t0=t0)
+            lambda state: (scratch.fro_norm(state[1]), None), cfg.tol,
+            cfg.maxit, t0=t0)
         return X, rep
     return _solve_tall(A, cfg, "cgne", solve)
 

@@ -221,6 +221,18 @@ def test_lorenz_build_toeplitz():
             assert np.array_equal(d[p, q], d[p - 1, q - 1])
 
 
+@pytest.mark.parametrize("N", [2, 50])
+def test_lorenz_build_matches_loop(N):
+    # the Toeplitz block is bitwise the entry-by-entry loop over the
+    # returned input signal
+    X, _, sig = lorenz_build(LorenzProblem(N=N, T_end=0.1 * N, seed=3))
+    ref = np.zeros((N, N, 4))
+    for p in range(N):
+        for q in range(N):
+            ref[p, q, 1:] = sig["x"][N - 1 + p - q]
+    assert X.data.tobytes() == ref.tobytes()
+
+
 def test_lorenz_solve():
     X, Y, _ = lorenz_build(LorenzProblem(N=20, T_end=2.0))
     w, rep = lorenz_solve_ns(X, Y, tol=1e-8, maxit=60)

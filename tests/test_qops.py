@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -180,7 +183,7 @@ def test_parity_examples_cover_every_path():
 
 
 @pytest.mark.parametrize("m,k,n", [(1, 20, 8), (30, 1, 8), (9, 9, 1),
-                                   (24, 40, 32), (40, 40, 40)])
+                                   (24, 40, 32), (40, 40, 40), (120, 1, 60)])
 @pytest.mark.parametrize("zero_side", ["x", "y"])
 def test_qmatmul_signed_zeros_match_parent(m, k, n, zero_side):
     # one operand all -0.0: every term is a signed zero, and the result's
@@ -202,6 +205,84 @@ def test_qmatmul_bitwise_equals_parent_on_strided_views(j, seed):
         return _wide_range_qarray(shape, np.random.default_rng([seed, i]))
     for x, y in _views(j, make):
         assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the slab path's per-thread workspace
+# ---------------------------------------------------------------------------
+
+# slab-path shapes that grow and then shrink, k = 1 and a square one among
+# them: the workspace is reused at every size it has held
+_SLAB_SHAPES = [(40, 40, 40), (60, 50, 70), (120, 1, 60), (120, 100, 110),
+                (220, 200, 220), (50, 60, 50), (120, 1, 60), (27, 27, 38)]
+
+
+def _slab_operands(seed):
+    rng = np.random.default_rng(seed)
+    return [(_wide_range_qarray((m, k), rng), _wide_range_qarray((k, n), rng))
+            for m, k, n in _SLAB_SHAPES]
+
+
+def test_slab_shapes_take_the_slab_path():
+    for m, k, n in _SLAB_SHAPES:
+        assert _side(m, k, n) == "right" and not _batched(m, k, n)
+
+
+def test_workspace_products_grow_and_shrink_bitwise():
+    for x, y in _slab_operands(11):
+        assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+def test_workspace_never_leaks_into_results():
+    operands = _slab_operands(12)
+    results = [qmatmul(x, y) for x, y in operands]
+    kept = [z.tobytes() for z in results]
+    for x, y in operands[::-1]:
+        qmatmul(x, y)
+    ws = _qops._local.workspace
+    for z, before in zip(results, kept):
+        assert not np.shares_memory(z, ws)
+        assert z.tobytes() == before
+
+
+def test_workspace_bound(monkeypatch):
+    # above the bound a product uses fresh scratch and leaves the
+    # retained workspace as it was
+    x, y = _slab_operands(13)[4]
+    monkeypatch.setattr(_qops, "_local", threading.local())
+    monkeypatch.setattr(_qops, "_WORKSPACE_MAX", 20_000)
+    assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+    assert not hasattr(_qops._local, "workspace")
+    small = _slab_operands(13)[0]
+    qmatmul(*small)
+    assert _qops._local.workspace.size <= 20_000
+
+
+def test_workspace_per_thread():
+    # more threads than cores run slab-path products at once, with short
+    # switch intervals; each must get the parent kernel's bits
+    jobs = [_slab_operands(20 + t) for t in range(4)]
+    expect = [[_qmatmul_parent(x, y).tobytes() for x, y in ops] for ops in jobs]
+    got = [[] for _ in jobs]
+
+    def work(t):
+        for _ in range(3):
+            got[t].append([qmatmul(x, y).tobytes() for x, y in jobs[t]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t, runs in enumerate(got):
+        assert runs == [expect[t]] * 3
 
 
 def _completion(pinv):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatpinv import factor
+from quatpinv import factor, solvers
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
                              NonFinite)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd
@@ -151,6 +153,198 @@ def test_hyperpower_residual_power_bound():
     t0 = rep.residual_history[0][1]
     t1 = rep.residual_history[1][1]
     assert t1 <= t0 ** 4 + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# in-place loops: bitwise the out-of-place loops they replaced
+# ---------------------------------------------------------------------------
+
+# The references below form every intermediate as a fresh matrix, as the
+# solvers did before they wrote into buffers they own; they share only the
+# unchanged driver, _solve_tall and the Nystrom preconditioner.
+
+def _ref_deviation(A, X):
+    return QMatrix.identity(A.cols) - X @ A
+
+
+def _ref_neumann(R, X, p, schedule, counter=None):
+    if schedule == SCHEDULE_NAIVE:
+        acc = term = X
+        for _ in range(p - 1):
+            term = R @ term
+            acc = acc + term
+        return acc
+    if schedule == SCHEDULE_BINARY:
+        Y, cur = X, R
+        for j in range(int(round(math.log2(p)))):
+            if j > 0:
+                cur = cur @ cur
+            Y = Y + cur @ Y
+        return Y
+    a = max(2, math.ceil(math.sqrt(p - 1)))
+    powers = [QMatrix.identity(R.rows), R]
+    for _ in range(2, a + 1):
+        powers.append(powers[-1] @ R)
+    prefix = [QMatrix.zeros(R.rows, R.rows)]
+    for i in range(a):
+        prefix.append(prefix[-1] + powers[i])
+    S = None
+    for j in range((p + a - 1) // a - 1, -1, -1):
+        Bj = prefix[min(a, p - j * a)]
+        S = Bj if S is None else Bj + powers[a] @ S
+    return S @ X
+
+
+def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
+                 counter=None):
+    if gamma != 1.0:
+        return X + (R @ X).scale(gamma)
+    return _ref_neumann(R, X, order, schedule)
+
+
+def _ref_ns(A, cfg, method, **step_kw):
+    def solve(B, alpha, t0):
+        def measure(X):
+            F = _ref_deviation(B, X)
+            return F.fro_norm(), F
+
+        X, _, rep = solvers._drive(method, B.adjoint().scale(alpha),
+                                   lambda X, F: _ref_ns_step(F, X, **step_kw),
+                                   measure, cfg.tol, cfg.maxit, diverge=True,
+                                   t0=t0)
+        return X, rep
+    return solvers._solve_tall(A, cfg, method, solve)
+
+
+def _ref_cgne(A, cfg, precond=None):
+    def frob(x, y):
+        return float((x.data * y.data).sum())
+
+    def solve(B, alpha, t0):
+        Bh = B.adjoint()
+        X0 = Bh.scale(alpha)
+        M = None if precond is None else solvers._NystromPrecond(B, precond)
+
+        def step(state, _):
+            X, R, D, zz = state
+            Z = R @ Bh
+            Zt = M.apply_right(Z) if M else Z
+            zz_new = frob(Zt, Z)
+            D = Zt if D is None else Zt + D.scale(zz_new / zz)
+            W = D @ B
+            a_k = frob(R, W) / frob(W, W)
+            return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+
+        (X, *_), _, rep = solvers._drive(
+            "cgne", (X0, _ref_deviation(B, X0), None, None), step,
+            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
+            t0=t0)
+        return X, rep
+    return solvers._solve_tall(A, cfg, "cgne", solve)
+
+
+def _hp_cfg(order, schedule):
+    return SolverConfig(order=order, schedule=schedule, tol=1e-10)
+
+
+def _ref_hp(A, cfg):
+    return _ref_ns(A, cfg, f"hyperpower-{cfg.order}", order=cfg.order,
+                   schedule=cfg.schedule)
+
+
+_NYS = SketchConfig(block_r=4, seed=5)
+_CG_CFG = SolverConfig(tol=1e-10, maxit=40)
+# case -> (solver, out-of-place reference, config)
+_INPLACE = {
+    "ns": (ns_damped, lambda A, c: _ref_ns(A, c, "ns", gamma=c.gamma),
+           SolverConfig(tol=1e-10)),
+    "ns-gamma0.7": (ns_damped, lambda A, c: _ref_ns(A, c, "ns", gamma=c.gamma),
+                    SolverConfig(gamma=0.7, tol=1e-10)),
+    "hyperpower-naive3": (ns_hyperpower, _ref_hp, _hp_cfg(3, SCHEDULE_NAIVE)),
+    "hyperpower-binary4": (ns_hyperpower, _ref_hp,
+                           _hp_cfg(4, SCHEDULE_BINARY)),
+    "hyperpower-ps8": (ns_hyperpower, _ref_hp, _hp_cfg(8, SCHEDULE_PS)),
+    "cgne": (cgne_q, _ref_cgne, _CG_CFG),
+    "cgne-nystrom": (lambda A, c: cgne_q(A, c, precond=_NYS),
+                     lambda A, c: _ref_cgne(A, c, _NYS), _CG_CFG),
+}
+
+
+# slab-path products of qmatmul, which draw on its workspace
+@pytest.mark.parametrize("shape", [(60, 50), (50, 60), (50, 50)])
+@pytest.mark.parametrize("case", sorted(_INPLACE))
+def test_inplace_loops_bitwise_equal_out_of_place(case, shape):
+    solve, ref, cfg = _INPLACE[case]
+    A = randn_qmat(*shape, shape[0] + 2 * shape[1])
+    before = A.data.tobytes()
+    X, rep = solve(A, cfg)
+    assert A.data.tobytes() == before
+    Xr, rr = ref(A, cfg)
+    assert X.data.tobytes() == Xr.data.tobytes()
+    assert (rep.iterations, rep.residual_history, rep.penrose,
+            rep.converged) == (rr.iterations, rr.residual_history,
+                               rr.penrose, rr.converged)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("zero_x", [False, True])
+def test_deviation_bitwise_equal_out_of_place(real, zero_x):
+    # a zero or real X puts exact zeros into XA, where the sign of I - XA's
+    # zeros shows; the diagonal covers 1 - p
+    rng = np.random.default_rng(4)
+    A, X = randn_qmat(60, 50, 1), randn_qmat(50, 60, 2)
+    if real:
+        A = QMatrix.from_real(rng.standard_normal((60, 50)))
+        X = QMatrix.from_real(rng.standard_normal((50, 60)))
+    if zero_x:
+        X = QMatrix.zeros(50, 60)
+    kept = A.data.tobytes(), X.data.tobytes()
+    got = solvers._deviation(A, X)
+    assert (A.data.tobytes(), X.data.tobytes()) == kept
+    assert got.data.tobytes() == _ref_deviation(A, X).data.tobytes()
+
+
+@pytest.mark.parametrize("schedule,p", [
+    (SCHEDULE_NAIVE, 2), (SCHEDULE_NAIVE, 5), (SCHEDULE_BINARY, 2),
+    (SCHEDULE_BINARY, 8), (SCHEDULE_PS, 2), (SCHEDULE_PS, 8),
+    (SCHEDULE_PS, 10)])
+def test_eval_neumann_poly_bitwise_and_arguments_kept(schedule, p):
+    R = randn_qmat(50, 50, 5).scale(0.05)
+    X = randn_qmat(50, 60, 6)
+    kept = R.data.tobytes(), X.data.tobytes()
+    got = eval_neumann_poly(R, X, p, schedule)
+    assert (R.data.tobytes(), X.data.tobytes()) == kept
+    assert got.data.tobytes() == _ref_neumann(R, X, p, schedule).data.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(60, 50), (50, 60)])
+@pytest.mark.parametrize("kind,cfg", [
+    ("ns", SolverConfig()), ("ns", SolverConfig(gamma=0.7)),
+    ("hyperpower", SolverConfig(order=3)),
+    ("hyperpower", SolverConfig(order=4, schedule=SCHEDULE_BINARY)),
+    ("hyperpower", SolverConfig(order=8, schedule=SCHEDULE_PS))])
+def test_recurrence_deviations_bitwise_equal_out_of_place(kind, cfg, shape,
+                                                          monkeypatch):
+    A = randn_qmat(*shape, 3)
+    before = A.data.tobytes()
+    got = recurrence_deviations(A, cfg, kind, steps=4)
+    assert A.data.tobytes() == before
+    monkeypatch.setattr(solvers, "_deviation", _ref_deviation)
+    monkeypatch.setattr(solvers, "_ns_step", _ref_ns_step)
+    assert got == recurrence_deviations(A, cfg, kind, steps=4)
+
+
+def test_lorenz_solve_ns_bitwise_equal_out_of_place(monkeypatch):
+    from quatpinv.apps import lorenz
+    X, Y, _ = lorenz.lorenz_build(lorenz.LorenzProblem(N=50, seed=3))
+    before = X.data.tobytes(), Y.data.tobytes()
+    w, rep = lorenz.lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
+    assert (X.data.tobytes(), Y.data.tobytes()) == before
+    monkeypatch.setattr(lorenz, "_deviation", _ref_deviation)
+    monkeypatch.setattr(lorenz, "_ns_step", _ref_ns_step)
+    wr, rr = lorenz.lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
+    assert (w.data.tobytes(), rep.iterations, rep.residual_history) == \
+        (wr.data.tobytes(), rr.iterations, rr.residual_history)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,79 @@
+"""Wall time and minor page faults of every benchmark call.
+
+    python3 tools/churn.py --seed 1 > new.txt
+    python3 tools/churn.py --seed 1 --tree ../other-checkout > old.txt
+    python3 tools/churn.py --seed 1 --workload dense
+
+Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
+``perfbench/workloads.py`` (each pool instance once, as round i of a
+benchmark run uses instance i; ``--workload`` picks one pool) and prints
+one line per call: the workload, input and method, the call's wall time
+and the minor page faults the process took during it
+(``resource.getrusage``). A minor fault is the kernel mapping a page the
+process touches for the first time, as it does each time the allocator
+hands back memory that was returned to the system; many faults per call
+mean the call keeps allocating and freeing large arrays. After the calls
+one ``median`` line per workload and method gives the median of both.
+
+``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
+imported (default: the one holding this file), as in ``tools/parity.py``;
+neither is modified. Faults are counted for the whole process, so run
+nothing else in it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("dense", "sketch", "apps")
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
+                   help="checkout whose src/ and perfbench/ are imported")
+    p.add_argument("--workload", choices=WORKLOADS, action="append",
+                   help="pool to run (repeatable; default: all three)")
+    args = p.parse_args(argv)
+    tree = Path(args.tree).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
+    import workloads
+
+    samples: dict[tuple[str, str], list[tuple[float, int]]] = {}
+    for name in args.workload or WORKLOADS:
+        wl = workloads.Workload(name, args.seed)
+        for i in range(len(wl.pool)):
+            for call in wl.round(i):
+                f0 = _minflt()
+                t0 = time.perf_counter()
+                try:
+                    call.run()
+                except workloads.QuatpinvError:
+                    pass  # a failed call's cost counts like any other's
+                wall = time.perf_counter() - t0
+                faults = _minflt() - f0
+                samples.setdefault((name, call.method), []).append(
+                    (wall, faults))
+                print(name, call.input, call.method, f"wall_s={wall:.4f}",
+                      f"minflt={faults}", flush=True)
+    for (name, method), runs in samples.items():
+        walls, faults = zip(*runs)
+        print("median", name, method, f"calls={len(runs)}",
+              f"wall_s={statistics.median(walls):.4f}",
+              f"minflt={statistics.median(faults):.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
