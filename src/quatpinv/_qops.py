@@ -16,7 +16,14 @@ component of one operand:
   in the order of the components of x.
 
 The side is picked from the shapes alone, as the one that moves fewer
-elements. Either way each output component is summed as the Hamilton
+elements. The left side orders the rows of its block (t, i); OpenBLAS
+(0.3.31, Haswell kernels) rounds a few entries of some larger left-side
+products one bit apart from a kernel that orders them (i, t) -- at
+9 x 300 @ 300 x 300 and up, and 14 x 64 @ 64 x 300 and up, where the
+block has 36 rows or more and k n is large -- because the rows then fall
+to different edge kernels. Ordering them (i, t) restores that parity but
+adds about 2 us, 10%, to every small left-side product; no call of the
+solvers' benchmark reaches such a shape. Either way each output component is summed as the Hamilton
 formula writes it: four k-term products, added in the order a, b, c, d of
 the left factor. A single (m, 4k) @ (4k, 4n) GEMM does the same work with
 one 4k-term sum per entry; its rounding error is 1.4-2.7x larger, and the
@@ -52,6 +59,16 @@ elements (8 MiB) per thread; the 220 x 200 solves use 4.4 MB of it, and a
 larger product takes fresh scratch. The returned array is always fresh,
 never a view of the workspace.
 
+``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
+-> (s, m, n, 4), with one operand possibly a single matrix shared by every
+item; the micro-solves use it to factor a block of sketches in one pass.
+The left side and the batched right side run the items' GEMMs as items
+of the same batched numpy calls, with each item's GEMM shapes and adds
+unchanged, so every item is bitwise its 2-D product; the slab path takes
+the items one at a time. ``qmatmul`` is the product of one pair, the name
+a tracer wraps: a span's flops are computed from 2-D operand shapes, so
+stacked products do not pass through it.
+
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
 planes, the expanded slabs or blocks of one operand live only inside one
@@ -79,9 +96,9 @@ def qmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def qconj(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[..., 1:] *= -1.0
-    return out
+    """Elementwise conjugate, a fresh C-ordered array; bitwise a copy with
+    components b, c, d multiplied by -1."""
+    return np.multiply(x, _CONJ, order="C")
 
 
 def qnormsq(x: np.ndarray) -> np.ndarray:
@@ -89,17 +106,35 @@ def qnormsq(x: np.ndarray) -> np.ndarray:
     return np.sum(x * x, axis=-1)
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # _SIGN[s, u, t]: component t of (unit s) * (unit u), each 0 or +-1. A
 # product with it builds a slab or block of an operand; every entry is then
 # exactly one component or its negative.
 _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 _SIGN_LEFT = _SIGN.transpose(1, 2, 0).reshape(16, 4)  # [(u, t), s]
+# the sign table for a 2-D operand and for a stack, [s, u, t] and
+# [s, 0, u, t]
+_SIGN_BY_LEAD = (_SIGN, _SIGN[:, None])
+# transposes of an operand to its planes, (4, [s,] r, c) and ([s,] 4, r, c),
+# and the einsum of the one-term products, by the operand's stack axes
+_PLANES_FIRST = ((2, 0, 1), (3, 0, 1, 2))
+_PLANES_LAST = ((2, 0, 1), (0, 3, 1, 2))
+_ONE_TERM = ("smk,skn->smn", "sbmk,sbkn->sbmn")
 # _TERM_U[s, t]: the component of y that meets component s of x in
 # component t of the product
 _TERM_U = np.abs(_SIGN).argmax(axis=1)
 # the row (u, t) of the left side's block products that holds the term
 # (s, t), in the order (s, t)
 _TERM_ROWS = (4 * _TERM_U + np.arange(4)).ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _term_rows(b: int) -> np.ndarray:
+    """The rows of b stacked (16, m n) left-side block products that hold
+    the terms (s, t) of item b', as a (4, 4 b) array [s, (t, b')]."""
+    return np.add.outer(_TERM_ROWS, 16 * np.arange(b)).reshape(4, 4 * b)
+
+
 # right-side products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
 # float64 elements of scratch a thread keeps between products (8 MiB)
@@ -120,36 +155,73 @@ def _scratch(size: int) -> np.ndarray:
 
 
 def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quaternion matrix product of (m, k, 4) @ (k, n, 4) -> (m, n, 4)."""
-    m, k, _ = x.shape
-    n = y.shape[1]
+    """Quaternion matrix product of (m, k, 4) @ (k, n, 4) -> (m, n, 4).
+
+    The product of one pair; stacks of pairs go through ``qmatmul_stack``,
+    which computes both."""
+    return qmatmul_stack(x, y)
+
+
+def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quaternion matrix products of stacks, (s, m, k, 4) @ (s, k, n, 4)
+    -> (s, m, n, 4); either operand may also be one 2-D matrix, used with
+    every item of the other, and two 2-D operands give their product.
+    Each item is bitwise the 2-D product of its two operands."""
+    sx, sy = x.shape, y.shape
+    m, k, n = sx[-3], sx[-2], sy[-2]
+    lx, ly = sx[:-3], sy[:-3]
+    lead = lx or ly
     # The right slabs are 16kn elements in all; the left side moves 16mk
     # (its block), 4kn (the planes of y) and 36mn (the terms, their
     # reordering and the result).
     if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n:
-        # L[(u, t, i), p] = sum_s _SIGN[s, u, t] x[i, p, s]: block u holds
-        # the rows (t, i), in any order a row's k-term sum is the same
-        L = _SIGN_LEFT @ x.reshape(m * k, 4).T
-        planes = np.ascontiguousarray(y.transpose(2, 0, 1))
-        P = np.matmul(L.reshape(4, 4 * m, k), planes).reshape(16, m * n)
-        Q = P.take(_TERM_ROWS, axis=0)
-        Z = Q[0:4] + Q[4:8]
-        Z += Q[8:12]
-        Z += Q[12:16]
-        return np.ascontiguousarray(Z.T).reshape(m, n, 4)
-    yq = y.reshape(k * n, 4)
+        # L[.., (u, t, i), p] = sum_s _SIGN[s, u, t] x[.., i, p, s]: block
+        # u holds the rows (t, i), in any order a row's k-term sum is the
+        # same
+        L = _SIGN_LEFT @ x.reshape(lx + (m * k, 4)).swapaxes(-1, -2)
+        planes = np.ascontiguousarray(y.transpose(_PLANES_LAST[len(ly)]))
+        P = np.matmul(L.reshape(lx + (4, 4 * m, k)), planes)
+        b = len(P) if lead else 1
+        # Q[s, (t, item)]: the term (s, t) of each item, added over s
+        Q = P.reshape(16 * b, m * n).take(_term_rows(b), axis=0)
+        Z = Q[0] + Q[1]
+        Z += Q[2]
+        Z += Q[3]
+        if lead:
+            Z = Z.reshape(4, b * m * n)
+        return np.ascontiguousarray(Z.T).reshape(lead + (m, n, 4))
     if (m + k) * n <= _BATCH_MAX:
-        planes = np.ascontiguousarray(x.transpose(2, 0, 1))
-        # S[s, p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
-        S = (yq @ _SIGN).reshape(4, k, 4 * n)
+        planes = np.ascontiguousarray(x.transpose(_PLANES_FIRST[len(lx)]))
+        # S[s, .., p, (q, t)] = sum_u y[.., p, q, u] _SIGN[s, u, t]
+        S = (y.reshape(ly + (k * n, 4)) @ _SIGN_BY_LEAD[len(ly)]).reshape(
+            (4,) + ly + (k, 4 * n))
+        if lx != ly:  # one 2-D operand, used with every item
+            if lx:
+                S = np.broadcast_to(S[:, None], (4,) + lead + (k, 4 * n))
+            else:
+                planes = np.broadcast_to(planes[:, None], (4,) + lead + (m, k))
         # with k = 1 numpy's matmul runs its own loop, one rounded product
         # added to +0.0 per entry; einsum does the same, faster
-        P = (np.einsum("smk,skn->smn", planes, S) if k == 1
+        P = (np.einsum(_ONE_TERM[len(lead)], planes, S) if k == 1
              else np.matmul(planes, S))
         Z = P[0] + P[1]
         Z += P[2]
         Z += P[3]
-        return Z.reshape(m, n, 4)
+        return Z.reshape(lead + (m, n, 4))
+    # the slab path takes one item at a time
+    if not lead:
+        return _slab_product(x, y)
+    out = np.empty(lead + (m, n, 4))
+    for i in range(len(out)):
+        out[i] = _slab_product(x[i] if lx else x, y[i] if ly else y)
+    return out
+
+
+def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The right side one slab at a time, for (m, k, 4) @ (k, n, 4)."""
+    m, k, _ = x.shape
+    n = y.shape[1]
+    yq = y.reshape(k * n, 4)
     # the planes of x, one slab and one slab's product, in scratch
     mk, kn = 4 * m * k, 4 * k * n
     ws = _scratch(mk + kn + 4 * m * n)

@@ -7,6 +7,11 @@ factors are reassembled from its singular vectors, which come in pairs
 and as micro-solvers inside the randomized methods. A Hermitian positive
 definite G is factored once (``hpd_factor``) and solved against each
 right-hand side (``HPDFactor.solve``); ``hpd_solve`` does both for one.
+``thin_qr``, ``solve_upper_triangular``, ``_cholesky`` and ``hpd_factor``
+also take a stack of s matrices as an (s, r, c, 4) array, and factor or
+solve all of them in one pass with the same code, a 2-D call being the
+case without a stack axis; each item of a stack is bitwise the routine
+run on it alone, and an item that would raise is flagged instead.
 ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
 when A holds a NaN or infinite entry.
 """
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import _qops
 from .errors import (ConvergenceFailure, Indefinite, NotHermitian,
-                     RankDeficient)
+                     QuatpinvError, RankDeficient)
 from .qmatrix import QMatrix, require_finite
 
 
@@ -41,82 +46,129 @@ class QSVDFactors:
 # Thin QR via quaternion Householder reflectors
 # ---------------------------------------------------------------------------
 
-def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
+def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
+    """Frobenius norm of each matrix of d, whose leading axes lead index
+    them; each is bitwise its QMatrix.fro_norm()."""
+    return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
+
+
+def _any(flags: np.ndarray) -> bool:
+    """Whether any flag is set; for one matrix's flag, a numpy bool, this
+    skips the array method, which costs microseconds on a scalar."""
+    return bool(flags.any() if flags.ndim else flags)
+
+
+def _products(stacked: bool):
+    """The quaternion product for a stack, or the traced one of one pair."""
+    return _qops.qmatmul_stack if stacked else _qops.qmatmul
+
+
+def thin_qr(Y: QMatrix | np.ndarray, rank_tol: float = 1e-12):
     """Householder QR of a tall matrix; R diagonal made real positive.
 
-    Raises RankDeficient when the smallest diagonal of R falls below
-    rank_tol * ||Y||_F (caller typically redraws its sketch).
+    For a QMatrix returns QRFactors and raises RankDeficient when the
+    smallest diagonal of R falls below rank_tol * ||Y||_F (caller typically
+    redraws its sketch). Y may also be a stack of s matrices, an
+    (s, m, r, 4) array, factored in one pass, each item bitwise as alone:
+    the result is then the arrays (Q, R, ok) of shapes (s, m, r, 4),
+    (s, r, r, 4) and (s,), where ok is False for an item that would have
+    raised (its Q and R are then meaningless).
     """
-    m, r = Y.shape
+    stacked = not isinstance(Y, QMatrix)
+    mm = _products(stacked)
+    W = (Y if stacked else Y.data).copy()
+    lead = W.shape[:-3]
+    m, r = W.shape[-3:-1]
     if m < r:
         raise RankDeficient("thin_qr requires m >= r")
-    scale = Y.fro_norm()
-    W = Y.data.copy()
+    scale = _fro(W, lead)
     reflectors = []
     for k in range(r):
-        x = W[k:, k, :]
-        normx = math.sqrt((x * x).sum())
-        if normx == 0.0:
-            continue
-        x1 = x[0]
-        ax1 = math.sqrt((x1 * x1).sum())
-        phi = x1 / ax1 if ax1 > 0 else np.array([1.0, 0.0, 0.0, 0.0])
+        # each item takes its step, or skips it at a zero column, as alone
+        x = W[..., k:, k, :]
+        normx = _fro(x, lead)
+        x1 = x[..., 0, :]
+        ax1 = np.sqrt((x1 * x1).sum(-1))
+        phi = np.zeros(lead + (4,))
+        phi[..., 0] = 1.0
+        np.divide(x1, ax1[..., None], out=phi, where=ax1[..., None] > 0)
         v = x.copy()
-        v[0] = v[0] + phi * normx
-        vns = float((v * v).sum())
-        if vns == 0.0:
+        v[..., 0, :] += phi * normx[..., None]
+        vns = (v * v).reshape(lead + (-1,)).sum(-1)
+        act = (normx != 0.0) & (vns != 0.0)
+        if not _any(act):
             continue
-        vcol = v[:, None, :]
-        vH = _qops.qconj(v)[None, :, :]
-        t = _qops.qmatmul(vH, W[k:, k:, :])
-        W[k:, k:, :] -= (2.0 / vns) * _qops.qmatmul(vcol, t)
+        act4 = act[..., None, None, None]
+        vcol = v[..., None, :]
+        vH = _qops.qconj(v)[..., None, :, :]
+        c = (2.0 / np.where(act, vns, 1.0))[..., None, None, None]
+        Wk = W[..., k:, k:, :]
+        np.subtract(Wk, c * mm(vcol, mm(vH, Wk)), out=Wk, where=act4)
         # reflector maps the column to -phi*normx * e1 exactly
-        W[k, k, :] = -phi * normx
-        W[k + 1:, k, :] = 0.0
-        reflectors.append((k, vcol, vH, vns))
+        np.copyto(W[..., k, k, :], -phi * normx[..., None],
+                  where=act[..., None])
+        np.copyto(W[..., k + 1:, k, :], 0.0, where=act[..., None, None])
+        reflectors.append((k, vcol, vH, c, act4))
 
     # unit quaternions d_k = conj(R_kk) / |R_kk| make the diagonal real
     # positive: R <- diag(d) R and Q <- Q diag(conj(d)); a zero R_kk keeps
     # d_k = 1 and its row is left as it is
-    Rdat = W[:r, :, :].copy()
+    Rdat = W[..., :r, :, :].copy()
     ks = np.arange(r)
-    rkk = Rdat[ks, ks]
-    mag = np.sqrt((rkk * rkk).sum(axis=1))
-    nz = np.flatnonzero(mag != 0.0)
-    D = np.zeros((r, 4))
-    D[:, 0] = 1.0
-    D[nz] = _qops.qconj(rkk[nz]) / mag[nz, None]
-    Rdat[nz] = _qops.qmul(D[nz, None, :], Rdat[nz])
-    Rdat[nz, nz] = 0.0
-    Rdat[nz, nz, 0] = mag[nz]
+    rkk = Rdat[..., ks, ks, :]
+    mag = np.sqrt((rkk * rkk).sum(-1))
+    nz = mag != 0.0
+    D = np.zeros(lead + (r, 4))
+    D[..., 0] = 1.0
+    D[nz] = _qops.qconj(rkk[nz]) / mag[nz][:, None]
+    Rdat[nz] = _qops.qmul(D[nz][:, None, :], Rdat[nz])
+    diag = np.nonzero(nz)
+    diag += (diag[-1],)
+    Rdat[diag] = 0.0
+    Rdat[diag + (0,)] = mag[nz]
 
-    diag = Rdat[ks, ks, 0]
-    if diag.min() <= rank_tol * max(scale, 1e-300):
+    dmin = Rdat[..., ks, ks, 0].min(-1)
+    ok = ~(dmin <= rank_tol * np.maximum(scale, 1e-300))
+    if not stacked and not ok:
         raise RankDeficient(
-            f"R diagonal {diag.min():.3e} <= {rank_tol:.1e} * {scale:.3e}")
+            f"R diagonal {dmin:.3e} <= {rank_tol:.1e} * {scale:.3e}")
 
-    Qdat = np.zeros((m, r, 4))
-    Qdat[ks, ks, 0] = 1.0
-    for k, vcol, vH, vns in reversed(reflectors):
-        t = _qops.qmatmul(vH, Qdat[k:, :, :])
-        Qdat[k:, :, :] -= (2.0 / vns) * _qops.qmatmul(vcol, t)
-    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[None, :, :])
+    Qdat = np.zeros(lead + (m, r, 4))
+    Qdat[..., ks, ks, 0] = 1.0
+    for k, vcol, vH, c, act4 in reversed(reflectors):
+        Qk = Qdat[..., k:, :, :]
+        np.subtract(Qk, c * mm(vcol, mm(vH, Qk)), out=Qk, where=act4)
+    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[..., None, :, :])
 
+    if stacked:
+        return Qdat, Rdat, ok
     return QRFactors(Q=QMatrix(Qdat), R=QMatrix(Rdat))
 
 
-def solve_upper_triangular(R: QMatrix, B: QMatrix) -> QMatrix:
-    """Solve R Z = B for upper-triangular R with real positive diagonal."""
-    r = R.rows
-    Z = np.zeros_like(B.data)
-    Rd = R.data
-    Bd = B.data
+def solve_upper_triangular(R: QMatrix | np.ndarray,
+                           B: QMatrix | np.ndarray):
+    """Solve R Z = B for upper-triangular R with real positive diagonal.
+
+    R and B are QMatrix, or stacks of s of them, (s, r, r, 4) and
+    (s, r, p, 4) arrays, solved in one pass, each item bitwise as alone;
+    Z is a QMatrix or an (s, r, p, 4) array to match.
+    """
+    stacked = not isinstance(R, QMatrix)
+    mm = _products(stacked)
+    Rd, Bd = (R, B) if stacked else (R.data, B.data)
+    r = Rd.shape[-3]
+    diag = Rd[..., np.arange(r), np.arange(r), 0, None, None]
+    Z = np.empty_like(Bd)
     for j in range(r - 1, -1, -1):
-        Z[j] = Bd[j]
+        Zj = Z[..., j, :, :]
         if j + 1 < r:
-            Z[j] -= _qops.qmatmul(Rd[j:j + 1, j + 1:, :], Z[j + 1:, :, :])[0]
-        Z[j] /= Rd[j, j, 0]
-    return QMatrix(Z)
+            np.subtract(Bd[..., j, :, :], mm(Rd[..., j:j + 1, j + 1:, :],
+                                             Z[..., j + 1:, :, :])[..., 0, :, :],
+                        out=Zj)
+        else:
+            Zj[...] = Bd[..., j, :, :]
+        Zj /= diag[..., j, :, :]
+    return Z if stacked else QMatrix(Z)
 
 
 def pinv_from_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QMatrix:
@@ -129,36 +181,56 @@ def pinv_from_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QMatrix:
 # Hermitian positive definite solves
 # ---------------------------------------------------------------------------
 
-def _cholesky(Gd: np.ndarray) -> np.ndarray | None:
-    """Quaternion Cholesky G = L L^H; returns None on a nonpositive pivot."""
-    r = Gd.shape[0]
+def _cholesky(Gd: np.ndarray):
+    """Quaternion Cholesky G = L L^H of an (r, r, 4) array; returns None on
+    a nonpositive pivot. Gd may also be a stack, an (s, r, r, 4) array,
+    factored in one pass, each item bitwise as alone: the result is then
+    (L, ok), where ok (s,) is False for an item with a nonpositive pivot
+    (its L is then meaningless)."""
+    stacked = Gd.ndim == 4
+    mm = _products(stacked)
+    lead = Gd.shape[:-3]
+    r = Gd.shape[-3]
     L = np.zeros_like(Gd)
-    gscale = math.sqrt((Gd * Gd).sum())
+    thresh = 1e-14 * np.maximum(_fro(Gd, lead), 1e-300)
+    ok = np.ones(lead, dtype=bool)
     for j in range(r):
-        d = Gd[j, j, 0] - float((L[j, :j, :] * L[j, :j, :]).sum())
-        if d <= 1e-14 * max(gscale, 1e-300):
-            return None
-        ljj = math.sqrt(d)
-        L[j, j, 0] = ljj
+        row = L[..., j, :j, :]
+        d = Gd[..., j, j, 0] - (row * row).reshape(lead + (-1,)).sum(-1)
+        bad = d <= thresh
+        if _any(bad):
+            if not stacked:
+                return None
+            # a failed item carries on with pivot 1; its L is discarded
+            ok &= ~bad
+            d[bad] = 1.0
+        ljj = np.sqrt(d)
+        L[..., j, j, 0] = ljj
         if j + 1 < r:
-            L[j + 1:, j] = Gd[j + 1:, j]
+            col = L[..., j + 1:, j, :]
             if j > 0:
-                conj_row = _qops.qconj(L[j, :j, :])[:, None, :]
-                L[j + 1:, j] -= _qops.qmatmul(L[j + 1:, :j, :],
-                                              conj_row)[:, 0, :]
-            L[j + 1:, j] /= ljj
-    return L
+                np.subtract(Gd[..., j + 1:, j, :],
+                            mm(L[..., j + 1:, :j, :],
+                               _qops.qconj(row)[..., None, :])[..., 0, :],
+                            out=col)
+            else:
+                col[...] = Gd[..., j + 1:, j, :]
+            col /= ljj[..., None, None]
+    return (L, ok) if stacked else L
 
 
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     """Solve L L^H Z = B: forward substitution with L, then back
     substitution with L^H, whose real diagonal is L's."""
-    Z = np.zeros_like(Bd)
+    Z = np.empty_like(Bd)
     for j in range(L.shape[0]):
-        Z[j] = Bd[j]
+        Zj = Z[j]
         if j > 0:
-            Z[j] -= _qops.qmatmul(L[j:j + 1, :j, :], Z[:j, :, :])[0]
-        Z[j] /= L[j, j, 0]
+            np.subtract(Bd[j], _qops.qmatmul(L[j:j + 1, :j, :], Z[:j])[0],
+                        out=Zj)
+        else:
+            Zj[...] = Bd[j]
+        Zj /= L[j, j, 0]
     LH = QMatrix(_qops.qconj(L.transpose(1, 0, 2)))
     return solve_upper_triangular(LH, QMatrix(Z)).data
 
@@ -211,25 +283,51 @@ class HPDFactor:
         raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
 
-def hpd_factor(G: QMatrix, ridge: float = 1e-10) -> HPDFactor:
+def hpd_factor(G: QMatrix | np.ndarray, ridge: float = 1e-10):
     """Factor G + ridge*I for Hermitian positive definite G, once per G.
 
     Raises NotHermitian, or Indefinite when a Cholesky pivot fails and G
     has a negative eigenvalue; a pivot failure on a merely singular or
-    ill-conditioned G leaves L None, and every solve then runs CG.
+    ill-conditioned G leaves L None, and every solve then runs CG. G may
+    also be a stack of s matrices, an (s, r, r, 4) array, whose Cholesky
+    factors are formed in one pass, each bitwise as alone: the result is
+    then a list of s entries, each an HPDFactor or the error its matrix
+    would have raised.
     """
-    r, _ = G.shape
-    if G.cols != r:
+    stacked = not isinstance(G, QMatrix)
+    Gs = G if stacked else G.data
+    lead = Gs.shape[:-3]
+    r, c = Gs.shape[-3:-1]
+    if c != r:
         raise NotHermitian("hpd_factor needs a square matrix")
-    herm_gap = (G - G.adjoint()).fro_norm()
-    if herm_gap > 1e-10 * max(G.fro_norm(), 1e-300):
-        raise NotHermitian(f"||G - G^H|| = {herm_gap:.3e}")
-    Gd = G.data.copy()
-    Gd[np.arange(r), np.arange(r), 0] += ridge
-    L = _cholesky(Gd)
+    gnorm = np.maximum(_fro(Gs, lead), 1e-300)
+    gap = _fro(Gs - _qops.qconj(Gs.swapaxes(-3, -2)), lead)
+    if not stacked and gap > 1e-10 * gnorm:
+        raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
+    Gd = Gs.copy()
+    Gd[..., np.arange(r), np.arange(r), 0] += ridge
+    if not stacked:
+        return _checked_factor(Gs, Gd, _cholesky(Gd), gnorm)
+    L, ok = _cholesky(Gd)
+    out = []
+    for i in range(len(Gs)):
+        try:
+            if gap[i] > 1e-10 * gnorm[i]:
+                raise NotHermitian(f"||G - G^H|| = {gap[i]:.3e}")
+            out.append(_checked_factor(Gs[i], Gd[i], L[i] if ok[i] else None,
+                                       gnorm[i]))
+        except QuatpinvError as exc:
+            out.append(exc)
+    return out
+
+
+def _checked_factor(G: np.ndarray, Gd: np.ndarray, L: np.ndarray | None,
+                    gnorm: float) -> HPDFactor:
+    """The HPDFactor of Gd = G + ridge*I with Cholesky factor L; L None (a
+    failed pivot) raises Indefinite when G has a negative eigenvalue."""
     if L is None:
-        lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
-        if lo < -1e-10 * max(G.fro_norm(), 1e-300):
+        lo = float(np.linalg.eigvalsh(QMatrix(G).to_complex_adjoint())[0])
+        if lo < -1e-10 * gnorm:
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
     return HPDFactor(QMatrix(Gd), L)
 

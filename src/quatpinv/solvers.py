@@ -21,19 +21,31 @@ updates are written into arrays the loop alone holds -- the product that
 feeds them, or one scratch buffer per solve -- so an iteration allocates
 nothing beyond its quaternion products; no argument or returned matrix is
 written to, and every result is bitwise that of fresh intermediates.
+
+The sketch-and-project solvers take their sketches from one stream per
+solve (``_SketchStream``): the sketches are drawn one at a time in the
+order the steps use them, and a block of up to 16 of them is formed ahead
+in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
+(s, m, r, 4) and (s, r, m, 4) arrays, or for rsp_row S^H (s, r, m, 4),
+Z = S^H A (s, r, n, 4) and the Cholesky factors of Z Z^H (s, r, r, 4). A
+block holds at most 8192 quaternion entries of max(m, n) x r sketches.
+Only the products with the iterate remain in the step.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
-                     InvalidOrder, RankDeficient, SketchFailure)
-from .factor import hpd_factor, hpd_solve, pinv_from_qr, pinv_normal_eq
+                     InvalidOrder, SketchFailure)
+from .factor import (hpd_factor, pinv_normal_eq, solve_upper_triangular,
+                     thin_qr)
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -208,6 +220,13 @@ def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
     return X, report
 
 
+def _zero_solution(A: QMatrix, method: str):
+    """A zero A's pseudoinverse, zero, returned at once: no iterations,
+    converged and an empty residual history."""
+    return _verified(A, QMatrix.zeros(A.cols, A.rows),
+                     SolverReport(method, 0, converged=True))
+
+
 def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     """Run solve(B, alpha, t0) -> (X, report) on B, the tall one of A and
     A^H, and return A's (X, report): a wide A's result is adjointed, since
@@ -217,8 +236,7 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     an empty residual history."""
     require_finite(A)
     if not A.data.any():
-        return _verified(A, QMatrix.zeros(A.cols, A.rows),
-                         SolverReport(method, 0, converged=True))
+        return _zero_solution(A, method)
     alpha = _alpha(A, cfg)
     t0 = time.perf_counter()
     wide = A.rows < A.cols
@@ -266,30 +284,42 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
         return Y
 
     if schedule == SCHEDULE_PS:
+        # blocks sum_{l<len} R^l of a terms, the highest of top terms,
+        # joined by Horner steps with R^a; a single block (p = 2) has no
+        # Horner step and needs no R^a
         a = max(2, math.ceil(math.sqrt(p - 1)))
-        powers = [QMatrix.identity(R.rows), R]
-        for _ in range(2, a + 1):
+        nblocks = (p + a - 1) // a
+        top = p - (nblocks - 1) * a
+        longest = a if nblocks > 1 else top
+        powers = [None, R]
+        for _ in range(2, a + 1 if nblocks > 1 else top):
             powers.append(powers[-1] @ R)
             if counter is not None:
                 counter.s_products += 1
-        # prefix[i] = sum_{l<i} R^l; every block has length >= 1, so the
-        # zero matrix prefix[0] is never used, and 0 + I is I bit for bit
-        prefix = [None, powers[0]]
-        for i in range(1, a):
-            prefix.append(prefix[-1] + powers[i])
-        nblocks = (p + a - 1) // a
-        S = None
-        for j in range(nblocks - 1, -1, -1):
-            blen = min(a, p - j * a)
-            Bj = prefix[blen]
-            if S is None:
-                S = Bj
-            else:
-                T = powers[a] @ S
-                np.add(Bj.data, T.data, out=T.data)
-                S = T
-                if counter is not None:
-                    counter.s_products += 1
+        # sums[i] = sum_{l<i} R^l for the block lengths used: I + R is
+        # formed as 0 + R with 1 added on the diagonal, bitwise I + R, each
+        # longer sum in the buffer of the power it adds (R^i, i < a, has
+        # served its products by then), and the identity itself is built
+        # only for a block of length 1
+        sums = {}
+        if top == 1:
+            sums[1] = QMatrix.identity(R.rows)
+        if longest >= 2:
+            acc = QMatrix(np.add(0.0, R.data))
+            d = np.arange(R.rows)
+            acc.data[d, d, 0] += 1.0
+            for i in range(2, longest):
+                sums[i] = acc
+                np.add(acc.data, powers[i].data, out=powers[i].data)
+                acc = powers[i]
+            sums[longest] = acc
+        S = sums[top]
+        for _ in range(nblocks - 1):
+            T = powers[a] @ S
+            np.add(sums[a].data, T.data, out=T.data)
+            S = T
+            if counter is not None:
+                counter.s_products += 1
         return S @ X
 
     raise InvalidOrder(f"unknown schedule {schedule!r}")
@@ -380,45 +410,115 @@ def ns_hyperpower(A: QMatrix, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 _MAX_REDRAWS = 10
+# a sketch stream forms up to _AHEAD sketches in one pass, and fewer for a
+# large A: at most _AHEAD_ENTRIES quaternion entries of the max(m, n) x r
+# sketches
+_AHEAD = 16
+_AHEAD_ENTRIES = 8192
 
 
-def _sketch_pinv_col(Y: QMatrix, gram_path: bool) -> QMatrix:
-    if gram_path:
-        G = Y.adjoint() @ Y
-        return hpd_solve(G, Y.adjoint(), ridge=1e-10)
-    return pinv_from_qr(Y)
+class _SketchStream:
+    """The sketches of one sketch-and-project solve, in the order its steps
+    take them.
+
+    Each sketch is drawn from the solver's generator one at a time, in the
+    order the steps draw them, and is formed ahead of the step that takes
+    it, ``block`` sketches at a time in one stacked pass; none of it
+    depends on the iterate, and every array is bitwise what the step would
+    form from that sketch alone. A column sketch is (Omega, Y, Y^+) with
+    Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or on the Gram
+    path from the hpd_factor of Y^H Y solved against Y^H. A row sketch is
+    (S^H, Z, Z^H, F) with S^H r x m, Z = S^H A and F the hpd_factor of
+    Z Z^H. The last entry is None for a sketch whose factorization failed
+    (the step draws the next one instead), or the error raised by any
+    other failure, for the step to raise when it takes that sketch.
+    """
+
+    def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
+                 row: bool = False, block: int | None = None):
+        self.A, self.sk, self.rng, self.row = A, sk, rng, row
+        if block is None:
+            block = _AHEAD_ENTRIES // (max(A.shape) * sk.block_r)
+        self.block = max(1, min(_AHEAD, block))
+        self._ready = collections.deque()
+
+    def take(self):
+        if not self._ready:
+            self._ready.extend(self._rows() if self.row else self._columns())
+        return self._ready.popleft()
+
+    def _draw(self, rows: int) -> np.ndarray:
+        return np.stack([self.rng.normals((rows, self.sk.block_r, 4))
+                         for _ in range(self.block)])
+
+    def _columns(self):
+        Om = self._draw(self.A.cols)
+        Y = _qops.qmatmul_stack(self.A.data, Om)
+        if self.sk.gram_path:
+            Yh = _qops.qconj(Y.swapaxes(1, 2))
+            pinvs = []
+            for F, yh in zip(hpd_factor(_qops.qmatmul_stack(Yh, Y)), Yh):
+                if not isinstance(F, Exception):
+                    try:
+                        F = F.solve(QMatrix(yh))
+                    except Indefinite as exc:
+                        F = exc
+                pinvs.append(None if isinstance(F, Indefinite) else F)
+        else:
+            Q, R, ok = thin_qr(Y)
+            pinvs = [None] * self.block
+            if ok.any():
+                Ydag = solve_upper_triangular(
+                    R[ok], _qops.qconj(Q[ok].swapaxes(1, 2)))
+                for i, yd in zip(np.flatnonzero(ok), Ydag):
+                    pinvs[i] = QMatrix(yd)
+        return [(QMatrix(om), QMatrix(y), p)
+                for om, y, p in zip(Om, Y, pinvs)]
+
+    def _rows(self):
+        Sh = _qops.qconj(self._draw(self.A.rows).swapaxes(1, 2))
+        Z = _qops.qmatmul_stack(Sh, self.A.data)
+        Zh = _qops.qconj(Z.swapaxes(1, 2))
+        factors = hpd_factor(_qops.qmatmul_stack(Z, Zh))
+        return [(QMatrix(sh), QMatrix(z), QMatrix(zh),
+                 None if isinstance(F, Indefinite) else F)
+                for sh, z, zh, F in zip(Sh, Z, Zh, factors)]
+
+
+def _col_update(X: QMatrix, stream: _SketchStream) -> QMatrix:
+    """One column sketch-and-project update with the stream's next usable
+    sketch; each rejected sketch counts as a redraw."""
+    for _ in range(_MAX_REDRAWS):
+        Omega, Y, Ydag = stream.take()
+        if isinstance(Ydag, Exception):
+            raise Ydag
+        if Ydag is not None:
+            return X + (Omega - X @ Y) @ Ydag
+    raise SketchFailure("10 consecutive rank-deficient sketches")
+
+
+def _row_update(X: QMatrix, stream: _SketchStream) -> QMatrix:
+    """One row sketch-and-project update with the stream's next usable
+    sketch; each rejected sketch counts as a redraw."""
+    for _ in range(_MAX_REDRAWS):
+        Sh, Z, Zh, F = stream.take()
+        if isinstance(F, Exception):
+            raise F
+        if F is None:
+            continue
+        try:
+            W = F.solve(Sh - Z @ X)
+        except Indefinite:
+            continue
+        return X + Zh @ W
+    raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
 def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
                   rng: QuatRNG) -> QMatrix:
-    """One column sketch-and-project update; redraws rank-deficient sketches."""
-    n = A.cols
-    for _ in range(_MAX_REDRAWS):
-        Omega = randn_qmat_rng(n, sk.block_r, rng)
-        Y = A @ Omega
-        try:
-            Ydag = _sketch_pinv_col(Y, sk.gram_path)
-        except (RankDeficient, Indefinite):
-            continue
-        Rk = Omega - X @ Y
-        return X + Rk @ Ydag
-    raise SketchFailure("10 consecutive rank-deficient sketches")
-
-
-def _rsp_row_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
-                  rng: QuatRNG) -> QMatrix:
-    """One row sketch-and-project update; redraws rank-deficient sketches."""
-    m = A.rows
-    for _ in range(_MAX_REDRAWS):
-        Sh = randn_qmat_rng(m, sk.block_r, rng).adjoint()
-        Z = Sh @ A
-        Zh = Z.adjoint()
-        try:
-            W = hpd_solve(Z @ Zh, Sh - Z @ X, ridge=1e-10)
-        except (RankDeficient, Indefinite):
-            continue
-        return X + Zh @ W
-    raise SketchFailure("10 consecutive rank-deficient sketches")
+    """One column sketch-and-project update; redraws rank-deficient
+    sketches, and draws from rng only the sketches it uses."""
+    return _col_update(X, _SketchStream(A, sk, rng, block=1))
 
 
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -457,12 +557,15 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     if m < n:
         raise DimensionMismatch("rsp_column requires m >= n")
     _require_block(A, sk)
+    if not A.data.any():
+        return _zero_solution(A, "rsp")
     alpha = _alpha(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
+    measure = _test_sketch_measure(A, sk, rng)
+    stream = _SketchStream(A, sk, rng)
     X, _, rep = _drive("rsp", A.adjoint().scale(alpha),
-                       lambda X, _: _rsp_col_step(A, X, sk, rng),
-                       _test_sketch_measure(A, sk, rng),
+                       lambda X, _: _col_update(X, stream), measure,
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -474,11 +577,14 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     if m > n:
         raise DimensionMismatch("rsp_row requires m <= n")
     _require_block(A, sk)
+    if not A.data.any():
+        return _zero_solution(A, "rsp-row")
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
+    measure = _test_sketch_measure(A, sk, rng, row=True)
+    stream = _SketchStream(A, sk, rng, row=True)
     X, _, rep = _drive("rsp-row", QMatrix.zeros(n, m),
-                       lambda X, _: _rsp_row_step(A, X, sk, rng),
-                       _test_sketch_measure(A, sk, rng, row=True),
+                       lambda X, _: _row_update(X, stream), measure,
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -492,18 +598,21 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
         raise DimensionMismatch("hybrid is defined for the column case (m >= n)")
     if sk.cycle_T:  # T = 0 draws no sketch of A
         _require_block(A, sk)
+    method = f"hybrid-T{sk.cycle_T}-p{cfg.order}"
+    if not A.data.any():
+        return _zero_solution(A, method)
     alpha = _alpha(A, cfg)
     rng = QuatRNG(sk.seed)
     t0 = time.perf_counter()
+    measure = _test_sketch_measure(A, sk, rng)
+    stream = _SketchStream(A, sk, rng)
 
     def cycle(X, _):
         for _ in range(sk.cycle_T):
-            X = _rsp_col_step(A, X, sk, rng)
+            X = _col_update(X, stream)
         return _ns_step(_deviation(A, X), X, cfg.order, SCHEDULE_PS)
 
-    X, _, rep = _drive(f"hybrid-T{sk.cycle_T}-p{cfg.order}",
-                       A.adjoint().scale(alpha), cycle,
-                       _test_sketch_measure(A, sk, rng),
+    X, _, rep = _drive(method, A.adjoint().scale(alpha), cycle, measure,
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -600,10 +709,10 @@ def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
     alpha = auto_alpha(A)
     X0 = A.adjoint().scale(alpha)
     d0 = (X0 - Xstar).fro_norm() ** 2
-    rng = QuatRNG(sk.seed)
+    stream = _SketchStream(A, sk, QuatRNG(sk.seed))
     out = np.empty(trials)
     for t in range(trials):
-        X1 = _rsp_col_step(A, X0, sk, rng)
+        X1 = _col_update(X0, stream)
         out[t] = (X1 - Xstar).fro_norm() ** 2 / d0
     return out
 

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from quatpinv import _qops, solvers
 from quatpinv.errors import (Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
-from quatpinv.factor import (_chol_solve, _cholesky, hpd_solve, pinv_from_qr,
+from quatpinv.factor import (_chol_solve, _cholesky, hpd_factor, hpd_solve,
+                             pinv_from_qr,
                              pinv_normal_eq, pinv_qsvd, qsvd,
                              solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
@@ -489,3 +490,126 @@ def test_cgne_nystrom_matches_one_hpd_solve_per_apply(shape, monkeypatch):
     assert rep.iterations == ref.iterations > 1
     assert rep.residual_history == ref.residual_history
     assert rep.penrose == ref.penrose
+
+
+# ---------------------------------------------------------------------------
+# stacks: each item bitwise the routine run on it alone
+# ---------------------------------------------------------------------------
+# m up to 130 puts the reductions over a column (4 m terms) and over a whole
+# matrix on both sides of numpy's 8- and 128-element summation blocks.
+
+def _stack(shape, seeds, zero_cols=()):
+    """randn_qmat items of one shape, stacked; item i gets a zero column
+    zero_cols[i] when that entry is not None."""
+    items = [randn_qmat(*shape, s).data for s in seeds]
+    for item, col in zip(items, zero_cols):
+        if col is not None:
+            item[:, col] = 0.0
+    return np.stack(items)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(0, 120),
+       st.integers(0, 2**31 - 1), st.sampled_from([None, 0, -1]),
+       st.booleans())
+@example(3, 8, 22, 0, None, False)
+@example(2, 8, 112, 1, None, False)
+@example(3, 4, 0, 2, 0, False)
+@example(3, 6, 3, 3, -1, True)
+def test_thin_qr_stack_items_bitwise_equal_2d(s, r, extra, seed, zero_col,
+                                              loose):
+    # item 1 gets the zero column: the skip branch, and with the default
+    # rank_tol a rejected item amid accepted ones; a negative rank_tol
+    # lets it through
+    rank_tol = -1.0 if loose else 1e-12
+    Ys = _stack((r + extra, r), [seed + i for i in range(s)],
+                [None, zero_col])
+    Q, R, ok = thin_qr(Ys, rank_tol)
+    assert Q.shape == Ys.shape and R.shape == (s, r, r, 4)
+    for i in range(s):
+        got = _outcome(thin_qr, QMatrix(Ys[i]), rank_tol)
+        if ok[i]:
+            assert _same_bits(Q[i], got.Q.data) and _same_bits(R[i], got.R.data)
+        else:
+            assert got is RankDeficient
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 130),
+       st.integers(0, 2**31 - 1))
+@example(16, 8, 30, 0)
+@example(2, 10, 130, 1)
+def test_solve_upper_triangular_stack_items_bitwise_equal_2d(s, r, p, seed):
+    R = np.stack([thin_qr(randn_qmat(r + 2, r, seed + i)).R.data
+                  for i in range(s)])
+    B = _stack((r, p), [seed + 100 + i for i in range(s)])
+    Z = solve_upper_triangular(R, B)
+    for i in range(s):
+        ref = solve_upper_triangular(QMatrix(R[i]), QMatrix(B[i]))
+        assert _same_bits(Z[i], ref.data)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**31 - 1),
+       st.booleans())
+@example(16, 8, 0, False)
+@example(3, 12, 1, True)
+def test_cholesky_stack_items_bitwise_equal_2d(s, r, seed, singular):
+    # with singular, item 0 repeats a column of C: a nonpositive pivot amid
+    # items that factor
+    Gs = []
+    for i in range(s):
+        C = randn_qmat(r + 3, r, seed + i)
+        if singular and i == 0 and r > 1:
+            C.data[:, 1] = C.data[:, 0]
+        Gs.append((C.adjoint() @ C).data)
+    L, ok = _cholesky(np.stack(Gs))
+    for i in range(s):
+        ref = _cholesky(Gs[i])
+        assert ok[i] == (ref is not None)
+        if ok[i]:
+            assert _same_bits(L[i], ref)
+
+
+def test_hpd_factor_stack_items_match_2d():
+    # a Gram matrix, a singular one (its pivot fails, L None), an
+    # indefinite one and a non-Hermitian one, in one stack
+    C = randn_qmat(10, 5, 8)
+    gram = (C.adjoint() @ C).data
+    skew = gram.copy()
+    skew[0, 1, 2] += 1.0
+    items = [gram, _G_SINGULAR.data, QMatrix.from_real(-np.eye(5)).data, skew]
+    got = hpd_factor(np.stack(items), ridge=0.0)
+    assert len(got) == len(items)
+    for G, F in zip(items, got):
+        ref = _outcome(hpd_factor, QMatrix(G), 0.0)
+        if isinstance(ref, type):
+            assert type(F) is ref
+        else:
+            assert _same_bits(F.G.data, ref.G.data)
+            assert (F.L is None) == (ref.L is None)
+            if F.L is not None:
+                assert _same_bits(F.L, ref.L)
+    assert [type(F).__name__ for F in got] == [
+        "HPDFactor", "HPDFactor", "Indefinite", "NotHermitian"]
+    assert got[1].L is None
+
+
+@pytest.mark.parametrize("col", [0, 2, 4])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_thin_qr_signed_zero_column_matches_loop_version(col, stacked):
+    # a column of -0.0 takes the skip branch; with rank_tol < 0 the item is
+    # kept, and the zero signs the skipped reflector leaves must be the
+    # loop's, alone and amid items that take every reflector
+    Y = randn_qmat(7, 5, col)
+    Y.data[:, col] = -0.0
+    Q, R = _thin_qr_loop(Y, -1.0)
+    if stacked:
+        Qs, Rs, ok = thin_qr(np.stack([randn_qmat(7, 5, 9).data, Y.data]),
+                             -1.0)
+        assert ok.all()
+        got_Q, got_R = Qs[1], Rs[1]
+    else:
+        f = thin_qr(Y, -1.0)
+        got_Q, got_R = f.Q.data, f.R.data
+    assert _same_bits(got_Q, Q) and _same_bits(got_R, R)

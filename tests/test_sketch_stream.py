@@ -1,0 +1,277 @@
+"""The sketch stream against one-sketch-at-a-time stepping.
+
+The references below are the sketch-and-project loops as they ran before
+the stream: each step draws its own sketch, forms Y = A Omega (or S^H A)
+and the sketched pseudoinverse (or the Gram solve) with the 2-D routines,
+and redraws a rank-deficient sketch, up to 10 times. They share only the
+unchanged stopping loop `_drive`, the test sketch and the 2-D factor
+routines with the solvers.
+Every solver that forms its sketches ahead, a block at a time, must return
+the same bits: X, iteration count, residual history and Penrose residuals,
+and raise the same error at the same step.
+"""
+
+import numpy as np
+import pytest
+
+from quatpinv import solvers
+from quatpinv.errors import (Indefinite, NotHermitian, RankDeficient,
+                             SketchFailure)
+from quatpinv.factor import hpd_factor, pinv_from_qr
+from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
+from quatpinv.rng import QuatRNG
+from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
+                              hybrid_rsp_ns, rsp_column,
+                              rsp_contraction_samples, rsp_row, _rsp_col_step)
+
+
+def _ref_col_step(A, X, sk, rng):
+    for _ in range(10):
+        Omega = randn_qmat_rng(A.cols, sk.block_r, rng)
+        Y = A @ Omega
+        try:
+            if sk.gram_path:
+                Ydag = solvers.hpd_factor(Y.adjoint() @ Y).solve(Y.adjoint())
+            else:
+                Ydag = pinv_from_qr(Y)
+        except (RankDeficient, Indefinite):
+            continue
+        return X + (Omega - X @ Y) @ Ydag
+    raise SketchFailure("10 consecutive rank-deficient sketches")
+
+
+def _ref_row_step(A, X, sk, rng):
+    for _ in range(10):
+        Sh = randn_qmat_rng(A.rows, sk.block_r, rng).adjoint()
+        Z = Sh @ A
+        Zh = Z.adjoint()
+        try:
+            W = solvers.hpd_factor(Z @ Zh).solve(Sh - Z @ X)
+        except (RankDeficient, Indefinite):
+            continue
+        return X + Zh @ W
+    raise SketchFailure("10 consecutive rank-deficient sketches")
+
+
+def _ref_run(method, A, cfg, sk, X0, step, row=False):
+    rng = solvers.QuatRNG(sk.seed)
+    X, _, rep = solvers._drive(method, X0, step(rng),
+                               solvers._test_sketch_measure(A, sk, rng, row),
+                               cfg.tol, cfg.maxit)
+    return solvers._verified(A, X, rep)
+
+
+def _ref_rsp_column(A, cfg, sk):
+    return _ref_run("rsp", A, cfg, sk,
+                    A.adjoint().scale(solvers._alpha(A, cfg)),
+                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng))
+
+
+def _ref_rsp_row(A, cfg, sk):
+    return _ref_run("rsp-row", A, cfg, sk, QMatrix.zeros(A.cols, A.rows),
+                    lambda rng: lambda X, _: _ref_row_step(A, X, sk, rng),
+                    row=True)
+
+
+def _ref_hybrid(A, cfg, sk):
+    def step(rng):
+        def cycle(X, _):
+            for _ in range(sk.cycle_T):
+                X = _ref_col_step(A, X, sk, rng)
+            return solvers._ns_step(solvers._deviation(A, X), X, cfg.order,
+                                    SCHEDULE_PS)
+        return cycle
+    return _ref_run(f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk,
+                    A.adjoint().scale(solvers._alpha(A, cfg)), step)
+
+
+def _ref_contraction(A, sk, trials):
+    Xstar = solvers.pinv_normal_eq(A)
+    X0 = A.adjoint().scale(solvers.auto_alpha(A))
+    d0 = (X0 - Xstar).fro_norm() ** 2
+    rng = solvers.QuatRNG(sk.seed)
+    return np.array([(_ref_col_step(A, X0, sk, rng) - Xstar).fro_norm() ** 2
+                     / d0 for _ in range(trials)])
+
+
+class _PlantedRNG(QuatRNG):
+    """QuatRNG(seed) whose sketches numbered in bad (0 is the first sketch;
+    draw 0 is the test sketch) come out with their first column zero:
+    Omega then has a zero column, and so has Y = A Omega, which takes
+    thin_qr's skip branch and is rejected as rank deficient."""
+
+    def __init__(self, seed, bad=()):
+        super().__init__(seed)
+        self.bad = {i + 1 for i in bad}
+        self.draws = 0
+
+    def normals(self, shape):
+        z = super().normals(shape)
+        if self.draws in self.bad:
+            z[:, 0] = 0.0
+        self.draws += 1
+        return z
+
+
+def _plant(monkeypatch, sk, bad, error=Indefinite):
+    """Make the sketches numbered in bad fail: on the QR path by a zero
+    column (a rank-deficient Y), on the Gram path and in rsp_row by an
+    hpd_factor that raises error for them, alone or in a stack."""
+    if not (sk.gram_path or error is not Indefinite or sk is _SK_ROW):
+        monkeypatch.setattr(solvers, "QuatRNG",
+                            lambda seed: _PlantedRNG(seed, bad))
+        return
+    bad = set(bad)
+    seen = [0]
+
+    def planted(G, ridge=1e-10):
+        if isinstance(G, QMatrix):
+            i = seen[0]
+            seen[0] += 1
+            if i in bad:
+                raise error(f"planted at sketch {i}")
+            return hpd_factor(G, ridge)
+        out = hpd_factor(G, ridge)
+        for j in range(len(out)):
+            if seen[0] + j in bad:
+                out[j] = error(f"planted at sketch {seen[0] + j}")
+        seen[0] += len(out)
+        return out
+    monkeypatch.setattr(solvers, "hpd_factor", planted)
+
+
+_SK = SketchConfig(block_r=8, test_s=5, cycle_T=5, seed=7)
+_SK_ROW = SketchConfig(block_r=8, test_s=5, seed=9)
+_SK_GRAM = SketchConfig(block_r=6, test_s=5, seed=8, gram_path=True)
+_RSP = SolverConfig(tol=1e-9, maxit=60)
+# name -> (solver, reference, A, config, sketch config)
+_CASES = {
+    "rsp_column": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 1), _RSP,
+                   _SK),
+    "rsp_column_gram": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 2),
+                        _RSP, _SK_GRAM),
+    "rsp_row": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 3), _RSP, _SK_ROW),
+    "hybrid_rsp_ns": (hybrid_rsp_ns, _ref_hybrid, randn_qmat(40, 30, 4),
+                      SolverConfig(tol=1e-12, maxit=6), _SK),
+}
+# rejected sketches: runs of accepted and rejected ones within a block of
+# the stream and across blocks, 9 rejected in a row among them
+_MIXED = (1, 2, 4, 15, 16, 17, 18, 19, 29, 30, 31, 32, 33, 34, 35, 36, 37)
+
+
+def _pinned(result):
+    X, rep = result
+    return (X.data.tobytes(), rep.iterations, rep.residual_history,
+            rep.penrose, rep.converged)
+
+
+def _count_measures(monkeypatch):
+    """A list that grows by one with every residual measure of a solve."""
+    counts = []
+    measure = solvers._test_sketch_measure
+
+    def counting(*args, **kw):
+        inner = measure(*args, **kw)
+
+        def wrapped(X):
+            counts.append(None)
+            return inner(X)
+        return wrapped
+    monkeypatch.setattr(solvers, "_test_sketch_measure", counting)
+    return counts
+
+
+@pytest.mark.parametrize("bad", [(), _MIXED], ids=["plain", "mixed"])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_stream_bitwise_equal_one_sketch_at_a_time(case, bad, monkeypatch):
+    solve, ref, A, cfg, sk = _CASES[case]
+    _plant(monkeypatch, sk, bad)
+    before = A.data.tobytes()
+    got = _pinned(solve(A, cfg, sk))
+    assert A.data.tobytes() == before
+    _plant(monkeypatch, sk, bad)
+    assert got == _pinned(ref(A, cfg, sk))
+    assert got[1] > 1
+
+
+@pytest.mark.parametrize("bad", [(), _MIXED], ids=["plain", "mixed"])
+def test_contraction_samples_bitwise_equal_one_sketch_at_a_time(bad,
+                                                                monkeypatch):
+    # each trial is one step from X0 with the next usable sketch; the rate
+    # diagnostic draws no test sketch, so its sketches start at draw 0
+    monkeypatch.setattr(solvers, "QuatRNG",
+                        lambda seed: _PlantedRNG(seed, [i - 1 for i in bad]))
+    A = randn_qmat(30, 10, 3)
+    sk = SketchConfig(block_r=4, seed=4)
+    got = rsp_contraction_samples(A, sk, trials=40)
+    assert got.tobytes() == _ref_contraction(A, sk, 40).tobytes()
+
+
+@pytest.mark.parametrize("first", [0, 24], ids=["at-once", "later"])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_stream_rejected_run_fails_at_the_same_step(case, first,
+                                                    monkeypatch):
+    # every sketch from number `first` on is rejected: SketchFailure,
+    # raised by the step that meets the tenth of them in a row
+    solve, ref, A, cfg, sk = _CASES[case]
+    _plant(monkeypatch, sk, range(first, 1000))
+    counts = _count_measures(monkeypatch)
+    with pytest.raises(SketchFailure):
+        solve(A, cfg, sk)
+    steps = len(counts)
+    _plant(monkeypatch, sk, range(first, 1000))
+    counts.clear()
+    with pytest.raises(SketchFailure):
+        ref(A, cfg, sk)
+    assert len(counts) == steps
+    assert (steps == 1) == (first == 0)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_look_ahead_failures_the_loop_never_reaches(case, monkeypatch):
+    # 10 rejected sketches in a row, and on the Gram and row paths a
+    # factorization that raises, right after the last sketch a short run
+    # takes: the stream forms them ahead, yet nothing is raised and the
+    # result is the reference's
+    solve, ref, A, cfg, sk = _CASES[case]
+    short = SolverConfig(tol=cfg.tol, maxit=3 if case == "hybrid_rsp_ns"
+                         else 20)
+    used = short.maxit * (sk.cycle_T if case == "hybrid_rsp_ns" else 1)
+    _plant(monkeypatch, sk, range(used, used + 10))
+    got = _pinned(solve(A, short, sk))
+    _plant(monkeypatch, sk, range(used, used + 10))
+    assert got == _pinned(ref(A, short, sk))
+    assert got[1] == short.maxit
+    if case in ("rsp_column_gram", "rsp_row"):
+        for error in (NotHermitian,):
+            _plant(monkeypatch, sk, [used], error)
+            assert _pinned(solve(A, short, sk)) == got
+            # a longer run reaches that sketch and raises its error at the
+            # step that takes it, as one sketch at a time does
+            longer = SolverConfig(tol=cfg.tol, maxit=used + 5)
+            counts = _count_measures(monkeypatch)
+            _plant(monkeypatch, sk, [used], error)
+            with pytest.raises(error):
+                solve(A, longer, sk)
+            steps = len(counts)
+            counts.clear()
+            _plant(monkeypatch, sk, [used], error)
+            with pytest.raises(error):
+                ref(A, longer, sk)
+            assert len(counts) == steps == used + 1
+
+
+def test_rsp_col_step_draws_only_the_sketches_it_uses():
+    # the one-step contract: after k steps the generator stands where the
+    # reference's does, rejected sketches included
+    A = randn_qmat(30, 10, 12)
+    sk = SketchConfig(block_r=4, seed=2)
+    X = Xr = A.adjoint().scale(solvers.auto_alpha(A))
+    rng, rng_ref = _PlantedRNG(2, [0, 3]), _PlantedRNG(2, [0, 3])
+    rng.draws = rng_ref.draws = 1  # no test sketch here
+    for _ in range(6):
+        X = _rsp_col_step(A, X, sk, rng)
+        Xr = _ref_col_step(A, Xr, sk, rng_ref)
+        assert X.data.tobytes() == Xr.data.tobytes()
+        assert rng.draws == rng_ref.draws
+    assert rng.normals((3,)).tobytes() == rng_ref.normals((3,)).tobytes()

@@ -136,6 +136,17 @@ def test_schedules_agree(p):
         assert (Y0 - Y1).fro_norm() <= 1e-11 * max(Y0.fro_norm(), 1.0)
 
 
+@pytest.mark.parametrize("p,expected", [(2, 0), (3, 2), (8, 4), (10, 5)])
+def test_paterson_stockmeyer_product_count(p, expected):
+    # p = 2 is one block, I + R: no R^2 is formed (hybrid_rsp_ns's order-2
+    # correction once formed it every cycle and dropped it)
+    R = randn_qmat(5, 5, 7).scale(0.1)
+    X = randn_qmat(5, 3, 8)
+    counter = ProductCounter()
+    eval_neumann_poly(R, X, p, SCHEDULE_PS, counter=counter)
+    assert counter.s_products == expected
+
+
 @pytest.mark.parametrize("p,expected", [(8, 2), (16, 3)])
 def test_binary_schedule_product_count(p, expected):
     R = randn_qmat(5, 5, 7).scale(0.1)
@@ -306,8 +317,9 @@ def test_deviation_bitwise_equal_out_of_place(real, zero_x):
 
 @pytest.mark.parametrize("schedule,p", [
     (SCHEDULE_NAIVE, 2), (SCHEDULE_NAIVE, 5), (SCHEDULE_BINARY, 2),
-    (SCHEDULE_BINARY, 8), (SCHEDULE_PS, 2), (SCHEDULE_PS, 8),
-    (SCHEDULE_PS, 10)])
+    (SCHEDULE_BINARY, 8), (SCHEDULE_PS, 2), (SCHEDULE_PS, 3),
+    (SCHEDULE_PS, 5), (SCHEDULE_PS, 7), (SCHEDULE_PS, 8), (SCHEDULE_PS, 10),
+    (SCHEDULE_PS, 17)])
 def test_eval_neumann_poly_bitwise_and_arguments_kept(schedule, p):
     R = randn_qmat(50, 50, 5).scale(0.05)
     X = randn_qmat(50, 60, 6)
@@ -315,6 +327,21 @@ def test_eval_neumann_poly_bitwise_and_arguments_kept(schedule, p):
     got = eval_neumann_poly(R, X, p, schedule)
     assert (R.data.tobytes(), X.data.tobytes()) == kept
     assert got.data.tobytes() == _ref_neumann(R, X, p, schedule).data.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 8])
+def test_paterson_stockmeyer_signed_zeros_bitwise(p):
+    # a real R with signed zeros puts -0.0 off the diagonal and in the
+    # imaginary parts: I + R is formed as 0 + R plus 1 on the diagonal,
+    # which must keep I + R's zero signs
+    rng = np.random.default_rng(p)
+    Rd = rng.standard_normal((6, 6)) * 0.1
+    Rd[rng.random((6, 6)) < 0.4] = -0.0
+    R = QMatrix.from_real(Rd)
+    R.data[..., 1:] = -0.0
+    X = QMatrix.from_real(rng.standard_normal((6, 2)))
+    got = eval_neumann_poly(R, X, p, SCHEDULE_PS)
+    assert got.data.tobytes() == _ref_neumann(R, X, p, SCHEDULE_PS).data.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(60, 50), (50, 60)])
@@ -590,10 +617,20 @@ def test_cgne_breakdown():
 
 
 @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (1, 1)])
-@pytest.mark.parametrize("solver", [ns_damped, ns_hyperpower, cgne_q])
+@pytest.mark.parametrize("solver", [ns_damped, ns_hyperpower, cgne_q,
+                                    rsp_column, rsp_row, hybrid_rsp_ns])
 def test_zero_matrix_returns_zero_at_once(solver, shape):
+    # rsp_row once ran all 5000 steps on a zero 20x30 and reported no
+    # convergence; rsp_column and hybrid_rsp_ns raised SketchFailure
     m, n = shape
-    X, rep = solver(QMatrix.zeros(m, n), SolverConfig())
+    args = ()
+    if solver in (rsp_column, rsp_row, hybrid_rsp_ns):
+        args = (SketchConfig(block_r=1),)
+        if (m < n) != (solver is rsp_row) and m != n:
+            with pytest.raises(DimensionMismatch):
+                solver(QMatrix.zeros(m, n), SolverConfig(), *args)
+            return
+    X, rep = solver(QMatrix.zeros(m, n), SolverConfig(maxit=5000), *args)
     assert X.shape == (n, m) and not X.data.any()
     assert rep.iterations == 0 and rep.converged
     assert rep.residual_history == []

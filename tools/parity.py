@@ -3,10 +3,11 @@
     python3 tools/parity.py --seed 1 > new.txt
     python3 tools/parity.py --seed 1 --tree ../other-checkout > old.txt
     diff old.txt new.txt
+    python3 tools/parity.py --seed 1 --workload sketch
 
 Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
-benchmark run uses instance i) and prints one line per call: the workload,
+benchmark run uses instance i; ``--workload`` picks one pool) and prints one line per call: the workload,
 input and method, then either the error class the call raised or a digest
 of what it returned -- a hash of the bytes of every returned array, the
 iteration count, a hash of the residual history and the Penrose residuals
@@ -63,13 +64,15 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="checkout whose src/ and perfbench/ are imported")
+    p.add_argument("--workload", choices=WORKLOADS, action="append",
+                   help="pool to run (repeatable; default: all three)")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
     import workloads
 
-    for name in WORKLOADS:
+    for name in args.workload or WORKLOADS:
         wl = workloads.Workload(name, args.seed)
         for i in range(len(wl.pool)):
             for call in wl.round(i):
