@@ -80,6 +80,8 @@ def complete(problem: CompletionProblem, pinv_fn: PinvFn,
     fill-in are restored bitwise from M each round.
     """
     mask = np.asarray(problem.mask, dtype=np.float64)
+    observed = problem.M.mask(mask)
+    unobserved = 1.0 - mask
     C = problem.M.copy()
     X = C
     history = []
@@ -88,5 +90,5 @@ def complete(problem: CompletionProblem, pinv_fn: PinvFn,
         if problem.smoothing_sigma is not None:
             X = smooth_qimage(X, problem.smoothing_sigma)
         history.append((X - problem.M).mask(mask).fro_norm())
-        C = problem.M.mask(mask) + X.mask(1.0 - mask)
+        C = observed + X.mask(unobserved)
     return X, history

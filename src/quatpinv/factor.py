@@ -7,11 +7,15 @@ factors are reassembled from its singular vectors, which come in pairs
 and as micro-solvers inside the randomized methods. A Hermitian positive
 definite G is factored once (``hpd_factor``) and solved against each
 right-hand side (``HPDFactor.solve``); ``hpd_solve`` does both for one.
-``thin_qr``, ``solve_upper_triangular``, ``_cholesky`` and ``hpd_factor``
-also take a stack of s matrices as an (s, r, c, 4) array, and factor or
-solve all of them in one pass with the same code, a 2-D call being the
-case without a stack axis; each item of a stack is bitwise the routine
-run on it alone, and an item that would raise is flagged instead.
+``thin_qr``, ``solve_upper_triangular``, ``_cholesky``, ``_chol_solve``
+and ``hpd_factor`` also take a stack of s matrices as an (s, r, c, 4)
+array, and factor or solve all of them in one pass with the same code, a
+2-D call being the case without a stack axis; each item of a stack is
+bitwise the routine run on it alone, and an item that would raise is
+flagged instead. ``HPDFactor.solve_stack`` solves a stack of factors
+against their own right-hand sides the same way: the triangular solves
+and residual checks of all items in one pass, and ``solve``'s CG fallback
+for an item that misses its check or has no Cholesky factor.
 ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
 when A holds a NaN or infinite entry.
 """
@@ -221,18 +225,26 @@ def _cholesky(Gd: np.ndarray):
 
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     """Solve L L^H Z = B: forward substitution with L, then back
-    substitution with L^H, whose real diagonal is L's."""
+    substitution with L^H, whose real diagonal is L's. L and B may also be
+    stacks, (s, r, r, 4) and (s, r, p, 4) arrays, solved in one pass, each
+    item bitwise as alone, with L^H formed once for the stack."""
+    stacked = L.ndim == 4
+    mm = _products(stacked)
     Z = np.empty_like(Bd)
-    for j in range(L.shape[0]):
-        Zj = Z[j]
+    for j in range(L.shape[-3]):
+        Zj = Z[..., j, :, :]
         if j > 0:
-            np.subtract(Bd[j], _qops.qmatmul(L[j:j + 1, :j, :], Z[:j])[0],
+            np.subtract(Bd[..., j, :, :],
+                        mm(L[..., j:j + 1, :j, :],
+                           Z[..., :j, :, :])[..., 0, :, :],
                         out=Zj)
         else:
-            Zj[...] = Bd[j]
-        Zj /= L[j, j, 0]
-    LH = QMatrix(_qops.qconj(L.transpose(1, 0, 2)))
-    return solve_upper_triangular(LH, QMatrix(Z)).data
+            Zj[...] = Bd[..., j, :, :]
+        Zj /= L[..., j, j, 0, None, None]
+    LH = _qops.qconj(L.swapaxes(-3, -2))
+    if stacked:
+        return solve_upper_triangular(LH, Z)
+    return solve_upper_triangular(QMatrix(LH), QMatrix(Z)).data
 
 
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -281,6 +293,40 @@ class HPDFactor:
         if (self.G @ Z - B).fro_norm() <= tol * bnorm:
             return Z
         raise Indefinite("Cholesky failed and the CG fallback stagnated")
+
+    @staticmethod
+    def solve_stack(factors: list, B: np.ndarray, tol: float = 1e-10):
+        """Solve each factor of a stack against its own right-hand side.
+
+        factors is ``hpd_factor``'s list for a stack (HPDFactors, or the
+        errors their matrices raised) and B the (s, r, p, 4) right-hand
+        sides. The triangular solves and their residual checks run for the
+        whole stack in one pass; an item that misses the check, or has no
+        L, runs ``solve`` alone, CG fallback included. Returns (Z, errors):
+        the (s, r, p, 4) solutions, each item bitwise ``solve`` of its
+        B, and per item None or the error its factor or solve raised (its
+        item of Z is then meaningless).
+        """
+        errors = [F if isinstance(F, Exception) else None for F in factors]
+        Z = np.zeros_like(B)
+        todo = [i for i, e in enumerate(errors) if e is None]
+        chol = [i for i in todo if factors[i].L is not None]
+        alone = [i for i in todo if factors[i].L is None]
+        if chol:
+            Bc = B[chol]
+            Zc = _chol_solve(np.stack([factors[i].L for i in chol]), Bc)
+            G = np.stack([factors[i].G.data for i in chol])
+            lead = (len(chol),)
+            res = _fro(_qops.qmatmul_stack(G, Zc) - Bc, lead)
+            ok = res <= tol * np.maximum(_fro(Bc, lead), 1e-300)
+            Z[chol] = Zc
+            alone += [i for i, good in zip(chol, ok) if not good]
+        for i in alone:
+            try:
+                Z[i] = factors[i].solve(QMatrix(B[i]), tol).data
+            except Indefinite as exc:
+                errors[i] = exc
+        return Z, errors
 
 
 def hpd_factor(G: QMatrix | np.ndarray, ridge: float = 1e-10):

@@ -27,9 +27,14 @@ solve (``_SketchStream``): the sketches are drawn one at a time in the
 order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
 (s, m, r, 4) and (s, r, m, 4) arrays, or for rsp_row S^H (s, r, m, 4),
-Z = S^H A (s, r, n, 4) and the Cholesky factors of Z Z^H (s, r, r, 4). A
-block holds at most 8192 quaternion entries of max(m, n) x r sketches.
-Only the products with the iterate remain in the step.
+Z = S^H A (s, r, n, 4) and Z^+ = ((Z Z^H)^-1 Z)^H (s, n, r, 4) from the
+stacked Gram factors and solves. A block holds at most 8192 quaternion
+entries of max(m, n) x r sketches. Only the two products with the iterate
+remain in the step: X + (Omega - X Y) Y^+, or X + Z^+ (S^H - Z X). A
+sketch whose Gram factor or solve fails (Indefinite) is rejected once,
+when its block is formed, and the step that reaches it draws the next.
+The Nystrom preconditioner of CGNE likewise forms its fixed operator
+K = G^-1 G^-1 Y^H once and applies Z -> (Z Y) K + theta Z.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ import numpy as np
 from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
                      InvalidOrder, SketchFailure)
-from .factor import (hpd_factor, pinv_normal_eq, solve_upper_triangular,
-                     thin_qr)
+from .factor import (HPDFactor, hpd_factor, pinv_normal_eq,
+                     solve_upper_triangular, thin_qr)
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -428,10 +433,11 @@ class _SketchStream:
     form from that sketch alone. A column sketch is (Omega, Y, Y^+) with
     Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or on the Gram
     path from the hpd_factor of Y^H Y solved against Y^H. A row sketch is
-    (S^H, Z, Z^H, F) with S^H r x m, Z = S^H A and F the hpd_factor of
-    Z Z^H. The last entry is None for a sketch whose factorization failed
-    (the step draws the next one instead), or the error raised by any
-    other failure, for the step to raise when it takes that sketch.
+    (S^H, Z, Z^+) with S^H r x m, Z = S^H A and Z^+ the adjoint of the
+    hpd_factor of Z Z^H solved against Z. The last entry is None for a
+    sketch whose factorization or solve failed (the step draws the next
+    one instead), or the error raised by any other failure, for the step
+    to raise when it takes that sketch.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -456,14 +462,9 @@ class _SketchStream:
         Y = _qops.qmatmul_stack(self.A.data, Om)
         if self.sk.gram_path:
             Yh = _qops.qconj(Y.swapaxes(1, 2))
-            pinvs = []
-            for F, yh in zip(hpd_factor(_qops.qmatmul_stack(Yh, Y)), Yh):
-                if not isinstance(F, Exception):
-                    try:
-                        F = F.solve(QMatrix(yh))
-                    except Indefinite as exc:
-                        F = exc
-                pinvs.append(None if isinstance(F, Indefinite) else F)
+            Ydag, errors = HPDFactor.solve_stack(
+                hpd_factor(_qops.qmatmul_stack(Yh, Y)), Yh)
+            pinvs = [_usable(yd, e) for yd, e in zip(Ydag, errors)]
         else:
             Q, R, ok = thin_qr(Y)
             pinvs = [None] * self.block
@@ -479,38 +480,35 @@ class _SketchStream:
         Sh = _qops.qconj(self._draw(self.A.rows).swapaxes(1, 2))
         Z = _qops.qmatmul_stack(Sh, self.A.data)
         Zh = _qops.qconj(Z.swapaxes(1, 2))
-        factors = hpd_factor(_qops.qmatmul_stack(Z, Zh))
-        return [(QMatrix(sh), QMatrix(z), QMatrix(zh),
-                 None if isinstance(F, Indefinite) else F)
-                for sh, z, zh, F in zip(Sh, Z, Zh, factors)]
+        # Z^+ = Z^H (Z Z^H)^-1 = ((Z Z^H)^-1 Z)^H, as Z Z^H is Hermitian
+        W, errors = HPDFactor.solve_stack(
+            hpd_factor(_qops.qmatmul_stack(Z, Zh)), Z)
+        Zdag = _qops.qconj(W.swapaxes(1, 2))
+        return [(QMatrix(sh), QMatrix(z), _usable(zd, e))
+                for sh, z, zd, e in zip(Sh, Z, Zdag, errors)]
 
 
-def _col_update(X: QMatrix, stream: _SketchStream) -> QMatrix:
-    """One column sketch-and-project update with the stream's next usable
-    sketch; each rejected sketch counts as a redraw."""
+def _usable(pinv: np.ndarray, error: Exception | None):
+    """A sketch's pseudoinverse as the stream serves it: a QMatrix, None
+    for a rejected sketch (its Gram factor or solve raised Indefinite), or
+    any other error, for the step that takes it to raise."""
+    if error is None:
+        return QMatrix(pinv)
+    return None if isinstance(error, Indefinite) else error
+
+
+def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
+    """One sketch-and-project update with the stream's next usable sketch:
+    X + (Omega - X Y) Y^+ for a column sketch, X + Z^+ (S^H - Z X) for a
+    row sketch. Each rejected sketch counts as a redraw."""
     for _ in range(_MAX_REDRAWS):
-        Omega, Y, Ydag = stream.take()
+        S, Y, Ydag = stream.take()
         if isinstance(Ydag, Exception):
             raise Ydag
         if Ydag is not None:
-            return X + (Omega - X @ Y) @ Ydag
-    raise SketchFailure("10 consecutive rank-deficient sketches")
-
-
-def _row_update(X: QMatrix, stream: _SketchStream) -> QMatrix:
-    """One row sketch-and-project update with the stream's next usable
-    sketch; each rejected sketch counts as a redraw."""
-    for _ in range(_MAX_REDRAWS):
-        Sh, Z, Zh, F = stream.take()
-        if isinstance(F, Exception):
-            raise F
-        if F is None:
-            continue
-        try:
-            W = F.solve(Sh - Z @ X)
-        except Indefinite:
-            continue
-        return X + Zh @ W
+            if stream.row:
+                return X + Ydag @ (S - Y @ X)
+            return X + (S - X @ Y) @ Ydag
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -518,7 +516,7 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
                   rng: QuatRNG) -> QMatrix:
     """One column sketch-and-project update; redraws rank-deficient
     sketches, and draws from rng only the sketches it uses."""
-    return _col_update(X, _SketchStream(A, sk, rng, block=1))
+    return _update(X, _SketchStream(A, sk, rng, block=1))
 
 
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -565,7 +563,7 @@ def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     measure = _test_sketch_measure(A, sk, rng)
     stream = _SketchStream(A, sk, rng)
     X, _, rep = _drive("rsp", A.adjoint().scale(alpha),
-                       lambda X, _: _col_update(X, stream), measure,
+                       lambda X, _: _update(X, stream), measure,
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -584,7 +582,7 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     measure = _test_sketch_measure(A, sk, rng, row=True)
     stream = _SketchStream(A, sk, rng, row=True)
     X, _, rep = _drive("rsp-row", QMatrix.zeros(n, m),
-                       lambda X, _: _row_update(X, stream), measure,
+                       lambda X, _: _update(X, stream), measure,
                        cfg.tol, cfg.maxit, t0=t0)
     return _verified(A, X, rep)
 
@@ -609,7 +607,7 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 
     def cycle(X, _):
         for _ in range(sk.cycle_T):
-            X = _col_update(X, stream)
+            X = _update(X, stream)
         return _ns_step(_deviation(A, X), X, cfg.order, SCHEDULE_PS)
 
     X, _, rep = _drive(method, A.adjoint().scale(alpha), cycle, measure,
@@ -623,12 +621,12 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 
 class _NystromPrecond:
     """Approximate (AA^H)^{-1} from a thin sketch Y = A*Omega, applied on
-    the right: Z -> Z (Y G^{-1} G^{-1} Y^H + theta I), G = Y^H Y.
+    the right: Z -> (Z Y) K + theta Z with K = G^{-1} G^{-1} Y^H, G = Y^H Y.
 
-    G is constant, so it is factored once, here; each apply is then two
-    solves against that factor. The identity shift theta keeps the
-    preconditioner positive definite (the pure Nystrom term is rank-r
-    singular).
+    K is constant, so it is formed once, here, by two solves against G's
+    one factor; each apply is then two products and a shift. The identity
+    shift theta keeps the preconditioner positive definite (the pure
+    Nystrom term is rank-r singular).
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig):
@@ -636,13 +634,13 @@ class _NystromPrecond:
         n = A.cols
         Omega = randn_qmat_rng(n, sk.block_r, rng)
         self.Y = A @ Omega
-        self.G = hpd_factor(self.Y.adjoint() @ self.Y, ridge=1e-12)
+        Yh = self.Y.adjoint()
+        G = hpd_factor(Yh @ self.Y, ridge=1e-12)
+        self.K = G.solve(G.solve(Yh))           # r x m
         self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
-        T = (Z @ self.Y).adjoint()            # r x k
-        T = self.G.solve(self.G.solve(T))
-        return (self.Y @ T).adjoint() + Z.scale(self.theta)
+        return (Z @ self.Y) @ self.K + Z.scale(self.theta)
 
 
 def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
@@ -712,7 +710,7 @@ def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
     stream = _SketchStream(A, sk, QuatRNG(sk.seed))
     out = np.empty(trials)
     for t in range(trials):
-        X1 = _col_update(X0, stream)
+        X1 = _update(X0, stream)
         out[t] = (X1 - Xstar).fro_norm() ** 2 / d0
     return out
 

@@ -206,6 +206,41 @@ def test_lorenz_rk4_order():
     assert e2 < e1 / 8.0
 
 
+def _lorenz_rk4_vector(p, samples):
+    """RK4 on numpy 3-vectors, the form lorenz_rk4 must match bitwise."""
+    dt = p.T_end / (samples - 1)
+
+    def f(s):
+        x, y, z = s
+        return np.array([p.sigma_l * (y - x),
+                         x * (p.rho_l - z) - y,
+                         x * y - p.beta_l * z])
+
+    out = np.empty((samples, 3))
+    s = np.array([p.x0, p.y0, p.z0], dtype=np.float64)
+    out[0] = s
+    for k in range(1, samples):
+        k1 = f(s)
+        k2 = f(s + 0.5 * dt * k1)
+        k3 = f(s + 0.5 * dt * k2)
+        k4 = f(s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k] = s
+    return out
+
+
+@pytest.mark.parametrize("prob,samples", [
+    (LorenzProblem(), 100),
+    (LorenzProblem(), 2),
+    (LorenzProblem(T_end=1.0), 401),
+    (LorenzProblem(T_end=3.0, sigma_l=9.5, beta_l=2.5, rho_l=30.0, x0=-2.0,
+                   y0=0.5, z0=20.0), 257),
+], ids=["default", "two-samples", "short", "other-parameters"])
+def test_lorenz_rk4_bitwise_equal_vector_form(prob, samples):
+    assert (lorenz_rk4(prob, samples).tobytes()
+            == _lorenz_rk4_vector(prob, samples).tobytes())
+
+
 def test_lorenz_trajectory_bounded():
     traj = lorenz_rk4(LorenzProblem(), 200)
     assert np.abs(traj).max() < 100.0

@@ -5,10 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 from quatpinv import _qops, solvers
 from quatpinv.errors import (Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
-from quatpinv.factor import (_chol_solve, _cholesky, hpd_factor, hpd_solve,
-                             pinv_from_qr,
-                             pinv_normal_eq, pinv_qsvd, qsvd,
-                             solve_upper_triangular, thin_qr)
+from quatpinv.factor import (HPDFactor, _chol_solve, _cholesky, hpd_factor,
+                             hpd_solve, pinv_from_qr, pinv_normal_eq,
+                             pinv_qsvd, qsvd, solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.quaternion import Quaternion
 from quatpinv.rng import QuatRNG
@@ -227,8 +226,8 @@ def test_pinv_rank_deficient_qsvd():
 # The references keep the earlier code: thin_qr scaling R's rows and Q's
 # columns by one qmul each, substitutions that copy each right-hand-side
 # row before subtracting, one qconj per back-substitution step, and one
-# hpd_solve (so one Cholesky) per Nystrom apply. The current code must
-# round exactly as they do.
+# hpd_solve (so one Cholesky) per application of G^-1 in the Nystrom
+# set-up. The current code must round exactly as they do.
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return (x.shape == y.shape and np.array_equal(x, y)
@@ -381,19 +380,19 @@ def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
 
 
 class _NystromPrecondLoop:
-    """The preconditioner with one hpd_solve per application of G^-1."""
+    """The preconditioner with one hpd_solve per application of G^-1, both
+    at set-up: K = G^-1 (G^-1 Y^H), then Z -> (Z Y) K + theta Z."""
 
     def __init__(self, A: QMatrix, sk: SketchConfig):
         Omega = randn_qmat_rng(A.cols, sk.block_r, QuatRNG(sk.seed))
         self.Y = A @ Omega
-        self.G = self.Y.adjoint() @ self.Y
+        Yh = self.Y.adjoint()
+        G = Yh @ self.Y
+        self.K = hpd_solve(G, hpd_solve(G, Yh, ridge=1e-12), ridge=1e-12)
         self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
-        T = (Z @ self.Y).adjoint()
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        return (self.Y @ T).adjoint() + Z.scale(self.theta)
+        return (Z @ self.Y) @ self.K + Z.scale(self.theta)
 
 
 def _outcome(fn, *args):
@@ -613,3 +612,54 @@ def test_thin_qr_signed_zero_column_matches_loop_version(col, stacked):
         f = thin_qr(Y, -1.0)
         got_Q, got_R = f.Q.data, f.R.data
     assert _same_bits(got_Q, Q) and _same_bits(got_R, R)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 130),
+       st.integers(0, 2**31 - 1))
+@example(16, 8, 30, 0)
+@example(2, 10, 130, 1)
+@example(3, 1, 1, 2)
+def test_chol_solve_stack_items_bitwise_equal_2d(s, r, p, seed):
+    L = np.stack([_cholesky((C.adjoint() @ C).data)
+                  for C in (randn_qmat(r + 3, r, seed + i) for i in range(s))])
+    B = _stack((r, p), [seed + 100 + i for i in range(s)])
+    Z = _chol_solve(L, B)
+    for i in range(s):
+        assert _same_bits(Z[i], _chol_solve(L[i], B[i]))
+
+
+def test_hpd_solve_stack_items_bitwise_equal_2d():
+    # one stack of right-hand sides against: a Gram factor that passes the
+    # residual check; a factor whose L is another matrix's, so the check
+    # misses and CG solves, and the same with CG stagnating; a singular G
+    # with no L whose CG solves, and one whose CG stagnates; and the error
+    # hpd_factor gave an indefinite G, passed through
+    C = randn_qmat(10, 5, 8)
+    gram = hpd_factor(C.adjoint() @ C)
+    stale = HPDFactor(gram.G, hpd_factor(
+        gram.G + QMatrix.identity(5).scale(1e-3)).L)
+    singular = hpd_factor(_G_SINGULAR, ridge=0.0)
+    stale_singular = HPDFactor(singular.G, gram.L)
+    in_range = (_G_SINGULAR @ randn_qmat(5, 7, 1)).data
+    indefinite = hpd_factor(QMatrix.from_real(-np.eye(5)).data[None])[0]
+    factors = [gram, stale, stale_singular, singular, singular, indefinite]
+    B = np.stack([randn_qmat(5, 7, 30).data, randn_qmat(5, 7, 31).data,
+                  randn_qmat(5, 7, 32).data, in_range,
+                  randn_qmat(5, 7, 33).data, randn_qmat(5, 7, 34).data])
+    # the stale factor's triangular solves miss the residual check
+    Zs = QMatrix(_chol_solve(stale.L, B[1]))
+    assert (gram.G @ Zs - QMatrix(B[1])).fro_norm() > 1e-10 * np.sqrt(
+        (B[1] ** 2).sum())
+    Z, errors = HPDFactor.solve_stack(factors, B)
+    assert Z.shape == B.shape and len(errors) == len(factors)
+    for F, b, z, err in zip(factors[:-1], B, Z, errors):
+        ref = _outcome(F.solve, QMatrix(b))
+        if isinstance(ref, type):
+            assert type(err) is ref
+        else:
+            assert err is None and _same_bits(z, ref.data)
+    assert errors[-1] is factors[-1]
+    assert [type(e).__name__ for e in errors] == [
+        "NoneType", "NoneType", "Indefinite", "NoneType", "Indefinite",
+        "Indefinite"]

@@ -1,9 +1,9 @@
 """The sketch stream against one-sketch-at-a-time stepping.
 
-The references below are the sketch-and-project loops as they ran before
-the stream: each step draws its own sketch, forms Y = A Omega (or S^H A)
-and the sketched pseudoinverse (or the Gram solve) with the 2-D routines,
-and redraws a rank-deficient sketch, up to 10 times. They share only the
+The references below are sketch-and-project loops without the stream:
+each step draws its own sketch, forms Y = A Omega and Y^+ (by thin QR or
+the Gram solve), or Z = S^H A and Z^+ = ((Z Z^H)^-1 Z)^H, with the 2-D
+routines, and redraws a rejected sketch, up to 10 times. They share only the
 unchanged stopping loop `_drive`, the test sketch and the 2-D factor
 routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
@@ -17,7 +17,7 @@ import pytest
 from quatpinv import solvers
 from quatpinv.errors import (Indefinite, NotHermitian, RankDeficient,
                              SketchFailure)
-from quatpinv.factor import hpd_factor, pinv_from_qr
+from quatpinv.factor import HPDFactor, hpd_factor, pinv_from_qr
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
@@ -44,12 +44,11 @@ def _ref_row_step(A, X, sk, rng):
     for _ in range(10):
         Sh = randn_qmat_rng(A.rows, sk.block_r, rng).adjoint()
         Z = Sh @ A
-        Zh = Z.adjoint()
         try:
-            W = solvers.hpd_factor(Z @ Zh).solve(Sh - Z @ X)
+            W = solvers.hpd_factor(Z @ Z.adjoint()).solve(Z)
         except (RankDeficient, Indefinite):
             continue
-        return X + Zh @ W
+        return X + W.adjoint() @ (Sh - Z @ X)
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -113,28 +112,48 @@ class _PlantedRNG(QuatRNG):
         return z
 
 
+def _stagnating(F):
+    """F's matrix with its first row and column zeroed and no Cholesky
+    factor: a solve runs CG, which stagnates on a right-hand side with a
+    nonzero first row and raises Indefinite."""
+    G = F.G.data.copy()
+    G[0] = 0.0
+    G[:, 0] = 0.0
+    return HPDFactor(QMatrix(G), None)
+
+
 def _plant(monkeypatch, sk, bad, error=Indefinite):
     """Make the sketches numbered in bad fail: on the QR path by a zero
-    column (a rank-deficient Y), on the Gram path and in rsp_row by an
-    hpd_factor that raises error for them, alone or in a stack."""
-    if not (sk.gram_path or error is not Indefinite or sk is _SK_ROW):
+    column (a rank-deficient Y); on the Gram path and in rsp_row by an
+    hpd_factor that raises error for them, alone or in a stack; and for
+    _SK_ROW_CG by an hpd_factor whose Z solve stagnates in CG."""
+    if not (sk.gram_path or error is not Indefinite
+            or sk in (_SK_ROW, _SK_ROW_CG)):
         monkeypatch.setattr(solvers, "QuatRNG",
                             lambda seed: _PlantedRNG(seed, bad))
         return
     bad = set(bad)
     seen = [0]
 
+    def fail(i, F):
+        if sk == _SK_ROW_CG and error is Indefinite:
+            return _stagnating(F)
+        return error(f"planted at sketch {i}")
+
     def planted(G, ridge=1e-10):
         if isinstance(G, QMatrix):
             i = seen[0]
             seen[0] += 1
+            F = hpd_factor(G, ridge)
             if i in bad:
-                raise error(f"planted at sketch {i}")
-            return hpd_factor(G, ridge)
+                F = fail(i, F)
+                if isinstance(F, Exception):
+                    raise F
+            return F
         out = hpd_factor(G, ridge)
         for j in range(len(out)):
             if seen[0] + j in bad:
-                out[j] = error(f"planted at sketch {seen[0] + j}")
+                out[j] = fail(seen[0] + j, out[j])
         seen[0] += len(out)
         return out
     monkeypatch.setattr(solvers, "hpd_factor", planted)
@@ -142,6 +161,7 @@ def _plant(monkeypatch, sk, bad, error=Indefinite):
 
 _SK = SketchConfig(block_r=8, test_s=5, cycle_T=5, seed=7)
 _SK_ROW = SketchConfig(block_r=8, test_s=5, seed=9)
+_SK_ROW_CG = SketchConfig(block_r=8, test_s=5, seed=10)
 _SK_GRAM = SketchConfig(block_r=6, test_s=5, seed=8, gram_path=True)
 _RSP = SolverConfig(tol=1e-9, maxit=60)
 # name -> (solver, reference, A, config, sketch config)
@@ -151,6 +171,8 @@ _CASES = {
     "rsp_column_gram": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 2),
                         _RSP, _SK_GRAM),
     "rsp_row": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 3), _RSP, _SK_ROW),
+    "rsp_row_cg": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 5), _RSP,
+                   _SK_ROW_CG),
     "hybrid_rsp_ns": (hybrid_rsp_ns, _ref_hybrid, randn_qmat(40, 30, 4),
                       SolverConfig(tol=1e-12, maxit=6), _SK),
 }

@@ -4,10 +4,12 @@
     python3 tools/parity.py --seed 1 --tree ../other-checkout > old.txt
     diff old.txt new.txt
     python3 tools/parity.py --seed 1 --workload sketch
+    python3 tools/parity.py --seed 1 --workload sketch --method rsp-column
 
 Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
-benchmark run uses instance i; ``--workload`` picks one pool) and prints one line per call: the workload,
+benchmark run uses instance i; ``--workload`` picks pools and ``--method``
+the calls of the named methods) and prints one line per call: the workload,
 input and method, then either the error class the call raised or a digest
 of what it returned -- a hash of the bytes of every returned array, the
 iteration count, a hash of the residual history and the Penrose residuals
@@ -66,6 +68,9 @@ def main(argv=None) -> int:
                    help="checkout whose src/ and perfbench/ are imported")
     p.add_argument("--workload", choices=WORKLOADS, action="append",
                    help="pool to run (repeatable; default: all three)")
+    p.add_argument("--method", action="append",
+                   help="run only this method's calls, e.g. rsp-row "
+                        "(repeatable; default: every method)")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -76,6 +81,8 @@ def main(argv=None) -> int:
         wl = workloads.Workload(name, args.seed)
         for i in range(len(wl.pool)):
             for call in wl.round(i):
+                if args.method and call.method not in args.method:
+                    continue
                 try:
                     result = call.run()
                 except workloads.QuatpinvError as exc:
