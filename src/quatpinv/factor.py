@@ -247,6 +247,21 @@ def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     return solve_upper_triangular(QMatrix(LH), QMatrix(Z)).data
 
 
+# relative residual within which HPDFactor.solve keeps its triangular solves
+_SOLVE_TOL = 1e-10
+
+
+def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
+                        tol: float):
+    """Z = ``_chol_solve(L, B)`` and whether G Z = B holds to the residual
+    ||G Z - B|| <= tol * ||B||: a bool, or (s,) flags when L, G and B are
+    stacks, each item bitwise as alone."""
+    lead = Bd.shape[:-3]
+    Z = _chol_solve(L, Bd)
+    res = _fro(_products(L.ndim == 4)(Gd, Z) - Bd, lead)
+    return Z, res <= tol * np.maximum(_fro(Bd, lead), 1e-300)
+
+
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float((x * y).sum())
 
@@ -258,7 +273,7 @@ class HPDFactor:
     G: QMatrix               # G + ridge*I
     L: np.ndarray | None     # its Cholesky factor; None: solves run CG
 
-    def solve(self, B: QMatrix, tol: float = 1e-10) -> QMatrix:
+    def solve(self, B: QMatrix, tol: float = _SOLVE_TOL) -> QMatrix:
         """Z with (G + ridge*I) Z = B: the two triangular solves, kept when
         their residual is within tol * ||B||; otherwise a CG micro-solver
         (iteration cap 4r) takes over. Raises Indefinite when CG
@@ -266,13 +281,13 @@ class HPDFactor:
         r = self.G.rows
         if B.rows != r:
             raise NotHermitian("B row count differs from G")
-        bnorm = max(B.fro_norm(), 1e-300)
         if self.L is not None:
-            Z = QMatrix(_chol_solve(self.L, B.data))
-            if (self.G @ Z - B).fro_norm() <= tol * bnorm:
-                return Z
+            Z, ok = _checked_chol_solve(self.L, self.G.data, B.data, tol)
+            if ok:
+                return QMatrix(Z)
 
         # CG fallback in the real trace inner product
+        bnorm = max(B.fro_norm(), 1e-300)
         Z = QMatrix.zeros(r, B.cols)
         Rres = B - self.G @ Z
         P = Rres.copy()
@@ -295,7 +310,7 @@ class HPDFactor:
         raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
     @staticmethod
-    def solve_stack(factors: list, B: np.ndarray, tol: float = 1e-10):
+    def solve_stack(factors: list, B: np.ndarray):
         """Solve each factor of a stack against its own right-hand side.
 
         factors is ``hpd_factor``'s list for a stack (HPDFactors, or the
@@ -313,17 +328,15 @@ class HPDFactor:
         chol = [i for i in todo if factors[i].L is not None]
         alone = [i for i in todo if factors[i].L is None]
         if chol:
-            Bc = B[chol]
-            Zc = _chol_solve(np.stack([factors[i].L for i in chol]), Bc)
-            G = np.stack([factors[i].G.data for i in chol])
-            lead = (len(chol),)
-            res = _fro(_qops.qmatmul_stack(G, Zc) - Bc, lead)
-            ok = res <= tol * np.maximum(_fro(Bc, lead), 1e-300)
+            Zc, ok = _checked_chol_solve(
+                np.stack([factors[i].L for i in chol]),
+                np.stack([factors[i].G.data for i in chol]), B[chol],
+                _SOLVE_TOL)
             Z[chol] = Zc
             alone += [i for i, good in zip(chol, ok) if not good]
         for i in alone:
             try:
-                Z[i] = factors[i].solve(QMatrix(B[i]), tol).data
+                Z[i] = factors[i].solve(QMatrix(B[i])).data
             except Indefinite as exc:
                 errors[i] = exc
         return Z, errors
@@ -379,7 +392,7 @@ def _checked_factor(G: np.ndarray, Gd: np.ndarray, L: np.ndarray | None,
 
 
 def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
-              tol: float = 1e-10) -> QMatrix:
+              tol: float = _SOLVE_TOL) -> QMatrix:
     """Solve (G + ridge*I) Z = B for Hermitian positive definite G:
     ``hpd_factor(G, ridge).solve(B, tol)``. A caller with several
     right-hand sides for one G factors it once and calls ``solve`` on each.

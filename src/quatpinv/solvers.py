@@ -33,8 +33,6 @@ entries of max(m, n) x r sketches. Only the two products with the iterate
 remain in the step: X + (Omega - X Y) Y^+, or X + Z^+ (S^H - Z X). A
 sketch whose Gram factor or solve fails (Indefinite) is rejected once,
 when its block is formed, and the step that reaches it draws the next.
-The Nystrom preconditioner of CGNE likewise forms its fixed operator
-K = G^-1 G^-1 Y^H once and applies Z -> (Z Y) K + theta Z.
 """
 
 from __future__ import annotations
@@ -621,12 +619,12 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 
 class _NystromPrecond:
     """Approximate (AA^H)^{-1} from a thin sketch Y = A*Omega, applied on
-    the right: Z -> (Z Y) K + theta Z with K = G^{-1} G^{-1} Y^H, G = Y^H Y.
+    the right: Z -> Z (Y G^{-1} G^{-1} Y^H + theta I), G = Y^H Y.
 
-    K is constant, so it is formed once, here, by two solves against G's
-    one factor; each apply is then two products and a shift. The identity
-    shift theta keeps the preconditioner positive definite (the pure
-    Nystrom term is rank-r singular).
+    G is constant, so it is factored once, here; each apply is then two
+    solves against that factor. The identity shift theta keeps the
+    preconditioner positive definite (the pure Nystrom term is rank-r
+    singular).
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig):
@@ -634,13 +632,13 @@ class _NystromPrecond:
         n = A.cols
         Omega = randn_qmat_rng(n, sk.block_r, rng)
         self.Y = A @ Omega
-        Yh = self.Y.adjoint()
-        G = hpd_factor(Yh @ self.Y, ridge=1e-12)
-        self.K = G.solve(G.solve(Yh))           # r x m
+        self.G = hpd_factor(self.Y.adjoint() @ self.Y, ridge=1e-12)
         self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
-        return (Z @ self.Y) @ self.K + Z.scale(self.theta)
+        T = (Z @ self.Y).adjoint()            # r x k
+        T = self.G.solve(self.G.solve(T))
+        return (self.Y @ T).adjoint() + Z.scale(self.theta)
 
 
 def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):

@@ -226,8 +226,8 @@ def test_pinv_rank_deficient_qsvd():
 # The references keep the earlier code: thin_qr scaling R's rows and Q's
 # columns by one qmul each, substitutions that copy each right-hand-side
 # row before subtracting, one qconj per back-substitution step, and one
-# hpd_solve (so one Cholesky) per application of G^-1 in the Nystrom
-# set-up. The current code must round exactly as they do.
+# hpd_solve (so one Cholesky) per Nystrom apply. The current code must
+# round exactly as they do.
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return (x.shape == y.shape and np.array_equal(x, y)
@@ -380,19 +380,19 @@ def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
 
 
 class _NystromPrecondLoop:
-    """The preconditioner with one hpd_solve per application of G^-1, both
-    at set-up: K = G^-1 (G^-1 Y^H), then Z -> (Z Y) K + theta Z."""
+    """The preconditioner with one hpd_solve per application of G^-1."""
 
     def __init__(self, A: QMatrix, sk: SketchConfig):
         Omega = randn_qmat_rng(A.cols, sk.block_r, QuatRNG(sk.seed))
         self.Y = A @ Omega
-        Yh = self.Y.adjoint()
-        G = Yh @ self.Y
-        self.K = hpd_solve(G, hpd_solve(G, Yh, ridge=1e-12), ridge=1e-12)
+        self.G = self.Y.adjoint() @ self.Y
         self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
-        return (Z @ self.Y) @ self.K + Z.scale(self.theta)
+        T = (Z @ self.Y).adjoint()
+        T = hpd_solve(self.G, T, ridge=1e-12)
+        T = hpd_solve(self.G, T, ridge=1e-12)
+        return (self.Y @ T).adjoint() + Z.scale(self.theta)
 
 
 def _outcome(fn, *args):
