@@ -10,13 +10,11 @@ Five solver families live here:
 * conjugate gradient on the normal equations in matrix form.
 
 All solvers start from X0 = alpha * A^H with alpha strictly inside
-(0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero, except
-the row sketch-and-project variant, which starts from zero and drives
-I - AX for a wide A. Newton-Schulz, hyperpower and CGNE solve a wide A as
-its tall adjoint, since (A^H)^+ = (A^+)^H, and return the adjoint of that
-result; alpha is estimated on A itself. Every solver, and the square
-Newton-Schulz loops of the Lorenz and deblurring apps, runs the one
-stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
+(0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero. They
+solve a wide A as its tall adjoint, since (A^H)^+ = (A^+)^H, and return
+the adjoint of that result; alpha is estimated on A itself. Every solver,
+and the square Newton-Schulz loops of the Lorenz and deblurring apps, runs
+the one stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
 updates are written into arrays the loop alone holds -- the product that
 feeds them, or one scratch buffer per solve -- so an iteration allocates
 nothing beyond its quaternion products; no argument or returned matrix is
@@ -26,13 +24,11 @@ The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
 order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
-(s, m, r, 4) and (s, r, m, 4) arrays, or for rsp_row S^H (s, r, m, 4),
-Z = S^H A (s, r, n, 4) and Z^+ = ((Z Z^H)^-1 Z)^H (s, n, r, 4) from the
-stacked Gram factors and solves. A block holds at most 8192 quaternion
-entries of max(m, n) x r sketches. Only the two products with the iterate
-remain in the step: X + (Omega - X Y) Y^+, or X + Z^+ (S^H - Z X). A
-sketch whose Gram factor or solve fails (Indefinite) is rejected once,
-when its block is formed, and the step that reaches it draws the next.
+(s, m, r, 4) and (s, r, m, 4) arrays. A block holds at most 8192
+quaternion entries of max(m, n) x r sketches. Only the two products with
+the iterate remain in the step: X + (Omega - X Y) Y^+. A sketch whose
+factorization or solve fails is rejected once, when its block is formed,
+and the step that reaches it draws the next.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from __future__ import annotations
 import collections
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,11 +83,15 @@ class SketchConfig:
     test_s: int = 5
     cycle_T: int = 5
     seed: int = 0
-    gram_path: bool = False  # False: thin QR for Y^dagger; True: SPD Gram solve
+    # False: thin QR for Y^dagger; True: SPD Gram solve. rsp_row always
+    # takes the Gram route, which is the faster one on its sketches
+    gram_path: bool = False
 
     def __post_init__(self):
         if self.block_r < 1 or self.test_s < 1:
             raise ValueError("block_r and test_s must be >= 1")
+        if self.cycle_T < 0:
+            raise ValueError("cycle_T must be >= 0")
 
 
 @dataclass
@@ -223,13 +223,6 @@ def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
     return X, report
 
 
-def _zero_solution(A: QMatrix, method: str):
-    """A zero A's pseudoinverse, zero, returned at once: no iterations,
-    converged and an empty residual history."""
-    return _verified(A, QMatrix.zeros(A.cols, A.rows),
-                     SolverReport(method, 0, converged=True))
-
-
 def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     """Run solve(B, alpha, t0) -> (X, report) on B, the tall one of A and
     A^H, and return A's (X, report): a wide A's result is adjointed, since
@@ -239,7 +232,8 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     an empty residual history."""
     require_finite(A)
     if not A.data.any():
-        return _zero_solution(A, method)
+        return _verified(A, QMatrix.zeros(A.cols, A.rows),
+                         SolverReport(method, 0, converged=True))
     alpha = _alpha(A, cfg)
     t0 = time.perf_counter()
     wide = A.rows < A.cols
@@ -428,19 +422,17 @@ class _SketchStream:
     order the steps draw them, and is formed ahead of the step that takes
     it, ``block`` sketches at a time in one stacked pass; none of it
     depends on the iterate, and every array is bitwise what the step would
-    form from that sketch alone. A column sketch is (Omega, Y, Y^+) with
+    form from that sketch alone. A sketch is (Omega, Y, Y^+) with
     Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or on the Gram
-    path from the hpd_factor of Y^H Y solved against Y^H. A row sketch is
-    (S^H, Z, Z^+) with S^H r x m, Z = S^H A and Z^+ the adjoint of the
-    hpd_factor of Z Z^H solved against Z. The last entry is None for a
+    path from the hpd_factor of Y^H Y solved against Y^H. Y^+ is None for a
     sketch whose factorization or solve failed (the step draws the next
     one instead), or the error raised by any other failure, for the step
     to raise when it takes that sketch.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
-                 row: bool = False, block: int | None = None):
-        self.A, self.sk, self.rng, self.row = A, sk, rng, row
+                 block: int | None = None):
+        self.A, self.sk, self.rng = A, sk, rng
         if block is None:
             block = _AHEAD_ENTRIES // (max(A.shape) * sk.block_r)
         self.block = max(1, min(_AHEAD, block))
@@ -448,15 +440,12 @@ class _SketchStream:
 
     def take(self):
         if not self._ready:
-            self._ready.extend(self._rows() if self.row else self._columns())
+            self._ready.extend(self._form())
         return self._ready.popleft()
 
-    def _draw(self, rows: int) -> np.ndarray:
-        return np.stack([self.rng.normals((rows, self.sk.block_r, 4))
-                         for _ in range(self.block)])
-
-    def _columns(self):
-        Om = self._draw(self.A.cols)
+    def _form(self):
+        Om = np.stack([self.rng.normals((self.A.cols, self.sk.block_r, 4))
+                       for _ in range(self.block)])
         Y = _qops.qmatmul_stack(self.A.data, Om)
         if self.sk.gram_path:
             Yh = _qops.qconj(Y.swapaxes(1, 2))
@@ -474,17 +463,6 @@ class _SketchStream:
         return [(QMatrix(om), QMatrix(y), p)
                 for om, y, p in zip(Om, Y, pinvs)]
 
-    def _rows(self):
-        Sh = _qops.qconj(self._draw(self.A.rows).swapaxes(1, 2))
-        Z = _qops.qmatmul_stack(Sh, self.A.data)
-        Zh = _qops.qconj(Z.swapaxes(1, 2))
-        # Z^+ = Z^H (Z Z^H)^-1 = ((Z Z^H)^-1 Z)^H, as Z Z^H is Hermitian
-        W, errors = HPDFactor.solve_stack(
-            hpd_factor(_qops.qmatmul_stack(Z, Zh)), Z)
-        Zdag = _qops.qconj(W.swapaxes(1, 2))
-        return [(QMatrix(sh), QMatrix(z), _usable(zd, e))
-                for sh, z, zd, e in zip(Sh, Z, Zdag, errors)]
-
 
 def _usable(pinv: np.ndarray, error: Exception | None):
     """A sketch's pseudoinverse as the stream serves it: a QMatrix, None
@@ -496,17 +474,14 @@ def _usable(pinv: np.ndarray, error: Exception | None):
 
 
 def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
-    """One sketch-and-project update with the stream's next usable sketch:
-    X + (Omega - X Y) Y^+ for a column sketch, X + Z^+ (S^H - Z X) for a
-    row sketch. Each rejected sketch counts as a redraw."""
+    """One sketch-and-project update X + (Omega - X Y) Y^+ with the
+    stream's next usable sketch. Each rejected sketch counts as a redraw."""
     for _ in range(_MAX_REDRAWS):
-        S, Y, Ydag = stream.take()
+        Omega, Y, Ydag = stream.take()
         if isinstance(Ydag, Exception):
             raise Ydag
         if Ydag is not None:
-            if stream.row:
-                return X + Ydag @ (S - Y @ X)
-            return X + (S - X @ Y) @ Ydag
+            return X + (Omega - X @ Y) @ Ydag
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -517,23 +492,16 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
     return _update(X, _SketchStream(A, sk, rng, block=1))
 
 
-def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG,
-                         row: bool = False):
-    """Relative residual on a fixed Gaussian test sketch Pi, with A Pi (or
-    Pi A) precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
-    ||I_n - XA||_F; with row, ||Pi - Pi A X||_F / ||Pi||_F estimates
-    ||I_m - AX||_F."""
-    if row:
-        Pi = randn_qmat_rng(sk.test_s, A.rows, rng)
-        PiA = Pi @ A
-    else:
-        Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
-        APi = A @ Pi
+def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG):
+    """Relative residual on a fixed Gaussian test sketch Pi, with A Pi
+    precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
+    ||I_n - XA||_F."""
+    Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
+    APi = A @ Pi
     pi_norm = Pi.fro_norm()
 
     def measure(X):
-        image = PiA @ X if row else X @ APi
-        return (Pi - image).fro_norm() / pi_norm, None
+        return (Pi - X @ APi).fro_norm() / pi_norm, None
     return measure
 
 
@@ -542,75 +510,63 @@ def _require_block(A: QMatrix, sk: SketchConfig) -> None:
         raise ValueError("block_r must be <= min(m, n)")
 
 
+def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
+                  method: str, step=_update):
+    """Sketch-and-project on B, the tall one of A and A^H, through
+    _solve_tall: from X0 = alpha B^H, each iteration is step(X, stream)
+    with the solve's sketch stream of B, and the residual is measured on a
+    test sketch of B."""
+    def solve(B, alpha, t0):
+        rng = QuatRNG(sk.seed)
+        measure = _test_sketch_measure(B, sk, rng)
+        stream = _SketchStream(B, sk, rng)
+        X, _, rep = _drive(method, B.adjoint().scale(alpha),
+                           lambda X, _: step(X, stream), measure,
+                           cfg.tol, cfg.maxit, t0=t0)
+        return X, rep
+    return _solve_tall(A, cfg, method, solve)
+
+
 def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for XA = I_n (full column rank, m >= n).
 
     Progress is monitored against an independent test sketch Pi with A@Pi
     precomputed once; the criterion estimates ||I_n - X A||_F.
     """
-    require_finite(A)
-    m, n = A.shape
-    if m < n:
+    if A.rows < A.cols:
         raise DimensionMismatch("rsp_column requires m >= n")
     _require_block(A, sk)
-    if not A.data.any():
-        return _zero_solution(A, "rsp")
-    alpha = _alpha(A, cfg)
-    rng = QuatRNG(sk.seed)
-    t0 = time.perf_counter()
-    measure = _test_sketch_measure(A, sk, rng)
-    stream = _SketchStream(A, sk, rng)
-    X, _, rep = _drive("rsp", A.adjoint().scale(alpha),
-                       lambda X, _: _update(X, stream), measure,
-                       cfg.tol, cfg.maxit, t0=t0)
-    return _verified(A, X, rep)
+    return _sketch_solve(A, cfg, sk, "rsp")
 
 
 def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
-    """Sketch-and-project for AX = I_m (full row rank, m <= n); X0 = 0."""
-    require_finite(A)
-    m, n = A.shape
-    if m > n:
+    """Sketch-and-project for AX = I_m (full row rank, m <= n).
+
+    A wide A is solved as the column sketch-and-project of its tall
+    adjoint A^H, always on the Gram path, and the result is adjointed: the
+    row step X + Z^+ (S^H - Z X) with Z = S^H A is the adjoint of the
+    column step on A^H. A square A is solved directly.
+    """
+    if A.rows > A.cols:
         raise DimensionMismatch("rsp_row requires m <= n")
     _require_block(A, sk)
-    if not A.data.any():
-        return _zero_solution(A, "rsp-row")
-    rng = QuatRNG(sk.seed)
-    t0 = time.perf_counter()
-    measure = _test_sketch_measure(A, sk, rng, row=True)
-    stream = _SketchStream(A, sk, rng, row=True)
-    X, _, rep = _drive("rsp-row", QMatrix.zeros(n, m),
-                       lambda X, _: _update(X, stream), measure,
-                       cfg.tol, cfg.maxit, t0=t0)
-    return _verified(A, X, rep)
+    return _sketch_solve(A, cfg, replace(sk, gram_path=True), "rsp-row")
 
 
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Cycles of T sketch-and-project steps plus one exact hyperpower
     correction on the residual I - XA (column case only)."""
-    require_finite(A)
-    m, n = A.shape
-    if m < n:
+    if A.rows < A.cols:
         raise DimensionMismatch("hybrid is defined for the column case (m >= n)")
     if sk.cycle_T:  # T = 0 draws no sketch of A
         _require_block(A, sk)
-    method = f"hybrid-T{sk.cycle_T}-p{cfg.order}"
-    if not A.data.any():
-        return _zero_solution(A, method)
-    alpha = _alpha(A, cfg)
-    rng = QuatRNG(sk.seed)
-    t0 = time.perf_counter()
-    measure = _test_sketch_measure(A, sk, rng)
-    stream = _SketchStream(A, sk, rng)
 
-    def cycle(X, _):
+    def cycle(X, stream):  # m >= n, so the solve runs on A itself
         for _ in range(sk.cycle_T):
             X = _update(X, stream)
         return _ns_step(_deviation(A, X), X, cfg.order, SCHEDULE_PS)
-
-    X, _, rep = _drive(method, A.adjoint().scale(alpha), cycle, measure,
-                       cfg.tol, cfg.maxit, t0=t0)
-    return _verified(A, X, rep)
+    return _sketch_solve(A, cfg, sk, f"hybrid-T{sk.cycle_T}-p{cfg.order}",
+                         cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ def test_usage_no_subcommand():
     ["pinv-bench", "--sizes", "5", "--maxit", "-1"],
     ["lorenz", "--sizes", "1"],
     ["deblur", "--sizes", "16", "--lambda", "0"],
+    ["pinv-bench", "--sizes", "10", "--method", "hybrid", "--block-r", "2",
+     "--cycle-T", "-1"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,14 +2,17 @@
 
 The references below are sketch-and-project loops without the stream:
 each step draws its own sketch, forms Y = A Omega and Y^+ (by thin QR or
-the Gram solve), or Z = S^H A and Z^+ = ((Z Z^H)^-1 Z)^H, with the 2-D
-routines, and redraws a rejected sketch, up to 10 times. They share only the
+the Gram solve) with the 2-D routines, and redraws a rejected sketch, up
+to 10 times; rsp_row's reference is the Gram-path column loop on A^H,
+adjointed, with alpha estimated on A. They share only the
 unchanged stopping loop `_drive`, the test sketch and the 2-D factor
 routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
 the same bits: X, iteration count, residual history and Penrose residuals,
 and raise the same error at the same step.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,36 +43,29 @@ def _ref_col_step(A, X, sk, rng):
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
-def _ref_row_step(A, X, sk, rng):
-    for _ in range(10):
-        Sh = randn_qmat_rng(A.rows, sk.block_r, rng).adjoint()
-        Z = Sh @ A
-        try:
-            W = solvers.hpd_factor(Z @ Z.adjoint()).solve(Z)
-        except (RankDeficient, Indefinite):
-            continue
-        return X + W.adjoint() @ (Sh - Z @ X)
-    raise SketchFailure("10 consecutive rank-deficient sketches")
-
-
-def _ref_run(method, A, cfg, sk, X0, step, row=False):
+def _ref_run(method, A, cfg, sk, step, alpha):
     rng = solvers.QuatRNG(sk.seed)
-    X, _, rep = solvers._drive(method, X0, step(rng),
-                               solvers._test_sketch_measure(A, sk, rng, row),
+    X, _, rep = solvers._drive(method, A.adjoint().scale(alpha), step(rng),
+                               solvers._test_sketch_measure(A, sk, rng),
                                cfg.tol, cfg.maxit)
-    return solvers._verified(A, X, rep)
+    return X, rep
+
+
+def _ref_col_run(method, A, cfg, sk, alpha):
+    return _ref_run(method, A, cfg, sk,
+                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng),
+                    alpha)
 
 
 def _ref_rsp_column(A, cfg, sk):
-    return _ref_run("rsp", A, cfg, sk,
-                    A.adjoint().scale(solvers._alpha(A, cfg)),
-                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng))
+    return solvers._verified(
+        A, *_ref_col_run("rsp", A, cfg, sk, solvers._alpha(A, cfg)))
 
 
 def _ref_rsp_row(A, cfg, sk):
-    return _ref_run("rsp-row", A, cfg, sk, QMatrix.zeros(A.cols, A.rows),
-                    lambda rng: lambda X, _: _ref_row_step(A, X, sk, rng),
-                    row=True)
+    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg,
+                          replace(sk, gram_path=True), solvers._alpha(A, cfg))
+    return solvers._verified(A, X.adjoint(), rep)
 
 
 def _ref_hybrid(A, cfg, sk):
@@ -80,8 +76,9 @@ def _ref_hybrid(A, cfg, sk):
             return solvers._ns_step(solvers._deviation(A, X), X, cfg.order,
                                     SCHEDULE_PS)
         return cycle
-    return _ref_run(f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk,
-                    A.adjoint().scale(solvers._alpha(A, cfg)), step)
+    return solvers._verified(A, *_ref_run(
+        f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk, step,
+        solvers._alpha(A, cfg)))
 
 
 def _ref_contraction(A, sk, trials):
@@ -126,7 +123,7 @@ def _plant(monkeypatch, sk, bad, error=Indefinite):
     """Make the sketches numbered in bad fail: on the QR path by a zero
     column (a rank-deficient Y); on the Gram path and in rsp_row by an
     hpd_factor that raises error for them, alone or in a stack; and for
-    _SK_ROW_CG by an hpd_factor whose Z solve stagnates in CG."""
+    _SK_ROW_CG by an hpd_factor whose solve stagnates in CG."""
     if not (sk.gram_path or error is not Indefinite
             or sk in (_SK_ROW, _SK_ROW_CG)):
         monkeypatch.setattr(solvers, "QuatRNG",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,6 +447,16 @@ def test_rsp_row_example():
     assert (X - QMatrix.from_real(np.array([[1.0], [0.0]]))).fro_norm() <= 1e-9
 
 
+def test_rsp_row_square_converges():
+    # a square A is not flipped: rsp_row runs the Gram-path column solve on A
+    A = randn_qmat(6, 6, 2)
+    X, rep = rsp_row(A, SolverConfig(tol=1e-9, maxit=5000),
+                     SketchConfig(block_r=3, seed=3))
+    assert rep.converged and max(rep.penrose) <= 1e-6
+    Xref = pinv_normal_eq(A)
+    assert (X - Xref).fro_norm() <= 1e-6 * Xref.fro_norm()
+
+
 def test_rsp_gram_path_matches_qr_path():
     A = randn_qmat(10, 5, 13)
     X = A.adjoint().scale(auto_alpha(A))
@@ -580,6 +591,7 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 _SK_W = SketchConfig(block_r=4, seed=3)
+_SK_ROW = SketchConfig(block_r=6, seed=3)
 _WIDE = {
     "ns_damped": ns_damped,
     "ns_hyperpower": lambda A, c: ns_hyperpower(
@@ -587,6 +599,12 @@ _WIDE = {
                         tol=c.tol, maxit=c.maxit)),
     "cgne_q": cgne_q,
     "cgne_q_nystrom": lambda A, c: cgne_q(A, c, precond=_SK_W),
+    "rsp_row": lambda A, c: rsp_row(A, c, _SK_ROW),
+}
+# the tall solve a wide solve adjoints, where it is not the solver itself:
+# rsp_row is the Gram-path column sketch-and-project of A^H
+_TALL = {
+    "rsp_row": lambda A, c: rsp_column(A, c, replace(_SK_ROW, gram_path=True)),
 }
 
 
@@ -596,7 +614,7 @@ def test_wide_solve_is_adjoint_of_tall_solve(solver):
     A = randn_qmat(7, 12, 22)
     cfg = SolverConfig(alpha=auto_alpha(A), tol=1e-10, maxit=60)
     X, rep = _WIDE[solver](A, cfg)
-    Xt, tall = _WIDE[solver](A.adjoint(), cfg)
+    Xt, tall = _TALL.get(solver, _WIDE[solver])(A.adjoint(), cfg)
     assert np.array_equal(X.data, Xt.adjoint().data)
     assert rep.residual_history == tall.residual_history
     assert rep.iterations == tall.iterations > 0 and rep.converged
@@ -680,6 +698,8 @@ def test_config_validation():
         SolverConfig(schedule="bogus")
     with pytest.raises(ValueError):
         SketchConfig(block_r=0)
+    with pytest.raises(ValueError):
+        SketchConfig(cycle_T=-1)
 
 
 def test_config_rejects_negative_maxit():
