@@ -16,48 +16,29 @@ component of one operand:
   in the order of the components of x.
 
 The side is picked from the shapes alone, as the one that moves fewer
-elements. The left side orders the rows of its block (t, i); OpenBLAS
-(0.3.31, Haswell kernels) rounds a few entries of some larger left-side
-products one bit apart from a kernel that orders them (i, t) -- at
-9 x 300 @ 300 x 300 and up, and 14 x 64 @ 64 x 300 and up, where the
-block has 36 rows or more and k n is large -- because the rows then fall
-to different edge kernels. Ordering them (i, t) restores that parity but
-adds about 2 us, 10%, to every small left-side product; no call of the
-solvers' benchmark reaches such a shape. Either way each output component is summed as the Hamilton
+elements. Either way each output component is summed as the Hamilton
 formula writes it: four k-term products, added in the order a, b, c, d of
-the left factor. A single (m, 4k) @ (4k, 4n) GEMM does the same work with
-one 4k-term sum per entry; its rounding error is 1.4-2.7x larger, and the
-error floor that sketch-and-project iterates settle on rose with it (from
-about 2.3e-16 to 3-4e-16 at 30 x 10).
+the left factor.
 
 Small products, the bulk of the micro-solves' calls, cost mostly numpy's
 per-call overhead, so each side keeps its call count low: the left side
 builds its four blocks with one product by a (16, 4) sign table and
 regroups the terms with one row gather; a right-side product with
 (m + k) n <= 2048 builds all four slabs with one product by the sign
-table and runs its four GEMMs as one batched call (for k = 1, where
-numpy's matmul runs its own loop of one rounded product per entry, as
-one einsum that does the same faster). No path changes a GEMM's shape or
-the order of the adds, so the results are bitwise those of one call per
-GEMM. A larger right-side product builds and multiplies one slab at a
-time (each product an einsum too when k = 1): holding all slabs and
-products at once (16 (m + k) n elements) made it slower, up to 1.5x at
-200 x 120 @ 120 x 60, and would raise the peak memory of the large
-solves.
+table and runs its four GEMMs as one batched call (for k = 1 as one
+einsum, which does the same faster than numpy's matmul). A larger
+right-side product builds and multiplies one slab at a time (each product
+an einsum too when k = 1). No path changes a GEMM's shape or the order of
+the adds, so the results are bitwise those of one call per GEMM.
 
 That slab path keeps its scratch -- the (4, m, k) planes of x, one (k, 4n)
 slab and one slab's (m, 4n) product, 4 (mk + kn + mn) elements -- in a
-workspace reused from call to call. Fresh scratch on every call is slow
-at the sizes of the dense solves: glibc hands freed blocks of this size
-back to the kernel, and the next call faults every page in again, about
-4 us per 4 KiB page on the 2-core VM this was measured on. A loop of
-200 x 200 @ 200 x 220 products took 11.5-12.3 ms a product with fresh
-scratch and 8.4-8.9 ms with the workspace. The workspace belongs to the
-calling thread (``threading.local``), so concurrent products never share
-it. It grows to the largest need seen and retains at most _WORKSPACE_MAX
-elements (8 MiB) per thread; the 220 x 200 solves use 4.4 MB of it, and a
-larger product takes fresh scratch. The returned array is always fresh,
-never a view of the workspace.
+workspace reused from call to call, so that a large product does not
+fault fresh pages in on every call. The workspace belongs to the calling
+thread (``threading.local``), so concurrent products never share it. It
+grows to the largest need seen and retains at most _WORKSPACE_MAX
+elements (8 MiB) per thread; a larger product takes fresh scratch. The
+returned array is always fresh, never a view of the workspace.
 
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every

@@ -14,13 +14,12 @@ be benchmarked interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from .images import smooth_qimage
 
 MODE_U_OPT = "u-opt"
 MODE_W_PINV = "w-pinv"
@@ -36,7 +35,6 @@ class CompletionProblem:
     iters: int
     col_idx: Sequence[int]     # J, |J| = rank (duplicates allowed)
     row_idx: Sequence[int]     # I, |I| = rank
-    smoothing_sigma: Optional[float] = None
 
     def __post_init__(self):
         mask = np.asarray(self.mask)
@@ -87,8 +85,6 @@ def complete(problem: CompletionProblem, pinv_fn: PinvFn,
     history = []
     for _ in range(problem.iters):
         X = cur_reconstruct(C, problem.row_idx, problem.col_idx, mode, pinv_fn)
-        if problem.smoothing_sigma is not None:
-            X = smooth_qimage(X, problem.smoothing_sigma)
         history.append((X - problem.M).mask(mask).fro_norm())
         C = observed + X.mask(unobserved)
     return X, history

@@ -1,4 +1,4 @@
-"""Quaternion color images, PPM I/O, PSNR, and Gaussian smoothing.
+"""Quaternion color images, PPM I/O and PSNR.
 
 A color image lives on the imaginary axes of an H x W quaternion field:
 red on i, green on j, blue on k, real part zero. Pixel values are in
@@ -46,32 +46,6 @@ def psnr(ref, test) -> float:
     if mse <= 0.0:
         return PSNR_CAP_DB
     return min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB)
-
-
-def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian filter with replicate boundary, kernel size
-    2*ceil(2*sigma)+1, applied to each trailing channel independently."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rad = int(math.ceil(2.0 * sigma))
-    t = np.arange(-rad, rad + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (t / sigma) ** 2)
-    k /= k.sum()
-    img = np.asarray(img, dtype=np.float64)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
-    h, w, _ = img.shape
-    p = np.pad(img, ((rad, rad), (rad, rad), (0, 0)), mode="edge")
-    # k is symmetric, so the valid convolution is a weighted sum of shifts
-    p = sum(kt * p[t:t + h] for t, kt in enumerate(k))
-    out = sum(kt * p[:, t:t + w] for t, kt in enumerate(k))
-    return out[:, :, 0] if squeeze else out
-
-
-def smooth_qimage(A: QMatrix, sigma: float) -> QMatrix:
-    rgb = gaussian_smooth(qmat_to_image(A), sigma)
-    return image_to_qmat(rgb)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,9 @@ def cmd_pinv_bench(args):
 
 
 def cmd_recurrence_check(args):
+    if len(args.seeds) > 1:
+        raise ValueError("recurrence-check runs one seed; its CSV has no "
+                         "seed column")
     lines = [RECURRENCE_HEADER]
     seed = args.seeds[0]
     A = randn_qmat(10, 6, seed)
@@ -231,18 +234,24 @@ def cmd_deblur(args):
     return 0
 
 
-def _add_common(p, default_sizes, default_maxit, default_tol=1e-8):
-    p.add_argument("--sizes", type=lambda s: _csv_list(s, int),
-                   default=default_sizes)
+def _add_flags(p, maxit, sizes=None, tol=None, solver=False):
+    """The flags a command reads: --seeds, --maxit and --out always,
+    --sizes and --tol where it has a default, and the solver flags
+    with solver."""
+    if sizes is not None:
+        p.add_argument("--sizes", type=lambda s: _csv_list(s, int),
+                       default=sizes)
     p.add_argument("--seeds", type=lambda s: _csv_list(s, int), default=[0])
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--schedule", choices=SCHEDULES, default="naive")
-    p.add_argument("--tol", type=float, default=default_tol)
-    p.add_argument("--maxit", type=int, default=default_maxit)
-    p.add_argument("--block-r", type=int, default=8)
-    p.add_argument("--test-s", type=int, default=5)
-    p.add_argument("--cycle-T", type=int, default=5)
+    if solver:
+        p.add_argument("--gamma", type=float, default=1.0)
+        p.add_argument("--order", type=int, default=2)
+        p.add_argument("--schedule", choices=SCHEDULES, default="naive")
+        p.add_argument("--block-r", type=int, default=8)
+        p.add_argument("--test-s", type=int, default=5)
+        p.add_argument("--cycle-T", type=int, default=5)
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--maxit", type=int, default=maxit)
     p.add_argument("--out", default="-")
 
 
@@ -252,29 +261,29 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pinv-bench", help="solver grid benchmark")
-    _add_common(p, [20, 50, 100, 150, 200], 100)
+    _add_flags(p, 100, [20, 50, 100, 150, 200], 1e-8, solver=True)
     p.add_argument("--method", choices=PINV_METHODS + ("all",), default="ns")
     p.set_defaults(fn=cmd_pinv_bench)
 
     p = sub.add_parser("rsp-bench", help="sketch-and-project benchmark")
-    _add_common(p, [20, 50], 500)
+    _add_flags(p, 500, [20, 50], 1e-8, solver=True)
     p.set_defaults(fn=cmd_pinv_bench, method="rsp")
 
     p = sub.add_parser("recurrence-check", help="residual recurrence check")
-    _add_common(p, [10], 12)
+    _add_flags(p, 12)
     p.set_defaults(fn=cmd_recurrence_check)
 
     p = sub.add_parser("cur-complete", help="CUR completion pipeline")
-    _add_common(p, [60], 25)
+    _add_flags(p, 25, [60])
     p.add_argument("--method", choices=["u-opt", "w-pinv"], default="u-opt")
     p.set_defaults(fn=cmd_cur_complete, seeds=[4])
 
     p = sub.add_parser("lorenz", help="Lorenz filter pipeline")
-    _add_common(p, [50], 80, default_tol=1e-6)
+    _add_flags(p, 80, [50], 1e-6)
     p.set_defaults(fn=cmd_lorenz)
 
     p = sub.add_parser("deblur", help="FFT deblurring pipeline")
-    _add_common(p, [64], 200, default_tol=1e-13)
+    _add_flags(p, 200, [64], 1e-13)
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
     p.add_argument("--psf-radius", type=int, default=4)
     p.add_argument("--psf-sigma", type=float, default=1.0)
@@ -287,14 +296,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.sizes:
+    if getattr(args, "sizes", None) == []:
         parser.error("--sizes must name at least one size")
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
     try:
         return args.fn(args)
     except ValueError as exc:
-        # a parameter value the solvers or the app problems reject
+        # a parameter value the command, the solvers or the app problems
+        # reject
         parser.error(str(exc))
     except QuatpinvError as exc:
         print(f"error: {exc}", file=sys.stderr)

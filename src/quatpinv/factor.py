@@ -175,12 +175,6 @@ def solve_upper_triangular(R: QMatrix | np.ndarray,
     return Z if stacked else QMatrix(Z)
 
 
-def pinv_from_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QMatrix:
-    """Y^dagger = R^{-1} Q^H for numerically full-column-rank Y."""
-    f = thin_qr(Y, rank_tol)
-    return solve_upper_triangular(f.R, f.Q.adjoint())
-
-
 # ---------------------------------------------------------------------------
 # Hermitian positive definite solves
 # ---------------------------------------------------------------------------
@@ -247,19 +241,19 @@ def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     return solve_upper_triangular(QMatrix(LH), QMatrix(Z)).data
 
 
-# relative residual within which HPDFactor.solve keeps its triangular solves
+# relative residual within which HPDFactor.solve keeps its triangular
+# solves, and at which its CG fallback stops
 _SOLVE_TOL = 1e-10
 
 
-def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
-                        tol: float):
+def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray):
     """Z = ``_chol_solve(L, B)`` and whether G Z = B holds to the residual
-    ||G Z - B|| <= tol * ||B||: a bool, or (s,) flags when L, G and B are
-    stacks, each item bitwise as alone."""
+    ||G Z - B|| <= _SOLVE_TOL * ||B||: a bool, or (s,) flags when L, G and
+    B are stacks, each item bitwise as alone."""
     lead = Bd.shape[:-3]
     Z = _chol_solve(L, Bd)
     res = _fro(_products(L.ndim == 4)(Gd, Z) - Bd, lead)
-    return Z, res <= tol * np.maximum(_fro(Bd, lead), 1e-300)
+    return Z, res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300)
 
 
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -273,16 +267,16 @@ class HPDFactor:
     G: QMatrix               # G + ridge*I
     L: np.ndarray | None     # its Cholesky factor; None: solves run CG
 
-    def solve(self, B: QMatrix, tol: float = _SOLVE_TOL) -> QMatrix:
+    def solve(self, B: QMatrix) -> QMatrix:
         """Z with (G + ridge*I) Z = B: the two triangular solves, kept when
-        their residual is within tol * ||B||; otherwise a CG micro-solver
-        (iteration cap 4r) takes over. Raises Indefinite when CG
-        stagnates."""
+        their residual is within _SOLVE_TOL * ||B||; otherwise a CG
+        micro-solver (iteration cap 4r) takes over. Raises Indefinite when
+        CG stagnates."""
         r = self.G.rows
         if B.rows != r:
             raise NotHermitian("B row count differs from G")
         if self.L is not None:
-            Z, ok = _checked_chol_solve(self.L, self.G.data, B.data, tol)
+            Z, ok = _checked_chol_solve(self.L, self.G.data, B.data)
             if ok:
                 return QMatrix(Z)
 
@@ -293,7 +287,7 @@ class HPDFactor:
         P = Rres.copy()
         rs = _frob_inner(Rres.data, Rres.data)
         for _ in range(4 * r):
-            if math.sqrt(rs) <= tol * bnorm:
+            if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
                 break
             GP = self.G @ P
             denom = _frob_inner(P.data, GP.data)
@@ -305,7 +299,7 @@ class HPDFactor:
             rs_new = _frob_inner(Rres.data, Rres.data)
             P = QMatrix(Rres.data + (rs_new / rs) * P.data)
             rs = rs_new
-        if (self.G @ Z - B).fro_norm() <= tol * bnorm:
+        if (self.G @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
             return Z
         raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
@@ -330,8 +324,7 @@ class HPDFactor:
         if chol:
             Zc, ok = _checked_chol_solve(
                 np.stack([factors[i].L for i in chol]),
-                np.stack([factors[i].G.data for i in chol]), B[chol],
-                _SOLVE_TOL)
+                np.stack([factors[i].G.data for i in chol]), B[chol])
             Z[chol] = Zc
             alone += [i for i, good in zip(chol, ok) if not good]
         for i in alone:
@@ -391,13 +384,12 @@ def _checked_factor(G: np.ndarray, Gd: np.ndarray, L: np.ndarray | None,
     return HPDFactor(QMatrix(Gd), L)
 
 
-def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
-              tol: float = _SOLVE_TOL) -> QMatrix:
+def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10) -> QMatrix:
     """Solve (G + ridge*I) Z = B for Hermitian positive definite G:
-    ``hpd_factor(G, ridge).solve(B, tol)``. A caller with several
-    right-hand sides for one G factors it once and calls ``solve`` on each.
+    ``hpd_factor(G, ridge).solve(B)``. A caller with several right-hand
+    sides for one G factors it once and calls ``solve`` on each.
     """
-    return hpd_factor(G, ridge).solve(B, tol)
+    return hpd_factor(G, ridge).solve(B)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +460,8 @@ def qsvd(A: QMatrix) -> QSVDFactors:
     return QSVDFactors(U=QMatrix(U), S=s[:min(m, n)], V=QMatrix(V))
 
 
-def pinv_qsvd(A: QMatrix, rank_tol: float = 1e-10) -> QMatrix:
-    """Pseudoinverse V Sigma^+ U^H; sigma <= rank_tol * max sigma -> 0.
+def pinv_qsvd(A: QMatrix) -> QMatrix:
+    """Pseudoinverse V Sigma^+ U^H; sigma <= 1e-10 * max sigma -> 0.
 
     With U = A V / sigma on the kept columns this is
     V diag(1 / sigma^2) (A V)^H, so U itself is never formed.
@@ -478,12 +470,12 @@ def pinv_qsvd(A: QMatrix, rank_tol: float = 1e-10) -> QMatrix:
     k = min(A.shape)
     s, V, AV = s[:k], V[:, :k], AV[:, :k]
     smax = s[0] if k else 0.0
-    keep = s > rank_tol * max(smax, 1e-300)
+    keep = s > 1e-10 * max(smax, 1e-300)
     sinv = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
     return QMatrix(V * (sinv ** 2)[None, :, None]) @ QMatrix(AV).adjoint()
 
 
-def pinv_normal_eq(A: QMatrix, ridge: float = 0.0) -> QMatrix:
+def pinv_normal_eq(A: QMatrix) -> QMatrix:
     """Closed-form full-rank pseudoinverse through the Gram system.
 
     Tall (and square) inputs use (A^H A)^{-1} A^H; wide inputs use
@@ -493,6 +485,6 @@ def pinv_normal_eq(A: QMatrix, ridge: float = 0.0) -> QMatrix:
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:
-        return hpd_solve(Ah @ A, Ah, ridge)
-    W = hpd_solve(A @ Ah, QMatrix.identity(m), ridge)
+        return hpd_solve(Ah @ A, Ah, ridge=0.0)
+    W = hpd_solve(A @ Ah, QMatrix.identity(m), ridge=0.0)
     return Ah @ W

@@ -24,11 +24,12 @@ The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
 order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
-(s, m, r, 4) and (s, r, m, 4) arrays. A block holds at most 8192
-quaternion entries of max(m, n) x r sketches. Only the two products with
-the iterate remain in the step: X + (Omega - X Y) Y^+. A sketch whose
-factorization or solve fails is rejected once, when its block is formed,
-and the step that reaches it draws the next.
+(s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by thin QR, or for rsp_row by
+the Gram solve. A block holds at most 8192 quaternion entries of
+max(m, n) x r sketches. Only the two products with the iterate remain in
+the step: X + (Omega - X Y) Y^+. A sketch whose factorization or solve
+fails is rejected once, when its block is formed, and the step that
+reaches it draws the next.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import collections
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +68,10 @@ class SolverConfig:
     maxit: int = 100
 
     def __post_init__(self):
+        if self.alpha != "auto" and not (
+                isinstance(self.alpha, (int, float))
+                and 0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be 'auto' or a finite float > 0")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if self.order < 2:
@@ -83,9 +88,6 @@ class SketchConfig:
     test_s: int = 5
     cycle_T: int = 5
     seed: int = 0
-    # False: thin QR for Y^dagger; True: SPD Gram solve. rsp_row always
-    # takes the Gram route, which is the faster one on its sketches
-    gram_path: bool = False
 
     def __post_init__(self):
         if self.block_r < 1 or self.test_s < 1:
@@ -135,9 +137,9 @@ def penrose_residuals(A: QMatrix, X: QMatrix):
     return (e1, e2, e3, e4)
 
 
-def auto_alpha(A: QMatrix, power_iters: int = 20, seed: int = 0) -> float:
+def auto_alpha(A: QMatrix) -> float:
     """alpha = 0.99 / est(||A||_2)^2, kept strictly inside (0, 2/||A||_2^2)."""
-    est = op_norm_est(A, iters=power_iters, seed=seed)
+    est = op_norm_est(A)
     if est == 0.0:
         return 1.0
     return 0.99 / (est * est)
@@ -423,16 +425,16 @@ class _SketchStream:
     it, ``block`` sketches at a time in one stacked pass; none of it
     depends on the iterate, and every array is bitwise what the step would
     form from that sketch alone. A sketch is (Omega, Y, Y^+) with
-    Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or on the Gram
-    path from the hpd_factor of Y^H Y solved against Y^H. Y^+ is None for a
+    Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or with gram
+    from the hpd_factor of Y^H Y solved against Y^H. Y^+ is None for a
     sketch whose factorization or solve failed (the step draws the next
     one instead), or the error raised by any other failure, for the step
     to raise when it takes that sketch.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
-                 block: int | None = None):
-        self.A, self.sk, self.rng = A, sk, rng
+                 block: int | None = None, gram: bool = False):
+        self.A, self.sk, self.rng, self.gram = A, sk, rng, gram
         if block is None:
             block = _AHEAD_ENTRIES // (max(A.shape) * sk.block_r)
         self.block = max(1, min(_AHEAD, block))
@@ -447,7 +449,7 @@ class _SketchStream:
         Om = np.stack([self.rng.normals((self.A.cols, self.sk.block_r, 4))
                        for _ in range(self.block)])
         Y = _qops.qmatmul_stack(self.A.data, Om)
-        if self.sk.gram_path:
+        if self.gram:
             Yh = _qops.qconj(Y.swapaxes(1, 2))
             Ydag, errors = HPDFactor.solve_stack(
                 hpd_factor(_qops.qmatmul_stack(Yh, Y)), Yh)
@@ -485,13 +487,6 @@ def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
-def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
-                  rng: QuatRNG) -> QMatrix:
-    """One column sketch-and-project update; redraws rank-deficient
-    sketches, and draws from rng only the sketches it uses."""
-    return _update(X, _SketchStream(A, sk, rng, block=1))
-
-
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG):
     """Relative residual on a fixed Gaussian test sketch Pi, with A Pi
     precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
@@ -511,15 +506,16 @@ def _require_block(A: QMatrix, sk: SketchConfig) -> None:
 
 
 def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
-                  method: str, step=_update):
+                  method: str, step=_update, gram: bool = False):
     """Sketch-and-project on B, the tall one of A and A^H, through
     _solve_tall: from X0 = alpha B^H, each iteration is step(X, stream)
-    with the solve's sketch stream of B, and the residual is measured on a
-    test sketch of B."""
+    with the solve's sketch stream of B (its Y^+ by the Gram solve with
+    gram, else by thin QR), and the residual is measured on a test sketch
+    of B."""
     def solve(B, alpha, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
-        stream = _SketchStream(B, sk, rng)
+        stream = _SketchStream(B, sk, rng, gram=gram)
         X, _, rep = _drive(method, B.adjoint().scale(alpha),
                            lambda X, _: step(X, stream), measure,
                            cfg.tol, cfg.maxit, t0=t0)
@@ -543,14 +539,14 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for AX = I_m (full row rank, m <= n).
 
     A wide A is solved as the column sketch-and-project of its tall
-    adjoint A^H, always on the Gram path, and the result is adjointed: the
+    adjoint A^H, on the Gram path, and the result is adjointed: the
     row step X + Z^+ (S^H - Z X) with Z = S^H A is the adjoint of the
     column step on A^H. A square A is solved directly.
     """
     if A.rows > A.cols:
         raise DimensionMismatch("rsp_row requires m <= n")
     _require_block(A, sk)
-    return _sketch_solve(A, cfg, replace(sk, gram_path=True), "rsp-row")
+    return _sketch_solve(A, cfg, sk, "rsp-row", gram=True)
 
 
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -667,8 +663,3 @@ def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
         X1 = _update(X0, stream)
         out[t] = (X1 - Xstar).fro_norm() ** 2 / d0
     return out
-
-
-def rsp_rate_check(A: QMatrix, sk: SketchConfig, trials: int) -> float:
-    """Empirical mean one-step contraction ratio (compare to rsp_rate_bound)."""
-    return float(rsp_contraction_samples(A, sk, trials).mean())

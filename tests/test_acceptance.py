@@ -20,13 +20,14 @@ from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               hybrid_rsp_ns, ns_damped, ns_hyperpower,
                               recurrence_deviations, rsp_column,
                               rsp_contraction_samples, rsp_rate_bound,
-                              rsp_row, _rsp_col_step)
+                              rsp_row)
 from quatpinv.apps.completion import (MODE_U_OPT, CompletionProblem, complete,
                                       cur_reconstruct, sample_cur_indices)
 from quatpinv.apps.deblur import DeblurProblem, deblur_fft_ns
 from quatpinv.apps.images import image_to_qmat, synthetic_image
 from quatpinv.apps.lorenz import LorenzProblem, lorenz_build, lorenz_solve_ns
 from quatpinv.cli import main as cli_main
+from rsp_helpers import _rsp_col_step
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

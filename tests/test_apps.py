@@ -11,9 +11,9 @@ from quatpinv.apps.completion import (MODE_U_OPT, MODE_W_PINV,
 from quatpinv.apps.deblur import (DeblurProblem, deblur_fft_ns, gaussian_psf,
                                   psf_spectrum, scalar_ns_reciprocal)
 from quatpinv.apps.fftpack import fft1, fft2, ifft1, ifft2
-from quatpinv.apps.images import (PSNR_CAP_DB, gaussian_smooth, image_to_qmat,
-                                  psnr, qmat_to_image, read_ppm, smooth_qimage,
-                                  synthetic_image, write_ppm)
+from quatpinv.apps.images import (PSNR_CAP_DB, image_to_qmat, psnr,
+                                  qmat_to_image, read_ppm, synthetic_image,
+                                  write_ppm)
 from quatpinv.apps.lorenz import (LorenzProblem, lorenz_build, lorenz_rk4,
                                   lorenz_solve_ns)
 
@@ -73,36 +73,6 @@ def test_psnr_values():
     assert psnr(a, b) == pytest.approx(6.0206, abs=1e-3)
 
 
-def test_gaussian_smooth_constant_invariant():
-    img = np.full((10, 12), 0.7)
-    out = gaussian_smooth(img, 1.0)
-    assert np.abs(out - 0.7).max() <= 1e-12
-
-
-def test_gaussian_smooth_reduces_variation():
-    img = synthetic_image(32, seed=1)
-    out = gaussian_smooth(img, 1.5)
-    tv = lambda z: np.abs(np.diff(z, axis=0)).sum() + np.abs(np.diff(z, axis=1)).sum()
-    assert tv(out[:, :, 0]) < tv(img[:, :, 0])
-    assert out.min() >= img.min() - 1e-12 and out.max() <= img.max() + 1e-12
-
-
-def test_gaussian_smooth_matches_np_convolve():
-    img = np.random.default_rng(3).random((7, 9, 3))
-    sigma, rad = 1.3, 3
-    t = np.arange(-rad, rad + 1)
-    k = np.exp(-0.5 * (t / sigma) ** 2)
-    k /= k.sum()
-    p = np.pad(img, ((rad, rad), (rad, rad), (0, 0)), mode="edge")
-    ref = np.empty_like(img)
-    for c in range(3):
-        cols = np.stack([np.convolve(p[:, j, c], k, mode="valid")
-                         for j in range(p.shape[1])], axis=1)
-        ref[:, :, c] = [np.convolve(row, k, mode="valid") for row in cols]
-    assert np.abs(gaussian_smooth(img, sigma) - ref).max() <= 1e-14
-    assert np.abs(gaussian_smooth(img[:, :, 1], sigma) - ref[:, :, 1]).max() <= 1e-14
-
-
 def test_ppm_roundtrip(tmp_path):
     img = synthetic_image(9, seed=2)
     path = tmp_path / "img.ppm"
@@ -158,24 +128,11 @@ def test_complete_restores_observed_bitwise():
     mask = (QuatRNG(4).uniform((20, 20)) > 0.5).astype(float)
     I, J = [0, 4, 8, 12, 16], [1, 5, 9, 13, 17]
     prob = CompletionProblem(M=A.mask(mask), mask=mask, rank=5, iters=2,
-                             col_idx=J, row_idx=I, smoothing_sigma=0.5)
+                             col_idx=J, row_idx=I)
     X, _ = complete(prob, pinv_normal_eq)
     # replay one round to observe the imputation input
     C = prob.M.mask(mask) + X.mask(1.0 - mask)
     assert np.array_equal(C.mask(mask).data, prob.M.mask(mask).data)
-
-
-def test_complete_smoothing_changes_output():
-    A = rank5(20, 5)
-    mask = (QuatRNG(6).uniform((20, 20)) > 0.5).astype(float)
-    I, J = [0, 4, 8, 12, 16], [1, 5, 9, 13, 17]
-    base = CompletionProblem(M=A.mask(mask), mask=mask, rank=5, iters=2,
-                             col_idx=J, row_idx=I)
-    smoothed = CompletionProblem(M=A.mask(mask), mask=mask, rank=5, iters=2,
-                                 col_idx=J, row_idx=I, smoothing_sigma=0.5)
-    X1, _ = complete(base, pinv_normal_eq)
-    X2, _ = complete(smoothed, pinv_normal_eq)
-    assert (X1 - X2).fro_norm() > 1e-8
 
 
 def test_completion_problem_validation():

@@ -38,6 +38,13 @@ def test_usage_no_subcommand():
     ["deblur", "--sizes", "16", "--lambda", "0"],
     ["pinv-bench", "--sizes", "10", "--method", "hybrid", "--block-r", "2",
      "--cycle-T", "-1"],
+    # flags a command once accepted and ignored
+    ["lorenz", "--gamma", "0.5"],
+    ["deblur", "--block-r", "3"],
+    ["cur-complete", "--tol", "1e-3"],
+    ["recurrence-check", "--sizes", "50"],
+    # its CSV has no seed column, so a second seed would go unreported
+    ["recurrence-check", "--seeds", "0,1"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,14 @@ from quatpinv import _qops, solvers
 from quatpinv.errors import (Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
 from quatpinv.factor import (HPDFactor, _chol_solve, _cholesky, hpd_factor,
-                             hpd_solve, pinv_from_qr, pinv_normal_eq,
-                             pinv_qsvd, qsvd, solve_upper_triangular, thin_qr)
+                             hpd_solve, pinv_normal_eq, pinv_qsvd, qsvd,
+                             solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.quaternion import Quaternion
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SketchConfig, SolverConfig, cgne_q,
                               penrose_residuals)
+from rsp_helpers import pinv_from_qr
 
 
 def is_identity(A: QMatrix, tol=1e-12) -> bool:

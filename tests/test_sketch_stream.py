@@ -12,28 +12,27 @@ the same bits: X, iteration count, residual history and Penrose residuals,
 and raise the same error at the same step.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from quatpinv import solvers
 from quatpinv.errors import (Indefinite, NotHermitian, RankDeficient,
                              SketchFailure)
-from quatpinv.factor import HPDFactor, hpd_factor, pinv_from_qr
+from quatpinv.factor import HPDFactor, hpd_factor
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
                               hybrid_rsp_ns, rsp_column,
-                              rsp_contraction_samples, rsp_row, _rsp_col_step)
+                              rsp_contraction_samples, rsp_row)
+from rsp_helpers import _rsp_col_step, pinv_from_qr
 
 
-def _ref_col_step(A, X, sk, rng):
+def _ref_col_step(A, X, sk, rng, gram=False):
     for _ in range(10):
         Omega = randn_qmat_rng(A.cols, sk.block_r, rng)
         Y = A @ Omega
         try:
-            if sk.gram_path:
+            if gram:
                 Ydag = solvers.hpd_factor(Y.adjoint() @ Y).solve(Y.adjoint())
             else:
                 Ydag = pinv_from_qr(Y)
@@ -51,9 +50,10 @@ def _ref_run(method, A, cfg, sk, step, alpha):
     return X, rep
 
 
-def _ref_col_run(method, A, cfg, sk, alpha):
+def _ref_col_run(method, A, cfg, sk, alpha, gram=False):
     return _ref_run(method, A, cfg, sk,
-                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng),
+                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng,
+                                                           gram),
                     alpha)
 
 
@@ -63,8 +63,8 @@ def _ref_rsp_column(A, cfg, sk):
 
 
 def _ref_rsp_row(A, cfg, sk):
-    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg,
-                          replace(sk, gram_path=True), solvers._alpha(A, cfg))
+    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg, sk,
+                          solvers._alpha(A, cfg), gram=True)
     return solvers._verified(A, X.adjoint(), rep)
 
 
@@ -121,11 +121,10 @@ def _stagnating(F):
 
 def _plant(monkeypatch, sk, bad, error=Indefinite):
     """Make the sketches numbered in bad fail: on the QR path by a zero
-    column (a rank-deficient Y); on the Gram path and in rsp_row by an
+    column (a rank-deficient Y); on the Gram path of rsp_row by an
     hpd_factor that raises error for them, alone or in a stack; and for
     _SK_ROW_CG by an hpd_factor whose solve stagnates in CG."""
-    if not (sk.gram_path or error is not Indefinite
-            or sk in (_SK_ROW, _SK_ROW_CG)):
+    if error is Indefinite and sk not in (_SK_ROW, _SK_ROW_CG):
         monkeypatch.setattr(solvers, "QuatRNG",
                             lambda seed: _PlantedRNG(seed, bad))
         return
@@ -159,14 +158,11 @@ def _plant(monkeypatch, sk, bad, error=Indefinite):
 _SK = SketchConfig(block_r=8, test_s=5, cycle_T=5, seed=7)
 _SK_ROW = SketchConfig(block_r=8, test_s=5, seed=9)
 _SK_ROW_CG = SketchConfig(block_r=8, test_s=5, seed=10)
-_SK_GRAM = SketchConfig(block_r=6, test_s=5, seed=8, gram_path=True)
 _RSP = SolverConfig(tol=1e-9, maxit=60)
 # name -> (solver, reference, A, config, sketch config)
 _CASES = {
     "rsp_column": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 1), _RSP,
                    _SK),
-    "rsp_column_gram": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 2),
-                        _RSP, _SK_GRAM),
     "rsp_row": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 3), _RSP, _SK_ROW),
     "rsp_row_cg": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 5), _RSP,
                    _SK_ROW_CG),
@@ -261,7 +257,7 @@ def test_look_ahead_failures_the_loop_never_reaches(case, monkeypatch):
     _plant(monkeypatch, sk, range(used, used + 10))
     assert got == _pinned(ref(A, short, sk))
     assert got[1] == short.maxit
-    if case in ("rsp_column_gram", "rsp_row"):
+    if case == "rsp_row":
         for error in (NotHermitian,):
             _plant(monkeypatch, sk, [used], error)
             assert _pinned(solve(A, short, sk)) == got

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +14,9 @@ from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               auto_alpha, cgne_q, eval_neumann_poly,
                               hybrid_rsp_ns, ns_damped, ns_hyperpower,
                               penrose_residuals, recurrence_deviations,
-                              rsp_column, rsp_rate_bound, rsp_rate_check,
-                              rsp_row, _rsp_col_step)
+                              rsp_column, rsp_rate_bound, rsp_row)
 from quatpinv.rng import QuatRNG
+from rsp_helpers import _rsp_col_step, rsp_rate_check
 
 
 def scalar(x: float) -> QMatrix:
@@ -460,9 +459,10 @@ def test_rsp_row_square_converges():
 def test_rsp_gram_path_matches_qr_path():
     A = randn_qmat(10, 5, 13)
     X = A.adjoint().scale(auto_alpha(A))
-    X1 = _rsp_col_step(A, X, SketchConfig(block_r=3, seed=3), QuatRNG(3))
-    X2 = _rsp_col_step(A, X, SketchConfig(block_r=3, seed=3, gram_path=True),
-                       QuatRNG(3))
+    sk = SketchConfig(block_r=3, seed=3)
+    X1 = _rsp_col_step(A, X, sk, QuatRNG(3))
+    X2 = solvers._update(
+        X, solvers._SketchStream(A, sk, QuatRNG(3), block=1, gram=True))
     assert (X1 - X2).fro_norm() <= 1e-8 * max(X1.fro_norm(), 1.0)
 
 
@@ -604,7 +604,8 @@ _WIDE = {
 # the tall solve a wide solve adjoints, where it is not the solver itself:
 # rsp_row is the Gram-path column sketch-and-project of A^H
 _TALL = {
-    "rsp_row": lambda A, c: rsp_column(A, c, replace(_SK_ROW, gram_path=True)),
+    "rsp_row": lambda A, c: solvers._sketch_solve(A, c, _SK_ROW, "rsp-row",
+                                                  gram=True),
 }
 
 
@@ -692,6 +693,11 @@ def test_solver_rejects_non_finite(solver, bad):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gamma=0.0)
+    # alpha nan or inf once ran to maxit and returned a NaN X; alpha 0
+    # returned X = 0; a string failed only at solve time
+    for alpha in (math.nan, math.inf, -math.inf, 0.0, -1.0, "bogus"):
+        with pytest.raises(ValueError):
+            SolverConfig(alpha=alpha)
     with pytest.raises(ValueError):
         SolverConfig(order=1)
     with pytest.raises(ValueError):
