@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

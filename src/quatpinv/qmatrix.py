@@ -9,9 +9,10 @@ q = a + bi + cj + dk to the 2x2 complex block
     [[ a + bi,  c + di],
      [-c + di,  a - bi]]
 
-and is used only off the solver path: by the SVD baseline, by
-rsp_rate_bound's smallest singular value, and by hpd_factor's eigenvalue
-check after a failed Cholesky pivot.
+and is used only off the iteration loops: by the SVD baseline, by
+rsp_rate_bound's smallest singular value, by hpd_factor's eigenvalue
+check after a failed Cholesky pivot, and by the set-up of cgne_q's
+Nystrom preconditioner for its r x r eigendecomposition.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class QMatrix:
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose A^H; reverses products: (AB)^H = B^H A^H."""
         return QMatrix(_qops.qconj(self.data.transpose(1, 0, 2)))
-
-    def conj(self) -> "QMatrix":
-        return QMatrix(_qops.qconj(self.data))
 
     def hadamard(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)

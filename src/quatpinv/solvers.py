@@ -43,9 +43,9 @@ import numpy as np
 
 from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
-                     InvalidOrder, SketchFailure)
-from .factor import (HPDFactor, hpd_factor, pinv_normal_eq,
-                     solve_upper_triangular, thin_qr)
+                     InvalidOrder, RankDeficient, SketchFailure)
+from .factor import (HPDFactor, _right_factor, hpd_factor, hpd_solve,
+                     pinv_normal_eq, solve_upper_triangular, thin_qr)
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -78,6 +78,8 @@ class SolverConfig:
             raise ValueError("order must be >= 2")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be a finite float >= 0")
         if self.maxit < 0:
             raise ValueError("maxit must be >= 0")
 
@@ -353,6 +355,8 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
     """
     if kind not in ("ns", "hyperpower"):
         raise ValueError(f"unknown kind {kind!r}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     alpha = _alpha(A, cfg)
     if A.rows < A.cols:
         A = A.adjoint()
@@ -570,35 +574,60 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
 # ---------------------------------------------------------------------------
 
 class _NystromPrecond:
-    """Approximate (AA^H)^{-1} from a thin sketch Y = A*Omega, applied on
-    the right: Z -> Z (Y G^{-1} G^{-1} Y^H + theta I), G = Y^H Y.
+    """The Frangella-Tropp-Udell Nystrom preconditioner of H = B B^H,
+    applied on the right: Z -> Z + (Z U) diag(l_r / l - 1) U^H.
 
-    G is constant, so it is factored once, here; each apply is then two
-    solves against that factor. The identity shift theta keeps the
-    preconditioner positive definite (the pure Nystrom term is rank-r
-    singular).
+    That is P^{-1} = U diag(1/l) U^H + (I - U U^H) / l_r up to the factor
+    l_r, which CG ignores, where U diag(l) U^H (l nonincreasing) is the
+    rank-r Nystrom approximation of H from an orthonormal m x r Omega:
+    Y = B (B^H Omega), shifted by nu = eps ||Y||_F to Y_nu = Y + nu Omega,
+    gives Y_nu (Omega^H Y_nu)^{-1} Y_nu^H - nu I. With Y_nu = Q R, its
+    eigenpairs are those of the r x r core T = R (Omega^H Y_nu)^{-1} R^H,
+    rotated by Q. Everything is formed once, here: one Cholesky of
+    Omega^H Y_nu and the eigendecomposition of T by the LAPACK SVD on the
+    complex embedding (``_right_factor``), the one embedding use on this
+    path. An apply is two products. Raises RankDeficient when B's rank is
+    below r or l_r <= 1e-10 l_1 (Frangella, Tropp & Udell, SIAM J. Matrix
+    Anal. Appl. 44, 2023).
     """
 
-    def __init__(self, A: QMatrix, sk: SketchConfig):
-        rng = QuatRNG(sk.seed)
-        n = A.cols
-        Omega = randn_qmat_rng(n, sk.block_r, rng)
-        self.Y = A @ Omega
-        self.G = hpd_factor(self.Y.adjoint() @ self.Y, ridge=1e-12)
-        self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
+    def __init__(self, B: QMatrix, sk: SketchConfig):
+        r = sk.block_r
+        Omega = thin_qr(randn_qmat_rng(B.rows, r, QuatRNG(sk.seed))).Q
+        Y = B @ (B.adjoint() @ Omega)
+        nu = np.finfo(float).eps * Y.fro_norm()
+        Y = Y + Omega.scale(nu)
+        try:
+            qr = thin_qr(Y)
+        except RankDeficient as exc:
+            raise RankDeficient(f"rank(A) < block_r = {r}: {exc}") from exc
+        T = qr.R @ hpd_solve(Omega.adjoint() @ Y, qr.R.adjoint(), ridge=0.0)
+        _, s, V, _ = _right_factor(T)
+        lam = s - nu
+        if not lam[-1] > 1e-10 * lam[0]:
+            raise RankDeficient(f"numerical rank(A) < block_r = {r}: Nystrom "
+                                f"l_r {lam[-1]:.3e} <= 1e-10 * {lam[0]:.3e}")
+        self.U = qr.Q @ QMatrix(V)
+        self.Wh = self.U.adjoint()
+        self.Wh.data *= (lam[-1] / lam - 1.0)[:, None, None]
 
     def apply_right(self, Z: QMatrix) -> QMatrix:
-        T = (Z @ self.Y).adjoint()            # r x k
-        T = self.G.solve(self.G.solve(T))
-        return (self.Y @ T).adjoint() + Z.scale(self.theta)
+        P = (Z @ self.U) @ self.Wh
+        np.add(P.data, Z.data, out=P.data)
+        return P
 
 
 def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     """Matrix-form CG on the normal equations.
 
     Minimizes f(X) = 0.5*||XA - I_n||_F^2 for the tall one of A and A^H
-    with exact line search and Fletcher-Reeves directions. Optional right
-    preconditioning uses a thin-sketch Nystrom approximate inverse.
+    with exact line search and Fletcher-Reeves directions. With precond,
+    each gradient Z is preconditioned on the right by the
+    Frangella-Tropp-Udell Nystrom preconditioner of the Hessian B B^H
+    (``_NystromPrecond``, rank block_r, drawn from precond.seed): built
+    once per call, it costs two products per iteration,
+    Z + (Z U) diag(l_r / l - 1) U^H. It raises RankDeficient, before any
+    iteration, when A's numerical rank is below block_r.
     """
     def solve(B, alpha, t0):
         Bh = B.adjoint()

@@ -146,6 +146,12 @@ def test_completion_problem_validation():
     with pytest.raises(ValueError):
         CompletionProblem(M=A, mask=np.ones((10, 10)), rank=5, iters=1,
                           col_idx=[0, 1], row_idx=[0] * 5)
+    # iters 0 or -1 once returned an empty history, and cur-complete wrote
+    # a header-only CSV
+    for iters in (0, -1):
+        with pytest.raises(ValueError):
+            CompletionProblem(M=A, mask=np.ones((10, 10)), rank=5,
+                              iters=iters, col_idx=[0] * 5, row_idx=[0] * 5)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ def test_usage_no_subcommand():
     ["recurrence-check", "--sizes", "50"],
     # its CSV has no seed column, so a second seed would go unreported
     ["recurrence-check", "--seeds", "0,1"],
+    # a --maxit <= 0 once exited 0 and silently dropped rows: the ns rows of
+    # recurrence-check, every row of cur-complete
+    ["recurrence-check", "--maxit", "0"],
+    ["recurrence-check", "--maxit", "-1"],
+    ["cur-complete", "--maxit", "0"],
+    ["cur-complete", "--maxit", "-1"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

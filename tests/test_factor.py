@@ -226,9 +226,8 @@ def test_pinv_rank_deficient_qsvd():
 # ---------------------------------------------------------------------------
 # The references keep the earlier code: thin_qr scaling R's rows and Q's
 # columns by one qmul each, substitutions that copy each right-hand-side
-# row before subtracting, one qconj per back-substitution step, and one
-# hpd_solve (so one Cholesky) per Nystrom apply. The current code must
-# round exactly as they do.
+# row before subtracting, and one qconj per back-substitution step. The
+# current code must round exactly as they do.
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return (x.shape == y.shape and np.array_equal(x, y)
@@ -380,22 +379,6 @@ def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
     raise Indefinite("CG stagnated")
 
 
-class _NystromPrecondLoop:
-    """The preconditioner with one hpd_solve per application of G^-1."""
-
-    def __init__(self, A: QMatrix, sk: SketchConfig):
-        Omega = randn_qmat_rng(A.cols, sk.block_r, QuatRNG(sk.seed))
-        self.Y = A @ Omega
-        self.G = self.Y.adjoint() @ self.Y
-        self.theta = 1.0 / max(A.fro_norm() ** 2, 1e-300)
-
-    def apply_right(self, Z: QMatrix) -> QMatrix:
-        T = (Z @ self.Y).adjoint()
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        T = hpd_solve(self.G, T, ridge=1e-12)
-        return (self.Y @ T).adjoint() + Z.scale(self.theta)
-
-
 def _outcome(fn, *args):
     """fn's result, or the class of the error it raised."""
     try:
@@ -478,18 +461,45 @@ def test_hpd_solve_matches_loop_version(G, B, ridge):
         assert got is ref
 
 
+# ---------------------------------------------------------------------------
+# the Nystrom preconditioner against a dense reference
+# ---------------------------------------------------------------------------
+
+class _NystromPrecondDense:
+    """The Nystrom preconditioner of H = B B^H built densely: the m x m
+    approximation Y_nu (Omega^H Y_nu)^{-1} Y_nu^H, its top r eigenpairs from
+    qsvd, and P^{-1} = I + U diag(l_r / l - 1) U^H as an m x m matrix."""
+
+    def __init__(self, B: QMatrix, sk: SketchConfig):
+        r = sk.block_r
+        Omega = thin_qr(randn_qmat_rng(B.rows, r, QuatRNG(sk.seed))).Q
+        Y = B @ (B.adjoint() @ Omega)
+        nu = np.finfo(float).eps * Y.fro_norm()
+        Y = Y + Omega.scale(nu)
+        f = qsvd(Y @ hpd_solve(Omega.adjoint() @ Y, Y.adjoint(), ridge=0.0))
+        lam = f.S[:r] - nu
+        U = f.U.take_cols(range(r))
+        UW = QMatrix(U.data * (lam[-1] / lam - 1.0)[None, :, None])
+        self.Pinv = QMatrix.identity(B.rows) + UW @ U.adjoint()
+
+    def apply_right(self, Z: QMatrix) -> QMatrix:
+        return Z @ self.Pinv
+
+
 @pytest.mark.parametrize("shape", [(20, 8), (8, 20)])
-def test_cgne_nystrom_matches_one_hpd_solve_per_apply(shape, monkeypatch):
+def test_cgne_nystrom_matches_dense_reference(shape, monkeypatch):
+    # the r x r core's eigenpairs, rotated by Q, give the preconditioner
+    # that the dense m x m approximation gives; CG amplifies last-bit
+    # differences, so the counts may differ by one
     A = randn_qmat(*shape, 21)
     cfg = SolverConfig(tol=1e-10, maxit=60)
     sk = SketchConfig(block_r=6, seed=2)
     X, rep = cgne_q(A, cfg, precond=sk)
-    monkeypatch.setattr(solvers, "_NystromPrecond", _NystromPrecondLoop)
+    monkeypatch.setattr(solvers, "_NystromPrecond", _NystromPrecondDense)
     Xref, ref = cgne_q(A, cfg, precond=sk)
-    assert _same_bits(X.data, Xref.data)
-    assert rep.iterations == ref.iterations > 1
-    assert rep.residual_history == ref.residual_history
-    assert rep.penrose == ref.penrose
+    assert rep.converged and ref.converged
+    assert abs(rep.iterations - ref.iterations) <= 1 and ref.iterations > 1
+    assert (X - Xref).fro_norm() <= 1e-8 * Xref.fro_norm()
 
 
 # ---------------------------------------------------------------------------

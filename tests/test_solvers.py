@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import factor, solvers
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
-                             NonFinite)
-from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd
+                             NonFinite, RankDeficient)
+from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
 from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               ProductCounter, SketchConfig, SolverConfig,
@@ -569,6 +569,46 @@ def test_cgne_preconditioned():
     assert (X - Xref).fro_norm() <= 1e-6 * Xref.fro_norm()
 
 
+def _with_spectrum(m, s, seed):
+    """A = U diag(s) V^H, m x len(s), with orthonormal U and unitary V."""
+    U = thin_qr(randn_qmat(m, len(s), seed)).Q
+    V = thin_qr(randn_qmat(len(s), len(s), seed + 1)).Q
+    return QMatrix(U.data * np.asarray(s)[:, None]) @ V.adjoint()
+
+
+def test_cgne_nystrom_halves_iterations_on_decaying_spectrum():
+    # the (Y Y^H)^+ + theta I form took 151 iterations here, more than none
+    A = _with_spectrum(70, np.geomspace(1.0, 1e-2, 50), 1)
+    cfg = SolverConfig(tol=1e-8, maxit=1000)
+    _, plain = cgne_q(A, cfg)
+    X, pre = cgne_q(A, cfg, precond=SketchConfig(block_r=32, seed=0))
+    assert plain.converged and pre.converged
+    assert 2 * pre.iterations <= plain.iterations
+    assert max(pre.penrose) <= 1e-6
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("iterated")
+
+
+@pytest.mark.parametrize("shape", [(20, 12), (12, 20)])
+@pytest.mark.parametrize("case", ["rank3", "eigenvalue-gap"])
+def test_cgne_nystrom_rejects_rank_below_block_r(shape, case, monkeypatch):
+    # a rank-3 G H^H once ran all 100 iterations to Penrose residuals of
+    # about 1e16; the full-rank input with sigma 1 (x3) and 3e-6 passes
+    # thin_qr but its Nystrom l_r / l_1 is 9e-12
+    m, n = shape
+    if case == "rank3":
+        A = randn_qmat(m, 3, 1) @ randn_qmat(n, 3, 2).adjoint()
+    else:
+        A = _with_spectrum(20, [1.0] * 3 + [3e-6] * 9, 1)
+        A = A if m > n else A.adjoint()
+    monkeypatch.setattr(solvers, "_drive", _never)
+    guard = {"rank3": "R diagonal", "eigenvalue-gap": "Nystrom l_r"}[case]
+    with pytest.raises(RankDeficient, match=guard):
+        cgne_q(A, SolverConfig(), precond=SketchConfig(block_r=6, seed=2))
+
+
 def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
     # G = Y^H Y is constant: one Cholesky per call, not two per iteration
     calls = []
@@ -706,6 +746,12 @@ def test_config_validation():
         SketchConfig(block_r=0)
     with pytest.raises(ValueError):
         SketchConfig(cycle_T=-1)
+    # tol nan once ran ns_damped to maxit and reported converged=False for
+    # an X with Penrose residuals 5.8e-15; tol 0 stays valid
+    for tol in (math.nan, math.inf, -math.inf, -1e-8):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
+    assert SolverConfig(tol=0.0).tol == 0.0
 
 
 def test_config_rejects_negative_maxit():

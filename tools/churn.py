@@ -3,12 +3,14 @@
     python3 tools/churn.py --seed 1 > new.txt
     python3 tools/churn.py --seed 1 --tree ../other-checkout > old.txt
     python3 tools/churn.py --seed 1 --workload dense
+    python3 tools/churn.py --seed 1 --workload sketch --method cgne-nystrom
 
 Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
-benchmark run uses instance i; ``--workload`` picks one pool) and prints
-one line per call: the workload, input and method, the call's wall time
-and the minor page faults the process took during it
+benchmark run uses instance i; ``--workload`` picks pools and ``--method``
+the calls of the named methods) and prints one line per call: the
+workload, input and method, the call's wall time and the minor page
+faults the process took during it
 (``resource.getrusage``). A minor fault is the kernel mapping a page the
 process touches for the first time, as it does each time the allocator
 hands back memory that was returned to the system; many faults per call
@@ -44,6 +46,9 @@ def main(argv=None) -> int:
                    help="checkout whose src/ and perfbench/ are imported")
     p.add_argument("--workload", choices=WORKLOADS, action="append",
                    help="pool to run (repeatable; default: all three)")
+    p.add_argument("--method", action="append",
+                   help="run only this method's calls, e.g. cgne-nystrom "
+                        "(repeatable; default: every method)")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -55,6 +60,8 @@ def main(argv=None) -> int:
         wl = workloads.Workload(name, args.seed)
         for i in range(len(wl.pool)):
             for call in wl.round(i):
+                if args.method and call.method not in args.method:
+                    continue
                 f0 = _minflt()
                 t0 = time.perf_counter()
                 try:
