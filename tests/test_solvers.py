@@ -609,6 +609,28 @@ def test_cgne_nystrom_rejects_rank_below_block_r(shape, case, monkeypatch):
         cgne_q(A, SolverConfig(), precond=SketchConfig(block_r=6, seed=2))
 
 
+def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
+    # the (Y Y^H)^+ + theta I apply ran two HPDFactor.solve calls, each two
+    # triangular solves, per iteration; now the set-up makes the only one
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(factor.HPDFactor, "solve",
+                        counted("solve", factor.HPDFactor.solve))
+    monkeypatch.setattr(factor, "solve_upper_triangular",
+                        counted("upper", factor.solve_upper_triangular))
+    for A in (randn_qmat(20, 8, 21), randn_qmat(8, 20, 21)):
+        calls.clear()
+        _, rep = cgne_q(A, SolverConfig(tol=1e-10, maxit=40),
+                        precond=SketchConfig(block_r=6, seed=2))
+        assert rep.iterations > 1
+        assert calls == ["solve", "upper"]
+
+
 def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
     # G = Y^H Y is constant: one Cholesky per call, not two per iteration
     calls = []
