@@ -7,7 +7,9 @@ Five solver families live here:
 * randomized sketch-and-project (column and row variants),
 * a hybrid that interleaves sketch-and-project steps with one exact
   hyperpower correction,
-* conjugate gradient on the normal equations in matrix form.
+* conjugate gradient on the normal equations in matrix form, run on n x n
+  coordinates: each iterate of a tall A is X0 + F A^H P (P the optional
+  preconditioner), and the loop updates F.
 
 All solvers start from X0 = alpha * A^H with alpha strictly inside
 (0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero. They
@@ -16,9 +18,10 @@ the adjoint of that result; alpha is estimated on A itself. Every solver,
 and the square Newton-Schulz loops of the Lorenz and deblurring apps, runs
 the one stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
 updates are written into arrays the loop alone holds -- the product that
-feeds them, or one scratch buffer per solve -- so an iteration allocates
-nothing beyond its quaternion products; no argument or returned matrix is
-written to, and every result is bitwise that of fresh intermediates.
+feeds them, one scratch buffer per solve, or CGNE's n x n coordinate
+matrices -- so an iteration allocates nothing beyond its quaternion
+products; no argument or returned matrix is written to, and every result
+is bitwise that of fresh intermediates.
 
 The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
@@ -586,9 +589,10 @@ class _NystromPrecond:
     rotated by Q. Everything is formed once, here: one Cholesky of
     Omega^H Y_nu and the eigendecomposition of T by the LAPACK SVD on the
     complex embedding (``_right_factor``), the one embedding use on this
-    path. An apply is two products. Raises RankDeficient when B's rank is
-    below r or l_r <= 1e-10 l_1 (Frangella, Tropp & Udell, SIAM J. Matrix
-    Anal. Appl. 44, 2023).
+    path. An apply is two thin products, and ``cgne_q`` applies it once per
+    call, to B^H. Raises RankDeficient when B's rank is below r or
+    l_r <= 1e-10 l_1 (Frangella, Tropp & Udell, SIAM J. Matrix Anal.
+    Appl. 44, 2023).
     """
 
     def __init__(self, B: QMatrix, sk: SketchConfig):
@@ -620,49 +624,63 @@ class _NystromPrecond:
 def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     """Matrix-form CG on the normal equations.
 
-    Minimizes f(X) = 0.5*||XA - I_n||_F^2 for the tall one of A and A^H
-    with exact line search and Fletcher-Reeves directions. With precond,
-    each gradient Z is preconditioned on the right by the
-    Frangella-Tropp-Udell Nystrom preconditioner of the Hessian B B^H
-    (``_NystromPrecond``, rank block_r, drawn from precond.seed): built
-    once per call, it costs two products per iteration,
-    Z + (Z U) diag(l_r / l - 1) U^H. It raises RankDeficient, before any
-    iteration, when A's numerical rank is below block_r.
+    Minimizes f(X) = 0.5*||XB - I_n||_F^2 for B, the tall one of A and A^H
+    (m x n), with exact line search and Fletcher-Reeves directions. With
+    precond, each gradient is preconditioned on the right by the
+    Frangella-Tropp-Udell Nystrom preconditioner P of the Hessian B B^H
+    (``_NystromPrecond``, rank block_r, drawn from precond.seed). It raises
+    RankDeficient, before any iteration, when A's numerical rank is below
+    block_r.
+
+    From X0 = alpha B^H every iterate is X0 + F B^H P and every direction
+    D B^H P, so the loop runs on the n x n coordinates F and D: the
+    direction's image is D M with M = B^H P B, formed once, and a step
+    makes one n x n product, S = R M for the residual R = I - XB. In exact
+    arithmetic the iterates are those of the loop on X itself. P is
+    applied once per call, to B^H, and X is formed from F after the last
+    step.
     """
     def solve(B, alpha, t0):
         Bh = B.adjoint()
-        X0 = Bh.scale(alpha)
-        M = None if precond is None else _NystromPrecond(B, precond)
-        scratch = _Scratch(X0.data.size)  # X is the largest operand
+        BhP = (Bh if precond is None
+               else _NystromPrecond(B, precond).apply_right(Bh))
+        M = BhP @ B
+        scratch = _Scratch(M.data.size)
 
         def step(state, _):
-            # state (X, R, D, zz): iterate, residual, previous direction and
-            # its <Zt, Z>; the new direction is formed first, from R. X, R
-            # and D are this loop's own and are updated in place.
-            X, R, D, zz = state
-            Z = R @ Bh
-            Zt = M.apply_right(Z) if M else Z
-            zz_new = scratch.dot(Zt, Z)
+            # state (F, R, D, W, zz): the iterate's coordinates, its
+            # residual, the previous direction, its image W = D M and the
+            # previous <R M, R>; the new direction is formed first, from R.
+            # F, R, D and W are this loop's own and are updated in place.
+            F, R, D, W, zz = state
+            S = R @ M
+            zz_new = scratch.dot(S, R)
             if D is None:
-                D = Zt
-            else:  # D = Zt + (zz_new / zz) D
-                np.multiply(D.data, zz_new / zz, out=D.data)
-                np.add(Zt.data, D.data, out=D.data)
-            W = D @ B
+                D, W = R.copy(), S
+            else:  # D = R + (zz_new / zz) D, W = S + (zz_new / zz) W
+                beta = zz_new / zz
+                np.multiply(D.data, beta, out=D.data)
+                np.add(R.data, D.data, out=D.data)
+                np.multiply(W.data, beta, out=W.data)
+                np.add(S.data, W.data, out=W.data)
             wn2 = scratch.dot(W, W)
             if wn2 == 0.0:
                 raise Breakdown(
                     "search direction image vanished before convergence")
             a_k = scratch.dot(R, W) / wn2
-            np.add(X.data, scratch.scaled(D, a_k), out=X.data)
-            np.multiply(W.data, a_k, out=W.data)
-            np.subtract(R.data, W.data, out=R.data)
-            return X, R, D, zz_new
+            np.add(F.data, scratch.scaled(D, a_k), out=F.data)
+            np.subtract(R.data, scratch.scaled(W, a_k), out=R.data)
+            return F, R, D, W, zz_new
 
-        (X, *_), _, rep = _drive(
-            "cgne", (X0, _deviation(B, X0), None, None), step,
+        X0 = Bh.scale(alpha)
+        (F, *_), _, rep = _drive(
+            "cgne", (QMatrix.zeros(B.cols, B.cols), _deviation(B, X0), None,
+                     None, None), step,
             lambda state: (scratch.fro_norm(state[1]), None), cfg.tol,
             cfg.maxit, t0=t0)
+        X = F @ BhP
+        np.add(X0.data, X.data, out=X.data)
+        rep.wall_time = time.perf_counter() - t0
         return X, rep
     return _solve_tall(A, cfg, "cgne", solve)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatpinv import factor, solvers
+from quatpinv import _qops, factor, solvers
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
                              NonFinite, RankDeficient)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
@@ -227,30 +227,36 @@ def _ref_ns(A, cfg, method, **step_kw):
     return solvers._solve_tall(A, cfg, method, solve)
 
 
-def _ref_cgne(A, cfg, precond=None):
-    def frob(x, y):
-        return float((x.data * y.data).sum())
+def _frob(x, y):
+    return float((x.data * y.data).sum())
 
+
+def _ref_cgne(A, cfg, precond=None):
     def solve(B, alpha, t0):
         Bh = B.adjoint()
-        X0 = Bh.scale(alpha)
-        M = None if precond is None else solvers._NystromPrecond(B, precond)
+        BhP = Bh if precond is None else \
+            solvers._NystromPrecond(B, precond).apply_right(Bh)
+        M = BhP @ B
 
         def step(state, _):
-            X, R, D, zz = state
-            Z = R @ Bh
-            Zt = M.apply_right(Z) if M else Z
-            zz_new = frob(Zt, Z)
-            D = Zt if D is None else Zt + D.scale(zz_new / zz)
-            W = D @ B
-            a_k = frob(R, W) / frob(W, W)
-            return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+            F, R, D, W, zz = state
+            S = R @ M
+            zz_new = _frob(S, R)
+            if D is None:
+                D, W = R, S
+            else:
+                D = R + D.scale(zz_new / zz)
+                W = S + W.scale(zz_new / zz)
+            a_k = _frob(R, W) / _frob(W, W)
+            return F + D.scale(a_k), R - W.scale(a_k), D, W, zz_new
 
-        (X, *_), _, rep = solvers._drive(
-            "cgne", (X0, _ref_deviation(B, X0), None, None), step,
+        X0 = Bh.scale(alpha)
+        (F, *_), _, rep = solvers._drive(
+            "cgne", (QMatrix.zeros(B.cols, B.cols), _ref_deviation(B, X0),
+                     None, None, None), step,
             lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
             t0=t0)
-        return X, rep
+        return X0 + F @ BhP, rep
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
 
@@ -632,7 +638,7 @@ def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
 
 
 def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
-    # G = Y^H Y is constant: one Cholesky per call, not two per iteration
+    # the set-up's Cholesky of Omega^H Y_nu is the call's only one
     calls = []
     cholesky = factor._cholesky
 
@@ -646,6 +652,80 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
                         precond=SketchConfig(block_r=6, seed=2))
         assert rep.iterations > 1
         assert calls == [(6, 6, 4)]
+
+
+def _ref_cgne_xspace(A, cfg, precond=None):
+    """CGNE on X itself, as cgne_q ran before its Gram coordinates: two
+    n x m products a step, and two more for the preconditioner."""
+    def solve(B, alpha, t0):
+        Bh = B.adjoint()
+        X0 = Bh.scale(alpha)
+        M = None if precond is None else solvers._NystromPrecond(B, precond)
+
+        def step(state, _):
+            X, R, D, zz = state
+            Z = R @ Bh
+            Zt = M.apply_right(Z) if M else Z
+            zz_new = _frob(Zt, Z)
+            D = Zt if D is None else Zt + D.scale(zz_new / zz)
+            W = D @ B
+            a_k = _frob(R, W) / _frob(W, W)
+            return X + D.scale(a_k), R - W.scale(a_k), D, zz_new
+
+        (X, *_), _, rep = solvers._drive(
+            "cgne", (X0, _ref_deviation(B, X0), None, None), step,
+            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
+            t0=t0)
+        return X, rep
+    return solvers._solve_tall(A, cfg, "cgne", solve)
+
+
+_GRAM_CASES = {
+    "tall": lambda: randn_qmat(30, 20, 31),
+    "wide": lambda: randn_qmat(20, 30, 32),
+    "square": lambda: randn_qmat(20, 20, 33),
+    "geometric": lambda: _with_spectrum(40, np.geomspace(1.0, 1e-2, 30), 34),
+}
+
+
+@pytest.mark.parametrize("precond", [None, SketchConfig(block_r=6, seed=2)],
+                         ids=["plain", "nystrom"])
+@pytest.mark.parametrize("case", sorted(_GRAM_CASES))
+def test_cgne_gram_matches_xspace_reference(case, precond):
+    # the same iterates in exact arithmetic; rounding moves the count by a
+    # few steps at most
+    A = _GRAM_CASES[case]()
+    cfg = SolverConfig(tol=1e-10, maxit=2000)
+    X, rep = cgne_q(A, cfg, precond=precond)
+    Xr, ref = _ref_cgne_xspace(A, cfg, precond)
+    assert rep.converged and ref.converged
+    assert abs(rep.iterations - ref.iterations) <= 3
+    assert (X - Xr).fro_norm() <= 1e-8 * Xr.fro_norm()
+    assert max(rep.penrose) <= 1e-8 and max(ref.penrose) <= 1e-8
+
+
+@pytest.mark.parametrize("precond", [None, SketchConfig(block_r=6, seed=2)],
+                         ids=["plain", "nystrom"])
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+def test_cgne_step_makes_one_product(shape, precond, monkeypatch):
+    # ten more steps make ten more quaternion products, with or without the
+    # preconditioner: S = R M, n x n
+    calls = []
+    qmatmul = _qops.qmatmul
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return qmatmul(a, b)
+    monkeypatch.setattr(_qops, "qmatmul", counting)
+    A = randn_qmat(*shape, 35)
+    counts = []
+    for maxit in (5, 15):
+        calls.clear()
+        _, rep = cgne_q(A, SolverConfig(tol=0.0, maxit=maxit),
+                        precond=precond)
+        assert rep.iterations == maxit
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 10
 
 
 # ---------------------------------------------------------------------------
