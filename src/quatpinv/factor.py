@@ -4,18 +4,14 @@ closed-form / SVD-based pseudoinverse baselines.
 The SVD is LAPACK's, run on the complex adjoint embedding; quaternion
 factors are reassembled from its singular vectors, which come in pairs
 (v, phi(v)). These routines serve as oracles for the iterative solvers
-and as micro-solvers inside the randomized methods. A Hermitian positive
-definite G is factored once (``hpd_factor``) and solved against each
-right-hand side (``HPDFactor.solve``); ``hpd_solve`` does both for one.
-``thin_qr``, ``solve_upper_triangular``, ``_cholesky``, ``_chol_solve``
-and ``hpd_factor`` also take a stack of s matrices as an (s, r, c, 4)
-array, and factor or solve all of them in one pass with the same code, a
-2-D call being the case without a stack axis; each item of a stack is
-bitwise the routine run on it alone, and an item that would raise is
-flagged instead. ``HPDFactor.solve_stack`` solves a stack of factors
-against their own right-hand sides the same way: the triangular solves
-and residual checks of all items in one pass, and ``solve``'s CG fallback
-for an item that misses its check or has no Cholesky factor.
+and as micro-solvers inside the randomized methods. ``thin_qr``,
+``solve_upper_triangular``, ``hpd_solve`` and its Cholesky kernels
+``_cholesky`` and ``_chol_solve`` also take a stack of s matrices as an
+(s, r, c, 4) array, and factor or solve all of them in one pass with the
+same code, a 2-D call being the case without a stack axis; each item of a
+stack is bitwise the routine run on it alone. An item that fails its
+check (the rank test, a Cholesky pivot, the solve's residual) is flagged,
+where a 2-D call raises or, in ``hpd_solve`` alone, falls back to CG.
 ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
 when A holds a NaN or infinite entry.
 """
@@ -28,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _qops
-from .errors import (ConvergenceFailure, Indefinite, NotHermitian,
-                     QuatpinvError, RankDeficient)
+from .errors import (ConvergenceFailure, DimensionMismatch, Indefinite,
+                     NotHermitian, RankDeficient)
 from .qmatrix import QMatrix, require_finite
 
 
@@ -241,9 +237,11 @@ def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     return solve_upper_triangular(QMatrix(LH), QMatrix(Z)).data
 
 
-# relative residual within which HPDFactor.solve keeps its triangular
-# solves, and at which its CG fallback stops
+# relative residual within which a solve keeps its triangular solves, and
+# at which hpd_solve's CG fallback stops
 _SOLVE_TOL = 1e-10
+# the ridge hpd_solve adds to G's diagonal unless told otherwise
+_RIDGE = 1e-10
 
 
 def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray):
@@ -260,136 +258,74 @@ def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float((x * y).sum())
 
 
-@dataclass
-class HPDFactor:
-    """G + ridge*I, factored once by ``hpd_factor`` and then solved against
-    any number of right-hand sides."""
-    G: QMatrix               # G + ridge*I
-    L: np.ndarray | None     # its Cholesky factor; None: solves run CG
+def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray,
+              ridge: float = _RIDGE):
+    """Solve (G + ridge*I) Z = B for Hermitian positive definite G.
 
-    def solve(self, B: QMatrix) -> QMatrix:
-        """Z with (G + ridge*I) Z = B: the two triangular solves, kept when
-        their residual is within _SOLVE_TOL * ||B||; otherwise a CG
-        micro-solver (iteration cap 4r) takes over. Raises Indefinite when
-        CG stagnates."""
-        r = self.G.rows
-        if B.rows != r:
-            raise NotHermitian("B row count differs from G")
-        if self.L is not None:
-            Z, ok = _checked_chol_solve(self.L, self.G.data, B.data)
-            if ok:
-                return QMatrix(Z)
+    Raises NotHermitian for a G that is not square or not Hermitian, and
+    DimensionMismatch when B's row count is not G's. The Cholesky factor's
+    two triangular solves are kept when their residual is within
+    _SOLVE_TOL * ||B||. Otherwise a failed pivot raises Indefinite when G
+    has a negative eigenvalue, and a CG micro-solver (iteration cap 4r)
+    takes over; it raises Indefinite when it stagnates.
 
-        # CG fallback in the real trace inner product
-        bnorm = max(B.fro_norm(), 1e-300)
-        Z = QMatrix.zeros(r, B.cols)
-        Rres = B - self.G @ Z
-        P = Rres.copy()
-        rs = _frob_inner(Rres.data, Rres.data)
-        for _ in range(4 * r):
-            if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
-                break
-            GP = self.G @ P
-            denom = _frob_inner(P.data, GP.data)
-            if denom <= 0:
-                break
-            a = rs / denom
-            Z = QMatrix(Z.data + a * P.data)
-            Rres = QMatrix(Rres.data - a * GP.data)
-            rs_new = _frob_inner(Rres.data, Rres.data)
-            P = QMatrix(Rres.data + (rs_new / rs) * P.data)
-            rs = rs_new
-        if (self.G @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
-            return Z
-        raise Indefinite("Cholesky failed and the CG fallback stagnated")
-
-    @staticmethod
-    def solve_stack(factors: list, B: np.ndarray):
-        """Solve each factor of a stack against its own right-hand side.
-
-        factors is ``hpd_factor``'s list for a stack (HPDFactors, or the
-        errors their matrices raised) and B the (s, r, p, 4) right-hand
-        sides. The triangular solves and their residual checks run for the
-        whole stack in one pass; an item that misses the check, or has no
-        L, runs ``solve`` alone, CG fallback included. Returns (Z, errors):
-        the (s, r, p, 4) solutions, each item bitwise ``solve`` of its
-        B, and per item None or the error its factor or solve raised (its
-        item of Z is then meaningless).
-        """
-        errors = [F if isinstance(F, Exception) else None for F in factors]
-        Z = np.zeros_like(B)
-        todo = [i for i, e in enumerate(errors) if e is None]
-        chol = [i for i in todo if factors[i].L is not None]
-        alone = [i for i in todo if factors[i].L is None]
-        if chol:
-            Zc, ok = _checked_chol_solve(
-                np.stack([factors[i].L for i in chol]),
-                np.stack([factors[i].G.data for i in chol]), B[chol])
-            Z[chol] = Zc
-            alone += [i for i, good in zip(chol, ok) if not good]
-        for i in alone:
-            try:
-                Z[i] = factors[i].solve(QMatrix(B[i])).data
-            except Indefinite as exc:
-                errors[i] = exc
-        return Z, errors
-
-
-def hpd_factor(G: QMatrix | np.ndarray, ridge: float = 1e-10):
-    """Factor G + ridge*I for Hermitian positive definite G, once per G.
-
-    Raises NotHermitian, or Indefinite when a Cholesky pivot fails and G
-    has a negative eigenvalue; a pivot failure on a merely singular or
-    ill-conditioned G leaves L None, and every solve then runs CG. G may
-    also be a stack of s matrices, an (s, r, r, 4) array, whose Cholesky
-    factors are formed in one pass, each bitwise as alone: the result is
-    then a list of s entries, each an HPDFactor or the error its matrix
-    would have raised.
+    G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
+    arrays, taken to be Hermitian: each is factored and solved in one pass,
+    each item bitwise as alone, and the result is (Z, ok), where ok (s,) is
+    False for an item whose pivot or residual check failed (its Z is then
+    meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
-    Gs = G if stacked else G.data
-    lead = Gs.shape[:-3]
+    Gs, Bd = (G, B) if stacked else (G.data, B.data)
     r, c = Gs.shape[-3:-1]
     if c != r:
-        raise NotHermitian("hpd_factor needs a square matrix")
-    gnorm = np.maximum(_fro(Gs, lead), 1e-300)
-    gap = _fro(Gs - _qops.qconj(Gs.swapaxes(-3, -2)), lead)
-    if not stacked and gap > 1e-10 * gnorm:
-        raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
+        raise NotHermitian("hpd_solve needs a square G")
+    if Bd.shape[-3] != r:
+        raise DimensionMismatch("B row count differs from G")
     Gd = Gs.copy()
     Gd[..., np.arange(r), np.arange(r), 0] += ridge
-    if not stacked:
-        return _checked_factor(Gs, Gd, _cholesky(Gd), gnorm)
-    L, ok = _cholesky(Gd)
-    out = []
-    for i in range(len(Gs)):
-        try:
-            if gap[i] > 1e-10 * gnorm[i]:
-                raise NotHermitian(f"||G - G^H|| = {gap[i]:.3e}")
-            out.append(_checked_factor(Gs[i], Gd[i], L[i] if ok[i] else None,
-                                       gnorm[i]))
-        except QuatpinvError as exc:
-            out.append(exc)
-    return out
+    if stacked:
+        L, ok = _cholesky(Gd)
+        Z, solved = _checked_chol_solve(L, Gd, Bd)
+        return Z, ok & solved
 
-
-def _checked_factor(G: np.ndarray, Gd: np.ndarray, L: np.ndarray | None,
-                    gnorm: float) -> HPDFactor:
-    """The HPDFactor of Gd = G + ridge*I with Cholesky factor L; L None (a
-    failed pivot) raises Indefinite when G has a negative eigenvalue."""
-    if L is None:
-        lo = float(np.linalg.eigvalsh(QMatrix(G).to_complex_adjoint())[0])
+    gnorm = max(_fro(Gs, ()), 1e-300)
+    gap = _fro(Gs - _qops.qconj(Gs.swapaxes(0, 1)), ())
+    if gap > 1e-10 * gnorm:
+        raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
+    L = _cholesky(Gd)
+    if L is not None:
+        Z, ok = _checked_chol_solve(L, Gd, Bd)
+        if ok:
+            return QMatrix(Z)
+    else:
+        lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
         if lo < -1e-10 * gnorm:
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
-    return HPDFactor(QMatrix(Gd), L)
 
-
-def hpd_solve(G: QMatrix, B: QMatrix, ridge: float = 1e-10) -> QMatrix:
-    """Solve (G + ridge*I) Z = B for Hermitian positive definite G:
-    ``hpd_factor(G, ridge).solve(B)``. A caller with several right-hand
-    sides for one G factors it once and calls ``solve`` on each.
-    """
-    return hpd_factor(G, ridge).solve(B)
+    # CG fallback in the real trace inner product
+    Gr = QMatrix(Gd)
+    bnorm = max(B.fro_norm(), 1e-300)
+    Z = QMatrix.zeros(r, B.cols)
+    Rres = B - Gr @ Z
+    P = Rres.copy()
+    rs = _frob_inner(Rres.data, Rres.data)
+    for _ in range(4 * r):
+        if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
+            break
+        GP = Gr @ P
+        denom = _frob_inner(P.data, GP.data)
+        if denom <= 0:
+            break
+        a = rs / denom
+        Z = QMatrix(Z.data + a * P.data)
+        Rres = QMatrix(Rres.data - a * GP.data)
+        rs_new = _frob_inner(Rres.data, Rres.data)
+        P = QMatrix(Rres.data + (rs_new / rs) * P.data)
+        rs = rs_new
+    if (Gr @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
+        return Z
+    raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ q = a + bi + cj + dk to the 2x2 complex block
      [-c + di,  a - bi]]
 
 and is used only off the iteration loops: by the SVD baseline, by
-rsp_rate_bound's smallest singular value, by hpd_factor's eigenvalue
+rsp_rate_bound's smallest singular value, by hpd_solve's eigenvalue
 check after a failed Cholesky pivot, and by the set-up of cgne_q's
 Nystrom preconditioner for its r x r eigendecomposition.
 """

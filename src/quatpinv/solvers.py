@@ -30,9 +30,11 @@ in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
 (s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by thin QR, or for rsp_row by
 the Gram solve. A block holds at most 8192 quaternion entries of
 max(m, n) x r sketches. Only the two products with the iterate remain in
-the step: X + (Omega - X Y) Y^+. A sketch whose factorization or solve
-fails is rejected once, when its block is formed, and the step that
-reaches it draws the next.
+the step: X + (Omega - X Y) Y^+. Both routes keep one rule: a sketch whose
+factorization fails its check (the R diagonal's rank test, or the Gram
+matrix's Cholesky pivot or residual test) is rejected when its block is
+formed, and the step that reaches it draws the next; 10 rejected in a
+row raise SketchFailure.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _qops
-from .errors import (Breakdown, DimensionMismatch, Divergence, Indefinite,
-                     InvalidOrder, RankDeficient, SketchFailure)
-from .factor import (HPDFactor, _right_factor, hpd_factor, hpd_solve,
-                     pinv_normal_eq, solve_upper_triangular, thin_qr)
+from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
+                     RankDeficient, SketchFailure)
+from .factor import (_right_factor, hpd_solve, pinv_normal_eq,
+                     solve_upper_triangular, thin_qr)
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -119,13 +121,6 @@ class SolverReport:
         return (f"{self.method},{m},{n},{seed},{self.iterations},"
                 f"{self.wall_time:.6f},{e1:.17g},{e2:.17g},{e3:.17g},"
                 f"{e4:.17g},{self.final_residual:.17g}")
-
-
-class ProductCounter:
-    """Counts s x s deviation-power products inside the polynomial schedules."""
-
-    def __init__(self):
-        self.s_products = 0
 
 
 def penrose_residuals(A: QMatrix, X: QMatrix):
@@ -248,8 +243,8 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     return _verified(A, X.adjoint() if wide else X, report)
 
 
-def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
-                      counter: ProductCounter | None = None) -> QMatrix:
+def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
+                      schedule: str) -> QMatrix:
     """Return (sum_{i<p} R^i) X, the truncated Neumann polynomial applied
     to X.
 
@@ -280,8 +275,6 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
         for j in range(q):
             if j > 0:
                 cur = cur @ cur
-                if counter is not None:
-                    counter.s_products += 1
             T = cur @ Y
             np.add(Y.data, T.data, out=T.data)
             Y = T
@@ -298,8 +291,6 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
         powers = [None, R]
         for _ in range(2, a + 1 if nblocks > 1 else top):
             powers.append(powers[-1] @ R)
-            if counter is not None:
-                counter.s_products += 1
         # sums[i] = sum_{l<i} R^l for the block lengths used: I + R is
         # formed as 0 + R with 1 added on the diagonal, bitwise I + R, each
         # longer sum in the buffer of the power it adds (R^i, i < a, has
@@ -322,16 +313,13 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int, schedule: str,
             T = powers[a] @ S
             np.add(sums[a].data, T.data, out=T.data)
             S = T
-            if counter is not None:
-                counter.s_products += 1
         return S @ X
 
     raise InvalidOrder(f"unknown schedule {schedule!r}")
 
 
 def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
-             schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0,
-             counter: ProductCounter | None = None) -> QMatrix:
+             schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0) -> QMatrix:
     """One Newton-Schulz / hyperpower update of X given its deviation
     R = I - XA.
 
@@ -343,7 +331,7 @@ def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
         np.multiply(T.data, float(gamma), out=T.data)
         np.add(X.data, T.data, out=T.data)
         return T
-    return eval_neumann_poly(R, X, order, schedule, counter)
+    return eval_neumann_poly(R, X, order, schedule)
 
 
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
@@ -404,11 +392,10 @@ def ns_damped(A: QMatrix, cfg: SolverConfig):
     return _ns_solve(A, cfg, "ns", gamma=cfg.gamma)
 
 
-def ns_hyperpower(A: QMatrix, cfg: SolverConfig,
-                  counter: ProductCounter | None = None):
+def ns_hyperpower(A: QMatrix, cfg: SolverConfig):
     """Order-p hyperpower updates; residual recurrence R_{k+1} = R_k^p."""
     return _ns_solve(A, cfg, f"hyperpower-{cfg.order}", order=cfg.order,
-                     schedule=cfg.schedule, counter=counter)
+                     schedule=cfg.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +419,11 @@ class _SketchStream:
     it, ``block`` sketches at a time in one stacked pass; none of it
     depends on the iterate, and every array is bitwise what the step would
     form from that sketch alone. A sketch is (Omega, Y, Y^+) with
-    Omega n x r and Y = A Omega; Y^+ comes from the thin QR, or with gram
-    from the hpd_factor of Y^H Y solved against Y^H. Y^+ is None for a
-    sketch whose factorization or solve failed (the step draws the next
-    one instead), or the error raised by any other failure, for the step
-    to raise when it takes that sketch.
+    Omega n x r and Y = A Omega; Y^+ is R^{-1} Q^H from the thin QR of Y,
+    or with gram the solve of Y^H Y against Y^H (``hpd_solve`` of the
+    stack). Y^+ is None for a rejected sketch, one whose R fails the rank
+    test or whose Gram matrix fails its Cholesky pivot or residual check;
+    the step draws the next one instead.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -458,28 +445,16 @@ class _SketchStream:
         Y = _qops.qmatmul_stack(self.A.data, Om)
         if self.gram:
             Yh = _qops.qconj(Y.swapaxes(1, 2))
-            Ydag, errors = HPDFactor.solve_stack(
-                hpd_factor(_qops.qmatmul_stack(Yh, Y)), Yh)
-            pinvs = [_usable(yd, e) for yd, e in zip(Ydag, errors)]
+            Ydag, ok = hpd_solve(_qops.qmatmul_stack(Yh, Y), Yh)
         else:
+            # R^{-1} Q^H over Q^H for the accepted sketches only: a rejected
+            # R may have a zero diagonal
             Q, R, ok = thin_qr(Y)
-            pinvs = [None] * self.block
+            Ydag = _qops.qconj(Q.swapaxes(1, 2))
             if ok.any():
-                Ydag = solve_upper_triangular(
-                    R[ok], _qops.qconj(Q[ok].swapaxes(1, 2)))
-                for i, yd in zip(np.flatnonzero(ok), Ydag):
-                    pinvs[i] = QMatrix(yd)
-        return [(QMatrix(om), QMatrix(y), p)
-                for om, y, p in zip(Om, Y, pinvs)]
-
-
-def _usable(pinv: np.ndarray, error: Exception | None):
-    """A sketch's pseudoinverse as the stream serves it: a QMatrix, None
-    for a rejected sketch (its Gram factor or solve raised Indefinite), or
-    any other error, for the step that takes it to raise."""
-    if error is None:
-        return QMatrix(pinv)
-    return None if isinstance(error, Indefinite) else error
+                Ydag[ok] = solve_upper_triangular(R[ok], Ydag[ok])
+        return [(QMatrix(om), QMatrix(y), QMatrix(yd) if good else None)
+                for om, y, yd, good in zip(Om, Y, Ydag, ok)]
 
 
 def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
@@ -487,8 +462,6 @@ def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
     stream's next usable sketch. Each rejected sketch counts as a redraw."""
     for _ in range(_MAX_REDRAWS):
         Omega, Y, Ydag = stream.take()
-        if isinstance(Ydag, Exception):
-            raise Ydag
         if Ydag is not None:
             return X + (Omega - X @ Y) @ Ydag
     raise SketchFailure("10 consecutive rank-deficient sketches")

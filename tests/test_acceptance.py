@@ -15,10 +15,9 @@ from quatpinv.factor import pinv_normal_eq, pinv_qsvd, thin_qr
 from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
-                              ProductCounter, SketchConfig, SolverConfig,
-                              auto_alpha, cgne_q, eval_neumann_poly,
-                              hybrid_rsp_ns, ns_damped, ns_hyperpower,
-                              recurrence_deviations, rsp_column,
+                              SketchConfig, SolverConfig, auto_alpha, cgne_q,
+                              eval_neumann_poly, hybrid_rsp_ns, ns_damped,
+                              ns_hyperpower, recurrence_deviations, rsp_column,
                               rsp_contraction_samples, rsp_rate_bound,
                               rsp_row)
 from quatpinv.apps.completion import (MODE_U_OPT, CompletionProblem, complete,
@@ -27,7 +26,7 @@ from quatpinv.apps.deblur import DeblurProblem, deblur_fft_ns
 from quatpinv.apps.images import image_to_qmat, synthetic_image
 from quatpinv.apps.lorenz import LorenzProblem, lorenz_build, lorenz_solve_ns
 from quatpinv.cli import main as cli_main
-from rsp_helpers import _rsp_col_step
+from rsp_helpers import _rsp_col_step, square_products
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -77,11 +76,7 @@ def test_criterion_03_schedules_and_counts():
         scale = max(Yn.fro_norm(), 1.0)
         worst = max(worst, (Yn - Yb).fro_norm() / scale,
                     (Yn - Yp).fro_norm() / scale)
-    counts = {}
-    for p in (8, 16):
-        counter = ProductCounter()
-        eval_neumann_poly(R, X, p, SCHEDULE_BINARY, counter=counter)
-        counts[p] = counter.s_products
+    counts = {p: square_products(R, X, p, SCHEDULE_BINARY) for p in (8, 16)}
     ok = worst <= 1e-11 and counts[8] == 2 and counts[16] == 3
     verdict(3, ok, f"max schedule gap = {worst:.3e} (<= 1e-11), "
                    f"binary squarings p8={counts[8]} (=2), p16={counts[16]} (=3)")

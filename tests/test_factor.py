@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, solvers
-from quatpinv.errors import (Indefinite, NonFinite, NotHermitian,
-                             QuatpinvError, RankDeficient)
-from quatpinv.factor import (HPDFactor, _chol_solve, _cholesky, hpd_factor,
+from quatpinv.errors import (DimensionMismatch, Indefinite, NonFinite,
+                             NotHermitian, QuatpinvError, RankDeficient)
+from quatpinv.factor import (_checked_chol_solve, _chol_solve, _cholesky,
                              hpd_solve, pinv_normal_eq, pinv_qsvd, qsvd,
                              solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
@@ -340,8 +340,10 @@ def _chol_solve_loop(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
 def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
                     tol: float = 1e-10) -> QMatrix:
     r = G.rows
-    if G.cols != r or B.rows != r:
+    if G.cols != r:
         raise NotHermitian("shape")
+    if B.rows != r:
+        raise DimensionMismatch("shape")
     if (G - G.adjoint()).fro_norm() > 1e-10 * max(G.fro_norm(), 1e-300):
         raise NotHermitian("not Hermitian")
     Gd = G.data.copy()
@@ -581,30 +583,6 @@ def test_cholesky_stack_items_bitwise_equal_2d(s, r, seed, singular):
             assert _same_bits(L[i], ref)
 
 
-def test_hpd_factor_stack_items_match_2d():
-    # a Gram matrix, a singular one (its pivot fails, L None), an
-    # indefinite one and a non-Hermitian one, in one stack
-    C = randn_qmat(10, 5, 8)
-    gram = (C.adjoint() @ C).data
-    skew = gram.copy()
-    skew[0, 1, 2] += 1.0
-    items = [gram, _G_SINGULAR.data, QMatrix.from_real(-np.eye(5)).data, skew]
-    got = hpd_factor(np.stack(items), ridge=0.0)
-    assert len(got) == len(items)
-    for G, F in zip(items, got):
-        ref = _outcome(hpd_factor, QMatrix(G), 0.0)
-        if isinstance(ref, type):
-            assert type(F) is ref
-        else:
-            assert _same_bits(F.G.data, ref.G.data)
-            assert (F.L is None) == (ref.L is None)
-            if F.L is not None:
-                assert _same_bits(F.L, ref.L)
-    assert [type(F).__name__ for F in got] == [
-        "HPDFactor", "HPDFactor", "Indefinite", "NotHermitian"]
-    assert got[1].L is None
-
-
 @pytest.mark.parametrize("col", [0, 2, 4])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_thin_qr_signed_zero_column_matches_loop_version(col, stacked):
@@ -641,36 +619,31 @@ def test_chol_solve_stack_items_bitwise_equal_2d(s, r, p, seed):
 
 
 def test_hpd_solve_stack_items_bitwise_equal_2d():
-    # one stack of right-hand sides against: a Gram factor that passes the
-    # residual check; a factor whose L is another matrix's, so the check
-    # misses and CG solves, and the same with CG stagnating; a singular G
-    # with no L whose CG solves, and one whose CG stagnates; and the error
-    # hpd_factor gave an indefinite G, passed through
+    # a Gram matrix whose solve passes; a singular one and an indefinite
+    # one, whose pivots fail; and a nearly singular one whose pivots pass
+    # but whose triangular solves miss the residual check. An accepted item
+    # is bitwise the 2-D solve; a rejected one is where the 2-D solve
+    # raises or falls back to CG
     C = randn_qmat(10, 5, 8)
-    gram = hpd_factor(C.adjoint() @ C)
-    stale = HPDFactor(gram.G, hpd_factor(
-        gram.G + QMatrix.identity(5).scale(1e-3)).L)
-    singular = hpd_factor(_G_SINGULAR, ridge=0.0)
-    stale_singular = HPDFactor(singular.G, gram.L)
-    in_range = (_G_SINGULAR @ randn_qmat(5, 7, 1)).data
-    indefinite = hpd_factor(QMatrix.from_real(-np.eye(5)).data[None])[0]
-    factors = [gram, stale, stale_singular, singular, singular, indefinite]
-    B = np.stack([randn_qmat(5, 7, 30).data, randn_qmat(5, 7, 31).data,
-                  randn_qmat(5, 7, 32).data, in_range,
-                  randn_qmat(5, 7, 33).data, randn_qmat(5, 7, 34).data])
-    # the stale factor's triangular solves miss the residual check
-    Zs = QMatrix(_chol_solve(stale.L, B[1]))
-    assert (gram.G @ Zs - QMatrix(B[1])).fro_norm() > 1e-10 * np.sqrt(
-        (B[1] ** 2).sum())
-    Z, errors = HPDFactor.solve_stack(factors, B)
-    assert Z.shape == B.shape and len(errors) == len(factors)
-    for F, b, z, err in zip(factors[:-1], B, Z, errors):
-        ref = _outcome(F.solve, QMatrix(b))
-        if isinstance(ref, type):
-            assert type(err) is ref
-        else:
-            assert err is None and _same_bits(z, ref.data)
-    assert errors[-1] is factors[-1]
-    assert [type(e).__name__ for e in errors] == [
-        "NoneType", "NoneType", "Indefinite", "NoneType", "Indefinite",
-        "Indefinite"]
+    near = randn_qmat(10, 5, 8)
+    near.data[:, 1] = near.data[:, 0] + 1e-5 * randn_qmat(10, 1, 3).data[:, 0]
+    Gs = np.stack([(C.adjoint() @ C).data, _G_SINGULAR.data,
+                   QMatrix.from_real(-np.eye(5)).data,
+                   (near.adjoint() @ near).data])
+    B = _stack((5, 7), [30, 31, 32, 33])
+    Z, ok = hpd_solve(Gs, B, 0.0)
+    assert Z.shape == B.shape and ok.tolist() == [True, False, False, False]
+    assert _same_bits(Z[0], hpd_solve(QMatrix(Gs[0]), QMatrix(B[0]), 0.0).data)
+    assert _cholesky(Gs[1]) is None and _cholesky(Gs[2]) is None
+    L = _cholesky(Gs[3])
+    assert L is not None and not _checked_chol_solve(L, Gs[3], B[3])[1]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_hpd_solve_b_row_count_mismatch(stacked):
+    # G is Hermitian positive definite: the fault is B's shape
+    G = _G_GRAM.data
+    B = randn_qmat(3, 2, 1).data
+    args = (G[None], B[None]) if stacked else (QMatrix(G), QMatrix(B))
+    with pytest.raises(DimensionMismatch, match="row count"):
+        hpd_solve(*args)

@@ -1,24 +1,24 @@
 """The sketch stream against one-sketch-at-a-time stepping.
 
 The references below are sketch-and-project loops without the stream:
-each step draws its own sketch, forms Y = A Omega and Y^+ (by thin QR or
-the Gram solve) with the 2-D routines, and redraws a rejected sketch, up
-to 10 times; rsp_row's reference is the Gram-path column loop on A^H,
-adjointed, with alpha estimated on A. They share only the
-unchanged stopping loop `_drive`, the test sketch and the 2-D factor
-routines with the solvers.
+each step draws its own sketch, forms Y = A Omega and Y^+ with the 2-D
+routines, and redraws a rejected sketch, up to 10 times. On the QR route
+Y^+ = R^{-1} Q^H, and a sketch whose R fails the rank test is rejected; on
+the Gram route Y^+ is the Cholesky solve of Y^H Y + ridge I against Y^H,
+and a sketch whose pivot or residual check fails is rejected. rsp_row's
+reference is the Gram-route column loop on A^H, adjointed, with alpha
+estimated on A. The references share only the stopping loop `_drive`, the
+test sketch and the 2-D factor routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
 the same bits: X, iteration count, residual history and Penrose residuals,
-and raise the same error at the same step.
+and raise SketchFailure at the same step.
 """
 
 import numpy as np
 import pytest
 
-from quatpinv import solvers
-from quatpinv.errors import (Indefinite, NotHermitian, RankDeficient,
-                             SketchFailure)
-from quatpinv.factor import HPDFactor, hpd_factor
+from quatpinv import factor, solvers
+from quatpinv.errors import RankDeficient, SketchFailure
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
@@ -27,18 +27,32 @@ from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
 from rsp_helpers import _rsp_col_step, pinv_from_qr
 
 
+def _gram_pinv(Y):
+    """Y^+ by the Cholesky solve of Y^H Y + ridge I against Y^H, or None
+    when a pivot or the residual check fails."""
+    Gd = (Y.adjoint() @ Y).data.copy()
+    r = Gd.shape[0]
+    Gd[np.arange(r), np.arange(r), 0] += factor._RIDGE
+    L = factor._cholesky(Gd)
+    if L is None:
+        return None
+    Z, ok = factor._checked_chol_solve(L, Gd, Y.adjoint().data)
+    return QMatrix(Z) if ok else None
+
+
 def _ref_col_step(A, X, sk, rng, gram=False):
     for _ in range(10):
         Omega = randn_qmat_rng(A.cols, sk.block_r, rng)
         Y = A @ Omega
-        try:
-            if gram:
-                Ydag = solvers.hpd_factor(Y.adjoint() @ Y).solve(Y.adjoint())
-            else:
+        if gram:
+            Ydag = _gram_pinv(Y)
+        else:
+            try:
                 Ydag = pinv_from_qr(Y)
-        except (RankDeficient, Indefinite):
-            continue
-        return X + (Omega - X @ Y) @ Ydag
+            except RankDeficient:
+                Ydag = None
+        if Ydag is not None:
+            return X + (Omega - X @ Y) @ Ydag
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
@@ -109,63 +123,41 @@ class _PlantedRNG(QuatRNG):
         return z
 
 
-def _stagnating(F):
-    """F's matrix with its first row and column zeroed and no Cholesky
-    factor: a solve runs CG, which stagnates on a right-hand side with a
-    nonzero first row and raises Indefinite."""
-    G = F.G.data.copy()
-    G[0] = 0.0
-    G[:, 0] = 0.0
-    return HPDFactor(QMatrix(G), None)
+# the Cholesky kernel itself, which _plant wraps however often it runs
+_CHOLESKY = factor._cholesky
 
 
-def _plant(monkeypatch, sk, bad, error=Indefinite):
-    """Make the sketches numbered in bad fail: on the QR path by a zero
-    column (a rank-deficient Y); on the Gram path of rsp_row by an
-    hpd_factor that raises error for them, alone or in a stack; and for
-    _SK_ROW_CG by an hpd_factor whose solve stagnates in CG."""
-    if error is Indefinite and sk not in (_SK_ROW, _SK_ROW_CG):
+def _plant(monkeypatch, sk, bad):
+    """Make the sketches numbered in bad fail: on the QR route by a zero
+    column (a rank-deficient Y); on the Gram route of rsp_row by a failed
+    Cholesky pivot, alone or in a stack."""
+    if sk is not _SK_ROW:
         monkeypatch.setattr(solvers, "QuatRNG",
                             lambda seed: _PlantedRNG(seed, bad))
         return
     bad = set(bad)
     seen = [0]
 
-    def fail(i, F):
-        if sk == _SK_ROW_CG and error is Indefinite:
-            return _stagnating(F)
-        return error(f"planted at sketch {i}")
-
-    def planted(G, ridge=1e-10):
-        if isinstance(G, QMatrix):
+    def planted(Gd):
+        if Gd.ndim == 3:
             i = seen[0]
             seen[0] += 1
-            F = hpd_factor(G, ridge)
-            if i in bad:
-                F = fail(i, F)
-                if isinstance(F, Exception):
-                    raise F
-            return F
-        out = hpd_factor(G, ridge)
-        for j in range(len(out)):
-            if seen[0] + j in bad:
-                out[j] = fail(seen[0] + j, out[j])
-        seen[0] += len(out)
-        return out
-    monkeypatch.setattr(solvers, "hpd_factor", planted)
+            return None if i in bad else _CHOLESKY(Gd)
+        L, ok = _CHOLESKY(Gd)
+        ok &= [seen[0] + j not in bad for j in range(len(Gd))]
+        seen[0] += len(Gd)
+        return L, ok
+    monkeypatch.setattr(factor, "_cholesky", planted)
 
 
 _SK = SketchConfig(block_r=8, test_s=5, cycle_T=5, seed=7)
 _SK_ROW = SketchConfig(block_r=8, test_s=5, seed=9)
-_SK_ROW_CG = SketchConfig(block_r=8, test_s=5, seed=10)
 _RSP = SolverConfig(tol=1e-9, maxit=60)
 # name -> (solver, reference, A, config, sketch config)
 _CASES = {
     "rsp_column": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 1), _RSP,
                    _SK),
     "rsp_row": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 3), _RSP, _SK_ROW),
-    "rsp_row_cg": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 5), _RSP,
-                   _SK_ROW_CG),
     "hybrid_rsp_ns": (hybrid_rsp_ns, _ref_hybrid, randn_qmat(40, 30, 4),
                       SolverConfig(tol=1e-12, maxit=6), _SK),
 }
@@ -244,8 +236,7 @@ def test_stream_rejected_run_fails_at_the_same_step(case, first,
 
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_look_ahead_failures_the_loop_never_reaches(case, monkeypatch):
-    # 10 rejected sketches in a row, and on the Gram and row paths a
-    # factorization that raises, right after the last sketch a short run
+    # 10 rejected sketches in a row right after the last sketch a short run
     # takes: the stream forms them ahead, yet nothing is raised and the
     # result is the reference's
     solve, ref, A, cfg, sk = _CASES[case]
@@ -257,23 +248,6 @@ def test_look_ahead_failures_the_loop_never_reaches(case, monkeypatch):
     _plant(monkeypatch, sk, range(used, used + 10))
     assert got == _pinned(ref(A, short, sk))
     assert got[1] == short.maxit
-    if case == "rsp_row":
-        for error in (NotHermitian,):
-            _plant(monkeypatch, sk, [used], error)
-            assert _pinned(solve(A, short, sk)) == got
-            # a longer run reaches that sketch and raises its error at the
-            # step that takes it, as one sketch at a time does
-            longer = SolverConfig(tol=cfg.tol, maxit=used + 5)
-            counts = _count_measures(monkeypatch)
-            _plant(monkeypatch, sk, [used], error)
-            with pytest.raises(error):
-                solve(A, longer, sk)
-            steps = len(counts)
-            counts.clear()
-            _plant(monkeypatch, sk, [used], error)
-            with pytest.raises(error):
-                ref(A, longer, sk)
-            assert len(counts) == steps == used + 1
 
 
 def test_rsp_col_step_draws_only_the_sketches_it_uses():

@@ -6,17 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
-                             NonFinite, RankDeficient)
+                             NonFinite, RankDeficient, SketchFailure)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
 from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
-                              ProductCounter, SketchConfig, SolverConfig,
-                              auto_alpha, cgne_q, eval_neumann_poly,
-                              hybrid_rsp_ns, ns_damped, ns_hyperpower,
-                              penrose_residuals, recurrence_deviations,
-                              rsp_column, rsp_rate_bound, rsp_row)
+                              SketchConfig, SolverConfig, auto_alpha, cgne_q,
+                              eval_neumann_poly, hybrid_rsp_ns, ns_damped,
+                              ns_hyperpower, penrose_residuals,
+                              recurrence_deviations, rsp_column,
+                              rsp_rate_bound, rsp_row)
 from quatpinv.rng import QuatRNG
-from rsp_helpers import _rsp_col_step, rsp_rate_check
+from rsp_helpers import _rsp_col_step, rsp_rate_check, square_products
 
 
 def scalar(x: float) -> QMatrix:
@@ -142,18 +142,14 @@ def test_paterson_stockmeyer_product_count(p, expected):
     # correction once formed it every cycle and dropped it)
     R = randn_qmat(5, 5, 7).scale(0.1)
     X = randn_qmat(5, 3, 8)
-    counter = ProductCounter()
-    eval_neumann_poly(R, X, p, SCHEDULE_PS, counter=counter)
-    assert counter.s_products == expected
+    assert square_products(R, X, p, SCHEDULE_PS) == expected
 
 
 @pytest.mark.parametrize("p,expected", [(8, 2), (16, 3)])
 def test_binary_schedule_product_count(p, expected):
     R = randn_qmat(5, 5, 7).scale(0.1)
     X = randn_qmat(5, 3, 8)
-    counter = ProductCounter()
-    eval_neumann_poly(R, X, p, SCHEDULE_BINARY, counter=counter)
-    assert counter.s_products == expected
+    assert square_products(R, X, p, SCHEDULE_BINARY) == expected
 
 
 def test_hyperpower_residual_power_bound():
@@ -178,7 +174,7 @@ def _ref_deviation(A, X):
     return QMatrix.identity(A.cols) - X @ A
 
 
-def _ref_neumann(R, X, p, schedule, counter=None):
+def _ref_neumann(R, X, p, schedule):
     if schedule == SCHEDULE_NAIVE:
         acc = term = X
         for _ in range(p - 1):
@@ -206,8 +202,7 @@ def _ref_neumann(R, X, p, schedule, counter=None):
     return S @ X
 
 
-def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
-                 counter=None):
+def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0):
     if gamma != 1.0:
         return X + (R @ X).scale(gamma)
     return _ref_neumann(R, X, order, schedule)
@@ -472,6 +467,19 @@ def test_rsp_gram_path_matches_qr_path():
     assert (X1 - X2).fro_norm() <= 1e-8 * max(X1.fro_norm(), 1.0)
 
 
+def test_rsp_row_rejects_rank_deficient_sketches_as_rsp_column_does():
+    # a rank-3 20 x 30 A has no rank-8 sketch: every Gram sketch fails its
+    # Cholesky check, as every QR sketch of A^H fails the rank test. rsp_row
+    # once took each through a CG fallback and ran all 2000 steps of a
+    # longer run to a Penrose residual of 4.87
+    A = randn_qmat(20, 3, 1) @ randn_qmat(30, 3, 101).adjoint()
+    cfg, sk = SolverConfig(maxit=50), SketchConfig(block_r=8, seed=1)
+    with pytest.raises(SketchFailure):
+        rsp_column(A.adjoint(), cfg, sk)
+    with pytest.raises(SketchFailure):
+        rsp_row(A, cfg, sk)
+
+
 @pytest.mark.parametrize("solver", [rsp_column, hybrid_rsp_ns])
 def test_sketch_block_larger_than_n_rejected(solver):
     # hybrid once estimated alpha, ran 10 rank-deficient QR redraws and
@@ -616,8 +624,9 @@ def test_cgne_nystrom_rejects_rank_below_block_r(shape, case, monkeypatch):
 
 
 def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
-    # the (Y Y^H)^+ + theta I apply ran two HPDFactor.solve calls, each two
-    # triangular solves, per iteration; now the set-up makes the only one
+    # the (Y Y^H)^+ + theta I apply ran two checked Cholesky solves, each
+    # two triangular solves, per iteration; now the set-up makes the only
+    # one
     calls = []
 
     def counted(name, fn):
@@ -625,8 +634,8 @@ def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
             calls.append(name)
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(factor.HPDFactor, "solve",
-                        counted("solve", factor.HPDFactor.solve))
+    monkeypatch.setattr(factor, "_checked_chol_solve",
+                        counted("solve", factor._checked_chol_solve))
     monkeypatch.setattr(factor, "solve_upper_triangular",
                         counted("upper", factor.solve_upper_triangular))
     for A in (randn_qmat(20, 8, 21), randn_qmat(8, 20, 21)):
