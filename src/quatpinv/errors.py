@@ -34,7 +34,8 @@ class ConvergenceFailure(QuatpinvError):
 
 
 class NonFinite(QuatpinvError):
-    """Input holds a NaN or infinite entry."""
+    """Input holds a NaN or infinite entry, or an iteration's residual
+    turned NaN or infinite."""
 
 
 class Divergence(QuatpinvError):

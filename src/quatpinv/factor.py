@@ -4,14 +4,14 @@ closed-form / SVD-based pseudoinverse baselines.
 The SVD is LAPACK's, run on the complex adjoint embedding; quaternion
 factors are reassembled from its singular vectors, which come in pairs
 (v, phi(v)). These routines serve as oracles for the iterative solvers
-and as micro-solvers inside the randomized methods. ``thin_qr``,
-``solve_upper_triangular``, ``hpd_solve`` and its Cholesky kernels
-``_cholesky`` and ``_chol_solve`` also take a stack of s matrices as an
+and as micro-solvers inside the randomized methods. ``hpd_solve``, its
+Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
+``solve_upper_triangular`` also take a stack of s matrices as an
 (s, r, c, 4) array, and factor or solve all of them in one pass with the
 same code, a 2-D call being the case without a stack axis; each item of a
 stack is bitwise the routine run on it alone. An item that fails its
-check (the rank test, a Cholesky pivot, the solve's residual) is flagged,
-where a 2-D call raises or, in ``hpd_solve`` alone, falls back to CG.
+check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
+call raises or, in ``hpd_solve`` alone, falls back to CG.
 ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
 when A holds a NaN or infinite entry.
 """
@@ -63,85 +63,67 @@ def _products(stacked: bool):
     return _qops.qmatmul_stack if stacked else _qops.qmatmul
 
 
-def thin_qr(Y: QMatrix | np.ndarray, rank_tol: float = 1e-12):
+def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
     """Householder QR of a tall matrix; R diagonal made real positive.
 
-    For a QMatrix returns QRFactors and raises RankDeficient when the
-    smallest diagonal of R falls below rank_tol * ||Y||_F (caller typically
-    redraws its sketch). Y may also be a stack of s matrices, an
-    (s, m, r, 4) array, factored in one pass, each item bitwise as alone:
-    the result is then the arrays (Q, R, ok) of shapes (s, m, r, 4),
-    (s, r, r, 4) and (s,), where ok is False for an item that would have
-    raised (its Q and R are then meaningless).
+    Raises RankDeficient when the smallest diagonal of R falls below
+    rank_tol * ||Y||_F (caller typically redraws its sketch).
     """
-    stacked = not isinstance(Y, QMatrix)
-    mm = _products(stacked)
-    W = (Y if stacked else Y.data).copy()
-    lead = W.shape[:-3]
-    m, r = W.shape[-3:-1]
+    W = Y.data.copy()
+    m, r = Y.shape
     if m < r:
         raise RankDeficient("thin_qr requires m >= r")
-    scale = _fro(W, lead)
+    scale = _fro(W, ())
     reflectors = []
     for k in range(r):
-        # each item takes its step, or skips it at a zero column, as alone
-        x = W[..., k:, k, :]
-        normx = _fro(x, lead)
-        x1 = x[..., 0, :]
+        # a zero column skips its step
+        x = W[k:, k, :]
+        normx = _fro(x, ())
+        x1 = x[0]
         ax1 = np.sqrt((x1 * x1).sum(-1))
-        phi = np.zeros(lead + (4,))
-        phi[..., 0] = 1.0
-        np.divide(x1, ax1[..., None], out=phi, where=ax1[..., None] > 0)
+        phi = x1 / ax1 if ax1 > 0 else np.array([1.0, 0.0, 0.0, 0.0])
         v = x.copy()
-        v[..., 0, :] += phi * normx[..., None]
-        vns = (v * v).reshape(lead + (-1,)).sum(-1)
-        act = (normx != 0.0) & (vns != 0.0)
-        if not _any(act):
+        v[0] += phi * normx
+        vns = (v * v).sum()
+        if normx == 0.0 or vns == 0.0:
             continue
-        act4 = act[..., None, None, None]
-        vcol = v[..., None, :]
-        vH = _qops.qconj(v)[..., None, :, :]
-        c = (2.0 / np.where(act, vns, 1.0))[..., None, None, None]
-        Wk = W[..., k:, k:, :]
-        np.subtract(Wk, c * mm(vcol, mm(vH, Wk)), out=Wk, where=act4)
+        vcol = v[:, None, :]
+        vH = _qops.qconj(v)[None, :, :]
+        c = 2.0 / vns
+        Wk = W[k:, k:, :]
+        Wk -= c * _qops.qmatmul(vcol, _qops.qmatmul(vH, Wk))
         # reflector maps the column to -phi*normx * e1 exactly
-        np.copyto(W[..., k, k, :], -phi * normx[..., None],
-                  where=act[..., None])
-        np.copyto(W[..., k + 1:, k, :], 0.0, where=act[..., None, None])
-        reflectors.append((k, vcol, vH, c, act4))
+        W[k, k, :] = -phi * normx
+        W[k + 1:, k, :] = 0.0
+        reflectors.append((k, vcol, vH, c))
 
     # unit quaternions d_k = conj(R_kk) / |R_kk| make the diagonal real
     # positive: R <- diag(d) R and Q <- Q diag(conj(d)); a zero R_kk keeps
     # d_k = 1 and its row is left as it is
-    Rdat = W[..., :r, :, :].copy()
+    Rdat = W[:r].copy()
     ks = np.arange(r)
-    rkk = Rdat[..., ks, ks, :]
+    rkk = Rdat[ks, ks, :]
     mag = np.sqrt((rkk * rkk).sum(-1))
     nz = mag != 0.0
-    D = np.zeros(lead + (r, 4))
-    D[..., 0] = 1.0
+    D = np.zeros((r, 4))
+    D[:, 0] = 1.0
     D[nz] = _qops.qconj(rkk[nz]) / mag[nz][:, None]
     Rdat[nz] = _qops.qmul(D[nz][:, None, :], Rdat[nz])
-    diag = np.nonzero(nz)
-    diag += (diag[-1],)
-    Rdat[diag] = 0.0
-    Rdat[diag + (0,)] = mag[nz]
+    diag = np.nonzero(nz)[0]
+    Rdat[diag, diag] = 0.0
+    Rdat[diag, diag, 0] = mag[nz]
 
-    dmin = Rdat[..., ks, ks, 0].min(-1)
-    ok = ~(dmin <= rank_tol * np.maximum(scale, 1e-300))
-    if not stacked and not ok:
+    dmin = Rdat[ks, ks, 0].min()
+    if dmin <= rank_tol * max(scale, 1e-300):
         raise RankDeficient(
             f"R diagonal {dmin:.3e} <= {rank_tol:.1e} * {scale:.3e}")
 
-    Qdat = np.zeros(lead + (m, r, 4))
-    Qdat[..., ks, ks, 0] = 1.0
-    for k, vcol, vH, c, act4 in reversed(reflectors):
-        Qk = Qdat[..., k:, :, :]
-        np.subtract(Qk, c * mm(vcol, mm(vH, Qk)), out=Qk, where=act4)
-    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[..., None, :, :])
-
-    if stacked:
-        return Qdat, Rdat, ok
+    Qdat = np.zeros((m, r, 4))
+    Qdat[ks, ks, 0] = 1.0
+    for k, vcol, vH, c in reversed(reflectors):
+        Qk = Qdat[k:]
+        Qk -= c * _qops.qmatmul(vcol, _qops.qmatmul(vH, Qk))
+    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[None, :, :])
     return QRFactors(Q=QMatrix(Qdat), R=QMatrix(Rdat))
 
 

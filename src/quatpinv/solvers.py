@@ -27,14 +27,13 @@ The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
 order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
-(s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by thin QR, or for rsp_row by
-the Gram solve. A block holds at most 8192 quaternion entries of
-max(m, n) x r sketches. Only the two products with the iterate remain in
-the step: X + (Omega - X Y) Y^+. Both routes keep one rule: a sketch whose
-factorization fails its check (the R diagonal's rank test, or the Gram
-matrix's Cholesky pivot or residual test) is rejected when its block is
-formed, and the step that reaches it draws the next; 10 rejected in a
-row raise SketchFailure.
+(s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by the Gram solve of
+Y^H Y + 1e-10 I against Y^H. A block holds at most 8192 quaternion entries
+of max(m, n) x r sketches. Only the two products with the iterate remain
+in the step: X + (Omega - X Y) Y^+. A sketch whose Gram matrix fails its
+Cholesky pivot or residual check is rejected when its block is formed,
+and the step that reaches it draws the next; 10 rejected in a row raise
+SketchFailure.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ import numpy as np
 
 from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
-                     RankDeficient, SketchFailure)
-from .factor import (_right_factor, hpd_solve, pinv_normal_eq,
-                     solve_upper_triangular, thin_qr)
+                     NonFinite, RankDeficient, SketchFailure)
+from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
 from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -189,11 +187,12 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
 
     Before each step k = 0..maxit, measure(state) returns (residual, aux);
     the run stops at the first residual <= tol or after maxit steps, and
-    otherwise step(state, aux) returns the next state. With diverge, a
-    residual >= 10x the initial one for 5 consecutive measures raises
-    Divergence. wall_time runs from t0 (default: entry), so a caller can
-    time its own setup. Returns (state, last aux, SolverReport) with the
-    Penrose residuals left at zero for the caller to fill in.
+    otherwise step(state, aux) returns the next state. A NaN or infinite
+    residual raises NonFinite at once. With diverge, a residual >= 10x the
+    initial one for 5 consecutive measures raises Divergence. wall_time
+    runs from t0 (default: entry), so a caller can time its own setup.
+    Returns (state, last aux, SolverReport) with the Penrose residuals
+    left at zero for the caller to fill in.
     """
     if t0 is None:
         t0 = time.perf_counter()
@@ -203,6 +202,8 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
     run = 0
     for k in range(maxit + 1):
         res, aux = measure(state)
+        if not math.isfinite(res):
+            raise NonFinite(f"residual {res} at iteration {k}")
         history.append((k, res))
         if diverge and k > 0 and \
                 res >= _DIVERGE_FACTOR * max(history[0][1], 1e-300):
@@ -419,16 +420,15 @@ class _SketchStream:
     it, ``block`` sketches at a time in one stacked pass; none of it
     depends on the iterate, and every array is bitwise what the step would
     form from that sketch alone. A sketch is (Omega, Y, Y^+) with
-    Omega n x r and Y = A Omega; Y^+ is R^{-1} Q^H from the thin QR of Y,
-    or with gram the solve of Y^H Y against Y^H (``hpd_solve`` of the
-    stack). Y^+ is None for a rejected sketch, one whose R fails the rank
-    test or whose Gram matrix fails its Cholesky pivot or residual check;
-    the step draws the next one instead.
+    Omega n x r and Y = A Omega; Y^+ is the solve of Y^H Y + 1e-10 I
+    against Y^H (``hpd_solve`` of the stack). Y^+ is None for a rejected
+    sketch, one whose Gram matrix fails its Cholesky pivot or residual
+    check; the step draws the next one instead.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
-                 block: int | None = None, gram: bool = False):
-        self.A, self.sk, self.rng, self.gram = A, sk, rng, gram
+                 block: int | None = None):
+        self.A, self.sk, self.rng = A, sk, rng
         if block is None:
             block = _AHEAD_ENTRIES // (max(A.shape) * sk.block_r)
         self.block = max(1, min(_AHEAD, block))
@@ -443,16 +443,8 @@ class _SketchStream:
         Om = np.stack([self.rng.normals((self.A.cols, self.sk.block_r, 4))
                        for _ in range(self.block)])
         Y = _qops.qmatmul_stack(self.A.data, Om)
-        if self.gram:
-            Yh = _qops.qconj(Y.swapaxes(1, 2))
-            Ydag, ok = hpd_solve(_qops.qmatmul_stack(Yh, Y), Yh)
-        else:
-            # R^{-1} Q^H over Q^H for the accepted sketches only: a rejected
-            # R may have a zero diagonal
-            Q, R, ok = thin_qr(Y)
-            Ydag = _qops.qconj(Q.swapaxes(1, 2))
-            if ok.any():
-                Ydag[ok] = solve_upper_triangular(R[ok], Ydag[ok])
+        Yh = _qops.qconj(Y.swapaxes(1, 2))
+        Ydag, ok = hpd_solve(_qops.qmatmul_stack(Yh, Y), Yh)
         return [(QMatrix(om), QMatrix(y), QMatrix(yd) if good else None)
                 for om, y, yd, good in zip(Om, Y, Ydag, ok)]
 
@@ -486,16 +478,15 @@ def _require_block(A: QMatrix, sk: SketchConfig) -> None:
 
 
 def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
-                  method: str, step=_update, gram: bool = False):
+                  method: str, step=_update):
     """Sketch-and-project on B, the tall one of A and A^H, through
     _solve_tall: from X0 = alpha B^H, each iteration is step(X, stream)
-    with the solve's sketch stream of B (its Y^+ by the Gram solve with
-    gram, else by thin QR), and the residual is measured on a test sketch
-    of B."""
+    with the solve's sketch stream of B, and the residual is measured on a
+    test sketch of B."""
     def solve(B, alpha, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
-        stream = _SketchStream(B, sk, rng, gram=gram)
+        stream = _SketchStream(B, sk, rng)
         X, _, rep = _drive(method, B.adjoint().scale(alpha),
                            lambda X, _: step(X, stream), measure,
                            cfg.tol, cfg.maxit, t0=t0)
@@ -519,14 +510,14 @@ def rsp_row(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     """Sketch-and-project for AX = I_m (full row rank, m <= n).
 
     A wide A is solved as the column sketch-and-project of its tall
-    adjoint A^H, on the Gram path, and the result is adjointed: the
-    row step X + Z^+ (S^H - Z X) with Z = S^H A is the adjoint of the
-    column step on A^H. A square A is solved directly.
+    adjoint A^H, and the result is adjointed: the row step
+    X + Z^+ (S^H - Z X) with Z = S^H A is the adjoint of the column step
+    on A^H. A square A is solved directly.
     """
     if A.rows > A.cols:
         raise DimensionMismatch("rsp_row requires m <= n")
     _require_block(A, sk)
-    return _sketch_solve(A, cfg, sk, "rsp-row", gram=True)
+    return _sketch_solve(A, cfg, sk, "rsp-row")
 
 
 def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):

@@ -1,11 +1,15 @@
 """Helpers that only the tests and the acceptance criteria call: one
-column sketch-and-project step with its own sketch, the mean one-step
-contraction ratio, the pseudoinverse of a thin QR, and the count of
-square products in a Neumann polynomial."""
+column sketch-and-project step with its own sketch, through the solvers'
+stream or without it, the mean one-step contraction ratio, the
+pseudoinverse of a thin QR or of a Gram solve, and the count of square
+products in a Neumann polynomial."""
 
-from quatpinv import _qops
+import numpy as np
+
+from quatpinv import _qops, factor
+from quatpinv.errors import SketchFailure
 from quatpinv.factor import solve_upper_triangular, thin_qr
-from quatpinv.qmatrix import QMatrix
+from quatpinv.qmatrix import QMatrix, randn_qmat_rng
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SketchConfig, _SketchStream, _update,
                               eval_neumann_poly, rsp_contraction_samples)
@@ -27,6 +31,32 @@ def pinv_from_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QMatrix:
     """Y^dagger = R^{-1} Q^H for numerically full-column-rank Y."""
     f = thin_qr(Y, rank_tol)
     return solve_upper_triangular(f.R, f.Q.adjoint())
+
+
+def gram_pinv(Y: QMatrix) -> QMatrix | None:
+    """Y^+ by the Cholesky solve of Y^H Y + ridge I against Y^H, or None
+    when a pivot or the residual check fails."""
+    Gd = (Y.adjoint() @ Y).data.copy()
+    r = Gd.shape[0]
+    Gd[np.arange(r), np.arange(r), 0] += factor._RIDGE
+    L = factor._cholesky(Gd)
+    if L is None:
+        return None
+    Z, ok = factor._checked_chol_solve(L, Gd, Y.adjoint().data)
+    return QMatrix(Z) if ok else None
+
+
+def ref_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig, rng: QuatRNG,
+                 pinv=gram_pinv) -> QMatrix:
+    """One column sketch-and-project step without the stream, Y^+ =
+    pinv(Y): a sketch whose pinv is None is redrawn, up to 10 times."""
+    for _ in range(10):
+        Omega = randn_qmat_rng(A.cols, sk.block_r, rng)
+        Y = A @ Omega
+        Ydag = pinv(Y)
+        if Ydag is not None:
+            return X + (Omega - X @ Y) @ Ydag
+    raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
 def square_products(R: QMatrix, X: QMatrix, p: int, schedule: str) -> int:

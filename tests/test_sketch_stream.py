@@ -1,14 +1,13 @@
 """The sketch stream against one-sketch-at-a-time stepping.
 
 The references below are sketch-and-project loops without the stream:
-each step draws its own sketch, forms Y = A Omega and Y^+ with the 2-D
-routines, and redraws a rejected sketch, up to 10 times. On the QR route
-Y^+ = R^{-1} Q^H, and a sketch whose R fails the rank test is rejected; on
-the Gram route Y^+ is the Cholesky solve of Y^H Y + ridge I against Y^H,
+each step (``rsp_helpers.ref_col_step``) draws its own sketch, forms
+Y = A Omega and Y^+ with the 2-D routines, and redraws a rejected sketch,
+up to 10 times. Y^+ is the Cholesky solve of Y^H Y + ridge I against Y^H,
 and a sketch whose pivot or residual check fails is rejected. rsp_row's
-reference is the Gram-route column loop on A^H, adjointed, with alpha
-estimated on A. The references share only the stopping loop `_drive`, the
-test sketch and the 2-D factor routines with the solvers.
+reference is the column loop on A^H, adjointed, with alpha estimated on
+A. The references share only the stopping loop `_drive`, the test sketch
+and the 2-D factor routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
 the same bits: X, iteration count, residual history and Penrose residuals,
 and raise SketchFailure at the same step.
@@ -18,42 +17,13 @@ import numpy as np
 import pytest
 
 from quatpinv import factor, solvers
-from quatpinv.errors import RankDeficient, SketchFailure
-from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
+from quatpinv.errors import SketchFailure
+from quatpinv.qmatrix import randn_qmat
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
                               hybrid_rsp_ns, rsp_column,
                               rsp_contraction_samples, rsp_row)
-from rsp_helpers import _rsp_col_step, pinv_from_qr
-
-
-def _gram_pinv(Y):
-    """Y^+ by the Cholesky solve of Y^H Y + ridge I against Y^H, or None
-    when a pivot or the residual check fails."""
-    Gd = (Y.adjoint() @ Y).data.copy()
-    r = Gd.shape[0]
-    Gd[np.arange(r), np.arange(r), 0] += factor._RIDGE
-    L = factor._cholesky(Gd)
-    if L is None:
-        return None
-    Z, ok = factor._checked_chol_solve(L, Gd, Y.adjoint().data)
-    return QMatrix(Z) if ok else None
-
-
-def _ref_col_step(A, X, sk, rng, gram=False):
-    for _ in range(10):
-        Omega = randn_qmat_rng(A.cols, sk.block_r, rng)
-        Y = A @ Omega
-        if gram:
-            Ydag = _gram_pinv(Y)
-        else:
-            try:
-                Ydag = pinv_from_qr(Y)
-            except RankDeficient:
-                Ydag = None
-        if Ydag is not None:
-            return X + (Omega - X @ Y) @ Ydag
-    raise SketchFailure("10 consecutive rank-deficient sketches")
+from rsp_helpers import _rsp_col_step, ref_col_step
 
 
 def _ref_run(method, A, cfg, sk, step, alpha):
@@ -64,10 +34,9 @@ def _ref_run(method, A, cfg, sk, step, alpha):
     return X, rep
 
 
-def _ref_col_run(method, A, cfg, sk, alpha, gram=False):
+def _ref_col_run(method, A, cfg, sk, alpha):
     return _ref_run(method, A, cfg, sk,
-                    lambda rng: lambda X, _: _ref_col_step(A, X, sk, rng,
-                                                           gram),
+                    lambda rng: lambda X, _: ref_col_step(A, X, sk, rng),
                     alpha)
 
 
@@ -78,7 +47,7 @@ def _ref_rsp_column(A, cfg, sk):
 
 def _ref_rsp_row(A, cfg, sk):
     X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg, sk,
-                          solvers._alpha(A, cfg), gram=True)
+                          solvers._alpha(A, cfg))
     return solvers._verified(A, X.adjoint(), rep)
 
 
@@ -86,7 +55,7 @@ def _ref_hybrid(A, cfg, sk):
     def step(rng):
         def cycle(X, _):
             for _ in range(sk.cycle_T):
-                X = _ref_col_step(A, X, sk, rng)
+                X = ref_col_step(A, X, sk, rng)
             return solvers._ns_step(solvers._deviation(A, X), X, cfg.order,
                                     SCHEDULE_PS)
         return cycle
@@ -100,15 +69,17 @@ def _ref_contraction(A, sk, trials):
     X0 = A.adjoint().scale(solvers.auto_alpha(A))
     d0 = (X0 - Xstar).fro_norm() ** 2
     rng = solvers.QuatRNG(sk.seed)
-    return np.array([(_ref_col_step(A, X0, sk, rng) - Xstar).fro_norm() ** 2
+    return np.array([(ref_col_step(A, X0, sk, rng) - Xstar).fro_norm() ** 2
                      / d0 for _ in range(trials)])
 
 
 class _PlantedRNG(QuatRNG):
     """QuatRNG(seed) whose sketches numbered in bad (0 is the first sketch;
-    draw 0 is the test sketch) come out with their first column zero:
-    Omega then has a zero column, and so has Y = A Omega, which takes
-    thin_qr's skip branch and is rejected as rank deficient."""
+    draw 0 is the test sketch) come out with their first column zero and
+    the others scaled by 1e3: Y = A Omega then has a zero column, so the
+    first Cholesky pivot of Y^H Y + ridge I is the ridge, and the scaling
+    puts the pivot threshold, 1e-14 ||Y^H Y + ridge I||_F, far above it at
+    every size used here. The sketch is rejected."""
 
     def __init__(self, seed, bad=()):
         super().__init__(seed)
@@ -119,6 +90,7 @@ class _PlantedRNG(QuatRNG):
         z = super().normals(shape)
         if self.draws in self.bad:
             z[:, 0] = 0.0
+            z[:, 1:] *= 1e3
         self.draws += 1
         return z
 
@@ -128,9 +100,9 @@ _CHOLESKY = factor._cholesky
 
 
 def _plant(monkeypatch, sk, bad):
-    """Make the sketches numbered in bad fail: on the QR route by a zero
-    column (a rank-deficient Y); on the Gram route of rsp_row by a failed
-    Cholesky pivot, alone or in a stack."""
+    """Make the sketches numbered in bad fail: for rsp_column and hybrid
+    by a zero column (a rank-deficient Y); for rsp_row by a failed Cholesky
+    pivot, alone or in a stack."""
     if sk is not _SK_ROW:
         monkeypatch.setattr(solvers, "QuatRNG",
                             lambda seed: _PlantedRNG(seed, bad))
@@ -260,7 +232,7 @@ def test_rsp_col_step_draws_only_the_sketches_it_uses():
     rng.draws = rng_ref.draws = 1  # no test sketch here
     for _ in range(6):
         X = _rsp_col_step(A, X, sk, rng)
-        Xr = _ref_col_step(A, Xr, sk, rng_ref)
+        Xr = ref_col_step(A, Xr, sk, rng_ref)
         assert X.data.tobytes() == Xr.data.tobytes()
         assert rng.draws == rng_ref.draws
     assert rng.normals((3,)).tobytes() == rng_ref.normals((3,)).tobytes()

@@ -16,7 +16,8 @@ from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               recurrence_deviations, rsp_column,
                               rsp_rate_bound, rsp_row)
 from quatpinv.rng import QuatRNG
-from rsp_helpers import _rsp_col_step, rsp_rate_check, square_products
+from rsp_helpers import (_rsp_col_step, pinv_from_qr, ref_col_step,
+                         rsp_rate_check, square_products)
 
 
 def scalar(x: float) -> QMatrix:
@@ -448,7 +449,7 @@ def test_rsp_row_example():
 
 
 def test_rsp_row_square_converges():
-    # a square A is not flipped: rsp_row runs the Gram-path column solve on A
+    # a square A is not flipped: rsp_row runs the column solve on A
     A = randn_qmat(6, 6, 2)
     X, rep = rsp_row(A, SolverConfig(tol=1e-9, maxit=5000),
                      SketchConfig(block_r=3, seed=3))
@@ -457,14 +458,41 @@ def test_rsp_row_square_converges():
     assert (X - Xref).fro_norm() <= 1e-6 * Xref.fro_norm()
 
 
+def _qr_pinv(Y):
+    """Y^+ = R^{-1} Q^H by thin QR, or None when R fails the rank test."""
+    try:
+        return pinv_from_qr(Y)
+    except RankDeficient:
+        return None
+
+
+def _ridged_qr_pinv(Y):
+    """(Y^H Y + ridge I)^{-1} Y^H by thin QR: the first m columns of the
+    pseudoinverse of [Y; sqrt(ridge) I], or None when R fails the rank
+    test."""
+    m, r = Y.shape
+    root = QMatrix.identity(r).scale(math.sqrt(factor._RIDGE))
+    Ydag = _qr_pinv(QMatrix(np.concatenate([Y.data, root.data])))
+    return None if Ydag is None else QMatrix(Ydag.data[:, :m])
+
+
 def test_rsp_gram_path_matches_qr_path():
-    A = randn_qmat(10, 5, 13)
-    X = A.adjoint().scale(auto_alpha(A))
-    sk = SketchConfig(block_r=3, seed=3)
-    X1 = _rsp_col_step(A, X, sk, QuatRNG(3))
-    X2 = solvers._update(
-        X, solvers._SketchStream(A, sk, QuatRNG(3), block=1, gram=True))
-    assert (X1 - X2).fro_norm() <= 1e-8 * max(X1.fro_norm(), 1.0)
+    # the stream's Gram-route steps against QR-route steps without the
+    # stream, 50 of them. On the 30 x 20 input of the sketch benchmark the
+    # plain R^{-1} Q^H agrees. The 1e-10 ridge alone moves Y^+ by about
+    # ridge / sigma_min(Y)^2 (1.6e-8 on a sketch of the 1e4 input), so there
+    # the QR route solves the same ridged problem
+    geometric = _with_spectrum(30, np.geomspace(1.0, 1e-4, 20), 5)
+    sk = SketchConfig(block_r=8, seed=3)
+    for A, pinv in ((randn_qmat(30, 20, 1), _qr_pinv),
+                    (randn_qmat(30, 20, 1), _ridged_qr_pinv),
+                    (geometric, _ridged_qr_pinv)):
+        X1 = X2 = A.adjoint().scale(auto_alpha(A))
+        rng, stream = QuatRNG(3), solvers._SketchStream(A, sk, QuatRNG(3))
+        for _ in range(50):
+            X1 = ref_col_step(A, X1, sk, rng, pinv)
+            X2 = solvers._update(X2, stream)
+            assert (X1 - X2).fro_norm() <= 1e-8 * X1.fro_norm()
 
 
 def test_rsp_row_rejects_rank_deficient_sketches_as_rsp_column_does():
@@ -753,10 +781,9 @@ _WIDE = {
     "rsp_row": lambda A, c: rsp_row(A, c, _SK_ROW),
 }
 # the tall solve a wide solve adjoints, where it is not the solver itself:
-# rsp_row is the Gram-path column sketch-and-project of A^H
+# rsp_row is the column sketch-and-project of A^H
 _TALL = {
-    "rsp_row": lambda A, c: solvers._sketch_solve(A, c, _SK_ROW, "rsp-row",
-                                                  gram=True),
+    "rsp_row": lambda A, c: solvers._sketch_solve(A, c, _SK_ROW, "rsp-row"),
 }
 
 
@@ -835,6 +862,18 @@ def test_solver_rejects_non_finite(solver, bad):
     A.data[5, 2, 1] = bad
     with pytest.raises(NonFinite):
         _FINITE_ONLY[solver](A)
+
+
+@pytest.mark.parametrize("m, n, seed", [(8, 6, 1), (40, 30, 2)])
+def test_hyperpower_rank_deficient_nan_residual_raises(m, n, seed):
+    # on a rank-3 A the order-8 residual overflows and turns non-finite at
+    # k = 40; the loop once ran on to maxit 100, since NaN >= 10 r0 is false
+    # and reset the divergence guard, and returned a non-finite X
+    A = randn_qmat(m, 3, seed) @ randn_qmat(n, 3, seed + 100).adjoint()
+    cfg = SolverConfig(order=8, schedule=SCHEDULE_PS)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonFinite, match="at iteration 40$"):
+        ns_hyperpower(A, cfg)
 
 
 # ---------------------------------------------------------------------------

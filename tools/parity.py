@@ -19,12 +19,27 @@ change meant to leave every result bitwise unchanged shows an empty diff.
 
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file); neither is modified.
+
+``--against TREE`` compares, call by call, with another checkout, for a
+change that is not meant to keep every bit:
+
+    python3 tools/parity.py --seed 1 --workload sketch --against ../other
+
+It runs the same calls on ``--tree`` and, in a child process, on TREE, and
+prints per call whether the digests (the bits) match, whether the iteration
+counts and the error class match (``same``, or ``a->b`` for TREE's value a
+and this tree's b), and the largest absolute gap between the Penrose
+residuals the two report (``-`` for a call that reports none). A last line
+sums up. The exit status is 1 when any iteration count or error class
+changed, or a call ran on one tree only, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +76,92 @@ def fields(obj, path: str = "r"):
     return [(path, repr(obj))]
 
 
+def reports(obj) -> list:
+    """Every SolverReport in a call's result, in the order fields() sees
+    them."""
+    from quatpinv.solvers import SolverReport
+
+    if isinstance(obj, SolverReport):
+        return [obj]
+    if isinstance(obj, dict):
+        return [r for key in sorted(obj) for r in reports(obj[key])]
+    if isinstance(obj, (tuple, list)):
+        return [r for v in obj for r in reports(v)]
+    return []
+
+
+def run_calls(tree: Path, seed: int, names, methods):
+    """One record per call of the named pools, run on the checkout tree:
+    its key, digest, error class (or None), and the iteration counts and
+    Penrose residuals of its reports."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
+    import workloads
+
+    for name in names:
+        wl = workloads.Workload(name, seed)
+        for i in range(len(wl.pool)):
+            for call in wl.round(i):
+                if methods and call.method not in methods:
+                    continue
+                key = f"{name} {call.input} {call.method}"
+                try:
+                    result = call.run()
+                except workloads.QuatpinvError as exc:
+                    error = type(exc).__name__
+                    yield dict(key=key, digest=f"error={error}", error=error,
+                               iterations=[], penrose=[])
+                    continue
+                reps = reports(result)
+                yield dict(key=key, digest=" ".join(
+                    f"{k}={v}" for k, v in fields(result)), error=None,
+                    iterations=[r.iterations for r in reps],
+                    penrose=[list(r.penrose) for r in reps])
+
+
+def _changed(here, there) -> str:
+    """"same", or "a->b" for there's value a and here's b."""
+    def text(v):
+        if isinstance(v, list):
+            return ",".join(map(str, v)) or "-"
+        return str(v)
+    return "same" if here == there else f"{text(there)}->{text(here)}"
+
+
+def compare(own, other: list) -> int:
+    """Print the per-call comparison of the records own, as they come,
+    against the records other; return the exit status."""
+    theirs = {r["key"]: r for r in other}
+    calls = bad = equal = 0
+    worst = 0.0
+    for r in own:
+        calls += 1
+        t = theirs.pop(r["key"], None)
+        if t is None:
+            print(r["key"], "only-here", flush=True)
+            bad += 1
+            continue
+        gaps = [abs(x - y) for p, q in zip(r["penrose"], t["penrose"])
+                for x, y in zip(p, q)]
+        gap = max(gaps) if gaps else None
+        worst = max(worst, gap or 0.0)
+        iters = _changed(r["iterations"], t["iterations"])
+        error = _changed(r["error"], t["error"])
+        bits = "same" if r["digest"] == t["digest"] else "differ"
+        equal += bits == "same"
+        bad += iters != "same" or error != "same"
+        print(r["key"], f"bits={bits} iterations={iters} error={error} "
+              f"penrose_gap={'-' if gap is None else f'{gap:.3g}'}",
+              flush=True)
+    for key in theirs:
+        print(key, "only-there")
+        bad += 1
+    print(f"# {calls} calls: {equal} bitwise equal, {bad} with a changed "
+          f"iteration count or error class or on one tree only, largest "
+          f"Penrose gap {worst:.3g}")
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
@@ -71,25 +172,26 @@ def main(argv=None) -> int:
     p.add_argument("--method", action="append",
                    help="run only this method's calls, e.g. rsp-row "
                         "(repeatable; default: every method)")
+    p.add_argument("--against", metavar="TREE",
+                   help="compare each call with the checkout TREE")
+    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    tree = Path(args.tree).resolve()
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
-    import workloads
-
-    for name in args.workload or WORKLOADS:
-        wl = workloads.Workload(name, args.seed)
-        for i in range(len(wl.pool)):
-            for call in wl.round(i):
-                if args.method and call.method not in args.method:
-                    continue
-                try:
-                    result = call.run()
-                except workloads.QuatpinvError as exc:
-                    digest = f"error={type(exc).__name__}"
-                else:
-                    digest = " ".join(f"{k}={v}" for k, v in fields(result))
-                print(name, call.input, call.method, digest, flush=True)
+    names = args.workload or WORKLOADS
+    if args.against:
+        cmd = [sys.executable, __file__, "--seed", str(args.seed), "--json",
+               "--tree", str(Path(args.against).resolve())]
+        cmd += [f"--workload={n}" for n in names]
+        cmd += [f"--method={m}" for m in args.method or ()]
+        out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                             check=True).stdout
+        other = [json.loads(line) for line in out.splitlines()]
+    records = run_calls(Path(args.tree).resolve(), args.seed, names,
+                        args.method)
+    if args.against:
+        return compare(records, other)
+    for r in records:
+        print(json.dumps(r) if args.json else f"{r['key']} {r['digest']}",
+              flush=True)
     return 0
 
 
