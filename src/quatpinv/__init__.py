@@ -11,7 +11,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     _os.environ.setdefault(_var, _threads)
 
-from .quaternion import Quaternion
 from .qmatrix import QMatrix, op_norm_est, randn_qmat
 
-__all__ = ["Quaternion", "QMatrix", "randn_qmat", "op_norm_est"]
+__all__ = ["QMatrix", "randn_qmat", "op_norm_est"]

@@ -1,4 +1,4 @@
-"""Quaternion color images, PPM I/O and PSNR.
+"""Quaternion color images, a PPM writer and PSNR.
 
 A color image lives on the imaginary axes of an H x W quaternion field:
 red on i, green on j, blue on k, real part zero. Pixel values are in
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import DimensionMismatch, StructureViolation
+from ..errors import DimensionMismatch
 from ..qmatrix import QMatrix
 
 PSNR_CAP_DB = 200.0
@@ -29,15 +29,9 @@ def qmat_to_image(A: QMatrix) -> np.ndarray:
     return A.data[..., 1:].copy()
 
 
-def psnr(ref, test) -> float:
-    """10*log10(1/MSE) at dynamic range 1.0; identical images cap at 200 dB.
-
-    Accepts (H, W, 3) arrays or quaternion images (compared over i, j, k).
-    """
-    if isinstance(ref, QMatrix):
-        ref = qmat_to_image(ref)
-    if isinstance(test, QMatrix):
-        test = qmat_to_image(test)
+def psnr(ref: np.ndarray, test: np.ndarray) -> float:
+    """10*log10(1/MSE) at dynamic range 1.0 of two (H, W, 3) arrays;
+    identical images cap at 200 dB."""
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
@@ -59,31 +53,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 file into an (H, W, 3) array in [0, 1]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P6":
-        raise StructureViolation("not a P6 PPM file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pos += 1  # single whitespace after maxval
-    body = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=pos)
-    return body.reshape(h, w, 3).astype(np.float64) / float(maxval)
 
 
 def synthetic_image(n: int, seed: int = 0) -> np.ndarray:

@@ -9,14 +9,6 @@ class DimensionMismatch(QuatpinvError):
     pass
 
 
-class DivisionByZero(QuatpinvError):
-    pass
-
-
-class StructureViolation(QuatpinvError):
-    """Complex input lacks the adjoint-block symmetry."""
-
-
 class RankDeficient(QuatpinvError):
     """Factorization detected numerical rank deficiency."""
 

@@ -22,9 +22,7 @@ import math
 import numpy as np
 
 from . import _qops
-from .errors import (DimensionMismatch, NonFinite, NonPowerOfTwo,
-                     StructureViolation)
-from .quaternion import Quaternion
+from .errors import DimensionMismatch, NonFinite, NonPowerOfTwo
 from .rng import QuatRNG
 
 
@@ -56,21 +54,6 @@ class QMatrix:
         d[..., 0] = x
         return QMatrix(d)
 
-    @staticmethod
-    def from_components(a, b, c, d) -> "QMatrix":
-        return QMatrix(np.stack([a, b, c, d], axis=-1).astype(np.float64))
-
-    @staticmethod
-    def from_entries(rows) -> "QMatrix":
-        """Build from a nested list of Quaternion scalars."""
-        m = len(rows)
-        n = len(rows[0])
-        d = np.zeros((m, n, 4))
-        for i, row in enumerate(rows):
-            for j, q in enumerate(row):
-                d[i, j] = (q.a, q.b, q.c, q.d)
-        return QMatrix(d)
-
     # -- shape and access ---------------------------------------------------
 
     @property
@@ -85,11 +68,6 @@ class QMatrix:
     def shape(self):
         return (self.data.shape[0], self.data.shape[1])
 
-    def __getitem__(self, ij) -> Quaternion:
-        i, j = ij
-        a, b, c, d = self.data[i, j]
-        return Quaternion(a, b, c, d)
-
     def copy(self) -> "QMatrix":
         return QMatrix(self.data.copy())
 
@@ -103,9 +81,6 @@ class QMatrix:
         self._check_same_shape(other)
         return QMatrix(self.data - other.data)
 
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.data)
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -116,23 +91,9 @@ class QMatrix:
         """Multiply every entry by a real scalar."""
         return QMatrix(self.data * float(s))
 
-    def scale_left(self, q: Quaternion) -> "QMatrix":
-        """q * A (scalar on the left of every entry)."""
-        qa = np.array([q.a, q.b, q.c, q.d])
-        return QMatrix(_qops.qmul(qa, self.data))
-
-    def scale_right(self, q: Quaternion) -> "QMatrix":
-        """A * q (scalar on the right of every entry)."""
-        qa = np.array([q.a, q.b, q.c, q.d])
-        return QMatrix(_qops.qmul(self.data, qa))
-
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose A^H; reverses products: (AB)^H = B^H A^H."""
         return QMatrix(_qops.qconj(self.data.transpose(1, 0, 2)))
-
-    def hadamard(self, other: "QMatrix") -> "QMatrix":
-        self._check_same_shape(other)
-        return QMatrix(_qops.qmul(self.data, other.data))
 
     def mask(self, mask: np.ndarray) -> "QMatrix":
         """Entrywise product with a real (m, n) mask."""
@@ -152,10 +113,6 @@ class QMatrix:
     def fro_norm(self) -> float:
         return math.sqrt((self.data * self.data).sum())
 
-    def abs2(self) -> np.ndarray:
-        """Entrywise squared magnitudes, real (m, n)."""
-        return _qops.qnormsq(self.data)
-
     # -- embedding ----------------------------------------------------------
 
     def to_complex_adjoint(self) -> np.ndarray:
@@ -171,48 +128,6 @@ class QMatrix:
         out[1::2, 0::2] = -c + 1j * d
         out[1::2, 1::2] = a - 1j * b
         return out
-
-    @staticmethod
-    def from_complex_adjoint(cmat: np.ndarray,
-                             tol: float = 1e-8) -> "QMatrix":
-        """Invert the embedding; raises StructureViolation on asymmetry."""
-        cmat = np.asarray(cmat, dtype=np.complex128)
-        if cmat.ndim != 2 or cmat.shape[0] % 2 or cmat.shape[1] % 2:
-            raise DimensionMismatch("embedding must have even dimensions")
-        z1 = cmat[0::2, 0::2]
-        z2 = cmat[0::2, 1::2]
-        z3 = cmat[1::2, 0::2]
-        z4 = cmat[1::2, 1::2]
-        scale = np.linalg.norm(cmat)
-        viol = np.sqrt(np.sum(np.abs(z4 - z1.conj()) ** 2)
-                       + np.sum(np.abs(z3 + z2.conj()) ** 2))
-        if viol > tol * max(scale, 1e-300):
-            raise StructureViolation(
-                f"adjoint-block symmetry violated: {viol:.3e} > {tol:.1e}*{scale:.3e}")
-        return QMatrix.from_components(z1.real, z1.imag, z2.real, z2.imag)
-
-    # -- I/O ----------------------------------------------------------------
-
-    def save_text(self, path) -> None:
-        """Plain text format: header 'QMAT m n', then m*n lines 'a b c d'."""
-        m, n = self.shape
-        flat = self.data.reshape(m * n, 4)
-        with open(path, "w") as fh:
-            fh.write(f"QMAT {m} {n}\n")
-            for row in flat:
-                fh.write("%.17g %.17g %.17g %.17g\n" % tuple(row))
-
-    @staticmethod
-    def load_text(path) -> "QMatrix":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or header[0] != "QMAT":
-                raise StructureViolation("bad QMAT header")
-            m, n = int(header[1]), int(header[2])
-            vals = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        if vals.shape != (m * n, 4):
-            raise StructureViolation("QMAT body size differs from header")
-        return QMatrix(vals.reshape(m, n, 4))
 
     # -- misc ---------------------------------------------------------------
 
@@ -235,18 +150,21 @@ def randn_qmat_rng(m: int, n: int, rng: QuatRNG) -> QMatrix:
     return QMatrix(rng.normals((m, n, 4)))
 
 
-def op_norm_est(A: QMatrix, iters: int = 20, seed: int = 0) -> float:
-    """Operator 2-norm estimate by power iteration on A^H A."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+_POWER_ITERS = 20
+_POWER_SEED = 0
+
+
+def op_norm_est(A: QMatrix) -> float:
+    """Operator 2-norm estimate by _POWER_ITERS steps of power iteration on
+    A^H A, from a start vector drawn with seed _POWER_SEED."""
     nrm = A.fro_norm()
     if nrm == 0.0:
         return 0.0
-    rng = QuatRNG(seed)
+    rng = QuatRNG(_POWER_SEED)
     v = QMatrix(rng.normals((A.cols, 1, 4)))
     Ah = A.adjoint()
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = A @ v
         wn = w.fro_norm()
         if wn == 0.0:
@@ -258,21 +176,6 @@ def op_norm_est(A: QMatrix, iters: int = 20, seed: int = 0) -> float:
             return est
         v = v.scale(1.0 / vn)
     return est
-
-
-def pad_pow2(x: np.ndarray) -> np.ndarray:
-    """Zero-pad a 2-D real array up to the next powers of two."""
-    h, w = x.shape
-
-    def up(v):
-        p = 1
-        while p < v:
-            p *= 2
-        return p
-
-    out = np.zeros((up(h), up(w)), dtype=x.dtype)
-    out[:h, :w] = x
-    return out
 
 
 def require_pow2(n: int) -> None:

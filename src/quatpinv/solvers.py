@@ -103,6 +103,11 @@ class SketchConfig:
 
 @dataclass
 class SolverReport:
+    """What a solve did. wall_time (s) starts in _solve_tall, after
+    auto_alpha, and stops before the Penrose check, so it leaves out both;
+    it covers cgne_q's Nystrom set-up and its forming of M and X, and the
+    sketch solvers' test sketch. lorenz_solve_ns starts it before
+    auto_alpha."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)

@@ -2,10 +2,13 @@
 
 ``perfbench/spans.py``'s ``Tracer.install`` looks up every target with
 ``getattr``, so a renamed or deleted target would crash every traced run;
-the ``sketch`` workload calls ``cgne_q`` with ``precond=``. The harness
-file is loaded by path and is not modified.
+``perfbench/workloads.py`` calls the library through the names it imports
+and the attributes of the modules it imports, so a deleted one would fail
+every call of a workload; the ``sketch`` workload calls ``cgne_q`` with
+``precond=``. The harness files are loaded by path and are not modified.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +16,9 @@ from pathlib import Path
 
 from quatpinv import solvers
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _spans():
@@ -29,6 +34,36 @@ def test_every_traced_target_resolves():
     for modname, attr in targets:
         assert callable(getattr(importlib.import_module(modname), attr)), \
             f"{modname}.{attr}"
+
+
+def _resolve(module: str, name: str):
+    """module.name, an attribute or a submodule, as ``from module import
+    name`` finds it."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def test_every_library_name_the_workloads_use_resolves():
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                node.module.split(".")[0] == "quatpinv":
+            for alias in node.names:
+                obj = _resolve(node.module, alias.name)
+                if inspect.ismodule(obj):
+                    modules[alias.asname or alias.name] = obj
+    assert {"solvers", "factor", "images", "completion", "deblur",
+            "lorenz"} <= set(modules)
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
+               if not hasattr(modules[mod], attr)]
+    assert not missing, missing
 
 
 def test_cgne_takes_the_precond_keyword():

@@ -9,11 +9,20 @@ from quatpinv import _qops, factor, solvers
 from quatpinv._qops import qconj, qmatmul, qmul
 from quatpinv.apps import completion
 from quatpinv.qmatrix import randn_qmat
-from quatpinv.quaternion import Quaternion
 from quatpinv.rng import QuatRNG
 
 # Small-integer entries keep every partial sum exact in float64, so any
 # summation order must reproduce the scalar loop bit for bit.
+
+
+def hamilton(p, q) -> tuple:
+    """The scalar Hamilton product p*q of two (a, b, c, d) quaternions."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
 
 
 def loop_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -22,10 +31,11 @@ def loop_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros((m, n, 4))
     for i in range(m):
         for j in range(n):
-            acc = Quaternion()
+            acc = (0.0, 0.0, 0.0, 0.0)
             for p in range(k):
-                acc = acc + Quaternion(*x[i, p]) * Quaternion(*y[p, j])
-            out[i, j] = (acc.a, acc.b, acc.c, acc.d)
+                acc = tuple(s + t for s, t in
+                            zip(acc, hamilton(x[i, p], y[p, j])))
+            out[i, j] = acc
     return out
 
 

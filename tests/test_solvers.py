@@ -53,7 +53,7 @@ def test_ns_scalar_exact_start():
     # A = [2], alpha = 0.25: X0 = 0.5 = A+, F0 = 0, done at iteration 0
     X, rep = ns_damped(scalar(2.0), SolverConfig(alpha=0.25))
     assert rep.converged and rep.iterations == 0
-    assert X[0, 0].a == pytest.approx(0.5)
+    assert X.data[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_ns_scalar_damped_residual():
@@ -575,7 +575,7 @@ def test_hybrid_converges():
 def test_cgne_scalar():
     X, rep = cgne_q(scalar(2.0), SolverConfig(tol=1e-14, maxit=5))
     assert rep.converged
-    assert X[0, 0].a == pytest.approx(0.5)
+    assert X.data[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_cgne_one_step_orthonormal():
