@@ -4,7 +4,8 @@ Five solver families live here:
 
 * damped Newton-Schulz (order 2, damping gamma in (0, 1]),
 * order-p hyperpower updates with three polynomial schedules,
-* randomized sketch-and-project (column and row variants),
+* randomized sketch-and-project (column and row variants), with
+  heavy-ball momentum,
 * a hybrid that interleaves sketch-and-project steps with one exact
   hyperpower correction,
 * conjugate gradient on the normal equations in matrix form, run on n x n
@@ -34,6 +35,14 @@ in the step: X + (Omega - X Y) Y^+. A sketch whose Gram matrix fails its
 Cholesky pivot or residual check is rejected when its block is formed,
 and the step that reaches it draws the next; 10 rejected in a row raise
 SketchFailure.
+
+rsp_column and rsp_row depart from the paper's plain RSP-Q: they add
+heavy-ball momentum, X_{k+1} = SP(X_k) + beta (X_k - X_{k-1}) with SP the
+plain step (Loizou & Richtarik, Comput. Optim. Appl. 77, 2020). beta is 0
+for the first 10 steps and then min(0.45, 0.6 (1 - sqrt(1 - rho))^2),
+rho = (r_10 / r_0)^(1/10) the rate of the run's own test-sketch residual,
+and the divergence guard is on. hybrid_rsp_ns, the step _update and the
+rate diagnostic rsp_contraction_samples stay plain.
 """
 
 from __future__ import annotations
@@ -467,13 +476,15 @@ def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG):
     """Relative residual on a fixed Gaussian test sketch Pi, with A Pi
     precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
-    ||I_n - XA||_F."""
+    ||I_n - XA||_F. The residual is also the measure's aux, for the step
+    that sets the momentum from it."""
     Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
     APi = A @ Pi
     pi_norm = Pi.fro_norm()
 
     def measure(X):
-        return (Pi - X @ APi).fro_norm() / pi_norm, None
+        res = (Pi - X @ APi).fro_norm() / pi_norm
+        return res, res
     return measure
 
 
@@ -482,19 +493,63 @@ def _require_block(A: QMatrix, sk: SketchConfig) -> None:
         raise ValueError("block_r must be <= min(m, n)")
 
 
+# the momentum rule of rsp_column and rsp_row (module docstring): the
+# heavy-ball optimum (1 - sqrt(1 - rho))^2 for the rate rho of the first
+# _PLAIN_STEPS steps, shrunk and capped, since the stochastic iteration
+# diverges from beta ~ 0.7; a fixed beta slows the shapes that converge fast
+_PLAIN_STEPS = 10
+_BETA_SHRINK = 0.6
+_BETA_CAP = 0.45
+
+
+def _momentum(r0: float, r: float) -> float:
+    rate = min(1.0, (r / r0) ** (1.0 / _PLAIN_STEPS))
+    return min(_BETA_CAP, _BETA_SHRINK * (1.0 - math.sqrt(1.0 - rate)) ** 2)
+
+
+def _heavy_ball(stream: _SketchStream):
+    """The step of rsp_column and rsp_row on the state (X_k, X_{k-1}, k,
+    r_0, beta): X_{k+1} = _update(X_k) + beta (X_k - X_{k-1}), with beta 0
+    for the first _PLAIN_STEPS steps and set by _momentum from the
+    residuals r_0 and r_10 at k = 10. X_{k-1} is the loop's own array, and
+    beta (X_k - X_{k-1}) is formed in its buffer."""
+    def step(state, res):
+        X, X_prev, k, r0, beta = state
+        if k == 0:
+            r0 = res
+        elif k == _PLAIN_STEPS:
+            beta = _momentum(r0, res)
+        X_next = _update(X, stream)
+        if beta:
+            D = X_prev.data
+            np.subtract(X.data, D, out=D)
+            np.multiply(D, beta, out=D)
+            np.add(X_next.data, D, out=X_next.data)
+        return X_next, X, k + 1, r0, beta
+    return step
+
+
 def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
-                  method: str, step=_update):
+                  method: str, cycle=None):
     """Sketch-and-project on B, the tall one of A and A^H, through
-    _solve_tall: from X0 = alpha B^H, each iteration is step(X, stream)
-    with the solve's sketch stream of B, and the residual is measured on a
-    test sketch of B."""
+    _solve_tall, from X0 = alpha B^H, with the solve's sketch stream of B
+    and the residual measured on a test sketch of B. Without cycle, each
+    iteration is the heavy-ball step (_heavy_ball), under the divergence
+    guard; with it, each iteration is cycle(X, stream)."""
     def solve(B, alpha, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
         stream = _SketchStream(B, sk, rng)
-        X, _, rep = _drive(method, B.adjoint().scale(alpha),
-                           lambda X, _: step(X, stream), measure,
-                           cfg.tol, cfg.maxit, t0=t0)
+        # X0 is built in each call, so that no name keeps it alive
+        if cycle is not None:
+            X, _, rep = _drive(method, B.adjoint().scale(alpha),
+                               lambda X, _: cycle(X, stream), measure,
+                               cfg.tol, cfg.maxit, t0=t0)
+            return X, rep
+        (X, *_), _, rep = _drive(
+            method, (B.adjoint().scale(alpha), None, 0, None, 0.0),
+            _heavy_ball(stream), lambda state: measure(state[0]), cfg.tol,
+            cfg.maxit, diverge=True, t0=t0)
         return X, rep
     return _solve_tall(A, cfg, method, solve)
 

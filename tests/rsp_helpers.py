@@ -1,6 +1,7 @@
-"""Helpers that only the tests and the acceptance criteria call: one
-column sketch-and-project step with its own sketch, through the solvers'
-stream or without it, the mean one-step contraction ratio, the
+"""Helpers that only the tests, the acceptance criteria and
+tools/rsp_sweep.py call: one column sketch-and-project step with its own
+sketch, through the solvers' stream or without it, the sketch-and-project
+solve with the plain step, the mean one-step contraction ratio, the
 pseudoinverse of a thin QR or of a Gram solve, and the count of square
 products in a Neumann polynomial."""
 
@@ -11,8 +12,9 @@ from quatpinv.errors import SketchFailure
 from quatpinv.factor import solve_upper_triangular, thin_qr
 from quatpinv.qmatrix import QMatrix, randn_qmat_rng
 from quatpinv.rng import QuatRNG
-from quatpinv.solvers import (SketchConfig, _SketchStream, _update,
-                              eval_neumann_poly, rsp_contraction_samples)
+from quatpinv.solvers import (SketchConfig, SolverConfig, _sketch_solve,
+                              _SketchStream, _update, eval_neumann_poly,
+                              rsp_contraction_samples)
 
 
 def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
@@ -20,6 +22,13 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
     """One column sketch-and-project update; redraws rank-deficient
     sketches, and draws from rng only the sketches it uses."""
     return _update(X, _SketchStream(A, sk, rng, block=1))
+
+
+def plain_rsp(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
+    """rsp_column, or rsp_row for a wide A, without momentum: the paper's
+    RSP-Q, each step one plain _update, with the solvers' sketch stream,
+    test sketch and stopping loop."""
+    return _sketch_solve(A, cfg, sk, "rsp-plain", _update)
 
 
 def rsp_rate_check(A: QMatrix, sk: SketchConfig, trials: int) -> float:

@@ -6,12 +6,15 @@ Y = A Omega and Y^+ with the 2-D routines, and redraws a rejected sketch,
 up to 10 times. Y^+ is the Cholesky solve of Y^H Y + ridge I against Y^H,
 and a sketch whose pivot or residual check fails is rejected. rsp_row's
 reference is the column loop on A^H, adjointed, with alpha estimated on
-A. The references share only the stopping loop `_drive`, the test sketch
-and the 2-D factor routines with the solvers.
+A. Both add the solvers' heavy-ball momentum, with its rule for beta
+written out again here. The references share only the stopping loop
+`_drive`, the test sketch and the 2-D factor routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
 the same bits: X, iteration count, residual history and Penrose residuals,
 and raise SketchFailure at the same step.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,9 +38,25 @@ def _ref_run(method, A, cfg, sk, step, alpha):
 
 
 def _ref_col_run(method, A, cfg, sk, alpha):
-    return _ref_run(method, A, cfg, sk,
-                    lambda rng: lambda X, _: ref_col_step(A, X, sk, rng),
-                    alpha)
+    def step(rng):
+        # heavy-ball momentum: 10 plain steps, then X + beta (X - X_prev)
+        # added to each step, beta set once from the residuals r_0 and r_10
+        # that the steps are handed
+        seen, prev = [], [None]
+
+        def heavy_ball(X, res):
+            seen.append(res)
+            beta = 0.0
+            if len(seen) > 10:
+                rate = min(1.0, (seen[10] / seen[0]) ** 0.1)
+                beta = min(0.45, 0.6 * (1.0 - math.sqrt(1.0 - rate)) ** 2)
+            X_next = ref_col_step(A, X, sk, rng)
+            if beta:
+                X_next = X_next + (X - prev[0]).scale(beta)
+            prev[0] = X
+            return X_next
+        return heavy_ball
+    return _ref_run(method, A, cfg, sk, step, alpha)
 
 
 def _ref_rsp_column(A, cfg, sk):
