@@ -9,11 +9,11 @@ component of one operand:
   (unit s) * y[p, q], that is one component of y or its negative; the
   four (m, 4n) products are added in the order s = 0..3 and reshape to
   the (m, n, 4) result;
-* when x is the smaller operand (the 1 x k rows of the triangular solves
-  and the Householder updates), the roles swap: for each component u of
-  y, a (4m, k) block of signed components of x times the (k, n) plane of
-  y; one batched product gives all four, and their terms are then added
-  in the order of the components of x.
+* when x is the smaller operand (the 1 x k rows of the triangular and
+  Cholesky solves), the roles swap: for each component u of y, a (4m, k)
+  block of signed components of x times the (k, n) plane of y; one
+  batched product gives all four, and their terms are then added in the
+  order of the components of x.
 
 The side is picked from the shapes alone, as the one that moves fewer
 elements. Either way each output component is summed as the Hamilton

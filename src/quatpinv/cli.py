@@ -25,14 +25,23 @@ from .errors import QuatpinvError
 from .factor import pinv_normal_eq, pinv_qsvd
 from .qmatrix import QMatrix, randn_qmat
 from .rng import QuatRNG
-from .solvers import (SCHEDULES, SketchConfig, SolverConfig, SolverReport,
-                      cgne_q, hybrid_rsp_ns, ns_damped, ns_hyperpower,
+from .solvers import (SCHEDULES, SketchConfig, SolverConfig, cgne_q,
+                      hybrid_rsp_ns, ns_damped, ns_hyperpower,
                       penrose_residuals, recurrence_deviations, rsp_column,
                       rsp_row)
 
 SOLVER_HEADER = "method,m,n,seed,iters,wall_s,e1,e2,e3,e4,final_residual"
 APP_HEADER = "app,param-set,iters,wall_s,psnr_db,residual"
 RECURRENCE_HEADER = "variant,param,iter,deviation"
+
+
+def _solver_row(method, A, seed, iters, wall, penrose=(np.nan,) * 4,
+                final=np.nan):
+    """One SOLVER_HEADER row; a failed run's row has iters -1, the seconds
+    it ran for and nan residuals."""
+    return (f"{method},{A.rows},{A.cols},{seed},{iters},{wall:.6f},"
+            + ",".join(f"{e:.17g}" for e in (*penrose, final)))
+
 
 PINV_METHODS = ("ns", "hyperpower", "cgne", "rsp", "hybrid",
                 "qsvd-baseline", "normal-eq")
@@ -74,8 +83,7 @@ def _timed_baseline(name, fn, A, seed):
     X = fn(A)
     wall = time.perf_counter() - t0
     e = penrose_residuals(A, X)
-    rep = SolverReport(name, 0, [(0, max(e))], wall, e, True)
-    return rep.csv_row(A.rows, A.cols, seed)
+    return _solver_row(name, A, seed, 0, wall, e, max(e))
 
 
 def _run_method(method, A, args, seed):
@@ -101,7 +109,8 @@ def _run_method(method, A, args, seed):
         return _timed_baseline("normal-eq", pinv_normal_eq, A, seed)
     else:
         raise QuatpinvError(f"unknown method {method!r}")
-    return rep.csv_row(A.rows, A.cols, seed)
+    return _solver_row(rep.method, A, seed, rep.iterations, rep.wall_time,
+                       rep.penrose, rep.final_residual)
 
 
 def cmd_pinv_bench(args):
@@ -115,11 +124,9 @@ def cmd_pinv_bench(args):
                 try:
                     lines.append(_run_method(method, A, args, seed))
                 except QuatpinvError:
-                    # failed run: sentinel row with the seconds it ran for,
-                    # grid continues
-                    wall = time.perf_counter() - t0
-                    lines.append(f"{method},{A.rows},{A.cols},{seed},-1,"
-                                 f"{wall:.6f},nan,nan,nan,nan,nan")
+                    # failed run: sentinel row, grid continues
+                    lines.append(_solver_row(method, A, seed, -1,
+                                             time.perf_counter() - t0))
     _write_lines(args.out, lines)
     if args.out and args.out != "-":
         with open(args.out + ".gp", "w") as fh:

@@ -1,15 +1,17 @@
 """Direct factorizations: thin QR, Hermitian-PD solves, SVD, and the
 closed-form / SVD-based pseudoinverse baselines.
 
-The SVD is LAPACK's, run on the complex adjoint embedding; quaternion
-factors are reassembled from its singular vectors, which come in pairs
-(v, phi(v)). These routines serve as oracles for the iterative solvers
-and as micro-solvers inside the randomized methods. ``hpd_solve``, its
-Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
-``solve_upper_triangular`` also take a stack of s matrices as an
-(s, r, c, 4) array, and factor or solve all of them in one pass with the
-same code, a 2-D call being the case without a stack axis; each item of a
-stack is bitwise the routine run on it alone. An item that fails its
+The thin QR and the SVD are LAPACK's, run on the complex adjoint
+embedding. The QR is read off the embedding's even columns and rows and
+is run twice, so that Q is orthonormal to rounding at any condition
+number; the SVD's quaternion factors are reassembled from its singular
+vectors, which come in pairs (v, phi(v)). These routines serve as
+oracles for the iterative solvers and as micro-solvers inside the
+randomized methods. ``hpd_solve``, its Cholesky kernels ``_cholesky`` and
+``_chol_solve`` and ``solve_upper_triangular`` also take a stack of s
+matrices as an (s, r, c, 4) array, and factor or solve all of them in one
+pass with the same code, a 2-D call being the case without a stack axis;
+each item of a stack is bitwise the routine run on it alone. An item that fails its
 check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
 call raises or, in ``hpd_solve`` alone, falls back to CG.
 ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
@@ -43,7 +45,7 @@ class QSVDFactors:
 
 
 # ---------------------------------------------------------------------------
-# Thin QR via quaternion Householder reflectors
+# Thin QR via the complex adjoint embedding (LAPACK)
 # ---------------------------------------------------------------------------
 
 def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
@@ -63,68 +65,53 @@ def _products(stacked: bool):
     return _qops.qmatmul_stack if stacked else _qops.qmatmul
 
 
-def thin_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QRFactors:
-    """Householder QR of a tall matrix; R diagonal made real positive.
+# thin_qr raises RankDeficient when R's smallest diagonal is at most this
+# times ||Y||_F
+_RANK_TOL = 1e-12
+
+
+def _from_complex(v: np.ndarray) -> np.ndarray:
+    """The quaternion column(s) whose embedding has v, (2m,) or (2m, k)
+    complex, as its even column(s): an (m, 4) or (m, k, 4) array."""
+    x, y = v[0::2], v[1::2]
+    return np.stack([x.real, x.imag, -y.real, y.imag], axis=-1)
+
+
+def _qr_pass(Y: QMatrix):
+    """One LAPACK QR of Y's embedding: Q from its even columns, R from its
+    even rows, with signs flipped so that R's diagonal is real positive
+    (LAPACK's is real; the j and k parts, zero up to rounding, are set
+    to zero)."""
+    Qc, Rc = np.linalg.qr(Y.to_complex_adjoint())
+    u, w = Rc[0::2, 0::2], Rc[0::2, 1::2]
+    R = np.stack([u.real, u.imag, w.real, w.imag], axis=-1)
+    ks = np.arange(Y.cols)
+    sign = np.where(R[ks, ks, 0] < 0.0, -1.0, 1.0)
+    R *= sign[:, None, None]
+    R[ks, ks, 1:] = 0.0
+    return _from_complex(Qc[:, 0::2]) * sign[:, None], R
+
+
+def thin_qr(Y: QMatrix) -> QRFactors:
+    """Thin QR of a tall matrix, R's diagonal real positive: LAPACK's QR of
+    the complex embedding, run twice (Y = Q1 R1, Q1 = Q R2, R = R2 R1) so
+    that Q is orthonormal to rounding whatever Y's condition number.
 
     Raises RankDeficient when the smallest diagonal of R falls below
-    rank_tol * ||Y||_F (caller typically redraws its sketch).
+    _RANK_TOL * ||Y||_F (caller typically redraws its sketch).
     """
-    W = Y.data.copy()
     m, r = Y.shape
     if m < r:
         raise RankDeficient("thin_qr requires m >= r")
-    scale = _fro(W, ())
-    reflectors = []
-    for k in range(r):
-        # a zero column skips its step
-        x = W[k:, k, :]
-        normx = _fro(x, ())
-        x1 = x[0]
-        ax1 = np.sqrt((x1 * x1).sum(-1))
-        phi = x1 / ax1 if ax1 > 0 else np.array([1.0, 0.0, 0.0, 0.0])
-        v = x.copy()
-        v[0] += phi * normx
-        vns = (v * v).sum()
-        if normx == 0.0 or vns == 0.0:
-            continue
-        vcol = v[:, None, :]
-        vH = _qops.qconj(v)[None, :, :]
-        c = 2.0 / vns
-        Wk = W[k:, k:, :]
-        Wk -= c * _qops.qmatmul(vcol, _qops.qmatmul(vH, Wk))
-        # reflector maps the column to -phi*normx * e1 exactly
-        W[k, k, :] = -phi * normx
-        W[k + 1:, k, :] = 0.0
-        reflectors.append((k, vcol, vH, c))
-
-    # unit quaternions d_k = conj(R_kk) / |R_kk| make the diagonal real
-    # positive: R <- diag(d) R and Q <- Q diag(conj(d)); a zero R_kk keeps
-    # d_k = 1 and its row is left as it is
-    Rdat = W[:r].copy()
-    ks = np.arange(r)
-    rkk = Rdat[ks, ks, :]
-    mag = np.sqrt((rkk * rkk).sum(-1))
-    nz = mag != 0.0
-    D = np.zeros((r, 4))
-    D[:, 0] = 1.0
-    D[nz] = _qops.qconj(rkk[nz]) / mag[nz][:, None]
-    Rdat[nz] = _qops.qmul(D[nz][:, None, :], Rdat[nz])
-    diag = np.nonzero(nz)[0]
-    Rdat[diag, diag] = 0.0
-    Rdat[diag, diag, 0] = mag[nz]
-
-    dmin = Rdat[ks, ks, 0].min()
-    if dmin <= rank_tol * max(scale, 1e-300):
+    Q1, R1 = _qr_pass(Y)
+    Q, R2 = _qr_pass(QMatrix(Q1))
+    R = _qops.qmatmul(R2, R1)
+    dmin = R[np.arange(r), np.arange(r), 0].min()
+    scale = _fro(Y.data, ())
+    if dmin <= _RANK_TOL * max(scale, 1e-300):
         raise RankDeficient(
-            f"R diagonal {dmin:.3e} <= {rank_tol:.1e} * {scale:.3e}")
-
-    Qdat = np.zeros((m, r, 4))
-    Qdat[ks, ks, 0] = 1.0
-    for k, vcol, vH, c in reversed(reflectors):
-        Qk = Qdat[k:]
-        Qk -= c * _qops.qmatmul(vcol, _qops.qmatmul(vH, Qk))
-    Qdat = _qops.qmul(Qdat, _qops.qconj(D)[None, :, :])
-    return QRFactors(Q=QMatrix(Qdat), R=QMatrix(Rdat))
+            f"R diagonal {dmin:.3e} <= {_RANK_TOL:.1e} * {scale:.3e}")
+    return QRFactors(Q=QMatrix(Q), R=QMatrix(R))
 
 
 def solve_upper_triangular(R: QMatrix | np.ndarray,
@@ -222,8 +209,6 @@ def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
 # relative residual within which a solve keeps its triangular solves, and
 # at which hpd_solve's CG fallback stops
 _SOLVE_TOL = 1e-10
-# the ridge hpd_solve adds to G's diagonal unless told otherwise
-_RIDGE = 1e-10
 
 
 def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray):
@@ -240,9 +225,8 @@ def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float((x * y).sum())
 
 
-def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray,
-              ridge: float = _RIDGE):
-    """Solve (G + ridge*I) Z = B for Hermitian positive definite G.
+def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
+    """Solve G Z = B for Hermitian positive definite G.
 
     Raises NotHermitian for a G that is not square or not Hermitian, and
     DimensionMismatch when B's row count is not G's. The Cholesky factor's
@@ -258,21 +242,19 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray,
     meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
-    Gs, Bd = (G, B) if stacked else (G.data, B.data)
-    r, c = Gs.shape[-3:-1]
+    Gd, Bd = (G, B) if stacked else (G.data, B.data)
+    r, c = Gd.shape[-3:-1]
     if c != r:
         raise NotHermitian("hpd_solve needs a square G")
     if Bd.shape[-3] != r:
         raise DimensionMismatch("B row count differs from G")
-    Gd = Gs.copy()
-    Gd[..., np.arange(r), np.arange(r), 0] += ridge
     if stacked:
         L, ok = _cholesky(Gd)
         Z, solved = _checked_chol_solve(L, Gd, Bd)
         return Z, ok & solved
 
-    gnorm = max(_fro(Gs, ()), 1e-300)
-    gap = _fro(Gs - _qops.qconj(Gs.swapaxes(0, 1)), ())
+    gnorm = max(_fro(Gd, ()), 1e-300)
+    gap = _fro(Gd - _qops.qconj(Gd.swapaxes(0, 1)), ())
     if gap > 1e-10 * gnorm:
         raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
     L = _cholesky(Gd)
@@ -286,16 +268,15 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray,
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
 
     # CG fallback in the real trace inner product
-    Gr = QMatrix(Gd)
     bnorm = max(B.fro_norm(), 1e-300)
     Z = QMatrix.zeros(r, B.cols)
-    Rres = B - Gr @ Z
+    Rres = B - G @ Z
     P = Rres.copy()
     rs = _frob_inner(Rres.data, Rres.data)
     for _ in range(4 * r):
         if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
             break
-        GP = Gr @ P
+        GP = G @ P
         denom = _frob_inner(P.data, GP.data)
         if denom <= 0:
             break
@@ -305,7 +286,7 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray,
         rs_new = _frob_inner(Rres.data, Rres.data)
         P = QMatrix(Rres.data + (rs_new / rs) * P.data)
         rs = rs_new
-    if (Gr @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
+    if (G @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
         return Z
     raise Indefinite("Cholesky failed and the CG fallback stagnated")
 
@@ -342,8 +323,7 @@ def _quaternion_basis(W: np.ndarray, k: int) -> np.ndarray:
         C = P.conj().T @ W
         W -= P @ C
         nsq -= np.sum(np.abs(C) ** 2, axis=0)
-        x, y = v[0::2], v[1::2]
-        cols[:, j] = np.stack([x.real, x.imag, -y.real, y.imag], axis=1)
+        cols[:, j] = _from_complex(v)
     return cols
 
 
@@ -403,6 +383,6 @@ def pinv_normal_eq(A: QMatrix) -> QMatrix:
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:
-        return hpd_solve(Ah @ A, Ah, ridge=0.0)
-    W = hpd_solve(A @ Ah, QMatrix.identity(m), ridge=0.0)
+        return hpd_solve(Ah @ A, Ah)
+    W = hpd_solve(A @ Ah, QMatrix.identity(m))
     return Ah @ W

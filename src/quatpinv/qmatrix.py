@@ -9,10 +9,11 @@ q = a + bi + cj + dk to the 2x2 complex block
     [[ a + bi,  c + di],
      [-c + di,  a - bi]]
 
-and is used only off the iteration loops: by the SVD baseline, by
-rsp_rate_bound's smallest singular value, by hpd_solve's eigenvalue
-check after a failed Cholesky pivot, and by the set-up of cgne_q's
-Nystrom preconditioner for its r x r eigendecomposition.
+and is used only off the iteration loops: by the SVD baseline, by the
+two LAPACK QR passes of thin_qr, by rsp_rate_bound's smallest singular
+value, by hpd_solve's eigenvalue check after a failed Cholesky pivot, and
+by the set-up of cgne_q's Nystrom preconditioner, through thin_qr and
+the SVD of its r x r core.
 """
 
 from __future__ import annotations

@@ -128,12 +128,6 @@ class SolverReport:
     def final_residual(self) -> float:
         return self.residual_history[-1][1] if self.residual_history else float("nan")
 
-    def csv_row(self, m: int, n: int, seed: int) -> str:
-        e1, e2, e3, e4 = self.penrose
-        return (f"{self.method},{m},{n},{seed},{self.iterations},"
-                f"{self.wall_time:.6f},{e1:.17g},{e2:.17g},{e3:.17g},"
-                f"{e4:.17g},{self.final_residual:.17g}")
-
 
 def penrose_residuals(A: QMatrix, X: QMatrix):
     """Frobenius residuals (e1, e2, e3, e4) of the four Penrose equations."""
@@ -418,6 +412,8 @@ def ns_hyperpower(A: QMatrix, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 _MAX_REDRAWS = 10
+# the ridge a sketch stream adds to each Gram matrix Y^H Y before its solve
+_RIDGE = 1e-10
 # a sketch stream forms up to _AHEAD sketches in one pass, and fewer for a
 # large A: at most _AHEAD_ENTRIES quaternion entries of the max(m, n) x r
 # sketches
@@ -434,10 +430,10 @@ class _SketchStream:
     it, ``block`` sketches at a time in one stacked pass; none of it
     depends on the iterate, and every array is bitwise what the step would
     form from that sketch alone. A sketch is (Omega, Y, Y^+) with
-    Omega n x r and Y = A Omega; Y^+ is the solve of Y^H Y + 1e-10 I
-    against Y^H (``hpd_solve`` of the stack). Y^+ is None for a rejected
-    sketch, one whose Gram matrix fails its Cholesky pivot or residual
-    check; the step draws the next one instead.
+    Omega n x r and Y = A Omega; Y^+ is the solve of Y^H Y + _RIDGE I
+    against Y^H (``hpd_solve`` of the stack, the ridge added here). Y^+ is
+    None for a rejected sketch, one whose Gram matrix fails its Cholesky
+    pivot or residual check; the step draws the next one instead.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -458,7 +454,10 @@ class _SketchStream:
                        for _ in range(self.block)])
         Y = _qops.qmatmul_stack(self.A.data, Om)
         Yh = _qops.qconj(Y.swapaxes(1, 2))
-        Ydag, ok = hpd_solve(_qops.qmatmul_stack(Yh, Y), Yh)
+        G = _qops.qmatmul_stack(Yh, Y)
+        ks = np.arange(self.sk.block_r)
+        G[:, ks, ks, 0] += _RIDGE
+        Ydag, ok = hpd_solve(G, Yh)
         return [(QMatrix(om), QMatrix(y), QMatrix(yd) if good else None)
                 for om, y, yd, good in zip(Om, Y, Ydag, ok)]
 
@@ -612,11 +611,11 @@ class _NystromPrecond:
     eigenpairs are those of the r x r core T = R (Omega^H Y_nu)^{-1} R^H,
     rotated by Q. Everything is formed once, here: one Cholesky of
     Omega^H Y_nu and the eigendecomposition of T by the LAPACK SVD on the
-    complex embedding (``_right_factor``), the one embedding use on this
-    path. An apply is two thin products, and ``cgne_q`` applies it once per
-    call, to B^H. Raises RankDeficient when B's rank is below r or
-    l_r <= 1e-10 l_1 (Frangella, Tropp & Udell, SIAM J. Matrix Anal.
-    Appl. 44, 2023).
+    complex embedding (``_right_factor``); the two thin QRs, of Omega and
+    of Y_nu, run LAPACK on the embedding too. An apply is two thin
+    products, and ``cgne_q`` applies it once per call, to B^H. Raises
+    RankDeficient when B's rank is below r or l_r <= 1e-10 l_1
+    (Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl. 44, 2023).
     """
 
     def __init__(self, B: QMatrix, sk: SketchConfig):
@@ -629,7 +628,7 @@ class _NystromPrecond:
             qr = thin_qr(Y)
         except RankDeficient as exc:
             raise RankDeficient(f"rank(A) < block_r = {r}: {exc}") from exc
-        T = qr.R @ hpd_solve(Omega.adjoint() @ Y, qr.R.adjoint(), ridge=0.0)
+        T = qr.R @ hpd_solve(Omega.adjoint() @ Y, qr.R.adjoint())
         _, s, V, _ = _right_factor(T)
         lam = s - nu
         if not lam[-1] > 1e-10 * lam[0]:

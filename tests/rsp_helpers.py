@@ -7,7 +7,7 @@ products in a Neumann polynomial."""
 
 import numpy as np
 
-from quatpinv import _qops, factor
+from quatpinv import _qops, factor, solvers
 from quatpinv.errors import SketchFailure
 from quatpinv.factor import solve_upper_triangular, thin_qr
 from quatpinv.qmatrix import QMatrix, randn_qmat_rng
@@ -36,9 +36,9 @@ def rsp_rate_check(A: QMatrix, sk: SketchConfig, trials: int) -> float:
     return float(rsp_contraction_samples(A, sk, trials).mean())
 
 
-def pinv_from_qr(Y: QMatrix, rank_tol: float = 1e-12) -> QMatrix:
+def pinv_from_qr(Y: QMatrix) -> QMatrix:
     """Y^dagger = R^{-1} Q^H for numerically full-column-rank Y."""
-    f = thin_qr(Y, rank_tol)
+    f = thin_qr(Y)
     return solve_upper_triangular(f.R, f.Q.adjoint())
 
 
@@ -47,7 +47,7 @@ def gram_pinv(Y: QMatrix) -> QMatrix | None:
     when a pivot or the residual check fails."""
     Gd = (Y.adjoint() @ Y).data.copy()
     r = Gd.shape[0]
-    Gd[np.arange(r), np.arange(r), 0] += factor._RIDGE
+    Gd[np.arange(r), np.arange(r), 0] += solvers._RIDGE
     L = factor._cholesky(Gd)
     if L is None:
         return None

@@ -67,7 +67,7 @@ def _views(j: int, make=int_qarray):
     Rd = make((7, 7), 3)
     Z = make((7, 5), 4)
     return [
-        # thin_qr: v^H W[k:, k:] and v (v^H W[k:, k:])
+        # a Householder step: v^H W[k:, k:] and v (v^H W[k:, k:])
         (qconj(W[j:, j])[None], W[j:, j:]),
         (W[j:, j][:, None], W[j:j + 1, j:]),
         # _cholesky: L[j+1:, :j] conj(L[j, :j])^T

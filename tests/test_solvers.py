@@ -515,7 +515,7 @@ def _ridged_qr_pinv(Y):
     pseudoinverse of [Y; sqrt(ridge) I], or None when R fails the rank
     test."""
     m, r = Y.shape
-    root = QMatrix.identity(r).scale(math.sqrt(factor._RIDGE))
+    root = QMatrix.identity(r).scale(math.sqrt(solvers._RIDGE))
     Ydag = _qr_pinv(QMatrix(np.concatenate([Y.data, root.data])))
     return None if Ydag is None else QMatrix(Ydag.data[:, :m])
 
