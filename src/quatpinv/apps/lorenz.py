@@ -3,8 +3,8 @@
 The three Lorenz state channels ride on the imaginary units; the filter
 input is a one-step-delayed noisy copy of the target. Stacking delayed
 samples gives a Toeplitz quaternion system X * w = Y solved by a square
-Newton-Schulz inverse, the solvers' step on the deviation I - X_k X, with
-all products kept in right-multiplication order.
+Newton-Schulz inverse, the solvers' scaled step on the deviation
+I - X_k X, with all products kept in right-multiplication order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _deviation, _drive, _ns_step, auto_alpha
+from ..solvers import _deviation, _drive, _ns_scales, _ns_step, auto_alpha
 
 
 @dataclass
@@ -92,27 +92,28 @@ def lorenz_build(problem: LorenzProblem):
 
 def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
                     maxit: int | None = None):
-    """Square Newton-Schulz inverse X_k <- (2I - X_k X) X_k, w = X_k Y.
+    """Square Newton-Schulz inverse X_k <- theta_k (2I - theta_k X_k X) X_k
+    from X_0 = alpha X^H, w = X_k Y, with the solvers' scales theta_k
+    (``solvers._ns_scales``, estimated after t0, so inside wall_time).
 
-    Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. If the initial
-    spectral scaling is not contractive (||I - X_k X||_F >= N), the step
-    is halved until the residual enters the quadratic regime.
+    Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. A start that is not
+    contractive is caught by the divergence guard, as in ns_damped.
     """
     N = X.rows
     if maxit is None:
         maxit = N
     t0 = time.perf_counter()
     ynorm = max(Y.fro_norm(), 1e-300)
+    alpha = auto_alpha(X)
+    thetas = _ns_scales(X, alpha)
 
     def step(Xk, _):
-        F = _deviation(X, Xk)
-        Xn = _ns_step(F, Xk)
-        return Xn.scale(0.5) if F.fro_norm() >= float(N) else Xn
+        return _ns_step(_deviation(X, Xk), Xk, theta=next(thetas))
 
     def measure(Xk):
         w = Xk @ Y
         return (X @ w - Y).fro_norm() / ynorm, w
 
-    _, w, report = _drive("ns-q-square", X.adjoint().scale(auto_alpha(X)),
+    _, w, report = _drive("ns-q-square", X.adjoint().scale(alpha),
                           step, measure, tol, maxit, diverge=True, t0=t0)
     return w, report

@@ -179,6 +179,51 @@ def op_norm_est(A: QMatrix) -> float:
     return est
 
 
+_LANCZOS_STEPS = 20
+# Ritz values at or below this fraction of the largest count as zero, and a
+# Lanczos residual at or below this fraction of the largest |T_jj| as an
+# invariant subspace
+_RITZ_ZERO = 1e-12
+
+
+def _gram_min_ritz(A: QMatrix) -> float:
+    """The smallest nonzero Ritz value of A^H A from up to _LANCZOS_STEPS
+    Lanczos steps, or 0.0 if every Ritz value counts as zero.
+
+    A wide A is run as A A^H, which has the same nonzero spectrum. The
+    vectors are quaternion columns in the real inner product Re tr(u^H v),
+    in which A^H A is symmetric, so the run needs only products with A and
+    A^H. The start is drawn with seed _POWER_SEED, each new vector is
+    reorthogonalized twice against all earlier ones, and the run stops
+    once the Krylov space is invariant, where Ritz values are eigenvalues.
+    On a full-rank A every Ritz value lies in [sigma_min^2, sigma_max^2]
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992)."""
+    if A.rows < A.cols:
+        A = A.adjoint()
+    n = A.cols
+    Ah = A.adjoint()
+    V = np.empty((_LANCZOS_STEPS, 4 * n))
+    v = QuatRNG(_POWER_SEED).normals((n, 1, 4)).ravel()
+    v /= math.sqrt(v @ v)
+    diag, off = [], []
+    for j in range(_LANCZOS_STEPS):
+        V[j] = v
+        w = (Ah @ (A @ QMatrix(v.reshape(n, 1, 4)))).data.ravel()
+        diag.append(float(v @ w))
+        for _ in range(2):
+            w -= V[:j + 1].T @ (V[:j + 1] @ w)
+        beta = math.sqrt(w @ w)
+        if j + 1 == _LANCZOS_STEPS or \
+                beta <= _RITZ_ZERO * max(map(abs, diag)):
+            break
+        off.append(beta)
+        v = w / beta
+    ritz = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                              + np.diag(off, -1))
+    ritz = ritz[ritz > _RITZ_ZERO * ritz[-1]]
+    return float(ritz[0]) if ritz.size else 0.0
+
+
 def require_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise NonPowerOfTwo(f"{n} is not a power of two")

@@ -36,6 +36,12 @@ Cholesky pivot or residual check is rejected when its block is formed,
 and the step that reaches it draws the next; 10 rejected in a row raise
 SketchFailure.
 
+ns_damped at gamma = 1 and the Lorenz solve depart from the paper's plain
+Newton-Schulz step: each step is scaled, X <- theta (2I - theta XA) X,
+with theta set from a Lanczos lower bound on the nonzero spectrum of
+A^H A (_ns_scales). ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction
+and recurrence_deviations stay plain.
+
 rsp_column and rsp_row depart from the paper's plain RSP-Q: they add
 heavy-ball momentum, X_{k+1} = SP(X_k) + beta (X_k - X_{k-1}) with SP the
 plain step (Loizou & Richtarik, Comput. Optim. Appl. 77, 2020). beta is 0
@@ -48,6 +54,7 @@ rate diagnostic rsp_contraction_samples stay plain.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,7 +65,8 @@ from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
                      NonFinite, RankDeficient, SketchFailure)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
-from .qmatrix import QMatrix, op_norm_est, randn_qmat_rng, require_finite
+from .qmatrix import (QMatrix, _gram_min_ritz, op_norm_est, randn_qmat_rng,
+                      require_finite)
 from .rng import QuatRNG
 
 SCHEDULE_NAIVE = "naive"
@@ -114,9 +122,9 @@ class SketchConfig:
 class SolverReport:
     """What a solve did. wall_time (s) starts in _solve_tall, after
     auto_alpha, and stops before the Penrose check, so it leaves out both;
-    it covers cgne_q's Nystrom set-up and its forming of M and X, and the
-    sketch solvers' test sketch. lorenz_solve_ns starts it before
-    auto_alpha."""
+    it covers ns_damped's Lanczos run for its scales, cgne_q's Nystrom
+    set-up and its forming of M and X, and the sketch solvers' test
+    sketch. lorenz_solve_ns starts it before auto_alpha."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -328,19 +336,56 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
 
 
 def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
-             schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0) -> QMatrix:
+             schedule: str = SCHEDULE_NAIVE, gamma: float = 1.0,
+             theta: float = 1.0) -> QMatrix:
     """One Newton-Schulz / hyperpower update of X given its deviation
     R = I - XA.
 
     gamma < 1 is the damped order-2 step X + gamma*R X; otherwise the
     order-p Neumann polynomial is applied under the given schedule.
+    theta != 1 scales the order-2 step: X <- theta (2I - theta XA) X, which
+    is theta (X + R_theta X) with R_theta = (1 - theta) I + theta R formed
+    in R's buffer, so that R then holds R_theta; theta = 1 is the plain
+    step, bit for bit.
     """
     if gamma != 1.0:
         T = R @ X
         np.multiply(T.data, float(gamma), out=T.data)
         np.add(X.data, T.data, out=T.data)
         return T
+    if theta != 1.0:
+        np.multiply(R.data, theta, out=R.data)
+        d = np.arange(R.rows)
+        R.data[d, d, 0] += 1.0 - theta
+        T = eval_neumann_poly(R, X, 2, SCHEDULE_NAIVE)
+        np.multiply(T.data, theta, out=T.data)
+        return T
     return eval_neumann_poly(R, X, order, schedule)
+
+
+# the upper bound on X_0 A's eigenvalues that the first scaled step uses:
+# alpha < 2/||A||_2^2 puts them in (0, 2)
+_U0 = 2.0
+
+
+def _ns_scales(B: QMatrix, alpha: float):
+    """The endless iterator of scales theta_k for the order-2 steps from
+    X_0 = alpha B^H: theta_k = 2/(l_k + u_k) for bounds [l_k, u_k] on the
+    nonzero eigenvalues of X_k B (Pan & Schreiber, SIAM J. Sci. Stat.
+    Comput. 12, 1991). l_0 = alpha times the smallest nonzero Ritz value of
+    B^H B, u_0 = _U0, and after each step l <- theta l (2 - theta l) and
+    u = 1. Every theta is 1 when no Ritz value is nonzero or l_0 >= u_0,
+    where alpha breaks the premise alpha < 2/||B||_2^2."""
+    l = alpha * _gram_min_ritz(B)
+    if not 0.0 < l < _U0:
+        return itertools.repeat(1.0)
+
+    def scales(l, u):
+        while True:
+            theta = 2.0 / (l + u)
+            yield theta
+            l, u = theta * l * (2.0 - theta * l), 1.0
+    return scales(l, _U0)
 
 
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
@@ -381,30 +426,36 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # Newton-Schulz family
 # ---------------------------------------------------------------------------
 
-def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, **step_kw):
+def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
+              **step_kw):
+    """The Newton-Schulz family through _solve_tall; with scaled, each
+    step takes the next scale of _ns_scales."""
     def solve(B, alpha, t0):
         scratch = _Scratch(4 * B.cols * B.cols)
+        thetas = _ns_scales(B, alpha) if scaled else itertools.repeat(1.0)
 
         def measure(X):
             F = _deviation(B, X)
             return scratch.fro_norm(F), F
 
-        X, _, rep = _drive(method, B.adjoint().scale(alpha),
-                           lambda X, F: _ns_step(F, X, **step_kw), measure,
-                           cfg.tol, cfg.maxit, diverge=True, t0=t0)
+        X, _, rep = _drive(
+            method, B.adjoint().scale(alpha),
+            lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
+            measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
         return X, rep
     return _solve_tall(A, cfg, method, solve)
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):
-    """Damped Newton-Schulz: X <- X + gamma*F*X with F = I - XA."""
-    return _ns_solve(A, cfg, "ns", gamma=cfg.gamma)
+    """Damped Newton-Schulz: X <- X + gamma*F*X with F = I - XA; at
+    gamma = 1 each step is scaled (_ns_scales)."""
+    return _ns_solve(A, cfg, "ns", cfg.gamma == 1.0, gamma=cfg.gamma)
 
 
 def ns_hyperpower(A: QMatrix, cfg: SolverConfig):
     """Order-p hyperpower updates; residual recurrence R_{k+1} = R_k^p."""
-    return _ns_solve(A, cfg, f"hyperpower-{cfg.order}", order=cfg.order,
-                     schedule=cfg.schedule)
+    return _ns_solve(A, cfg, f"hyperpower-{cfg.order}", False,
+                     order=cfg.order, schedule=cfg.schedule)
 
 
 # ---------------------------------------------------------------------------

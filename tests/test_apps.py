@@ -237,6 +237,15 @@ def test_lorenz_solve():
     assert (X @ w - Y).fro_norm() / Y.fro_norm() <= 1e-8
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_lorenz_solve_scaled_iterations(seed):
+    # scaled steps take 21-23 iterations here, unscaled ones took 33-35
+    X, Y, _ = lorenz_build(LorenzProblem(N=50, seed=seed))
+    w, rep = lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
+    assert rep.converged and rep.iterations <= 24
+    assert (X @ w - Y).fro_norm() / Y.fro_norm() <= 1e-6
+
+
 def test_lorenz_problem_validation():
     with pytest.raises(ValueError):
         LorenzProblem(N=1)

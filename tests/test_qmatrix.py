@@ -3,7 +3,9 @@ import pytest
 
 from quatpinv._qops import qmul, qnormsq
 from quatpinv.errors import DimensionMismatch, NonPowerOfTwo
-from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat, require_pow2
+from quatpinv.factor import qsvd
+from quatpinv.qmatrix import (QMatrix, _gram_min_ritz, op_norm_est, randn_qmat,
+                              require_pow2)
 
 
 def embed(A: QMatrix) -> np.ndarray:
@@ -76,6 +78,32 @@ def test_op_norm_est_unitary_invariance():
         [(0, 0, 0, 0), (0, 0, 1, 0)],
     ])
     assert op_norm_est(U @ A @ U.adjoint()) == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("m, n", [(12, 5), (5, 12), (5, 5), (60, 50),
+                                  (50, 60), (50, 50)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gram_min_ritz_against_qsvd(m, n, seed):
+    A = randn_qmat(m, n, seed)
+    smin2 = qsvd(A).S[-1] ** 2
+    lam = _gram_min_ritz(A)
+    assert lam >= smin2 * (1 - 1e-10)
+    if 4 * min(m, n) <= 20:
+        # 20 steps would span the space; the run stops at its breakdown
+        assert lam == pytest.approx(smin2, rel=1e-8)
+
+
+@pytest.mark.parametrize("m, n", [(40, 30), (30, 40)])
+def test_gram_min_ritz_skips_zero_on_rank_deficient(m, n):
+    A = randn_qmat(m, 3, 1) @ randn_qmat(n, 3, 101).adjoint()
+    assert _gram_min_ritz(A) == pytest.approx(qsvd(A).S[2] ** 2, rel=1e-8)
+
+
+def test_gram_min_ritz_1x1_and_zero():
+    A = qmat([[(2.0, -0.5, 0.25, 1.5)]])
+    assert _gram_min_ritz(A) == pytest.approx(4.0 + 0.25 + 0.0625 + 2.25,
+                                              rel=1e-15)
+    assert _gram_min_ritz(QMatrix.zeros(3, 2)) == 0.0
 
 
 def test_randn_statistics_and_determinism():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
 from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
-                             NonFinite, RankDeficient, SketchFailure)
+                             NonFinite, QuatpinvError, RankDeficient,
+                             SketchFailure)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
 from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
@@ -82,6 +84,25 @@ def test_ns_recurrence_exact(gamma):
     assert max(d for _, d in devs) <= 1e-12
 
 
+def test_ns_scaled_recurrence_exact():
+    # criterion 2's instance: a scaled step maps F to F_theta^2, with
+    # F_theta = (1 - theta) I + theta F
+    A = randn_qmat(10, 6, 0)
+    alpha = auto_alpha(A)
+    thetas = solvers._ns_scales(A, alpha)
+    X = A.adjoint().scale(alpha)
+    F = solvers._deviation(A, X)
+    worst, scaled = 0.0, 0
+    for _ in range(10):
+        theta = next(thetas)
+        F_theta = QMatrix.identity(6).scale(1.0 - theta) + F.scale(theta)
+        X = solvers._ns_step(F, X, theta=theta)
+        F = solvers._deviation(A, X)
+        worst = max(worst, (F - F_theta @ F_theta).fro_norm())
+        scaled += theta != 1.0
+    assert scaled >= 5 and worst <= 1e-11
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_hyperpower_recurrence_exact(p):
     A = randn_qmat(10, 6, 0)
@@ -90,11 +111,15 @@ def test_hyperpower_recurrence_exact(p):
     assert max(d for _, d in devs) <= 1e-12
 
 
-def test_hyperpower_p2_matches_ns_bitwise():
+def test_hyperpower_p2_matches_ns_bitwise(monkeypatch):
+    # hyperpower is never scaled; with every theta 1, ns_damped's step is
+    # the plain step bit for bit
     A = randn_qmat(9, 5, 1)
     cfg = SolverConfig(tol=1e-12, maxit=30)
-    X1, _ = ns_damped(A, cfg)
     X2, _ = ns_hyperpower(A, cfg)
+    monkeypatch.setattr(solvers, "_ns_scales",
+                        lambda B, alpha: itertools.repeat(1.0))
+    X1, _ = ns_damped(A, cfg)
     assert np.array_equal(X1.data, X2.data)
 
 
@@ -203,22 +228,29 @@ def _ref_neumann(R, X, p, schedule):
     return S @ X
 
 
-def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0):
+def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
+                 theta=1.0):
     if gamma != 1.0:
         return X + (R @ X).scale(gamma)
+    if theta != 1.0:
+        R_theta = QMatrix.identity(R.rows).scale(1.0 - theta) + R.scale(theta)
+        return (X + R_theta @ X).scale(theta)
     return _ref_neumann(R, X, order, schedule)
 
 
-def _ref_ns(A, cfg, method, **step_kw):
+def _ref_ns(A, cfg, method, scaled=False, **step_kw):
     def solve(B, alpha, t0):
+        thetas = (solvers._ns_scales(B, alpha) if scaled
+                  else itertools.repeat(1.0))
+
         def measure(X):
             F = _ref_deviation(B, X)
             return F.fro_norm(), F
 
-        X, _, rep = solvers._drive(method, B.adjoint().scale(alpha),
-                                   lambda X, F: _ref_ns_step(F, X, **step_kw),
-                                   measure, cfg.tol, cfg.maxit, diverge=True,
-                                   t0=t0)
+        X, _, rep = solvers._drive(
+            method, B.adjoint().scale(alpha),
+            lambda X, F: _ref_ns_step(F, X, theta=next(thetas), **step_kw),
+            measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
         return X, rep
     return solvers._solve_tall(A, cfg, method, solve)
 
@@ -269,7 +301,8 @@ _NYS = SketchConfig(block_r=4, seed=5)
 _CG_CFG = SolverConfig(tol=1e-10, maxit=40)
 # case -> (solver, out-of-place reference, config)
 _INPLACE = {
-    "ns": (ns_damped, lambda A, c: _ref_ns(A, c, "ns", gamma=c.gamma),
+    "ns": (ns_damped,
+           lambda A, c: _ref_ns(A, c, "ns", scaled=True, gamma=c.gamma),
            SolverConfig(tol=1e-10)),
     "ns-gamma0.7": (ns_damped, lambda A, c: _ref_ns(A, c, "ns", gamma=c.gamma),
                     SolverConfig(gamma=0.7, tol=1e-10)),
@@ -374,6 +407,43 @@ def test_lorenz_solve_ns_bitwise_equal_out_of_place(monkeypatch):
     wr, rr = lorenz.lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
     assert (w.data.tobytes(), rep.iterations, rep.residual_history) == \
         (wr.data.tobytes(), rr.iterations, rr.residual_history)
+
+
+# ---------------------------------------------------------------------------
+# scaled Newton-Schulz
+# ---------------------------------------------------------------------------
+
+# (m, n, seed, bound): each bound is the measured count plus one; every
+# input took 15 iterations unscaled
+@pytest.mark.parametrize("m, n, seed, bound", [
+    (220, 200, 1, 12), (200, 220, 1, 12), (220, 200, 2, 13),
+    (200, 220, 2, 12)])
+def test_ns_scaled_takes_fewer_iterations(m, n, seed, bound):
+    _, rep = ns_damped(randn_qmat(m, n, seed), SolverConfig(tol=1e-8))
+    assert rep.converged and rep.iterations <= bound
+    assert max(rep.penrose) <= 1e-6
+
+
+def test_ns_scaled_geometric_spectrum():
+    # 18 iterations unscaled, 13 scaled
+    A = _with_spectrum(120, np.geomspace(1.0, 1e-2, 100), 1)
+    _, rep = ns_damped(A, SolverConfig(tol=1e-8))
+    assert rep.converged and rep.iterations <= 14
+    assert max(rep.penrose) <= 1e-6
+
+
+@pytest.mark.parametrize("m, n", [(8, 6), (40, 30), (30, 40)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ns_scaled_rank_deficient_returns_finite_or_raises(m, n, seed):
+    # a rank-3 A: the scales come from the smallest nonzero Ritz value, and
+    # the run ends at maxit with a finite X, as the unscaled run did
+    A = randn_qmat(m, 3, seed) @ randn_qmat(n, 3, seed + 100).adjoint()
+    try:
+        X, rep = ns_damped(A, SolverConfig())
+    except QuatpinvError:
+        return
+    assert np.isfinite(X.data).all()
+    assert not rep.converged or max(rep.penrose) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
