@@ -50,6 +50,14 @@ the items one at a time. ``qmatmul`` is the product of one pair, the name
 a tracer wraps: a span's flops are computed from 2-D operand shapes, so
 stacked products do not pass through it.
 
+``qmatmul_by(x)`` is the product by one fixed 2-D left factor, for the
+matvecs of a power or Lanczos run: it lays out the planes of x once, and
+each batched right-side product takes them as they are (``_right_batched``,
+the batched body of ``qmatmul_stack``), where qmatmul would copy them
+again on every call. Its products are bitwise qmatmul's; a left-side or
+slab-path product calls qmatmul, and the others do not pass through that
+name.
+
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
 planes, the expanded slabs or blocks of one operand live only inside one
@@ -152,10 +160,7 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, k, n = sx[-3], sx[-2], sy[-2]
     lx, ly = sx[:-3], sy[:-3]
     lead = lx or ly
-    # The right slabs are 16kn elements in all; the left side moves 16mk
-    # (its block), 4kn (the planes of y) and 36mn (the terms, their
-    # reordering and the result).
-    if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n:
+    if _left_side(m, k, n):
         # L[.., (u, t, i), p] = sum_s _SIGN[s, u, t] x[.., i, p, s]: block
         # u holds the rows (t, i), in any order a row's k-term sum is the
         # same
@@ -172,23 +177,8 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             Z = Z.reshape(4, b * m * n)
         return np.ascontiguousarray(Z.T).reshape(lead + (m, n, 4))
     if (m + k) * n <= _BATCH_MAX:
-        planes = np.ascontiguousarray(x.transpose(_PLANES_FIRST[len(lx)]))
-        # S[s, .., p, (q, t)] = sum_u y[.., p, q, u] _SIGN[s, u, t]
-        S = (y.reshape(ly + (k * n, 4)) @ _SIGN_BY_LEAD[len(ly)]).reshape(
-            (4,) + ly + (k, 4 * n))
-        if lx != ly:  # one 2-D operand, used with every item
-            if lx:
-                S = np.broadcast_to(S[:, None], (4,) + lead + (k, 4 * n))
-            else:
-                planes = np.broadcast_to(planes[:, None], (4,) + lead + (m, k))
-        # with k = 1 numpy's matmul runs its own loop, one rounded product
-        # added to +0.0 per entry; einsum does the same, faster
-        P = (np.einsum(_ONE_TERM[len(lead)], planes, S) if k == 1
-             else np.matmul(planes, S))
-        Z = P[0] + P[1]
-        Z += P[2]
-        Z += P[3]
-        return Z.reshape(lead + (m, n, 4))
+        return _right_batched(
+            np.ascontiguousarray(x.transpose(_PLANES_FIRST[len(lx)])), y)
     # the slab path takes one item at a time
     if not lead:
         return _slab_product(x, y)
@@ -196,6 +186,56 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for i in range(len(out)):
         out[i] = _slab_product(x[i] if lx else x, y[i] if ly else y)
     return out
+
+
+def _left_side(m: int, k: int, n: int) -> bool:
+    """Whether an (m, k) @ (k, n) product runs on the left side. The right
+    slabs are 16kn elements in all; the left side moves 16mk (its block),
+    4kn (the planes of y) and 36mn (the terms, their reordering and the
+    result)."""
+    return 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n
+
+
+def _right_batched(planes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The batched right side, from the contiguous planes of x, (4, [s,]
+    m, k), and y, ([s,] k, n, 4); one of the two may be a stack."""
+    lx, ly = planes.shape[1:-2], y.shape[:-3]
+    lead = lx or ly
+    m, k = planes.shape[-2:]
+    n = y.shape[-2]
+    # S[s, .., p, (q, t)] = sum_u y[.., p, q, u] _SIGN[s, u, t]
+    S = (y.reshape(ly + (k * n, 4)) @ _SIGN_BY_LEAD[len(ly)]).reshape(
+        (4,) + ly + (k, 4 * n))
+    if lx != ly:  # one 2-D operand, used with every item
+        if lx:
+            S = np.broadcast_to(S[:, None], (4,) + lead + (k, 4 * n))
+        else:
+            planes = np.broadcast_to(planes[:, None], (4,) + lead + (m, k))
+    # with k = 1 numpy's matmul runs its own loop, one rounded product
+    # added to +0.0 per entry; einsum does the same, faster
+    P = (np.einsum(_ONE_TERM[len(lead)], planes, S) if k == 1
+         else np.matmul(planes, S))
+    Z = P[0] + P[1]
+    Z += P[2]
+    Z += P[3]
+    return Z.reshape(lead + (m, n, 4))
+
+
+def qmatmul_by(x: np.ndarray):
+    """y -> qmatmul(x, y) for one 2-D left factor x, bit for bit, with the
+    planes of x laid out once: each batched right-side product uses them as
+    they are, where qmatmul would copy them again. For many small products
+    by one matrix, such as the matvecs of a power or Lanczos run; any other
+    product (the left side, the slab path) is qmatmul's."""
+    m, k = x.shape[:2]
+    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
+
+    def product(y: np.ndarray) -> np.ndarray:
+        n = y.shape[1]
+        if _left_side(m, k, n) or (m + k) * n > _BATCH_MAX:
+            return qmatmul(x, y)
+        return _right_batched(planes, y)
+    return product
 
 
 def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

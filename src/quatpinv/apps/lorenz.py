@@ -16,7 +16,7 @@ import numpy as np
 
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _deviation, _drive, _ns_scales, _ns_step, auto_alpha
+from ..solvers import _deviation, _drive, _ns_scales, _ns_step
 
 
 @dataclass
@@ -93,8 +93,9 @@ def lorenz_build(problem: LorenzProblem):
 def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
                     maxit: int | None = None):
     """Square Newton-Schulz inverse X_k <- theta_k (2I - theta_k X_k X) X_k
-    from X_0 = alpha X^H, w = X_k Y, with the solvers' scales theta_k
-    (``solvers._ns_scales``, estimated after t0, so inside wall_time).
+    from X_0 = alpha X^H, w = X_k Y, with alpha and the scales theta_k from
+    the solvers' one spectral probe (``solvers._ns_scales``, run after t0,
+    so inside wall_time).
 
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. A start that is not
     contractive is caught by the divergence guard, as in ns_damped.
@@ -104,8 +105,8 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
         maxit = N
     t0 = time.perf_counter()
     ynorm = max(Y.fro_norm(), 1e-300)
-    alpha = auto_alpha(X)
-    thetas = _ns_scales(X, alpha)
+    Xh = X.adjoint()
+    alpha, thetas = _ns_scales(X, Xh)
 
     def step(Xk, _):
         return _ns_step(_deviation(X, Xk), Xk, theta=next(thetas))
@@ -114,6 +115,6 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
         w = Xk @ Y
         return (X @ w - Y).fro_norm() / ynorm, w
 
-    _, w, report = _drive("ns-q-square", X.adjoint().scale(alpha),
+    _, w, report = _drive("ns-q-square", Xh.scale(alpha),
                           step, measure, tol, maxit, diverge=True, t0=t0)
     return w, report

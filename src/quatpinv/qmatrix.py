@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from . import _qops
-from .errors import DimensionMismatch, NonFinite, NonPowerOfTwo
+from .errors import (ConvergenceFailure, DimensionMismatch, NonFinite,
+                     NonPowerOfTwo)
 from .rng import QuatRNG
 
 
@@ -155,23 +156,26 @@ _POWER_ITERS = 20
 _POWER_SEED = 0
 
 
-def op_norm_est(A: QMatrix) -> float:
+def op_norm_est(A: QMatrix, Ah: QMatrix | None = None) -> float:
     """Operator 2-norm estimate by _POWER_ITERS steps of power iteration on
-    A^H A, from a start vector drawn with seed _POWER_SEED."""
+    A^H A, from a start vector drawn with seed _POWER_SEED. Ah, if given,
+    is A^H, formed by the caller."""
     nrm = A.fro_norm()
     if nrm == 0.0:
         return 0.0
     rng = QuatRNG(_POWER_SEED)
     v = QMatrix(rng.normals((A.cols, 1, 4)))
-    Ah = A.adjoint()
+    # each product is A @ v bit for bit, on planes laid out once
+    times_A = _qops.qmatmul_by(A.data)
+    times_Ah = _qops.qmatmul_by((A.adjoint() if Ah is None else Ah).data)
     est = 0.0
     for _ in range(_POWER_ITERS):
-        w = A @ v
+        w = QMatrix(times_A(v.data))
         wn = w.fro_norm()
         if wn == 0.0:
             return 0.0
         est = wn / v.fro_norm()
-        v = Ah @ w
+        v = QMatrix(times_Ah(w.data))
         vn = v.fro_norm()
         if vn == 0.0:
             return est
@@ -186,9 +190,14 @@ _LANCZOS_STEPS = 20
 _RITZ_ZERO = 1e-12
 
 
-def _gram_min_ritz(A: QMatrix) -> float:
-    """The smallest nonzero Ritz value of A^H A from up to _LANCZOS_STEPS
-    Lanczos steps, or 0.0 if every Ritz value counts as zero.
+def _gram_ritz(A: QMatrix, Ah: QMatrix | None = None):
+    """(low, top, bound) for A^H A from up to _LANCZOS_STEPS Lanczos steps:
+    the smallest nonzero Ritz value (0.0 if every Ritz value counts as
+    zero), the largest Ritz value theta and the upper bound
+    theta + beta |s| on the spectrum, with beta the last Lanczos residual
+    and s the last entry of theta's eigenvector of the tridiagonal matrix
+    (Zhou & Li, Linear Algebra Appl. 435, 2011). Ah, if given, is A^H,
+    formed by the caller.
 
     A wide A is run as A A^H, which has the same nonzero spectrum. The
     vectors are quaternion columns in the real inner product Re tr(u^H v),
@@ -197,18 +206,22 @@ def _gram_min_ritz(A: QMatrix) -> float:
     reorthogonalized twice against all earlier ones, and the run stops
     once the Krylov space is invariant, where Ritz values are eigenvalues.
     On a full-rank A every Ritz value lies in [sigma_min^2, sigma_max^2]
-    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992)."""
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).
+    Raises NonFinite when the tridiagonal matrix is not finite (A^H A
+    overflows) and ConvergenceFailure when its eigensolver fails."""
+    if Ah is None:
+        Ah = A.adjoint()
     if A.rows < A.cols:
-        A = A.adjoint()
+        A, Ah = Ah, A
     n = A.cols
-    Ah = A.adjoint()
+    times_A, times_Ah = _qops.qmatmul_by(A.data), _qops.qmatmul_by(Ah.data)
     V = np.empty((_LANCZOS_STEPS, 4 * n))
     v = QuatRNG(_POWER_SEED).normals((n, 1, 4)).ravel()
     v /= math.sqrt(v @ v)
     diag, off = [], []
     for j in range(_LANCZOS_STEPS):
         V[j] = v
-        w = (Ah @ (A @ QMatrix(v.reshape(n, 1, 4)))).data.ravel()
+        w = times_Ah(times_A(v.reshape(n, 1, 4))).ravel()
         diag.append(float(v @ w))
         for _ in range(2):
             w -= V[:j + 1].T @ (V[:j + 1] @ w)
@@ -218,10 +231,18 @@ def _gram_min_ritz(A: QMatrix) -> float:
             break
         off.append(beta)
         v = w / beta
-    ritz = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                              + np.diag(off, -1))
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if not (np.isfinite(T).all() and math.isfinite(beta)):
+        raise NonFinite("the Lanczos run of A^H A is not finite")
+    try:
+        ritz = np.linalg.eigvalsh(T)
+        s = abs(np.linalg.eigh(T)[1][-1, -1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Lanczos eigenvalues: {exc}") from exc
+    top = float(ritz[-1])
+    bound = top + beta * float(s)
     ritz = ritz[ritz > _RITZ_ZERO * ritz[-1]]
-    return float(ritz[0]) if ritz.size else 0.0
+    return (float(ritz[0]) if ritz.size else 0.0), top, bound
 
 
 def require_pow2(n: int) -> None:

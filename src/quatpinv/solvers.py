@@ -15,7 +15,9 @@ Five solver families live here:
 All solvers start from X0 = alpha * A^H with alpha strictly inside
 (0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero. They
 solve a wide A as its tall adjoint, since (A^H)^+ = (A^+)^H, and return
-the adjoint of that result; alpha is estimated on A itself. Every solver,
+the adjoint of that result; A^H is formed once per solve, and alpha is
+estimated on A itself (auto_alpha's power method), except where it comes
+from the Newton-Schulz probe below. Every solver,
 and the square Newton-Schulz loops of the Lorenz and deblurring apps, runs
 the one stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
 updates are written into arrays the loop alone holds -- the product that
@@ -38,9 +40,18 @@ SketchFailure.
 
 ns_damped at gamma = 1 and the Lorenz solve depart from the paper's plain
 Newton-Schulz step: each step is scaled, X <- theta (2I - theta XA) X,
-with theta set from a Lanczos lower bound on the nonzero spectrum of
-A^H A (_ns_scales). ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction
-and recurrence_deviations stay plain.
+with theta set from bounds on the nonzero spectrum of A^H A. One Lanczos
+probe (_ns_scales) gives all of them and alpha: alpha = 0.99 / theta_max
+for its largest Ritz value, the lower bound from its smallest nonzero
+one, and the upper bound min(2, alpha (theta_max + beta |s|)) (Zhou & Li,
+Linear Algebra Appl. 435, 2011), so alpha and that bound come from the
+same run. ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction and
+recurrence_deviations stay plain, with auto_alpha.
+
+ns_damped and ns_hyperpower report Penrose residuals computed from the
+deviation F = I - XB of the returned X, which their loop measured last
+(_penrose_from_deviation, three products); cgne_q, hybrid_rsp_ns and the
+sketch solvers run penrose_residuals.
 
 rsp_column and rsp_row depart from the paper's plain RSP-Q: they add
 heavy-ball momentum, X_{k+1} = SP(X_k) + beta (X_k - X_{k-1}) with SP the
@@ -65,7 +76,7 @@ from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
                      NonFinite, RankDeficient, SketchFailure)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
-from .qmatrix import (QMatrix, _gram_min_ritz, op_norm_est, randn_qmat_rng,
+from .qmatrix import (QMatrix, _gram_ritz, op_norm_est, randn_qmat_rng,
                       require_finite)
 from .rng import QuatRNG
 
@@ -120,11 +131,12 @@ class SketchConfig:
 
 @dataclass
 class SolverReport:
-    """What a solve did. wall_time (s) starts in _solve_tall, after
-    auto_alpha, and stops before the Penrose check, so it leaves out both;
-    it covers ns_damped's Lanczos run for its scales, cgne_q's Nystrom
-    set-up and its forming of M and X, and the sketch solvers' test
-    sketch. lorenz_solve_ns starts it before auto_alpha."""
+    """What a solve did. wall_time (s) starts in _solve_tall, after A's
+    adjoint and, for the solvers that use it, auto_alpha, and stops before
+    the Penrose check, so it leaves those out; it covers ns_damped's
+    spectral probe at gamma = 1, alpha included, cgne_q's Nystrom set-up
+    and its forming of M and X, and the sketch solvers' test sketch.
+    lorenz_solve_ns starts it before its probe."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -151,16 +163,21 @@ def penrose_residuals(A: QMatrix, X: QMatrix):
     return (e1, e2, e3, e4)
 
 
-def auto_alpha(A: QMatrix) -> float:
-    """alpha = 0.99 / est(||A||_2)^2, kept strictly inside (0, 2/||A||_2^2)."""
-    est = op_norm_est(A)
-    if est == 0.0:
-        return 1.0
-    return 0.99 / (est * est)
+def _alpha_for(norm2: float) -> float:
+    """alpha = 0.99 / norm2 for an estimate norm2 of ||A||_2^2, or 1.0 for
+    norm2 = 0."""
+    return 0.99 / norm2 if norm2 else 1.0
 
 
-def _alpha(A: QMatrix, cfg: SolverConfig) -> float:
-    return auto_alpha(A) if cfg.alpha == "auto" else float(cfg.alpha)
+def auto_alpha(A: QMatrix, Ah: QMatrix | None = None) -> float:
+    """alpha = 0.99 / est(||A||_2)^2, kept strictly inside (0, 2/||A||_2^2).
+    Ah, if given, is A^H, formed by the caller."""
+    est = op_norm_est(A, Ah)
+    return _alpha_for(est * est)
+
+
+def _alpha(A: QMatrix, cfg: SolverConfig, Ah: QMatrix | None = None) -> float:
+    return auto_alpha(A, Ah) if cfg.alpha == "auto" else float(cfg.alpha)
 
 
 def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
@@ -242,22 +259,44 @@ def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
     return X, report
 
 
-def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
-    """Run solve(B, alpha, t0) -> (X, report) on B, the tall one of A and
-    A^H, and return A's (X, report): a wide A's result is adjointed, since
-    (A^H)^+ = (A^+)^H. alpha is estimated on A, before the flip, and the
-    Penrose residuals are computed on A and the returned X. A zero A
-    returns its pseudoinverse, zero, at once: no iterations, converged and
-    an empty residual history."""
+def _penrose_from_deviation(B: QMatrix, X: QMatrix, F: QMatrix):
+    """penrose_residuals(B, X) from F = I - XB: XBX - X = -FX,
+    BXB - B = -BF and (XB)^H - XB = F - F^H, so e1 = ||FX||, e2 = ||BF||,
+    e3 = ||F^H - F|| (bitwise penrose_residuals' e3) and only e4 needs BX:
+    three products in place of four, equal in exact arithmetic."""
+    BX = B @ X
+    return ((F @ X).fro_norm(), (B @ F).fro_norm(),
+            (F.adjoint() - F).fro_norm(), (BX.adjoint() - BX).fro_norm())
+
+
+def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve,
+                probe: bool = False):
+    """Run solve(B, Bh, alpha, t0) -> (X, report, F) on B, the tall one of
+    A and A^H, with Bh = B^H, and return A's (X, report): a wide A's result
+    is adjointed, since (A^H)^+ = (A^+)^H. A^H is formed once, and it is B
+    or Bh. alpha is cfg's, or auto_alpha of A itself, before the flip and
+    before t0; with probe, an "auto" alpha is left to solve as None, which
+    takes it from its spectral probe. F is the deviation I - XB of the
+    returned X, or None; the Penrose residuals are those of A and the
+    returned X, from F when there is one (_penrose_from_deviation, with e3
+    and e4 swapped for a wide A), and from penrose_residuals otherwise. A
+    zero A returns its pseudoinverse, zero, at once: no iterations,
+    converged and an empty residual history."""
     require_finite(A)
     if not A.data.any():
         return _verified(A, QMatrix.zeros(A.cols, A.rows),
                          SolverReport(method, 0, converged=True))
-    alpha = _alpha(A, cfg)
+    Ah = A.adjoint()
+    alpha = None if probe and cfg.alpha == "auto" else _alpha(A, cfg, Ah)
     t0 = time.perf_counter()
     wide = A.rows < A.cols
-    X, report = solve(A.adjoint() if wide else A, alpha, t0)
-    return _verified(A, X.adjoint() if wide else X, report)
+    B, Bh = (Ah, A) if wide else (A, Ah)
+    X, report, F = solve(B, Bh, alpha, t0)
+    if F is None:
+        return _verified(A, X.adjoint() if wide else X, report)
+    e1, e2, e3, e4 = _penrose_from_deviation(B, X, F)
+    report.penrose = (e1, e2, e4, e3) if wide else (e1, e2, e3, e4)
+    return (X.adjoint() if wide else X), report
 
 
 def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
@@ -363,29 +402,36 @@ def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
     return eval_neumann_poly(R, X, order, schedule)
 
 
-# the upper bound on X_0 A's eigenvalues that the first scaled step uses:
-# alpha < 2/||A||_2^2 puts them in (0, 2)
+# the cap on u_0, the upper bound on X_0 B's eigenvalues: alpha <
+# 2/||B||_2^2 puts them in (0, 2)
 _U0 = 2.0
 
 
-def _ns_scales(B: QMatrix, alpha: float):
-    """The endless iterator of scales theta_k for the order-2 steps from
-    X_0 = alpha B^H: theta_k = 2/(l_k + u_k) for bounds [l_k, u_k] on the
-    nonzero eigenvalues of X_k B (Pan & Schreiber, SIAM J. Sci. Stat.
-    Comput. 12, 1991). l_0 = alpha times the smallest nonzero Ritz value of
-    B^H B, u_0 = _U0, and after each step l <- theta l (2 - theta l) and
-    u = 1. Every theta is 1 when no Ritz value is nonzero or l_0 >= u_0,
+def _ns_scales(B: QMatrix, Bh: QMatrix, alpha: float | None = None):
+    """(alpha, thetas) for the order-2 steps from X_0 = alpha B^H, from one
+    Lanczos probe of B^H B (qmatrix._gram_ritz, on B and Bh = B^H): alpha,
+    unless given, is 0.99 / theta for the largest Ritz value theta, and
+    thetas is the endless iterator of scales theta_k = 2/(l_k + u_k) for
+    bounds [l_k, u_k] on the nonzero eigenvalues of X_k B (Pan & Schreiber,
+    SIAM J. Sci. Stat. Comput. 12, 1991). l_0 = alpha times the smallest
+    nonzero Ritz value, u_0 = min(_U0, alpha times the probe's upper bound
+    on the spectrum), which alpha and u_0 taken from the same probe keep
+    above X_0 B's eigenvalues; after each step l <- theta l (2 - theta l)
+    and u = 1. Every theta is 1 when no Ritz value is nonzero or l_0 > u_0,
     where alpha breaks the premise alpha < 2/||B||_2^2."""
-    l = alpha * _gram_min_ritz(B)
-    if not 0.0 < l < _U0:
-        return itertools.repeat(1.0)
+    low, top, bound = _gram_ritz(B, Bh)
+    if alpha is None:
+        alpha = _alpha_for(top)
+    l, u = alpha * low, min(_U0, alpha * bound)
+    if not 0.0 < l <= u:
+        return alpha, itertools.repeat(1.0)
 
     def scales(l, u):
         while True:
             theta = 2.0 / (l + u)
             yield theta
             l, u = theta * l * (2.0 - theta * l), 1.0
-    return scales(l, _U0)
+    return alpha, scales(l, u)
 
 
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
@@ -402,10 +448,11 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
         raise ValueError(f"unknown kind {kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    alpha = _alpha(A, cfg)
+    Ah = A.adjoint()
+    alpha = _alpha(A, cfg, Ah)
     if A.rows < A.cols:
-        A = A.adjoint()
-    X = A.adjoint().scale(alpha)
+        A, Ah = Ah, A
+    X = Ah.scale(alpha)
     R = _deviation(A, X)
     out = []
     for k in range(1, steps + 1):
@@ -428,22 +475,26 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
               **step_kw):
-    """The Newton-Schulz family through _solve_tall; with scaled, each
-    step takes the next scale of _ns_scales."""
-    def solve(B, alpha, t0):
+    """The Newton-Schulz family through _solve_tall, verified from the
+    deviation of the returned X; with scaled, alpha ("auto") and each
+    step's scale come from _ns_scales' probe."""
+    def solve(B, Bh, alpha, t0):
+        if scaled:
+            alpha, thetas = _ns_scales(B, Bh, alpha)
+        else:
+            thetas = itertools.repeat(1.0)
         scratch = _Scratch(4 * B.cols * B.cols)
-        thetas = _ns_scales(B, alpha) if scaled else itertools.repeat(1.0)
 
         def measure(X):
             F = _deviation(B, X)
             return scratch.fro_norm(F), F
 
-        X, _, rep = _drive(
-            method, B.adjoint().scale(alpha),
+        X, F, rep = _drive(
+            method, Bh.scale(alpha),
             lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
             measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
-        return X, rep
-    return _solve_tall(A, cfg, method, solve)
+        return X, rep, F
+    return _solve_tall(A, cfg, method, solve, probe=scaled)
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):
@@ -586,21 +637,21 @@ def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
     and the residual measured on a test sketch of B. Without cycle, each
     iteration is the heavy-ball step (_heavy_ball), under the divergence
     guard; with it, each iteration is cycle(X, stream)."""
-    def solve(B, alpha, t0):
+    def solve(B, Bh, alpha, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
         stream = _SketchStream(B, sk, rng)
         # X0 is built in each call, so that no name keeps it alive
         if cycle is not None:
-            X, _, rep = _drive(method, B.adjoint().scale(alpha),
+            X, _, rep = _drive(method, Bh.scale(alpha),
                                lambda X, _: cycle(X, stream), measure,
                                cfg.tol, cfg.maxit, t0=t0)
-            return X, rep
+            return X, rep, None
         (X, *_), _, rep = _drive(
-            method, (B.adjoint().scale(alpha), None, 0, None, 0.0),
+            method, (Bh.scale(alpha), None, 0, None, 0.0),
             _heavy_ball(stream), lambda state: measure(state[0]), cfg.tol,
             cfg.maxit, diverge=True, t0=t0)
-        return X, rep
+        return X, rep, None
     return _solve_tall(A, cfg, method, solve)
 
 
@@ -714,8 +765,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     applied once per call, to B^H, and X is formed from F after the last
     step.
     """
-    def solve(B, alpha, t0):
-        Bh = B.adjoint()
+    def solve(B, Bh, alpha, t0):
         BhP = (Bh if precond is None
                else _NystromPrecond(B, precond).apply_right(Bh))
         M = BhP @ B
@@ -755,7 +805,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
         X = F @ BhP
         np.add(X0.data, X.data, out=X.data)
         rep.wall_time = time.perf_counter() - t0
-        return X, rep
+        return X, rep, None
     return _solve_tall(A, cfg, "cgne", solve)
 
 
@@ -775,8 +825,8 @@ def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
                             trials: int) -> np.ndarray:
     """Per-trial one-step ratios ||X1 - Adag||_F^2 / ||X0 - Adag||_F^2."""
     Xstar = pinv_normal_eq(A)
-    alpha = auto_alpha(A)
-    X0 = A.adjoint().scale(alpha)
+    Ah = A.adjoint()
+    X0 = Ah.scale(auto_alpha(A, Ah))
     d0 = (X0 - Xstar).fro_norm() ** 2
     stream = _SketchStream(A, sk, QuatRNG(sk.seed))
     out = np.empty(trials)

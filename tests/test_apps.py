@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quatpinv.errors import NonPowerOfTwo
+from quatpinv.errors import NonFinite, NonPowerOfTwo
 from quatpinv.factor import pinv_normal_eq
 from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.rng import QuatRNG
@@ -244,6 +244,15 @@ def test_lorenz_solve_scaled_iterations(seed):
     w, rep = lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
     assert rep.converged and rep.iterations <= 24
     assert (X @ w - Y).fro_norm() / Y.fro_norm() <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_lorenz_solve_probe_overflow_raises_non_finite(scale):
+    # X^H X overflows in the Lanczos run, where numpy's eigvalsh once
+    # raised its own LinAlgError
+    X, Y, _ = lorenz_build(LorenzProblem(N=20, T_end=2.0))
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        lorenz_solve_ns(X.scale(scale), Y)
 
 
 def test_lorenz_problem_validation():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from quatpinv._qops import qmul, qnormsq
-from quatpinv.errors import DimensionMismatch, NonPowerOfTwo
+from quatpinv.errors import (ConvergenceFailure, DimensionMismatch, NonFinite,
+                             NonPowerOfTwo)
 from quatpinv.factor import qsvd
-from quatpinv.qmatrix import (QMatrix, _gram_min_ritz, op_norm_est, randn_qmat,
+from quatpinv.qmatrix import (QMatrix, _gram_ritz, op_norm_est, randn_qmat,
                               require_pow2)
+from quatpinv.rng import QuatRNG
 
 
 def embed(A: QMatrix) -> np.ndarray:
@@ -86,7 +88,7 @@ def test_op_norm_est_unitary_invariance():
 def test_gram_min_ritz_against_qsvd(m, n, seed):
     A = randn_qmat(m, n, seed)
     smin2 = qsvd(A).S[-1] ** 2
-    lam = _gram_min_ritz(A)
+    lam = _gram_ritz(A)[0]
     assert lam >= smin2 * (1 - 1e-10)
     if 4 * min(m, n) <= 20:
         # 20 steps would span the space; the run stops at its breakdown
@@ -96,14 +98,103 @@ def test_gram_min_ritz_against_qsvd(m, n, seed):
 @pytest.mark.parametrize("m, n", [(40, 30), (30, 40)])
 def test_gram_min_ritz_skips_zero_on_rank_deficient(m, n):
     A = randn_qmat(m, 3, 1) @ randn_qmat(n, 3, 101).adjoint()
-    assert _gram_min_ritz(A) == pytest.approx(qsvd(A).S[2] ** 2, rel=1e-8)
+    assert _gram_ritz(A)[0] == pytest.approx(qsvd(A).S[2] ** 2, rel=1e-8)
 
 
 def test_gram_min_ritz_1x1_and_zero():
     A = qmat([[(2.0, -0.5, 0.25, 1.5)]])
-    assert _gram_min_ritz(A) == pytest.approx(4.0 + 0.25 + 0.0625 + 2.25,
+    assert _gram_ritz(A)[0] == pytest.approx(4.0 + 0.25 + 0.0625 + 2.25,
                                               rel=1e-15)
-    assert _gram_min_ritz(QMatrix.zeros(3, 2)) == 0.0
+    assert _gram_ritz(QMatrix.zeros(3, 2)) == (0.0, 0.0, 0.0)
+
+
+# The probes as they were when every product copied A's planes again:
+# each product through QMatrix @, as op_norm_est and the Lanczos run wrote
+# them before they laid the planes out once per run.
+
+def _op_norm_est_ref(A):
+    if A.fro_norm() == 0.0:
+        return 0.0
+    v = QMatrix(QuatRNG(0).normals((A.cols, 1, 4)))
+    Ah = A.adjoint()
+    est = 0.0
+    for _ in range(20):
+        w = A @ v
+        wn = w.fro_norm()
+        if wn == 0.0:
+            return 0.0
+        est = wn / v.fro_norm()
+        v = Ah @ w
+        vn = v.fro_norm()
+        if vn == 0.0:
+            return est
+        v = v.scale(1.0 / vn)
+    return est
+
+
+def _min_ritz_ref(A):
+    if A.rows < A.cols:
+        A = A.adjoint()
+    n = A.cols
+    Ah = A.adjoint()
+    V = np.empty((20, 4 * n))
+    v = QuatRNG(0).normals((n, 1, 4)).ravel()
+    v /= np.sqrt(v @ v)
+    diag, off = [], []
+    for j in range(20):
+        V[j] = v
+        w = (Ah @ (A @ QMatrix(v.reshape(n, 1, 4)))).data.ravel()
+        diag.append(float(v @ w))
+        for _ in range(2):
+            w -= V[:j + 1].T @ (V[:j + 1] @ w)
+        beta = np.sqrt(w @ w)
+        if j + 1 == 20 or beta <= 1e-12 * max(map(abs, diag)):
+            break
+        off.append(beta)
+        v = w / beta
+    ritz = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                              + np.diag(off, -1))
+    ritz = ritz[ritz > 1e-12 * ritz[-1]]
+    return float(ritz[0]) if ritz.size else 0.0
+
+
+# the benchmark's shapes (dense, sketch, the Lorenz solve), k = 1 and 1 x 1
+@pytest.mark.parametrize("m, n", [(220, 200), (200, 220), (120, 100),
+                                  (30, 20), (20, 30), (70, 50), (50, 50),
+                                  (9, 1), (1, 9), (1, 1)])
+def test_probes_bitwise_equal_one_product_at_a_time(m, n):
+    A = randn_qmat(m, n, m + 2 * n)
+    norm = _op_norm_est_ref(A).hex()
+    assert op_norm_est(A).hex() == norm
+    assert op_norm_est(A, A.adjoint()).hex() == norm
+    low = _min_ritz_ref(A).hex()
+    assert _gram_ritz(A)[0].hex() == low
+    assert _gram_ritz(A, A.adjoint())[0].hex() == low
+
+
+@pytest.mark.parametrize("m, n", [(12, 5), (5, 12), (50, 50), (1, 1)])
+def test_gram_ritz_top_and_bound_against_qsvd(m, n):
+    A = randn_qmat(m, n, 3)
+    smax2 = qsvd(A).S[0] ** 2
+    low, top, bound = _gram_ritz(A)
+    assert low <= top <= smax2 * (1 + 1e-12)
+    assert top == pytest.approx(smax2, rel=1e-4)
+    assert bound >= smax2 * (1 - 1e-12)
+
+
+def test_gram_ritz_eigensolver_failure_is_typed(monkeypatch):
+    def fail(T):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceFailure):
+        _gram_ritz(randn_qmat(6, 4, 1))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_gram_ritz_overflow_is_non_finite(scale):
+    # A^H A overflows; numpy's eigvalsh once raised its own LinAlgError
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        _gram_ritz(randn_qmat(30, 20, 1).scale(scale))
 
 
 def test_randn_statistics_and_determinism():

@@ -294,6 +294,37 @@ def test_qmatmul_left_side_departs_from_parent_kernel_at_large_shapes():
 
 
 # ---------------------------------------------------------------------------
+# products by one left factor, its planes laid out once
+# ---------------------------------------------------------------------------
+
+# (m, k) of the left factor: the probes' matrices and adjoints in the dense,
+# sketch and apps workloads, k = 1, and m + k > _BATCH_MAX, where a matvec
+# takes the slab path; n = 8 puts the 1 x 20 factor on the left side
+@pytest.mark.parametrize("m, k", [(220, 200), (200, 220), (120, 100),
+                                  (100, 120), (30, 20), (20, 30), (70, 50),
+                                  (50, 70), (50, 50), (60, 1), (1, 1),
+                                  (1, 20), (2000, 60), (60, 2000)])
+def test_qmatmul_by_bitwise_equals_qmatmul(m, k):
+    rng = np.random.default_rng(m * 4096 + k)
+    x = _wide_range_qarray((m, k), rng)
+    kept = x.tobytes()
+    product = _qops.qmatmul_by(x)
+    for n in (1, 1, 8):
+        y = _wide_range_qarray((k, n), rng)
+        got = product(y)
+        assert got.tobytes() == qmatmul(x, y).tobytes()
+        assert not np.shares_memory(got, x)
+    assert x.tobytes() == kept
+
+
+def test_qmatmul_by_shapes_cover_every_path():
+    assert _batched(220, 200, 1) and _batched(60, 1, 1)
+    assert _side(1, 20, 8) == "left"
+    assert _side(2000, 60, 1) == "right" and not _batched(2000, 60, 1)
+    assert _side(60, 2000, 1) == "right" and not _batched(60, 2000, 1)
+
+
+# ---------------------------------------------------------------------------
 # the slab path's per-thread workspace
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
                              NonFinite, QuatpinvError, RankDeficient,
                              SketchFailure)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
-from quatpinv.qmatrix import QMatrix, op_norm_est, randn_qmat
+from quatpinv.qmatrix import QMatrix, _gram_ritz, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
                               SketchConfig, SolverConfig, auto_alpha, cgne_q,
                               eval_neumann_poly, hybrid_rsp_ns, ns_damped,
@@ -88,8 +88,7 @@ def test_ns_scaled_recurrence_exact():
     # criterion 2's instance: a scaled step maps F to F_theta^2, with
     # F_theta = (1 - theta) I + theta F
     A = randn_qmat(10, 6, 0)
-    alpha = auto_alpha(A)
-    thetas = solvers._ns_scales(A, alpha)
+    alpha, thetas = solvers._ns_scales(A, A.adjoint())
     X = A.adjoint().scale(alpha)
     F = solvers._deviation(A, X)
     worst, scaled = 0.0, 0
@@ -112,13 +111,13 @@ def test_hyperpower_recurrence_exact(p):
 
 
 def test_hyperpower_p2_matches_ns_bitwise(monkeypatch):
-    # hyperpower is never scaled; with every theta 1, ns_damped's step is
-    # the plain step bit for bit
+    # hyperpower is never scaled; with the same alpha and every theta 1,
+    # ns_damped's step is the plain step bit for bit
     A = randn_qmat(9, 5, 1)
-    cfg = SolverConfig(tol=1e-12, maxit=30)
+    cfg = SolverConfig(alpha=auto_alpha(A), tol=1e-12, maxit=30)
     X2, _ = ns_hyperpower(A, cfg)
     monkeypatch.setattr(solvers, "_ns_scales",
-                        lambda B, alpha: itertools.repeat(1.0))
+                        lambda B, Bh, alpha: (alpha, itertools.repeat(1.0)))
     X1, _ = ns_damped(A, cfg)
     assert np.array_equal(X1.data, X2.data)
 
@@ -239,20 +238,22 @@ def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
 
 
 def _ref_ns(A, cfg, method, scaled=False, **step_kw):
-    def solve(B, alpha, t0):
-        thetas = (solvers._ns_scales(B, alpha) if scaled
-                  else itertools.repeat(1.0))
+    def solve(B, Bh, alpha, t0):
+        if scaled:
+            alpha, thetas = solvers._ns_scales(B, Bh, alpha)
+        else:
+            thetas = itertools.repeat(1.0)
 
         def measure(X):
             F = _ref_deviation(B, X)
             return F.fro_norm(), F
 
-        X, _, rep = solvers._drive(
-            method, B.adjoint().scale(alpha),
+        X, F, rep = solvers._drive(
+            method, Bh.scale(alpha),
             lambda X, F: _ref_ns_step(F, X, theta=next(thetas), **step_kw),
             measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
-        return X, rep
-    return solvers._solve_tall(A, cfg, method, solve)
+        return X, rep, F
+    return solvers._solve_tall(A, cfg, method, solve, probe=scaled)
 
 
 def _frob(x, y):
@@ -260,8 +261,7 @@ def _frob(x, y):
 
 
 def _ref_cgne(A, cfg, precond=None):
-    def solve(B, alpha, t0):
-        Bh = B.adjoint()
+    def solve(B, Bh, alpha, t0):
         BhP = Bh if precond is None else \
             solvers._NystromPrecond(B, precond).apply_right(Bh)
         M = BhP @ B
@@ -284,7 +284,7 @@ def _ref_cgne(A, cfg, precond=None):
                      None, None, None), step,
             lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
             t0=t0)
-        return X0 + F @ BhP, rep
+        return X0 + F @ BhP, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
 
@@ -444,6 +444,102 @@ def test_ns_scaled_rank_deficient_returns_finite_or_raises(m, n, seed):
         return
     assert np.isfinite(X.data).all()
     assert not rep.converged or max(rep.penrose) <= 1e-6
+
+
+# the probe's adversarial spectra at 120 x 100: a clustered top, one
+# outlier, a flat one, geometric ratios 1e2 and 1e4, a top gap of 1e-6
+_PROBE_SPECTRA = {
+    "clustered-top": np.r_[1.0 - 1e-4 * np.arange(10),
+                           np.linspace(0.5, 0.05, 90)],
+    "outlier": np.r_[10.0, np.linspace(1.0, 0.1, 99)],
+    "flat": np.linspace(1.0, 0.9, 100),
+    "geometric-1e2": np.geomspace(1.0, 1e-2, 100),
+    "geometric-1e4": np.geomspace(1.0, 1e-4, 100),
+    "top-gap-1e-6": np.r_[1.0, 1.0 - 1e-6, np.linspace(0.9, 0.1, 98)],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spectrum", sorted(_PROBE_SPECTRA))
+def test_ns_probe_bound_covers_spectrum(spectrum, seed):
+    # u_0 = alpha * bound must lie above X_0 A's largest eigenvalue,
+    # alpha sigma_max^2, up to rounding in the two computations of
+    # sigma_max^2, where the Lanczos run has converged to it
+    A = _with_spectrum(120, _PROBE_SPECTRA[spectrum], seed)
+    smax2 = qsvd(A).S[0] ** 2
+    _, top, bound = _gram_ritz(A)
+    alpha = solvers._ns_scales(A, A.adjoint())[0]
+    assert alpha == 0.99 / top and alpha * smax2 < 2.0
+    assert alpha * bound >= alpha * smax2 * (1 - 1e-12)
+    _, rep = ns_damped(A, SolverConfig(tol=1e-8))
+    assert rep.converged
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_ns_probe_overflow_raises_non_finite(scale):
+    # A^H A overflows in the Lanczos run, where numpy's eigvalsh once
+    # raised its own LinAlgError
+    A = randn_qmat(30, 20, 1).scale(scale)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        ns_damped(A, SolverConfig())
+
+
+# ---------------------------------------------------------------------------
+# the Newton-Schulz family's verify, from the last deviation
+# ---------------------------------------------------------------------------
+
+def _assert_penrose_close(A, X, reported):
+    # within 1e-3 relative, or an absolute rounding floor
+    floor = 1e2 * np.finfo(float).eps * A.fro_norm() * X.fro_norm()
+    for got, want in zip(reported, penrose_residuals(A, X)):
+        assert abs(got - want) <= max(1e-3 * want, floor), (got, want)
+
+
+_VERIFIED = {
+    "ns": ns_damped,
+    "ns-gamma0.7": lambda A, c: ns_damped(
+        A, SolverConfig(gamma=0.7, tol=c.tol, maxit=c.maxit)),
+    "hyperpower-ps8": lambda A, c: ns_hyperpower(
+        A, SolverConfig(order=8, schedule=SCHEDULE_PS, tol=c.tol,
+                        maxit=c.maxit)),
+}
+
+
+# maxit 2 stops far from A^+, where e1 and e2 stand well above rounding
+@pytest.mark.parametrize("maxit", [2, 100])
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
+@pytest.mark.parametrize("solver", sorted(_VERIFIED))
+def test_ns_family_penrose_from_deviation(solver, shape, maxit):
+    A = randn_qmat(*shape, 50 + sum(shape))
+    X, rep = _VERIFIED[solver](A, SolverConfig(tol=1e-10, maxit=maxit))
+    assert rep.converged == (maxit == 100)
+    _assert_penrose_close(A, X, rep.penrose)
+    if shape[0] >= shape[1]:  # ||F^H - F|| is e3 of the tall A bit for bit
+        assert rep.penrose[2] == penrose_residuals(A, X)[2]
+
+
+def test_penrose_from_deviation_swaps_e3_and_e4_for_a_wide_a():
+    # an X that is no polynomial in A^H A leaves XA and AX far from
+    # Hermitian, with different residuals; a wide A is solved as B = A^H,
+    # whose e4 and e3 are A's e3 and e4
+    A = randn_qmat(12, 20, 40)
+    Xb = randn_qmat(12, 20, 41).scale(0.01)
+
+    def solve(B, Bh, alpha, t0):
+        return Xb, solvers.SolverReport("fixed", 0), solvers._deviation(B, Xb)
+    X, rep = solvers._solve_tall(A, SolverConfig(), "fixed", solve)
+    e = penrose_residuals(A, X)
+    assert abs(e[2] - e[3]) > 0.1 * e[2]
+    _assert_penrose_close(A, X, rep.penrose)
+
+
+@pytest.mark.parametrize("solver", sorted(_VERIFIED))
+@pytest.mark.parametrize("entry", [(2.0, -0.5, 0.25, 1.5), None])
+def test_ns_family_1x1_reports(solver, entry):
+    A = randn_qmat(1, 1, 3) if entry is None else QMatrix(np.array([[entry]]))
+    X, rep = _VERIFIED[solver](A, SolverConfig())
+    assert rep.converged
+    _assert_penrose_close(A, X, rep.penrose)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +904,7 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
 def _ref_cgne_xspace(A, cfg, precond=None):
     """CGNE on X itself, as cgne_q ran before its Gram coordinates: two
     n x m products a step, and two more for the preconditioner."""
-    def solve(B, alpha, t0):
-        Bh = B.adjoint()
+    def solve(B, Bh, alpha, t0):
         X0 = Bh.scale(alpha)
         M = None if precond is None else solvers._NystromPrecond(B, precond)
 
@@ -827,7 +922,7 @@ def _ref_cgne_xspace(A, cfg, precond=None):
             "cgne", (X0, _ref_deviation(B, X0), None, None), step,
             lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
             t0=t0)
-        return X, rep
+        return X, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
 
@@ -912,9 +1007,12 @@ def test_wide_solve_is_adjoint_of_tall_solve(solver):
     assert rep.residual_history == tall.residual_history
     assert rep.iterations == tall.iterations > 0 and rep.converged
     assert max(rep.penrose) <= 1e-8
-    # alpha is estimated on A itself, not on the adjoint that is solved
+    # alpha is estimated on A itself, not on the adjoint that is solved;
+    # ns takes it from the probe of the tall one, which runs on A A^H
     X0, _ = _WIDE[solver](A, SolverConfig(maxit=0))
-    assert np.array_equal(X0.data, A.adjoint().scale(auto_alpha(A)).data)
+    alpha = (solvers._ns_scales(A.adjoint(), A)[0] if solver == "ns_damped"
+             else auto_alpha(A))
+    assert np.array_equal(X0.data, A.adjoint().scale(alpha).data)
 
 
 def test_cgne_breakdown():
