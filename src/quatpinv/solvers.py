@@ -4,8 +4,8 @@ Five solver families live here:
 
 * damped Newton-Schulz (order 2, damping gamma in (0, 1]),
 * order-p hyperpower updates with three polynomial schedules,
-* randomized sketch-and-project (column and row variants), with
-  heavy-ball momentum,
+* randomized sketch-and-project (column and row variants), with an
+  accelerated step,
 * a hybrid that interleaves sketch-and-project steps with one exact
   hyperpower correction,
 * conjugate gradient on the normal equations in matrix form, run on n x n
@@ -17,14 +17,17 @@ All solvers start from X0 = alpha * A^H with alpha strictly inside
 solve a wide A as its tall adjoint, since (A^H)^+ = (A^+)^H, and return
 the adjoint of that result; A^H is formed once per solve, and alpha is
 estimated on A itself (auto_alpha's power method), except where it comes
-from the Newton-Schulz probe below. Every solver,
+from the Lanczos probe of the tall one that ns_damped at gamma = 1,
+rsp_column and rsp_row run (below). Every solver,
 and the square Newton-Schulz loops of the Lorenz and deblurring apps, runs
 the one stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
 updates are written into arrays the loop alone holds -- the product that
 feeds them, one scratch buffer per solve, or CGNE's n x n coordinate
 matrices -- so an iteration allocates nothing beyond its quaternion
-products; no argument or returned matrix is written to, and every result
-is bitwise that of fresh intermediates.
+products; the accelerated sketch-and-project step forms its extra
+combinations in the buffers of its iterate and of its W. No argument or
+returned matrix is written to, and every result is bitwise that of fresh
+intermediates.
 
 The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
@@ -53,13 +56,19 @@ deviation F = I - XB of the returned X, which their loop measured last
 (_penrose_from_deviation, three products); cgne_q, hybrid_rsp_ns and the
 sketch solvers run penrose_residuals.
 
-rsp_column and rsp_row depart from the paper's plain RSP-Q: they add
-heavy-ball momentum, X_{k+1} = SP(X_k) + beta (X_k - X_{k-1}) with SP the
-plain step (Loizou & Richtarik, Comput. Optim. Appl. 77, 2020). beta is 0
-for the first 10 steps and then min(0.45, 0.6 (1 - sqrt(1 - rho))^2),
-rho = (r_10 / r_0)^(1/10) the rate of the run's own test-sketch residual,
-and the divergence guard is on. hybrid_rsp_ns, the step _update and the
-rate diagnostic rsp_contraction_samples stay plain.
+rsp_column and rsp_row depart from the paper's plain RSP-Q: they take the
+accelerated sketch-and-project step (Gower, Hanzely, Richtarik & Stich,
+NeurIPS 2018; Tu et al., ICML 2017) with SP the plain step, from V_0 = X_0:
+Y = X + a (V - X), X+ = SP(Y), V+ = beta V + (1 - beta) Y - gamma (Y - X+),
+with beta = 1 - sqrt(mu / nu), gamma = 1 / sqrt(mu nu) and
+a = 1 / (1 + gamma nu). One Lanczos probe of B^H B (qmatrix._gram_ritz)
+gives alpha = 0.99 / theta_max and mu = r low / ||B||_F^2 for its smallest
+nonzero Ritz value low; nu = 1.5 n / r. Where sqrt(mu / nu) >= 0.2, or
+mu = 0, they take the plain step: those shapes converge in tens of steps,
+which the accelerated step does not shorten. The divergence guard is on
+for both. The probe draws from its own seed, so the sketches are those of
+the plain run. hybrid_rsp_ns, the step _update and the rate diagnostic
+rsp_contraction_samples stay plain, with auto_alpha.
 """
 
 from __future__ import annotations
@@ -133,10 +142,11 @@ class SketchConfig:
 class SolverReport:
     """What a solve did. wall_time (s) starts in _solve_tall, after A's
     adjoint and, for the solvers that use it, auto_alpha, and stops before
-    the Penrose check, so it leaves those out; it covers ns_damped's
-    spectral probe at gamma = 1, alpha included, cgne_q's Nystrom set-up
-    and its forming of M and X, and the sketch solvers' test sketch.
-    lorenz_solve_ns starts it before its probe."""
+    the Penrose check, so it leaves those out; it covers the spectral
+    probe of ns_damped at gamma = 1 and of rsp_column and rsp_row, alpha
+    included, cgne_q's Nystrom set-up and its forming of M and X, and the
+    sketch solvers' test sketch. lorenz_solve_ns starts it before its
+    probe."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -577,15 +587,13 @@ def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG):
     """Relative residual on a fixed Gaussian test sketch Pi, with A Pi
     precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
-    ||I_n - XA||_F. The residual is also the measure's aux, for the step
-    that sets the momentum from it."""
+    ||I_n - XA||_F."""
     Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
     APi = A @ Pi
     pi_norm = Pi.fro_norm()
 
     def measure(X):
-        res = (Pi - X @ APi).fro_norm() / pi_norm
-        return res, res
+        return (Pi - X @ APi).fro_norm() / pi_norm, None
     return measure
 
 
@@ -594,39 +602,52 @@ def _require_block(A: QMatrix, sk: SketchConfig) -> None:
         raise ValueError("block_r must be <= min(m, n)")
 
 
-# the momentum rule of rsp_column and rsp_row (module docstring): the
-# heavy-ball optimum (1 - sqrt(1 - rho))^2 for the rate rho of the first
-# _PLAIN_STEPS steps, shrunk and capped, since the stochastic iteration
-# diverges from beta ~ 0.7; a fixed beta slows the shapes that converge fast
-_PLAIN_STEPS = 10
-_BETA_SHRINK = 0.6
-_BETA_CAP = 0.45
+# sqrt(mu / nu) from which rsp_column and rsp_row take the plain step: the
+# shapes above it converge in tens of steps, and the accelerated step took
+# 1.07-1.17x the plain step's iterations there
+_ACCEL_BELOW = 0.2
+# nu = _NU_FACTOR n / r: n / r took more steps on 30 x 20 and on 12 x 7
+# (r = 8 and 6), 3 n / r on the slow shapes
+_NU_FACTOR = 1.5
 
 
-def _momentum(r0: float, r: float) -> float:
-    rate = min(1.0, (r / r0) ** (1.0 / _PLAIN_STEPS))
-    return min(_BETA_CAP, _BETA_SHRINK * (1.0 - math.sqrt(1.0 - rate)) ** 2)
+def _accel_constants(B: QMatrix, r: int, low: float):
+    """(sqrt(mu / nu), (beta, gamma, a)) of the accelerated step for rank-r
+    sketches of B (module docstring), with mu = r low / ||B||_F^2 for the
+    probe's smallest nonzero Ritz value low and nu = 1.5 n / r; the
+    constants are None where the plain step is taken: mu = 0 or
+    sqrt(mu / nu) >= _ACCEL_BELOW. mu is 0 where ||B||_F^2 underflows to 0
+    (entries below about 1e-160)."""
+    fro2 = B.fro_norm() ** 2
+    mu = r * low / fro2 if fro2 else 0.0
+    nu = _NU_FACTOR * B.cols / r
+    q = math.sqrt(mu / nu)
+    if not 0.0 < q < _ACCEL_BELOW:
+        return q, None
+    gamma = 1.0 / math.sqrt(mu * nu)
+    return q, (1.0 - q, gamma, 1.0 / (1.0 + gamma * nu))
 
 
-def _heavy_ball(stream: _SketchStream):
-    """The step of rsp_column and rsp_row on the state (X_k, X_{k-1}, k,
-    r_0, beta): X_{k+1} = _update(X_k) + beta (X_k - X_{k-1}), with beta 0
-    for the first _PLAIN_STEPS steps and set by _momentum from the
-    residuals r_0 and r_10 at k = 10. X_{k-1} is the loop's own array, and
-    beta (X_k - X_{k-1}) is formed in its buffer."""
-    def step(state, res):
-        X, X_prev, k, r0, beta = state
-        if k == 0:
-            r0 = res
-        elif k == _PLAIN_STEPS:
-            beta = _momentum(r0, res)
+def _accelerated(stream: _SketchStream, beta: float, gamma: float,
+                 a: float):
+    """The step of rsp_column and rsp_row on the state (X, W), with
+    W = a (V - X) in place of V (W_0 = 0): Y = X + W, X+ = _update(Y) and
+    W+ = beta (1 - a) W + a (gamma - 1) (X+ - Y), which is a (V+ - X+) for
+    the V+ of the module docstring, since V - Y = (1 - a)(V - X). X and W
+    are the loop's own: Y and then X+ - Y are formed in X's buffer, W+ in
+    W's, so the step adds five elementwise passes to _update."""
+    c_w, c_g = beta * (1.0 - a), a * (gamma - 1.0)
+
+    def step(state, _):
+        X, W = state
+        x, w = X.data, W.data
+        np.add(x, w, out=x)
         X_next = _update(X, stream)
-        if beta:
-            D = X_prev.data
-            np.subtract(X.data, D, out=D)
-            np.multiply(D, beta, out=D)
-            np.add(X_next.data, D, out=X_next.data)
-        return X_next, X, k + 1, r0, beta
+        np.subtract(X_next.data, x, out=x)
+        np.multiply(w, c_w, out=w)
+        np.multiply(x, c_g, out=x)
+        np.add(w, x, out=w)
+        return X_next, W
     return step
 
 
@@ -634,25 +655,37 @@ def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
                   method: str, cycle=None):
     """Sketch-and-project on B, the tall one of A and A^H, through
     _solve_tall, from X0 = alpha B^H, with the solve's sketch stream of B
-    and the residual measured on a test sketch of B. Without cycle, each
-    iteration is the heavy-ball step (_heavy_ball), under the divergence
-    guard; with it, each iteration is cycle(X, stream)."""
+    and the residual measured on a test sketch of B. Without cycle, one
+    Lanczos probe of B^H B (qmatrix._gram_ritz) gives an "auto" alpha,
+    0.99 / theta_max, and the accelerated step's constants
+    (_accel_constants); each iteration is that step (_accelerated), or the
+    plain _update where the constants are None, under the divergence
+    guard. With cycle, alpha is auto_alpha's and each iteration is
+    cycle(X, stream)."""
     def solve(B, Bh, alpha, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
         stream = _SketchStream(B, sk, rng)
+        step = cycle
+        if cycle is None:
+            low, top, _ = _gram_ritz(B, Bh)
+            if alpha is None:
+                alpha = _alpha_for(top)
+            _, constants = _accel_constants(B, sk.block_r, low)
+            if constants is not None:
+                (X, _), _, rep = _drive(
+                    method, (Bh.scale(alpha), QMatrix.zeros(B.cols, B.rows)),
+                    _accelerated(stream, *constants),
+                    lambda state: measure(state[0]), cfg.tol, cfg.maxit,
+                    diverge=True, t0=t0)
+                return X, rep, None
+            step = _update
         # X0 is built in each call, so that no name keeps it alive
-        if cycle is not None:
-            X, _, rep = _drive(method, Bh.scale(alpha),
-                               lambda X, _: cycle(X, stream), measure,
-                               cfg.tol, cfg.maxit, t0=t0)
-            return X, rep, None
-        (X, *_), _, rep = _drive(
-            method, (Bh.scale(alpha), None, 0, None, 0.0),
-            _heavy_ball(stream), lambda state: measure(state[0]), cfg.tol,
-            cfg.maxit, diverge=True, t0=t0)
+        X, _, rep = _drive(method, Bh.scale(alpha),
+                           lambda X, _: step(X, stream), measure, cfg.tol,
+                           cfg.maxit, diverge=cycle is None, t0=t0)
         return X, rep, None
-    return _solve_tall(A, cfg, method, solve)
+    return _solve_tall(A, cfg, method, solve, probe=cycle is None)
 
 
 def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -715,15 +748,16 @@ class _NystromPrecond:
     Omega^H Y_nu and the eigendecomposition of T by the LAPACK SVD on the
     complex embedding (``_right_factor``); the two thin QRs, of Omega and
     of Y_nu, run LAPACK on the embedding too. An apply is two thin
-    products, and ``cgne_q`` applies it once per call, to B^H. Raises
-    RankDeficient when B's rank is below r or l_r <= 1e-10 l_1
-    (Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl. 44, 2023).
+    products, and ``cgne_q`` applies it once per call, to B^H, which it
+    also passes in as Bh. Raises RankDeficient when B's rank is below r or
+    l_r <= 1e-10 l_1 (Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl.
+    44, 2023).
     """
 
-    def __init__(self, B: QMatrix, sk: SketchConfig):
+    def __init__(self, B: QMatrix, Bh: QMatrix, sk: SketchConfig):
         r = sk.block_r
         Omega = thin_qr(randn_qmat_rng(B.rows, r, QuatRNG(sk.seed))).Q
-        Y = B @ (B.adjoint() @ Omega)
+        Y = B @ (Bh @ Omega)
         nu = np.finfo(float).eps * Y.fro_norm()
         Y = Y + Omega.scale(nu)
         try:
@@ -767,7 +801,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     """
     def solve(B, Bh, alpha, t0):
         BhP = (Bh if precond is None
-               else _NystromPrecond(B, precond).apply_right(Bh))
+               else _NystromPrecond(B, Bh, precond).apply_right(Bh))
         M = BhP @ B
         scratch = _Scratch(M.data.size)
 

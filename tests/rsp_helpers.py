@@ -25,7 +25,7 @@ def _rsp_col_step(A: QMatrix, X: QMatrix, sk: SketchConfig,
 
 
 def plain_rsp(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
-    """rsp_column, or rsp_row for a wide A, without momentum: the paper's
+    """rsp_column, or rsp_row for a wide A, with the plain step: the paper's
     RSP-Q, each step one plain _update, with the solvers' sketch stream,
     test sketch and stopping loop."""
     return _sketch_solve(A, cfg, sk, "rsp-plain", _update)

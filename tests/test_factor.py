@@ -434,10 +434,10 @@ class _NystromPrecondDense:
     approximation Y_nu (Omega^H Y_nu)^{-1} Y_nu^H, its top r eigenpairs from
     qsvd, and P^{-1} = I + U diag(l_r / l - 1) U^H as an m x m matrix."""
 
-    def __init__(self, B: QMatrix, sk: SketchConfig):
+    def __init__(self, B: QMatrix, Bh: QMatrix, sk: SketchConfig):
         r = sk.block_r
         Omega = thin_qr(randn_qmat_rng(B.rows, r, QuatRNG(sk.seed))).Q
-        Y = B @ (B.adjoint() @ Omega)
+        Y = B @ (Bh @ Omega)
         nu = np.finfo(float).eps * Y.fro_norm()
         Y = Y + Omega.scale(nu)
         f = qsvd(Y @ hpd_solve(Omega.adjoint() @ Y, Y.adjoint()))

@@ -5,10 +5,11 @@ each step (``rsp_helpers.ref_col_step``) draws its own sketch, forms
 Y = A Omega and Y^+ with the 2-D routines, and redraws a rejected sketch,
 up to 10 times. Y^+ is the Cholesky solve of Y^H Y + ridge I against Y^H,
 and a sketch whose pivot or residual check fails is rejected. rsp_row's
-reference is the column loop on A^H, adjointed, with alpha estimated on
-A. Both add the solvers' heavy-ball momentum, with its rule for beta
-written out again here. The references share only the stopping loop
-`_drive`, the test sketch and the 2-D factor routines with the solvers.
+reference is the column loop on A^H, adjointed. Both take alpha and the
+constants of the solvers' accelerated step from one Lanczos probe, and
+write that step, and the rule that picks it or the plain step, out again
+here. The references share only the stopping loop `_drive`, the test
+sketch, the probe and the 2-D factor routines with the solvers.
 Every solver that forms its sketches ahead, a block at a time, must return
 the same bits: X, iteration count, residual history and Penrose residuals,
 and raise SketchFailure at the same step.
@@ -21,7 +22,7 @@ import pytest
 
 from quatpinv import factor, solvers
 from quatpinv.errors import SketchFailure
-from quatpinv.qmatrix import randn_qmat
+from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SCHEDULE_PS, SketchConfig, SolverConfig,
                               hybrid_rsp_ns, rsp_column,
@@ -37,36 +38,40 @@ def _ref_run(method, A, cfg, sk, step, alpha):
     return X, rep
 
 
-def _ref_col_run(method, A, cfg, sk, alpha):
-    def step(rng):
-        # heavy-ball momentum: 10 plain steps, then X + beta (X - X_prev)
-        # added to each step, beta set once from the residuals r_0 and r_10
-        # that the steps are handed
-        seen, prev = [], [None]
+def _ref_col_run(method, A, cfg, sk):
+    # one Lanczos probe of A^H A gives alpha = 0.99 / theta_max and
+    # mu = r low / ||A||_F^2; with nu = 1.5 n / r, the run takes the
+    # accelerated step where 0 < sqrt(mu / nu) < 0.2, on X and
+    # W = a (V - X) from W_0 = 0: Y = X + W, X+ = step(Y),
+    # W+ = beta (1 - a) W + a (gamma - 1) (X+ - Y)
+    low, top, _ = solvers._gram_ritz(A)
+    r = sk.block_r
+    mu, nu = r * low / A.fro_norm() ** 2, 1.5 * A.cols / r
+    q = math.sqrt(mu / nu)
+    beta, gamma = 1.0 - q, 1.0 / math.sqrt(mu * nu)
+    a = 1.0 / (1.0 + gamma * nu)
+    c_w, c_g = beta * (1.0 - a), a * (gamma - 1.0)
 
-        def heavy_ball(X, res):
-            seen.append(res)
-            beta = 0.0
-            if len(seen) > 10:
-                rate = min(1.0, (seen[10] / seen[0]) ** 0.1)
-                beta = min(0.45, 0.6 * (1.0 - math.sqrt(1.0 - rate)) ** 2)
-            X_next = ref_col_step(A, X, sk, rng)
-            if beta:
-                X_next = X_next + (X - prev[0]).scale(beta)
-            prev[0] = X
+    def step(rng):
+        W = [QMatrix.zeros(A.cols, A.rows)]
+
+        def accelerated(X, _):
+            Y = X + W[0]
+            X_next = ref_col_step(A, Y, sk, rng)
+            W[0] = W[0].scale(c_w) + (X_next - Y).scale(c_g)
             return X_next
-        return heavy_ball
-    return _ref_run(method, A, cfg, sk, step, alpha)
+        if 0.0 < q < 0.2:
+            return accelerated
+        return lambda X, _: ref_col_step(A, X, sk, rng)
+    return _ref_run(method, A, cfg, sk, step, 0.99 / top)
 
 
 def _ref_rsp_column(A, cfg, sk):
-    return solvers._verified(
-        A, *_ref_col_run("rsp", A, cfg, sk, solvers._alpha(A, cfg)))
+    return solvers._verified(A, *_ref_col_run("rsp", A, cfg, sk))
 
 
 def _ref_rsp_row(A, cfg, sk):
-    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg, sk,
-                          solvers._alpha(A, cfg))
+    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg, sk)
     return solvers._verified(A, X.adjoint(), rep)
 
 
@@ -149,6 +154,9 @@ _CASES = {
     "rsp_column": (rsp_column, _ref_rsp_column, randn_qmat(30, 20, 1), _RSP,
                    _SK),
     "rsp_row": (rsp_row, _ref_rsp_row, randn_qmat(20, 30, 3), _RSP, _SK_ROW),
+    # sqrt(mu / nu) = 0.25: the plain step
+    "rsp_column_plain": (rsp_column, _ref_rsp_column, randn_qmat(30, 10, 1),
+                         _RSP, SketchConfig(block_r=6, test_s=5, seed=7)),
     "hybrid_rsp_ns": (hybrid_rsp_ns, _ref_hybrid, randn_qmat(40, 30, 4),
                       SolverConfig(tol=1e-12, maxit=6), _SK),
 }
@@ -177,6 +185,16 @@ def _count_measures(monkeypatch):
         return wrapped
     monkeypatch.setattr(solvers, "_test_sketch_measure", counting)
     return counts
+
+
+def test_rsp_cases_cover_both_steps():
+    def accelerated(case):
+        _, _, A, _, sk = _CASES[case]
+        B = A if A.rows >= A.cols else A.adjoint()
+        return solvers._accel_constants(B, sk.block_r,
+                                        solvers._gram_ritz(B)[0])[1]
+    assert accelerated("rsp_column") and accelerated("rsp_row")
+    assert accelerated("rsp_column_plain") is None
 
 
 @pytest.mark.parametrize("bad", [(), _MIXED], ids=["plain", "mixed"])

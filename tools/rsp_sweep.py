@@ -1,28 +1,33 @@
-"""Iterations of sketch-and-project with and without heavy-ball momentum.
+"""Iterations of sketch-and-project, plain and accelerated.
 
     python3 tools/rsp_sweep.py
     python3 tools/rsp_sweep.py --seeds 3 --sketch-seed 7
 
-Runs ``rsp_column`` (``rsp_row`` on a wide shape), which adds heavy-ball
-momentum to every step after the tenth, and the plain loop of the paper's
-RSP-Q (``tests/rsp_helpers.py::plain_rsp``: the same sketch stream, test
-sketch and stopping loop, each step one plain ``_update``) on the same
-inputs, and prints their iteration counts side by side:
+Runs ``rsp_column`` (``rsp_row`` on a wide shape), which takes the
+accelerated step wherever its probe gives sqrt(mu / nu) < 0.2, and the
+plain loop of the paper's RSP-Q (``tests/rsp_helpers.py::plain_rsp``: the
+same sketch stream, test sketch and stopping loop, each step one plain
+``_update``) on the same inputs, and prints their iteration counts side by
+side:
 
 * over a list of shapes, fast and slow ones, each with A = randn_qmat(m,
   n, s) and sketch seed s for s = 1..--seeds, at tol 1e-10: one line per
-  shape with the summed iterations of both, their ratio, how many runs of
-  each converged and the largest Penrose residual of the momentum runs;
+  shape with the range of sqrt(mu / nu) over its inputs, the summed
+  iterations of both, their ratio, how many runs of each converged and
+  the largest Penrose residual of the accelerated runs;
 * over the ``rsp-column`` and ``rsp-row`` calls of every instance of the
   perfbench ``sketch`` pool drawn from --sketch-seed, with the workload's
   own inputs and settings: one line per method, summed the same way.
 
-A shape whose momentum sum exceeds 1.05x the plain sum is marked SLOWER.
+A line whose accelerated sum exceeds 1.05x the plain sum is marked SLOWER.
+The exit status is 1 when a line is marked SLOWER or a run raised or did
+not converge, and 0 otherwise, so the sweep serves as a check.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -33,15 +38,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"),
 import quatpinv  # noqa: E402,F401  (caps the BLAS threads before numpy loads)
 from quatpinv import solvers  # noqa: E402
 from quatpinv.errors import QuatpinvError  # noqa: E402
-from quatpinv.qmatrix import randn_qmat  # noqa: E402
+from quatpinv.qmatrix import QMatrix, _gram_ritz, randn_qmat  # noqa: E402
 from rsp_helpers import plain_rsp  # noqa: E402
 
 # (m, n, block_r): the first four converge in tens of steps, the rest in
-# hundreds to thousands
+# hundreds to tens of thousands (plain 50 x 48 needs up to 66095 steps)
 SHAPES = ((12, 7, 6), (12, 5, 4), (30, 10, 4), (50, 12, 10), (30, 20, 8),
-          (20, 30, 8), (60, 40, 8), (30, 20, 2))
+          (20, 30, 8), (60, 40, 8), (30, 20, 2), (50, 48, 8))
 TOL = 1e-10
-MAXIT = 50000
+MAXIT = 100000
 
 
 class Tally:
@@ -61,30 +66,46 @@ class Tally:
         self.converged += rep.converged
         self.penrose = max(self.penrose, max(rep.penrose))
 
+    @property
+    def failed(self) -> bool:
+        return self.converged < self.runs
 
-def row(label, plain, momentum) -> str:
-    ratio = momentum.iterations / max(plain.iterations, 1)
-    flag = " SLOWER" if ratio > 1.05 else ""
+
+def row(label, plain, accelerated, qs=None):
+    """(line, whether the line fails the check)."""
+    ratio = accelerated.iterations / max(plain.iterations, 1)
+    slower = ratio > 1.05
     errors = ""
-    if plain.errors or momentum.errors:
-        errors = f" errors plain={plain.errors} momentum={momentum.errors}"
-    return (f"{label:<22} plain {plain.iterations:>7} momentum "
-            f"{momentum.iterations:>7} ratio {ratio:.3f} converged "
-            f"{plain.converged}/{plain.runs} {momentum.converged}/"
-            f"{momentum.runs} penrose<={momentum.penrose:.2g}{flag}{errors}")
+    if plain.errors or accelerated.errors:
+        errors = (f" errors plain={plain.errors} "
+                  f"accelerated={accelerated.errors}")
+    q = f" q {min(qs):.3f}-{max(qs):.3f}" if qs else ""
+    line = (f"{label:<22}{q} plain {plain.iterations:>7} accelerated "
+            f"{accelerated.iterations:>7} ratio {ratio:.3f} converged "
+            f"{plain.converged}/{plain.runs} {accelerated.converged}/"
+            f"{accelerated.runs} penrose<={accelerated.penrose:.2g}"
+            f"{' SLOWER' if slower else ''}{errors}")
+    return line, slower or plain.failed or accelerated.failed
+
+
+def _q(A: QMatrix, r: int) -> float:
+    """sqrt(mu / nu) of the probe that rsp_column or rsp_row runs on A."""
+    B = A if A.rows >= A.cols else A.adjoint()
+    return solvers._accel_constants(B, r, _gram_ritz(B)[0])[0]
 
 
 def sweep_shapes(seeds: int):
     cfg = solvers.SolverConfig(tol=TOL, maxit=MAXIT)
     for m, n, r in SHAPES:
         solver = solvers.rsp_column if m >= n else solvers.rsp_row
-        plain, momentum = Tally(), Tally()
+        plain, accelerated, qs = Tally(), Tally(), []
         for s in range(1, seeds + 1):
             A = randn_qmat(m, n, s)
             sk = solvers.SketchConfig(block_r=r, seed=s)
+            qs.append(_q(A, r))
             plain.add(lambda: plain_rsp(A, cfg, sk))
-            momentum.add(lambda: solver(A, cfg, sk))
-        yield row(f"{m}x{n} r{r}", plain, momentum)
+            accelerated.add(lambda: solver(A, cfg, sk))
+        yield row(f"{m}x{n} r{r}", plain, accelerated, qs)
 
 
 def sweep_sketch_pool(seed: int):
@@ -96,9 +117,9 @@ def sweep_sketch_pool(seed: int):
         for call in wl.round(i):
             if call.method not in ("rsp-column", "rsp-row"):
                 continue
-            plain, momentum = tallies.setdefault(call.method,
-                                                 (Tally(), Tally()))
-            momentum.add(call.run)
+            plain, accelerated = tallies.setdefault(call.method,
+                                                    (Tally(), Tally()))
+            accelerated.add(call.run)
             # the call looks its solver up on the module when it runs
             saved = solvers.rsp_column, solvers.rsp_row
             solvers.rsp_column = solvers.rsp_row = plain_rsp
@@ -106,8 +127,8 @@ def sweep_sketch_pool(seed: int):
                 plain.add(call.run)
             finally:
                 solvers.rsp_column, solvers.rsp_row = saved
-    for method, (plain, momentum) in tallies.items():
-        yield row(f"sketch{seed} {method}", plain, momentum)
+    for method, (plain, accelerated) in tallies.items():
+        yield row(f"sketch{seed} {method}", plain, accelerated)
 
 
 def main(argv=None) -> int:
@@ -119,11 +140,12 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
-    for line in sweep_shapes(args.seeds):
+    failed = False
+    for line, bad in itertools.chain(sweep_shapes(args.seeds),
+                                     sweep_sketch_pool(args.sketch_seed)):
         print(line, flush=True)
-    for line in sweep_sketch_pool(args.sketch_seed):
-        print(line, flush=True)
-    return 0
+        failed |= bad
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
