@@ -6,6 +6,12 @@ T = |h_hat|^2 + lambda per frequency. That scalar is inverted pointwise
 by the Newton-Schulz recursion y <- y (2 - T y), and the restored
 spectrum is y * conj(h_hat) * B_hat; the closed-form division
 conj(h_hat)*B_hat / T is kept as the parity oracle.
+
+Every image here is real, so every spectrum is the half spectrum of the
+real FFT pair (fftpack.rfft2 / irfft2), the three color channels in one
+call: the PSF spectrum, the blur, and both restorations. T is symmetric,
+T(-f) = T(f), so the half spectrum holds every value of T and the
+reciprocal takes the iterations it takes on the whole one.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from ..qmatrix import QMatrix, require_pow2
 from ..rng import QuatRNG
 from ..solvers import _drive
-from .fftpack import fft2, ifft2
+from .fftpack import irfft2, rfft2
 from .images import image_to_qmat, psnr, qmat_to_image
 
 
@@ -56,24 +62,30 @@ def gaussian_psf(radius: int, sigma: float) -> np.ndarray:
 
 def psf_spectrum(psf: np.ndarray, h: int, w: int) -> np.ndarray:
     """Embed the PSF in an h x w frame with its peak circularly shifted to
-    (0, 0) (centering before the FFT prevents phase ramps), then transform."""
+    (0, 0) (centering before the FFT prevents phase ramps), then transform:
+    the (h, w // 2 + 1) half spectrum."""
     kh, kw = psf.shape
     frame = np.zeros((h, w))
     frame[:kh, :kw] = psf
     frame = np.roll(frame, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return fft2(frame)
+    return rfft2(frame)
 
 
 def blur_and_noise(rgb: np.ndarray, h_hat: np.ndarray, snr_db: float,
                    seed: int) -> np.ndarray:
-    """Circular convolution per channel plus Gaussian noise at snr_db."""
+    """Circular convolution of every channel by the PSF of half spectrum
+    h_hat, in one transform pair, plus Gaussian noise at snr_db, drawn
+    channel by channel."""
     rng = QuatRNG(seed)
-    out = np.empty_like(rgb)
+    h, w, _ = rgb.shape
+    spec = rfft2(rgb)
+    spec *= h_hat[:, :, None]
+    out = irfft2(spec, (h, w))
     for c in range(3):
-        blurred = np.real(ifft2(h_hat * fft2(rgb[:, :, c])))
+        blurred = out[:, :, c]
         p_sig = float(np.mean(blurred ** 2))
         sigma_n = math.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
-        out[:, :, c] = blurred + sigma_n * rng.normals(blurred.shape)
+        blurred += sigma_n * rng.normals((h, w))
     return out
 
 
@@ -108,13 +120,11 @@ def deblur_fft_ns(problem: DeblurProblem):
     t0 = time.perf_counter()
     T = np.abs(h_hat) ** 2 + problem.lam
     y, iters = scalar_ns_reciprocal(T, problem.tol, problem.maxit)
-    restored = np.empty_like(rgb)
-    closed = np.empty_like(rgb)
-    for c in range(3):
-        b_hat = fft2(observed[:, :, c])
-        num = np.conj(h_hat) * b_hat
-        restored[:, :, c] = np.real(ifft2(y * num))
-        closed[:, :, c] = np.real(ifft2(num / T))
+    num = rfft2(observed)
+    num *= np.conj(h_hat)[:, :, None]
+    restored = irfft2(y[:, :, None] * num, (h, w))
+    num /= T[:, :, None]
+    closed = irfft2(num, (h, w))
     wall = time.perf_counter() - t0
 
     denom = max(np.linalg.norm(closed), 1e-300)

@@ -2,9 +2,10 @@
 
 The three Lorenz state channels ride on the imaginary units; the filter
 input is a one-step-delayed noisy copy of the target. Stacking delayed
-samples gives a Toeplitz quaternion system X * w = Y solved by a square
-Newton-Schulz inverse, the solvers' scaled step on the deviation
-I - X_k X, with all products kept in right-multiplication order.
+samples gives a Toeplitz quaternion system X * w = Y solved by the
+solvers' scaled square Newton-Schulz step, run on its exact residual
+recurrence: the loop carries P_k = X_k X and w_k = X_k Y, never the
+inverse X_k itself, with all products kept in right-multiplication order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _deviation, _drive, _ns_scales, _ns_step
+from ..solvers import _drive, _ns_scales
 
 
 @dataclass
@@ -92,13 +93,22 @@ def lorenz_build(problem: LorenzProblem):
 
 def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
                     maxit: int | None = None):
-    """Square Newton-Schulz inverse X_k <- theta_k (2I - theta_k X_k X) X_k
-    from X_0 = alpha X^H, w = X_k Y, with alpha and the scales theta_k from
-    the solvers' one spectral probe (``solvers._ns_scales``, run after t0,
-    so inside wall_time).
+    """Square Newton-Schulz X_k <- theta_k (2I - theta_k X_k X) X_k from
+    X_0 = alpha X^H, run on the pair P_k = X_k X, w_k = X_k Y: from
+    P_0 = alpha X^H X and w_0 = alpha X^H Y, each step is
 
-    Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol. A start that is not
-    contractive is caught by the divergence guard, as in ns_damped.
+        P <- 2 theta P - theta^2 P^2,    w <- 2 theta w - theta^2 (P w),
+
+    the exact residual recurrence I - P_{k+1} = (I - theta P_k)^2, so a
+    step makes one N x N product and one matvec in place of two N x N
+    products. alpha and the scales theta_k come from the solvers' one
+    spectral probe (``solvers._ns_scales``, run after t0, so inside
+    wall_time). The updates are written into the buffers of P and w, which
+    the loop alone holds.
+
+    Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol, the true residual
+    of w. A start that is not contractive is caught by the divergence
+    guard, as in ns_damped.
     """
     N = X.rows
     if maxit is None:
@@ -107,14 +117,25 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()
     alpha, thetas = _ns_scales(X, Xh)
+    X0 = Xh.scale(alpha)
 
-    def step(Xk, _):
-        return _ns_step(_deviation(X, Xk), Xk, theta=next(thetas))
+    def step(state, _):
+        P, w = state
+        theta = next(thetas)
+        two, sq = 2.0 * theta, theta * theta
+        Pw = P @ w
+        PP = P @ P
+        np.multiply(w.data, two, out=w.data)
+        np.multiply(Pw.data, sq, out=Pw.data)
+        np.subtract(w.data, Pw.data, out=w.data)
+        np.multiply(P.data, two, out=P.data)
+        np.multiply(PP.data, sq, out=PP.data)
+        np.subtract(P.data, PP.data, out=P.data)
+        return P, w
 
-    def measure(Xk):
-        w = Xk @ Y
-        return (X @ w - Y).fro_norm() / ynorm, w
+    def measure(state):
+        return (X @ state[1] - Y).fro_norm() / ynorm, None
 
-    _, w, report = _drive("ns-q-square", Xh.scale(alpha),
-                          step, measure, tol, maxit, diverge=True, t0=t0)
+    (_, w), _, report = _drive("ns-q-square", (X0 @ X, X0 @ Y), step,
+                               measure, tol, maxit, diverge=True, t0=t0)
     return w, report

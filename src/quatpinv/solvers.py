@@ -41,10 +41,11 @@ Cholesky pivot or residual check is rejected when its block is formed,
 and the step that reaches it draws the next; 10 rejected in a row raise
 SketchFailure.
 
-ns_damped at gamma = 1 and the Lorenz solve depart from the paper's plain
-Newton-Schulz step: each step is scaled, X <- theta (2I - theta XA) X,
-with theta set from bounds on the nonzero spectrum of A^H A. One Lanczos
-probe (_ns_scales) gives all of them and alpha: alpha = 0.99 / theta_max
+ns_damped at gamma = 1 and the Lorenz solve (on its residual recurrence,
+apps.lorenz) depart from the paper's plain Newton-Schulz step: each step
+is scaled, X <- theta (2I - theta XA) X, with theta set from bounds on
+the nonzero spectrum of A^H A. One Lanczos probe (_ns_scales) gives all
+of them and alpha: alpha = 0.99 / theta_max
 for its largest Ritz value, the lower bound from its smallest nonzero
 one, and the upper bound min(2, alpha (theta_max + beta |s|)) (Zhou & Li,
 Linear Algebra Appl. 435, 2011), so alpha and that bound come from the
@@ -848,8 +849,15 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
 # ---------------------------------------------------------------------------
 
 def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
-    """Theoretical expected contraction factor 1 - r*sigma_min^2/||A||_F^2."""
+    """Theoretical expected contraction factor 1 - r*sigma_min^2/||A||_F^2.
+
+    The ratio does not depend on A's scale, so it is computed on A times
+    2^-e, e from math.frexp of A's largest |entry|: an exact scaling that
+    brings that entry into [0.5, 1), where sigma_min^2 and ||A||_F^2
+    neither overflow nor underflow."""
     require_finite(A)
+    e = math.frexp(float(np.abs(A.data).max()))[1]
+    A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
     smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
     return 1.0 - block_r * float(smin) ** 2 / A.fro_norm() ** 2

@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +13,11 @@ from quatpinv.rng import QuatRNG
 from quatpinv.apps.completion import (MODE_U_OPT, MODE_W_PINV,
                                       CompletionProblem, complete,
                                       cur_reconstruct, sample_cur_indices)
-from quatpinv.apps.deblur import (DeblurProblem, deblur_fft_ns, gaussian_psf,
-                                  psf_spectrum, scalar_ns_reciprocal)
-from quatpinv.apps.fftpack import fft2, ifft2
+from quatpinv.apps import deblur
+from quatpinv.apps.deblur import (DeblurProblem, blur_and_noise, deblur_fft_ns,
+                                  gaussian_psf, psf_spectrum,
+                                  scalar_ns_reciprocal)
+from quatpinv.apps.fftpack import fft2, ifft2, irfft2, rfft2
 from quatpinv.apps.images import (PSNR_CAP_DB, image_to_qmat, psnr,
                                   qmat_to_image, synthetic_image, write_ppm)
 from quatpinv.apps.lorenz import (LorenzProblem, lorenz_build, lorenz_rk4,
@@ -54,6 +61,31 @@ def test_fft_rejects_non_pow2():
             fft2(np.zeros(shape))
         with pytest.raises(NonPowerOfTwo):
             ifft2(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (16, 8, 3), (8, 2, 3), (8, 1),
+                                   (1, 4, 2)])
+def test_rfft2_is_the_half_of_fft2(shape):
+    # each channel of an (H, W, C) stack is transformed on its own
+    x = np.random.default_rng(3).normal(size=shape)
+    half = rfft2(x)
+    w = shape[1]
+    assert half.shape == (shape[0], w // 2 + 1) + shape[2:]
+    assert np.abs(half - fft2(x)[:, :w // 2 + 1]).max() <= 1e-12
+    assert np.abs(irfft2(half, shape[:2]) - x).max() <= 1e-12
+
+
+def test_rfft2_rejects_non_pow2_and_mismatched_spectra():
+    for shape in ((12, 16), (16, 12, 3)):
+        with pytest.raises(NonPowerOfTwo):
+            rfft2(np.zeros(shape))
+        with pytest.raises(NonPowerOfTwo):
+            irfft2(np.zeros((shape[0], shape[1] // 2 + 1), complex),
+                   shape[:2])
+    half = rfft2(np.zeros((8, 4)))
+    for s in ((8, 8), (4, 4), (16, 4)):
+        with pytest.raises(ValueError):
+            irfft2(half, s)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +346,54 @@ def test_deblur_large_lambda_shrinks():
     restored, _ = deblur_fft_ns(prob)
     # T ~ lambda, so the restored spectrum is damped by ~1/lambda
     assert restored.fro_norm() <= 1e-4 * img.fro_norm()
+
+
+@functools.cache
+def _perfbench_closed_form():
+    """perfbench's independent numpy closed form of the restoration, loaded
+    by path (perfbench is not a package) under a name of its own, which its
+    dataclasses need to find in sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod._numpy_closed_form
+
+
+@pytest.mark.parametrize("h, w", [(32, 16), (16, 32), (8, 2), (8, 1)])
+def test_deblur_non_square_frames_match_numpy_closed_form(h, w):
+    # the widest PSF that fits the frame: radius 4, or 0 on the thin ones
+    rgb = np.random.default_rng(h + w).uniform(size=(h, w, 3))
+    prob = DeblurProblem(image=image_to_qmat(rgb),
+                         psf_radius=min(4, (min(h, w) - 1) // 2), lam=0.05,
+                         seed=1, tol=1e-13)
+    restored, metrics = deblur_fft_ns(prob)
+    assert restored.shape == (h, w)
+    assert metrics["observed"].shape == (h, w, 3)
+    closed = _perfbench_closed_form()(prob, metrics["observed"])
+    gap = np.linalg.norm(qmat_to_image(restored) - closed)
+    assert gap <= 1e-10 * np.linalg.norm(closed)
+    assert metrics["rel_gap"] <= 1e-10
+
+
+def test_deblur_transform_counts(monkeypatch):
+    # one batched transform pair for the blur; one forward and two inverse
+    # transforms for both restorations, after the PSF's forward one
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        def counting(x, *args, _name=name, _fn=getattr(deblur, name)):
+            calls.append((_name, np.shape(x)[2:]))
+            return _fn(x, *args)
+        monkeypatch.setattr(deblur, name, counting)
+    img = image_to_qmat(synthetic_image(16, seed=2))
+    rgb = qmat_to_image(img)
+    blur_and_noise(rgb, psf_spectrum(gaussian_psf(1, 1.0), 16, 16), 30.0, 0)
+    assert calls == [("rfft2", ()), ("rfft2", (3,)), ("irfft2", (3,))]
+    calls.clear()
+    deblur_fft_ns(DeblurProblem(image=img, psf_radius=1))
+    assert calls == [("rfft2", ()), ("rfft2", (3,)), ("irfft2", (3,)),
+                     ("rfft2", (3,)), ("irfft2", (3,)), ("irfft2", (3,))]
 
 
 def test_deblur_validation():

@@ -396,17 +396,87 @@ def test_recurrence_deviations_bitwise_equal_out_of_place(kind, cfg, shape,
     assert got == recurrence_deviations(A, cfg, kind, steps=4)
 
 
-def test_lorenz_solve_ns_bitwise_equal_out_of_place(monkeypatch):
-    from quatpinv.apps import lorenz
-    X, Y, _ = lorenz.lorenz_build(lorenz.LorenzProblem(N=50, seed=3))
+def _lorenz_problem(N, seed):
+    from quatpinv.apps.lorenz import LorenzProblem, lorenz_build
+    # RK4 at N = 20 is unstable over the default T_end = 10
+    X, Y, _ = lorenz_build(LorenzProblem(N=N, seed=seed,
+                                         T_end=2.0 if N < 50 else 10.0))
+    return X, Y
+
+
+def _ref_lorenz(X, Y, tol, maxit, xk_form=False):
+    """lorenz_solve_ns with every intermediate a fresh matrix: on the pair
+    (P_k, w_k) = (X_k X, X_k Y), or with xk_form on the inverse X_k itself,
+    X_k <- theta (2 X_k - theta X_k X X_k), w = X_k Y."""
+    ynorm = max(Y.fro_norm(), 1e-300)
+    Xh = X.adjoint()
+    alpha, thetas = solvers._ns_scales(X, Xh)
+    X0 = Xh.scale(alpha)
+
+    def step(state, _):
+        theta = next(thetas)
+        two, sq = 2.0 * theta, theta * theta
+        if xk_form:
+            return state.scale(two) - ((state @ X) @ state).scale(sq)
+        P, w = state
+        return (P.scale(two) - (P @ P).scale(sq),
+                w.scale(two) - (P @ w).scale(sq))
+
+    def measure(state):
+        w = state @ Y if xk_form else state[1]
+        return (X @ w - Y).fro_norm() / ynorm, w
+
+    _, w, rep = solvers._drive(
+        "ns-q-square", X0 if xk_form else (X0 @ X, X0 @ Y), step, measure,
+        tol, maxit, diverge=True)
+    return w, rep
+
+
+def test_lorenz_solve_ns_bitwise_equal_out_of_place():
+    from quatpinv.apps.lorenz import lorenz_solve_ns
+    X, Y = _lorenz_problem(50, 3)
     before = X.data.tobytes(), Y.data.tobytes()
-    w, rep = lorenz.lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
+    w, rep = lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
     assert (X.data.tobytes(), Y.data.tobytes()) == before
-    monkeypatch.setattr(lorenz, "_deviation", _ref_deviation)
-    monkeypatch.setattr(lorenz, "_ns_step", _ref_ns_step)
-    wr, rr = lorenz.lorenz_solve_ns(X, Y, tol=1e-6, maxit=80)
+    wr, rr = _ref_lorenz(X, Y, 1e-6, 80)
     assert (w.data.tobytes(), rep.iterations, rep.residual_history) == \
         (wr.data.tobytes(), rr.iterations, rr.residual_history)
+
+
+@pytest.mark.parametrize("N, seed", [(50, s) for s in range(5)]
+                         + [(20, 0), (100, 0)])
+def test_lorenz_solve_ns_counts_match_inverse_form(N, seed):
+    # the residual recurrence takes the iterations of the X_k loop it
+    # replaced (17-28 at these sizes)
+    from quatpinv.apps.lorenz import lorenz_solve_ns
+    X, Y = _lorenz_problem(N, seed)
+    w, rep = lorenz_solve_ns(X, Y, tol=1e-6, maxit=200)
+    wr, rr = _ref_lorenz(X, Y, 1e-6, 200, xk_form=True)
+    assert rep.converged and rr.converged
+    assert rep.iterations == rr.iterations
+    for v in (w, wr):
+        assert (X @ v - Y).fro_norm() / Y.fro_norm() <= 1e-6
+
+
+def test_lorenz_solve_ns_step_makes_one_square_product(monkeypatch):
+    # ten more steps make ten more N x N products: P^2; P w and the
+    # residual's X w are matvecs
+    from quatpinv.apps.lorenz import lorenz_solve_ns
+    X, Y = _lorenz_problem(20, 0)
+    square = []
+    qmatmul = _qops.qmatmul
+
+    def counting(a, b):
+        square.append(a.shape[:2] == b.shape[:2] == (20, 20))
+        return qmatmul(a, b)
+    monkeypatch.setattr(_qops, "qmatmul", counting)
+    counts = []
+    for maxit in (5, 15):
+        square.clear()
+        _, rep = lorenz_solve_ns(X, Y, tol=0.0, maxit=maxit)
+        assert rep.iterations == maxit
+        counts.append(sum(square))
+    assert counts[1] - counts[0] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +866,14 @@ def test_rsp_rate_bound_matches_qsvd(m, n, r):
     smin = qsvd(A).S[-1]
     ref = 1.0 - r * float(smin) ** 2 / A.fro_norm() ** 2
     assert abs(rsp_rate_bound(A, r) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e-100, 1e100, 1e160, 1e300])
+def test_rsp_rate_bound_is_scale_free(c):
+    # unscaled, sigma_min^2 and ||A||_F^2 under- or overflowed: 1e-300
+    # divided by zero, 1e160 and 1e300 overflowed, 1e-160 lost digits
+    A = randn_qmat(30, 20, 1)
+    assert abs(rsp_rate_bound(A.scale(c), 4) - rsp_rate_bound(A, 4)) <= 1e-12
 
 
 def test_rsp_full_sketch_rate_zero():
