@@ -46,6 +46,10 @@ class DeblurProblem:
         require_pow2(w)
         if self.psf_radius < 0 or self.psf_sigma <= 0:
             raise ValueError("invalid PSF parameters")
+        size = 2 * self.psf_radius + 1
+        if size > min(h, w):
+            raise ValueError(f"the {size}x{size} PSF does not fit the "
+                             f"{h}x{w} frame")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
 

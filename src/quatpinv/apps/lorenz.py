@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NonFinite
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _drive, _ns_scales
+from ..solvers import _drive, _ns_scales, _probe
 
 
 @dataclass
@@ -72,11 +73,16 @@ def lorenz_build(problem: LorenzProblem):
 
     Target y(t) carries the Lorenz states on (i, j, k); the input is the
     one-step-delayed target plus channelwise Gaussian noise scaled by
-    noise_level times each channel's standard deviation.
+    noise_level times each channel's standard deviation. Raises NonFinite
+    when the RK4 step T_end / (2N - 1) is too large for the trajectory to
+    stay finite.
     """
     N = problem.N
     samples = 2 * N - 1
     traj = lorenz_rk4(problem, samples + 1)  # one extra step for the delay
+    if not np.isfinite(traj).all():
+        raise NonFinite(f"RK4 step {problem.T_end / samples:.4g} is too "
+                        "large: the Lorenz trajectory is not finite")
     y_sig = traj[1:]                          # y(t) for t = 0..samples-1
     rng = QuatRNG(problem.seed)
     noise = rng.normals((samples, 3))
@@ -102,9 +108,9 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     the exact residual recurrence I - P_{k+1} = (I - theta P_k)^2, so a
     step makes one N x N product and one matvec in place of two N x N
     products. alpha and the scales theta_k come from the solvers' one
-    spectral probe (``solvers._ns_scales``, run after t0, so inside
-    wall_time). The updates are written into the buffers of P and w, which
-    the loop alone holds.
+    spectral probe (``solvers._probe`` and ``solvers._ns_scales``, run
+    after t0, so inside wall_time). The updates are written into the
+    buffers of P and w, which the loop alone holds.
 
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol, the true residual
     of w. A start that is not contractive is caught by the divergence
@@ -116,7 +122,8 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     t0 = time.perf_counter()
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()
-    alpha, thetas = _ns_scales(X, Xh)
+    alpha, low, bound = _probe(X, Xh)
+    thetas = _ns_scales(alpha, low, bound)
     X0 = Xh.scale(alpha)
 
     def step(state, _):

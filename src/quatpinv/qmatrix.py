@@ -152,37 +152,7 @@ def randn_qmat_rng(m: int, n: int, rng: QuatRNG) -> QMatrix:
     return QMatrix(rng.normals((m, n, 4)))
 
 
-_POWER_ITERS = 20
-_POWER_SEED = 0
-
-
-def op_norm_est(A: QMatrix, Ah: QMatrix | None = None) -> float:
-    """Operator 2-norm estimate by _POWER_ITERS steps of power iteration on
-    A^H A, from a start vector drawn with seed _POWER_SEED. Ah, if given,
-    is A^H, formed by the caller."""
-    nrm = A.fro_norm()
-    if nrm == 0.0:
-        return 0.0
-    rng = QuatRNG(_POWER_SEED)
-    v = QMatrix(rng.normals((A.cols, 1, 4)))
-    # each product is A @ v bit for bit, on planes laid out once
-    times_A = _qops.qmatmul_by(A.data)
-    times_Ah = _qops.qmatmul_by((A.adjoint() if Ah is None else Ah).data)
-    est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = QMatrix(times_A(v.data))
-        wn = w.fro_norm()
-        if wn == 0.0:
-            return 0.0
-        est = wn / v.fro_norm()
-        v = QMatrix(times_Ah(w.data))
-        vn = v.fro_norm()
-        if vn == 0.0:
-            return est
-        v = v.scale(1.0 / vn)
-    return est
-
-
+_PROBE_SEED = 0
 _LANCZOS_STEPS = 20
 # Ritz values at or below this fraction of the largest count as zero, and a
 # Lanczos residual at or below this fraction of the largest |T_jj| as an
@@ -202,7 +172,7 @@ def _gram_ritz(A: QMatrix, Ah: QMatrix | None = None):
     A wide A is run as A A^H, which has the same nonzero spectrum. The
     vectors are quaternion columns in the real inner product Re tr(u^H v),
     in which A^H A is symmetric, so the run needs only products with A and
-    A^H. The start is drawn with seed _POWER_SEED, each new vector is
+    A^H. The start is drawn with seed _PROBE_SEED, each new vector is
     reorthogonalized twice against all earlier ones, and the run stops
     once the Krylov space is invariant, where Ritz values are eigenvalues.
     On a full-rank A every Ritz value lies in [sigma_min^2, sigma_max^2]
@@ -216,7 +186,7 @@ def _gram_ritz(A: QMatrix, Ah: QMatrix | None = None):
     n = A.cols
     times_A, times_Ah = _qops.qmatmul_by(A.data), _qops.qmatmul_by(Ah.data)
     V = np.empty((_LANCZOS_STEPS, 4 * n))
-    v = QuatRNG(_POWER_SEED).normals((n, 1, 4)).ravel()
+    v = QuatRNG(_PROBE_SEED).normals((n, 1, 4)).ravel()
     v /= math.sqrt(v @ v)
     diag, off = [], []
     for j in range(_LANCZOS_STEPS):
@@ -243,6 +213,13 @@ def _gram_ritz(A: QMatrix, Ah: QMatrix | None = None):
     bound = top + beta * float(s)
     ritz = ritz[ritz > _RITZ_ZERO * ritz[-1]]
     return (float(ritz[0]) if ritz.size else 0.0), top, bound
+
+
+def op_norm_est(A: QMatrix, Ah: QMatrix | None = None) -> float:
+    """Operator 2-norm estimate sqrt(theta) for the largest Ritz value theta
+    of the Lanczos probe of A^H A (_gram_ritz); Ah, if given, is A^H,
+    formed by the caller."""
+    return math.sqrt(_gram_ritz(A, Ah)[1])
 
 
 def require_pow2(n: int) -> None:

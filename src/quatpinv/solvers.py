@@ -14,20 +14,21 @@ Five solver families live here:
 
 All solvers start from X0 = alpha * A^H with alpha strictly inside
 (0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero. They
-solve a wide A as its tall adjoint, since (A^H)^+ = (A^+)^H, and return
-the adjoint of that result; A^H is formed once per solve, and alpha is
-estimated on A itself (auto_alpha's power method), except where it comes
-from the Lanczos probe of the tall one that ns_damped at gamma = 1,
-rsp_column and rsp_row run (below). Every solver,
-and the square Newton-Schulz loops of the Lorenz and deblurring apps, runs
-the one stopping loop in ``_drive``. The Newton-Schulz, hyperpower and CGNE
-updates are written into arrays the loop alone holds -- the product that
-feeds them, one scratch buffer per solve, or CGNE's n x n coordinate
-matrices -- so an iteration allocates nothing beyond its quaternion
-products; the accelerated sketch-and-project step forms its extra
-combinations in the buffers of its iterate and of its W. No argument or
-returned matrix is written to, and every result is bitwise that of fresh
-intermediates.
+solve a wide A as its tall adjoint B, since (A^H)^+ = (A^+)^H, and return
+the adjoint of that result; A^H is formed once per solve. Every solve runs
+one Lanczos probe of B^H B (_probe, on qmatrix._gram_ritz): it gives
+alpha = 0.99 / theta_max for its largest Ritz value, unless the config
+sets alpha, and the bounds on the spectrum that ns_damped at gamma = 1,
+rsp_column and rsp_row take from it (below); auto_alpha is the probe's
+alpha. Every solver, and the square Newton-Schulz loops of the Lorenz and
+deblurring apps, runs the one stopping loop in ``_drive``. The
+Newton-Schulz, hyperpower and CGNE updates are written into arrays the
+loop alone holds -- the product that feeds them, one scratch buffer per
+solve, or CGNE's n x n coordinate matrices -- so an iteration allocates
+nothing beyond its quaternion products; the accelerated sketch-and-project
+step forms its extra combinations in the buffers of its iterate and of its
+W. No argument or returned matrix is written to, and every result is
+bitwise that of fresh intermediates.
 
 The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
@@ -43,14 +44,13 @@ SketchFailure.
 
 ns_damped at gamma = 1 and the Lorenz solve (on its residual recurrence,
 apps.lorenz) depart from the paper's plain Newton-Schulz step: each step
-is scaled, X <- theta (2I - theta XA) X, with theta set from bounds on
-the nonzero spectrum of A^H A. One Lanczos probe (_ns_scales) gives all
-of them and alpha: alpha = 0.99 / theta_max
-for its largest Ritz value, the lower bound from its smallest nonzero
-one, and the upper bound min(2, alpha (theta_max + beta |s|)) (Zhou & Li,
-Linear Algebra Appl. 435, 2011), so alpha and that bound come from the
-same run. ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction and
-recurrence_deviations stay plain, with auto_alpha.
+is scaled, X <- theta (2I - theta XA) X, with theta set from bounds on the
+nonzero spectrum of A^H A (_ns_scales). The solve's probe gives all of
+them and alpha: the lower bound from its smallest nonzero Ritz value and
+the upper bound min(2, alpha (theta_max + beta |s|)) (Zhou & Li, Linear
+Algebra Appl. 435, 2011), so alpha and that bound come from the same run.
+ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction and
+recurrence_deviations stay plain.
 
 ns_damped and ns_hyperpower report Penrose residuals computed from the
 deviation F = I - XB of the returned X, which their loop measured last
@@ -62,14 +62,13 @@ accelerated sketch-and-project step (Gower, Hanzely, Richtarik & Stich,
 NeurIPS 2018; Tu et al., ICML 2017) with SP the plain step, from V_0 = X_0:
 Y = X + a (V - X), X+ = SP(Y), V+ = beta V + (1 - beta) Y - gamma (Y - X+),
 with beta = 1 - sqrt(mu / nu), gamma = 1 / sqrt(mu nu) and
-a = 1 / (1 + gamma nu). One Lanczos probe of B^H B (qmatrix._gram_ritz)
-gives alpha = 0.99 / theta_max and mu = r low / ||B||_F^2 for its smallest
-nonzero Ritz value low; nu = 1.5 n / r. Where sqrt(mu / nu) >= 0.2, or
-mu = 0, they take the plain step: those shapes converge in tens of steps,
-which the accelerated step does not shorten. The divergence guard is on
-for both. The probe draws from its own seed, so the sketches are those of
-the plain run. hybrid_rsp_ns, the step _update and the rate diagnostic
-rsp_contraction_samples stay plain, with auto_alpha.
+a = 1 / (1 + gamma nu). The solve's probe gives mu = r low / ||B||_F^2 for
+its smallest nonzero Ritz value low; nu = 1.5 n / r. Where
+sqrt(mu / nu) >= 0.2, or mu = 0, they take the plain step: those shapes
+converge in tens of steps, which the accelerated step does not shorten.
+The divergence guard is on for both. The probe draws from its own seed, so
+the sketches are those of the plain run. hybrid_rsp_ns, the step _update
+and the rate diagnostic rsp_contraction_samples stay plain.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ from . import _qops
 from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
                      NonFinite, RankDeficient, SketchFailure)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
-from .qmatrix import (QMatrix, _gram_ritz, op_norm_est, randn_qmat_rng,
-                      require_finite)
+from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
 SCHEDULE_NAIVE = "naive"
@@ -142,12 +140,10 @@ class SketchConfig:
 @dataclass
 class SolverReport:
     """What a solve did. wall_time (s) starts in _solve_tall, after A's
-    adjoint and, for the solvers that use it, auto_alpha, and stops before
-    the Penrose check, so it leaves those out; it covers the spectral
-    probe of ns_damped at gamma = 1 and of rsp_column and rsp_row, alpha
-    included, cgne_q's Nystrom set-up and its forming of M and X, and the
-    sketch solvers' test sketch. lorenz_solve_ns starts it before its
-    probe."""
+    adjoint, and stops before the Penrose check, so it leaves those out;
+    it covers every solver's spectral probe, alpha included, cgne_q's
+    Nystrom set-up and its forming of M and X, and the sketch solvers'
+    test sketch. lorenz_solve_ns starts it before its probe."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -174,21 +170,25 @@ def penrose_residuals(A: QMatrix, X: QMatrix):
     return (e1, e2, e3, e4)
 
 
-def _alpha_for(norm2: float) -> float:
-    """alpha = 0.99 / norm2 for an estimate norm2 of ||A||_2^2, or 1.0 for
-    norm2 = 0."""
-    return 0.99 / norm2 if norm2 else 1.0
+def _probe(B: QMatrix, Bh: QMatrix | None = None,
+           alpha: float | str = "auto"):
+    """(alpha, low, bound) from one Lanczos probe of B^H B
+    (qmatrix._gram_ritz, on B and Bh = B^H): an "auto" alpha is
+    0.99 / theta for the largest Ritz value theta (1.0 for theta = 0),
+    inside (0, 2/||B||_2^2) while theta > 0.495 ||B||_2^2; low is the
+    smallest nonzero Ritz value and bound the probe's upper bound on the
+    spectrum."""
+    low, top, bound = _gram_ritz(B, Bh)
+    if alpha == "auto":
+        alpha = 0.99 / top if top else 1.0
+    return float(alpha), low, bound
 
 
 def auto_alpha(A: QMatrix, Ah: QMatrix | None = None) -> float:
-    """alpha = 0.99 / est(||A||_2)^2, kept strictly inside (0, 2/||A||_2^2).
-    Ah, if given, is A^H, formed by the caller."""
-    est = op_norm_est(A, Ah)
-    return _alpha_for(est * est)
-
-
-def _alpha(A: QMatrix, cfg: SolverConfig, Ah: QMatrix | None = None) -> float:
-    return auto_alpha(A, Ah) if cfg.alpha == "auto" else float(cfg.alpha)
+    """alpha = 0.99 / ||A||_2^2, with ||A||_2^2 estimated by the probe's
+    largest Ritz value (_probe). Ah, if given, is A^H, formed by the
+    caller."""
+    return _probe(A, Ah)[0]
 
 
 def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
@@ -280,29 +280,27 @@ def _penrose_from_deviation(B: QMatrix, X: QMatrix, F: QMatrix):
             (F.adjoint() - F).fro_norm(), (BX.adjoint() - BX).fro_norm())
 
 
-def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve,
-                probe: bool = False):
-    """Run solve(B, Bh, alpha, t0) -> (X, report, F) on B, the tall one of
-    A and A^H, with Bh = B^H, and return A's (X, report): a wide A's result
-    is adjointed, since (A^H)^+ = (A^+)^H. A^H is formed once, and it is B
-    or Bh. alpha is cfg's, or auto_alpha of A itself, before the flip and
-    before t0; with probe, an "auto" alpha is left to solve as None, which
-    takes it from its spectral probe. F is the deviation I - XB of the
-    returned X, or None; the Penrose residuals are those of A and the
-    returned X, from F when there is one (_penrose_from_deviation, with e3
-    and e4 swapped for a wide A), and from penrose_residuals otherwise. A
-    zero A returns its pseudoinverse, zero, at once: no iterations,
-    converged and an empty residual history."""
+def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
+    """Run solve(B, Bh, alpha, low, bound, t0) -> (X, report, F) on B, the
+    tall one of A and A^H, with Bh = B^H, and return A's (X, report): a
+    wide A's result is adjointed, since (A^H)^+ = (A^+)^H. A^H is formed
+    once, and it is B or Bh. One probe of B after t0 (_probe) gives alpha,
+    cfg's unless "auto", and the spectral bounds low and bound. F is the
+    deviation I - XB of the returned X, or None; the Penrose residuals are
+    those of A and the returned X, from F when there is one
+    (_penrose_from_deviation, with e3 and e4 swapped for a wide A), and
+    from penrose_residuals otherwise. A zero A returns its pseudoinverse,
+    zero, at once: no iterations, converged and an empty residual
+    history."""
     require_finite(A)
     if not A.data.any():
         return _verified(A, QMatrix.zeros(A.cols, A.rows),
                          SolverReport(method, 0, converged=True))
     Ah = A.adjoint()
-    alpha = None if probe and cfg.alpha == "auto" else _alpha(A, cfg, Ah)
     t0 = time.perf_counter()
     wide = A.rows < A.cols
     B, Bh = (Ah, A) if wide else (A, Ah)
-    X, report, F = solve(B, Bh, alpha, t0)
+    X, report, F = solve(B, Bh, *_probe(B, Bh, cfg.alpha), t0)
     if F is None:
         return _verified(A, X.adjoint() if wide else X, report)
     e1, e2, e3, e4 = _penrose_from_deviation(B, X, F)
@@ -418,31 +416,23 @@ def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
 _U0 = 2.0
 
 
-def _ns_scales(B: QMatrix, Bh: QMatrix, alpha: float | None = None):
-    """(alpha, thetas) for the order-2 steps from X_0 = alpha B^H, from one
-    Lanczos probe of B^H B (qmatrix._gram_ritz, on B and Bh = B^H): alpha,
-    unless given, is 0.99 / theta for the largest Ritz value theta, and
-    thetas is the endless iterator of scales theta_k = 2/(l_k + u_k) for
-    bounds [l_k, u_k] on the nonzero eigenvalues of X_k B (Pan & Schreiber,
-    SIAM J. Sci. Stat. Comput. 12, 1991). l_0 = alpha times the smallest
-    nonzero Ritz value, u_0 = min(_U0, alpha times the probe's upper bound
-    on the spectrum), which alpha and u_0 taken from the same probe keep
-    above X_0 B's eigenvalues; after each step l <- theta l (2 - theta l)
-    and u = 1. Every theta is 1 when no Ritz value is nonzero or l_0 > u_0,
-    where alpha breaks the premise alpha < 2/||B||_2^2."""
-    low, top, bound = _gram_ritz(B, Bh)
-    if alpha is None:
-        alpha = _alpha_for(top)
+def _ns_scales(alpha: float, low: float, bound: float):
+    """The endless iterator of scales theta_k = 2/(l_k + u_k) for the
+    order-2 steps from X_0 = alpha B^H, for bounds [l_k, u_k] on the
+    nonzero eigenvalues of X_k B (Pan & Schreiber, SIAM J. Sci. Stat.
+    Comput. 12, 1991), from the probe of B (_probe): l_0 = alpha low,
+    u_0 = min(_U0, alpha bound), which alpha and u_0 taken from the same
+    probe keep above X_0 B's eigenvalues; after each step
+    l <- theta l (2 - theta l) and u = 1. Every theta is 1 when no Ritz
+    value is nonzero or l_0 > u_0, where alpha breaks the premise
+    alpha < 2/||B||_2^2."""
     l, u = alpha * low, min(_U0, alpha * bound)
     if not 0.0 < l <= u:
-        return alpha, itertools.repeat(1.0)
-
-    def scales(l, u):
-        while True:
-            theta = 2.0 / (l + u)
-            yield theta
-            l, u = theta * l * (2.0 - theta * l), 1.0
-    return alpha, scales(l, u)
+        yield from itertools.repeat(1.0)
+    while True:
+        theta = 2.0 / (l + u)
+        yield theta
+        l, u = theta * l * (2.0 - theta * l), 1.0
 
 
 def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
@@ -460,10 +450,9 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
     if steps < 1:
         raise ValueError("steps must be >= 1")
     Ah = A.adjoint()
-    alpha = _alpha(A, cfg, Ah)
     if A.rows < A.cols:
         A, Ah = Ah, A
-    X = Ah.scale(alpha)
+    X = Ah.scale(_probe(A, Ah, cfg.alpha)[0])
     R = _deviation(A, X)
     out = []
     for k in range(1, steps + 1):
@@ -487,13 +476,11 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
               **step_kw):
     """The Newton-Schulz family through _solve_tall, verified from the
-    deviation of the returned X; with scaled, alpha ("auto") and each
-    step's scale come from _ns_scales' probe."""
-    def solve(B, Bh, alpha, t0):
-        if scaled:
-            alpha, thetas = _ns_scales(B, Bh, alpha)
-        else:
-            thetas = itertools.repeat(1.0)
+    deviation of the returned X; with scaled, each step's scale comes from
+    the solve's probe (_ns_scales)."""
+    def solve(B, Bh, alpha, low, bound, t0):
+        thetas = (_ns_scales(alpha, low, bound) if scaled
+                  else itertools.repeat(1.0))
         scratch = _Scratch(4 * B.cols * B.cols)
 
         def measure(X):
@@ -505,7 +492,7 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
             lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
             measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
         return X, rep, F
-    return _solve_tall(A, cfg, method, solve, probe=scaled)
+    return _solve_tall(A, cfg, method, solve)
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):
@@ -656,22 +643,18 @@ def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
                   method: str, cycle=None):
     """Sketch-and-project on B, the tall one of A and A^H, through
     _solve_tall, from X0 = alpha B^H, with the solve's sketch stream of B
-    and the residual measured on a test sketch of B. Without cycle, one
-    Lanczos probe of B^H B (qmatrix._gram_ritz) gives an "auto" alpha,
-    0.99 / theta_max, and the accelerated step's constants
-    (_accel_constants); each iteration is that step (_accelerated), or the
-    plain _update where the constants are None, under the divergence
-    guard. With cycle, alpha is auto_alpha's and each iteration is
+    and the residual measured on a test sketch of B. Without cycle, the
+    probe's smallest nonzero Ritz value low gives the accelerated step's
+    constants (_accel_constants); each iteration is that step
+    (_accelerated), or the plain _update where the constants are None,
+    under the divergence guard. With cycle, each iteration is
     cycle(X, stream)."""
-    def solve(B, Bh, alpha, t0):
+    def solve(B, Bh, alpha, low, bound, t0):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
         stream = _SketchStream(B, sk, rng)
         step = cycle
         if cycle is None:
-            low, top, _ = _gram_ritz(B, Bh)
-            if alpha is None:
-                alpha = _alpha_for(top)
             _, constants = _accel_constants(B, sk.block_r, low)
             if constants is not None:
                 (X, _), _, rep = _drive(
@@ -686,7 +669,7 @@ def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
                            lambda X, _: step(X, stream), measure, cfg.tol,
                            cfg.maxit, diverge=cycle is None, t0=t0)
         return X, rep, None
-    return _solve_tall(A, cfg, method, solve, probe=cycle is None)
+    return _solve_tall(A, cfg, method, solve)
 
 
 def rsp_column(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
@@ -800,7 +783,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     applied once per call, to B^H, and X is formed from F after the last
     step.
     """
-    def solve(B, Bh, alpha, t0):
+    def solve(B, Bh, alpha, low, bound, t0):
         BhP = (Bh if precond is None
                else _NystromPrecond(B, Bh, precond).apply_right(Bh))
         M = BhP @ B

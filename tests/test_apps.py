@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -262,6 +263,22 @@ def test_lorenz_build_matches_loop(N):
     assert X.data.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("N", [2, 10, 30])
+def test_lorenz_build_unstable_rk4_step_raises(N):
+    # at T_end = 10 the RK4 step 10 / (2N - 1) is too large for every
+    # N <= 30, and the build once returned a NaN X without an error
+    with pytest.raises(NonFinite, match=f"RK4 step {10 / (2 * N - 1):.4g} "):
+        lorenz_build(LorenzProblem(N=N))
+
+
+def test_lorenz_build_n50_bits():
+    # the finiteness check leaves the system the CLI and the benchmark
+    # build bitwise as it was
+    X, Y, _ = lorenz_build(LorenzProblem(N=50))
+    digest = hashlib.sha256(X.data.tobytes() + Y.data.tobytes()).hexdigest()
+    assert digest[:16] == "8ae2ff56156b5c8e"
+
+
 def test_lorenz_solve():
     X, Y, _ = lorenz_build(LorenzProblem(N=20, T_end=2.0))
     w, rep = lorenz_solve_ns(X, Y, tol=1e-8, maxit=60)
@@ -402,3 +419,9 @@ def test_deblur_validation():
         DeblurProblem(image=img, lam=0.0)
     with pytest.raises(NonPowerOfTwo):
         DeblurProblem(image=image_to_qmat(synthetic_image(12, seed=0)))
+    # a 9x9 PSF on an 8x8 frame once failed in numpy's broadcast
+    with pytest.raises(ValueError, match="9x9 PSF does not fit the 8x8 frame"):
+        DeblurProblem(image=image_to_qmat(synthetic_image(8, seed=0)),
+                      psf_radius=4)
+    with pytest.raises(ValueError, match="3x3 PSF does not fit the 8x2 frame"):
+        DeblurProblem(image=QMatrix.zeros(8, 2), psf_radius=1)

@@ -59,6 +59,20 @@ def test_usage_bad_parameter_value(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_lorenz_unstable_rk4_step_exits_1(capsys):
+    assert main(["lorenz", "--sizes", "30"]) == 1
+    err = capsys.readouterr().err
+    assert "RK4 step 0.1695" in err and "Traceback" not in err
+
+
+def test_deblur_psf_larger_than_frame_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deblur", "--sizes", "8"])
+    assert exc.value.code == 2
+    assert "the 9x9 PSF does not fit the 8x8 frame" in \
+        capsys.readouterr().err
+
+
 def test_pinv_bench_qsvd_baseline_has_no_failure_rows(tmp_path):
     out = tmp_path / "qsvd.csv"
     assert main(["pinv-bench", "--sizes", "5,30", "--method", "qsvd-baseline",

@@ -85,7 +85,7 @@ def _ref_hybrid(A, cfg, sk):
         return cycle
     return solvers._verified(A, *_ref_run(
         f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk, step,
-        solvers._alpha(A, cfg)))
+        solvers._probe(A, alpha=cfg.alpha)[0]))
 
 
 def _ref_contraction(A, sk, trials):

@@ -88,7 +88,8 @@ def test_ns_scaled_recurrence_exact():
     # criterion 2's instance: a scaled step maps F to F_theta^2, with
     # F_theta = (1 - theta) I + theta F
     A = randn_qmat(10, 6, 0)
-    alpha, thetas = solvers._ns_scales(A, A.adjoint())
+    alpha, low, bound = solvers._probe(A, A.adjoint())
+    thetas = solvers._ns_scales(alpha, low, bound)
     X = A.adjoint().scale(alpha)
     F = solvers._deviation(A, X)
     worst, scaled = 0.0, 0
@@ -117,7 +118,7 @@ def test_hyperpower_p2_matches_ns_bitwise(monkeypatch):
     cfg = SolverConfig(alpha=auto_alpha(A), tol=1e-12, maxit=30)
     X2, _ = ns_hyperpower(A, cfg)
     monkeypatch.setattr(solvers, "_ns_scales",
-                        lambda B, Bh, alpha: (alpha, itertools.repeat(1.0)))
+                        lambda alpha, low, bound: itertools.repeat(1.0))
     X1, _ = ns_damped(A, cfg)
     assert np.array_equal(X1.data, X2.data)
 
@@ -238,11 +239,9 @@ def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
 
 
 def _ref_ns(A, cfg, method, scaled=False, **step_kw):
-    def solve(B, Bh, alpha, t0):
-        if scaled:
-            alpha, thetas = solvers._ns_scales(B, Bh, alpha)
-        else:
-            thetas = itertools.repeat(1.0)
+    def solve(B, Bh, alpha, low, bound, t0):
+        thetas = (solvers._ns_scales(alpha, low, bound) if scaled
+                  else itertools.repeat(1.0))
 
         def measure(X):
             F = _ref_deviation(B, X)
@@ -253,7 +252,7 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
             lambda X, F: _ref_ns_step(F, X, theta=next(thetas), **step_kw),
             measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
         return X, rep, F
-    return solvers._solve_tall(A, cfg, method, solve, probe=scaled)
+    return solvers._solve_tall(A, cfg, method, solve)
 
 
 def _frob(x, y):
@@ -261,7 +260,7 @@ def _frob(x, y):
 
 
 def _ref_cgne(A, cfg, precond=None):
-    def solve(B, Bh, alpha, t0):
+    def solve(B, Bh, alpha, low, bound, t0):
         BhP = Bh if precond is None else \
             solvers._NystromPrecond(B, Bh, precond).apply_right(Bh)
         M = BhP @ B
@@ -410,7 +409,8 @@ def _ref_lorenz(X, Y, tol, maxit, xk_form=False):
     X_k <- theta (2 X_k - theta X_k X X_k), w = X_k Y."""
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()
-    alpha, thetas = solvers._ns_scales(X, Xh)
+    alpha, low, bound = solvers._probe(X, Xh)
+    thetas = solvers._ns_scales(alpha, low, bound)
     X0 = Xh.scale(alpha)
 
     def step(state, _):
@@ -538,7 +538,7 @@ def test_ns_probe_bound_covers_spectrum(spectrum, seed):
     A = _with_spectrum(120, _PROBE_SPECTRA[spectrum], seed)
     smax2 = qsvd(A).S[0] ** 2
     _, top, bound = _gram_ritz(A)
-    alpha = solvers._ns_scales(A, A.adjoint())[0]
+    alpha = solvers._probe(A, A.adjoint())[0]
     assert alpha == 0.99 / top and alpha * smax2 < 2.0
     assert alpha * bound >= alpha * smax2 * (1 - 1e-12)
     _, rep = ns_damped(A, SolverConfig(tol=1e-8))
@@ -595,7 +595,7 @@ def test_penrose_from_deviation_swaps_e3_and_e4_for_a_wide_a():
     A = randn_qmat(12, 20, 40)
     Xb = randn_qmat(12, 20, 41).scale(0.01)
 
-    def solve(B, Bh, alpha, t0):
+    def solve(B, Bh, alpha, low, bound, t0):
         return Xb, solvers.SolverReport("fixed", 0), solvers._deviation(B, Xb)
     X, rep = solvers._solve_tall(A, SolverConfig(), "fixed", solve)
     e = penrose_residuals(A, X)
@@ -1030,7 +1030,7 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
 def _ref_cgne_xspace(A, cfg, precond=None):
     """CGNE on X itself, as cgne_q ran before its Gram coordinates: two
     n x m products a step, and two more for the preconditioner."""
-    def solve(B, Bh, alpha, t0):
+    def solve(B, Bh, alpha, low, bound, t0):
         X0 = Bh.scale(alpha)
         M = None if precond is None else solvers._NystromPrecond(B, Bh, precond)
 
@@ -1133,12 +1133,58 @@ def test_wide_solve_is_adjoint_of_tall_solve(solver):
     assert rep.residual_history == tall.residual_history
     assert rep.iterations == tall.iterations > 0 and rep.converged
     assert max(rep.penrose) <= 1e-8
-    # alpha is estimated on A itself, not on the adjoint that is solved;
-    # ns and rsp take it from the probe of the tall one, which runs on A A^H
+    # every solver takes alpha from the probe of the tall one, which runs
+    # on A A^H, as auto_alpha(A) does
     X0, _ = _WIDE[solver](A, SolverConfig(maxit=0))
-    alpha = (solvers._ns_scales(A.adjoint(), A)[0]
-             if solver in ("ns_damped", "rsp_row") else auto_alpha(A))
-    assert np.array_equal(X0.data, A.adjoint().scale(alpha).data)
+    assert np.array_equal(X0.data, A.adjoint().scale(auto_alpha(A)).data)
+
+
+_SK_PROBE = SketchConfig(block_r=4, seed=3)
+_ONE_PROBE = {
+    "ns": ns_damped,
+    "ns-gamma0.5": lambda A, c: ns_damped(A, SolverConfig(gamma=0.5,
+                                                          maxit=c.maxit)),
+    "hyperpower": lambda A, c: ns_hyperpower(A, SolverConfig(order=3,
+                                                             maxit=c.maxit)),
+    "cgne": cgne_q,
+    "cgne-nystrom": lambda A, c: cgne_q(A, c, precond=_SK_PROBE),
+    "rsp_column": lambda A, c: rsp_column(A, c, _SK_PROBE),
+    "rsp_row": lambda A, c: rsp_row(A, c, _SK_PROBE),
+    "hybrid": lambda A, c: hybrid_rsp_ns(A, c, _SK_PROBE),
+}
+
+
+def _probe_shapes(monkeypatch):
+    """The shapes of the matrices solvers._gram_ritz runs on, from here on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return _gram_ritz(*args)
+    monkeypatch.setattr(solvers, "_gram_ritz", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solver, shape", [
+    pytest.param(s, (m, n), id=f"{s}-{m}x{n}")
+    for s in sorted(_ONE_PROBE) for m, n in ((14, 9), (9, 14))
+    if (s not in ("rsp_column", "hybrid") or m >= n)
+    and (s != "rsp_row" or m <= n)])
+def test_one_spectral_probe_per_solve(solver, shape, monkeypatch):
+    # alpha and every spectral bound a solve uses come from one Lanczos
+    # run, whatever the solver and on either side of the flip to the tall B
+    calls = _probe_shapes(monkeypatch)
+    _, rep = _ONE_PROBE[solver](randn_qmat(*shape, 5), SolverConfig(maxit=6))
+    assert rep.iterations > 0
+    assert calls == [(max(shape), min(shape))]
+
+
+def test_lorenz_solve_ns_runs_one_probe(monkeypatch):
+    from quatpinv.apps.lorenz import lorenz_solve_ns
+    X, Y = _lorenz_problem(50, 0)
+    calls = _probe_shapes(monkeypatch)
+    lorenz_solve_ns(X, Y)
+    assert calls == [(50, 50)]
 
 
 def test_cgne_breakdown():
@@ -1202,15 +1248,20 @@ def test_solver_rejects_non_finite(solver, bad):
         _FINITE_ONLY[solver](A)
 
 
-@pytest.mark.parametrize("m, n, seed", [(8, 6, 1), (40, 30, 2)])
+# the step at which each instance's residual turns non-finite
+_NAN_STEP = {(8, 6, 1): 41, (40, 30, 2): 40}
+
+
+@pytest.mark.parametrize("m, n, seed", sorted(_NAN_STEP))
 def test_hyperpower_rank_deficient_nan_residual_raises(m, n, seed):
     # on a rank-3 A the order-8 residual overflows and turns non-finite at
-    # k = 40; the loop once ran on to maxit 100, since NaN >= 10 r0 is false
-    # and reset the divergence guard, and returned a non-finite X
+    # k = 40 or 41; the loop once ran on to maxit 100, since NaN >= 10 r0 is
+    # false and reset the divergence guard, and returned a non-finite X
     A = randn_qmat(m, 3, seed) @ randn_qmat(n, 3, seed + 100).adjoint()
     cfg = SolverConfig(order=8, schedule=SCHEDULE_PS)
+    k = _NAN_STEP[m, n, seed]
     with np.errstate(all="ignore"), \
-            pytest.raises(NonFinite, match="at iteration 40$"):
+            pytest.raises(NonFinite, match=f"at iteration {k}$"):
         ns_hyperpower(A, cfg)
 
 
