@@ -9,24 +9,24 @@ component of one operand:
   (unit s) * y[p, q], that is one component of y or its negative; the
   four (m, 4n) products are added in the order s = 0..3 and reshape to
   the (m, n, 4) result;
-* when x is the smaller operand (the 1 x k rows of the triangular and
-  Cholesky solves), the roles swap: for each component u of y, a (4m, k)
-  block of signed components of x times the (k, n) plane of y; one
-  batched product gives all four, and their terms are then added in the
-  order of the components of x.
+* when x is the smaller operand (such as the 1 x k rows of a triangular
+  solve), the roles swap: for each component u of y, a (4m, k) block of
+  signed components of x times the (k, n) plane of y; one batched
+  product gives all four, and their terms are then added in the order of
+  the components of x.
 
 The side is picked from the shapes alone, as the one that moves fewer
 elements. Either way each output component is summed as the Hamilton
 formula writes it: four k-term products, added in the order a, b, c, d of
 the left factor.
 
-Small products, the bulk of the micro-solves' calls, cost mostly numpy's
-per-call overhead, so each side keeps its call count low: the left side
-builds its four blocks with one product by a (16, 4) sign table and
-regroups the terms with one row gather; a right-side product with
-(m + k) n <= 2048 builds all four slabs with one product by the sign
-table and runs its four GEMMs as one batched call (for k = 1 as one
-einsum, which does the same faster than numpy's matmul). A larger
+Small products, such as the sketch steps' products with an n x r sketch,
+cost mostly numpy's per-call overhead, so each side keeps its call count
+low: the left side builds its four blocks with one product by a (16, 4)
+sign table and regroups the terms with one row gather; a right-side
+product with (m + k) n <= 2048 builds all four slabs with one product by
+the sign table and runs its four GEMMs as one batched call (for k = 1 as
+one einsum, which does the same faster than numpy's matmul). A larger
 right-side product builds and multiplies one slab at a time (each product
 an einsum too when k = 1). No path changes a GEMM's shape or the order of
 the adds, so the results are bitwise those of one call per GEMM.

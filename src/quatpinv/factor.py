@@ -1,21 +1,31 @@
 """Direct factorizations: thin QR, Hermitian-PD solves, SVD, and the
 closed-form / SVD-based pseudoinverse baselines.
 
-The thin QR and the SVD are LAPACK's, run on the complex adjoint
-embedding. The QR is read off the embedding's even columns and rows and
-is run twice, so that Q is orthonormal to rounding at any condition
-number; the SVD's quaternion factors are reassembled from its singular
-vectors, which come in pairs (v, phi(v)). These routines serve as
-oracles for the iterative solvers and as micro-solvers inside the
-randomized methods. ``hpd_solve``, its Cholesky kernels ``_cholesky`` and
-``_chol_solve`` and ``solve_upper_triangular`` also take a stack of s
-matrices as an (s, r, c, 4) array, and factor or solve all of them in one
-pass with the same code, a 2-D call being the case without a stack axis;
-each item of a stack is bitwise the routine run on it alone. An item that fails its
+The thin QR, the Cholesky factor and its solves, and the SVD are
+LAPACK's, run on the complex adjoint embedding (``qmatrix.
+complex_adjoint``). The QR is read off the embedding's even columns and
+rows and is run twice, so that Q is orthonormal to rounding at any
+condition number. G is Hermitian positive definite exactly when its
+embedding is, and the embedding's Cholesky factor is that of the
+quaternion factor (F. Zhang, Linear Algebra Appl. 251, 1997); a solve
+runs against the even columns of B's embedding, from which Z is read
+back. The SVD's quaternion factors are reassembled from its singular
+vectors, which come in pairs (v, phi(v)). A LAPACK failure raises
+ConvergenceFailure, except LAPACK's rejection of a Cholesky pivot, which
+is the factor's failed pivot. These routines serve as oracles for the
+iterative solvers and as micro-solvers inside the randomized methods.
+
+``hpd_solve``, its Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
+``solve_upper_triangular`` also take a stack of s matrices as an
+(s, r, c, 4) array, and factor or solve all of them in one pass with the
+same code, a 2-D call being the case without a stack axis; each item of
+a stack is bitwise the routine run on it alone. An item that fails its
 check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
 call raises or, in ``hpd_solve`` alone, falls back to CG.
-``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at entry
-when A holds a NaN or infinite entry.
+``solve_upper_triangular`` has no caller in the library; the tests'
+QR-based references use it. ``qsvd``, ``pinv_qsvd`` and
+``pinv_normal_eq`` raise NonFinite at entry when A holds a NaN or
+infinite entry.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 from . import _qops
 from .errors import (ConvergenceFailure, DimensionMismatch, Indefinite,
                      NotHermitian, RankDeficient)
-from .qmatrix import QMatrix, require_finite
+from .qmatrix import QMatrix, complex_adjoint, require_finite
 
 
 @dataclass
@@ -54,12 +64,6 @@ def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
 
 
-def _any(flags: np.ndarray) -> bool:
-    """Whether any flag is set; for one matrix's flag, a numpy bool, this
-    skips the array method, which costs microseconds on a scalar."""
-    return bool(flags.any() if flags.ndim else flags)
-
-
 def _products(stacked: bool):
     """The quaternion product for a stack, or the traced one of one pair."""
     return _qops.qmatmul_stack if stacked else _qops.qmatmul
@@ -71,9 +75,10 @@ _RANK_TOL = 1e-12
 
 
 def _from_complex(v: np.ndarray) -> np.ndarray:
-    """The quaternion column(s) whose embedding has v, (2m,) or (2m, k)
-    complex, as its even column(s): an (m, 4) or (m, k, 4) array."""
-    x, y = v[0::2], v[1::2]
+    """The quaternion columns whose embedding has v, (2m, k) complex, as its
+    even columns: an (m, k, 4) array; of each matrix of a stack
+    (..., 2m, k) alike."""
+    x, y = v[..., 0::2, :], v[..., 1::2, :]
     return np.stack([x.real, x.imag, -y.real, y.imag], axis=-1)
 
 
@@ -82,7 +87,10 @@ def _qr_pass(Y: QMatrix):
     even rows, with signs flipped so that R's diagonal is real positive
     (LAPACK's is real; the j and k parts, zero up to rounding, are set
     to zero)."""
-    Qc, Rc = np.linalg.qr(Y.to_complex_adjoint())
+    try:
+        Qc, Rc = np.linalg.qr(Y.to_complex_adjoint())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK QR: {exc}") from exc
     u, w = Rc[0::2, 0::2], Rc[0::2, 1::2]
     R = np.stack([u.real, u.imag, w.real, w.imag], axis=-1)
     ks = np.arange(Y.cols)
@@ -145,65 +153,50 @@ def solve_upper_triangular(R: QMatrix | np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _cholesky(Gd: np.ndarray):
-    """Quaternion Cholesky G = L L^H of an (r, r, 4) array; returns None on
-    a nonpositive pivot. Gd may also be a stack, an (s, r, r, 4) array,
-    factored in one pass, each item bitwise as alone: the result is then
-    (L, ok), where ok (s,) is False for an item with a nonpositive pivot
-    (its L is then meaningless)."""
-    stacked = Gd.ndim == 4
-    mm = _products(stacked)
+    """Cholesky G = L L^H of an (r, r, 4) array, as LAPACK's Cholesky of its
+    complex embedding, which is the embedding of the quaternion factor
+    (F. Zhang, Linear Algebra Appl. 251, 1997): the (2r, 2r) complex L, or
+    None when a pivot fails, that is when LAPACK finds one nonpositive or
+    the smallest diag(L)^2 is at most 1e-14 ||G||_F. Gd may also be a
+    stack, an (s, r, r, 4) array, factored in one call, each item bitwise
+    as alone: the result is then (L, ok), where ok (s,) is False for an
+    item whose pivot failed; its L is the identity."""
     lead = Gd.shape[:-3]
-    r = Gd.shape[-3]
-    L = np.zeros_like(Gd)
-    thresh = 1e-14 * np.maximum(_fro(Gd, lead), 1e-300)
-    ok = np.ones(lead, dtype=bool)
-    for j in range(r):
-        row = L[..., j, :j, :]
-        d = Gd[..., j, j, 0] - (row * row).reshape(lead + (-1,)).sum(-1)
-        bad = d <= thresh
-        if _any(bad):
-            if not stacked:
-                return None
-            # a failed item carries on with pivot 1; its L is discarded
-            ok &= ~bad
-            d[bad] = 1.0
-        ljj = np.sqrt(d)
-        L[..., j, j, 0] = ljj
-        if j + 1 < r:
-            col = L[..., j + 1:, j, :]
-            if j > 0:
-                np.subtract(Gd[..., j + 1:, j, :],
-                            mm(L[..., j + 1:, :j, :],
-                               _qops.qconj(row)[..., None, :])[..., 0, :],
-                            out=col)
-            else:
-                col[...] = Gd[..., j + 1:, j, :]
-            col /= ljj[..., None, None]
-    return (L, ok) if stacked else L
+    Gc = complex_adjoint(Gd)
+    try:
+        L = np.linalg.cholesky(Gc)
+    except np.linalg.LinAlgError:
+        if not lead:
+            return None
+        # LAPACK rejects the whole stack for one item: factor them apart
+        L = np.empty_like(Gc)
+        for Li, Gi in zip(L, Gc):
+            try:
+                Li[...] = np.linalg.cholesky(Gi)
+            except np.linalg.LinAlgError:
+                Li[...] = 0.0
+    piv = L.diagonal(axis1=-2, axis2=-1).real
+    ok = ((piv * piv).min(-1, initial=np.inf)
+          > 1e-14 * np.maximum(_fro(Gd, lead), 1e-300))
+    if not lead:
+        return L if ok else None
+    L[~ok] = np.eye(L.shape[-1])
+    return L, ok
 
 
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
-    """Solve L L^H Z = B: forward substitution with L, then back
-    substitution with L^H, whose real diagonal is L's. L and B may also be
-    stacks, (s, r, r, 4) and (s, r, p, 4) arrays, solved in one pass, each
-    item bitwise as alone, with L^H formed once for the stack."""
-    stacked = L.ndim == 4
-    mm = _products(stacked)
-    Z = np.empty_like(Bd)
-    for j in range(L.shape[-3]):
-        Zj = Z[..., j, :, :]
-        if j > 0:
-            np.subtract(Bd[..., j, :, :],
-                        mm(L[..., j:j + 1, :j, :],
-                           Z[..., :j, :, :])[..., 0, :, :],
-                        out=Zj)
-        else:
-            Zj[...] = Bd[..., j, :, :]
-        Zj /= L[..., j, j, 0, None, None]
-    LH = _qops.qconj(L.swapaxes(-3, -2))
-    if stacked:
-        return solve_upper_triangular(LH, Z)
-    return solve_upper_triangular(QMatrix(LH), QMatrix(Z)).data
+    """Solve L L^H Z = B for a factor L of ``_cholesky``: LAPACK solves with
+    L and with L^H against the even columns of B's embedding, from which Z
+    is read back. L and B may also be stacks, (s, 2r, 2r) and
+    (s, r, p, 4) arrays, solved in one call, each item bitwise as alone.
+    The solve with L^H runs as the conjugate of the one with L^T, so that
+    only the right-hand side is conjugated, never L."""
+    try:
+        Y = np.linalg.solve(L, complex_adjoint(Bd, even=True))
+        Z = np.linalg.solve(L.swapaxes(-1, -2), np.conjugate(Y, out=Y))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK triangular solve: {exc}") from exc
+    return _from_complex(np.conjugate(Z, out=Z))
 
 
 # relative residual within which a solve keeps its triangular solves, and
@@ -217,7 +210,7 @@ def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray):
     B are stacks, each item bitwise as alone."""
     lead = Bd.shape[:-3]
     Z = _chol_solve(L, Bd)
-    res = _fro(_products(L.ndim == 4)(Gd, Z) - Bd, lead)
+    res = _fro(_products(bool(lead))(Gd, Z) - Bd, lead)
     return Z, res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300)
 
 
@@ -230,16 +223,19 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
 
     Raises NotHermitian for a G that is not square or not Hermitian, and
     DimensionMismatch when B's row count is not G's. The Cholesky factor's
-    two triangular solves are kept when their residual is within
-    _SOLVE_TOL * ||B||. Otherwise a failed pivot raises Indefinite when G
-    has a negative eigenvalue, and a CG micro-solver (iteration cap 4r)
-    takes over; it raises Indefinite when it stagnates.
+    two triangular solves, LAPACK's on the complex embedding
+    (``_cholesky``, ``_chol_solve``), are kept when their residual is
+    within _SOLVE_TOL * ||B||. Otherwise a failed pivot raises Indefinite
+    when G has a negative eigenvalue, and a CG micro-solver (iteration cap
+    4r) takes over; it raises Indefinite when it stagnates. A LAPACK
+    failure of the solves or of the eigenvalue check raises
+    ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
-    arrays, taken to be Hermitian: each is factored and solved in one pass,
-    each item bitwise as alone, and the result is (Z, ok), where ok (s,) is
-    False for an item whose pivot or residual check failed (its Z is then
-    meaningless). A stack has no CG fallback.
+    arrays, taken to be Hermitian: they are factored and solved in one
+    LAPACK call each, each item bitwise as alone, and the result is
+    (Z, ok), where ok (s,) is False for an item whose pivot or residual
+    check failed (its Z is then meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)
@@ -263,7 +259,10 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
         if ok:
             return QMatrix(Z)
     else:
-        lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
+        try:
+            lo = float(np.linalg.eigvalsh(complex_adjoint(Gd))[0])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"LAPACK eigenvalues: {exc}") from exc
         if lo < -1e-10 * gnorm:
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
 
@@ -315,7 +314,7 @@ def _quaternion_basis(W: np.ndarray, k: int) -> np.ndarray:
     """
     W = W.copy()
     nsq = np.sum(np.abs(W) ** 2, axis=0)
-    cols = np.empty((W.shape[0] // 2, k, 4))
+    cols = np.empty((W.shape[0], k), dtype=W.dtype)
     for j in range(k):
         i = int(np.argmax(nsq))
         v = W[:, i] / np.linalg.norm(W[:, i])
@@ -323,8 +322,8 @@ def _quaternion_basis(W: np.ndarray, k: int) -> np.ndarray:
         C = P.conj().T @ W
         W -= P @ C
         nsq -= np.sum(np.abs(C) ** 2, axis=0)
-        cols[:, j] = _from_complex(v)
-    return cols
+        cols[:, j] = v
+    return _from_complex(cols)
 
 
 def _right_factor(A: QMatrix):

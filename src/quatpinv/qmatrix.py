@@ -11,9 +11,11 @@ q = a + bi + cj + dk to the 2x2 complex block
 
 and is used only off the iteration loops: by the SVD baseline, by the
 two LAPACK QR passes of thin_qr, by rsp_rate_bound's smallest singular
-value, by hpd_solve's eigenvalue check after a failed Cholesky pivot, and
-by the set-up of cgne_q's Nystrom preconditioner, through thin_qr and
-the SVD of its r x r core.
+value, by every Gram solve of hpd_solve (its LAPACK Cholesky factor and
+triangular solves, and its eigenvalue check after a failed pivot), and
+by the set-up of cgne_q's Nystrom preconditioner, through thin_qr, its
+Gram solve and the SVD of its r x r core. ``complex_adjoint`` forms it
+for one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -119,17 +121,7 @@ class QMatrix:
 
     def to_complex_adjoint(self) -> np.ndarray:
         """Complex adjoint embedding, (2m, 2n) complex128, block row-major."""
-        a = self.data[..., 0]
-        b = self.data[..., 1]
-        c = self.data[..., 2]
-        d = self.data[..., 3]
-        m, n = self.shape
-        out = np.empty((2 * m, 2 * n), dtype=np.complex128)
-        out[0::2, 0::2] = a + 1j * b
-        out[0::2, 1::2] = c + 1j * d
-        out[1::2, 0::2] = -c + 1j * d
-        out[1::2, 1::2] = a - 1j * b
-        return out
+        return complex_adjoint(self.data)
 
     # -- misc ---------------------------------------------------------------
 
@@ -139,6 +131,30 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
+
+
+def complex_adjoint(d: np.ndarray, even: bool = False) -> np.ndarray:
+    """Complex adjoint embedding of an (m, n, 4) array, (2m, 2n) complex128,
+    block row-major; of each matrix of a stack (..., m, n, 4) alike. With
+    even, only its even columns, (..., 2m, n): the columns from which
+    factor._from_complex reads a quaternion matrix back.
+
+    Built from d's complex view, whose entries (a + bi, c + di) are row 2i
+    of the embedding as they are; row 2i + 1 is (-conj(c + di),
+    conj(a + bi))."""
+    if d.strides[-1] != d.itemsize:
+        d = np.ascontiguousarray(d)
+    lead, (m, n) = d.shape[:-3], d.shape[-3:-1]
+    dc = d.view(np.complex128)
+    k = 1 if even else 2
+    out = np.empty(lead + (m, 2, n, k), dtype=np.complex128)
+    out[..., 0, :, :] = dc[..., :k]
+    odd = out[..., 1, :, :]
+    np.negative(dc[..., 1], out=odd[..., 0])
+    np.conjugate(odd[..., 0], out=odd[..., 0])
+    if not even:
+        np.conjugate(dc[..., 0], out=odd[..., 1])
+    return out.reshape(lead + (2 * m, k * n))
 
 
 def randn_qmat(m: int, n: int, seed: int) -> QMatrix:

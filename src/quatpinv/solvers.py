@@ -35,12 +35,13 @@ solve (``_SketchStream``): the sketches are drawn one at a time in the
 order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
 (s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by the Gram solve of
-Y^H Y + 1e-10 I against Y^H. A block holds at most 8192 quaternion entries
-of max(m, n) x r sketches. Only the two products with the iterate remain
-in the step: X + (Omega - X Y) Y^+. A sketch whose Gram matrix fails its
-Cholesky pivot or residual check is rejected when its block is formed,
-and the step that reaches it draws the next; 10 rejected in a row raise
-SketchFailure.
+Y^H Y + 1e-10 I against Y^H: one LAPACK Cholesky of the block's complex
+embeddings and two LAPACK solves (``hpd_solve`` of the stack). A block
+holds at most 8192 quaternion entries of max(m, n) x r sketches. Only the
+two products with the iterate remain in the step: X + (Omega - X Y) Y^+.
+A sketch whose Gram matrix fails its Cholesky pivot or residual check is
+rejected when its block is formed, and the step that reaches it draws the
+next; 10 rejected in a row raise SketchFailure.
 
 ns_damped at gamma = 1 and the Lorenz solve (on its residual recurrence,
 apps.lorenz) depart from the paper's plain Newton-Schulz step: each step
@@ -82,8 +83,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _qops
-from .errors import (Breakdown, DimensionMismatch, Divergence, InvalidOrder,
-                     NonFinite, RankDeficient, SketchFailure)
+from .errors import (Breakdown, ConvergenceFailure, DimensionMismatch,
+                     Divergence, InvalidOrder, NonFinite, RankDeficient,
+                     SketchFailure)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
 from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
@@ -842,7 +844,10 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     e = math.frexp(float(np.abs(A.data).max()))[1]
     A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
-    smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
+    try:
+        smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
     return 1.0 - block_r * float(smin) ** 2 / A.fro_norm() ** 2
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, solvers
-from quatpinv.errors import (DimensionMismatch, Indefinite, NonFinite,
-                             NotHermitian, QuatpinvError, RankDeficient)
+from quatpinv.errors import (ConvergenceFailure, DimensionMismatch,
+                             Indefinite, NonFinite, NotHermitian,
+                             QuatpinvError, RankDeficient)
 from quatpinv.factor import (_checked_chol_solve, _chol_solve, _cholesky,
                              hpd_solve, pinv_normal_eq, pinv_qsvd, qsvd,
                              solve_upper_triangular, thin_qr)
@@ -384,16 +385,26 @@ def test_solve_upper_triangular_matches_loop_version(r, ncols, seed):
                       _solve_upper_loop(R.data, B.data))
 
 
+def _rel_gap(X: np.ndarray, Xref: np.ndarray) -> float:
+    return float(np.linalg.norm(X - Xref) / np.linalg.norm(Xref))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**31 - 1))
 @example(1, 1, 0)
-def test_cholesky_and_chol_solve_match_loop_versions(r, ncols, seed):
+def test_cholesky_and_chol_solve_match_complex_solve(r, ncols, seed):
+    # L is the lower-triangular factor of G's embedding, and the solve is
+    # LAPACK's solve of the embedded system, to rounding
     C = randn_qmat(r + 3, r, seed)
-    Gd = (C.adjoint() @ C).data
-    L = _cholesky(Gd)
-    assert _same_bits(L, _cholesky_loop(Gd))
-    Bd = randn_qmat(r, ncols, seed + 1).data
-    assert _same_bits(_chol_solve(L, Bd), _chol_solve_loop(L, Bd))
+    G = C.adjoint() @ C
+    Gc = G.to_complex_adjoint()
+    L = _cholesky(G.data)
+    assert np.array_equal(L, np.tril(L))
+    assert _rel_gap(L @ L.conj().T, Gc) <= 1e-12
+    B = randn_qmat(r, ncols, seed + 1)
+    Z = QMatrix(_chol_solve(L, B.data))
+    ref = np.linalg.solve(Gc, B.to_complex_adjoint())
+    assert _rel_gap(Z.to_complex_adjoint(), ref) <= 1e-12
 
 
 def test_cholesky_pivot_failure_matches_loop_version():
@@ -408,12 +419,11 @@ _G_GRAM = randn_qmat(10, 4, 6).adjoint() @ randn_qmat(10, 4, 6)
 
 
 @pytest.mark.parametrize("G,B,ridge", [
-    (_G_GRAM, randn_qmat(4, 2, 7), 1e-10),
     (QMatrix.identity(3), randn_qmat(3, 2, 5), 0.0),
     (_G_SINGULAR, _G_SINGULAR @ randn_qmat(5, 2, 1), 0.0),   # CG rescues
     (_G_SINGULAR, randn_qmat(5, 2, 2), 0.0),                 # CG stagnates
     (QMatrix.from_real(-np.eye(3)), QMatrix.identity(3), 1e-10),
-], ids=["gram", "identity", "cg-fallback", "cg-stagnates", "indefinite"])
+], ids=["identity", "cg-fallback", "cg-stagnates", "indefinite"])
 def test_hpd_solve_matches_loop_version(G, B, ridge):
     Gr = G.copy()
     Gr.data[np.arange(G.rows), np.arange(G.rows), 0] += ridge
@@ -423,6 +433,57 @@ def test_hpd_solve_matches_loop_version(G, B, ridge):
         assert _same_bits(got.data, ref.data)
     else:
         assert got is ref
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_hpd_solve_gram_matches_complex_solve(r):
+    # a ridged Gram matrix, as the sketch stream solves them (r = 4 is
+    # _G_GRAM), against LAPACK's solve of the embedded system
+    C = randn_qmat(r + 6, r, 6)
+    G = C.adjoint() @ C
+    G.data[np.arange(r), np.arange(r), 0] += 1e-10
+    B = randn_qmat(r, 2, 7)
+    Z = hpd_solve(G, B)
+    ref = np.linalg.solve(G.to_complex_adjoint(), B.to_complex_adjoint())
+    assert _rel_gap(Z.to_complex_adjoint(), ref) <= 1e-12
+
+
+def test_cholesky_rejects_a_positive_pivot_below_threshold():
+    # LAPACK accepts the pivot 1e-16 > 0; it is at most 1e-14 ||G||_F, so
+    # the factor is still refused, alone and in a stack
+    Gd = QMatrix.from_real(np.diag([1.0, 1e-16, 2.0])).data
+    assert np.linalg.cholesky(QMatrix(Gd).to_complex_adjoint()) is not None
+    assert _cholesky(Gd) is None
+    Ggood = _G_GRAM.data[:3, :3].copy()
+    L, ok = _cholesky(np.stack([Ggood, Gd]))
+    assert ok.tolist() == [True, False]
+    assert _same_bits(L[0], _cholesky(Ggood))
+    assert _same_bits(L[1], np.eye(6, dtype=complex))
+
+
+def test_hpd_solve_lapack_failures_are_typed(monkeypatch):
+    # a LinAlgError of the eigenvalue check or of the triangular solves
+    # is not the pivot test's failure: it is raised as ConvergenceFailure
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    B = randn_qmat(4, 2, 7)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure, match="eigenvalues"):
+            hpd_solve(QMatrix.from_real(-np.eye(4)), B)
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    with pytest.raises(ConvergenceFailure, match="triangular solve"):
+        hpd_solve(_G_GRAM, B)
+    with pytest.raises(ConvergenceFailure, match="triangular solve"):
+        hpd_solve(_G_GRAM.data[None], B.data[None])
+
+
+def test_thin_qr_lapack_failure_is_typed(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    with pytest.raises(ConvergenceFailure, match="QR"):
+        thin_qr(randn_qmat(6, 4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +590,26 @@ def test_chol_solve_stack_items_bitwise_equal_2d(s, r, p, seed):
         assert _same_bits(Z[i], _chol_solve(L[i], B[i]))
 
 
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_hpd_solve_stack_flags_only_its_indefinite_item(bad):
+    # LAPACK's Cholesky rejects the whole stack for its one indefinite item;
+    # the items are then factored apart: only that item is flagged, its
+    # factor is the identity, and every other item is bitwise as alone
+    Gs = np.stack([(C.adjoint() @ C).data
+                   for C in (randn_qmat(9, 4, 40 + i) for i in range(5))])
+    Gs[bad] = QMatrix.from_real(-np.eye(4)).data
+    B = _stack((4, 3), range(50, 55))
+    L, ok = _cholesky(Gs)
+    Z, solved = hpd_solve(Gs, B)
+    assert ok.tolist() == solved.tolist() == [i != bad for i in range(5)]
+    assert _same_bits(L[bad], np.eye(8, dtype=complex))
+    for i in range(5):
+        if i != bad:
+            assert _same_bits(L[i], _cholesky(Gs[i]))
+            assert _same_bits(Z[i],
+                              hpd_solve(QMatrix(Gs[i]), QMatrix(B[i])).data)
+
+
 def test_hpd_solve_stack_items_bitwise_equal_2d():
     # a Gram matrix whose solve passes; a singular one and an indefinite
     # one, whose pivots fail; and a nearly singular one whose pivots pass
@@ -548,6 +629,15 @@ def test_hpd_solve_stack_items_bitwise_equal_2d():
     assert _cholesky(Gs[1]) is None and _cholesky(Gs[2]) is None
     L = _cholesky(Gs[3])
     assert L is not None and not _checked_chol_solve(L, Gs[3], B[3])[1]
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_pinv_normal_eq_of_an_empty_matrix(shape):
+    # the 0 x 0 Gram matrix has no pivot to fail
+    X = pinv_normal_eq(QMatrix(np.zeros(shape + (4,))))
+    assert X.shape == shape[::-1]
+    Z, ok = hpd_solve(np.zeros((2, 0, 0, 4)), np.zeros((2, 0, 3, 4)))
+    assert Z.shape == (2, 0, 3, 4) and ok.tolist() == [True, True]
 
 
 @pytest.mark.parametrize("stacked", [False, True])

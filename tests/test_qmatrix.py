@@ -5,8 +5,8 @@ from quatpinv._qops import qmul, qnormsq
 from quatpinv.errors import (ConvergenceFailure, DimensionMismatch, NonFinite,
                              NonPowerOfTwo)
 from quatpinv.factor import qsvd
-from quatpinv.qmatrix import (QMatrix, _gram_ritz, op_norm_est, randn_qmat,
-                              require_pow2)
+from quatpinv.qmatrix import (QMatrix, _gram_ritz, complex_adjoint,
+                              op_norm_est, randn_qmat, require_pow2)
 from quatpinv.rng import QuatRNG
 
 
@@ -197,6 +197,28 @@ def test_complex_adjoint_roundtrip_and_norm():
     z1, z2 = C[0::2, 0::2], C[0::2, 1::2]
     B = QMatrix(np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1))
     assert (A - B).fro_norm() <= 1e-14
+
+
+def _embed_blocks(d: np.ndarray) -> np.ndarray:
+    """The embedding written entry by entry from its 2 x 2 blocks."""
+    m, n = d.shape[-3:-1]
+    out = np.zeros(d.shape[:-3] + (2 * m, 2 * n), dtype=complex)
+    a, b, c, e = (d[..., i] for i in range(4))
+    out[..., 0::2, 0::2], out[..., 0::2, 1::2] = a + 1j * b, c + 1j * e
+    out[..., 1::2, 0::2], out[..., 1::2, 1::2] = -c + 1j * e, a - 1j * b
+    return out
+
+
+def test_complex_adjoint_stacks_layouts_and_even_columns():
+    # a stack embeds item by item; a component axis that is not contiguous
+    # (a QMatrix made from a moved axis) embeds as its contiguous copy
+    d = randn_qmat(5, 3, 2).data
+    moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(d, -1, 0)), 0, -1)
+    for x in (d, moved, d.transpose(1, 0, 2), np.stack([d, 2 * d, -d])):
+        ref = _embed_blocks(x)
+        assert np.array_equal(complex_adjoint(x), ref)
+        assert np.array_equal(complex_adjoint(x, even=True), ref[..., 0::2])
+    assert np.array_equal(QMatrix(moved).to_complex_adjoint(), embed(QMatrix(d)))
 
 
 def test_hadamard_and_mask():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
-from quatpinv.errors import (Breakdown, DimensionMismatch, Divergence,
-                             NonFinite, QuatpinvError, RankDeficient,
-                             SketchFailure)
+from quatpinv.errors import (Breakdown, ConvergenceFailure,
+                             DimensionMismatch, Divergence, NonFinite,
+                             QuatpinvError, RankDeficient, SketchFailure)
 from quatpinv.factor import pinv_normal_eq, pinv_qsvd, qsvd, thin_qr
 from quatpinv.qmatrix import QMatrix, _gram_ritz, op_norm_est, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
@@ -876,6 +876,14 @@ def test_rsp_rate_bound_is_scale_free(c):
     assert abs(rsp_rate_bound(A.scale(c), 4) - rsp_rate_bound(A, 4)) <= 1e-12
 
 
+def test_rsp_rate_bound_svd_failure_is_typed(monkeypatch):
+    def fail(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure, match="SVD"):
+        rsp_rate_bound(randn_qmat(12, 8, 1), 4)
+
+
 def test_rsp_full_sketch_rate_zero():
     A = randn_qmat(12, 4, 15)
     mean = rsp_rate_check(A, SketchConfig(block_r=4, seed=5), trials=5)
@@ -988,9 +996,9 @@ def test_cgne_nystrom_rejects_rank_below_block_r(shape, case, monkeypatch):
 
 
 def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
-    # the (Y Y^H)^+ + theta I apply ran two checked Cholesky solves, each
-    # two triangular solves, per iteration; now the set-up makes the only
-    # one
+    # the (Y Y^H)^+ + theta I apply ran two checked Cholesky solves per
+    # iteration; now the set-up makes the only one, on LAPACK, with no
+    # quaternion triangular solve
     calls = []
 
     def counted(name, fn):
@@ -1007,7 +1015,7 @@ def test_cgne_nystrom_apply_makes_no_solve(monkeypatch):
         _, rep = cgne_q(A, SolverConfig(tol=1e-10, maxit=40),
                         precond=SketchConfig(block_r=6, seed=2))
         assert rep.iterations > 1
-        assert calls == ["solve", "upper"]
+        assert calls == ["solve"]
 
 
 def test_cgne_nystrom_factors_its_gram_once(monkeypatch):

@@ -1,4 +1,4 @@
-"""Wall time and minor page faults of every benchmark call.
+"""Wall time, minor page faults and peak RSS of every benchmark call.
 
     python3 tools/churn.py --seed 1 > new.txt
     python3 tools/churn.py --seed 1 --tree ../other-checkout > old.txt
@@ -9,13 +9,16 @@ Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
 benchmark run uses instance i; ``--workload`` picks pools and ``--method``
 the calls of the named methods) and prints one line per call: the
-workload, input and method, the call's wall time and the minor page
-faults the process took during it
-(``resource.getrusage``). A minor fault is the kernel mapping a page the
-process touches for the first time, as it does each time the allocator
-hands back memory that was returned to the system; many faults per call
-mean the call keeps allocating and freeing large arrays. After the calls
-one ``median`` line per workload and method gives the median of both.
+workload, input and method, the call's wall time, the minor page faults
+the process took during it and the process's peak resident set size
+after it (``resource.getrusage``; ``maxrss_mb`` is ``ru_maxrss`` in MB,
+as perfbench's ``peak_rss_mb`` reads it, so the call after which it first
+reaches its final value is the one that sets ``peak_rss_mb``). A minor
+fault is the kernel mapping a page the process touches for the first
+time, as it does each time the allocator hands back memory that was
+returned to the system; many faults per call mean the call keeps
+allocating and freeing large arrays. After the calls one ``median`` line
+per workload and method gives the median of wall time and faults.
 
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
@@ -35,8 +38,8 @@ from pathlib import Path
 WORKLOADS = ("dense", "sketch", "apps")
 
 
-def _minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage():
+    return resource.getrusage(resource.RUSAGE_SELF)
 
 
 def main(argv=None) -> int:
@@ -62,18 +65,20 @@ def main(argv=None) -> int:
             for call in wl.round(i):
                 if args.method and call.method not in args.method:
                     continue
-                f0 = _minflt()
+                f0 = _usage().ru_minflt
                 t0 = time.perf_counter()
                 try:
                     call.run()
                 except workloads.QuatpinvError:
                     pass  # a failed call's cost counts like any other's
                 wall = time.perf_counter() - t0
-                faults = _minflt() - f0
+                after = _usage()
+                faults = after.ru_minflt - f0
                 samples.setdefault((name, call.method), []).append(
                     (wall, faults))
                 print(name, call.input, call.method, f"wall_s={wall:.4f}",
-                      f"minflt={faults}", flush=True)
+                      f"minflt={faults}",
+                      f"maxrss_mb={after.ru_maxrss / 1024:.1f}", flush=True)
     for (name, method), runs in samples.items():
         walls, faults = zip(*runs)
         print("median", name, method, f"calls={len(runs)}",
