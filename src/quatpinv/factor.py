@@ -8,12 +8,14 @@ rows and is run twice, so that Q is orthonormal to rounding at any
 condition number. G is Hermitian positive definite exactly when its
 embedding is, and the embedding's Cholesky factor is that of the
 quaternion factor (F. Zhang, Linear Algebra Appl. 251, 1997); a solve
-runs against the even columns of B's embedding, from which Z is read
-back. The SVD's quaternion factors are reassembled from its singular
-vectors, which come in pairs (v, phi(v)). A LAPACK failure raises
-ConvergenceFailure, except LAPACK's rejection of a Cholesky pivot, which
-is the factor's failed pivot. These routines serve as oracles for the
-iterative solvers and as micro-solvers inside the randomized methods.
+applies the factor's inverse L^-1, one LAPACK call, and then L^-H to the
+even columns of B's embedding, from which Z is read back, and its
+residual is taken on the same embeddings. The SVD's quaternion factors
+are reassembled from its singular vectors, which come in pairs
+(v, phi(v)). A LAPACK failure raises ConvergenceFailure (``_lapack``),
+except LAPACK's rejection of a Cholesky pivot, which is the factor's
+failed pivot. These routines serve as oracles for the iterative solvers
+and as micro-solvers inside the randomized methods.
 
 ``hpd_solve``, its Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
 ``solve_upper_triangular`` also take a stack of s matrices as an
@@ -23,9 +25,12 @@ a stack is bitwise the routine run on it alone. An item that fails its
 check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
 call raises or, in ``hpd_solve`` alone, falls back to CG.
 ``solve_upper_triangular`` has no caller in the library; the tests'
-QR-based references use it. ``qsvd``, ``pinv_qsvd`` and
-``pinv_normal_eq`` raise NonFinite at entry when A holds a NaN or
-infinite entry.
+QR-based references use it, and ``_chol_solve``, the solve of
+``_checked_chol_solve`` without its check, is kept for the tests that pin
+it. ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at
+entry when A holds a NaN or infinite entry, and a 2-D ``hpd_solve`` when
+G or B does (as when A^H A overflows); in a stack such an item is
+flagged.
 """
 
 from __future__ import annotations
@@ -64,9 +69,13 @@ def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
 
 
-def _products(stacked: bool):
-    """The quaternion product for a stack, or the traced one of one pair."""
-    return _qops.qmatmul_stack if stacked else _qops.qmatmul
+def _lapack(what: str, routine, *args):
+    """routine(*args), a numpy.linalg call, with its LinAlgError raised as
+    ConvergenceFailure("LAPACK <what>: ...")."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK {what}: {exc}") from exc
 
 
 # thin_qr raises RankDeficient when R's smallest diagonal is at most this
@@ -87,10 +96,7 @@ def _qr_pass(Y: QMatrix):
     even rows, with signs flipped so that R's diagonal is real positive
     (LAPACK's is real; the j and k parts, zero up to rounding, are set
     to zero)."""
-    try:
-        Qc, Rc = np.linalg.qr(Y.to_complex_adjoint())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK QR: {exc}") from exc
+    Qc, Rc = _lapack("QR", np.linalg.qr, Y.to_complex_adjoint())
     u, w = Rc[0::2, 0::2], Rc[0::2, 1::2]
     R = np.stack([u.real, u.imag, w.real, w.imag], axis=-1)
     ks = np.arange(Y.cols)
@@ -131,7 +137,8 @@ def solve_upper_triangular(R: QMatrix | np.ndarray,
     Z is a QMatrix or an (s, r, p, 4) array to match.
     """
     stacked = not isinstance(R, QMatrix)
-    mm = _products(stacked)
+    # a stack's products, or the traced one of one pair
+    mm = _qops.qmatmul_stack if stacked else _qops.qmatmul
     Rd, Bd = (R, B) if stacked else (R.data, B.data)
     r = Rd.shape[-3]
     diag = Rd[..., np.arange(r), np.arange(r), 0, None, None]
@@ -152,17 +159,18 @@ def solve_upper_triangular(R: QMatrix | np.ndarray,
 # Hermitian positive definite solves
 # ---------------------------------------------------------------------------
 
-def _cholesky(Gd: np.ndarray):
+def _cholesky(Gd: np.ndarray, Gc: np.ndarray | None = None):
     """Cholesky G = L L^H of an (r, r, 4) array, as LAPACK's Cholesky of its
-    complex embedding, which is the embedding of the quaternion factor
-    (F. Zhang, Linear Algebra Appl. 251, 1997): the (2r, 2r) complex L, or
-    None when a pivot fails, that is when LAPACK finds one nonpositive or
-    the smallest diag(L)^2 is at most 1e-14 ||G||_F. Gd may also be a
-    stack, an (s, r, r, 4) array, factored in one call, each item bitwise
-    as alone: the result is then (L, ok), where ok (s,) is False for an
-    item whose pivot failed; its L is the identity."""
+    complex embedding Gc (formed here unless given), which is the
+    embedding of the quaternion factor (F. Zhang, Linear Algebra Appl.
+    251, 1997): the (2r, 2r) complex L, or None when a pivot fails, that
+    is when LAPACK finds one nonpositive or the smallest diag(L)^2 is at most
+    1e-14 ||G||_F. Gd may also be a stack, an (s, r, r, 4) array, factored
+    in one call, each item bitwise as alone: the result is then (L, ok),
+    where ok (s,) is False for an item whose pivot failed; its L is the
+    identity."""
     lead = Gd.shape[:-3]
-    Gc = complex_adjoint(Gd)
+    Gc = complex_adjoint(Gd) if Gc is None else Gc
     try:
         L = np.linalg.cholesky(Gc)
     except np.linalg.LinAlgError:
@@ -184,34 +192,46 @@ def _cholesky(Gd: np.ndarray):
     return L, ok
 
 
+def _solve_embedded(L: np.ndarray, Bd: np.ndarray):
+    """(Ze, Be): the even columns of the embeddings of Z, for L L^H Z = B,
+    and of B, with Ze = L^-H (L^-1 Be) from L^-1, one LAPACK call, and two
+    complex products; on stacks alike, each item bitwise as alone. Be is
+    formed after the inverse, so that it and the inverse's LAPACK copies
+    of L are never held at once."""
+    Linv = _lapack("triangular solve", np.linalg.inv, L)
+    Be = complex_adjoint(Bd, even=True)
+    Y = Linv @ Be
+    return np.conjugate(Linv, out=Linv).swapaxes(-1, -2) @ Y, Be
+
+
 def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
-    """Solve L L^H Z = B for a factor L of ``_cholesky``: LAPACK solves with
-    L and with L^H against the even columns of B's embedding, from which Z
-    is read back. L and B may also be stacks, (s, 2r, 2r) and
-    (s, r, p, 4) arrays, solved in one call, each item bitwise as alone.
-    The solve with L^H runs as the conjugate of the one with L^T, so that
-    only the right-hand side is conjugated, never L."""
-    try:
-        Y = np.linalg.solve(L, complex_adjoint(Bd, even=True))
-        Z = np.linalg.solve(L.swapaxes(-1, -2), np.conjugate(Y, out=Y))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK triangular solve: {exc}") from exc
-    return _from_complex(np.conjugate(Z, out=Z))
+    """Solve L L^H Z = B for a factor L of ``_cholesky`` on the even columns
+    of B's complex embedding (``_solve_embedded``), from which Z is read
+    back. L and B may also be stacks, (s, 2r, 2r) and (s, r, p, 4) arrays,
+    solved in one call, each item bitwise as alone."""
+    return _from_complex(_solve_embedded(L, Bd)[0])
 
 
-# relative residual within which a solve keeps its triangular solves, and
+# relative residual within which a solve keeps its Cholesky solve, and
 # at which hpd_solve's CG fallback stops
 _SOLVE_TOL = 1e-10
 
 
-def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray):
+def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
+                        Gc: np.ndarray | None = None):
     """Z = ``_chol_solve(L, B)`` and whether G Z = B holds to the residual
     ||G Z - B|| <= _SOLVE_TOL * ||B||: a bool, or (s,) flags when L, G and
-    B are stacks, each item bitwise as alone."""
+    B are stacks, each item bitwise as alone. The residual is taken on the
+    embeddings, as ||Gc Ze - Be||_F with Gc G's embedding and Ze, Be the
+    even columns of Z's and B's: those columns hold each quaternion
+    entry's four parts once, so it is the quaternion ||G Z - B||_F. Gc is
+    formed here, after the solve, unless given."""
     lead = Bd.shape[:-3]
-    Z = _chol_solve(L, Bd)
-    res = _fro(_products(bool(lead))(Gd, Z) - Bd, lead)
-    return Z, res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300)
+    Ze, Be = _solve_embedded(L, Bd)
+    Gc = complex_adjoint(Gd) if Gc is None else Gc
+    res = _fro((Gc @ Ze - Be).view(np.float64), lead)
+    return (_from_complex(Ze),
+            res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300))
 
 
 def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -222,20 +242,24 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     """Solve G Z = B for Hermitian positive definite G.
 
     Raises NotHermitian for a G that is not square or not Hermitian, and
-    DimensionMismatch when B's row count is not G's. The Cholesky factor's
-    two triangular solves, LAPACK's on the complex embedding
-    (``_cholesky``, ``_chol_solve``), are kept when their residual is
-    within _SOLVE_TOL * ||B||. Otherwise a failed pivot raises Indefinite
-    when G has a negative eigenvalue, and a CG micro-solver (iteration cap
-    4r) takes over; it raises Indefinite when it stagnates. A LAPACK
-    failure of the solves or of the eigenvalue check raises
-    ConvergenceFailure.
+    DimensionMismatch when B's row count is not G's, and NonFinite when G
+    or B holds a NaN or infinite entry. The LAPACK Cholesky factor L of
+    G's complex embedding (``_cholesky``) and the solve
+    Z = L^-H L^-1 B on the even columns of B's embedding, with L^-1 from
+    one LAPACK inverse (``_chol_solve``), are kept when the residual,
+    taken on the embeddings, is within _SOLVE_TOL * ||B||. Otherwise a
+    failed pivot raises Indefinite when G has a negative eigenvalue, and a
+    CG micro-solver (iteration cap 4r) takes over; it raises Indefinite
+    when it stagnates. A LAPACK failure of the inverse or of the
+    eigenvalue check raises ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
     arrays, taken to be Hermitian: they are factored and solved in one
-    LAPACK call each, each item bitwise as alone, and the result is
+    LAPACK call each, on embeddings formed once for the factors and the
+    check, each item bitwise as alone, and the result is
     (Z, ok), where ok (s,) is False for an item whose pivot or residual
-    check failed (its Z is then meaningless). A stack has no CG fallback.
+    check failed, a non-finite item among them (its Z is then
+    meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)
@@ -245,32 +269,35 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     if Bd.shape[-3] != r:
         raise DimensionMismatch("B row count differs from G")
     if stacked:
-        L, ok = _cholesky(Gd)
-        Z, solved = _checked_chol_solve(L, Gd, Bd)
+        Gc = complex_adjoint(Gd)
+        L, ok = _cholesky(Gd, Gc)
+        Z, solved = _checked_chol_solve(L, Gd, Bd, Gc)
         return Z, ok & solved
 
+    require_finite(G, "G")
+    require_finite(B, "B")
     gnorm = max(_fro(Gd, ()), 1e-300)
     gap = _fro(Gd - _qops.qconj(Gd.swapaxes(0, 1)), ())
     if gap > 1e-10 * gnorm:
         raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
+    # G's embedding is formed for the factor and again for the check or
+    # the eigenvalue test: kept across the inverse, at r = 200 it raised
+    # the process's peak resident set by 1.3 MB
     L = _cholesky(Gd)
     if L is not None:
         Z, ok = _checked_chol_solve(L, Gd, Bd)
         if ok:
             return QMatrix(Z)
     else:
-        try:
-            lo = float(np.linalg.eigvalsh(complex_adjoint(Gd))[0])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"LAPACK eigenvalues: {exc}") from exc
+        lo = float(_lapack("eigenvalues", np.linalg.eigvalsh,
+                           complex_adjoint(Gd))[0])
         if lo < -1e-10 * gnorm:
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
 
     # CG fallback in the real trace inner product
     bnorm = max(B.fro_norm(), 1e-300)
     Z = QMatrix.zeros(r, B.cols)
-    Rres = B - G @ Z
-    P = Rres.copy()
+    Rres = P = B  # the residual of Z = 0; neither is written to in place
     rs = _frob_inner(Rres.data, Rres.data)
     for _ in range(4 * r):
         if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
@@ -331,10 +358,7 @@ def _right_factor(A: QMatrix):
     vectors. Returns (Uc, s, V, AV): the complex left singular vectors,
     and s = ||A v_j||, V and AV sorted so that s is nonincreasing."""
     require_finite(A)
-    try:
-        Uc, _, Vch = np.linalg.svd(A.to_complex_adjoint())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
+    Uc, _, Vch = _lapack("SVD", np.linalg.svd, A.to_complex_adjoint())
     V = _quaternion_basis(Vch.conj().T, A.cols)
     AV = (A @ QMatrix(V)).data
     s = np.sqrt(_qops.qnormsq(AV).sum(axis=0))

@@ -11,10 +11,11 @@ q = a + bi + cj + dk to the 2x2 complex block
 
 and is used only off the iteration loops: by the SVD baseline, by the
 two LAPACK QR passes of thin_qr, by rsp_rate_bound's smallest singular
-value, by every Gram solve of hpd_solve (its LAPACK Cholesky factor and
-triangular solves, and its eigenvalue check after a failed pivot), and
-by the set-up of cgne_q's Nystrom preconditioner, through thin_qr, its
-Gram solve and the SVD of its r x r core. ``complex_adjoint`` forms it
+value, by every Gram solve of hpd_solve (its LAPACK Cholesky factor, the
+inverse its triangular solves run on, its residual check, and its
+eigenvalue check after a failed pivot), and by the set-up of cgne_q's
+Nystrom preconditioner, through thin_qr, its Gram solve and the SVD of
+its r x r core. ``complex_adjoint`` forms it
 for one matrix or a stack.
 """
 
@@ -243,6 +244,6 @@ def require_pow2(n: int) -> None:
         raise NonPowerOfTwo(f"{n} is not a power of two")
 
 
-def require_finite(A: QMatrix) -> None:
+def require_finite(A: QMatrix, name: str = "A") -> None:
     if not np.all(np.isfinite(A.data)):
-        raise NonFinite("A has a NaN or infinite entry")
+        raise NonFinite(f"{name} has a NaN or infinite entry")

@@ -36,9 +36,11 @@ order the steps use them, and a block of up to 16 of them is formed ahead
 in one stacked pass -- Omega (n x r), Y = A Omega and Y^+ as (s, n, r, 4),
 (s, m, r, 4) and (s, r, m, 4) arrays, Y^+ by the Gram solve of
 Y^H Y + 1e-10 I against Y^H: one LAPACK Cholesky of the block's complex
-embeddings and two LAPACK solves (``hpd_solve`` of the stack). A block
-holds at most 8192 quaternion entries of max(m, n) x r sketches. Only the
-two products with the iterate remain in the step: X + (Omega - X Y) Y^+.
+embeddings, one LAPACK inverse of the factors and two complex products
+(``hpd_solve`` of the stack); the block's Omega come from one uniform
+draw (``QuatRNG.normals`` with a count). A block holds at most 8192
+quaternion entries of max(m, n) x r sketches. Only the two products with
+the iterate remain in the step: X + (Omega - X Y) Y^+.
 A sketch whose Gram matrix fails its Cholesky pivot or residual check is
 rejected when its block is formed, and the step that reaches it draws the
 next; 10 rejected in a row raise SketchFailure.
@@ -527,15 +529,16 @@ class _SketchStream:
     """The sketches of one sketch-and-project solve, in the order its steps
     take them.
 
-    Each sketch is drawn from the solver's generator one at a time, in the
-    order the steps draw them, and is formed ahead of the step that takes
-    it, ``block`` sketches at a time in one stacked pass; none of it
-    depends on the iterate, and every array is bitwise what the step would
-    form from that sketch alone. A sketch is (Omega, Y, Y^+) with
-    Omega n x r and Y = A Omega; Y^+ is the solve of Y^H Y + _RIDGE I
-    against Y^H (``hpd_solve`` of the stack, the ridge added here). Y^+ is
-    None for a rejected sketch, one whose Gram matrix fails its Cholesky
-    pivot or residual check; the step draws the next one instead.
+    The sketches are drawn from the solver's generator in the order the
+    steps take them and formed ahead of those steps, ``block`` sketches at
+    a time: one draw, bitwise the one-sketch draws, and one stacked pass.
+    None of it depends on the iterate, and every array is bitwise what the
+    step would form from that sketch alone. A sketch is (Omega, Y, Y^+)
+    with Omega n x r and Y = A Omega; Y^+ is the solve of
+    Y^H Y + _RIDGE I against Y^H (``hpd_solve`` of the stack, the ridge
+    added here). Y^+ is None for a rejected sketch, one whose Gram matrix
+    fails its Cholesky pivot or residual check; the step draws the next
+    one instead.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
@@ -552,8 +555,7 @@ class _SketchStream:
         return self._ready.popleft()
 
     def _form(self):
-        Om = np.stack([self.rng.normals((self.A.cols, self.sk.block_r, 4))
-                       for _ in range(self.block)])
+        Om = self.rng.normals((self.A.cols, self.sk.block_r, 4), self.block)
         Y = _qops.qmatmul_stack(self.A.data, Om)
         Yh = _qops.qconj(Y.swapaxes(1, 2))
         G = _qops.qmatmul_stack(Yh, Y)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatpinv import _qops, solvers
+from quatpinv import _qops, factor, solvers
 from quatpinv.errors import (ConvergenceFailure, DimensionMismatch,
                              Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
@@ -462,8 +462,9 @@ def test_cholesky_rejects_a_positive_pivot_below_threshold():
 
 
 def test_hpd_solve_lapack_failures_are_typed(monkeypatch):
-    # a LinAlgError of the eigenvalue check or of the triangular solves
-    # is not the pivot test's failure: it is raised as ConvergenceFailure
+    # a LinAlgError of the eigenvalue check or of the triangular solves'
+    # inverse is not the pivot test's failure: it is raised as
+    # ConvergenceFailure
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
     B = randn_qmat(4, 2, 7)
@@ -471,7 +472,7 @@ def test_hpd_solve_lapack_failures_are_typed(monkeypatch):
         mp.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ConvergenceFailure, match="eigenvalues"):
             hpd_solve(QMatrix.from_real(-np.eye(4)), B)
-    monkeypatch.setattr(np.linalg, "solve", fail)
+    monkeypatch.setattr(np.linalg, "inv", fail)
     with pytest.raises(ConvergenceFailure, match="triangular solve"):
         hpd_solve(_G_GRAM, B)
     with pytest.raises(ConvergenceFailure, match="triangular solve"):
@@ -629,6 +630,76 @@ def test_hpd_solve_stack_items_bitwise_equal_2d():
     assert _cholesky(Gs[1]) is None and _cholesky(Gs[2]) is None
     L = _cholesky(Gs[3])
     assert L is not None and not _checked_chol_solve(L, Gs[3], B[3])[1]
+
+
+def _gram(r, seed):
+    C = randn_qmat(r + 3, r, seed)
+    return (C.adjoint() @ C).data
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 130),
+       st.integers(0, 2**31 - 1))
+@example(16, 8, 120, 0)
+@example(1, 1, 1, 1)
+def test_checked_solve_residual_is_the_quaternion_residual(s, r, p, seed):
+    # item `bad` gets the factor of another Gram matrix, which leaves a
+    # residual far above rounding: the check flags that item alone, and
+    # its residual, taken on the embeddings, is the quaternion
+    # ||G Z - B||_F to 1e-12 relative: the flag flips between tolerances
+    # 1e-12 above and below the quaternion ratio
+    Gs = np.stack([_gram(r, seed + i) for i in range(s)])
+    B = _stack((r, p), [seed + 100 + i for i in range(s)])
+    L, ok = _cholesky(Gs)
+    bad = seed % s
+    L[bad] = _cholesky(_gram(r, seed + 1000))
+    before = [x.tobytes() for x in (L, Gs, B)]
+    Z, solved = _checked_chol_solve(L, Gs, B)
+    assert [x.tobytes() for x in (L, Gs, B)] == before
+    assert ok.all() and solved.tolist() == [i != bad for i in range(s)]
+    G, Zb, Bb = (QMatrix(x[bad]) for x in (Gs, Z, B))
+    q = (G @ Zb - Bb).fro_norm() / Bb.fro_norm()
+    with pytest.MonkeyPatch.context() as mp:
+        for scale, flag in ((1 + 1e-12, True), (1 - 1e-12, False)):
+            mp.setattr(factor, "_SOLVE_TOL", q * scale)
+            assert _checked_chol_solve(L, Gs, B)[1][bad] == flag
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300])
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+def test_pinv_normal_eq_overflowing_gram_is_non_finite(c, wide):
+    # A is finite but A^H A (or A A^H) overflows; LAPACK's eigenvalue
+    # check used to fail on it with ConvergenceFailure
+    A = randn_qmat(30, 20, 1).scale(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="G has"):
+            pinv_normal_eq(A.adjoint() if wide else A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["G", "B"])
+def test_hpd_solve_rejects_non_finite(which, bad):
+    G, B = _G_GRAM.copy(), randn_qmat(4, 2, 7)
+    (G if which == "G" else B).data[1, 1, 0] = bad
+    with pytest.raises(NonFinite, match=f"{which} has"):
+        hpd_solve(G, B)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [(1, 1), (0, 2), (2, 0)],
+                         ids=["diagonal", "upper", "lower"])
+def test_hpd_solve_stack_flags_only_its_non_finite_item(at, bad):
+    # LAPACK's Cholesky reads only the lower triangle; an entry above it
+    # still fails the pivot rule, whose threshold is then not finite
+    Gs = np.stack([_gram(4, 40 + i) for i in range(5)])
+    Gs[2, at[0], at[1], 0] = bad
+    B = _stack((4, 3), range(50, 55))
+    with np.errstate(invalid="ignore", over="ignore"):
+        Z, ok = hpd_solve(Gs, B)
+    assert ok.tolist() == [True, True, False, True, True]
+    for i in (0, 1, 3, 4):
+        assert _same_bits(Z[i],
+                          hpd_solve(QMatrix(Gs[i]), QMatrix(B[i])).data)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])

@@ -103,19 +103,22 @@ class _PlantedRNG(QuatRNG):
     the others scaled by 1e3: Y = A Omega then has a zero column, so the
     first Cholesky pivot of Y^H Y + ridge I is the ridge, and the scaling
     puts the pivot threshold, 1e-14 ||Y^H Y + ridge I||_F, far above it at
-    every size used here. The sketch is rejected."""
+    every size used here. The sketch is rejected. A block draw (the
+    stream's) counts and plants each of its sketches as the one-sketch
+    draws (the references') do."""
 
     def __init__(self, seed, bad=()):
         super().__init__(seed)
         self.bad = {i + 1 for i in bad}
         self.draws = 0
 
-    def normals(self, shape):
-        z = super().normals(shape)
-        if self.draws in self.bad:
-            z[:, 0] = 0.0
-            z[:, 1:] *= 1e3
-        self.draws += 1
+    def normals(self, shape, count=None):
+        z = super().normals(shape, count)
+        for item in z[None] if count is None else z:
+            if self.draws in self.bad:
+                item[:, 0] = 0.0
+                item[:, 1:] *= 1e3
+            self.draws += 1
         return z
 
 
@@ -134,12 +137,12 @@ def _plant(monkeypatch, sk, bad):
     bad = set(bad)
     seen = [0]
 
-    def planted(Gd):
+    def planted(Gd, *embedding):
         if Gd.ndim == 3:
             i = seen[0]
             seen[0] += 1
-            return None if i in bad else _CHOLESKY(Gd)
-        L, ok = _CHOLESKY(Gd)
+            return None if i in bad else _CHOLESKY(Gd, *embedding)
+        L, ok = _CHOLESKY(Gd, *embedding)
         ok &= [seen[0] + j not in bad for j in range(len(Gd))]
         seen[0] += len(Gd)
         return L, ok

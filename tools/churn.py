@@ -18,7 +18,20 @@ fault is the kernel mapping a page the process touches for the first
 time, as it does each time the allocator hands back memory that was
 returned to the system; many faults per call mean the call keeps
 allocating and freeing large arrays. After the calls one ``median`` line
-per workload and method gives the median of wall time and faults.
+per workload and method, and one per workload for all its calls (method
+``all``), gives the median of wall time and faults and the raw
+``calls_per_s``, n / (sum of wall times): perfbench's figure before its
+host-speed scaling.
+
+A call's fault count depends on the calls that ran before it in the same
+process: the allocator keeps memory that earlier calls freed and hands it
+back without a fault, or returns it to the system, so that the next call
+faults on it again. ``--method`` or ``--workload`` alone can therefore
+show many more faults per call than the benchmark's order of calls does:
+while the sketch stream drew its sketches one call each, ``--seed 1
+--workload sketch --method rsp-column`` took about 5700 faults a call,
+and the same calls in benchmark order about 300. Compare fault counts
+only between runs of the same calls.
 
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
@@ -79,11 +92,17 @@ def main(argv=None) -> int:
                 print(name, call.input, call.method, f"wall_s={wall:.4f}",
                       f"minflt={faults}",
                       f"maxrss_mb={after.ru_maxrss / 1024:.1f}", flush=True)
+    for name in args.workload or WORKLOADS:
+        runs = [run for (wl, _), rs in samples.items() if wl == name
+                for run in rs]
+        if runs:
+            samples[name, "all"] = runs
     for (name, method), runs in samples.items():
         walls, faults = zip(*runs)
         print("median", name, method, f"calls={len(runs)}",
               f"wall_s={statistics.median(walls):.4f}",
-              f"minflt={statistics.median(faults):.0f}")
+              f"minflt={statistics.median(faults):.0f}",
+              f"calls_per_s={len(runs) / sum(walls):.3f}")
     return 0
 
 
