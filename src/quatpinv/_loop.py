@@ -1,0 +1,105 @@
+"""The one stopping loop of every iteration in the package.
+
+``_drive`` runs a step until a measured residual meets its tolerance, or
+for at most maxit steps, and stops a non-finite or diverging run with a
+typed error. Every solver of ``solvers``, the square Newton-Schulz loops
+of the Lorenz and deblurring apps and the CG fallback of
+``factor.hpd_solve`` run on it. ``_Scratch`` is the one buffer a loop's
+inner products and scaled copies are formed in. Of the package this
+module imports only ``errors``, so every other module can use it.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import Divergence, NonFinite
+
+_DIVERGE_FACTOR = 10.0
+_DIVERGE_RUN = 5
+
+
+@dataclass
+class SolverReport:
+    """What a solve did. wall_time (s) starts in _solve_tall, after A's
+    adjoint, and stops before the Penrose check, so it leaves those out;
+    it covers every solver's spectral probe, alpha included, cgne_q's
+    Nystrom set-up and its forming of M and X, and the sketch solvers'
+    test sketch. lorenz_solve_ns starts it before its probe."""
+    method: str
+    iterations: int
+    residual_history: list = field(default_factory=list)
+    wall_time: float = 0.0
+    penrose: tuple = (0.0, 0.0, 0.0, 0.0)
+    converged: bool = False
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1][1] if self.residual_history else float("nan")
+
+
+class _Scratch:
+    """One buffer of a solve, reused for the elementwise products its loop
+    sums and the scaled copies it adds, of QMatrix arguments; each result
+    is bitwise that of a fresh array."""
+
+    def __init__(self, size: int):
+        self._buf = np.empty(size)
+
+    def _view(self, x) -> np.ndarray:
+        return self._buf[:x.data.size].reshape(x.data.shape)
+
+    def dot(self, x, y) -> float:
+        """The real Frobenius inner product <x, y>."""
+        return float(np.multiply(x.data, y.data, out=self._view(x)).sum())
+
+    def fro_norm(self, x) -> float:
+        return math.sqrt(self.dot(x, x))
+
+    def scaled(self, x, s: float) -> np.ndarray:
+        """x times a real scalar, valid until the next use of the buffer."""
+        return np.multiply(x.data, float(s), out=self._view(x))
+
+
+def _drive(method: str, state, step, measure, tol: float, maxit: int,
+           diverge: bool = False, t0: float | None = None):
+    """The stopping loop shared by every iteration.
+
+    Before each step k = 0..maxit, measure(state) returns (residual, aux);
+    the run stops at the first residual <= tol or after maxit steps, and
+    otherwise step(state, aux) returns the next state. A NaN or infinite
+    residual raises NonFinite at once. With diverge, a residual >= 10x the
+    initial one for 5 consecutive measures raises Divergence. wall_time
+    runs from t0 (default: entry), so a caller can time its own setup.
+    Returns (state, last aux, SolverReport) with the Penrose residuals
+    left at zero for the caller to fill in.
+    """
+    if t0 is None:
+        t0 = time.perf_counter()
+    if maxit < 0:
+        raise ValueError("maxit must be >= 0")
+    history = []
+    run = 0
+    for k in range(maxit + 1):
+        res, aux = measure(state)
+        if not math.isfinite(res):
+            raise NonFinite(f"residual {res} at iteration {k}")
+        history.append((k, res))
+        if diverge and k > 0 and \
+                res >= _DIVERGE_FACTOR * max(history[0][1], 1e-300):
+            run += 1
+            if run >= _DIVERGE_RUN:
+                raise Divergence(
+                    "residual grew >= 10x initial for 5 consecutive iterations")
+        else:
+            run = 0
+        if res <= tol or k == maxit:
+            break
+        state = step(state, aux)
+    wall = time.perf_counter() - t0
+    return state, aux, SolverReport(method, k, history, wall,
+                                    converged=bool(res <= tol))

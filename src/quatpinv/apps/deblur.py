@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._loop import _drive
 from ..qmatrix import QMatrix, require_pow2
 from ..rng import QuatRNG
-from ..solvers import _drive
 from .fftpack import irfft2, rfft2
 from .images import image_to_qmat, psnr, qmat_to_image
 

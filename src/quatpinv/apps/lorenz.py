@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._loop import _drive
 from ..errors import NonFinite
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _drive, _ns_scales, _probe
+from ..solvers import _ns_scales, _probe
 
 
 @dataclass

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_lapack``, the one
+place a LAPACK failure is translated into them."""
+
+import numpy as np
 
 
 class QuatpinvError(Exception):
@@ -48,3 +51,12 @@ class InvalidOrder(QuatpinvError):
 
 class NonPowerOfTwo(QuatpinvError):
     pass
+
+
+def _lapack(what: str, routine, *args, **kwargs):
+    """routine(*args, **kwargs), a numpy.linalg call, with its LinAlgError
+    raised as ConvergenceFailure("LAPACK <what>: ...")."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK {what}: {exc}") from exc

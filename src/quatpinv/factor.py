@@ -12,10 +12,12 @@ applies the factor's inverse L^-1, one LAPACK call, and then L^-H to the
 even columns of B's embedding, from which Z is read back, and its
 residual is taken on the same embeddings. The SVD's quaternion factors
 are reassembled from its singular vectors, which come in pairs
-(v, phi(v)). A LAPACK failure raises ConvergenceFailure (``_lapack``),
-except LAPACK's rejection of a Cholesky pivot, which is the factor's
-failed pivot. These routines serve as oracles for the iterative solvers
-and as micro-solvers inside the randomized methods.
+(v, phi(v)). A LAPACK failure raises ConvergenceFailure (``errors.
+_lapack``), except LAPACK's rejection of a Cholesky pivot, which is the
+factor's failed pivot. These routines serve as oracles for the iterative
+solvers and as micro-solvers inside the randomized methods. The one
+iteration here, ``hpd_solve``'s CG fallback, runs on the package's one
+stopping loop, ``_loop._drive``.
 
 ``hpd_solve``, its Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
 ``solve_upper_triangular`` also take a stack of s matrices as an
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _qops
-from .errors import (ConvergenceFailure, DimensionMismatch, Indefinite,
-                     NotHermitian, RankDeficient)
+from ._loop import _drive, _Scratch
+from .errors import (DimensionMismatch, Indefinite, NotHermitian,
+                     RankDeficient, _lapack)
 from .qmatrix import QMatrix, complex_adjoint, require_finite
 
 
@@ -67,15 +70,6 @@ def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     """Frobenius norm of each matrix of d, whose leading axes lead index
     them; each is bitwise its QMatrix.fro_norm()."""
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
-
-
-def _lapack(what: str, routine, *args):
-    """routine(*args), a numpy.linalg call, with its LinAlgError raised as
-    ConvergenceFailure("LAPACK <what>: ...")."""
-    try:
-        return routine(*args)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK {what}: {exc}") from exc
 
 
 # thin_qr raises RankDeficient when R's smallest diagonal is at most this
@@ -234,10 +228,6 @@ def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
             res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300))
 
 
-def _frob_inner(x: np.ndarray, y: np.ndarray) -> float:
-    return float((x * y).sum())
-
-
 def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     """Solve G Z = B for Hermitian positive definite G.
 
@@ -249,8 +239,10 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     one LAPACK inverse (``_chol_solve``), are kept when the residual,
     taken on the embeddings, is within _SOLVE_TOL * ||B||. Otherwise a
     failed pivot raises Indefinite when G has a negative eigenvalue, and a
-    CG micro-solver (iteration cap 4r) takes over; it raises Indefinite
-    when it stagnates. A LAPACK failure of the inverse or of the
+    CG micro-solver takes over, on ``_loop._drive`` with the tolerance
+    _SOLVE_TOL * ||B|| and the iteration cap 4r; it raises Indefinite when
+    it stagnates, and NonFinite when its residual is not finite (as when
+    ||B||^2 overflows). A LAPACK failure of the inverse or of the
     eigenvalue check raises ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
@@ -294,25 +286,28 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
         if lo < -1e-10 * gnorm:
             raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
 
-    # CG fallback in the real trace inner product
-    bnorm = max(B.fro_norm(), 1e-300)
-    Z = QMatrix.zeros(r, B.cols)
-    Rres = P = B  # the residual of Z = 0; neither is written to in place
-    rs = _frob_inner(Rres.data, Rres.data)
-    for _ in range(4 * r):
-        if math.sqrt(rs) <= _SOLVE_TOL * bnorm:
-            break
+    # CG fallback in the real trace inner product, on the state
+    # (Z, residual, direction, rs = <residual, residual>) from Z = 0, whose
+    # residual and first direction are B (neither is written to in place)
+    tol = _SOLVE_TOL * max(B.fro_norm(), 1e-300)
+    scratch = _Scratch(Bd.size)
+
+    def step(state, _):
+        Z, R, P, rs = state
         GP = G @ P
-        denom = _frob_inner(P.data, GP.data)
-        if denom <= 0:
-            break
+        denom = scratch.dot(P, GP)
+        if denom <= 0:  # rs = 0 stops the run at the next measure
+            return Z, R, P, 0.0
         a = rs / denom
-        Z = QMatrix(Z.data + a * P.data)
-        Rres = QMatrix(Rres.data - a * GP.data)
-        rs_new = _frob_inner(Rres.data, Rres.data)
-        P = QMatrix(Rres.data + (rs_new / rs) * P.data)
-        rs = rs_new
-    if (G @ Z - B).fro_norm() <= _SOLVE_TOL * bnorm:
+        Z = QMatrix(Z.data + scratch.scaled(P, a))
+        R = QMatrix(R.data - scratch.scaled(GP, a))
+        rs_new = scratch.dot(R, R)
+        return Z, R, QMatrix(R.data + scratch.scaled(P, rs_new / rs)), rs_new
+
+    (Z, *_), _, _ = _drive("hpd-cg", (QMatrix.zeros(r, B.cols), B, B,
+                                      scratch.dot(B, B)), step,
+                           lambda s: (math.sqrt(s[3]), None), tol, 4 * r)
+    if (G @ Z - B).fro_norm() <= tol:
         return Z
     raise Indefinite("Cholesky failed and the CG fallback stagnated")
 

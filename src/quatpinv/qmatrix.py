@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from . import _qops
-from .errors import (ConvergenceFailure, DimensionMismatch, NonFinite,
-                     NonPowerOfTwo)
+from .errors import DimensionMismatch, NonFinite, NonPowerOfTwo, _lapack
 from .rng import QuatRNG
 
 
@@ -221,11 +220,8 @@ def _gram_ritz(A: QMatrix, Ah: QMatrix | None = None):
     T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     if not (np.isfinite(T).all() and math.isfinite(beta)):
         raise NonFinite("the Lanczos run of A^H A is not finite")
-    try:
-        ritz = np.linalg.eigvalsh(T)
-        s = abs(np.linalg.eigh(T)[1][-1, -1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Lanczos eigenvalues: {exc}") from exc
+    ritz = _lapack("Lanczos eigenvalues", np.linalg.eigvalsh, T)
+    s = abs(_lapack("Lanczos eigenvectors", np.linalg.eigh, T)[1][-1, -1])
     top = float(ritz[-1])
     bound = top + beta * float(s)
     ritz = ritz[ritz > _RITZ_ZERO * ritz[-1]]

@@ -20,8 +20,9 @@ one Lanczos probe of B^H B (_probe, on qmatrix._gram_ritz): it gives
 alpha = 0.99 / theta_max for its largest Ritz value, unless the config
 sets alpha, and the bounds on the spectrum that ns_damped at gamma = 1,
 rsp_column and rsp_row take from it (below); auto_alpha is the probe's
-alpha. Every solver, and the square Newton-Schulz loops of the Lorenz and
-deblurring apps, runs the one stopping loop in ``_drive``. The
+alpha. Every solver runs the one stopping loop, ``_loop._drive``, as do
+the square Newton-Schulz loops of the Lorenz and deblurring apps and the
+CG fallback of ``factor.hpd_solve``. The
 Newton-Schulz, hyperpower and CGNE updates are written into arrays the
 loop alone holds -- the product that feeds them, one scratch buffer per
 solve, or CGNE's n x n coordinate matrices -- so an iteration allocates
@@ -80,14 +81,14 @@ import collections
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _qops
-from .errors import (Breakdown, ConvergenceFailure, DimensionMismatch,
-                     Divergence, InvalidOrder, NonFinite, RankDeficient,
-                     SketchFailure)
+from ._loop import SolverReport, _drive, _Scratch
+from .errors import (Breakdown, DimensionMismatch, InvalidOrder,
+                     RankDeficient, SketchFailure, _lapack)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
 from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
@@ -96,9 +97,6 @@ SCHEDULE_NAIVE = "naive"
 SCHEDULE_BINARY = "binary-pow2"
 SCHEDULE_PS = "paterson-stockmeyer"
 SCHEDULES = (SCHEDULE_NAIVE, SCHEDULE_BINARY, SCHEDULE_PS)
-
-_DIVERGE_FACTOR = 10.0
-_DIVERGE_RUN = 5
 
 
 @dataclass
@@ -139,25 +137,6 @@ class SketchConfig:
             raise ValueError("block_r and test_s must be >= 1")
         if self.cycle_T < 0:
             raise ValueError("cycle_T must be >= 0")
-
-
-@dataclass
-class SolverReport:
-    """What a solve did. wall_time (s) starts in _solve_tall, after A's
-    adjoint, and stops before the Penrose check, so it leaves those out;
-    it covers every solver's spectral probe, alpha included, cgne_q's
-    Nystrom set-up and its forming of M and X, and the sketch solvers'
-    test sketch. lorenz_solve_ns starts it before its probe."""
-    method: str
-    iterations: int
-    residual_history: list = field(default_factory=list)
-    wall_time: float = 0.0
-    penrose: tuple = (0.0, 0.0, 0.0, 0.0)
-    converged: bool = False
-
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1][1] if self.residual_history else float("nan")
 
 
 def penrose_residuals(A: QMatrix, X: QMatrix):
@@ -204,69 +183,6 @@ def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
     d = np.arange(A.cols)
     F.data[d, d, 0] += 1.0
     return F
-
-
-class _Scratch:
-    """One buffer of a solve, reused for the elementwise products its loop
-    sums and the scaled copies it adds; each result is bitwise that of a
-    fresh array."""
-
-    def __init__(self, size: int):
-        self._buf = np.empty(size)
-
-    def _view(self, x: QMatrix) -> np.ndarray:
-        return self._buf[:x.data.size].reshape(x.data.shape)
-
-    def dot(self, x: QMatrix, y: QMatrix) -> float:
-        """The real Frobenius inner product <x, y>."""
-        return float(np.multiply(x.data, y.data, out=self._view(x)).sum())
-
-    def fro_norm(self, x: QMatrix) -> float:
-        return math.sqrt(self.dot(x, x))
-
-    def scaled(self, x: QMatrix, s: float) -> np.ndarray:
-        """x times a real scalar, valid until the next use of the buffer."""
-        return np.multiply(x.data, float(s), out=self._view(x))
-
-
-def _drive(method: str, state, step, measure, tol: float, maxit: int,
-           diverge: bool = False, t0: float | None = None):
-    """The stopping loop shared by every solver.
-
-    Before each step k = 0..maxit, measure(state) returns (residual, aux);
-    the run stops at the first residual <= tol or after maxit steps, and
-    otherwise step(state, aux) returns the next state. A NaN or infinite
-    residual raises NonFinite at once. With diverge, a residual >= 10x the
-    initial one for 5 consecutive measures raises Divergence. wall_time
-    runs from t0 (default: entry), so a caller can time its own setup.
-    Returns (state, last aux, SolverReport) with the Penrose residuals
-    left at zero for the caller to fill in.
-    """
-    if t0 is None:
-        t0 = time.perf_counter()
-    if maxit < 0:
-        raise ValueError("maxit must be >= 0")
-    history = []
-    run = 0
-    for k in range(maxit + 1):
-        res, aux = measure(state)
-        if not math.isfinite(res):
-            raise NonFinite(f"residual {res} at iteration {k}")
-        history.append((k, res))
-        if diverge and k > 0 and \
-                res >= _DIVERGE_FACTOR * max(history[0][1], 1e-300):
-            run += 1
-            if run >= _DIVERGE_RUN:
-                raise Divergence(
-                    "residual grew >= 10x initial for 5 consecutive iterations")
-        else:
-            run = 0
-        if res <= tol or k == maxit:
-            break
-        state = step(state, aux)
-    wall = time.perf_counter() - t0
-    return state, aux, SolverReport(method, k, history, wall,
-                                    converged=bool(res <= tol))
 
 
 def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
@@ -846,10 +762,8 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     e = math.frexp(float(np.abs(A.data).max()))[1]
     A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
-    try:
-        smin = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)[-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"LAPACK SVD: {exc}") from exc
+    smin = _lapack("SVD", np.linalg.svd, A.to_complex_adjoint(),
+                   compute_uv=False)[-1]
     return 1.0 - block_r * float(smin) ** 2 / A.fro_norm() ** 2
 
 

@@ -423,7 +423,11 @@ _G_GRAM = randn_qmat(10, 4, 6).adjoint() @ randn_qmat(10, 4, 6)
     (_G_SINGULAR, _G_SINGULAR @ randn_qmat(5, 2, 1), 0.0),   # CG rescues
     (_G_SINGULAR, randn_qmat(5, 2, 2), 0.0),                 # CG stagnates
     (QMatrix.from_real(-np.eye(3)), QMatrix.identity(3), 1e-10),
-], ids=["identity", "cg-fallback", "cg-stagnates", "indefinite"])
+    # e0 - e1 spans null(G): <B, B> = 2 and <P, GP> = 0 end the CG run
+    (_G_SINGULAR, QMatrix.from_real(np.array([[1.0], [-1.0], [0], [0], [0]])),
+     0.0),
+], ids=["identity", "cg-fallback", "cg-stagnates", "indefinite",
+        "cg-null-direction"])
 def test_hpd_solve_matches_loop_version(G, B, ridge):
     Gr = G.copy()
     Gr.data[np.arange(G.rows), np.arange(G.rows), 0] += ridge
@@ -433,6 +437,15 @@ def test_hpd_solve_matches_loop_version(G, B, ridge):
         assert _same_bits(got.data, ref.data)
     else:
         assert got is ref
+
+
+def test_hpd_solve_overflowing_cg_residual_is_non_finite():
+    # the pivot fails and ||B||^2 overflows, though B is finite: the CG
+    # fallback once stopped at once on sqrt(inf) <= tol * inf and passed
+    # its final check with Z = 0
+    B = (_G_SINGULAR @ randn_qmat(5, 2, 1)).scale(1e160)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        hpd_solve(_G_SINGULAR, B)
 
 
 @pytest.mark.parametrize("r", range(1, 11))
