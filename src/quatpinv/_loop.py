@@ -29,13 +29,21 @@ class SolverReport:
     adjoint, and stops before the Penrose check, so it leaves those out;
     it covers every solver's spectral probe, alpha included, cgne_q's
     Nystrom set-up and its forming of M and X, and the sketch solvers'
-    test sketch. lorenz_solve_ns starts it before its probe."""
+    test sketch. lorenz_solve_ns starts it before its probe.
+
+    float32_steps counts the steps that ran on float32 planes, the first
+    of the Newton-Schulz family's (solvers._ns_solve); it is 0 where that
+    phase did not run or was discarded. iterations counts the steps of
+    both phases, and residual_history holds the residual at each
+    k = 0..iterations, in order; at k = float32_steps it is the float64
+    residual after the phase's clean-up."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)
     wall_time: float = 0.0
     penrose: tuple = (0.0, 0.0, 0.0, 0.0)
     converged: bool = False
+    float32_steps: int = 0
 
     @property
     def final_residual(self) -> float:
@@ -66,14 +74,17 @@ class _Scratch:
 
 
 def _drive(method: str, state, step, measure, tol: float, maxit: int,
-           diverge: bool = False, t0: float | None = None):
+           diverge: bool = False, t0: float | None = None,
+           stagnate: bool = False):
     """The stopping loop shared by every iteration.
 
     Before each step k = 0..maxit, measure(state) returns (residual, aux);
     the run stops at the first residual <= tol or after maxit steps, and
     otherwise step(state, aux) returns the next state. A NaN or infinite
     residual raises NonFinite at once. With diverge, a residual >= 10x the
-    initial one for 5 consecutive measures raises Divergence. wall_time
+    initial one for 5 consecutive measures raises Divergence. With
+    stagnate, the run also stops, unconverged, at the first residual that
+    is no lower than the one before it. wall_time
     runs from t0 (default: entry), so a caller can time its own setup.
     Returns (state, last aux, SolverReport) with the Penrose residuals
     left at zero for the caller to fill in.
@@ -97,7 +108,8 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
                     "residual grew >= 10x initial for 5 consecutive iterations")
         else:
             run = 0
-        if res <= tol or k == maxit:
+        if res <= tol or k == maxit or \
+                (stagnate and k > 0 and res >= history[-2][1]):
             break
         state = step(state, aux)
     wall = time.perf_counter() - t0

@@ -58,6 +58,15 @@ again on every call. Its products are bitwise qmatmul's; a left-side or
 slab-path product calls qmatmul, and the others do not pass through that
 name.
 
+A product keeps its operands' dtype: two float32 operands give a float32
+product, formed with float32 sign tables, planes, slabs and GEMMs, and any
+other pair gives float64, bitwise as before. Float32 scratch on the slab
+path is a prefix of the same thread workspace's bytes, so a float32
+product never keeps a second workspace. ``qconj`` keeps float32 too. The
+Newton-Schulz family runs its first steps this way (``solvers._ns_solve``):
+at 200 x 220 by 220 x 200 a float32 product took 0.53 of the float64 one's
+time (one BLAS thread, 2-core VM).
+
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
 planes, the expanded slabs or blocks of one operand live only inside one
@@ -87,7 +96,7 @@ def qmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def qconj(x: np.ndarray) -> np.ndarray:
     """Elementwise conjugate, a fresh C-ordered array; bitwise a copy with
     components b, c, d multiplied by -1."""
-    return np.multiply(x, _CONJ, order="C")
+    return np.multiply(x, _TABLES[x.dtype is _F32][0], order="C")
 
 
 def qnormsq(x: np.ndarray) -> np.ndarray:
@@ -101,9 +110,12 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # exactly one component or its negative.
 _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 _SIGN_LEFT = _SIGN.transpose(1, 2, 0).reshape(16, 4)  # [(u, t), s]
-# the sign table for a 2-D operand and for a stack, [s, u, t] and
-# [s, 0, u, t]
-_SIGN_BY_LEAD = (_SIGN, _SIGN[:, None])
+# the tables in float64 and in float32, indexed by whether a product is
+# float32: _CONJ, _SIGN for a 2-D operand and for a stack ([s, u, t] and
+# [s, 0, u, t]) and _SIGN_LEFT
+_TABLES = tuple((_CONJ.astype(t), (_SIGN.astype(t), _SIGN.astype(t)[:, None]),
+                 _SIGN_LEFT.astype(t)) for t in (np.float64, np.float32))
+_F32 = np.dtype(np.float32)
 # transposes of an operand to its planes, (4, [s,] r, c) and ([s,] 4, r, c),
 # and the einsum of the one-term products, by the operand's stack axes
 _PLANES_FIRST = ((2, 0, 1), (3, 0, 1, 2))
@@ -131,16 +143,25 @@ _WORKSPACE_MAX = 1 << 20
 _local = threading.local()
 
 
-def _scratch(size: int) -> np.ndarray:
-    """size float64 elements of scratch: a prefix of this thread's
-    workspace, which grows to the largest size asked for up to
-    _WORKSPACE_MAX, or a fresh array above that bound."""
-    if size > _WORKSPACE_MAX:
-        return np.empty(size)
+def _tables(x: np.ndarray, y: np.ndarray):
+    """The tables of a product of x and y: float32 when both are float32,
+    float64 otherwise. numpy's native dtypes are singletons, and an
+    identity test costs the many small products of the sketch solvers
+    less than an equality test."""
+    return _TABLES[x.dtype is _F32 and y.dtype is _F32]
+
+
+def _scratch(size: int, dtype: np.dtype) -> np.ndarray:
+    """size elements of scratch of a float dtype: the bytes of a prefix of
+    this thread's float64 workspace, which grows to the largest size asked
+    for up to _WORKSPACE_MAX, or a fresh array above that bound."""
+    words = -(-size * dtype.itemsize // 8)
+    if words > _WORKSPACE_MAX:
+        return np.empty(size, dtype)
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.size < size:
-        ws = _local.workspace = np.empty(size)
-    return ws[:size]
+    if ws is None or ws.size < words:
+        ws = _local.workspace = np.empty(words)
+    return ws[:words].view(dtype)[:size]
 
 
 def qmatmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,7 +185,7 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # L[.., (u, t, i), p] = sum_s _SIGN[s, u, t] x[.., i, p, s]: block
         # u holds the rows (t, i), in any order a row's k-term sum is the
         # same
-        L = _SIGN_LEFT @ x.reshape(lx + (m * k, 4)).swapaxes(-1, -2)
+        L = _tables(x, y)[2] @ x.reshape(lx + (m * k, 4)).swapaxes(-1, -2)
         planes = np.ascontiguousarray(y.transpose(_PLANES_LAST[len(ly)]))
         P = np.matmul(L.reshape(lx + (4, 4 * m, k)), planes)
         b = len(P) if lead else 1
@@ -182,7 +203,7 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # the slab path takes one item at a time
     if not lead:
         return _slab_product(x, y)
-    out = np.empty(lead + (m, n, 4))
+    out = np.empty(lead + (m, n, 4), _tables(x, y)[0].dtype)
     for i in range(len(out)):
         out[i] = _slab_product(x[i] if lx else x, y[i] if ly else y)
     return out
@@ -204,7 +225,8 @@ def _right_batched(planes: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, k = planes.shape[-2:]
     n = y.shape[-2]
     # S[s, .., p, (q, t)] = sum_u y[.., p, q, u] _SIGN[s, u, t]
-    S = (y.reshape(ly + (k * n, 4)) @ _SIGN_BY_LEAD[len(ly)]).reshape(
+    sign = _tables(planes, y)[1][len(ly)]
+    S = (y.reshape(ly + (k * n, 4)) @ sign).reshape(
         (4,) + ly + (k, 4 * n))
     if lx != ly:  # one 2-D operand, used with every item
         if lx:
@@ -243,9 +265,10 @@ def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, k, _ = x.shape
     n = y.shape[1]
     yq = y.reshape(k * n, 4)
+    sign = _tables(x, y)[1][0]
     # the planes of x, one slab and one slab's product, in scratch
     mk, kn = 4 * m * k, 4 * k * n
-    ws = _scratch(mk + kn + 4 * m * n)
+    ws = _scratch(mk + kn + 4 * m * n, sign.dtype)
     planes = ws[:mk].reshape(4, m, k)
     np.copyto(planes, x.transpose(2, 0, 1))
     R = ws[mk:mk + kn].reshape(k * n, 4)
@@ -255,6 +278,6 @@ def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Z = gemm(planes[0], yq.reshape(k, 4 * n))  # unit 1 leaves y as it is
     for s in range(1, 4):
         # R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
-        np.matmul(yq, _SIGN[s], out=R)
+        np.matmul(yq, sign[s], out=R)
         Z += gemm(planes[s], R.reshape(k, 4 * n), out=P)
     return Z.reshape(m, n, 4)

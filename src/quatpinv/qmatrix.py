@@ -1,6 +1,9 @@
 """Dense quaternion matrices.
 
-A QMatrix stores an (m, n, 4) float64 array of (a, b, c, d) components.
+A QMatrix stores an (m, n, 4) array of (a, b, c, d) components: float64,
+or float32 where it is given float32 (the float32 phase of the
+Newton-Schulz family); any other real dtype is converted to float64, and
+complex data raises TypeError, since it holds no quaternion components.
 Every operation returns a fresh matrix, and values are treated as immutable
 once a matrix is shared; only the solvers' loops write, in place, into
 matrices they alone hold. The complex adjoint embedding maps each entry
@@ -30,11 +33,19 @@ from .errors import DimensionMismatch, NonFinite, NonPowerOfTwo, _lapack
 from .rng import QuatRNG
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class QMatrix:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype is not _FLOAT64 and data.dtype != np.float32:
+            if data.dtype.kind == "c":
+                raise TypeError(f"quaternion components must be real, got "
+                                f"a {data.dtype} array")
+            data = data.astype(np.float64)
         if data.ndim != 3 or data.shape[2] != 4:
             raise DimensionMismatch(f"expected (m, n, 4) array, got {data.shape}")
         self.data = data

@@ -56,6 +56,19 @@ Algebra Appl. 435, 2011), so alpha and that bound come from the same run.
 ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction and
 recurrence_deviations stay plain.
 
+ns_damped at gamma = 1 and ns_hyperpower also depart from the paper in
+precision: on B with at least _F32_FROM (80) columns and a probe that
+reads bound / low <= _F32_KAPPA2 (1e3), their first steps run on float32
+planes, until ||F||^p < 1e-4 for the step's order p. One float64 clean-up,
+X <- (I + F)(X X^H) B^H (_cleaned), removes the part of X that float32
+rounding leaves outside B's row space, and the float64 steps, stop test and
+verify follow. The step depends on X only through F, so the float64 steps
+correct the float32 phase's rounding as they would any deviation. A run
+whose float32 phase fails in any way, or whose clean-up does not stay
+below the hand-over level, is discarded, and the solve returns the float64
+run bit for bit (_ns_solve). SolverReport.float32_steps counts the float32
+steps.
+
 ns_damped and ns_hyperpower report Penrose residuals computed from the
 deviation F = I - XB of the returned X, which their loop measured last
 (_penrose_from_deviation, three products); cgne_q, hybrid_rsp_ns and the
@@ -87,8 +100,9 @@ import numpy as np
 
 from . import _qops
 from ._loop import SolverReport, _drive, _Scratch
-from .errors import (Breakdown, DimensionMismatch, InvalidOrder,
-                     RankDeficient, SketchFailure, _lapack)
+from .errors import (Breakdown, DimensionMismatch, Divergence,
+                     InvalidOrder, NonFinite, RankDeficient, SketchFailure,
+                     _lapack)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
 from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
@@ -393,26 +407,108 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # Newton-Schulz family
 # ---------------------------------------------------------------------------
 
+# The Newton-Schulz family's float32 phase (_ns_solve) runs for B with at
+# least _F32_FROM columns, where whole 1.1n x n solves measured faster with
+# it (0.95x at n = 60, 0.91x at 80, 0.80-0.86x at 200), and where the
+# probe's bound / low, which underestimates kappa(B)^2 (about 300 on
+# 220 x 200 Gaussian inputs), is at most _F32_KAPPA2: above it the
+# clean-up's amplification of float32 rounding discards the phase.
+# It hands over at the first ||F||^p < _F32_SWITCH for the step's order p,
+# so that the next step would bring F near float32's floor, ~1e-5 at
+# 220 x 200.
+_F32_FROM = 80
+_F32_KAPPA2 = 1e3
+_F32_SWITCH = 1e-4
+
+
 def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
               **step_kw):
     """The Newton-Schulz family through _solve_tall, verified from the
     deviation of the returned X; with scaled, each step's scale comes from
-    the solve's probe (_ns_scales)."""
+    the solve's probe (_ns_scales).
+
+    At gamma = 1, on B and probes that pass the gates above, the first
+    steps run on float32 copies of B and X_0, under the divergence guard
+    and a stagnation stop, until ||F|| < _F32_SWITCH^(1/p). X is then
+    cleaned up once in float64 (_cleaned), and the float64 steps follow,
+    with the scales carried over, to the stop test and the verify. The
+    run is discarded where its float32 phase raises NonFinite or
+    Divergence, stagnates or runs out of steps, where the cleaned X's
+    deviation is not below the hand-over level, or where the float64 steps
+    raise or do not converge: the solve then runs again from X_0 in
+    float64 alone and returns what it returns without the phase."""
+    order = step_kw.get("order", 2)
+
     def solve(B, Bh, alpha, low, bound, t0):
-        thetas = (_ns_scales(alpha, low, bound) if scaled
-                  else itertools.repeat(1.0))
+        def scales():
+            return (_ns_scales(alpha, low, bound) if scaled
+                    else itertools.repeat(1.0))
         scratch = _Scratch(4 * B.cols * B.cols)
 
-        def measure(X):
-            F = _deviation(B, X)
-            return scratch.fro_norm(F), F
+        def run(B, X0, thetas, tol, maxit, stagnate=False):
+            def measure(X):
+                F = _deviation(B, X)
+                return scratch.fro_norm(F), F
 
-        X, F, rep = _drive(
-            method, Bh.scale(alpha),
-            lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
-            measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
+            return _drive(
+                method, X0,
+                lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
+                measure, tol, maxit, diverge=True, t0=t0, stagnate=stagnate)
+
+        def mixed():
+            thetas = scales()
+            switch = _F32_SWITCH ** (1.0 / order)
+            X, F, head = run(_float32(B), _float32(Bh.scale(alpha)), thetas,
+                             switch, cfg.maxit, stagnate=True)
+            if not head.converged:
+                return None
+            k = head.iterations
+            X, F, rep = run(B, _cleaned(X, F, Bh), thetas, cfg.tol,
+                            cfg.maxit - k)
+            if not (rep.converged and rep.residual_history[0][1] < switch):
+                return None
+            rep.residual_history = head.residual_history[:-1] + [
+                (k + j, res) for j, res in rep.residual_history]
+            rep.iterations += k
+            rep.float32_steps = k
+            return X, rep, F
+
+        if step_kw.get("gamma", 1.0) == 1.0 and B.cols >= _F32_FROM and \
+                bound <= _F32_KAPPA2 * low:
+            try:
+                # a discarded run's overflow is no warning
+                with np.errstate(all="ignore"):
+                    result = mixed()
+            except (NonFinite, Divergence):
+                result = None
+            if result is not None:
+                return result
+        X, F, rep = run(B, Bh.scale(alpha), scales(), cfg.tol, cfg.maxit)
         return X, rep, F
     return _solve_tall(A, cfg, method, solve)
+
+
+def _float32(M: QMatrix) -> QMatrix:
+    return QMatrix(M.data.astype(np.float32))
+
+
+def _cleaned(X: QMatrix, F: QMatrix, Bh: QMatrix) -> QMatrix:
+    """(I + F) (X X^H) B^H in float64, from the float32 phase's last X and
+    its deviation F = I - XB.
+
+    Float32 rounding leaves a part Z of X with ZB = 0, which the float64
+    steps keep and the stop test cannot see, but BX, and so the Penrose
+    residual e4, does. (X X^H) B^H lies in B's row space, with Z only in
+    its term Z Z^H B^H. On that space it maps the eigenvalues f of XB to
+    f^2, and I + F to f^2 (2 - f): a deviation 1 - f becomes
+    (1 - f)(1 + f - f^2), about what it was, where f^2 alone would double
+    it. The part of F's rounding that does not commute with B^H B comes
+    back amplified by up to kappa(B)^2, and the float64 steps then remove
+    it like any other deviation."""
+    X = QMatrix(X.data.astype(np.float64))
+    T = X @ X.adjoint()
+    np.add(T.data, (QMatrix(F.data.astype(np.float64)) @ T).data, out=T.data)
+    return T @ Bh
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):

@@ -245,3 +245,26 @@ def test_pow2_helpers():
     require_pow2(8)
     with pytest.raises(NonPowerOfTwo):
         require_pow2(6)
+
+
+def test_complex_components_are_rejected():
+    # np.asarray(..., dtype=float64) once dropped the imaginary parts with
+    # only numpy's ComplexWarning, leaving [1, 1, 1, 1] here
+    with pytest.raises(TypeError, match="complex128"):
+        QMatrix(np.ones((2, 2, 4)) * (1 + 1j))
+    with pytest.raises(TypeError, match="complex64"):
+        QMatrix(np.ones((2, 2, 4), dtype=np.complex64))
+
+
+def test_float32_kept_and_other_real_dtypes_made_float64():
+    d32 = np.arange(16, dtype=np.float32).reshape(2, 2, 4)
+    A = QMatrix(d32)
+    assert A.data is d32
+    assert (A @ A).data.dtype == np.float32
+    assert A.adjoint().data.dtype == np.float32
+    assert A.scale(0.5).data.dtype == np.float32
+    for dtype in (np.int64, np.float16, np.bool_):
+        data = QMatrix(np.ones((2, 2, 4), dtype=dtype)).data
+        assert data.dtype == np.float64 and np.array_equal(data, np.ones((2, 2, 4)))
+    d64 = np.ones((2, 2, 4))
+    assert QMatrix(d64).data is d64
