@@ -46,7 +46,7 @@ from . import _qops
 from ._loop import _drive, _Scratch
 from .errors import (DimensionMismatch, Indefinite, NotHermitian,
                      RankDeficient, _lapack)
-from .qmatrix import QMatrix, complex_adjoint, require_finite
+from .qmatrix import QMatrix, as_float64, complex_adjoint, require_finite
 
 
 @dataclass
@@ -111,6 +111,7 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     m, r = Y.shape
     if m < r:
         raise RankDeficient("thin_qr requires m >= r")
+    Y = as_float64(Y)
     Q1, R1 = _qr_pass(Y)
     Q, R2 = _qr_pass(QMatrix(Q1))
     R = _qops.qmatmul(R2, R1)
@@ -254,6 +255,8 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
+    if not stacked:
+        G, B = as_float64(G), as_float64(B)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)
     r, c = Gd.shape[-3:-1]
     if c != r:
@@ -353,6 +356,7 @@ def _right_factor(A: QMatrix):
     vectors. Returns (Uc, s, V, AV): the complex left singular vectors,
     and s = ||A v_j||, V and AV sorted so that s is nonincreasing."""
     require_finite(A)
+    A = as_float64(A)
     Uc, _, Vch = _lapack("SVD", np.linalg.svd, A.to_complex_adjoint())
     V = _quaternion_basis(Vch.conj().T, A.cols)
     AV = (A @ QMatrix(V)).data
@@ -398,6 +402,7 @@ def pinv_normal_eq(A: QMatrix) -> QMatrix:
     A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency.
     """
     require_finite(A)
+    A = as_float64(A)
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:

@@ -4,6 +4,9 @@ A QMatrix stores an (m, n, 4) array of (a, b, c, d) components: float64,
 or float32 where it is given float32 (the float32 phase of the
 Newton-Schulz family); any other real dtype is converted to float64, and
 complex data raises TypeError, since it holds no quaternion components.
+Operations on float32 matrices stay float32, but the solvers, the
+factorizations and the Lorenz solve take a float32 A as float64
+(``as_float64``), and the complex adjoint embedding is always complex128.
 Every operation returns a fresh matrix, and values are treated as immutable
 once a matrix is shared; only the solvers' loops write, in place, into
 matrices they alone hold. The complex adjoint embedding maps each entry
@@ -57,8 +60,8 @@ class QMatrix:
         return QMatrix(np.zeros((m, n, 4)))
 
     @staticmethod
-    def identity(n: int) -> "QMatrix":
-        d = np.zeros((n, n, 4))
+    def identity(n: int, dtype=np.float64) -> "QMatrix":
+        d = np.zeros((n, n, 4), dtype)
         d[np.arange(n), np.arange(n), 0] = 1.0
         return QMatrix(d)
 
@@ -152,8 +155,10 @@ def complex_adjoint(d: np.ndarray, even: bool = False) -> np.ndarray:
 
     Built from d's complex view, whose entries (a + bi, c + di) are row 2i
     of the embedding as they are; row 2i + 1 is (-conj(c + di),
-    conj(a + bi))."""
-    if d.strides[-1] != d.itemsize:
+    conj(a + bi)). Float32 components are made float64 first."""
+    if d.dtype is not _FLOAT64:
+        d = d.astype(np.float64)
+    elif d.strides[-1] != d.itemsize:
         d = np.ascontiguousarray(d)
     lead, (m, n) = d.shape[:-3], d.shape[-3:-1]
     dc = d.view(np.complex128)
@@ -249,6 +254,15 @@ def op_norm_est(A: QMatrix, Ah: QMatrix | None = None) -> float:
 def require_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise NonPowerOfTwo(f"{n} is not a power of two")
+
+
+def as_float64(A: QMatrix) -> QMatrix:
+    """A with float64 components: A itself where it has them. The solvers,
+    the factorizations and the Lorenz solve run every A they are given
+    through it, so a float32 QMatrix is solved in float64."""
+    if A.data.dtype is _FLOAT64:
+        return A
+    return QMatrix(A.data.astype(np.float64))
 
 
 def require_finite(A: QMatrix, name: str = "A") -> None:

@@ -66,8 +66,10 @@ verify follow. The step depends on X only through F, so the float64 steps
 correct the float32 phase's rounding as they would any deviation. A run
 whose float32 phase fails in any way, or whose clean-up does not stay
 below the hand-over level, is discarded, and the solve returns the float64
-run bit for bit (_ns_solve). SolverReport.float32_steps counts the float32
-steps.
+run bit for bit (_ns_solve); float64 steps that reach maxit end the solve
+unconverged. SolverReport.float32_steps counts the float32 steps. Every
+solver takes a float32 A as float64 (qmatrix.as_float64, in _solve_tall),
+so float32 data lives only in this phase.
 
 ns_damped and ns_hyperpower report Penrose residuals computed from the
 deviation F = I - XB of the returned X, which their loop measured last
@@ -104,7 +106,8 @@ from .errors import (Breakdown, DimensionMismatch, Divergence,
                      InvalidOrder, NonFinite, RankDeficient, SketchFailure,
                      _lapack)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
-from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
+from .qmatrix import (QMatrix, _gram_ritz, as_float64, randn_qmat_rng,
+                      require_finite)
 from .rng import QuatRNG
 
 SCHEDULE_NAIVE = "naive"
@@ -225,8 +228,9 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     (_penrose_from_deviation, with e3 and e4 swapped for a wide A), and
     from penrose_residuals otherwise. A zero A returns its pseudoinverse,
     zero, at once: no iterations, converged and an empty residual
-    history."""
+    history. A float32 A is solved as float64 (as_float64)."""
     require_finite(A)
+    A = as_float64(A)
     if not A.data.any():
         return _verified(A, QMatrix.zeros(A.cols, A.rows),
                          SolverReport(method, 0, converged=True))
@@ -293,11 +297,11 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
         # sums[i] = sum_{l<i} R^l for the block lengths used: I + R is
         # formed as 0 + R with 1 added on the diagonal, bitwise I + R, each
         # longer sum in the buffer of the power it adds (R^i, i < a, has
-        # served its products by then), and the identity itself is built
-        # only for a block of length 1
+        # served its products by then), and the identity itself is built,
+        # in R's dtype, only for a block of length 1
         sums = {}
         if top == 1:
-            sums[1] = QMatrix.identity(R.rows)
+            sums[1] = QMatrix.identity(R.rows, R.data.dtype)
         if longest >= 2:
             acc = QMatrix(np.add(0.0, R.data))
             d = np.arange(R.rows)
@@ -383,6 +387,7 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
         raise ValueError(f"unknown kind {kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    A = as_float64(A)
     Ah = A.adjoint()
     if A.rows < A.cols:
         A, Ah = Ah, A
@@ -435,8 +440,9 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
     run is discarded where its float32 phase raises NonFinite or
     Divergence, stagnates or runs out of steps, where the cleaned X's
     deviation is not below the hand-over level, or where the float64 steps
-    raise or do not converge: the solve then runs again from X_0 in
-    float64 alone and returns what it returns without the phase."""
+    raise: the solve then runs again from X_0 in float64 alone and returns
+    what it returns without the phase. Float64 steps that reach maxit
+    end the run unconverged, as they do without the phase."""
     order = step_kw.get("order", 2)
 
     def solve(B, Bh, alpha, low, bound, t0):
@@ -445,10 +451,14 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
                     else itertools.repeat(1.0))
         scratch = _Scratch(4 * B.cols * B.cols)
 
-        def run(B, X0, thetas, tol, maxit, stagnate=False):
+        def run(B, X0, thetas, tol, maxit, stagnate=False, entry=None):
+            # with entry, X0's residual must lie below it
             def measure(X):
                 F = _deviation(B, X)
-                return scratch.fro_norm(F), F
+                res = scratch.fro_norm(F)
+                if entry is not None and X is X0 and not res < entry:
+                    raise Divergence(f"residual {res} at the hand-over")
+                return res, F
 
             return _drive(
                 method, X0,
@@ -458,15 +468,16 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
         def mixed():
             thetas = scales()
             switch = _F32_SWITCH ** (1.0 / order)
-            X, F, head = run(_float32(B), _float32(Bh.scale(alpha)), thetas,
-                             switch, cfg.maxit, stagnate=True)
-            if not head.converged:
-                return None
+            # a discarded run's overflow is no warning
+            with np.errstate(all="ignore"):
+                X, F, head = run(_float32(B), _float32(Bh.scale(alpha)),
+                                 thetas, switch, cfg.maxit, stagnate=True)
+                if not head.converged:
+                    return None
+                X = _cleaned(X, F, Bh)
             k = head.iterations
-            X, F, rep = run(B, _cleaned(X, F, Bh), thetas, cfg.tol,
-                            cfg.maxit - k)
-            if not (rep.converged and rep.residual_history[0][1] < switch):
-                return None
+            X, F, rep = run(B, X, thetas, cfg.tol, cfg.maxit - k,
+                            entry=switch)
             rep.residual_history = head.residual_history[:-1] + [
                 (k + j, res) for j, res in rep.residual_history]
             rep.iterations += k
@@ -476,9 +487,7 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
         if step_kw.get("gamma", 1.0) == 1.0 and B.cols >= _F32_FROM and \
                 bound <= _F32_KAPPA2 * low:
             try:
-                # a discarded run's overflow is no warning
-                with np.errstate(all="ignore"):
-                    result = mixed()
+                result = mixed()
             except (NonFinite, Divergence):
                 result = None
             if result is not None:
@@ -855,6 +864,7 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     brings that entry into [0.5, 1), where sigma_min^2 and ||A||_F^2
     neither overflow nor underflow."""
     require_finite(A)
+    A = as_float64(A)
     e = math.frexp(float(np.abs(A.data).max()))[1]
     A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
@@ -866,6 +876,7 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
 def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
                             trials: int) -> np.ndarray:
     """Per-trial one-step ratios ||X1 - Adag||_F^2 / ||X0 - Adag||_F^2."""
+    A = as_float64(A)
     Xstar = pinv_normal_eq(A)
     Ah = A.adjoint()
     X0 = Ah.scale(auto_alpha(A, Ah))

@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from quatpinv import solvers
+from quatpinv import factor, solvers
 from quatpinv._loop import _drive
+from quatpinv.apps.lorenz import LorenzProblem, lorenz_build, lorenz_solve_ns
 from quatpinv.errors import Divergence, NonFinite, QuatpinvError
-from quatpinv.qmatrix import QMatrix, randn_qmat
-from quatpinv.solvers import (SCHEDULE_PS, SolverConfig, ns_damped,
-                              ns_hyperpower, penrose_residuals)
+from quatpinv.qmatrix import QMatrix, complex_adjoint, randn_qmat
+from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
+                              SolverConfig, cgne_q, eval_neumann_poly,
+                              ns_damped, ns_hyperpower, penrose_residuals,
+                              recurrence_deviations, rsp_rate_bound)
 from test_solvers import _with_spectrum
 
 _NS = SolverConfig(tol=1e-8)
@@ -170,6 +173,119 @@ def test_float32_phase_out_of_steps_gives_the_float64_run(solver,
                        maxit=3)
     A = randn_qmat(220, 200, 1)
     _assert_same_run(solve(A, cfg), _float64_only(monkeypatch, solve, A, cfg))
+
+
+def test_float64_steps_out_of_steps_keep_the_mixed_run(monkeypatch):
+    # a tol below float64's floor: the float64 steps run to maxit, and the
+    # solve ends there, unconverged, without running again from X_0
+    cfg = SolverConfig(tol=1e-30, maxit=20)
+    A = randn_qmat(88, 80, 4)
+    runs = []
+    real = solvers._drive
+
+    def drive(method, state, *args, **kw):
+        runs.append(state.data.dtype)
+        return real(method, state, *args, **kw)
+    monkeypatch.setattr(solvers, "_drive", drive)
+    X, rep = ns_damped(A, cfg)
+    assert runs == [np.float32, np.float64]
+    assert not rep.converged and 0 < rep.float32_steps < rep.iterations == 20
+    _assert_history(rep)
+    assert max(rep.penrose) <= 1e-7
+
+
+# the binary schedule takes p = 2^q only
+@pytest.mark.parametrize("schedule, p", [
+    (s, p) for s in (SCHEDULE_NAIVE, SCHEDULE_BINARY, SCHEDULE_PS)
+    for p in range(2, 13) if s != SCHEDULE_BINARY or not p & (p - 1)])
+def test_neumann_poly_keeps_float32(schedule, p):
+    R, X = randn_qmat(12, 12, 5).scale(0.1), randn_qmat(12, 10, 6)
+    got = eval_neumann_poly(QMatrix(R.data.astype(np.float32)),
+                            QMatrix(X.data.astype(np.float32)), p, schedule)
+    assert got.data.dtype == np.float32
+    want = eval_neumann_poly(R, X, p, schedule)
+    assert np.allclose(got.data, want.data, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 7, 8, 10])
+def test_float32_phase_stays_float32_for_every_ps_order(p, monkeypatch):
+    # every PS order, the ones whose last block is the identity among them
+    real, steps = solvers._ns_step, []
+
+    def step(R, X, *args, **kw):
+        T = real(R, X, *args, **kw)
+        if X.data.dtype == np.float32:
+            steps.append(T.data.dtype)
+        return T
+    monkeypatch.setattr(solvers, "_ns_step", step)
+    cfg = SolverConfig(order=p, schedule=SCHEDULE_PS, tol=1e-8)
+    rep = ns_hyperpower(randn_qmat(88, 80, 4), cfg)[1]
+    assert rep.converged and rep.float32_steps > 0
+    assert steps == [np.float32] * rep.float32_steps
+
+
+def _as_float32(A):
+    # A rounded to float32, and the same values held in float64
+    A32 = QMatrix(A.data.astype(np.float32))
+    return A32, QMatrix(A32.data.astype(np.float64))
+
+
+def _gram(A):
+    # the Gram matrix of A's values, rounded to float32, in A's dtype
+    B = QMatrix(A.data.astype(np.float64))
+    G = (B.adjoint() @ B).data.astype(np.float32)
+    return QMatrix(G.astype(A.data.dtype))
+
+
+def _same(got, want):
+    if isinstance(want, QMatrix):
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.data.tobytes()
+    elif isinstance(want, tuple):  # a solver's (X, report)
+        _same(got[0], want[0])
+        assert (got[1].residual_history, got[1].penrose,
+                got[1].float32_steps) == (want[1].residual_history,
+                                          want[1].penrose,
+                                          want[1].float32_steps)
+    else:
+        assert got == want
+
+
+_ENTRIES = {
+    "pinv_qsvd": factor.pinv_qsvd,
+    "qsvd": lambda A: factor.qsvd(A).V,
+    "pinv_normal_eq": factor.pinv_normal_eq,
+    "thin_qr": lambda A: factor.thin_qr(A).Q,
+    "hpd_solve": lambda A: factor.hpd_solve(_gram(A), A.adjoint()),
+    "rsp_rate_bound": lambda A: rsp_rate_bound(A, 4),
+    "ns": lambda A: ns_damped(A, _NS),
+    "hyperpower-ps8": lambda A: ns_hyperpower(A, _PS8),
+    "cgne": lambda A: cgne_q(A, SolverConfig(tol=1e-8)),
+    "recurrence": lambda A: recurrence_deviations(A, SolverConfig()),
+}
+
+
+@pytest.mark.parametrize("m, n", [(60, 50), (88, 80)])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_float32_input_is_solved_as_float64(entry, m, n):
+    # a float32 A gives, bit for bit, what its values give in float64
+    A32, A64 = _as_float32(randn_qmat(m, n, 7))
+    f = _ENTRIES[entry]
+    _same(f(A32), f(A64))
+
+
+def test_float32_lorenz_system_is_solved_as_float64():
+    X, Y, _ = lorenz_build(LorenzProblem(T_end=1.0))
+    (X32, X64), (Y32, Y64) = _as_float32(X), _as_float32(Y)
+    _same(lorenz_solve_ns(X32, Y32)[0], lorenz_solve_ns(X64, Y64)[0])
+
+
+def test_complex_adjoint_of_float32_is_complex128():
+    A32, A64 = _as_float32(randn_qmat(5, 3, 8))
+    for even in (False, True):
+        got = complex_adjoint(A32.data, even=even)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, complex_adjoint(A64.data, even=even))
 
 
 # kappa(A) from 1e2 to 1e5 at 120 x 100; the probe reads bound / low of
