@@ -17,7 +17,7 @@ import numpy as np
 
 from .._loop import _drive
 from ..errors import NonFinite
-from ..qmatrix import QMatrix, as_float64
+from ..qmatrix import QMatrix
 from ..rng import QuatRNG
 from ..solvers import _ns_scales, _probe
 
@@ -117,7 +117,6 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     of w. A start that is not contractive is caught by the divergence
     guard, as in ns_damped.
     """
-    X, Y = as_float64(X), as_float64(Y)
     N = X.rows
     if maxit is None:
         maxit = N

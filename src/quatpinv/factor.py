@@ -19,20 +19,18 @@ solvers and as micro-solvers inside the randomized methods. The one
 iteration here, ``hpd_solve``'s CG fallback, runs on the package's one
 stopping loop, ``_loop._drive``.
 
-``hpd_solve``, its Cholesky kernels ``_cholesky`` and ``_chol_solve`` and
-``solve_upper_triangular`` also take a stack of s matrices as an
+``hpd_solve`` and its Cholesky kernels ``_cholesky`` and
+``_checked_chol_solve`` also take a stack of s matrices as an
 (s, r, c, 4) array, and factor or solve all of them in one pass with the
 same code, a 2-D call being the case without a stack axis; each item of
 a stack is bitwise the routine run on it alone. An item that fails its
 check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
 call raises or, in ``hpd_solve`` alone, falls back to CG.
-``solve_upper_triangular`` has no caller in the library; the tests'
-QR-based references use it, and ``_chol_solve``, the solve of
-``_checked_chol_solve`` without its check, is kept for the tests that pin
-it. ``qsvd``, ``pinv_qsvd`` and ``pinv_normal_eq`` raise NonFinite at
-entry when A holds a NaN or infinite entry, and a 2-D ``hpd_solve`` when
-G or B does (as when A^H A overflows); in a stack such an item is
-flagged.
+``solve_upper_triangular``, 2-D only, has no caller in the library; the
+tests' QR-based references use it. ``qsvd``, ``pinv_qsvd`` and
+``pinv_normal_eq`` raise NonFinite at entry when A holds a NaN or
+infinite entry, and a 2-D ``hpd_solve`` when G or B does (as when A^H A
+overflows); in a stack such an item is flagged.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from . import _qops
 from ._loop import _drive, _Scratch
 from .errors import (DimensionMismatch, Indefinite, NotHermitian,
                      RankDeficient, _lapack)
-from .qmatrix import QMatrix, as_float64, complex_adjoint, require_finite
+from .qmatrix import QMatrix, complex_adjoint, require_finite
 
 
 @dataclass
@@ -111,7 +109,6 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     m, r = Y.shape
     if m < r:
         raise RankDeficient("thin_qr requires m >= r")
-    Y = as_float64(Y)
     Q1, R1 = _qr_pass(Y)
     Q, R2 = _qr_pass(QMatrix(Q1))
     R = _qops.qmatmul(R2, R1)
@@ -123,31 +120,20 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     return QRFactors(Q=QMatrix(Q), R=QMatrix(R))
 
 
-def solve_upper_triangular(R: QMatrix | np.ndarray,
-                           B: QMatrix | np.ndarray):
-    """Solve R Z = B for upper-triangular R with real positive diagonal.
-
-    R and B are QMatrix, or stacks of s of them, (s, r, r, 4) and
-    (s, r, p, 4) arrays, solved in one pass, each item bitwise as alone;
-    Z is a QMatrix or an (s, r, p, 4) array to match.
-    """
-    stacked = not isinstance(R, QMatrix)
-    # a stack's products, or the traced one of one pair
-    mm = _qops.qmatmul_stack if stacked else _qops.qmatmul
-    Rd, Bd = (R, B) if stacked else (R.data, B.data)
-    r = Rd.shape[-3]
-    diag = Rd[..., np.arange(r), np.arange(r), 0, None, None]
+def solve_upper_triangular(R: QMatrix, B: QMatrix) -> QMatrix:
+    """Solve R Z = B for upper-triangular R with real positive diagonal."""
+    Rd, Bd = R.data, B.data
+    r = R.rows
     Z = np.empty_like(Bd)
     for j in range(r - 1, -1, -1):
-        Zj = Z[..., j, :, :]
+        Zj = Z[j]
         if j + 1 < r:
-            np.subtract(Bd[..., j, :, :], mm(Rd[..., j:j + 1, j + 1:, :],
-                                             Z[..., j + 1:, :, :])[..., 0, :, :],
-                        out=Zj)
+            np.subtract(Bd[j], _qops.qmatmul(Rd[j:j + 1, j + 1:],
+                                             Z[j + 1:])[0], out=Zj)
         else:
-            Zj[...] = Bd[..., j, :, :]
-        Zj /= diag[..., j, :, :]
-    return Z if stacked else QMatrix(Z)
+            Zj[...] = Bd[j]
+        Zj /= Rd[j, j, 0]
+    return QMatrix(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +185,6 @@ def _solve_embedded(L: np.ndarray, Bd: np.ndarray):
     return np.conjugate(Linv, out=Linv).swapaxes(-1, -2) @ Y, Be
 
 
-def _chol_solve(L: np.ndarray, Bd: np.ndarray) -> np.ndarray:
-    """Solve L L^H Z = B for a factor L of ``_cholesky`` on the even columns
-    of B's complex embedding (``_solve_embedded``), from which Z is read
-    back. L and B may also be stacks, (s, 2r, 2r) and (s, r, p, 4) arrays,
-    solved in one call, each item bitwise as alone."""
-    return _from_complex(_solve_embedded(L, Bd)[0])
-
-
 # relative residual within which a solve keeps its Cholesky solve, and
 # at which hpd_solve's CG fallback stops
 _SOLVE_TOL = 1e-10
@@ -214,7 +192,9 @@ _SOLVE_TOL = 1e-10
 
 def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
                         Gc: np.ndarray | None = None):
-    """Z = ``_chol_solve(L, B)`` and whether G Z = B holds to the residual
+    """Z, the solve of L L^H Z = B for a factor L of ``_cholesky`` on the
+    even columns of B's complex embedding (``_solve_embedded``), from which
+    Z is read back, and whether G Z = B holds to the residual
     ||G Z - B|| <= _SOLVE_TOL * ||B||: a bool, or (s,) flags when L, G and
     B are stacks, each item bitwise as alone. The residual is taken on the
     embeddings, as ||Gc Ze - Be||_F with Gc G's embedding and Ze, Be the
@@ -233,18 +213,18 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     """Solve G Z = B for Hermitian positive definite G.
 
     Raises NotHermitian for a G that is not square or not Hermitian, and
-    DimensionMismatch when B's row count is not G's, and NonFinite when G
-    or B holds a NaN or infinite entry. The LAPACK Cholesky factor L of
-    G's complex embedding (``_cholesky``) and the solve
-    Z = L^-H L^-1 B on the even columns of B's embedding, with L^-1 from
-    one LAPACK inverse (``_chol_solve``), are kept when the residual,
-    taken on the embeddings, is within _SOLVE_TOL * ||B||. Otherwise a
-    failed pivot raises Indefinite when G has a negative eigenvalue, and a
-    CG micro-solver takes over, on ``_loop._drive`` with the tolerance
+    DimensionMismatch when B's row count is not G's, and NonFinite when G or
+    B holds a NaN or infinite entry. The LAPACK Cholesky factor L of G's
+    complex embedding (``_cholesky``) and the solve Z = L^-H L^-1 B on the
+    even columns of B's embedding, with L^-1 from one LAPACK inverse
+    (``_checked_chol_solve``), are kept when the residual, taken on the
+    embeddings, is within _SOLVE_TOL * ||B||. Otherwise a failed pivot
+    raises Indefinite when G has a negative eigenvalue, and a CG
+    micro-solver takes over, on ``_loop._drive`` with the tolerance
     _SOLVE_TOL * ||B|| and the iteration cap 4r; it raises Indefinite when
     it stagnates, and NonFinite when its residual is not finite (as when
-    ||B||^2 overflows). A LAPACK failure of the inverse or of the
-    eigenvalue check raises ConvergenceFailure.
+    ||B||^2 overflows). A LAPACK failure of the inverse or of the eigenvalue
+    check raises ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
     arrays, taken to be Hermitian: they are factored and solved in one
@@ -255,8 +235,6 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     meaningless). A stack has no CG fallback.
     """
     stacked = not isinstance(G, QMatrix)
-    if not stacked:
-        G, B = as_float64(G), as_float64(B)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)
     r, c = Gd.shape[-3:-1]
     if c != r:
@@ -356,7 +334,6 @@ def _right_factor(A: QMatrix):
     vectors. Returns (Uc, s, V, AV): the complex left singular vectors,
     and s = ||A v_j||, V and AV sorted so that s is nonincreasing."""
     require_finite(A)
-    A = as_float64(A)
     Uc, _, Vch = _lapack("SVD", np.linalg.svd, A.to_complex_adjoint())
     V = _quaternion_basis(Vch.conj().T, A.cols)
     AV = (A @ QMatrix(V)).data
@@ -402,7 +379,6 @@ def pinv_normal_eq(A: QMatrix) -> QMatrix:
     A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency.
     """
     require_finite(A)
-    A = as_float64(A)
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:

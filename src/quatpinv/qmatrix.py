@@ -1,15 +1,15 @@
 """Dense quaternion matrices.
 
-A QMatrix stores an (m, n, 4) array of (a, b, c, d) components: float64,
-or float32 where it is given float32 (the float32 phase of the
-Newton-Schulz family); any other real dtype is converted to float64, and
-complex data raises TypeError, since it holds no quaternion components.
-Operations on float32 matrices stay float32, but the solvers, the
-factorizations and the Lorenz solve take a float32 A as float64
-(``as_float64``), and the complex adjoint embedding is always complex128.
-Every operation returns a fresh matrix, and values are treated as immutable
-once a matrix is shared; only the solvers' loops write, in place, into
-matrices they alone hold. The complex adjoint embedding maps each entry
+A QMatrix stores an (m, n, 4) array of (a, b, c, d) components. The
+constructor makes every real dtype float64, and complex data raises
+TypeError, since it holds no quaternion components. Only the private
+``QMatrix._of`` wraps an array as it is: QMatrix's own operations use it,
+and so does the float32 phase of the Newton-Schulz family
+(``solvers._float32``), whose float32 matrices stay float32 through
+``@``, ``+``, ``-``, ``scale``, ``adjoint`` and ``copy``. Every operation
+returns a fresh matrix, and values are treated as immutable once a matrix
+is shared; only the solvers' loops write, in place, into matrices they
+alone hold. The complex adjoint embedding maps each entry
 q = a + bi + cj + dk to the 2x2 complex block
 
     [[ a + bi,  c + di],
@@ -44,7 +44,7 @@ class QMatrix:
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data)
-        if data.dtype is not _FLOAT64 and data.dtype != np.float32:
+        if data.dtype is not _FLOAT64:
             if data.dtype.kind == "c":
                 raise TypeError(f"quaternion components must be real, got "
                                 f"a {data.dtype} array")
@@ -53,6 +53,13 @@ class QMatrix:
             raise DimensionMismatch(f"expected (m, n, 4) array, got {data.shape}")
         self.data = data
 
+    @staticmethod
+    def _of(data: np.ndarray) -> "QMatrix":
+        """An (m, n, 4) float array wrapped as it is, float32 kept."""
+        A = object.__new__(QMatrix)
+        A.data = data
+        return A
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -60,15 +67,15 @@ class QMatrix:
         return QMatrix(np.zeros((m, n, 4)))
 
     @staticmethod
-    def identity(n: int, dtype=np.float64) -> "QMatrix":
-        d = np.zeros((n, n, 4), dtype)
+    def identity(n: int) -> "QMatrix":
+        d = np.zeros((n, n, 4))
         d[np.arange(n), np.arange(n), 0] = 1.0
         return QMatrix(d)
 
     @staticmethod
     def from_real(x: np.ndarray) -> "QMatrix":
-        x = np.asarray(x, dtype=np.float64)
-        d = np.zeros(x.shape + (4,))
+        x = np.asarray(x)
+        d = np.zeros(x.shape + (4,), x.dtype)
         d[..., 0] = x
         return QMatrix(d)
 
@@ -87,31 +94,31 @@ class QMatrix:
         return (self.data.shape[0], self.data.shape[1])
 
     def copy(self) -> "QMatrix":
-        return QMatrix(self.data.copy())
+        return QMatrix._of(self.data.copy())
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(self.data + other.data)
+        return QMatrix._of(self.data + other.data)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(self.data - other.data)
+        return QMatrix._of(self.data - other.data)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"inner dims differ: {self.shape} @ {other.shape}")
-        return QMatrix(_qops.qmatmul(self.data, other.data))
+        return QMatrix._of(_qops.qmatmul(self.data, other.data))
 
     def scale(self, s: float) -> "QMatrix":
         """Multiply every entry by a real scalar."""
-        return QMatrix(self.data * float(s))
+        return QMatrix._of(self.data * float(s))
 
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose A^H; reverses products: (AB)^H = B^H A^H."""
-        return QMatrix(_qops.qconj(self.data.transpose(1, 0, 2)))
+        return QMatrix._of(_qops.qconj(self.data.transpose(1, 0, 2)))
 
     def mask(self, mask: np.ndarray) -> "QMatrix":
         """Entrywise product with a real (m, n) mask."""
@@ -121,10 +128,10 @@ class QMatrix:
         return QMatrix(self.data * mask[:, :, None])
 
     def take_cols(self, idx) -> "QMatrix":
-        return QMatrix(self.data[:, list(idx), :].copy())
+        return QMatrix(self.data[:, _in_range(idx, self.cols), :].copy())
 
     def take_rows(self, idx) -> "QMatrix":
-        return QMatrix(self.data[list(idx), :, :].copy())
+        return QMatrix(self.data[_in_range(idx, self.rows), :, :].copy())
 
     # -- norms --------------------------------------------------------------
 
@@ -147,18 +154,25 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def _in_range(idx, n: int) -> list:
+    """idx as a list, each index in [0, n): a negative or too large one
+    raises DimensionMismatch rather than wrap around or reach numpy."""
+    idx = list(idx)
+    if not all(0 <= i < n for i in idx):
+        raise DimensionMismatch(f"an index of {idx} is outside [0, {n})")
+    return idx
+
+
 def complex_adjoint(d: np.ndarray, even: bool = False) -> np.ndarray:
-    """Complex adjoint embedding of an (m, n, 4) array, (2m, 2n) complex128,
-    block row-major; of each matrix of a stack (..., m, n, 4) alike. With
-    even, only its even columns, (..., 2m, n): the columns from which
-    factor._from_complex reads a quaternion matrix back.
+    """Complex adjoint embedding of an (m, n, 4) float64 array, (2m, 2n)
+    complex128, block row-major; of each matrix of a stack (..., m, n, 4)
+    alike. With even, only its even columns, (..., 2m, n): the columns
+    from which factor._from_complex reads a quaternion matrix back.
 
     Built from d's complex view, whose entries (a + bi, c + di) are row 2i
     of the embedding as they are; row 2i + 1 is (-conj(c + di),
-    conj(a + bi)). Float32 components are made float64 first."""
-    if d.dtype is not _FLOAT64:
-        d = d.astype(np.float64)
-    elif d.strides[-1] != d.itemsize:
+    conj(a + bi))."""
+    if d.strides[-1] != d.itemsize:
         d = np.ascontiguousarray(d)
     lead, (m, n) = d.shape[:-3], d.shape[-3:-1]
     dc = d.view(np.complex128)
@@ -254,15 +268,6 @@ def op_norm_est(A: QMatrix, Ah: QMatrix | None = None) -> float:
 def require_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise NonPowerOfTwo(f"{n} is not a power of two")
-
-
-def as_float64(A: QMatrix) -> QMatrix:
-    """A with float64 components: A itself where it has them. The solvers,
-    the factorizations and the Lorenz solve run every A they are given
-    through it, so a float32 QMatrix is solved in float64."""
-    if A.data.dtype is _FLOAT64:
-        return A
-    return QMatrix(A.data.astype(np.float64))
 
 
 def require_finite(A: QMatrix, name: str = "A") -> None:

@@ -67,9 +67,10 @@ correct the float32 phase's rounding as they would any deviation. A run
 whose float32 phase fails in any way, or whose clean-up does not stay
 below the hand-over level, is discarded, and the solve returns the float64
 run bit for bit (_ns_solve); float64 steps that reach maxit end the solve
-unconverged. SolverReport.float32_steps counts the float32 steps. Every
-solver takes a float32 A as float64 (qmatrix.as_float64, in _solve_tall),
-so float32 data lives only in this phase.
+unconverged. SolverReport.float32_steps counts the float32 steps. The
+phase's float32 copies are built with the private QMatrix._of
+(_float32), since QMatrix's constructor makes every array float64, so
+float32 data lives only in this phase.
 
 ns_damped and ns_hyperpower report Penrose residuals computed from the
 deviation F = I - XB of the returned X, which their loop measured last
@@ -106,8 +107,7 @@ from .errors import (Breakdown, DimensionMismatch, Divergence,
                      InvalidOrder, NonFinite, RankDeficient, SketchFailure,
                      _lapack)
 from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
-from .qmatrix import (QMatrix, _gram_ritz, as_float64, randn_qmat_rng,
-                      require_finite)
+from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
 SCHEDULE_NAIVE = "naive"
@@ -228,9 +228,8 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     (_penrose_from_deviation, with e3 and e4 swapped for a wide A), and
     from penrose_residuals otherwise. A zero A returns its pseudoinverse,
     zero, at once: no iterations, converged and an empty residual
-    history. A float32 A is solved as float64 (as_float64)."""
+    history."""
     require_finite(A)
-    A = as_float64(A)
     if not A.data.any():
         return _verified(A, QMatrix.zeros(A.cols, A.rows),
                          SolverReport(method, 0, converged=True))
@@ -297,14 +296,15 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
         # sums[i] = sum_{l<i} R^l for the block lengths used: I + R is
         # formed as 0 + R with 1 added on the diagonal, bitwise I + R, each
         # longer sum in the buffer of the power it adds (R^i, i < a, has
-        # served its products by then), and the identity itself is built,
-        # in R's dtype, only for a block of length 1
+        # served its products by then), and the identity itself is built
+        # only for a block of length 1; both in R's dtype
         sums = {}
+        d = np.arange(R.rows)
         if top == 1:
-            sums[1] = QMatrix.identity(R.rows, R.data.dtype)
+            sums[1] = QMatrix._of(np.zeros_like(R.data))
+            sums[1].data[d, d, 0] = 1.0
         if longest >= 2:
-            acc = QMatrix(np.add(0.0, R.data))
-            d = np.arange(R.rows)
+            acc = QMatrix._of(np.add(0.0, R.data))
             acc.data[d, d, 0] += 1.0
             for i in range(2, longest):
                 sums[i] = acc
@@ -387,7 +387,6 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
         raise ValueError(f"unknown kind {kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    A = as_float64(A)
     Ah = A.adjoint()
     if A.rows < A.cols:
         A, Ah = Ah, A
@@ -498,7 +497,7 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
 
 
 def _float32(M: QMatrix) -> QMatrix:
-    return QMatrix(M.data.astype(np.float32))
+    return QMatrix._of(M.data.astype(np.float32))
 
 
 def _cleaned(X: QMatrix, F: QMatrix, Bh: QMatrix) -> QMatrix:
@@ -864,7 +863,6 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     brings that entry into [0.5, 1), where sigma_min^2 and ||A||_F^2
     neither overflow nor underflow."""
     require_finite(A)
-    A = as_float64(A)
     e = math.frexp(float(np.abs(A.data).max()))[1]
     A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
@@ -876,7 +874,6 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
 def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
                             trials: int) -> np.ndarray:
     """Per-trial one-step ratios ||X1 - Adag||_F^2 / ||X0 - Adag||_F^2."""
-    A = as_float64(A)
     Xstar = pinv_normal_eq(A)
     Ah = A.adjoint()
     X0 = Ah.scale(auto_alpha(A, Ah))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatpinv.errors import NonFinite, NonPowerOfTwo
+from quatpinv.errors import DimensionMismatch, NonFinite, NonPowerOfTwo
 from quatpinv.factor import pinv_normal_eq
 from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.rng import QuatRNG
@@ -184,6 +184,21 @@ def test_completion_problem_validation():
         with pytest.raises(ValueError):
             CompletionProblem(M=A, mask=np.ones((10, 10)), rank=5,
                               iters=iters, col_idx=[0] * 5, row_idx=[0] * 5)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_cur_index_out_of_range_is_rejected(bad):
+    # on 8 x 8, column -1 once ran as column 7, and column 8 reached
+    # numpy's IndexError
+    A = rank5(8, 9)
+    prob = CompletionProblem(M=A, mask=np.ones((8, 8)), rank=3, iters=1,
+                             col_idx=[0, 1, bad], row_idx=[0, 1, 2])
+    with pytest.raises(DimensionMismatch):
+        complete(prob, pinv_normal_eq)
+    for I, J in (([0, 1, 2], [0, 1, bad]), ([0, 1, bad], [0, 1, 2])):
+        for mode in (MODE_U_OPT, MODE_W_PINV):
+            with pytest.raises(DimensionMismatch):
+                cur_reconstruct(A, I, J, mode, pinv_normal_eq)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from quatpinv import _qops, factor, solvers
 from quatpinv.errors import (ConvergenceFailure, DimensionMismatch,
                              Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
-from quatpinv.factor import (_checked_chol_solve, _chol_solve, _cholesky,
-                             hpd_solve, pinv_normal_eq, pinv_qsvd, qsvd,
+from quatpinv.factor import (_checked_chol_solve, _cholesky, hpd_solve,
+                             pinv_normal_eq, pinv_qsvd, qsvd,
                              solve_upper_triangular, thin_qr)
 from quatpinv.qmatrix import QMatrix, randn_qmat, randn_qmat_rng
 from quatpinv.rng import QuatRNG
@@ -402,7 +402,7 @@ def test_cholesky_and_chol_solve_match_complex_solve(r, ncols, seed):
     assert np.array_equal(L, np.tril(L))
     assert _rel_gap(L @ L.conj().T, Gc) <= 1e-12
     B = randn_qmat(r, ncols, seed + 1)
-    Z = QMatrix(_chol_solve(L, B.data))
+    Z = QMatrix(_checked_chol_solve(L, G.data, B.data)[0])
     ref = np.linalg.solve(Gc, B.to_complex_adjoint())
     assert _rel_gap(Z.to_complex_adjoint(), ref) <= 1e-12
 
@@ -553,21 +553,6 @@ def _stack(shape, seeds):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 130),
-       st.integers(0, 2**31 - 1))
-@example(16, 8, 30, 0)
-@example(2, 10, 130, 1)
-def test_solve_upper_triangular_stack_items_bitwise_equal_2d(s, r, p, seed):
-    R = np.stack([thin_qr(randn_qmat(r + 2, r, seed + i)).R.data
-                  for i in range(s)])
-    B = _stack((r, p), [seed + 100 + i for i in range(s)])
-    Z = solve_upper_triangular(R, B)
-    for i in range(s):
-        ref = solve_upper_triangular(QMatrix(R[i]), QMatrix(B[i]))
-        assert _same_bits(Z[i], ref.data)
-
-
-@settings(deadline=None, max_examples=30)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**31 - 1),
        st.booleans())
 @example(16, 8, 0, False)
@@ -596,12 +581,14 @@ def test_cholesky_stack_items_bitwise_equal_2d(s, r, seed, singular):
 @example(2, 10, 130, 1)
 @example(3, 1, 1, 2)
 def test_chol_solve_stack_items_bitwise_equal_2d(s, r, p, seed):
-    L = np.stack([_cholesky((C.adjoint() @ C).data)
-                  for C in (randn_qmat(r + 3, r, seed + i) for i in range(s))])
+    Gs = np.stack([(C.adjoint() @ C).data for C in (
+        randn_qmat(r + 3, r, seed + i) for i in range(s))])
+    L = np.stack([_cholesky(G) for G in Gs])
     B = _stack((r, p), [seed + 100 + i for i in range(s)])
-    Z = _chol_solve(L, B)
+    Z, solved = _checked_chol_solve(L, Gs, B)
     for i in range(s):
-        assert _same_bits(Z[i], _chol_solve(L[i], B[i]))
+        Zi, ok = _checked_chol_solve(L[i], Gs[i], B[i])
+        assert _same_bits(Z[i], Zi) and solved[i] == ok
 
 
 @pytest.mark.parametrize("bad", [0, 2, 4])

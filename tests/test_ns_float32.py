@@ -11,11 +11,14 @@ from quatpinv import factor, solvers
 from quatpinv._loop import _drive
 from quatpinv.apps.lorenz import LorenzProblem, lorenz_build, lorenz_solve_ns
 from quatpinv.errors import Divergence, NonFinite, QuatpinvError
-from quatpinv.qmatrix import QMatrix, complex_adjoint, randn_qmat
+from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.solvers import (SCHEDULE_BINARY, SCHEDULE_NAIVE, SCHEDULE_PS,
-                              SolverConfig, cgne_q, eval_neumann_poly,
-                              ns_damped, ns_hyperpower, penrose_residuals,
-                              recurrence_deviations, rsp_rate_bound)
+                              SketchConfig, SolverConfig, cgne_q,
+                              eval_neumann_poly, hybrid_rsp_ns, ns_damped,
+                              ns_hyperpower, penrose_residuals,
+                              recurrence_deviations, rsp_column,
+                              rsp_contraction_samples, rsp_rate_bound,
+                              rsp_row)
 from test_solvers import _with_spectrum
 
 _NS = SolverConfig(tol=1e-8)
@@ -200,8 +203,9 @@ def test_float64_steps_out_of_steps_keep_the_mixed_run(monkeypatch):
     for p in range(2, 13) if s != SCHEDULE_BINARY or not p & (p - 1)])
 def test_neumann_poly_keeps_float32(schedule, p):
     R, X = randn_qmat(12, 12, 5).scale(0.1), randn_qmat(12, 10, 6)
-    got = eval_neumann_poly(QMatrix(R.data.astype(np.float32)),
-                            QMatrix(X.data.astype(np.float32)), p, schedule)
+    got = eval_neumann_poly(QMatrix._of(R.data.astype(np.float32)),
+                            QMatrix._of(X.data.astype(np.float32)), p,
+                            schedule)
     assert got.data.dtype == np.float32
     want = eval_neumann_poly(R, X, p, schedule)
     assert np.allclose(got.data, want.data, rtol=1e-5, atol=1e-5)
@@ -251,6 +255,10 @@ def _same(got, want):
         assert got == want
 
 
+# the sketch solvers run a few steps: their bits, not convergence, are
+# compared
+_SHORT = SolverConfig(tol=1e-8, maxit=6)
+_SK = SketchConfig(block_r=8, seed=3)
 _ENTRIES = {
     "pinv_qsvd": factor.pinv_qsvd,
     "qsvd": lambda A: factor.qsvd(A).V,
@@ -261,7 +269,15 @@ _ENTRIES = {
     "ns": lambda A: ns_damped(A, _NS),
     "hyperpower-ps8": lambda A: ns_hyperpower(A, _PS8),
     "cgne": lambda A: cgne_q(A, SolverConfig(tol=1e-8)),
+    "cgne-nystrom": lambda A: cgne_q(A, SolverConfig(tol=1e-8),
+                                     precond=_SK),
     "recurrence": lambda A: recurrence_deviations(A, SolverConfig()),
+    "rsp_column": lambda A: rsp_column(A, _SHORT, _SK),
+    "rsp_row": lambda A: rsp_row(A.adjoint(), _SHORT, _SK),
+    "hybrid_rsp_ns": lambda A: hybrid_rsp_ns(
+        A, _SHORT, SketchConfig(block_r=8, cycle_T=2, seed=3)),
+    "rsp_contraction_samples": lambda A: rsp_contraction_samples(
+        A, _SK, 3).tolist(),
 }
 
 
@@ -278,14 +294,6 @@ def test_float32_lorenz_system_is_solved_as_float64():
     X, Y, _ = lorenz_build(LorenzProblem(T_end=1.0))
     (X32, X64), (Y32, Y64) = _as_float32(X), _as_float32(Y)
     _same(lorenz_solve_ns(X32, Y32)[0], lorenz_solve_ns(X64, Y64)[0])
-
-
-def test_complex_adjoint_of_float32_is_complex128():
-    A32, A64 = _as_float32(randn_qmat(5, 3, 8))
-    for even in (False, True):
-        got = complex_adjoint(A32.data, even=even)
-        assert got.dtype == np.complex128
-        assert np.array_equal(got, complex_adjoint(A64.data, even=even))
 
 
 # kappa(A) from 1e2 to 1e5 at 120 x 100; the probe reads bound / low of

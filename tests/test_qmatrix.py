@@ -256,15 +256,24 @@ def test_complex_components_are_rejected():
         QMatrix(np.ones((2, 2, 4), dtype=np.complex64))
 
 
-def test_float32_kept_and_other_real_dtypes_made_float64():
-    d32 = np.arange(16, dtype=np.float32).reshape(2, 2, 4)
-    A = QMatrix(d32)
-    assert A.data is d32
-    assert (A @ A).data.dtype == np.float32
-    assert A.adjoint().data.dtype == np.float32
-    assert A.scale(0.5).data.dtype == np.float32
-    for dtype in (np.int64, np.float16, np.bool_):
-        data = QMatrix(np.ones((2, 2, 4), dtype=dtype)).data
-        assert data.dtype == np.float64 and np.array_equal(data, np.ones((2, 2, 4)))
+def test_constructor_makes_every_real_dtype_float64():
+    for dtype in (np.float32, np.int64, np.float16, np.bool_):
+        ones = np.ones((2, 2, 4), dtype=dtype)
+        for A in (QMatrix(ones), QMatrix.from_real(ones[..., 0])):
+            assert A.data.dtype == np.float64
+            assert np.array_equal(A.data[..., 0], np.ones((2, 2)))
     d64 = np.ones((2, 2, 4))
     assert QMatrix(d64).data is d64
+    # from_real once dropped the imaginary parts with only a ComplexWarning
+    with pytest.raises(TypeError, match="complex128"):
+        QMatrix.from_real(np.ones((2, 2)) * 1j)
+
+
+def test_of_keeps_float32_through_every_operation():
+    d32 = np.arange(16, dtype=np.float32).reshape(2, 2, 4)
+    A = QMatrix._of(d32)
+    assert A.data is d32
+    for B in (A @ A, A + A, A - A, A.scale(0.5), A.adjoint(), A.copy()):
+        assert B.data.dtype == np.float32
+    # re-wrapped by the constructor, the same array is float64
+    assert QMatrix(d32).data.dtype == np.float64
