@@ -53,14 +53,14 @@ class QMatrix:
             raise DimensionMismatch(f"expected (m, n, 4) array, got {data.shape}")
         self.data = data
 
+    # -- constructors -------------------------------------------------------
+
     @staticmethod
     def _of(data: np.ndarray) -> "QMatrix":
         """An (m, n, 4) float array wrapped as it is, float32 kept."""
         A = object.__new__(QMatrix)
         A.data = data
         return A
-
-    # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zeros(m: int, n: int) -> "QMatrix":
