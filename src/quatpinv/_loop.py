@@ -12,7 +12,6 @@ module imports only ``errors``, so every other module can use it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +24,13 @@ _DIVERGE_RUN = 5
 
 @dataclass
 class SolverReport:
-    """What a solve did. wall_time (s) starts in _solve_tall, after A's
-    adjoint, and stops before the Penrose check, so it leaves those out;
-    it covers every solver's spectral probe, alpha included, cgne_q's
-    Nystrom set-up and its forming of M and X, and the sketch solvers'
-    test sketch. lorenz_solve_ns starts it before its probe.
+    """What a solve did. wall_time (s) is set by the two entry points
+    that keep a clock; _drive leaves it at 0. solvers._solve_tall times
+    the solve from after A's adjoint until it returns: it covers every
+    solver's spectral probe, alpha included, cgne_q's Nystrom set-up and
+    its forming of M and X, and the sketch solvers' test sketch, and
+    leaves out A's adjoint and the Penrose check.
+    apps.lorenz.lorenz_solve_ns times its whole call, probe included.
 
     float32_steps counts the steps that ran on float32 planes, the first
     of the Newton-Schulz family's (solvers._ns_solve); it is 0 where that
@@ -74,8 +75,7 @@ class _Scratch:
 
 
 def _drive(method: str, state, step, measure, tol: float, maxit: int,
-           diverge: bool = False, t0: float | None = None,
-           stagnate: bool = False):
+           diverge: bool = False, stagnate: bool = False):
     """The stopping loop shared by every iteration.
 
     Before each step k = 0..maxit, measure(state) returns (residual, aux);
@@ -84,13 +84,10 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
     residual raises NonFinite at once. With diverge, a residual >= 10x the
     initial one for 5 consecutive measures raises Divergence. With
     stagnate, the run also stops, unconverged, at the first residual that
-    is no lower than the one before it. wall_time
-    runs from t0 (default: entry), so a caller can time its own setup.
-    Returns (state, last aux, SolverReport) with the Penrose residuals
-    left at zero for the caller to fill in.
+    is no lower than the one before it. Returns (state, last aux,
+    SolverReport) with wall_time and the Penrose residuals left at zero
+    for the caller to fill in.
     """
-    if t0 is None:
-        t0 = time.perf_counter()
     if maxit < 0:
         raise ValueError("maxit must be >= 0")
     history = []
@@ -112,6 +109,5 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
                 (stagnate and k > 0 and res >= history[-2][1]):
             break
         state = step(state, aux)
-    wall = time.perf_counter() - t0
-    return state, aux, SolverReport(method, k, history, wall,
+    return state, aux, SolverReport(method, k, history,
                                     converged=bool(res <= tol))

@@ -64,7 +64,7 @@ def cur_reconstruct(Afilled: QMatrix, I: Sequence[int], J: Sequence[int],
     if mode == MODE_U_OPT:
         U = pinv_fn(C) @ Afilled @ pinv_fn(R)
     elif mode == MODE_W_PINV:
-        W = Afilled.take_rows(I).take_cols(J)
+        W = R.take_cols(J)
         U = pinv_fn(W)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -52,6 +52,8 @@ class DeblurProblem:
                              f"{h}x{w} frame")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be a finite float >= 0")
 
 
 def gaussian_psf(radius: int, sigma: float) -> np.ndarray:

@@ -4,12 +4,13 @@ The three Lorenz state channels ride on the imaginary units; the filter
 input is a one-step-delayed noisy copy of the target. Stacking delayed
 samples gives a Toeplitz quaternion system X * w = Y solved by the
 solvers' scaled square Newton-Schulz step, run on its exact residual
-recurrence: the loop carries P_k = X_k X and w_k = X_k Y, never the
+recurrence: the loop carries Z_k = X_k [X Y] = [P_k w_k], never the
 inverse X_k itself, with all products kept in right-multiplication order.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .._loop import _drive
 from ..errors import NonFinite
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
-from ..solvers import _ns_scales, _probe
+from ..solvers import _ns_scales, _ns_step, _probe
 
 
 @dataclass
@@ -101,49 +102,48 @@ def lorenz_build(problem: LorenzProblem):
 def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
                     maxit: int | None = None):
     """Square Newton-Schulz X_k <- theta_k (2I - theta_k X_k X) X_k from
-    X_0 = alpha X^H, run on the pair P_k = X_k X, w_k = X_k Y: from
-    P_0 = alpha X^H X and w_0 = alpha X^H Y, each step is
+    X_0 = alpha X^H, run on Z_k = X_k [X Y] = [P_k w_k]: from
+    Z_0 = alpha X^H [X Y], each step is the solvers' scaled step
+    (``solvers._ns_step``) with the deviation I - P_k,
 
-        P <- 2 theta P - theta^2 P^2,    w <- 2 theta w - theta^2 (P w),
+        Z <- theta (2I - theta P) Z,
 
     the exact residual recurrence I - P_{k+1} = (I - theta P_k)^2, so a
-    step makes one N x N product and one matvec in place of two N x N
-    products. alpha and the scales theta_k come from the solvers' one
-    spectral probe (``solvers._probe`` and ``solvers._ns_scales``, run
-    after t0, so inside wall_time). The updates are written into the
-    buffers of P and w, which the loop alone holds.
+    step makes one N x N by N x (N+1) product, where X_k would take two
+    N x N products, and X_k itself is never formed. alpha and the scales
+    theta_k come from the solvers' one spectral probe (``solvers._probe``
+    and ``solvers._ns_scales``). report.wall_time covers the whole call.
 
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol, the true residual
-    of w. A start that is not contractive is caught by the divergence
-    guard, as in ns_damped.
+    of w, one matvec a step. A start that is not contractive is caught by
+    the divergence guard, as in ns_damped. Raises ValueError unless tol is
+    finite and >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be a finite float >= 0")
     N = X.rows
     if maxit is None:
         maxit = N
     t0 = time.perf_counter()
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()
-    alpha, low, bound = _probe(X, Xh)
-    thetas = _ns_scales(alpha, low, bound)
-    X0 = Xh.scale(alpha)
+    spec = _probe(X, Xh)
+    thetas = _ns_scales(spec)
+    d = np.arange(N)
 
-    def step(state, _):
-        P, w = state
-        theta = next(thetas)
-        two, sq = 2.0 * theta, theta * theta
-        Pw = P @ w
-        PP = P @ P
-        np.multiply(w.data, two, out=w.data)
-        np.multiply(Pw.data, sq, out=Pw.data)
-        np.subtract(w.data, Pw.data, out=w.data)
-        np.multiply(P.data, two, out=P.data)
-        np.multiply(PP.data, sq, out=PP.data)
-        np.subtract(P.data, PP.data, out=P.data)
-        return P, w
+    def step(Z, _):
+        # I - P, bitwise: 0 - p is -p, and 1 is added on the diagonal
+        R = QMatrix._of(np.subtract(0.0, Z.data[:, :N]))
+        R.data[d, d, 0] += 1.0
+        return _ns_step(R, Z, theta=next(thetas))
 
-    def measure(state):
-        return (X @ state[1] - Y).fro_norm() / ynorm, None
+    def measure(Z):
+        w = QMatrix._of(Z.data[:, N:].copy())
+        return (X @ w - Y).fro_norm() / ynorm, w
 
-    (_, w), _, report = _drive("ns-q-square", (X0 @ X, X0 @ Y), step,
-                               measure, tol, maxit, diverge=True, t0=t0)
+    Z0 = Xh.scale(spec.alpha) @ QMatrix._of(
+        np.concatenate((X.data, Y.data), axis=1))
+    _, w, report = _drive("ns-q-square", Z0, step, measure, tol, maxit,
+                          diverge=True)
+    report.wall_time = time.perf_counter() - t0
     return w, report

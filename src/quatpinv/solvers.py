@@ -16,13 +16,15 @@ All solvers start from X0 = alpha * A^H with alpha strictly inside
 (0, 2/||A||_2^2) and drive the deviation F = I - XA toward zero. They
 solve a wide A as its tall adjoint B, since (A^H)^+ = (A^+)^H, and return
 the adjoint of that result; A^H is formed once per solve. Every solve runs
-one Lanczos probe of B^H B (_probe, on qmatrix._gram_ritz): it gives
-alpha = 0.99 / theta_max for its largest Ritz value, unless the config
-sets alpha, and the bounds on the spectrum that ns_damped at gamma = 1,
-rsp_column and rsp_row take from it (below); auto_alpha is the probe's
-alpha. Every solver runs the one stopping loop, ``_loop._drive``, as do
-the square Newton-Schulz loops of the Lorenz and deblurring apps and the
-CG fallback of ``factor.hpd_solve``. The
+one Lanczos probe of B^H B (_probe, on qmatrix._gram_ritz) and passes its
+reading, one frozen Spectrum, to the solver as it is: alpha = 0.99 /
+theta_max for the largest Ritz value, unless the config sets alpha, and
+the bounds on the spectrum that ns_damped at gamma = 1, rsp_column and
+rsp_row take from it (below); auto_alpha is the probe's alpha. Every
+solver runs the one stopping loop, ``_loop._drive``, as do the square
+Newton-Schulz loops of the Lorenz and deblurring apps and the CG fallback
+of ``factor.hpd_solve``; the loop keeps no clock, and SolverReport's
+wall_time is set by _solve_tall around the whole solve. The
 Newton-Schulz, hyperpower and CGNE updates are written into arrays the
 loop alone holds -- the product that feeds them, one scratch buffer per
 solve, or CGNE's n x n coordinate matrices -- so an iteration allocates
@@ -96,6 +98,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -116,6 +119,12 @@ SCHEDULE_PS = "paterson-stockmeyer"
 SCHEDULES = (SCHEDULE_NAIVE, SCHEDULE_BINARY, SCHEDULE_PS)
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """A config field that counts: an integer, numpy's too, >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
 @dataclass
 class SolverConfig:
     alpha: float | str = "auto"
@@ -132,14 +141,12 @@ class SolverConfig:
             raise ValueError("alpha must be 'auto' or a finite float > 0")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.order < 2:
-            raise ValueError("order must be >= 2")
+        _require_count("order", self.order, 2)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError("tol must be a finite float >= 0")
-        if self.maxit < 0:
-            raise ValueError("maxit must be >= 0")
+        _require_count("maxit", self.maxit, 0)
 
 
 @dataclass
@@ -150,10 +157,9 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_r < 1 or self.test_s < 1:
-            raise ValueError("block_r and test_s must be >= 1")
-        if self.cycle_T < 0:
-            raise ValueError("cycle_T must be >= 0")
+        _require_count("block_r", self.block_r, 1)
+        _require_count("test_s", self.test_s, 1)
+        _require_count("cycle_T", self.cycle_T, 0)
 
 
 def penrose_residuals(A: QMatrix, X: QMatrix):
@@ -170,25 +176,33 @@ def penrose_residuals(A: QMatrix, X: QMatrix):
     return (e1, e2, e3, e4)
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """What one Lanczos probe of B^H B tells a solve (_probe): the start's
+    scale alpha, the smallest nonzero Ritz value low (0.0 where none is)
+    and the probe's upper bound on the spectrum."""
+    alpha: float
+    low: float
+    bound: float
+
+
 def _probe(B: QMatrix, Bh: QMatrix | None = None,
-           alpha: float | str = "auto"):
-    """(alpha, low, bound) from one Lanczos probe of B^H B
-    (qmatrix._gram_ritz, on B and Bh = B^H): an "auto" alpha is
-    0.99 / theta for the largest Ritz value theta (1.0 for theta = 0),
-    inside (0, 2/||B||_2^2) while theta > 0.495 ||B||_2^2; low is the
-    smallest nonzero Ritz value and bound the probe's upper bound on the
-    spectrum."""
+           alpha: float | str = "auto") -> Spectrum:
+    """The Spectrum of one Lanczos probe of B^H B (qmatrix._gram_ritz, on
+    B and Bh = B^H): an "auto" alpha is 0.99 / theta for the largest Ritz
+    value theta (1.0 for theta = 0), inside (0, 2/||B||_2^2) while
+    theta > 0.495 ||B||_2^2."""
     low, top, bound = _gram_ritz(B, Bh)
     if alpha == "auto":
         alpha = 0.99 / top if top else 1.0
-    return float(alpha), low, bound
+    return Spectrum(float(alpha), low, bound)
 
 
 def auto_alpha(A: QMatrix, Ah: QMatrix | None = None) -> float:
     """alpha = 0.99 / ||A||_2^2, with ||A||_2^2 estimated by the probe's
     largest Ritz value (_probe). Ah, if given, is A^H, formed by the
     caller."""
-    return _probe(A, Ah)[0]
+    return _probe(A, Ah).alpha
 
 
 def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
@@ -218,11 +232,13 @@ def _penrose_from_deviation(B: QMatrix, X: QMatrix, F: QMatrix):
 
 
 def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
-    """Run solve(B, Bh, alpha, low, bound, t0) -> (X, report, F) on B, the
-    tall one of A and A^H, with Bh = B^H, and return A's (X, report): a
-    wide A's result is adjointed, since (A^H)^+ = (A^+)^H. A^H is formed
-    once, and it is B or Bh. One probe of B after t0 (_probe) gives alpha,
-    cfg's unless "auto", and the spectral bounds low and bound. F is the
+    """Run solve(B, Bh, spec) -> (X, report, F) on B, the tall one of A
+    and A^H, with Bh = B^H, and return A's (X, report): a wide A's result
+    is adjointed, since (A^H)^+ = (A^+)^H. A^H is formed once, and it is B
+    or Bh. spec is the Spectrum of one probe of B (_probe), its alpha
+    cfg's unless "auto". report.wall_time runs from after A^H is formed
+    until solve returns, so it covers the probe and every set-up of the
+    solve, and leaves out the Penrose check. F is the
     deviation I - XB of the returned X, or None; the Penrose residuals are
     those of A and the returned X, from F when there is one
     (_penrose_from_deviation, with e3 and e4 swapped for a wide A), and
@@ -237,7 +253,8 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     t0 = time.perf_counter()
     wide = A.rows < A.cols
     B, Bh = (Ah, A) if wide else (A, Ah)
-    X, report, F = solve(B, Bh, *_probe(B, Bh, cfg.alpha), t0)
+    X, report, F = solve(B, Bh, _probe(B, Bh, cfg.alpha))
+    report.wall_time = time.perf_counter() - t0
     if F is None:
         return _verified(A, X.adjoint() if wide else X, report)
     e1, e2, e3, e4 = _penrose_from_deviation(B, X, F)
@@ -296,23 +313,21 @@ def eval_neumann_poly(R: QMatrix, X: QMatrix, p: int,
         # sums[i] = sum_{l<i} R^l for the block lengths used: I + R is
         # formed as 0 + R with 1 added on the diagonal, bitwise I + R, each
         # longer sum in the buffer of the power it adds (R^i, i < a, has
-        # served its products by then), and the identity itself is built
-        # only for a block of length 1; both in R's dtype
+        # served its products by then)
         sums = {}
         d = np.arange(R.rows)
-        if top == 1:
-            sums[1] = QMatrix._of(np.zeros_like(R.data))
-            sums[1].data[d, d, 0] = 1.0
-        if longest >= 2:
-            acc = QMatrix._of(np.add(0.0, R.data))
-            acc.data[d, d, 0] += 1.0
-            for i in range(2, longest):
-                sums[i] = acc
-                np.add(acc.data, powers[i].data, out=powers[i].data)
-                acc = powers[i]
-            sums[longest] = acc
-        S = sums[top]
-        for _ in range(nblocks - 1):
+        acc = QMatrix._of(np.add(0.0, R.data))
+        acc.data[d, d, 0] += 1.0
+        for i in range(2, longest):
+            sums[i] = acc
+            np.add(acc.data, powers[i].data, out=powers[i].data)
+            acc = powers[i]
+        sums[longest] = acc
+        # a top block of length 1 is I, so the first Horner step is
+        # R^a + sums[a], formed without the product R^a I
+        S = sums[top] if top > 1 else QMatrix._of(
+            np.add(sums[a].data, powers[a].data))
+        for _ in range(nblocks - 1 - (top == 1)):
             T = powers[a] @ S
             np.add(sums[a].data, T.data, out=T.data)
             S = T
@@ -354,17 +369,17 @@ def _ns_step(R: QMatrix, X: QMatrix, order: int = 2,
 _U0 = 2.0
 
 
-def _ns_scales(alpha: float, low: float, bound: float):
+def _ns_scales(spec: Spectrum):
     """The endless iterator of scales theta_k = 2/(l_k + u_k) for the
     order-2 steps from X_0 = alpha B^H, for bounds [l_k, u_k] on the
     nonzero eigenvalues of X_k B (Pan & Schreiber, SIAM J. Sci. Stat.
-    Comput. 12, 1991), from the probe of B (_probe): l_0 = alpha low,
+    Comput. 12, 1991), from the Spectrum of B (_probe): l_0 = alpha low,
     u_0 = min(_U0, alpha bound), which alpha and u_0 taken from the same
     probe keep above X_0 B's eigenvalues; after each step
     l <- theta l (2 - theta l) and u = 1. Every theta is 1 when no Ritz
     value is nonzero or l_0 > u_0, where alpha breaks the premise
     alpha < 2/||B||_2^2."""
-    l, u = alpha * low, min(_U0, alpha * bound)
+    l, u = spec.alpha * spec.low, min(_U0, spec.alpha * spec.bound)
     if not 0.0 < l <= u:
         yield from itertools.repeat(1.0)
     while True:
@@ -390,7 +405,7 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
     Ah = A.adjoint()
     if A.rows < A.cols:
         A, Ah = Ah, A
-    X = Ah.scale(_probe(A, Ah, cfg.alpha)[0])
+    X = Ah.scale(_probe(A, Ah, cfg.alpha).alpha)
     R = _deviation(A, X)
     out = []
     for k in range(1, steps + 1):
@@ -444,10 +459,9 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
     end the run unconverged, as they do without the phase."""
     order = step_kw.get("order", 2)
 
-    def solve(B, Bh, alpha, low, bound, t0):
+    def solve(B, Bh, spec):
         def scales():
-            return (_ns_scales(alpha, low, bound) if scaled
-                    else itertools.repeat(1.0))
+            return _ns_scales(spec) if scaled else itertools.repeat(1.0)
         scratch = _Scratch(4 * B.cols * B.cols)
 
         def run(B, X0, thetas, tol, maxit, stagnate=False, entry=None):
@@ -462,14 +476,14 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
             return _drive(
                 method, X0,
                 lambda X, F: _ns_step(F, X, theta=next(thetas), **step_kw),
-                measure, tol, maxit, diverge=True, t0=t0, stagnate=stagnate)
+                measure, tol, maxit, diverge=True, stagnate=stagnate)
 
         def mixed():
             thetas = scales()
             switch = _F32_SWITCH ** (1.0 / order)
             # a discarded run's overflow is no warning
             with np.errstate(all="ignore"):
-                X, F, head = run(_float32(B), _float32(Bh.scale(alpha)),
+                X, F, head = run(_float32(B), _float32(Bh.scale(spec.alpha)),
                                  thetas, switch, cfg.maxit, stagnate=True)
                 if not head.converged:
                     return None
@@ -484,14 +498,14 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
             return X, rep, F
 
         if step_kw.get("gamma", 1.0) == 1.0 and B.cols >= _F32_FROM and \
-                bound <= _F32_KAPPA2 * low:
+                spec.bound <= _F32_KAPPA2 * spec.low:
             try:
                 result = mixed()
             except (NonFinite, Divergence):
                 result = None
             if result is not None:
                 return result
-        X, F, rep = run(B, Bh.scale(alpha), scales(), cfg.tol, cfg.maxit)
+        X, F, rep = run(B, Bh.scale(spec.alpha), scales(), cfg.tol, cfg.maxit)
         return X, rep, F
     return _solve_tall(A, cfg, method, solve)
 
@@ -623,15 +637,15 @@ _ACCEL_BELOW = 0.2
 _NU_FACTOR = 1.5
 
 
-def _accel_constants(B: QMatrix, r: int, low: float):
+def _accel_constants(B: QMatrix, r: int, spec: Spectrum):
     """(sqrt(mu / nu), (beta, gamma, a)) of the accelerated step for rank-r
     sketches of B (module docstring), with mu = r low / ||B||_F^2 for the
-    probe's smallest nonzero Ritz value low and nu = 1.5 n / r; the
+    smallest nonzero Ritz value low of B's Spectrum and nu = 1.5 n / r; the
     constants are None where the plain step is taken: mu = 0 or
     sqrt(mu / nu) >= _ACCEL_BELOW. mu is 0 where ||B||_F^2 underflows to 0
     (entries below about 1e-160)."""
     fro2 = B.fro_norm() ** 2
-    mu = r * low / fro2 if fro2 else 0.0
+    mu = r * spec.low / fro2 if fro2 else 0.0
     nu = _NU_FACTOR * B.cols / r
     q = math.sqrt(mu / nu)
     if not 0.0 < q < _ACCEL_BELOW:
@@ -673,25 +687,26 @@ def _sketch_solve(A: QMatrix, cfg: SolverConfig, sk: SketchConfig,
     (_accelerated), or the plain _update where the constants are None,
     under the divergence guard. With cycle, each iteration is
     cycle(X, stream)."""
-    def solve(B, Bh, alpha, low, bound, t0):
+    def solve(B, Bh, spec):
         rng = QuatRNG(sk.seed)
         measure = _test_sketch_measure(B, sk, rng)
         stream = _SketchStream(B, sk, rng)
         step = cycle
         if cycle is None:
-            _, constants = _accel_constants(B, sk.block_r, low)
+            _, constants = _accel_constants(B, sk.block_r, spec)
             if constants is not None:
                 (X, _), _, rep = _drive(
-                    method, (Bh.scale(alpha), QMatrix.zeros(B.cols, B.rows)),
+                    method,
+                    (Bh.scale(spec.alpha), QMatrix.zeros(B.cols, B.rows)),
                     _accelerated(stream, *constants),
                     lambda state: measure(state[0]), cfg.tol, cfg.maxit,
-                    diverge=True, t0=t0)
+                    diverge=True)
                 return X, rep, None
             step = _update
         # X0 is built in each call, so that no name keeps it alive
-        X, _, rep = _drive(method, Bh.scale(alpha),
+        X, _, rep = _drive(method, Bh.scale(spec.alpha),
                            lambda X, _: step(X, stream), measure, cfg.tol,
-                           cfg.maxit, diverge=cycle is None, t0=t0)
+                           cfg.maxit, diverge=cycle is None)
         return X, rep, None
     return _solve_tall(A, cfg, method, solve)
 
@@ -807,7 +822,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     applied once per call, to B^H, and X is formed from F after the last
     step.
     """
-    def solve(B, Bh, alpha, low, bound, t0):
+    def solve(B, Bh, spec):
         BhP = (Bh if precond is None
                else _NystromPrecond(B, Bh, precond).apply_right(Bh))
         M = BhP @ B
@@ -838,15 +853,14 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
             np.subtract(R.data, scratch.scaled(W, a_k), out=R.data)
             return F, R, D, W, zz_new
 
-        X0 = Bh.scale(alpha)
+        X0 = Bh.scale(spec.alpha)
         (F, *_), _, rep = _drive(
             "cgne", (QMatrix.zeros(B.cols, B.cols), _deviation(B, X0), None,
                      None, None), step,
             lambda state: (scratch.fro_norm(state[1]), None), cfg.tol,
-            cfg.maxit, t0=t0)
+            cfg.maxit)
         X = F @ BhP
         np.add(X0.data, X.data, out=X.data)
-        rep.wall_time = time.perf_counter() - t0
         return X, rep, None
     return _solve_tall(A, cfg, "cgne", solve)
 

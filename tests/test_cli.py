@@ -51,6 +51,13 @@ def test_usage_no_subcommand():
     ["recurrence-check", "--maxit", "-1"],
     ["cur-complete", "--maxit", "0"],
     ["cur-complete", "--maxit", "-1"],
+    # a tol that is NaN or negative once ran every iteration and exited 0,
+    # and an infinite one stopped at once
+    ["lorenz", "--tol", "nan"],
+    ["lorenz", "--tol", "-1"],
+    ["lorenz", "--tol", "inf"],
+    ["deblur", "--sizes", "16", "--tol", "nan"],
+    ["deblur", "--sizes", "16", "--tol", "-1"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

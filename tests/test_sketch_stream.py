@@ -85,7 +85,7 @@ def _ref_hybrid(A, cfg, sk):
         return cycle
     return solvers._verified(A, *_ref_run(
         f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk, step,
-        solvers._probe(A, alpha=cfg.alpha)[0]))
+        solvers._probe(A, alpha=cfg.alpha).alpha))
 
 
 def _ref_contraction(A, sk, trials):
@@ -195,7 +195,7 @@ def test_rsp_cases_cover_both_steps():
         _, _, A, _, sk = _CASES[case]
         B = A if A.rows >= A.cols else A.adjoint()
         return solvers._accel_constants(B, sk.block_r,
-                                        solvers._gram_ritz(B)[0])[1]
+                                        solvers._probe(B))[1]
     assert accelerated("rsp_column") and accelerated("rsp_row")
     assert accelerated("rsp_column_plain") is None
 

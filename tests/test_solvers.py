@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -88,9 +89,9 @@ def test_ns_scaled_recurrence_exact():
     # criterion 2's instance: a scaled step maps F to F_theta^2, with
     # F_theta = (1 - theta) I + theta F
     A = randn_qmat(10, 6, 0)
-    alpha, low, bound = solvers._probe(A, A.adjoint())
-    thetas = solvers._ns_scales(alpha, low, bound)
-    X = A.adjoint().scale(alpha)
+    spec = solvers._probe(A, A.adjoint())
+    thetas = solvers._ns_scales(spec)
+    X = A.adjoint().scale(spec.alpha)
     F = solvers._deviation(A, X)
     worst, scaled = 0.0, 0
     for _ in range(10):
@@ -118,7 +119,7 @@ def test_hyperpower_p2_matches_ns_bitwise(monkeypatch):
     cfg = SolverConfig(alpha=auto_alpha(A), tol=1e-12, maxit=30)
     X2, _ = ns_hyperpower(A, cfg)
     monkeypatch.setattr(solvers, "_ns_scales",
-                        lambda alpha, low, bound: itertools.repeat(1.0))
+                        lambda spec: itertools.repeat(1.0))
     X1, _ = ns_damped(A, cfg)
     assert np.array_equal(X1.data, X2.data)
 
@@ -162,10 +163,11 @@ def test_schedules_agree(p):
         assert (Y0 - Y1).fro_norm() <= 1e-11 * max(Y0.fro_norm(), 1.0)
 
 
-@pytest.mark.parametrize("p,expected", [(2, 0), (3, 2), (8, 4), (10, 5)])
+@pytest.mark.parametrize("p,expected", [(2, 0), (3, 1), (8, 4), (10, 4)])
 def test_paterson_stockmeyer_product_count(p, expected):
     # p = 2 is one block, I + R: no R^2 is formed (hybrid_rsp_ns's order-2
-    # correction once formed it every cycle and dropped it)
+    # correction once formed it every cycle and dropped it); p = 3 and 10
+    # end in a block of length 1, I, which is added, not multiplied by R^a
     R = randn_qmat(5, 5, 7).scale(0.1)
     X = randn_qmat(5, 3, 8)
     assert square_products(R, X, p, SCHEDULE_PS) == expected
@@ -239,8 +241,8 @@ def _ref_ns_step(R, X, order=2, schedule=SCHEDULE_NAIVE, gamma=1.0,
 
 
 def _ref_ns(A, cfg, method, scaled=False, **step_kw):
-    def solve(B, Bh, alpha, low, bound, t0):
-        thetas = (solvers._ns_scales(alpha, low, bound) if scaled
+    def solve(B, Bh, spec):
+        thetas = (solvers._ns_scales(spec) if scaled
                   else itertools.repeat(1.0))
 
         def measure(X):
@@ -248,9 +250,9 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
             return F.fro_norm(), F
 
         X, F, rep = solvers._drive(
-            method, Bh.scale(alpha),
+            method, Bh.scale(spec.alpha),
             lambda X, F: _ref_ns_step(F, X, theta=next(thetas), **step_kw),
-            measure, cfg.tol, cfg.maxit, diverge=True, t0=t0)
+            measure, cfg.tol, cfg.maxit, diverge=True)
         return X, rep, F
     return solvers._solve_tall(A, cfg, method, solve)
 
@@ -260,7 +262,7 @@ def _frob(x, y):
 
 
 def _ref_cgne(A, cfg, precond=None):
-    def solve(B, Bh, alpha, low, bound, t0):
+    def solve(B, Bh, spec):
         BhP = Bh if precond is None else \
             solvers._NystromPrecond(B, Bh, precond).apply_right(Bh)
         M = BhP @ B
@@ -277,12 +279,11 @@ def _ref_cgne(A, cfg, precond=None):
             a_k = _frob(R, W) / _frob(W, W)
             return F + D.scale(a_k), R - W.scale(a_k), D, W, zz_new
 
-        X0 = Bh.scale(alpha)
+        X0 = Bh.scale(spec.alpha)
         (F, *_), _, rep = solvers._drive(
             "cgne", (QMatrix.zeros(B.cols, B.cols), _ref_deviation(B, X0),
                      None, None, None), step,
-            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
-            t0=t0)
+            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit)
         return X0 + F @ BhP, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
@@ -404,30 +405,32 @@ def _lorenz_problem(N, seed):
 
 
 def _ref_lorenz(X, Y, tol, maxit, xk_form=False):
-    """lorenz_solve_ns with every intermediate a fresh matrix: on the pair
-    (P_k, w_k) = (X_k X, X_k Y), or with xk_form on the inverse X_k itself,
+    """lorenz_solve_ns with every intermediate a fresh matrix: on
+    Z_k = X_k [X Y] = [P_k w_k], the scaled step of _ref_ns_step with the
+    deviation I - P_k, or with xk_form on the inverse X_k itself,
     X_k <- theta (2 X_k - theta X_k X X_k), w = X_k Y."""
+    N = X.rows
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()
-    alpha, low, bound = solvers._probe(X, Xh)
-    thetas = solvers._ns_scales(alpha, low, bound)
-    X0 = Xh.scale(alpha)
+    spec = solvers._probe(X, Xh)
+    thetas = solvers._ns_scales(spec)
+    X0 = Xh.scale(spec.alpha)
 
     def step(state, _):
         theta = next(thetas)
-        two, sq = 2.0 * theta, theta * theta
         if xk_form:
+            two, sq = 2.0 * theta, theta * theta
             return state.scale(two) - ((state @ X) @ state).scale(sq)
-        P, w = state
-        return (P.scale(two) - (P @ P).scale(sq),
-                w.scale(two) - (P @ w).scale(sq))
+        P = QMatrix(state.data[:, :N])
+        return _ref_ns_step(QMatrix.identity(N) - P, state, theta=theta)
 
     def measure(state):
-        w = state @ Y if xk_form else state[1]
+        w = state @ Y if xk_form else QMatrix(state.data[:, N:].copy())
         return (X @ w - Y).fro_norm() / ynorm, w
 
+    XY = QMatrix(np.concatenate((X.data, Y.data), axis=1))
     _, w, rep = solvers._drive(
-        "ns-q-square", X0 if xk_form else (X0 @ X, X0 @ Y), step, measure,
+        "ns-q-square", X0 if xk_form else X0 @ XY, step, measure,
         tol, maxit, diverge=True)
     return w, rep
 
@@ -459,15 +462,16 @@ def test_lorenz_solve_ns_counts_match_inverse_form(N, seed):
 
 
 def test_lorenz_solve_ns_step_makes_one_square_product(monkeypatch):
-    # ten more steps make ten more N x N products: P^2; P w and the
-    # residual's X w are matvecs
+    # ten more steps make ten more products with an N x N left factor and
+    # more than one column: R_theta Z, N x N by N x (N+1); the residual's
+    # X w is a matvec
     from quatpinv.apps.lorenz import lorenz_solve_ns
     X, Y = _lorenz_problem(20, 0)
     square = []
     qmatmul = _qops.qmatmul
 
     def counting(a, b):
-        square.append(a.shape[:2] == b.shape[:2] == (20, 20))
+        square.append(a.shape[:2] == (20, 20) and b.shape[1] > 1)
         return qmatmul(a, b)
     monkeypatch.setattr(_qops, "qmatmul", counting)
     counts = []
@@ -538,7 +542,7 @@ def test_ns_probe_bound_covers_spectrum(spectrum, seed):
     A = _with_spectrum(120, _PROBE_SPECTRA[spectrum], seed)
     smax2 = qsvd(A).S[0] ** 2
     _, top, bound = _gram_ritz(A)
-    alpha = solvers._probe(A, A.adjoint())[0]
+    alpha = solvers._probe(A, A.adjoint()).alpha
     assert alpha == 0.99 / top and alpha * smax2 < 2.0
     assert alpha * bound >= alpha * smax2 * (1 - 1e-12)
     _, rep = ns_damped(A, SolverConfig(tol=1e-8))
@@ -595,7 +599,7 @@ def test_penrose_from_deviation_swaps_e3_and_e4_for_a_wide_a():
     A = randn_qmat(12, 20, 40)
     Xb = randn_qmat(12, 20, 41).scale(0.01)
 
-    def solve(B, Bh, alpha, low, bound, t0):
+    def solve(B, Bh, spec):
         return Xb, solvers.SolverReport("fixed", 0), solvers._deviation(B, Xb)
     X, rep = solvers._solve_tall(A, SolverConfig(), "fixed", solve)
     e = penrose_residuals(A, X)
@@ -743,8 +747,7 @@ def test_rsp_accelerated_step_is_the_y_v_recurrence(m, n, seed):
     # 1.7e-15 relative over 300 steps)
     A = randn_qmat(m, n, seed)
     sk = SketchConfig(block_r=8, seed=seed)
-    beta, gamma, a = solvers._accel_constants(
-        A, 8, _gram_ritz(A)[0])[1]
+    beta, gamma, a = solvers._accel_constants(A, 8, solvers._probe(A))[1]
     x = v = A.adjoint().scale(auto_alpha(A))
     step = solvers._accelerated(
         solvers._SketchStream(A, sk, QuatRNG(seed)), beta, gamma, a)
@@ -764,7 +767,7 @@ def test_rsp_accelerated_too_aggressive_is_stopped(monkeypatch):
     # guard the residual reached 1.3e18 at 300 steps, Penrose 4.2e35
     monkeypatch.setattr(solvers, "_NU_FACTOR", 0.15)
     A = randn_qmat(60, 40, 1)
-    assert solvers._accel_constants(A, 8, _gram_ritz(A)[0])[1]
+    assert solvers._accel_constants(A, 8, solvers._probe(A))[1]
     with pytest.raises((Divergence, NonFinite)):
         rsp_column(A, SolverConfig(tol=1e-9, maxit=300),
                    SketchConfig(block_r=8, seed=1))
@@ -1038,8 +1041,8 @@ def test_cgne_nystrom_factors_its_gram_once(monkeypatch):
 def _ref_cgne_xspace(A, cfg, precond=None):
     """CGNE on X itself, as cgne_q ran before its Gram coordinates: two
     n x m products a step, and two more for the preconditioner."""
-    def solve(B, Bh, alpha, low, bound, t0):
-        X0 = Bh.scale(alpha)
+    def solve(B, Bh, spec):
+        X0 = Bh.scale(spec.alpha)
         M = None if precond is None else solvers._NystromPrecond(B, Bh, precond)
 
         def step(state, _):
@@ -1054,8 +1057,7 @@ def _ref_cgne_xspace(A, cfg, precond=None):
 
         (X, *_), _, rep = solvers._drive(
             "cgne", (X0, _ref_deviation(B, X0), None, None), step,
-            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit,
-            t0=t0)
+            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit)
         return X, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
@@ -1293,6 +1295,20 @@ def test_config_validation():
         SketchConfig(block_r=0)
     with pytest.raises(ValueError):
         SketchConfig(cycle_T=-1)
+    # a non-integral count once passed here and raised an untyped
+    # TypeError inside the solve; numpy's integers are counts too
+    for bad in ({"order": 2.5}, {"maxit": 3.5}, {"order": 3.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    for bad in ({"block_r": 2.5}, {"test_s": 1.5}, {"cycle_T": 1.5}):
+        with pytest.raises(ValueError):
+            SketchConfig(**bad)
+    cfg = SolverConfig(order=np.int64(3), maxit=np.int32(40), tol=1e-10)
+    assert ns_hyperpower(randn_qmat(9, 5, 1), cfg)[1].converged
+    sk = SketchConfig(block_r=np.int64(3), test_s=np.int32(2),
+                      cycle_T=np.int16(2), seed=1)
+    assert hybrid_rsp_ns(randn_qmat(12, 5, 4), SolverConfig(maxit=3),
+                         sk)[1].iterations > 0
     # tol nan once ran ns_damped to maxit and reported converged=False for
     # an X with Penrose residuals 5.8e-15; tol 0 stays valid
     for tol in (math.nan, math.inf, -math.inf, -1e-8):
@@ -1328,6 +1344,16 @@ _CALLERS = {
     "cgne_nystrom": lambda c: cgne_q(randn_qmat(7, 12, 5), c, precond=_SK),
     "lorenz_solve_ns": lambda c: _lorenz(c.tol, c.maxit),
 }
+
+
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+@pytest.mark.parametrize("maxit", [0, 400])
+def test_every_entry_point_sets_wall_time(caller, maxit):
+    # _drive keeps no clock: _solve_tall and lorenz_solve_ns time the call
+    t0 = time.perf_counter()
+    _, rep = _CALLERS[caller](SolverConfig(tol=1e-8, maxit=maxit))
+    span = time.perf_counter() - t0
+    assert 0.0 < rep.wall_time <= span
 
 
 @pytest.mark.parametrize("caller", sorted(_CALLERS))

@@ -38,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"),
 import quatpinv  # noqa: E402,F401  (caps the BLAS threads before numpy loads)
 from quatpinv import solvers  # noqa: E402
 from quatpinv.errors import QuatpinvError  # noqa: E402
-from quatpinv.qmatrix import QMatrix, _gram_ritz, randn_qmat  # noqa: E402
+from quatpinv.qmatrix import QMatrix, randn_qmat  # noqa: E402
 from rsp_helpers import plain_rsp  # noqa: E402
 
 # (m, n, block_r): the first four converge in tens of steps, the rest in
@@ -91,7 +91,7 @@ def row(label, plain, accelerated, qs=None):
 def _q(A: QMatrix, r: int) -> float:
     """sqrt(mu / nu) of the probe that rsp_column or rsp_row runs on A."""
     B = A if A.rows >= A.cols else A.adjoint()
-    return solvers._accel_constants(B, r, _gram_ritz(B)[0])[0]
+    return solvers._accel_constants(B, r, solvers._probe(B))[0]
 
 
 def sweep_shapes(seeds: int):
