@@ -4,20 +4,28 @@
 for at most maxit steps, and stops a non-finite or diverging run with a
 typed error. Every solver of ``solvers``, the square Newton-Schulz loops
 of the Lorenz and deblurring apps and the CG fallback of
-``factor.hpd_solve`` run on it. ``_Scratch`` is the one buffer a loop's
-inner products and scaled copies are formed in. Of the package this
-module imports only ``errors``, so every other module can use it.
+``factor.hpd_solve`` run on it. ``_Scratch.dot`` is the one inner
+product of every loop: the real Frobenius inner product as one BLAS dot
+over the flat arrays, with float32 operands accumulated in float64. It
+needs no buffer, and its sums are BLAS's, so they may differ in the last
+bits from the pairwise sums of ``QMatrix.fro_norm``. A ``_Scratch``
+instance also holds one buffer for the scaled copies a loop adds.
+``_require_count`` is the one check of a count: a config field, an app's
+size, a maxit. Of the package this module imports only ``errors``, so
+every other module can use it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import Divergence, NonFinite
 
+_F64 = np.dtype(np.float64)
 _DIVERGE_FACTOR = 10.0
 _DIVERGE_RUN = 5
 
@@ -52,9 +60,9 @@ class SolverReport:
 
 
 class _Scratch:
-    """One buffer of a solve, reused for the elementwise products its loop
-    sums and the scaled copies it adds, of QMatrix arguments; each result
-    is bitwise that of a fresh array."""
+    """The inner product of every loop, of QMatrix arguments, called on
+    the class, and one buffer of a solve, reused for the scaled copies its
+    loop adds; each scaled copy is bitwise that of a fresh array."""
 
     def __init__(self, size: int):
         self._buf = np.empty(size)
@@ -62,16 +70,31 @@ class _Scratch:
     def _view(self, x) -> np.ndarray:
         return self._buf[:x.data.size].reshape(x.data.shape)
 
-    def dot(self, x, y) -> float:
-        """The real Frobenius inner product <x, y>."""
-        return float(np.multiply(x.data, y.data, out=self._view(x)).sum())
+    @staticmethod
+    def dot(x, y) -> float:
+        """The real Frobenius inner product <x, y>: one BLAS dot over the
+        flat float64 arrays. Float32 operands, whose products are exact in
+        float64, are summed in float64 by einsum, without a float64 copy;
+        BLAS would sum them in float32."""
+        a, b = x.data.ravel(), y.data.ravel()
+        if a.dtype is _F64 and b.dtype is _F64:
+            return float(np.dot(a, b))
+        return float(np.einsum("i,i", a, b, dtype=np.float64))
 
-    def fro_norm(self, x) -> float:
-        return math.sqrt(self.dot(x, x))
+    @staticmethod
+    def fro_norm(x) -> float:
+        return math.sqrt(_Scratch.dot(x, x))
 
     def scaled(self, x, s: float) -> np.ndarray:
         """x times a real scalar, valid until the next use of the buffer."""
         return np.multiply(x.data, float(s), out=self._view(x))
+
+
+def _require_count(name: str, value, low: int) -> None:
+    """A count, such as a config field or an app's size: an integer,
+    numpy's too, >= low, else ValueError."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def _drive(method: str, state, step, measure, tol: float, maxit: int,
@@ -88,8 +111,7 @@ def _drive(method: str, state, step, measure, tol: float, maxit: int,
     SolverReport) with wall_time and the Penrose residuals left at zero
     for the caller to fill in.
     """
-    if maxit < 0:
-        raise ValueError("maxit must be >= 0")
+    _require_count("maxit", maxit, 0)
     history = []
     run = 0
     for k in range(maxit + 1):

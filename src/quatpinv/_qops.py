@@ -38,7 +38,8 @@ fault fresh pages in on every call. The workspace belongs to the calling
 thread (``threading.local``), so concurrent products never share it. It
 grows to the largest need seen and retains at most _WORKSPACE_MAX
 elements (8 MiB) per thread; a larger product takes fresh scratch. The
-returned array is always fresh, never a view of the workspace.
+returned array is fresh, never a view of the workspace, except for the
+slab-path products by a fixed right factor (below).
 
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every
@@ -58,6 +59,17 @@ again on every call. Its products are bitwise qmatmul's; a left-side or
 slab-path product calls qmatmul, and the others do not pass through that
 name.
 
+``qmatmul_right(y)`` is its counterpart for one fixed 2-D right factor,
+for CGNE's steps, which multiply by the same n x n M: its slab-path
+products take y's slabs built once, at the first of them (slab 0 is y's
+own array, slabs 1-3 three fresh ones), where qmatmul builds slabs 1-3 on
+every call, and they do not pass through the name qmatmul. Their scratch
+is then the planes, one slab's product and the sum of the four, which is
+left in the workspace until the thread's next product, so a loop that
+forms its scaled copies there holds no buffer of its own. Its products
+are bitwise qmatmul's, and any other product (the left side, the batched
+right side) is qmatmul's.
+
 A product keeps its operands' dtype: two float32 operands give a float32
 product, formed with float32 sign tables, planes, slabs and GEMMs, and any
 other pair gives float64, bitwise as before. Float32 scratch on the slab
@@ -70,7 +82,8 @@ time (one BLAS thread, 2-core VM).
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
 planes, the expanded slabs or blocks of one operand live only inside one
-call, and no 4m x 4n real counterpart of a whole matrix is ever formed.
+call (qmatmul_right's slabs, 3 k x 4n, as long as its product), and no
+4m x 4n real counterpart of a whole matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -260,24 +273,68 @@ def qmatmul_by(x: np.ndarray):
     return product
 
 
-def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The right side one slab at a time, for (m, k, 4) @ (k, n, 4)."""
+def qmatmul_right(y: np.ndarray):
+    """x -> qmatmul(x, y) for one 2-D right factor y, bit for bit, with the
+    slabs of y built once: each slab-path product takes them as they are,
+    where qmatmul would build them again. Slab 0 is y's own array, and
+    slabs 1-3 are built at the first slab-path product, in y's dtype: their
+    entries are y's, signed, so a float64 x gets qmatmul's bits from them
+    too. For many products by one matrix, such as CGNE's steps; any other
+    product (the left side, the batched right side) is qmatmul's.
+
+    A slab-path product is left in this thread's workspace, beside the
+    planes, and stays valid only until the thread's next product; the
+    others are fresh arrays."""
+    k, n = y.shape[:2]
+    slabs = []
+
+    def product(x: np.ndarray) -> np.ndarray:
+        m = x.shape[0]
+        if _left_side(m, k, n) or (m + k) * n <= _BATCH_MAX:
+            return qmatmul(x, y)
+        if not slabs:
+            slabs.extend(_slabs(y, _TABLES[y.dtype is _F32][1][0]))
+        return _slab_product(x, y, slabs)
+    return product
+
+
+def _slabs(y: np.ndarray, sign: np.ndarray, R: np.ndarray | None = None):
+    """The four (k, 4n) slabs of y (k, n, 4), in the order s = 0..3: slab 0
+    is y's own array, since unit 1 leaves y as it is, and slab s > 0 is
+    R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t], built into the buffer R
+    of (k n, 4) when the one before is done with, or into a fresh array
+    without R."""
+    k, n = y.shape[:2]
+    yq = y.reshape(k * n, 4)
+    yield yq.reshape(k, 4 * n)
+    for s in range(1, 4):
+        yield np.matmul(yq, sign[s], out=R).reshape(k, 4 * n)
+
+
+def _slab_product(x: np.ndarray, y: np.ndarray, slabs=None) -> np.ndarray:
+    """The right side one slab at a time, for (m, k, 4) @ (k, n, 4). From
+    y's prebuilt slabs (_slabs), the sum of the four products is left in
+    scratch; without them, each slab is built in scratch as the loop
+    reaches it, and the sum is a fresh array."""
     m, k, _ = x.shape
     n = y.shape[1]
-    yq = y.reshape(k * n, 4)
     sign = _tables(x, y)[1][0]
-    # the planes of x, one slab and one slab's product, in scratch
-    mk, kn = 4 * m * k, 4 * k * n
-    ws = _scratch(mk + kn + 4 * m * n, sign.dtype)
+    # the planes of x, one slab's product, then the sum or one slab, in
+    # scratch
+    mk, mn = 4 * m * k, 4 * m * n
+    ws = _scratch(mk + mn + (mn if slabs else 4 * k * n), sign.dtype)
     planes = ws[:mk].reshape(4, m, k)
     np.copyto(planes, x.transpose(2, 0, 1))
-    R = ws[mk:mk + kn].reshape(k * n, 4)
-    P = ws[mk + kn:].reshape(m, 4 * n)
+    P = ws[mk:mk + mn].reshape(m, 4 * n)
+    Z = None
+    if slabs:
+        Z = ws[mk + mn:].reshape(m, 4 * n)
+    else:
+        slabs = _slabs(y, sign, ws[mk + mn:].reshape(k * n, 4))
+    slabs = iter(slabs)
     # k = 1 runs as einsum, as in the batched call
     gemm = np.matmul if k != 1 else functools.partial(np.einsum, "mk,kn->mn")
-    Z = gemm(planes[0], yq.reshape(k, 4 * n))  # unit 1 leaves y as it is
-    for s in range(1, 4):
-        # R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t]
-        np.matmul(yq, sign[s], out=R)
-        Z += gemm(planes[s], R.reshape(k, 4 * n), out=P)
+    Z = gemm(planes[0], next(slabs), out=Z)
+    for plane, slab in zip(planes[1:], slabs):
+        Z += gemm(plane, slab, out=P)
     return Z.reshape(m, n, 4)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .._loop import _require_count
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
 
@@ -44,8 +45,7 @@ class CompletionProblem:
             raise ValueError("mask entries must be 0 or 1")
         if len(self.col_idx) != self.rank or len(self.row_idx) != self.rank:
             raise ValueError("index lists must have length rank")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        _require_count("iters", self.iters, 1)
 
 
 def sample_cur_indices(m: int, n: int, r: int, seed: int):

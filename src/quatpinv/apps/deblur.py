@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._loop import _drive
+from .._loop import _drive, _require_count
 from ..qmatrix import QMatrix, require_pow2
 from ..rng import QuatRNG
 from .fftpack import irfft2, rfft2
@@ -44,7 +44,9 @@ class DeblurProblem:
         h, w = self.image.shape
         require_pow2(h)
         require_pow2(w)
-        if self.psf_radius < 0 or self.psf_sigma <= 0:
+        _require_count("psf_radius", self.psf_radius, 0)
+        _require_count("maxit", self.maxit, 0)
+        if self.psf_sigma <= 0:
             raise ValueError("invalid PSF parameters")
         size = 2 * self.psf_radius + 1
         if size > min(h, w):
@@ -58,8 +60,9 @@ class DeblurProblem:
 
 def gaussian_psf(radius: int, sigma: float) -> np.ndarray:
     """(2r+1)^2 Gaussian kernel, symmetric, normalized to sum 1."""
-    if radius < 0 or sigma <= 0:
-        raise ValueError("radius >= 0 and sigma > 0 required")
+    _require_count("radius", radius, 0)
+    if sigma <= 0:
+        raise ValueError("sigma > 0 required")
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-0.5 * (t / sigma) ** 2)
     k = np.outer(g, g)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._loop import _drive
+from .._loop import _drive, _require_count
 from ..errors import NonFinite
 from ..qmatrix import QMatrix
 from ..rng import QuatRNG
@@ -37,8 +37,7 @@ class LorenzProblem:
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
+        _require_count("N", self.N, 2)
 
 
 def lorenz_rk4(problem: LorenzProblem, samples: int) -> np.ndarray:
@@ -117,13 +116,14 @@ def lorenz_solve_ns(X: QMatrix, Y: QMatrix, tol: float = 1e-6,
     Stops when RelRes = ||X w - Y||_F / ||Y||_F <= tol, the true residual
     of w, one matvec a step. A start that is not contractive is caught by
     the divergence guard, as in ns_damped. Raises ValueError unless tol is
-    finite and >= 0.
+    finite and >= 0 and maxit an integer >= 0.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be a finite float >= 0")
     N = X.rows
     if maxit is None:
         maxit = N
+    _require_count("maxit", maxit, 0)
     t0 = time.perf_counter()
     ynorm = max(Y.fro_norm(), 1e-300)
     Xh = X.adjoint()

@@ -24,14 +24,15 @@ rsp_row take from it (below); auto_alpha is the probe's alpha. Every
 solver runs the one stopping loop, ``_loop._drive``, as do the square
 Newton-Schulz loops of the Lorenz and deblurring apps and the CG fallback
 of ``factor.hpd_solve``; the loop keeps no clock, and SolverReport's
-wall_time is set by _solve_tall around the whole solve. The
-Newton-Schulz, hyperpower and CGNE updates are written into arrays the
-loop alone holds -- the product that feeds them, one scratch buffer per
-solve, or CGNE's n x n coordinate matrices -- so an iteration allocates
-nothing beyond its quaternion products; the accelerated sketch-and-project
-step forms its extra combinations in the buffers of its iterate and of its
-W. No argument or returned matrix is written to, and every result is
-bitwise that of fresh intermediates.
+wall_time is set by _solve_tall around the whole solve. Every loop's
+inner products and Frobenius norms are ``_loop._Scratch.dot``'s, one BLAS
+dot each. The Newton-Schulz, hyperpower and CGNE updates are written into
+arrays the loop alone holds -- the product that feeds them or CGNE's
+n x n coordinate matrices -- so an iteration allocates nothing beyond its
+quaternion products; the accelerated sketch-and-project step forms its
+extra combinations in the buffers of its iterate and of its W. No
+argument or returned matrix is written to, and every result is bitwise
+that of fresh intermediates.
 
 The sketch-and-project solvers take their sketches from one stream per
 solve (``_SketchStream``): the sketches are drawn one at a time in the
@@ -98,14 +99,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _qops
-from ._loop import SolverReport, _drive, _Scratch
+from ._loop import SolverReport, _drive, _require_count, _Scratch
 from .errors import (Breakdown, DimensionMismatch, Divergence,
                      InvalidOrder, NonFinite, RankDeficient, SketchFailure,
                      _lapack)
@@ -117,12 +117,6 @@ SCHEDULE_NAIVE = "naive"
 SCHEDULE_BINARY = "binary-pow2"
 SCHEDULE_PS = "paterson-stockmeyer"
 SCHEDULES = (SCHEDULE_NAIVE, SCHEDULE_BINARY, SCHEDULE_PS)
-
-
-def _require_count(name: str, value, low: int) -> None:
-    """A config field that counts: an integer, numpy's too, >= low."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 @dataclass
@@ -462,13 +456,12 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
     def solve(B, Bh, spec):
         def scales():
             return _ns_scales(spec) if scaled else itertools.repeat(1.0)
-        scratch = _Scratch(4 * B.cols * B.cols)
 
         def run(B, X0, thetas, tol, maxit, stagnate=False, entry=None):
             # with entry, X0's residual must lie below it
             def measure(X):
                 F = _deviation(B, X)
-                res = scratch.fro_norm(F)
+                res = _Scratch.fro_norm(F)
                 if entry is not None and X is X0 and not res < entry:
                     raise Divergence(f"residual {res} at the hand-over")
                 return res, F
@@ -821,46 +814,56 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     arithmetic the iterates are those of the loop on X itself. P is
     applied once per call, to B^H, and X is formed from F after the last
     step.
+
+    M is held only as its product (``_qops.qmatmul_right``): on the slab
+    path, n > 32, M's three signed slabs are built once per solve, where
+    qmatmul would build them at every step, and S is left in qmatmul's
+    workspace, where the step then forms its two scaled copies. Neither X0
+    nor a scratch buffer is held through the loop, so the slabs do not
+    raise the call's peak memory (README, performance notes).
     """
     def solve(B, Bh, spec):
         BhP = (Bh if precond is None
                else _NystromPrecond(B, Bh, precond).apply_right(Bh))
-        M = BhP @ B
-        scratch = _Scratch(M.data.size)
+        # M = B^H P B, held only as its product, whose slabs are built once
+        times_M = _qops.qmatmul_right((BhP @ B).data)
 
         def step(state, _):
             # state (F, R, D, W, zz): the iterate's coordinates, its
             # residual, the previous direction, its image W = D M and the
             # previous <R M, R>; the new direction is formed first, from R.
-            # F, R, D and W are this loop's own and are updated in place.
+            # F, R, D and W are this loop's own and are updated in place;
+            # S = R M, on the slab path in qmatmul's workspace, holds the
+            # scaled copies once W is formed.
             F, R, D, W, zz = state
-            S = R @ M
-            zz_new = scratch.dot(S, R)
+            S = QMatrix._of(times_M(R.data))
+            zz_new = _Scratch.dot(S, R)
             if D is None:
-                D, W = R.copy(), S
+                D, W = R.copy(), S.copy()
             else:  # D = R + (zz_new / zz) D, W = S + (zz_new / zz) W
                 beta = zz_new / zz
                 np.multiply(D.data, beta, out=D.data)
                 np.add(R.data, D.data, out=D.data)
                 np.multiply(W.data, beta, out=W.data)
                 np.add(S.data, W.data, out=W.data)
-            wn2 = scratch.dot(W, W)
+            wn2 = _Scratch.dot(W, W)
             if wn2 == 0.0:
                 raise Breakdown(
                     "search direction image vanished before convergence")
-            a_k = scratch.dot(R, W) / wn2
-            np.add(F.data, scratch.scaled(D, a_k), out=F.data)
-            np.subtract(R.data, scratch.scaled(W, a_k), out=R.data)
+            a_k = _Scratch.dot(R, W) / wn2
+            np.add(F.data, np.multiply(D.data, a_k, out=S.data), out=F.data)
+            np.subtract(R.data, np.multiply(W.data, a_k, out=S.data),
+                        out=R.data)
             return F, R, D, W, zz_new
 
-        X0 = Bh.scale(spec.alpha)
+        # X0 = alpha B^H is formed again for X, not held through the loop
         (F, *_), _, rep = _drive(
-            "cgne", (QMatrix.zeros(B.cols, B.cols), _deviation(B, X0), None,
-                     None, None), step,
-            lambda state: (scratch.fro_norm(state[1]), None), cfg.tol,
+            "cgne", (QMatrix.zeros(B.cols, B.cols),
+                     _deviation(B, Bh.scale(spec.alpha)), None, None, None),
+            step, lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
             cfg.maxit)
         X = F @ BhP
-        np.add(X0.data, X.data, out=X.data)
+        np.add(Bh.scale(spec.alpha).data, X.data, out=X.data)
         return X, rep, None
     return _solve_tall(A, cfg, "cgne", solve)
 

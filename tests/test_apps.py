@@ -324,6 +324,44 @@ def test_lorenz_problem_validation():
         LorenzProblem(N=1)
 
 
+# a non-integral count once raised an untyped TypeError from range, or ran:
+# N = 10.5 was accepted and psf_radius = 1.5 gave a 4x4, off-centre PSF;
+# numpy's integers are counts too
+def test_lorenz_n_must_be_integral():
+    with pytest.raises(ValueError, match="N must be an integer >= 2"):
+        LorenzProblem(N=10.5)
+    assert LorenzProblem(N=np.int64(10)).N == 10
+
+
+def test_lorenz_solve_maxit_must_be_integral():
+    X, Y, _ = lorenz_build(LorenzProblem(N=20, T_end=2.0))
+    with pytest.raises(ValueError, match="maxit must be an integer >= 0"):
+        lorenz_solve_ns(X, Y, maxit=3.5)
+    assert lorenz_solve_ns(X, Y, maxit=np.int32(3))[1].iterations <= 3
+
+
+def test_deblur_maxit_must_be_integral():
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="maxit must be an integer >= 0"):
+        DeblurProblem(image=img, maxit=2.5)
+    assert DeblurProblem(image=img, maxit=np.int64(2)).maxit == 2
+
+
+def test_deblur_psf_radius_must_be_integral():
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="psf_radius must be an integer"):
+        DeblurProblem(image=img, psf_radius=1.5)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        gaussian_psf(1.5, 1.0)
+
+
+def test_completion_iters_must_be_integral():
+    A = rank5(10, 7)
+    with pytest.raises(ValueError, match="iters must be an integer >= 1"):
+        CompletionProblem(M=A, mask=np.ones((10, 10)), rank=5, iters=2.5,
+                          col_idx=[0] * 5, row_idx=[0] * 5)
+
+
 # ---------------------------------------------------------------------------
 # deblurring
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
+from quatpinv._loop import _Scratch
 from quatpinv.errors import (ConvergenceFailure, DimensionMismatch,
                              Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
@@ -348,18 +349,18 @@ def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
     Z = QMatrix.zeros(r, B.cols)
     Rres = B - Gr @ Z
     P = Rres.copy()
-    rs = float(np.sum(Rres.data * Rres.data))
+    rs = _Scratch.dot(Rres, Rres)
     for _ in range(4 * r):
         if np.sqrt(rs) <= tol * bnorm:
             break
         GP = Gr @ P
-        denom = float(np.sum(P.data * GP.data))
+        denom = _Scratch.dot(P, GP)
         if denom <= 0:
             break
         a = rs / denom
         Z = QMatrix(Z.data + a * P.data)
         Rres = QMatrix(Rres.data - a * GP.data)
-        rs_new = float(np.sum(Rres.data * Rres.data))
+        rs_new = _Scratch.dot(Rres, Rres)
         P = QMatrix(Rres.data + (rs_new / rs) * P.data)
         rs = rs_new
     if (Gr @ Z - B).fro_norm() <= tol * bnorm:

@@ -325,6 +325,99 @@ def test_qmatmul_by_shapes_cover_every_path():
 
 
 # ---------------------------------------------------------------------------
+# products by one right factor, its slabs built once
+# ---------------------------------------------------------------------------
+
+# (m, k, n) on the slab path: CGNE's 200 x 200 step, a rectangular pair and
+# the smallest square one; entries include 0.0 and -0.0
+_RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
+
+
+def test_qmatmul_right_shapes_take_the_slab_path():
+    for m, k, n in _RIGHT_SHAPES:
+        assert _side(m, k, n) == "right" and not _batched(m, k, n)
+
+
+@pytest.mark.parametrize("m, k, n", _RIGHT_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_qmatmul_right_bitwise_equals_qmatmul(m, k, n, dtype):
+    rng = np.random.default_rng(m * 4096 + k)
+    y = _wide_range_qarray((k, n), rng).astype(dtype)
+    kept = y.tobytes()
+    product = _qops.qmatmul_right(y)
+    for _ in range(2):
+        x = _wide_range_qarray((m, k), rng).astype(dtype)
+        want = qmatmul(x, y)
+        got = product(x)
+        # left in the workspace, valid until this thread's next product
+        assert np.shares_memory(got, _qops._local.workspace)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert y.tobytes() == kept
+
+
+@pytest.mark.parametrize("zero_side", ["x", "y"])
+def test_qmatmul_right_signed_zeros_match_qmatmul(zero_side):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((100, 90, 4))
+    y = rng.standard_normal((90, 100, 4))
+    (x if zero_side == "x" else y)[:] = -0.0
+    assert _qops.qmatmul_right(y)(x).tobytes() == qmatmul(x, y).tobytes()
+
+
+def test_qmatmul_right_of_strided_views_bitwise_equals_qmatmul():
+    rng = np.random.default_rng(8)
+    x = _wide_range_qarray((100, 180), rng)[:, ::2]
+    y = _wide_range_qarray((100, 90), rng).transpose(1, 0, 2)
+    assert not x.flags.c_contiguous and not y.flags.c_contiguous
+    product = _qops.qmatmul_right(y)
+    for _ in range(2):
+        assert product(x).tobytes() == qmatmul(x, y).tobytes()
+
+
+def test_qmatmul_right_mixed_dtypes_bitwise_equal_qmatmul():
+    # float32 slabs, built once, serve a float64 x with qmatmul's bits
+    rng = np.random.default_rng(9)
+    y = _wide_range_qarray((90, 100), rng).astype(np.float32)
+    product = _qops.qmatmul_right(y)
+    for dtype in (np.float32, np.float64, np.float32):
+        x = _wide_range_qarray((100, 90), rng).astype(dtype)
+        assert product(x).tobytes() == qmatmul(x, y).tobytes()
+
+
+def test_qmatmul_right_builds_its_slabs_once(monkeypatch):
+    built = []
+    slabs = _qops._slabs
+
+    def counting(y, sign, R=None):
+        built.append(R is None)
+        return slabs(y, sign, R)
+    monkeypatch.setattr(_qops, "_slabs", counting)
+    rng = np.random.default_rng(10)
+    y = _wide_range_qarray((90, 100), rng)
+    product = _qops.qmatmul_right(y)
+    xs = [_wide_range_qarray((100, 90), rng) for _ in range(3)]
+    for x in xs:
+        product(x)
+    assert built == [True]
+    # qmatmul builds them on every call, one at a time into its scratch
+    for x in xs:
+        qmatmul(x, y)
+    assert built == [True, False, False, False]
+
+
+def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_qops, "qmatmul",
+                        lambda x, y: calls.append(x.shape) or qmatmul(x, y))
+    rng = np.random.default_rng(11)
+    product = _qops.qmatmul_right(_wide_range_qarray((20, 20), rng))
+    product(_wide_range_qarray((20, 20), rng))
+    product(_wide_range_qarray((1, 20), rng))
+    assert calls == [(20, 20, 4), (1, 20, 4)]
+
+
+# ---------------------------------------------------------------------------
 # the slab path's per-thread workspace
 # ---------------------------------------------------------------------------
 

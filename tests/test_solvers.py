@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
+from quatpinv._loop import _Scratch
 from quatpinv.errors import (Breakdown, ConvergenceFailure,
                              DimensionMismatch, Divergence, NonFinite,
                              QuatpinvError, RankDeficient, SketchFailure)
@@ -247,7 +248,7 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
 
         def measure(X):
             F = _ref_deviation(B, X)
-            return F.fro_norm(), F
+            return _Scratch.fro_norm(F), F
 
         X, F, rep = solvers._drive(
             method, Bh.scale(spec.alpha),
@@ -257,8 +258,8 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
     return solvers._solve_tall(A, cfg, method, solve)
 
 
-def _frob(x, y):
-    return float((x.data * y.data).sum())
+# the loops' one inner product, so that the references keep their bits
+_frob = _Scratch.dot
 
 
 def _ref_cgne(A, cfg, precond=None):
@@ -283,7 +284,8 @@ def _ref_cgne(A, cfg, precond=None):
         (F, *_), _, rep = solvers._drive(
             "cgne", (QMatrix.zeros(B.cols, B.cols), _ref_deviation(B, X0),
                      None, None, None), step,
-            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit)
+            lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
+            cfg.maxit)
         return X0 + F @ BhP, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
@@ -1057,7 +1059,8 @@ def _ref_cgne_xspace(A, cfg, precond=None):
 
         (X, *_), _, rep = solvers._drive(
             "cgne", (X0, _ref_deviation(B, X0), None, None), step,
-            lambda state: (state[1].fro_norm(), None), cfg.tol, cfg.maxit)
+            lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
+            cfg.maxit)
         return X, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
 
@@ -1088,26 +1091,40 @@ def test_cgne_gram_matches_xspace_reference(case, precond):
 
 @pytest.mark.parametrize("precond", [None, SketchConfig(block_r=6, seed=2)],
                          ids=["plain", "nystrom"])
-@pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30), (70, 60)])
 def test_cgne_step_makes_one_product(shape, precond, monkeypatch):
     # ten more steps make ten more quaternion products, with or without the
-    # preconditioner: S = R M, n x n
-    calls = []
-    qmatmul = _qops.qmatmul
+    # preconditioner: S = R M, n x n, each by M's fixed-factor product. A
+    # 20 x 20 M's goes through qmatmul; a 60 x 60 M's takes the slab path on
+    # M's prebuilt slabs, and no more qmatmul calls
+    calls, steps = [], []
+    qmatmul, qmatmul_right = _qops.qmatmul, _qops.qmatmul_right
 
     def counting(a, b):
         calls.append(a.shape)
         return qmatmul(a, b)
+
+    def right(y):
+        product = qmatmul_right(y)
+
+        def counted(x):
+            steps.append(x.shape)
+            return product(x)
+        return counted
     monkeypatch.setattr(_qops, "qmatmul", counting)
+    monkeypatch.setattr(_qops, "qmatmul_right", right)
     A = randn_qmat(*shape, 35)
+    n = min(shape)
     counts = []
     for maxit in (5, 15):
         calls.clear()
+        steps.clear()
         _, rep = cgne_q(A, SolverConfig(tol=0.0, maxit=maxit),
                         precond=precond)
         assert rep.iterations == maxit
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 10
+        counts.append((len(calls), len(steps)))
+    assert counts[1][1] - counts[0][1] == 10
+    assert counts[1][0] - counts[0][0] == (10 if n < 60 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,6 +1332,24 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(tol=tol)
     assert SolverConfig(tol=0.0).tol == 0.0
+
+
+def test_inner_product_of_float32_accumulates_in_float64():
+    # 4096 in the first 2^14 entries, then 2^14 values in [1, 1.5), then
+    # -4096: a float32 running sum, at 2^26, adds each middle value as a
+    # multiple of 8, while every product and partial sum is exact in
+    # float64
+    n = 1 << 14
+    mid = 1.0 + 0.5 * np.random.default_rng(0).random(n)
+    x = np.concatenate([np.full(n, 4096.0), mid,
+                        np.full(n, -4096.0)]).astype(np.float32)
+    y = np.ones_like(x)
+    exact = float(np.dot(x.astype(np.float64), y.astype(np.float64)))
+    running32 = float(np.cumsum(x * y, dtype=np.float32)[-1])
+    assert abs(running32 - exact) > 1e-4 * exact
+    X, Y = (QMatrix._of(v.reshape(-1, 1, 4)) for v in (x, y))
+    assert _Scratch.dot(X, Y) == exact
+    assert _Scratch.fro_norm(Y) == math.sqrt(3 * n)
 
 
 def test_config_rejects_negative_maxit():

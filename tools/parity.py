@@ -26,12 +26,14 @@ change that is not meant to keep every bit:
     python3 tools/parity.py --seed 1 --workload sketch --against ../other
 
 It runs the same calls on ``--tree`` and, in a child process, on TREE, and
-prints per call whether the digests (the bits) match, whether the iteration
-counts and the error class match (``same``, or ``a->b`` for TREE's value a
-and this tree's b), and the largest absolute gap between the Penrose
-residuals the two report (``-`` for a call that reports none). A last line
-sums up. The exit status is 1 when any iteration count or error class
-changed, or a call ran on one tree only, and 0 otherwise.
+prints per call whether the digests (the bits) match, naming the digest
+fields that differ (``bits=differ[r.1.history]`` for a call whose returned
+arrays keep their bits and whose residual history does not), whether the
+iteration counts and the error class match (``same``, or ``a->b`` for
+TREE's value a and this tree's b), and the largest absolute gap between
+the Penrose residuals the two report (``-`` for a call that reports none).
+A last line sums up. The exit status is 1 when any iteration count or
+error class changed, or a call ran on one tree only, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,14 +111,13 @@ def run_calls(tree: Path, seed: int, names, methods):
                     result = call.run()
                 except workloads.QuatpinvError as exc:
                     error = type(exc).__name__
-                    yield dict(key=key, digest=f"error={error}", error=error,
+                    yield dict(key=key, digest={"error": error}, error=error,
                                iterations=[], penrose=[])
                     continue
                 reps = reports(result)
-                yield dict(key=key, digest=" ".join(
-                    f"{k}={v}" for k, v in fields(result)), error=None,
-                    iterations=[r.iterations for r in reps],
-                    penrose=[list(r.penrose) for r in reps])
+                yield dict(key=key, digest=dict(fields(result)), error=None,
+                           iterations=[r.iterations for r in reps],
+                           penrose=[list(r.penrose) for r in reps])
 
 
 def _changed(here, there) -> str:
@@ -126,6 +127,14 @@ def _changed(here, there) -> str:
             return ",".join(map(str, v)) or "-"
         return str(v)
     return "same" if here == there else f"{text(there)}->{text(here)}"
+
+
+def _bits(here: dict, there: dict) -> str:
+    """"same", or "differ[...]" naming the digest fields that differ, in
+    this tree's order and then the other's."""
+    keys = list(here) + [k for k in there if k not in here]
+    differ = [k for k in keys if here.get(k) != there.get(k)]
+    return f"differ[{','.join(differ)}]" if differ else "same"
 
 
 def compare(own, other: list) -> int:
@@ -147,7 +156,7 @@ def compare(own, other: list) -> int:
         worst = max(worst, gap or 0.0)
         iters = _changed(r["iterations"], t["iterations"])
         error = _changed(r["error"], t["error"])
-        bits = "same" if r["digest"] == t["digest"] else "differ"
+        bits = _bits(r["digest"], t["digest"])
         equal += bits == "same"
         bad += iters != "same" or error != "same"
         print(r["key"], f"bits={bits} iterations={iters} error={error} "
@@ -190,8 +199,9 @@ def main(argv=None) -> int:
     if args.against:
         return compare(records, other)
     for r in records:
-        print(json.dumps(r) if args.json else f"{r['key']} {r['digest']}",
-              flush=True)
+        print(json.dumps(r) if args.json else " ".join(
+            [r["key"]] + [f"{k}={v}" for k, v in r["digest"].items()]),
+            flush=True)
     return 0
 
 
