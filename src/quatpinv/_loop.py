@@ -2,17 +2,15 @@
 
 ``_drive`` runs a step until a measured residual meets its tolerance, or
 for at most maxit steps, and stops a non-finite or diverging run with a
-typed error. Every solver of ``solvers``, the square Newton-Schulz loops
-of the Lorenz and deblurring apps and the CG fallback of
-``factor.hpd_solve`` run on it. ``_Scratch.dot`` is the one inner
-product of every loop: the real Frobenius inner product as one BLAS dot
-over the flat arrays, with float32 operands accumulated in float64. It
-needs no buffer, and its sums are BLAS's, so they may differ in the last
-bits from the pairwise sums of ``QMatrix.fro_norm``. A ``_Scratch``
-instance also holds one buffer for the scaled copies a loop adds.
-``_require_count`` is the one check of a count: a config field, an app's
-size, a maxit. Of the package this module imports only ``errors``, so
-every other module can use it.
+typed error. Every solver of ``solvers`` and the square Newton-Schulz
+loops of the Lorenz and deblurring apps run on it. ``_dot`` is the one
+inner product of every loop, and ``_fro_norm`` its norm: the real
+Frobenius inner product as one BLAS dot over the flat arrays, with
+float32 operands accumulated in float64. They need no buffer, and their
+sums are BLAS's, so they may differ in the last bits from the pairwise
+sums of ``QMatrix.fro_norm``. ``_require_count`` is the one check of a
+count: a config field, an app's size, a maxit. Of the package this module
+imports only ``errors``, so every other module can use it.
 """
 
 from __future__ import annotations
@@ -59,35 +57,19 @@ class SolverReport:
         return self.residual_history[-1][1] if self.residual_history else float("nan")
 
 
-class _Scratch:
-    """The inner product of every loop, of QMatrix arguments, called on
-    the class, and one buffer of a solve, reused for the scaled copies its
-    loop adds; each scaled copy is bitwise that of a fresh array."""
+def _dot(x, y) -> float:
+    """The real Frobenius inner product <x, y> of two QMatrix: one BLAS
+    dot over the flat float64 arrays. Float32 operands, whose products are
+    exact in float64, are summed in float64 by einsum, without a float64
+    copy; BLAS would sum them in float32."""
+    a, b = x.data.ravel(), y.data.ravel()
+    if a.dtype is _F64 and b.dtype is _F64:
+        return float(np.dot(a, b))
+    return float(np.einsum("i,i", a, b, dtype=np.float64))
 
-    def __init__(self, size: int):
-        self._buf = np.empty(size)
 
-    def _view(self, x) -> np.ndarray:
-        return self._buf[:x.data.size].reshape(x.data.shape)
-
-    @staticmethod
-    def dot(x, y) -> float:
-        """The real Frobenius inner product <x, y>: one BLAS dot over the
-        flat float64 arrays. Float32 operands, whose products are exact in
-        float64, are summed in float64 by einsum, without a float64 copy;
-        BLAS would sum them in float32."""
-        a, b = x.data.ravel(), y.data.ravel()
-        if a.dtype is _F64 and b.dtype is _F64:
-            return float(np.dot(a, b))
-        return float(np.einsum("i,i", a, b, dtype=np.float64))
-
-    @staticmethod
-    def fro_norm(x) -> float:
-        return math.sqrt(_Scratch.dot(x, x))
-
-    def scaled(self, x, s: float) -> np.ndarray:
-        """x times a real scalar, valid until the next use of the buffer."""
-        return np.multiply(x.data, float(s), out=self._view(x))
+def _fro_norm(x) -> float:
+    return math.sqrt(_dot(x, x))
 
 
 def _require_count(name: str, value, low: int) -> None:

@@ -46,14 +46,17 @@ class DeblurProblem:
         require_pow2(w)
         _require_count("psf_radius", self.psf_radius, 0)
         _require_count("maxit", self.maxit, 0)
-        if self.psf_sigma <= 0:
-            raise ValueError("invalid PSF parameters")
+        # each test is written so that NaN fails it
+        if not self.psf_sigma > 0:
+            raise ValueError("psf_sigma must be > 0")
         size = 2 * self.psf_radius + 1
         if size > min(h, w):
             raise ValueError(f"the {size}x{size} PSF does not fit the "
                              f"{h}x{w} frame")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be a finite float > 0")
+        if not self.snr_db > -math.inf:
+            raise ValueError("snr_db must be a float > -inf (inf: no noise)")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError("tol must be a finite float >= 0")
 
@@ -61,7 +64,7 @@ class DeblurProblem:
 def gaussian_psf(radius: int, sigma: float) -> np.ndarray:
     """(2r+1)^2 Gaussian kernel, symmetric, normalized to sum 1."""
     _require_count("radius", radius, 0)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma > 0 required")
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-0.5 * (t / sigma) ** 2)

@@ -21,7 +21,8 @@ class NotHermitian(QuatpinvError):
 
 
 class Indefinite(QuatpinvError):
-    """Cholesky pivot failed and the CG fallback stagnated."""
+    """G has a negative eigenvalue, or is singular and B is not in its
+    range (``factor.hpd_solve``)."""
 
 
 class ConvergenceFailure(QuatpinvError):

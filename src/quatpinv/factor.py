@@ -1,13 +1,14 @@
 """Direct factorizations: thin QR, Hermitian-PD solves, SVD, and the
 closed-form / SVD-based pseudoinverse baselines.
 
-The thin QR, the Cholesky factor and its solves, and the SVD are
-LAPACK's, run on the complex adjoint embedding (``qmatrix.
-complex_adjoint``). The QR is read off the embedding's even columns and
-rows and is run twice, so that Q is orthonormal to rounding at any
-condition number. G is Hermitian positive definite exactly when its
-embedding is, and the embedding's Cholesky factor is that of the
-quaternion factor (F. Zhang, Linear Algebra Appl. 251, 1997); a solve
+The thin QR, the Cholesky factor and its solves, the eigendecomposition
+of a Gram solve's fallback, and the SVD are LAPACK's, run on the complex
+adjoint embedding (``qmatrix.complex_adjoint``). The QR is read off the
+embedding's even columns and rows and is run twice, so that Q is
+orthonormal to rounding at any condition number. G is Hermitian positive
+definite exactly when its embedding is, and the embedding's Cholesky
+factor is that of the quaternion factor (F. Zhang, Linear Algebra Appl.
+251, 1997); a solve
 applies the factor's inverse L^-1, one LAPACK call, and then L^-H to the
 even columns of B's embedding, from which Z is read back, and its
 residual is taken on the same embeddings. The SVD's quaternion factors
@@ -15,9 +16,8 @@ are reassembled from its singular vectors, which come in pairs
 (v, phi(v)). A LAPACK failure raises ConvergenceFailure (``errors.
 _lapack``), except LAPACK's rejection of a Cholesky pivot, which is the
 factor's failed pivot. These routines serve as oracles for the iterative
-solvers and as micro-solvers inside the randomized methods. The one
-iteration here, ``hpd_solve``'s CG fallback, runs on the package's one
-stopping loop, ``_loop._drive``.
+solvers and as micro-solvers inside the randomized methods; none of them
+iterates.
 
 ``hpd_solve`` and its Cholesky kernels ``_cholesky`` and
 ``_checked_chol_solve`` also take a stack of s matrices as an
@@ -25,7 +25,8 @@ stopping loop, ``_loop._drive``.
 same code, a 2-D call being the case without a stack axis; each item of
 a stack is bitwise the routine run on it alone. An item that fails its
 check (a Cholesky pivot, the solve's residual) is flagged, where a 2-D
-call raises or, in ``hpd_solve`` alone, falls back to CG.
+call raises or, in ``hpd_solve`` alone, falls back to the min-norm solve
+of G's eigendecomposition.
 ``solve_upper_triangular``, 2-D only, has no caller in the library; the
 tests' QR-based references use it. ``qsvd``, ``pinv_qsvd`` and
 ``pinv_normal_eq`` raise NonFinite at entry when A holds a NaN or
@@ -41,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _qops
-from ._loop import _drive, _Scratch
-from .errors import (DimensionMismatch, Indefinite, NotHermitian,
+from .errors import (DimensionMismatch, Indefinite, NonFinite, NotHermitian,
                      RankDeficient, _lapack)
 from .qmatrix import QMatrix, complex_adjoint, require_finite
 
@@ -185,32 +185,42 @@ def _solve_embedded(L: np.ndarray, Bd: np.ndarray):
     return np.conjugate(Linv, out=Linv).swapaxes(-1, -2) @ Y, Be
 
 
-# relative residual within which a solve keeps its Cholesky solve, and
-# at which hpd_solve's CG fallback stops
+# relative residual within which a Gram solve is kept, on the Cholesky
+# path and on the eigendecomposition path alike
 _SOLVE_TOL = 1e-10
+
+# hpd_solve's fallback keeps the eigenvalues of G's embedding above this
+# times the largest one; a cut relative to ||G||_F would not do, since
+# ||G||_F^2 underflows to 0 at G ~ 1e-300
+_EIG_CUT = 1e-14
+
+
+def _residual_ok(Gc: np.ndarray, Ze: np.ndarray, Be: np.ndarray, bnorm):
+    """Whether G Z = B holds to ||G Z - B||_F <= _SOLVE_TOL * ||B||_F for
+    bnorm = ||B||_F, taken on the embeddings as ||Gc Ze - Be||_F, with Gc
+    G's embedding and Ze, Be the even columns of Z's and B's: those columns
+    hold each quaternion entry's four parts once, so it is the quaternion
+    residual. A bool, or (s,) flags on stacks, each item bitwise as
+    alone."""
+    res = _fro((Gc @ Ze - Be).view(np.float64), Ze.shape[:-2])
+    return res <= _SOLVE_TOL * np.maximum(bnorm, 1e-300)
 
 
 def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
                         Gc: np.ndarray | None = None):
     """Z, the solve of L L^H Z = B for a factor L of ``_cholesky`` on the
     even columns of B's complex embedding (``_solve_embedded``), from which
-    Z is read back, and whether G Z = B holds to the residual
-    ||G Z - B|| <= _SOLVE_TOL * ||B||: a bool, or (s,) flags when L, G and
-    B are stacks, each item bitwise as alone. The residual is taken on the
-    embeddings, as ||Gc Ze - Be||_F with Gc G's embedding and Ze, Be the
-    even columns of Z's and B's: those columns hold each quaternion
-    entry's four parts once, so it is the quaternion ||G Z - B||_F. Gc is
-    formed here, after the solve, unless given."""
-    lead = Bd.shape[:-3]
+    Z is read back, and whether it passes ``_residual_ok``: a bool, or (s,)
+    flags when L, G and B are stacks, each item bitwise as alone. Gc, G's
+    embedding, is formed here, after the solve, unless given."""
     Ze, Be = _solve_embedded(L, Bd)
     Gc = complex_adjoint(Gd) if Gc is None else Gc
-    res = _fro((Gc @ Ze - Be).view(np.float64), lead)
-    return (_from_complex(Ze),
-            res <= _SOLVE_TOL * np.maximum(_fro(Bd, lead), 1e-300))
+    return _from_complex(Ze), _residual_ok(Gc, Ze, Be,
+                                           _fro(Bd, Bd.shape[:-3]))
 
 
 def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
-    """Solve G Z = B for Hermitian positive definite G.
+    """Solve G Z = B for Hermitian positive (semi)definite G.
 
     Raises NotHermitian for a G that is not square or not Hermitian, and
     DimensionMismatch when B's row count is not G's, and NonFinite when G or
@@ -218,13 +228,14 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     complex embedding (``_cholesky``) and the solve Z = L^-H L^-1 B on the
     even columns of B's embedding, with L^-1 from one LAPACK inverse
     (``_checked_chol_solve``), are kept when the residual, taken on the
-    embeddings, is within _SOLVE_TOL * ||B||. Otherwise a failed pivot
-    raises Indefinite when G has a negative eigenvalue, and a CG
-    micro-solver takes over, on ``_loop._drive`` with the tolerance
-    _SOLVE_TOL * ||B|| and the iteration cap 4r; it raises Indefinite when
-    it stagnates, and NonFinite when its residual is not finite (as when
-    ||B||^2 overflows). A LAPACK failure of the inverse or of the eigenvalue
-    check raises ConvergenceFailure.
+    embeddings, is within _SOLVE_TOL * ||B||. Otherwise one LAPACK
+    eigendecomposition of G's embedding raises Indefinite when G has an
+    eigenvalue below -1e-10 ||G||_F, and else gives the min-norm solution
+    over the eigenvalues above _EIG_CUT times the largest, kept under the
+    same residual check; it raises Indefinite when that check fails (B is
+    not in G's range), and NonFinite when ||B||_F overflows. A LAPACK
+    failure of the inverse or of the eigendecomposition raises
+    ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
     arrays, taken to be Hermitian: they are factored and solved in one
@@ -232,7 +243,7 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     check, each item bitwise as alone, and the result is
     (Z, ok), where ok (s,) is False for an item whose pivot or residual
     check failed, a non-finite item among them (its Z is then
-    meaningless). A stack has no CG fallback.
+    meaningless). A stack has no fallback.
     """
     stacked = not isinstance(G, QMatrix)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)
@@ -254,43 +265,30 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     if gap > 1e-10 * gnorm:
         raise NotHermitian(f"||G - G^H|| = {gap:.3e}")
     # G's embedding is formed for the factor and again for the check or
-    # the eigenvalue test: kept across the inverse, at r = 200 it raised
-    # the process's peak resident set by 1.3 MB
+    # the fallback: kept across the inverse, at r = 200 it raised the
+    # process's peak resident set by 1.3 MB
     L = _cholesky(Gd)
     if L is not None:
         Z, ok = _checked_chol_solve(L, Gd, Bd)
         if ok:
             return QMatrix(Z)
-    else:
-        lo = float(_lapack("eigenvalues", np.linalg.eigvalsh,
-                           complex_adjoint(Gd))[0])
-        if lo < -1e-10 * gnorm:
-            raise Indefinite(f"min eigenvalue {lo:.3e} < 0")
-
-    # CG fallback in the real trace inner product, on the state
-    # (Z, residual, direction, rs = <residual, residual>) from Z = 0, whose
-    # residual and first direction are B (neither is written to in place)
-    tol = _SOLVE_TOL * max(B.fro_norm(), 1e-300)
-    scratch = _Scratch(Bd.size)
-
-    def step(state, _):
-        Z, R, P, rs = state
-        GP = G @ P
-        denom = scratch.dot(P, GP)
-        if denom <= 0:  # rs = 0 stops the run at the next measure
-            return Z, R, P, 0.0
-        a = rs / denom
-        Z = QMatrix(Z.data + scratch.scaled(P, a))
-        R = QMatrix(R.data - scratch.scaled(GP, a))
-        rs_new = scratch.dot(R, R)
-        return Z, R, QMatrix(R.data + scratch.scaled(P, rs_new / rs)), rs_new
-
-    (Z, *_), _, _ = _drive("hpd-cg", (QMatrix.zeros(r, B.cols), B, B,
-                                      scratch.dot(B, B)), step,
-                           lambda s: (math.sqrt(s[3]), None), tol, 4 * r)
-    if (G @ Z - B).fro_norm() <= tol:
-        return Z
-    raise Indefinite("Cholesky failed and the CG fallback stagnated")
+    # the fallback: one eigendecomposition Gc = V diag(w) V^H, and the
+    # min-norm solve Z = V_k diag(w_k)^-1 V_k^H B on the even columns of
+    # B's embedding, k the eigenvalues above _EIG_CUT * max(w)
+    Gc = complex_adjoint(Gd)
+    w, V = _lapack("eigenvalues", np.linalg.eigh, Gc)
+    if w[0] < -1e-10 * gnorm:
+        raise Indefinite(f"min eigenvalue {w[0]:.3e} < 0")
+    bnorm = _fro(Bd, ())
+    if not math.isfinite(bnorm):
+        raise NonFinite(f"||B||_F = {bnorm}")
+    keep = w > _EIG_CUT * w[-1]
+    V, w = V[:, keep], w[keep]
+    Be = complex_adjoint(Bd, even=True)
+    Ze = V @ ((V.conj().T @ Be) / w[:, None])
+    if _residual_ok(Gc, Ze, Be, bnorm):
+        return QMatrix(_from_complex(Ze))
+    raise Indefinite("G is singular and B is not in its range")
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ q = a + bi + cj + dk to the 2x2 complex block
 and is used only off the iteration loops: by the SVD baseline, by the
 two LAPACK QR passes of thin_qr, by rsp_rate_bound's smallest singular
 value, by every Gram solve of hpd_solve (its LAPACK Cholesky factor, the
-inverse its triangular solves run on, its residual check, and its
-eigenvalue check after a failed pivot), and by the set-up of cgne_q's
-Nystrom preconditioner, through thin_qr, its Gram solve and the SVD of
-its r x r core. ``complex_adjoint`` forms it
-for one matrix or a stack.
+inverse its triangular solves run on, its residual check, and the
+eigendecomposition of its fallback after a failed pivot or residual
+check), and by the set-up of cgne_q's Nystrom preconditioner, through
+thin_qr, its Gram solve and the SVD of its r x r core.
+``complex_adjoint`` forms it for one matrix or a stack.
 """
 
 from __future__ import annotations

@@ -22,13 +22,13 @@ theta_max for the largest Ritz value, unless the config sets alpha, and
 the bounds on the spectrum that ns_damped at gamma = 1, rsp_column and
 rsp_row take from it (below); auto_alpha is the probe's alpha. Every
 solver runs the one stopping loop, ``_loop._drive``, as do the square
-Newton-Schulz loops of the Lorenz and deblurring apps and the CG fallback
-of ``factor.hpd_solve``; the loop keeps no clock, and SolverReport's
-wall_time is set by _solve_tall around the whole solve. Every loop's
-inner products and Frobenius norms are ``_loop._Scratch.dot``'s, one BLAS
-dot each. The Newton-Schulz, hyperpower and CGNE updates are written into
-arrays the loop alone holds -- the product that feeds them or CGNE's
-n x n coordinate matrices -- so an iteration allocates nothing beyond its
+Newton-Schulz loops of the Lorenz and deblurring apps; the loop keeps no
+clock, and SolverReport's wall_time is set by _solve_tall around the
+whole solve. Every loop's inner products and Frobenius norms are
+``_loop._dot``'s and ``_loop._fro_norm``'s, one BLAS dot each. The
+Newton-Schulz, hyperpower and CGNE updates are written into arrays the
+loop alone holds -- the product that feeds them or CGNE's n x n
+coordinate matrices -- so an iteration allocates nothing beyond its
 quaternion products; the accelerated sketch-and-project step forms its
 extra combinations in the buffers of its iterate and of its W. No
 argument or returned matrix is written to, and every result is bitwise
@@ -105,7 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _qops
-from ._loop import SolverReport, _drive, _require_count, _Scratch
+from ._loop import SolverReport, _dot, _drive, _fro_norm, _require_count
 from .errors import (Breakdown, DimensionMismatch, Divergence,
                      InvalidOrder, NonFinite, RankDeficient, SketchFailure,
                      _lapack)
@@ -461,7 +461,7 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
             # with entry, X0's residual must lie below it
             def measure(X):
                 F = _deviation(B, X)
-                res = _Scratch.fro_norm(F)
+                res = _fro_norm(F)
                 if entry is not None and X is X0 and not res < entry:
                     raise Divergence(f"residual {res} at the hand-over")
                 return res, F
@@ -837,7 +837,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
             # scaled copies once W is formed.
             F, R, D, W, zz = state
             S = QMatrix._of(times_M(R.data))
-            zz_new = _Scratch.dot(S, R)
+            zz_new = _dot(S, R)
             if D is None:
                 D, W = R.copy(), S.copy()
             else:  # D = R + (zz_new / zz) D, W = S + (zz_new / zz) W
@@ -846,11 +846,11 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
                 np.add(R.data, D.data, out=D.data)
                 np.multiply(W.data, beta, out=W.data)
                 np.add(S.data, W.data, out=W.data)
-            wn2 = _Scratch.dot(W, W)
+            wn2 = _dot(W, W)
             if wn2 == 0.0:
                 raise Breakdown(
                     "search direction image vanished before convergence")
-            a_k = _Scratch.dot(R, W) / wn2
+            a_k = _dot(R, W) / wn2
             np.add(F.data, np.multiply(D.data, a_k, out=S.data), out=F.data)
             np.subtract(R.data, np.multiply(W.data, a_k, out=S.data),
                         out=R.data)
@@ -860,7 +860,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
         (F, *_), _, rep = _drive(
             "cgne", (QMatrix.zeros(B.cols, B.cols),
                      _deviation(B, Bh.scale(spec.alpha)), None, None, None),
-            step, lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
+            step, lambda state: (_fro_norm(state[1]), None), cfg.tol,
             cfg.maxit)
         X = F @ BhP
         np.add(Bh.scale(spec.alpha).data, X.data, out=X.data)

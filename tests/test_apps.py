@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -478,3 +479,29 @@ def test_deblur_validation():
                       psf_radius=4)
     with pytest.raises(ValueError, match="3x3 PSF does not fit the 8x2 frame"):
         DeblurProblem(image=QMatrix.zeros(8, 2), psf_radius=1)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_deblur_snr_db_must_be_a_number(snr_db):
+    # a NaN snr_db once ran and reported a NaN PSNR and residual
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="snr_db"):
+        DeblurProblem(image=img, psf_radius=2, snr_db=snr_db)
+    assert DeblurProblem(image=img, psf_radius=2, snr_db=math.inf)
+
+
+@pytest.mark.parametrize("psf_sigma", [0.0, -1.0, math.nan])
+def test_deblur_psf_sigma_must_be_positive(psf_sigma):
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="psf_sigma"):
+        DeblurProblem(image=img, psf_radius=2, psf_sigma=psf_sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_psf(2, psf_sigma)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_deblur_lambda_must_be_finite_and_positive(lam):
+    # a NaN or infinite lambda once ran into "residual nan at iteration 0"
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="lambda"):
+        DeblurProblem(image=img, psf_radius=2, lam=lam)

@@ -58,6 +58,12 @@ def test_usage_no_subcommand():
     ["lorenz", "--tol", "inf"],
     ["deblur", "--sizes", "16", "--tol", "nan"],
     ["deblur", "--sizes", "16", "--tol", "-1"],
+    # a NaN snr_db once exited 0 with NaN PSNR and residual; a NaN sigma
+    # or a NaN or infinite lambda exited 1 on a NaN residual
+    ["deblur", "--sizes", "16", "--psf-radius", "2", "--snr-db", "nan"],
+    ["deblur", "--sizes", "16", "--psf-radius", "2", "--psf-sigma", "nan"],
+    ["deblur", "--sizes", "16", "--psf-radius", "2", "--lambda", "nan"],
+    ["deblur", "--sizes", "16", "--psf-radius", "2", "--lambda", "inf"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
-from quatpinv._loop import _Scratch
 from quatpinv.errors import (ConvergenceFailure, DimensionMismatch,
                              Indefinite, NonFinite, NotHermitian,
                              QuatpinvError, RankDeficient)
@@ -346,26 +345,15 @@ def _hpd_solve_loop(G: QMatrix, B: QMatrix, ridge: float = 1e-10,
         lo = float(np.linalg.eigvalsh(G.to_complex_adjoint())[0])
         if lo < -1e-10 * max(G.fro_norm(), 1e-300):
             raise Indefinite("negative eigenvalue")
-    Z = QMatrix.zeros(r, B.cols)
-    Rres = B - Gr @ Z
-    P = Rres.copy()
-    rs = _Scratch.dot(Rres, Rres)
-    for _ in range(4 * r):
-        if np.sqrt(rs) <= tol * bnorm:
-            break
-        GP = Gr @ P
-        denom = _Scratch.dot(P, GP)
-        if denom <= 0:
-            break
-        a = rs / denom
-        Z = QMatrix(Z.data + a * P.data)
-        Rres = QMatrix(Rres.data - a * GP.data)
-        rs_new = _Scratch.dot(Rres, Rres)
-        P = QMatrix(Rres.data + (rs_new / rs) * P.data)
-        rs = rs_new
+    # the fallback: LAPACK's min-norm least-squares solution of the
+    # embedded system, read back from its even columns
+    Zc = np.linalg.lstsq(Gr.to_complex_adjoint(), B.to_complex_adjoint(),
+                         rcond=1e-12)[0]
+    x, y = Zc[0::2, 0::2], Zc[1::2, 0::2]
+    Z = QMatrix(np.stack([x.real, x.imag, -y.real, y.imag], axis=-1))
     if (Gr @ Z - B).fro_norm() <= tol * bnorm:
         return Z
-    raise Indefinite("CG stagnated")
+    raise Indefinite("B is not in G's range")
 
 
 def _outcome(fn, *args):
@@ -421,10 +409,10 @@ _G_GRAM = randn_qmat(10, 4, 6).adjoint() @ randn_qmat(10, 4, 6)
 
 @pytest.mark.parametrize("G,B,ridge", [
     (QMatrix.identity(3), randn_qmat(3, 2, 5), 0.0),
-    (_G_SINGULAR, _G_SINGULAR @ randn_qmat(5, 2, 1), 0.0),   # CG rescues
-    (_G_SINGULAR, randn_qmat(5, 2, 2), 0.0),                 # CG stagnates
+    (_G_SINGULAR, _G_SINGULAR @ randn_qmat(5, 2, 1), 0.0),   # B in range
+    (_G_SINGULAR, randn_qmat(5, 2, 2), 0.0),                 # B not in range
     (QMatrix.from_real(-np.eye(3)), QMatrix.identity(3), 1e-10),
-    # e0 - e1 spans null(G): <B, B> = 2 and <P, GP> = 0 end the CG run
+    # e0 - e1 spans null(G): the min-norm solution is 0
     (_G_SINGULAR, QMatrix.from_real(np.array([[1.0], [-1.0], [0], [0], [0]])),
      0.0),
 ], ids=["identity", "cg-fallback", "cg-stagnates", "indefinite",
@@ -434,10 +422,13 @@ def test_hpd_solve_matches_loop_version(G, B, ridge):
     Gr.data[np.arange(G.rows), np.arange(G.rows), 0] += ridge
     got = _outcome(hpd_solve, Gr, B)
     ref = _outcome(_hpd_solve_loop, G, B, ridge)
-    if isinstance(ref, QMatrix):
-        assert _same_bits(got.data, ref.data)
-    else:
+    if not isinstance(ref, QMatrix):
         assert got is ref
+    elif _cholesky_loop(Gr.data) is None:
+        # the fallback's min-norm solve, to rounding
+        assert _rel_gap(got.data, ref.data) <= 1e-12
+    else:
+        assert _same_bits(got.data, ref.data)
 
 
 def test_hpd_solve_overflowing_cg_residual_is_non_finite():
@@ -447,6 +438,42 @@ def test_hpd_solve_overflowing_cg_residual_is_non_finite():
     B = (_G_SINGULAR @ randn_qmat(5, 2, 1)).scale(1e160)
     with np.errstate(over="ignore"), pytest.raises(NonFinite):
         hpd_solve(_G_SINGULAR, B)
+
+
+def test_hpd_solve_tiny_singular_gram_keeps_its_range():
+    # ||G||_F^2 underflows to 0 at this scale: the fallback's eigenvalue
+    # cut is taken relative to the largest eigenvalue, so G's range is
+    # kept and B, in it, is solved
+    B = _G_SINGULAR @ randn_qmat(5, 2, 1)
+    Z = hpd_solve(_G_SINGULAR.scale(1e-300), B.scale(1e-300))
+    assert (_G_SINGULAR @ Z - B).fro_norm() <= 1e-10 * B.fro_norm()
+
+
+def _low_rank(m: int, n: int, k: int, seed: int) -> QMatrix:
+    return randn_qmat(m, k, seed) @ randn_qmat(k, n, seed + 1)
+
+
+@pytest.mark.parametrize("A", [
+    _C,
+    _low_rank(40, 30, 3, 13),
+    _low_rank(40, 30, 15, 11),
+    _low_rank(220, 200, 199, 9),
+    _C.scale(1e-150),
+    _low_rank(40, 30, 15, 11).scale(1e100),
+], ids=["duplicate-column", "rank-3", "rank-15", "rank-199",
+        "duplicate-column-1e-150", "rank-15-1e100"])
+def test_pinv_normal_eq_rank_deficient_matches_qsvd(A):
+    # a singular Gram matrix fails its Cholesky pivot; the fallback's
+    # min-norm solve of A^H A Z = A^H is A^+ (the last three once raised)
+    ref = pinv_qsvd(A)
+    with np.errstate(over="ignore"):
+        X = pinv_normal_eq(A)
+    assert (X - ref).fro_norm() <= 1e-10 * ref.fro_norm()
+    # each Penrose residual over the norm of the matrix its equation
+    # compares with (X, A, XA, AX), so the bound holds at any scale of A
+    sizes = (X.fro_norm(), A.fro_norm(), (X @ A).fro_norm(),
+             (A @ X).fro_norm())
+    assert all(e <= 1e-8 * n for e, n in zip(penrose_residuals(A, X), sizes))
 
 
 @pytest.mark.parametrize("r", range(1, 11))
@@ -476,14 +503,14 @@ def test_cholesky_rejects_a_positive_pivot_below_threshold():
 
 
 def test_hpd_solve_lapack_failures_are_typed(monkeypatch):
-    # a LinAlgError of the eigenvalue check or of the triangular solves'
-    # inverse is not the pivot test's failure: it is raised as
-    # ConvergenceFailure
+    # a LinAlgError of the fallback's eigendecomposition or of the
+    # triangular solves' inverse is not the pivot test's failure: it is
+    # raised as ConvergenceFailure
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
     B = randn_qmat(4, 2, 7)
     with monkeypatch.context() as mp:
-        mp.setattr(np.linalg, "eigvalsh", fail)
+        mp.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceFailure, match="eigenvalues"):
             hpd_solve(QMatrix.from_real(-np.eye(4)), B)
     monkeypatch.setattr(np.linalg, "inv", fail)

@@ -1,5 +1,6 @@
 """``tools/parity.py``'s call-by-call comparison: the digest fields that
-differ are named. The tool file is loaded by path and is not modified."""
+differ are named, and a changed benchmark verdict is shown and counted.
+The tool file is loaded by path and is not modified."""
 
 import importlib.util
 from pathlib import Path
@@ -14,9 +15,9 @@ def _parity():
     return mod
 
 
-def _record(digest, iterations=(3,)):
+def _record(digest, iterations=(3,), ok=True):
     return dict(key="dense tall220x200#0 ns", digest=digest, error=None,
-                iterations=list(iterations), penrose=[[0.0] * 4])
+                ok=ok, iterations=list(iterations), penrose=[[0.0] * 4])
 
 
 def test_bits_name_the_fields_that_differ(capsys):
@@ -30,5 +31,19 @@ def test_bits_name_the_fields_that_differ(capsys):
     assert _parity().compare([_record(here)], [_record(there)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("dense tall220x200#0 ns bits=differ[r.1.history] "
-                      "iterations=same error=same penrose_gap=0")
+                      "iterations=same error=same ok=same penrose_gap=0")
     assert out[1].startswith("# 1 calls: 0 bitwise equal, 0 with a changed")
+    assert "0 with a changed verdict" in out[1]
+
+
+def test_changed_verdict_is_shown_and_counted_but_keeps_exit(capsys):
+    # the exit status follows iteration counts and error classes only
+    here = {"r.0": "(200, 220, 4):float64:aa"}
+    assert _parity().compare([_record(here, ok=True)],
+                             [_record(here, ok=False)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("dense tall220x200#0 ns bits=same iterations=same "
+                      "error=same ok=False->True penrose_gap=0")
+    assert out[1] == ("# 1 calls: 1 bitwise equal, 0 with a changed "
+                      "iteration count or error class or on one tree only, "
+                      "1 with a changed verdict, largest Penrose gap 0")

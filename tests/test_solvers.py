@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatpinv import _qops, factor, solvers
-from quatpinv._loop import _Scratch
+from quatpinv._loop import _dot, _fro_norm
 from quatpinv.errors import (Breakdown, ConvergenceFailure,
                              DimensionMismatch, Divergence, NonFinite,
                              QuatpinvError, RankDeficient, SketchFailure)
@@ -248,7 +248,7 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
 
         def measure(X):
             F = _ref_deviation(B, X)
-            return _Scratch.fro_norm(F), F
+            return _fro_norm(F), F
 
         X, F, rep = solvers._drive(
             method, Bh.scale(spec.alpha),
@@ -259,7 +259,7 @@ def _ref_ns(A, cfg, method, scaled=False, **step_kw):
 
 
 # the loops' one inner product, so that the references keep their bits
-_frob = _Scratch.dot
+_frob = _dot
 
 
 def _ref_cgne(A, cfg, precond=None):
@@ -284,7 +284,7 @@ def _ref_cgne(A, cfg, precond=None):
         (F, *_), _, rep = solvers._drive(
             "cgne", (QMatrix.zeros(B.cols, B.cols), _ref_deviation(B, X0),
                      None, None, None), step,
-            lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
+            lambda state: (_fro_norm(state[1]), None), cfg.tol,
             cfg.maxit)
         return X0 + F @ BhP, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
@@ -1059,7 +1059,7 @@ def _ref_cgne_xspace(A, cfg, precond=None):
 
         (X, *_), _, rep = solvers._drive(
             "cgne", (X0, _ref_deviation(B, X0), None, None), step,
-            lambda state: (_Scratch.fro_norm(state[1]), None), cfg.tol,
+            lambda state: (_fro_norm(state[1]), None), cfg.tol,
             cfg.maxit)
         return X, rep, None
     return solvers._solve_tall(A, cfg, "cgne", solve)
@@ -1348,8 +1348,8 @@ def test_inner_product_of_float32_accumulates_in_float64():
     running32 = float(np.cumsum(x * y, dtype=np.float32)[-1])
     assert abs(running32 - exact) > 1e-4 * exact
     X, Y = (QMatrix._of(v.reshape(-1, 1, 4)) for v in (x, y))
-    assert _Scratch.dot(X, Y) == exact
-    assert _Scratch.fro_norm(Y) == math.sqrt(3 * n)
+    assert _dot(X, Y) == exact
+    assert _fro_norm(Y) == math.sqrt(3 * n)
 
 
 def test_config_rejects_negative_maxit():

@@ -30,9 +30,12 @@ prints per call whether the digests (the bits) match, naming the digest
 fields that differ (``bits=differ[r.1.history]`` for a call whose returned
 arrays keep their bits and whose residual history does not), whether the
 iteration counts and the error class match (``same``, or ``a->b`` for
-TREE's value a and this tree's b), and the largest absolute gap between
-the Penrose residuals the two report (``-`` for a call that reports none).
-A last line sums up. The exit status is 1 when any iteration count or
+TREE's value a and this tree's b), whether the benchmark's verdict on the
+call matches (``ok=same``, or ``ok=False->True``: perfbench's check of the
+result, run with an elapsed time of 0, and False for a call that raised),
+and the largest absolute gap between the Penrose residuals the two report
+(``-`` for a call that reports none). A last line sums up, counting the
+changed verdicts too. The exit status is 1 when any iteration count or
 error class changed, or a call ran on one tree only, and 0 otherwise.
 """
 
@@ -94,8 +97,8 @@ def reports(obj) -> list:
 
 def run_calls(tree: Path, seed: int, names, methods):
     """One record per call of the named pools, run on the checkout tree:
-    its key, digest, error class (or None), and the iteration counts and
-    Penrose residuals of its reports."""
+    its key, digest, error class (or None), the benchmark's verdict ok,
+    and the iteration counts and Penrose residuals of its reports."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
     import workloads
@@ -112,10 +115,11 @@ def run_calls(tree: Path, seed: int, names, methods):
                 except workloads.QuatpinvError as exc:
                     error = type(exc).__name__
                     yield dict(key=key, digest={"error": error}, error=error,
-                               iterations=[], penrose=[])
+                               ok=False, iterations=[], penrose=[])
                     continue
                 reps = reports(result)
                 yield dict(key=key, digest=dict(fields(result)), error=None,
+                           ok=bool(call.check(result, 0.0).ok),
                            iterations=[r.iterations for r in reps],
                            penrose=[list(r.penrose) for r in reps])
 
@@ -141,7 +145,7 @@ def compare(own, other: list) -> int:
     """Print the per-call comparison of the records own, as they come,
     against the records other; return the exit status."""
     theirs = {r["key"]: r for r in other}
-    calls = bad = equal = 0
+    calls = bad = equal = verdicts = 0
     worst = 0.0
     for r in own:
         calls += 1
@@ -156,18 +160,20 @@ def compare(own, other: list) -> int:
         worst = max(worst, gap or 0.0)
         iters = _changed(r["iterations"], t["iterations"])
         error = _changed(r["error"], t["error"])
+        ok = _changed(r["ok"], t["ok"])
         bits = _bits(r["digest"], t["digest"])
         equal += bits == "same"
+        verdicts += ok != "same"
         bad += iters != "same" or error != "same"
         print(r["key"], f"bits={bits} iterations={iters} error={error} "
-              f"penrose_gap={'-' if gap is None else f'{gap:.3g}'}",
+              f"ok={ok} penrose_gap={'-' if gap is None else f'{gap:.3g}'}",
               flush=True)
     for key in theirs:
         print(key, "only-there")
         bad += 1
     print(f"# {calls} calls: {equal} bitwise equal, {bad} with a changed "
-          f"iteration count or error class or on one tree only, largest "
-          f"Penrose gap {worst:.3g}")
+          f"iteration count or error class or on one tree only, {verdicts} "
+          f"with a changed verdict, largest Penrose gap {worst:.3g}")
     return 1 if bad else 0
 
 
