@@ -39,7 +39,7 @@ thread (``threading.local``), so concurrent products never share it. It
 grows to the largest need seen and retains at most _WORKSPACE_MAX
 elements (8 MiB) per thread; a larger product takes fresh scratch. The
 returned array is fresh, never a view of the workspace, except for the
-slab-path products by a fixed right factor (below).
+8-product form's products by a fixed right factor (below).
 
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every
@@ -60,15 +60,32 @@ slab-path product calls qmatmul, and the others do not pass through that
 name.
 
 ``qmatmul_right(y)`` is its counterpart for one fixed 2-D right factor,
-for CGNE's steps, which multiply by the same n x n M: its slab-path
-products take y's slabs built once, at the first of them (slab 0 is y's
-own array, slabs 1-3 three fresh ones), where qmatmul builds slabs 1-3 on
-every call, and they do not pass through the name qmatmul. Their scratch
-is then the planes, one slab's product and the sum of the four, which is
-left in the workspace until the thread's next product, so a loop that
-forms its scaled copies there holds no buffer of its own. Its products
-are bitwise qmatmul's, and any other product (the left side, the batched
-right side) is qmatmul's.
+for CGNE's steps, which multiply by the same n x n M. A product that
+qmatmul would run on the slab path runs instead in the 8-product form of
+Howell and Lafon (The complexity of the quaternion product, Cornell TR
+75-245, 1975), which holds for matrix entries: eight real (m, k) @ (k, n)
+GEMMs of sums and differences of the components of x and of y, and
+post-additions that give the four components, 8 m k n multiply-adds where
+the Hamilton form takes 16. The eight combinations of y are formed once,
+at the first such product, and those of x at each product, with
+elementwise ops on x's component views, two combinations an op. The eight
+GEMMs run as one batched call; a product whose scratch would then exceed
+_EIGHT_BATCH_MAX forms x's combinations four at a time, in two batched
+calls, so that at 200 x 200 its scratch, the eight products, one more
+term and four combinations, 9mn + 4 max(mk, mn) elements, stays within
+the slab path's. Few calls matter at 50 x 50, where a call per GEMM and
+per addition ran 1.45 times the Hamilton form's time. The result takes
+the combinations' place in the workspace and is left there until the
+thread's next product, so a loop that forms its scaled copies there
+holds no buffer of its own. Against the Hamilton form on slabs of y built
+once, a product took 0.71 of the time at 200 x 200 and 1.01-1.05 at
+50 x 50, where the additions cost about what the halved GEMMs save (one
+BLAS thread, 2-core VM). Its rounding is not qmatmul's: against a
+long-double product, each entry's error is 1.3-2.3 times the Hamilton
+form's, within 2.2e-15 (|x||y|)_ij, |x| the entries' moduli (Gaussian
+operands: 2.6e-16). Any other product (the left side, the batched right
+side) is qmatmul's, and no product outside this one runs in the
+8-product form.
 
 A product keeps its operands' dtype: two float32 operands give a float32
 product, formed with float32 sign tables, planes, slabs and GEMMs, and any
@@ -81,9 +98,10 @@ time (one BLAS thread, 2-core VM).
 
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
-planes, the expanded slabs or blocks of one operand live only inside one
-call (qmatmul_right's slabs, 3 k x 4n, as long as its product), and no
-4m x 4n real counterpart of a whole matrix is ever formed.
+planes (8 m k n in qmatmul_right's 8-product form), the expanded slabs or
+blocks of one operand live only inside one call (qmatmul_right's
+combinations of y, 8 k x n, as long as its product), and no 4m x 4n real
+counterpart of a whole matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -151,6 +169,11 @@ def _term_rows(b: int) -> np.ndarray:
 
 # right-side products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
+# 8-product-form products whose scratch with all eight of x's combinations
+# (9mn + 8mk elements) is at most this run one batched GEMM call; above it
+# they form the combinations four at a time, which keeps a 200 x 200
+# product's scratch within the slab path's (2 MiB)
+_EIGHT_BATCH_MAX = 1 << 18
 # float64 elements of scratch a thread keeps between products (8 MiB)
 _WORKSPACE_MAX = 1 << 20
 _local = threading.local()
@@ -274,67 +297,130 @@ def qmatmul_by(x: np.ndarray):
 
 
 def qmatmul_right(y: np.ndarray):
-    """x -> qmatmul(x, y) for one 2-D right factor y, bit for bit, with the
-    slabs of y built once: each slab-path product takes them as they are,
-    where qmatmul would build them again. Slab 0 is y's own array, and
-    slabs 1-3 are built at the first slab-path product, in y's dtype: their
-    entries are y's, signed, so a float64 x gets qmatmul's bits from them
-    too. For many products by one matrix, such as CGNE's steps; any other
-    product (the left side, the batched right side) is qmatmul's.
+    """x -> x y for one 2-D right factor y, for many products by one
+    matrix, such as CGNE's steps. A product that qmatmul would run on the
+    slab path runs in the 8-product form instead (``_eight_product``):
+    eight real GEMMs, (m, k) @ (k, n), of combinations of the components
+    of x and of y, half the multiply-adds of the Hamilton form. The eight
+    combinations of y are formed once, at the first such product, in that
+    product's dtype (float32 for two float32 operands, float64 otherwise);
+    those of x at every product. Any other product (the left side, the
+    batched right side) is qmatmul's, bit for bit.
 
-    A slab-path product is left in this thread's workspace, beside the
-    planes, and stays valid only until the thread's next product; the
-    others are fresh arrays."""
+    The 8-product form rounds differently from the Hamilton form: each
+    entry's error against a long-double product is 1.3-2.3 times
+    qmatmul's, within 2.2e-15 (|x||y|)_ij, |x| the entries' moduli. Its
+    scratch is the eight products, one more (m, n) term and x's
+    combinations, all eight or, for a large product, four at a time, the
+    result taking the place of the combinations once the GEMMs are done;
+    the result is left there, in this thread's workspace, and stays valid
+    only until the thread's next product. The others are fresh arrays."""
     k, n = y.shape[:2]
-    slabs = []
+    combos = {}
 
     def product(x: np.ndarray) -> np.ndarray:
         m = x.shape[0]
         if _left_side(m, k, n) or (m + k) * n <= _BATCH_MAX:
             return qmatmul(x, y)
-        if not slabs:
-            slabs.extend(_slabs(y, _TABLES[y.dtype is _F32][1][0]))
-        return _slab_product(x, y, slabs)
+        dtype = _tables(x, y)[0].dtype
+        if dtype not in combos:
+            combos[dtype] = np.empty((8, k, n), dtype)
+            _combine(y, _RIGHT_SUMS, combos[dtype])
+        return _eight_product(x, combos[dtype])
     return product
 
 
-def _slabs(y: np.ndarray, sign: np.ndarray, R: np.ndarray | None = None):
-    """The four (k, 4n) slabs of y (k, n, 4), in the order s = 0..3: slab 0
-    is y's own array, since unit 1 leaves y as it is, and slab s > 0 is
-    R[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t], built into the buffer R
-    of (k n, 4) when the one before is done with, or into a fresh array
-    without R."""
-    k, n = y.shape[:2]
-    yq = y.reshape(k * n, 4)
-    yield yq.reshape(k, 4 * n)
-    for s in range(1, 4):
-        yield np.matmul(yq, sign[s], out=R).reshape(k, 4 * n)
+# The 8-product form of z = x y (Howell & Lafon, The complexity of the
+# quaternion product, Cornell TR 75-245, 1975), for x = (a, b, c, d) and
+# y = (e, f, g, h): the real products m1..m8 of (d - c, a + b, a - b,
+# c + d, d - b, d + b, a + c, a - c) by (g - h, e + f, g + h, e - f,
+# f - g, f + g, e - h, e + h), then t = m6 + m7 + m8, u = (m5 + t) / 2 and
+# z = (m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7). Each row of a
+# table forms two combinations in one call: (ufunc, its two operands'
+# components, the slots of the two combinations). x's table is in two
+# halves, those of m1..m4 and of m5..m8, each into four slots
+_LEFT_SUMS = (
+    # (d, a) - (c, b) and (a, c) + (b, d), for m1, m3 and m2, m4
+    ((np.subtract, slice(3, None, -3), slice(2, 0, -1), slice(0, 3, 2)),
+     (np.add, slice(0, None, 2), slice(1, None, 2), slice(1, 4, 2))),
+    # (d, a) - (b, c) and (d, a) + (b, c), for m5, m8 and m6, m7
+    ((np.subtract, slice(3, None, -3), slice(1, 3), slice(0, 4, 3)),
+     (np.add, slice(3, None, -3), slice(1, 3), slice(1, 3))),
+)
+_RIGHT_SUMS = (
+    # (g, e) - (h, f) for m1, m4; (e, g) + (f, h) for m2, m3
+    (np.subtract, slice(2, None, -2), slice(3, None, -2), slice(0, 4, 3)),
+    (np.add, slice(0, None, 2), slice(1, None, 2), slice(1, 3)),
+    # (f, e) - (g, h) for m5, m7; (f, e) + (g, h) for m6, m8
+    (np.subtract, slice(1, None, -1), slice(2, None), slice(4, 7, 2)),
+    (np.add, slice(1, None, -1), slice(2, None), slice(5, 8, 2)),
+)
 
 
-def _slab_product(x: np.ndarray, y: np.ndarray, slabs=None) -> np.ndarray:
-    """The right side one slab at a time, for (m, k, 4) @ (k, n, 4). From
-    y's prebuilt slabs (_slabs), the sum of the four products is left in
-    scratch; without them, each slab is built in scratch as the loop
-    reaches it, and the sum is a fresh array."""
+def _combine(q: np.ndarray, table, out: np.ndarray) -> None:
+    """The combinations of the components of q, (r, c, 4), that a table
+    names, into their slots of out, (s, r, c), each pair one elementwise
+    op on q's component views, in out's dtype."""
+    planes = q.transpose(2, 0, 1)
+    for op, i, j, slots in table:
+        op(planes[i], planes[j], out=out[slots], dtype=out.dtype)
+
+
+def _eight_product(x: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """x y in the 8-product form, for x (m, k, 4) and R (8, k, n), y's
+    combinations (_RIGHT_SUMS) in the product's dtype: x's combinations by
+    R's in batched GEMMs, then the post-additions, in scratch."""
+    m, k = x.shape[:2]
+    n = R.shape[2]
+    mn = m * n
+    # x's eight combinations at once, and one GEMM call, up to
+    # _EIGHT_BATCH_MAX elements of scratch; four at a time above it
+    g = 8 if 9 * mn + 8 * m * k <= _EIGHT_BATCH_MAX else 4
+    ws = _scratch(9 * mn + max(g * m * k, 4 * mn), R.dtype)
+    # m1..m8 and t in the first nine (m, n) slots, then x's combinations,
+    # whose place the result takes
+    P = ws[:9 * mn].reshape(9, m, n)
+    L = ws[9 * mn:9 * mn + g * m * k].reshape(g, m, k)
+    for lo in range(0, 8, g):
+        for i in range(lo // 4, (lo + g) // 4):
+            _combine(x, _LEFT_SUMS[i], L[4 * i - lo:4 * i - lo + 4])
+        np.matmul(L, R[lo:lo + g], P[lo:lo + g])
+    # outputs passed by position, which spares numpy's keyword handling on
+    # these seven calls, a few per cent of a 50 x 50 product
+    t, u = P[8], P[4]
+    np.add(P[5], P[6], t)
+    np.add(t, P[7], t)
+    np.add(u, t, u)
+    np.multiply(u, 0.5, u)
+    np.add(P[:4], u, P[:4])
+    Z = ws[9 * mn:13 * mn].reshape(m, n, 4)
+    Zt = Z.transpose(2, 0, 1)
+    # z1 and z4 less m6 and m7, then z2 and z3 less t and m8
+    np.subtract(P[0:4:3], P[5:7], Zt[0:4:3])
+    np.subtract(P[1:3], P[8:6:-1], Zt[1:3])
+    return Z
+
+
+def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The right side one slab at a time, for (m, k, 4) @ (k, n, 4): slab 0
+    is y's own array, since unit 1 leaves y as it is, and slab s > 0,
+    S[p, (q, t)] = sum_u y[p, q, u] _SIGN[s, u, t], is built in scratch as
+    the loop reaches it. The sum of the four products is a fresh array."""
     m, k, _ = x.shape
     n = y.shape[1]
     sign = _tables(x, y)[1][0]
-    # the planes of x, one slab's product, then the sum or one slab, in
-    # scratch
+    # the planes of x, one slab's product and one slab, in scratch
     mk, mn = 4 * m * k, 4 * m * n
-    ws = _scratch(mk + mn + (mn if slabs else 4 * k * n), sign.dtype)
+    ws = _scratch(mk + mn + 4 * k * n, sign.dtype)
     planes = ws[:mk].reshape(4, m, k)
     np.copyto(planes, x.transpose(2, 0, 1))
     P = ws[mk:mk + mn].reshape(m, 4 * n)
-    Z = None
-    if slabs:
-        Z = ws[mk + mn:].reshape(m, 4 * n)
-    else:
-        slabs = _slabs(y, sign, ws[mk + mn:].reshape(k * n, 4))
-    slabs = iter(slabs)
+    S = ws[mk + mn:].reshape(k * n, 4)
+    yq = y.reshape(k * n, 4)
     # k = 1 runs as einsum, as in the batched call
     gemm = np.matmul if k != 1 else functools.partial(np.einsum, "mk,kn->mn")
-    Z = gemm(planes[0], next(slabs), out=Z)
-    for plane, slab in zip(planes[1:], slabs):
-        Z += gemm(plane, slab, out=P)
+    Z = gemm(planes[0], yq.reshape(k, 4 * n))
+    for s in range(1, 4):
+        slab = np.matmul(yq, sign[s], out=S).reshape(k, 4 * n)
+        Z += gemm(planes[s], slab, out=P)
     return Z.reshape(m, n, 4)

@@ -55,8 +55,17 @@ class DeblurProblem:
                              f"{h}x{w} frame")
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be a finite float > 0")
-        if not self.snr_db > -math.inf:
-            raise ValueError("snr_db must be a float > -inf (inf: no noise)")
+        # blur_and_noise divides by 10^(snr_db / 10), which must be a
+        # float > 0 and finite: about -3236 < snr_db < 3082, or inf for no
+        # noise
+        if self.snr_db != math.inf:
+            try:
+                ratio = 10.0 ** (self.snr_db / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:
+                raise ValueError("snr_db must be a float whose 10^(snr_db/10)"
+                                 " is > 0 and finite (inf: no noise)")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError("tol must be a finite float >= 0")
 

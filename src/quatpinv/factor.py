@@ -70,6 +70,27 @@ def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
 
 
+# the square root of the smallest normal float64: a Frobenius norm below
+# it comes from a squared sum that has underflowed
+_FRO_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _fro_scaled(d: np.ndarray, lead: tuple) -> np.ndarray:
+    """_fro(d, lead), except for a matrix whose squared sum under- or
+    overflows (a norm below _FRO_TINY, or infinite): its norm is taken
+    from the matrix times 2^-e, e from frexp of its largest |entry|, an
+    exact scaling that brings that entry into [0.5, 1), as
+    ``solvers.rsp_rate_bound`` scales A. Any other matrix keeps _fro's
+    bits."""
+    norm = _fro(d, lead)
+    off = (norm < _FRO_TINY) | (norm == np.inf)
+    if not off.any():
+        return norm
+    e = np.frexp(np.abs(d).reshape(lead + (-1,)).max(-1, initial=0.0))[1]
+    scaled = _fro(np.ldexp(d, -e.reshape(e.shape + (1, 1, 1))), lead)
+    return np.where(off, np.ldexp(scaled, e), norm)
+
+
 # thin_qr raises RankDeficient when R's smallest diagonal is at most this
 # times ||Y||_F
 _RANK_TOL = 1e-12
@@ -146,10 +167,10 @@ def _cholesky(Gd: np.ndarray, Gc: np.ndarray | None = None):
     embedding of the quaternion factor (F. Zhang, Linear Algebra Appl.
     251, 1997): the (2r, 2r) complex L, or None when a pivot fails, that
     is when LAPACK finds one nonpositive or the smallest diag(L)^2 is at most
-    1e-14 ||G||_F. Gd may also be a stack, an (s, r, r, 4) array, factored
-    in one call, each item bitwise as alone: the result is then (L, ok),
-    where ok (s,) is False for an item whose pivot failed; its L is the
-    identity."""
+    1e-14 ||G||_F (``_fro_scaled``, so at any scale of G). Gd may also be
+    a stack, an (s, r, r, 4) array, factored in one call, each item
+    bitwise as alone: the result is then (L, ok), where ok (s,) is False
+    for an item whose pivot failed; its L is the identity."""
     lead = Gd.shape[:-3]
     Gc = complex_adjoint(Gd) if Gc is None else Gc
     try:
@@ -166,7 +187,7 @@ def _cholesky(Gd: np.ndarray, Gc: np.ndarray | None = None):
                 Li[...] = 0.0
     piv = L.diagonal(axis1=-2, axis2=-1).real
     ok = ((piv * piv).min(-1, initial=np.inf)
-          > 1e-14 * np.maximum(_fro(Gd, lead), 1e-300))
+          > 1e-14 * np.maximum(_fro_scaled(Gd, lead), 1e-300))
     if not lead:
         return L if ok else None
     L[~ok] = np.eye(L.shape[-1])
@@ -201,9 +222,10 @@ def _residual_ok(Gc: np.ndarray, Ze: np.ndarray, Be: np.ndarray, bnorm):
     G's embedding and Ze, Be the even columns of Z's and B's: those columns
     hold each quaternion entry's four parts once, so it is the quaternion
     residual. A bool, or (s,) flags on stacks, each item bitwise as
-    alone."""
+    alone. It fails when bnorm is not finite, where the bound would be
+    vacuous."""
     res = _fro((Gc @ Ze - Be).view(np.float64), Ze.shape[:-2])
-    return res <= _SOLVE_TOL * np.maximum(bnorm, 1e-300)
+    return (res <= _SOLVE_TOL * np.maximum(bnorm, 1e-300)) & (bnorm < np.inf)
 
 
 def _checked_chol_solve(L: np.ndarray, Gd: np.ndarray, Bd: np.ndarray,
@@ -233,17 +255,17 @@ def hpd_solve(G: QMatrix | np.ndarray, B: QMatrix | np.ndarray):
     eigenvalue below -1e-10 ||G||_F, and else gives the min-norm solution
     over the eigenvalues above _EIG_CUT times the largest, kept under the
     same residual check; it raises Indefinite when that check fails (B is
-    not in G's range), and NonFinite when ||B||_F overflows. A LAPACK
-    failure of the inverse or of the eigendecomposition raises
-    ConvergenceFailure.
+    not in G's range), and NonFinite when ||B||_F overflows, where
+    neither path's residual check can hold. A LAPACK failure of the
+    inverse or of the eigendecomposition raises ConvergenceFailure.
 
     G and B may also be stacks of s matrices, (s, r, r, 4) and (s, r, p, 4)
     arrays, taken to be Hermitian: they are factored and solved in one
     LAPACK call each, on embeddings formed once for the factors and the
     check, each item bitwise as alone, and the result is
     (Z, ok), where ok (s,) is False for an item whose pivot or residual
-    check failed, a non-finite item among them (its Z is then
-    meaningless). A stack has no fallback.
+    check failed, a non-finite item and one whose ||B||_F overflows among
+    them (its Z is then meaningless). A stack has no fallback.
     """
     stacked = not isinstance(G, QMatrix)
     Gd, Bd = (G, B) if stacked else (G.data, B.data)

@@ -815,17 +815,21 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     applied once per call, to B^H, and X is formed from F after the last
     step.
 
-    M is held only as its product (``_qops.qmatmul_right``): on the slab
-    path, n > 32, M's three signed slabs are built once per solve, where
-    qmatmul would build them at every step, and S is left in qmatmul's
-    workspace, where the step then forms its two scaled copies. Neither X0
-    nor a scratch buffer is held through the loop, so the slabs do not
-    raise the call's peak memory (README, performance notes).
+    M is held only as its product (``_qops.qmatmul_right``): for n > 32,
+    S = R M runs in the 8-product form, eight real n x n GEMMs where the
+    Hamilton form takes sixteen, on M's eight combinations of components,
+    formed once per solve. Its rounding differs from qmatmul's by a small
+    factor (1.3-2.3 times, normwise), so S is not bitwise qmatmul's R M.
+    S is left in the products' workspace, where the step then forms its
+    two scaled copies. Neither X0 nor a scratch buffer is held through the
+    loop, so M's combinations, 8n^2 elements, are the loop's only memory
+    beside its state (README, performance notes).
     """
     def solve(B, Bh, spec):
         BhP = (Bh if precond is None
                else _NystromPrecond(B, Bh, precond).apply_right(Bh))
-        # M = B^H P B, held only as its product, whose slabs are built once
+        # M = B^H P B, held only as its product, whose combinations are
+        # formed once
         times_M = _qops.qmatmul_right((BhP @ B).data)
 
         def step(state, _):
@@ -833,7 +837,7 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
             # residual, the previous direction, its image W = D M and the
             # previous <R M, R>; the new direction is formed first, from R.
             # F, R, D and W are this loop's own and are updated in place;
-            # S = R M, on the slab path in qmatmul's workspace, holds the
+            # S = R M, for n > 32 in the products' workspace, holds the
             # scaled copies once W is formed.
             F, R, D, W, zz = state
             S = QMatrix._of(times_M(R.data))

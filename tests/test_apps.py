@@ -490,6 +490,16 @@ def test_deblur_snr_db_must_be_a_number(snr_db):
     assert DeblurProblem(image=img, psf_radius=2, snr_db=math.inf)
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+def test_deblur_snr_db_outside_the_noise_ratio_range(snr_db):
+    # 10^(snr_db/10) underflows to 0 at -4000, where blur_and_noise once
+    # raised ZeroDivisionError, and overflows at 4000 (OverflowError)
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    with pytest.raises(ValueError, match="snr_db"):
+        DeblurProblem(image=img, psf_radius=2, snr_db=snr_db)
+    assert DeblurProblem(image=img, psf_radius=2, snr_db=snr_db / 2)
+
+
 @pytest.mark.parametrize("psf_sigma", [0.0, -1.0, math.nan])
 def test_deblur_psf_sigma_must_be_positive(psf_sigma):
     img = image_to_qmat(synthetic_image(16, seed=0))

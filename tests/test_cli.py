@@ -64,6 +64,9 @@ def test_usage_no_subcommand():
     ["deblur", "--sizes", "16", "--psf-radius", "2", "--psf-sigma", "nan"],
     ["deblur", "--sizes", "16", "--psf-radius", "2", "--lambda", "nan"],
     ["deblur", "--sizes", "16", "--psf-radius", "2", "--lambda", "inf"],
+    # an snr_db whose 10^(snr_db/10) underflows to 0 once ended in a
+    # ZeroDivisionError traceback
+    ["deblur", "--sizes", "16", "--psf-radius", "2", "--snr-db", "-4000"],
 ])
 def test_usage_bad_parameter_value(argv, capsys):
     with pytest.raises(SystemExit) as exc:

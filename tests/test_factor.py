@@ -502,6 +502,34 @@ def test_cholesky_rejects_a_positive_pivot_below_threshold():
     assert _same_bits(L[1], np.eye(6, dtype=complex))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-250])
+def test_cholesky_pivot_threshold_holds_at_any_scale(scale):
+    # ||G||_F^2 underflows below about 1e-162: the threshold once fell to
+    # 1e-14 * 1e-300, and the pivot 1e-20 passed at 1e-200 and 1e-250
+    refused = QMatrix.from_real(np.diag([1.0, 1e-20, 2.0])).data * scale
+    kept = QMatrix.from_real(np.diag([1.0, 1e-10, 2.0])).data * scale
+    assert _cholesky(refused) is None
+    assert _cholesky(kept) is not None
+    assert _cholesky(np.stack([kept, refused]))[1].tolist() == [True, False]
+
+
+def test_hpd_solve_overflowing_b_norm_is_non_finite():
+    # ||B||_F overflows though B is finite: the Cholesky path's residual
+    # bound is then inf, and a solve that returned Z = 0 once passed it
+    B = randn_qmat(4, 2, 7).scale(1e160)
+    Gs = np.stack([_gram(4, 40 + i) for i in range(3)])
+    Bs = _stack((4, 2), range(50, 53))
+    Bs[1] *= 1e160
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite, match="B"):
+            hpd_solve(_G_GRAM, B)
+        Z, ok = hpd_solve(Gs, Bs)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            assert _same_bits(Z[i],
+                              hpd_solve(QMatrix(Gs[i]), QMatrix(Bs[i])).data)
+
+
 def test_hpd_solve_lapack_failures_are_typed(monkeypatch):
     # a LinAlgError of the fallback's eigendecomposition or of the
     # triangular solves' inverse is not the pivot test's failure: it is

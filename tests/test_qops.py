@@ -325,12 +325,32 @@ def test_qmatmul_by_shapes_cover_every_path():
 
 
 # ---------------------------------------------------------------------------
-# products by one right factor, its slabs built once
+# products by one right factor, in the 8-product form
 # ---------------------------------------------------------------------------
 
 # (m, k, n) on the slab path: CGNE's 200 x 200 step, a rectangular pair and
 # the smallest square one; entries include 0.0 and -0.0
 _RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
+
+
+def eight_product(x, y):
+    """x y in the 8-product form (Howell & Lafon, 1975), out of place, in
+    the dtype of the product: float32 for two float32 operands. Its GEMMs
+    take C-ordered operands, as the kernel's do."""
+    dtype = np.result_type(x, y)
+    a, b, c, d = np.moveaxis(np.ascontiguousarray(x, dtype), -1, 0)
+    e, f, g, h = np.moveaxis(np.ascontiguousarray(y, dtype), -1, 0)
+    left = [d - c, a + b, a - b, c + d, d - b, d + b, a + c, a - c]
+    right = [g - h, e + f, g + h, e - f, f - g, f + g, e - h, e + h]
+    m1, m2, m3, m4, m5, m6, m7, m8 = [p @ q for p, q in zip(left, right)]
+    t = m6 + m7 + m8
+    u = (m5 + t) / 2
+    return np.stack([m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7], -1)
+
+
+def test_eight_product_reference_is_the_quaternion_product():
+    x, y = int_qarray((5, 6), 1), int_qarray((6, 7), 2)
+    assert np.array_equal(eight_product(x, y), loop_product(x, y))
 
 
 def test_qmatmul_right_shapes_take_the_slab_path():
@@ -340,14 +360,14 @@ def test_qmatmul_right_shapes_take_the_slab_path():
 
 @pytest.mark.parametrize("m, k, n", _RIGHT_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_qmatmul_right_bitwise_equals_qmatmul(m, k, n, dtype):
+def test_qmatmul_right_bitwise_equals_eight_product(m, k, n, dtype):
     rng = np.random.default_rng(m * 4096 + k)
     y = _wide_range_qarray((k, n), rng).astype(dtype)
     kept = y.tobytes()
     product = _qops.qmatmul_right(y)
     for _ in range(2):
         x = _wide_range_qarray((m, k), rng).astype(dtype)
-        want = qmatmul(x, y)
+        want = eight_product(x, y)
         got = product(x)
         # left in the workspace, valid until this thread's next product
         assert np.shares_memory(got, _qops._local.workspace)
@@ -358,52 +378,83 @@ def test_qmatmul_right_bitwise_equals_qmatmul(m, k, n, dtype):
 
 @pytest.mark.parametrize("zero_side", ["x", "y"])
 def test_qmatmul_right_signed_zeros_match_qmatmul(zero_side):
+    # a -0.0 operand gives 0.0 throughout, in either form
     rng = np.random.default_rng(7)
     x = rng.standard_normal((100, 90, 4))
     y = rng.standard_normal((90, 100, 4))
     (x if zero_side == "x" else y)[:] = -0.0
-    assert _qops.qmatmul_right(y)(x).tobytes() == qmatmul(x, y).tobytes()
+    got = _qops.qmatmul_right(y)(x).tobytes()
+    assert got == eight_product(x, y).tobytes() == qmatmul(x, y).tobytes()
 
 
-def test_qmatmul_right_of_strided_views_bitwise_equals_qmatmul():
+def test_qmatmul_right_of_strided_views_bitwise_equals_eight_product():
     rng = np.random.default_rng(8)
     x = _wide_range_qarray((100, 180), rng)[:, ::2]
     y = _wide_range_qarray((100, 90), rng).transpose(1, 0, 2)
     assert not x.flags.c_contiguous and not y.flags.c_contiguous
     product = _qops.qmatmul_right(y)
     for _ in range(2):
-        assert product(x).tobytes() == qmatmul(x, y).tobytes()
+        assert product(x).tobytes() == eight_product(x, y).tobytes()
 
 
-def test_qmatmul_right_mixed_dtypes_bitwise_equal_qmatmul():
-    # float32 slabs, built once, serve a float64 x with qmatmul's bits
+def test_qmatmul_right_mixed_dtypes_bitwise_equal_eight_product():
+    # a float64 x by a float32 y takes y's combinations formed in float64
     rng = np.random.default_rng(9)
     y = _wide_range_qarray((90, 100), rng).astype(np.float32)
     product = _qops.qmatmul_right(y)
     for dtype in (np.float32, np.float64, np.float32):
         x = _wide_range_qarray((100, 90), rng).astype(dtype)
-        assert product(x).tobytes() == qmatmul(x, y).tobytes()
+        assert product(x).tobytes() == eight_product(x, y).tobytes()
 
 
-def test_qmatmul_right_builds_its_slabs_once(monkeypatch):
-    built = []
-    slabs = _qops._slabs
+def _longdouble_product(x, y):
+    """The Hamilton product in long double, as a reference of accuracy."""
+    a, b, c, d = np.moveaxis(x.astype(np.longdouble), -1, 0)
+    e, f, g, h = np.moveaxis(y.astype(np.longdouble), -1, 0)
+    return np.stack([a @ e - b @ f - c @ g - d @ h,
+                     a @ f + b @ e + c @ h - d @ g,
+                     a @ g - b @ h + c @ e + d @ f,
+                     a @ h + b @ g - c @ f + d @ e], -1)
 
-    def counting(y, sign, R=None):
-        built.append(R is None)
-        return slabs(y, sign, R)
-    monkeypatch.setattr(_qops, "_slabs", counting)
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+@pytest.mark.parametrize("make", ["gaussian", "wide-range"])
+def test_qmatmul_right_rounding_is_normwise_small(make):
+    # each entry's error against a long-double product, over (|x||y|)_ij,
+    # the sum of the entries' moduli: measured up to 2.6e-16 (Gaussian) and
+    # 2.2e-15 (wide range), 1.3-2.3 times qmatmul's; bounds 2x that
+    bound = {"gaussian": 5e-16, "wide-range": 5e-15}[make]
+    rng = np.random.default_rng(12)
+    modulus = lambda q: np.sqrt(np.sum(np.square(q, dtype=np.longdouble), -1))
+    for m, k, n in _RIGHT_SHAPES[1:]:
+        if make == "gaussian":
+            x = rng.standard_normal((m, k, 4))
+            y = rng.standard_normal((k, n, 4))
+        else:
+            x, y = _wide_range_qarray((m, k), rng), _wide_range_qarray((k, n), rng)
+        want = _longdouble_product(x, y)
+        scale = modulus(x) @ modulus(y)
+        got = _qops.qmatmul_right(y)(x)
+        assert float(np.max(modulus(got - want) / scale)) <= bound
+        assert float(np.max(modulus(qmatmul(x, y) - want) / scale)) <= bound
+
+
+def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
+    formed = []
+    combine = _qops._combine
+
+    def counting(q, table, out):
+        formed.append(table is _qops._RIGHT_SUMS)
+        combine(q, table, out)
+    monkeypatch.setattr(_qops, "_combine", counting)
     rng = np.random.default_rng(10)
     y = _wide_range_qarray((90, 100), rng)
     product = _qops.qmatmul_right(y)
-    xs = [_wide_range_qarray((100, 90), rng) for _ in range(3)]
-    for x in xs:
-        product(x)
-    assert built == [True]
-    # qmatmul builds them on every call, one at a time into its scratch
-    for x in xs:
-        qmatmul(x, y)
-    assert built == [True, False, False, False]
+    for _ in range(3):
+        product(_wide_range_qarray((100, 90), rng))
+    # y's at the first product, then x's, in two halves, at each
+    assert formed == [True] + [False] * 6
 
 
 def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):

@@ -266,11 +266,12 @@ def _ref_cgne(A, cfg, precond=None):
     def solve(B, Bh, spec):
         BhP = Bh if precond is None else \
             solvers._NystromPrecond(B, Bh, precond).apply_right(Bh)
-        M = BhP @ B
+        # S = R M by M's fixed-factor product, copied out of its scratch
+        times_M = _qops.qmatmul_right((BhP @ B).data)
 
         def step(state, _):
             F, R, D, W, zz = state
-            S = R @ M
+            S = QMatrix(times_M(R.data).copy())
             zz_new = _frob(S, R)
             if D is None:
                 D, W = R, S
@@ -1095,8 +1096,8 @@ def test_cgne_gram_matches_xspace_reference(case, precond):
 def test_cgne_step_makes_one_product(shape, precond, monkeypatch):
     # ten more steps make ten more quaternion products, with or without the
     # preconditioner: S = R M, n x n, each by M's fixed-factor product. A
-    # 20 x 20 M's goes through qmatmul; a 60 x 60 M's takes the slab path on
-    # M's prebuilt slabs, and no more qmatmul calls
+    # 20 x 20 M's goes through qmatmul; a 60 x 60 M's runs in the 8-product
+    # form on M's combinations, formed once, and makes no qmatmul call
     calls, steps = [], []
     qmatmul, qmatmul_right = _qops.qmatmul, _qops.qmatmul_right
 
