@@ -1,8 +1,8 @@
 """Array-level quaternion kernels.
 
 Quaternion arrays carry a trailing axis of length 4 holding (a, b, c, d)
-components. A quaternion matrix product is four real GEMMs, one per
-component of one operand:
+components. A quaternion matrix product runs in one of two forms. The
+Hamilton form is four real GEMMs, one per component of one operand:
 
 * for each component s of the left operand x, its contiguous (m, k) plane
   times the (k, 4n) slab of y whose entry (p, (q, t)) is component t of
@@ -18,7 +18,8 @@ component of one operand:
 The side is picked from the shapes alone, as the one that moves fewer
 elements. Either way each output component is summed as the Hamilton
 formula writes it: four k-term products, added in the order a, b, c, d of
-the left factor.
+the left factor. The 8-product form (below) takes the large products of
+the first kind.
 
 Small products, such as the sketch steps' products with an n x r sketch,
 cost mostly numpy's per-call overhead, so each side keeps its call count
@@ -27,9 +28,10 @@ sign table and regroups the terms with one row gather; a right-side
 product with (m + k) n <= 2048 builds all four slabs with one product by
 the sign table and runs its four GEMMs as one batched call (for k = 1 as
 one einsum, which does the same faster than numpy's matmul). A larger
-right-side product builds and multiplies one slab at a time (each product
-an einsum too when k = 1). No path changes a GEMM's shape or the order of
-the adds, so the results are bitwise those of one call per GEMM.
+right-side product, the slab path, builds and multiplies one slab at a
+time (each product an einsum too when k = 1). No path changes a GEMM's
+shape or the order of the adds, so the results are bitwise those of one
+call per GEMM.
 
 That slab path keeps its scratch -- the (4, m, k) planes of x, one (k, 4n)
 slab and one slab's (m, 4n) product, 4 (mk + kn + mn) elements -- in a
@@ -38,8 +40,29 @@ fault fresh pages in on every call. The workspace belongs to the calling
 thread (``threading.local``), so concurrent products never share it. It
 grows to the largest need seen and retains at most _WORKSPACE_MAX
 elements (8 MiB) per thread; a larger product takes fresh scratch. The
-returned array is fresh, never a view of the workspace, except for the
-8-product form's products by a fixed right factor (below).
+returned array is fresh, never a view of the workspace.
+
+A slab-path product with each of m, k and n at least _EIGHT_MIN (128)
+runs instead in the 8-product form of Howell and Lafon (The complexity of
+the quaternion product, Cornell TR 75-245, 1975), which holds for matrix
+entries: eight real (m, k) @ (k, n) GEMMs of sums and differences of the
+components of x and of y, and post-additions that give the four
+components, 8 m k n multiply-adds where the Hamilton form takes 16. The
+combinations of both operands are formed at each product, with
+elementwise ops on their component views, in two phases that keep the
+scratch near the slab path's, 5mn + max(4 (mk + kn), 4mn + mk + kn)
+elements: m5..m8 first, from four combinations of each operand (two an
+op) and one batched GEMM call, then m1..m4 one GEMM at a time, each from
+one combination of each, where the first phase's combinations were; the
+post-additions write the fresh result. Against the Hamilton form a
+product took 0.80-0.99 of the time on the dense workload's 200-220
+shapes and 0.86-0.95 at 128-176, but 0.78-1.06 at 100-120 (the sketch
+workload's), 0.94-1.51 at its 50-70 shapes and 1.01-1.24 at 56 x 56 x 56
+(one BLAS thread, 2-core VM; the table is in the README, performance
+notes), so smaller products keep the Hamilton form. Its rounding is not
+the Hamilton form's: against a long-double product, each entry's error
+is 1.1-2.4 times the Hamilton form's, within 2.3e-15 (|x||y|)_ij, |x| the
+entries' moduli (Gaussian operands: 2.8e-16).
 
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every
@@ -47,9 +70,10 @@ item; the micro-solves use it to factor a block of sketches in one pass.
 The left side and the batched right side run the items' GEMMs as items
 of the same batched numpy calls, with each item's GEMM shapes and adds
 unchanged, so every item is bitwise its 2-D product; the slab path takes
-the items one at a time. ``qmatmul`` is the product of one pair, the name
-a tracer wraps: a span's flops are computed from 2-D operand shapes, so
-stacked products do not pass through it.
+the items one at a time, each in the form of its 2-D product. ``qmatmul``
+is the product of one pair, the name a tracer wraps: a span's flops are
+computed from 2-D operand shapes, so stacked products do not pass through
+it.
 
 ``qmatmul_by(x)`` is the product by one fixed 2-D left factor, for the
 matvecs of a power or Lanczos run: it lays out the planes of x once, and
@@ -60,37 +84,26 @@ slab-path product calls qmatmul, and the others do not pass through that
 name.
 
 ``qmatmul_right(y)`` is its counterpart for one fixed 2-D right factor,
-for CGNE's steps, which multiply by the same n x n M. A product that
-qmatmul would run on the slab path runs instead in the 8-product form of
-Howell and Lafon (The complexity of the quaternion product, Cornell TR
-75-245, 1975), which holds for matrix entries: eight real (m, k) @ (k, n)
-GEMMs of sums and differences of the components of x and of y, and
-post-additions that give the four components, 8 m k n multiply-adds where
-the Hamilton form takes 16. The eight combinations of y are formed once,
-at the first such product, and those of x at each product, with
-elementwise ops on x's component views, two combinations an op. The eight
-GEMMs run as one batched call; a product whose scratch would then exceed
-_EIGHT_BATCH_MAX forms x's combinations four at a time, in two batched
-calls, so that at 200 x 200 its scratch, the eight products, one more
-term and four combinations, 9mn + 4 max(mk, mn) elements, stays within
-the slab path's. Few calls matter at 50 x 50, where a call per GEMM and
-per addition ran 1.45 times the Hamilton form's time. The result takes
-the combinations' place in the workspace and is left there until the
-thread's next product, so a loop that forms its scaled copies there
-holds no buffer of its own. Against the Hamilton form on slabs of y built
-once, a product took 0.71 of the time at 200 x 200 and 1.01-1.05 at
-50 x 50, where the additions cost about what the halved GEMMs save (one
-BLAS thread, 2-core VM). Its rounding is not qmatmul's: against a
-long-double product, each entry's error is 1.3-2.3 times the Hamilton
-form's, within 2.2e-15 (|x||y|)_ij, |x| the entries' moduli (Gaussian
-operands: 2.6e-16). Any other product (the left side, the batched right
-side) is qmatmul's, and no product outside this one runs in the
-8-product form.
+for CGNE's steps, which multiply by the same n x n M. Every product that
+qmatmul would run on the slab path runs in the 8-product form, at any
+size, on y's eight combinations, formed once, at the first such product,
+and handed to the same kernel (``_eight_product``); x's are formed at
+each product. Where all eight of x's combinations fit in scratch with
+the eight products (9mn + 8mk elements up to _EIGHT_BATCH_MAX, as at
+CGNE's 50 x 50 steps), the eight GEMMs run as one batched call: few calls
+matter there, where a call per GEMM and per addition ran 1.45 times the
+Hamilton form's time. Larger products take the two phases. A product took
+0.71 of the Hamilton form's time on slabs of y built once at 200 x 200
+and 1.01-1.05 at 50 x 50; the two phases took 1.02 of the time of the
+two batched calls of four that they replaced at 200 x 200 (one BLAS
+thread, 2-core VM). Its products are bitwise the 8-product form's, so
+from 128 on they are bitwise qmatmul's too; any other product (the left
+side, the batched right side) is qmatmul's.
 
 A product keeps its operands' dtype: two float32 operands give a float32
-product, formed with float32 sign tables, planes, slabs and GEMMs, and any
-other pair gives float64, bitwise as before. Float32 scratch on the slab
-path is a prefix of the same thread workspace's bytes, so a float32
+product, formed with float32 sign tables, planes, slabs, combinations and
+GEMMs, and any other pair gives float64, bitwise as before. Float32
+scratch is a prefix of the same thread workspace's bytes, so a float32
 product never keeps a second workspace. ``qconj`` keeps float32 too. The
 Newton-Schulz family runs its first steps this way (``solvers._ns_solve``):
 at 200 x 220 by 220 x 200 a float32 product took 0.53 of the float64 one's
@@ -98,8 +111,8 @@ time (one BLAS thread, 2-core VM).
 
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
-planes (8 m k n in qmatmul_right's 8-product form), the expanded slabs or
-blocks of one operand live only inside one call (qmatmul_right's
+planes (8 m k n in the 8-product form), the expanded slabs, blocks or
+combinations of an operand live only inside one call (qmatmul_right's
 combinations of y, 8 k x n, as long as its product), and no 4m x 4n real
 counterpart of a whole matrix is ever formed.
 """
@@ -169,10 +182,13 @@ def _term_rows(b: int) -> np.ndarray:
 
 # right-side products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
-# 8-product-form products whose scratch with all eight of x's combinations
-# (9mn + 8mk elements) is at most this run one batched GEMM call; above it
-# they form the combinations four at a time, which keeps a 200 x 200
-# product's scratch within the slab path's (2 MiB)
+# slab-path products with min(m, k, n) at least this run in the 8-product
+# form (README, performance notes: the shape table it was chosen from)
+_EIGHT_MIN = 128
+# products by a fixed right factor (qmatmul_right) whose scratch with all
+# eight of x's combinations (9mn + 8mk elements) is at most this run as one
+# batched GEMM call (2 MiB); any other 8-product-form product runs in two
+# phases, which keep its scratch near the slab path's
 _EIGHT_BATCH_MAX = 1 << 18
 # float64 elements of scratch a thread keeps between products (8 MiB)
 _WORKSPACE_MAX = 1 << 20
@@ -236,13 +252,22 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if (m + k) * n <= _BATCH_MAX:
         return _right_batched(
             np.ascontiguousarray(x.transpose(_PLANES_FIRST[len(lx)])), y)
-    # the slab path takes one item at a time
+    # the slab path takes one item at a time, each as a 2-D product
     if not lead:
-        return _slab_product(x, y)
+        return _slab_path(x, y)
     out = np.empty(lead + (m, n, 4), _tables(x, y)[0].dtype)
     for i in range(len(out)):
-        out[i] = _slab_product(x[i] if lx else x, y[i] if ly else y)
+        out[i] = _slab_path(x[i] if lx else x, y[i] if ly else y)
     return out
+
+
+def _slab_path(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A slab-path product, (m, k, 4) @ (k, n, 4): in the 8-product form
+    when each of m, k and n is at least _EIGHT_MIN, else in the Hamilton
+    form, one slab at a time."""
+    if min(x.shape[0], x.shape[1], y.shape[1]) >= _EIGHT_MIN:
+        return _eight_product(x, y)
+    return _slab_product(x, y)
 
 
 def _left_side(m: int, k: int, n: int) -> bool:
@@ -299,22 +324,12 @@ def qmatmul_by(x: np.ndarray):
 def qmatmul_right(y: np.ndarray):
     """x -> x y for one 2-D right factor y, for many products by one
     matrix, such as CGNE's steps. A product that qmatmul would run on the
-    slab path runs in the 8-product form instead (``_eight_product``):
-    eight real GEMMs, (m, k) @ (k, n), of combinations of the components
-    of x and of y, half the multiply-adds of the Hamilton form. The eight
-    combinations of y are formed once, at the first such product, in that
-    product's dtype (float32 for two float32 operands, float64 otherwise);
-    those of x at every product. Any other product (the left side, the
-    batched right side) is qmatmul's, bit for bit.
-
-    The 8-product form rounds differently from the Hamilton form: each
-    entry's error against a long-double product is 1.3-2.3 times
-    qmatmul's, within 2.2e-15 (|x||y|)_ij, |x| the entries' moduli. Its
-    scratch is the eight products, one more (m, n) term and x's
-    combinations, all eight or, for a large product, four at a time, the
-    result taking the place of the combinations once the GEMMs are done;
-    the result is left there, in this thread's workspace, and stays valid
-    only until the thread's next product. The others are fresh arrays."""
+    slab path runs in the 8-product form (``_eight_product``) at every
+    size, on y's eight combinations of components, formed once, at the
+    first such product, in that product's dtype (float32 for two float32
+    operands, float64 otherwise); x's are formed at every product. Any
+    other product (the left side, the batched right side) is qmatmul's,
+    bit for bit. Every result is a fresh array."""
     k, n = y.shape[:2]
     combos = {}
 
@@ -326,7 +341,7 @@ def qmatmul_right(y: np.ndarray):
         if dtype not in combos:
             combos[dtype] = np.empty((8, k, n), dtype)
             _combine(y, _RIGHT_SUMS, combos[dtype])
-        return _eight_product(x, combos[dtype])
+        return _eight_product(x, y, combos[dtype])
     return product
 
 
@@ -335,10 +350,10 @@ def qmatmul_right(y: np.ndarray):
 # y = (e, f, g, h): the real products m1..m8 of (d - c, a + b, a - b,
 # c + d, d - b, d + b, a + c, a - c) by (g - h, e + f, g + h, e - f,
 # f - g, f + g, e - h, e + h), then t = m6 + m7 + m8, u = (m5 + t) / 2 and
-# z = (m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7). Each row of a
-# table forms two combinations in one call: (ufunc, its two operands'
-# components, the slots of the two combinations). x's table is in two
-# halves, those of m1..m4 and of m5..m8, each into four slots
+# z = (m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7). Each table is in
+# two halves, the combinations of m1..m4 and of m5..m8, four slots each;
+# each row of a half forms two combinations in one call: (ufunc, its two
+# operands' components, the slots of the two combinations)
 _LEFT_SUMS = (
     # (d, a) - (c, b) and (a, c) + (b, d), for m1, m3 and m2, m4
     ((np.subtract, slice(3, None, -3), slice(2, 0, -1), slice(0, 3, 2)),
@@ -349,55 +364,104 @@ _LEFT_SUMS = (
 )
 _RIGHT_SUMS = (
     # (g, e) - (h, f) for m1, m4; (e, g) + (f, h) for m2, m3
-    (np.subtract, slice(2, None, -2), slice(3, None, -2), slice(0, 4, 3)),
-    (np.add, slice(0, None, 2), slice(1, None, 2), slice(1, 3)),
+    ((np.subtract, slice(2, None, -2), slice(3, None, -2), slice(0, 4, 3)),
+     (np.add, slice(0, None, 2), slice(1, None, 2), slice(1, 3))),
     # (f, e) - (g, h) for m5, m7; (f, e) + (g, h) for m6, m8
-    (np.subtract, slice(1, None, -1), slice(2, None), slice(4, 7, 2)),
-    (np.add, slice(1, None, -1), slice(2, None), slice(5, 8, 2)),
+    ((np.subtract, slice(1, None, -1), slice(2, None), slice(0, 3, 2)),
+     (np.add, slice(1, None, -1), slice(2, None), slice(1, 4, 2))),
 )
 
 
-def _combine(q: np.ndarray, table, out: np.ndarray) -> None:
-    """The combinations of the components of q, (r, c, 4), that a table
-    names, into their slots of out, (s, r, c), each pair one elementwise
-    op on q's component views, in out's dtype."""
+def _one_at_a_time(half) -> tuple:
+    """The combinations of a half table one by one, by slot: (ufunc,
+    component, component)."""
+    ones = [None] * 4
+    for op, i, j, slots in half:
+        for s, p, q in zip(range(4)[slots], range(4)[i], range(4)[j]):
+            ones[s] = (op, p, q)
+    return tuple(ones)
+
+
+# the combinations of m1..m4 of x and of y, one by one
+_LEFT_ONE = _one_at_a_time(_LEFT_SUMS[0])
+_RIGHT_ONE = _one_at_a_time(_RIGHT_SUMS[0])
+
+
+def _combine(q: np.ndarray, halves, out: np.ndarray) -> None:
+    """The combinations of the components of q, (r, c, 4), that the halves
+    of a table name, into out, (4 per half, r, c), each pair one
+    elementwise op on q's component views, in out's dtype."""
     planes = q.transpose(2, 0, 1)
-    for op, i, j, slots in table:
-        op(planes[i], planes[j], out=out[slots], dtype=out.dtype)
+    for h, half in enumerate(halves):
+        for op, i, j, slots in half:
+            op(planes[i], planes[j], out=out[4 * h:4 * h + 4][slots],
+               dtype=out.dtype)
 
 
-def _eight_product(x: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """x y in the 8-product form, for x (m, k, 4) and R (8, k, n), y's
-    combinations (_RIGHT_SUMS) in the product's dtype: x's combinations by
-    R's in batched GEMMs, then the post-additions, in scratch."""
+def _eight_product(x: np.ndarray, y: np.ndarray,
+                   R: np.ndarray | None = None) -> np.ndarray:
+    """x y in the 8-product form, a fresh (m, n, 4) array, for x (m, k, 4)
+    and y (k, n, 4): eight real (m, k) @ (k, n) GEMMs of combinations of
+    the components of x (_LEFT_SUMS) and of y (_RIGHT_SUMS), then the
+    post-additions. R is y's eight combinations, (8, k, n) in the
+    product's dtype, formed ahead for many products by y
+    (``qmatmul_right``), or None to form them here."""
     m, k = x.shape[:2]
-    n = R.shape[2]
-    mn = m * n
-    # x's eight combinations at once, and one GEMM call, up to
-    # _EIGHT_BATCH_MAX elements of scratch; four at a time above it
-    g = 8 if 9 * mn + 8 * m * k <= _EIGHT_BATCH_MAX else 4
-    ws = _scratch(9 * mn + max(g * m * k, 4 * mn), R.dtype)
-    # m1..m8 and t in the first nine (m, n) slots, then x's combinations,
-    # whose place the result takes
-    P = ws[:9 * mn].reshape(9, m, n)
-    L = ws[9 * mn:9 * mn + g * m * k].reshape(g, m, k)
-    for lo in range(0, 8, g):
-        for i in range(lo // 4, (lo + g) // 4):
-            _combine(x, _LEFT_SUMS[i], L[4 * i - lo:4 * i - lo + 4])
-        np.matmul(L, R[lo:lo + g], P[lo:lo + g])
-    # outputs passed by position, which spares numpy's keyword handling on
-    # these seven calls, a few per cent of a 50 x 50 product
-    t, u = P[8], P[4]
-    np.add(P[5], P[6], t)
-    np.add(t, P[7], t)
+    n = y.shape[1]
+    dtype = _tables(x, y)[0].dtype
+    mk, mn = m * k, m * n
+    if R is not None and 9 * mn + 8 * mk <= _EIGHT_BATCH_MAX:
+        # one batch: m1..m8 and t, then the eight combinations of x, in
+        # scratch, and one batched GEMM call, whose few calls matter at
+        # 50 x 50
+        ws = _scratch(9 * mn + 8 * mk, dtype)
+        P = ws[:9 * mn].reshape(9, m, n)
+        L = ws[9 * mn:].reshape(8, m, k)
+        _combine(x, _LEFT_SUMS, L)
+        np.matmul(L, R, P[:8])
+        A, B = P[:4], P[4:]
+    else:
+        # two phases, so that the scratch stays near the slab path's:
+        # m5..m8 and t (B) first, from four combinations of each operand
+        # and one batched GEMM call; then m1..m4 (A), one GEMM at a time,
+        # each from one combination of each operand, where the first
+        # phase's combinations were
+        ky = k * n if R is None else 0  # one of y's combinations formed here
+        ws = _scratch(5 * mn + max(4 * (mk + ky), 4 * mn + mk + ky), dtype)
+        B = ws[:5 * mn].reshape(5, m, n)
+        F = ws[5 * mn:]
+        L = F[:4 * mk].reshape(4, m, k)
+        _combine(x, _LEFT_SUMS[1:], L)
+        if R is None:
+            R5 = F[4 * mk:4 * (mk + ky)].reshape(4, k, n)
+            _combine(y, _RIGHT_SUMS[1:], R5)
+        else:
+            R5 = R[4:]
+        np.matmul(L, R5, B[:4])
+        A = F[:4 * mn].reshape(4, m, n)
+        Lx = F[4 * mn:4 * mn + mk].reshape(m, k)
+        Ry = F[4 * mn + mk:4 * mn + mk + ky].reshape(-1, n)  # (0, n) if R
+        xs, ys = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
+        for s in range(4):
+            op, p, q = _LEFT_ONE[s]
+            op(xs[p], xs[q], Lx, dtype=dtype)
+            if R is None:
+                op, p, q = _RIGHT_ONE[s]
+                op(ys[p], ys[q], Ry, dtype=dtype)
+            np.matmul(Lx, Ry if R is None else R[s], A[s])
+    # the post-additions, outputs passed by position, which spares numpy's
+    # keyword handling, a few per cent of a 50 x 50 product
+    t, u = B[4], B[0]
+    np.add(B[1], B[2], t)
+    np.add(t, B[3], t)
     np.add(u, t, u)
     np.multiply(u, 0.5, u)
-    np.add(P[:4], u, P[:4])
-    Z = ws[9 * mn:13 * mn].reshape(m, n, 4)
+    np.add(A, u, A)
+    Z = np.empty((m, n, 4), dtype)
     Zt = Z.transpose(2, 0, 1)
     # z1 and z4 less m6 and m7, then z2 and z3 less t and m8
-    np.subtract(P[0:4:3], P[5:7], Zt[0:4:3])
-    np.subtract(P[1:3], P[8:6:-1], Zt[1:3])
+    np.subtract(A[0:4:3], B[1:3], Zt[0:4:3])
+    np.subtract(A[1:3], B[4:2:-1], Zt[1:3])
     return Z
 
 

@@ -106,6 +106,12 @@ def blur_and_noise(rgb: np.ndarray, h_hat: np.ndarray, snr_db: float,
         blurred = out[:, :, c]
         p_sig = float(np.mean(blurred ** 2))
         sigma_n = math.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
+        if not math.isfinite(sigma_n):
+            # the quotient overflows for snr_db near the bottom of the
+            # range DeblurProblem accepts, which depends on the image
+            raise ValueError(
+                f"snr_db = {snr_db} sets the noise level of channel {c}, "
+                f"sqrt({p_sig:.3e} / 10^(snr_db/10)), beyond float range")
         blurred += sigma_n * rng.normals((h, w))
     return out
 

@@ -125,7 +125,8 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     that Q is orthonormal to rounding whatever Y's condition number.
 
     Raises RankDeficient when the smallest diagonal of R falls below
-    _RANK_TOL * ||Y||_F (caller typically redraws its sketch).
+    _RANK_TOL * ||Y||_F (``_fro_scaled``, so at any scale of Y; caller
+    typically redraws its sketch).
     """
     m, r = Y.shape
     if m < r:
@@ -134,7 +135,7 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     Q, R2 = _qr_pass(QMatrix(Q1))
     R = _qops.qmatmul(R2, R1)
     dmin = R[np.arange(r), np.arange(r), 0].min()
-    scale = _fro(Y.data, ())
+    scale = _fro_scaled(Y.data, ())
     if dmin <= _RANK_TOL * max(scale, 1e-300):
         raise RankDeficient(
             f"R diagonal {dmin:.3e} <= {_RANK_TOL:.1e} * {scale:.3e}")

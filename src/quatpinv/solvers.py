@@ -818,12 +818,13 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     M is held only as its product (``_qops.qmatmul_right``): for n > 32,
     S = R M runs in the 8-product form, eight real n x n GEMMs where the
     Hamilton form takes sixteen, on M's eight combinations of components,
-    formed once per solve. Its rounding differs from qmatmul's by a small
-    factor (1.3-2.3 times, normwise), so S is not bitwise qmatmul's R M.
-    S is left in the products' workspace, where the step then forms its
-    two scaled copies. Neither X0 nor a scratch buffer is held through the
+    formed once per solve. Below n = _qops._EIGHT_MIN (128) its rounding
+    differs from qmatmul's by a small factor (1.3-2.3 times, normwise), so
+    S is not bitwise qmatmul's R M there; from 128 on, qmatmul runs the
+    same form. S is a fresh array, where the step then forms its two
+    scaled copies. Neither X0 nor a scratch buffer is held through the
     loop, so M's combinations, 8n^2 elements, are the loop's only memory
-    beside its state (README, performance notes).
+    beside its state and S (README, performance notes).
     """
     def solve(B, Bh, spec):
         BhP = (Bh if precond is None
@@ -837,8 +838,8 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
             # residual, the previous direction, its image W = D M and the
             # previous <R M, R>; the new direction is formed first, from R.
             # F, R, D and W are this loop's own and are updated in place;
-            # S = R M, for n > 32 in the products' workspace, holds the
-            # scaled copies once W is formed.
+            # S = R M, a fresh array, holds the scaled copies once W is
+            # formed.
             F, R, D, W, zz = state
             S = QMatrix._of(times_M(R.data))
             zz_new = _dot(S, R)

@@ -500,6 +500,19 @@ def test_deblur_snr_db_outside_the_noise_ratio_range(snr_db):
     assert DeblurProblem(image=img, psf_radius=2, snr_db=snr_db / 2)
 
 
+def test_deblur_noise_level_beyond_float_range():
+    # at -3200 dB DeblurProblem accepts 10^(snr_db/10) = 1e-320, but the
+    # noise level sqrt(p_sig / 1e-320) overflows; the CLI once exited with
+    # only "math domain error"
+    img = image_to_qmat(synthetic_image(16, seed=0))
+    prob = DeblurProblem(image=img, psf_radius=2, snr_db=-3200.0)
+    h_hat = psf_spectrum(gaussian_psf(2, 1.0), 16, 16)
+    with pytest.raises(ValueError, match="snr_db = -3200.0 sets the noise"):
+        blur_and_noise(qmat_to_image(img), h_hat, prob.snr_db, 0)
+    with pytest.raises(ValueError, match="snr_db"):
+        deblur_fft_ns(prob)
+
+
 @pytest.mark.parametrize("psf_sigma", [0.0, -1.0, math.nan])
 def test_deblur_psf_sigma_must_be_positive(psf_sigma):
     img = image_to_qmat(synthetic_image(16, seed=0))

@@ -75,6 +75,18 @@ def test_usage_bad_parameter_value(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_deblur_noise_level_beyond_float_range_exits_2(capsys):
+    # the noise level overflows at -3200 dB: the CLI once exited 2 with only
+    # "math domain error"
+    with pytest.raises(SystemExit) as exc:
+        main(["deblur", "--sizes", "16", "--psf-radius", "2",
+              "--snr-db", "-3200"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: snr_db = -3200.0 sets the noise level" in err
+    assert "Traceback" not in err
+
+
 def test_lorenz_unstable_rk4_step_exits_1(capsys):
     assert main(["lorenz", "--sizes", "30"]) == 1
     err = capsys.readouterr().err

@@ -79,6 +79,18 @@ def test_thin_qr_orthonormal_at_cond_1e10(m, n, seed):
     assert _upper_real_positive(f.R)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-250])
+def test_thin_qr_rank_threshold_holds_at_any_scale(scale):
+    # ||Y||_F^2 underflows below about 1e-162: the threshold once fell to
+    # 1e-12 * 1e-300, and R_22 = 1e-14 passed at 1e-200 and 1e-250
+    Y = np.zeros((4, 3))
+    Y[:3] = np.diag([1.0, 1e-14, 2.0])
+    with pytest.raises(RankDeficient):
+        thin_qr(QMatrix.from_real(Y * scale))
+    Y[1, 1] = 1e-6
+    assert _upper_real_positive(thin_qr(QMatrix.from_real(Y * scale)).R)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
 def test_thin_qr_quaternion_rank_at_extreme_scales(scale):
     # column 3 of the dependent Y is column 1 times a non-real quaternion on

@@ -141,6 +141,37 @@ def _qmatmul_parent(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return Z.reshape(m, n, 4)
 
 
+def eight_product(x, y):
+    """x y in the 8-product form (Howell & Lafon, 1975), out of place, in
+    the dtype of the product: float32 for two float32 operands. Its GEMMs
+    take C-ordered operands, as the kernel's do."""
+    dtype = np.result_type(x, y)
+    a, b, c, d = np.moveaxis(np.ascontiguousarray(x, dtype), -1, 0)
+    e, f, g, h = np.moveaxis(np.ascontiguousarray(y, dtype), -1, 0)
+    left = [d - c, a + b, a - b, c + d, d - b, d + b, a + c, a - c]
+    right = [g - h, e + f, g + h, e - f, f - g, f + g, e - h, e + h]
+    m1, m2, m3, m4, m5, m6, m7, m8 = [p @ q for p, q in zip(left, right)]
+    t = m6 + m7 + m8
+    u = (m5 + t) / 2
+    return np.stack([m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7], -1)
+
+
+def _eight_form(m, k, n):
+    """Whether qmatmul runs an (m, k) @ (k, n) product in the 8-product
+    form: a slab-path product with each dimension at least _EIGHT_MIN."""
+    return (_side(m, k, n) == "right" and not _batched(m, k, n)
+            and min(m, k, n) >= _qops._EIGHT_MIN)
+
+
+def _qmatmul_reference(x, y):
+    """qmatmul's reference, dispatched as qmatmul dispatches: the
+    8-product reference where qmatmul runs that form, else the parent
+    kernel."""
+    m, k, _ = x.shape
+    n = y.shape[1]
+    return (eight_product if _eight_form(m, k, n) else _qmatmul_parent)(x, y)
+
+
 def _wide_range_qarray(shape, rng) -> np.ndarray:
     """Gaussian entries scaled by 10^U(-8, 8), about one in eight an exact
     0.0 and one in eight an exact -0.0."""
@@ -325,27 +356,20 @@ def test_qmatmul_by_shapes_cover_every_path():
 
 
 # ---------------------------------------------------------------------------
-# products by one right factor, in the 8-product form
+# the 8-product form: large slab-path products, and products by one right
+# factor
 # ---------------------------------------------------------------------------
 
-# (m, k, n) on the slab path: CGNE's 200 x 200 step, a rectangular pair and
-# the smallest square one; entries include 0.0 and -0.0
-_RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
-
-
-def eight_product(x, y):
-    """x y in the 8-product form (Howell & Lafon, 1975), out of place, in
-    the dtype of the product: float32 for two float32 operands. Its GEMMs
-    take C-ordered operands, as the kernel's do."""
-    dtype = np.result_type(x, y)
-    a, b, c, d = np.moveaxis(np.ascontiguousarray(x, dtype), -1, 0)
-    e, f, g, h = np.moveaxis(np.ascontiguousarray(y, dtype), -1, 0)
-    left = [d - c, a + b, a - b, c + d, d - b, d + b, a + c, a - c]
-    right = [g - h, e + f, g + h, e - f, f - g, f + g, e - h, e + h]
-    m1, m2, m3, m4, m5, m6, m7, m8 = [p @ q for p, q in zip(left, right)]
-    t = m6 + m7 + m8
-    u = (m5 + t) / 2
-    return np.stack([m1 + u - m6, m2 + u - t, m3 + u - m8, m4 + u - m7], -1)
+_T8 = _qops._EIGHT_MIN
+# slab-path shapes in the 8-product form: at the threshold, the dense
+# workload's products (220 x 200 and 200 x 220 operands) and 200 x 200
+_EIGHT_SHAPES = [(_T8, _T8, _T8), (_T8, _T8 + 9, _T8 + 3), (200, 220, 200),
+                 (200, 200, 220), (220, 200, 220), (220, 220, 200),
+                 (220, 200, 200), (200, 200, 200)]
+# slab-path shapes one short of the threshold in each dimension, and the
+# sketch workload's, which stay in the Hamilton form
+_HAMILTON_SHAPES = [(_T8 - 1, _T8, _T8), (_T8, _T8 - 1, _T8),
+                    (_T8, _T8, _T8 - 1), (100, 120, 100), (120, 120, 100)]
 
 
 def test_eight_product_reference_is_the_quaternion_product():
@@ -353,9 +377,103 @@ def test_eight_product_reference_is_the_quaternion_product():
     assert np.array_equal(eight_product(x, y), loop_product(x, y))
 
 
+def test_eight_form_shapes_take_the_intended_path(monkeypatch):
+    ran = []
+    eight, slab = _qops._eight_product, _qops._slab_product
+    monkeypatch.setattr(_qops, "_eight_product",
+                        lambda x, y, R=None: ran.append("8") or eight(x, y, R))
+    monkeypatch.setattr(_qops, "_slab_product",
+                        lambda x, y: ran.append("H") or slab(x, y))
+    for shapes, form in ((_EIGHT_SHAPES, "8"), (_HAMILTON_SHAPES, "H")):
+        for m, k, n in shapes:
+            assert _eight_form(m, k, n) == (form == "8")
+            ran.clear()
+            qmatmul(np.ones((m, k, 4)), np.ones((k, n, 4)))
+            assert ran == [form], (m, k, n)
+
+
+@pytest.mark.parametrize("m, k, n", _EIGHT_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_qmatmul_eight_form_bitwise_equals_reference(m, k, n, dtype):
+    # entries include 0.0 and -0.0; the result is fresh, not the workspace
+    rng = np.random.default_rng(m * 4096 + k * 64 + n)
+    x = _wide_range_qarray((m, k), rng).astype(dtype)
+    y = _wide_range_qarray((k, n), rng).astype(dtype)
+    kept = x.tobytes(), y.tobytes()
+    got = qmatmul(x, y)
+    want = eight_product(x, y)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, _qops._local.workspace)
+    assert (x.tobytes(), y.tobytes()) == kept
+
+
+def test_qmatmul_eight_form_of_strided_views_bitwise_equals_reference():
+    # column slices and adjoints left as transposed views, on either side
+    rng = np.random.default_rng(21)
+    W = _wide_range_qarray((220, 420), rng)
+    views = [(W[:200, ::2], W[:, 1::2].transpose(1, 0, 2)[:, :200]),
+             (W[:, :200].transpose(1, 0, 2), W[:, 200:]),
+             (W[:, 10:400:3][:200], W[:130, 7::3])]
+    for x, y in views:
+        assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+        assert _eight_form(x.shape[0], x.shape[1], y.shape[1])
+        assert qmatmul(x, y).tobytes() == eight_product(x, y).tobytes()
+
+
+@pytest.mark.parametrize("zero_side", ["x", "y"])
+def test_qmatmul_eight_form_signed_zeros_match_reference(zero_side):
+    # a -0.0 operand gives 0.0 throughout, in either form
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((_T8, _T8 + 9, 4))
+    y = rng.standard_normal((_T8 + 9, _T8 + 3, 4))
+    (x if zero_side == "x" else y)[:] = -0.0
+    got = qmatmul(x, y).tobytes()
+    assert got == eight_product(x, y).tobytes()
+    assert got == _qmatmul_parent(x, y).tobytes()
+
+
+def test_qmatmul_eight_form_mixed_dtypes_bitwise_equal_reference():
+    # a float32 operand with a float64 one: float64 combinations and GEMMs
+    rng = np.random.default_rng(23)
+    x = _wide_range_qarray((_T8, 150), rng)
+    y = _wide_range_qarray((150, _T8), rng)
+    for dx, dy in ((np.float32, np.float64), (np.float64, np.float32)):
+        got = qmatmul(x.astype(dx), y.astype(dy))
+        assert got.dtype == np.float64
+        assert got.tobytes() == eight_product(x.astype(dx),
+                                              y.astype(dy)).tobytes()
+
+
+@pytest.mark.parametrize("m, k, n", [(_T8, _T8, _T8), (_T8, _T8 - 1, _T8),
+                                     (200, 220, 200), (220, 200, 220)])
+@pytest.mark.parametrize("mode", ["both", "x", "y"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_qmatmul_stack_eight_form_items_bitwise_equal_2d(m, k, n, mode,
+                                                         dtype):
+    x, y = _stack_operands(2, m, k, n, mode, m + k + n)
+    x, y = x.astype(dtype), y.astype(dtype)
+    got = _qops.qmatmul_stack(x, y)
+    for i in range(2):
+        xi, yi = _item(x, i), _item(y, i)
+        assert got[i].tobytes() == qmatmul(xi, yi).tobytes()
+        if _eight_form(m, k, n):
+            assert got[i].tobytes() == eight_product(xi, yi).tobytes()
+
+
+# (m, k, n) of products by one right factor on the slab path: CGNE's
+# 200 x 200 step (two phases), a rectangular pair and the smallest square
+# one (one batch), both below _EIGHT_MIN, where qmatmul keeps the Hamilton
+# form; entries include 0.0 and -0.0
+_RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
+
+
 def test_qmatmul_right_shapes_take_the_slab_path():
     for m, k, n in _RIGHT_SHAPES:
         assert _side(m, k, n) == "right" and not _batched(m, k, n)
+    batch = [9 * m * n + 8 * m * k <= _qops._EIGHT_BATCH_MAX
+             for m, k, n in _RIGHT_SHAPES]
+    assert batch == [False, True, True]
 
 
 @pytest.mark.parametrize("m, k, n", _RIGHT_SHAPES)
@@ -369,8 +487,7 @@ def test_qmatmul_right_bitwise_equals_eight_product(m, k, n, dtype):
         x = _wide_range_qarray((m, k), rng).astype(dtype)
         want = eight_product(x, y)
         got = product(x)
-        # left in the workspace, valid until this thread's next product
-        assert np.shares_memory(got, _qops._local.workspace)
+        assert not np.shares_memory(got, _qops._local.workspace)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
     assert y.tobytes() == kept
@@ -417,27 +534,47 @@ def _longdouble_product(x, y):
                      a @ h + b @ g - c @ f + d @ e], -1)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="long double is float64 on this platform")
-@pytest.mark.parametrize("make", ["gaussian", "wide-range"])
-def test_qmatmul_right_rounding_is_normwise_small(make):
-    # each entry's error against a long-double product, over (|x||y|)_ij,
-    # the sum of the entries' moduli: measured up to 2.6e-16 (Gaussian) and
-    # 2.2e-15 (wide range), 1.3-2.3 times qmatmul's; bounds 2x that
+def _assert_normwise_small(product, shapes, make, rng):
+    """Each entry's error of product(x, y) and of the parent kernel against
+    a long-double product, over (|x||y|)_ij, the sum of the entries'
+    moduli, is within the bound of operands of the kind make."""
     bound = {"gaussian": 5e-16, "wide-range": 5e-15}[make]
-    rng = np.random.default_rng(12)
     modulus = lambda q: np.sqrt(np.sum(np.square(q, dtype=np.longdouble), -1))
-    for m, k, n in _RIGHT_SHAPES[1:]:
+    for m, k, n in shapes:
         if make == "gaussian":
             x = rng.standard_normal((m, k, 4))
             y = rng.standard_normal((k, n, 4))
         else:
-            x, y = _wide_range_qarray((m, k), rng), _wide_range_qarray((k, n), rng)
+            x = _wide_range_qarray((m, k), rng)
+            y = _wide_range_qarray((k, n), rng)
         want = _longdouble_product(x, y)
         scale = modulus(x) @ modulus(y)
-        got = _qops.qmatmul_right(y)(x)
-        assert float(np.max(modulus(got - want) / scale)) <= bound
-        assert float(np.max(modulus(qmatmul(x, y) - want) / scale)) <= bound
+        for got in (product(x, y), _qmatmul_parent(x, y)):
+            assert float(np.max(modulus(got - want) / scale)) <= bound
+
+
+_NO_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is float64 on this platform")
+
+
+@_NO_LONG_DOUBLE
+@pytest.mark.parametrize("make", ["gaussian", "wide-range"])
+def test_qmatmul_right_rounding_is_normwise_small(make):
+    # measured up to 2.6e-16 (Gaussian) and 2.2e-15 (wide range), 1.3-2.3
+    # times qmatmul's; bounds 2x that
+    _assert_normwise_small(lambda x, y: _qops.qmatmul_right(y)(x),
+                           _RIGHT_SHAPES[1:], make, np.random.default_rng(12))
+
+
+@_NO_LONG_DOUBLE
+@pytest.mark.parametrize("make", ["gaussian", "wide-range"])
+def test_qmatmul_eight_form_rounding_is_normwise_small(make):
+    # measured at 128-200 sizes up to 2.8e-16 (Gaussian) and 2.3e-15 (wide
+    # range), 1.1-2.4 times the Hamilton form's; bounds 2x that
+    shapes = [(_T8, _T8 + 9, _T8), (_T8 + 9, _T8, _T8 + 3)]
+    assert all(_eight_form(*shape) for shape in shapes)
+    _assert_normwise_small(qmatmul, shapes, make, np.random.default_rng(13))
 
 
 def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
@@ -453,8 +590,8 @@ def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
     product = _qops.qmatmul_right(y)
     for _ in range(3):
         product(_wide_range_qarray((100, 90), rng))
-    # y's at the first product, then x's, in two halves, at each
-    assert formed == [True] + [False] * 6
+    # y's at the first product, then x's at each
+    assert formed == [True] + [False] * 3
 
 
 def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
@@ -473,7 +610,8 @@ def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # slab-path shapes that grow and then shrink, k = 1 and a square one among
-# them: the workspace is reused at every size it has held
+# them, 220 x 200 x 220 in the 8-product form: the workspace is reused at
+# every size it has held
 _SLAB_SHAPES = [(40, 40, 40), (60, 50, 70), (120, 1, 60), (120, 100, 110),
                 (220, 200, 220), (50, 60, 50), (120, 1, 60), (27, 27, 38)]
 
@@ -491,7 +629,7 @@ def test_slab_shapes_take_the_slab_path():
 
 def test_workspace_products_grow_and_shrink_bitwise():
     for x, y in _slab_operands(11):
-        assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+        assert qmatmul(x, y).tobytes() == _qmatmul_reference(x, y).tobytes()
 
 
 def test_workspace_never_leaks_into_results():
@@ -512,7 +650,7 @@ def test_workspace_bound(monkeypatch):
     x, y = _slab_operands(13)[4]
     monkeypatch.setattr(_qops, "_local", threading.local())
     monkeypatch.setattr(_qops, "_WORKSPACE_MAX", 20_000)
-    assert qmatmul(x, y).tobytes() == _qmatmul_parent(x, y).tobytes()
+    assert qmatmul(x, y).tobytes() == _qmatmul_reference(x, y).tobytes()
     assert not hasattr(_qops._local, "workspace")
     small = _slab_operands(13)[0]
     qmatmul(*small)
@@ -521,9 +659,10 @@ def test_workspace_bound(monkeypatch):
 
 def test_workspace_per_thread():
     # more threads than cores run slab-path products at once, with short
-    # switch intervals; each must get the parent kernel's bits
+    # switch intervals; each must get its reference's bits
     jobs = [_slab_operands(20 + t) for t in range(4)]
-    expect = [[_qmatmul_parent(x, y).tobytes() for x, y in ops] for ops in jobs]
+    expect = [[_qmatmul_reference(x, y).tobytes() for x, y in ops]
+              for ops in jobs]
     got = [[] for _ in jobs]
 
     def work(t):
