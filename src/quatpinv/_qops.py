@@ -18,22 +18,33 @@ Hamilton form is four real GEMMs, one per component of one operand:
 The side is picked from the shapes alone, as the one that moves fewer
 elements. Either way each output component is summed as the Hamilton
 formula writes it: four k-term products, added in the order a, b, c, d of
-the left factor. The 8-product form (below) takes the large products of
-the first kind.
+the left factor.
 
-Small products, such as the sketch steps' products with an n x r sketch,
-cost mostly numpy's per-call overhead, so each side keeps its call count
-low: the left side builds its four blocks with one product by a (16, 4)
-sign table and regroups the terms with one row gather; a right-side
-product with (m + k) n <= 2048 builds all four slabs with one product by
-the sign table and runs its four GEMMs as one batched call (for k = 1 as
-one einsum, which does the same faster than numpy's matmul). A larger
-right-side product, the slab path, builds and multiplies one slab at a
-time (each product an einsum too when k = 1). No path changes a GEMM's
-shape or the order of the adds, so the results are bitwise those of one
-call per GEMM.
+Each side keeps its numpy call count low, since small products, such as
+the sketch steps', cost mostly per-call overhead. The left side builds its
+four blocks with one product by a (16, 4) sign table and regroups the
+terms with one row gather. A right-side product with (m + k) n <=
+_BATCH_MAX (2048), the batched right side, builds all four slabs with one
+product by the sign table (``_slabs``) and runs its four GEMMs as one
+batched call (``_right_batched``; for k = 1 one einsum, which does the
+same faster than numpy's matmul). A larger right-side product, the slab
+path, builds and multiplies one slab at a time (each product an einsum
+too when k = 1). No path changes a GEMM's shape or the order of the adds,
+so the results are bitwise those of one call per GEMM.
 
-That slab path keeps its scratch -- the (4, m, k) planes of x, one (k, 4n)
+``_right_batched(planes, slabs)`` is the one kernel of the batched right
+side: it takes the planes of x and the slabs of y as they are, so that a
+caller that multiplies by one factor many times lays that factor out
+once. qmatmul, qmatmul_stack, ``qmatmul_by(x)`` (x's planes laid out
+once, for the matvecs of a power or Lanczos run), ``qmatmul_right(y)``
+(y's slabs built once, for CGNE's steps and a test sketch's residual) and
+the sketch stream (``solvers._SketchStream``, the slabs of a block's
+sketches built once per block) all run it, and every product it runs is
+bitwise qmatmul's. The slabs of a stack are built in one product, and
+those of a buffer whose slab 0 already holds the factors' entries in one
+product for slabs 1..3 (``_fill_slabs``): unit 1 leaves y as it is.
+
+The slab path keeps its scratch -- the (4, m, k) planes of x, one (k, 4n)
 slab and one slab's (m, 4n) product, 4 (mk + kn + mn) elements -- in a
 workspace reused from call to call, so that a large product does not
 fault fresh pages in on every call. The workspace belongs to the calling
@@ -42,9 +53,9 @@ grows to the largest need seen and retains at most _WORKSPACE_MAX
 elements (8 MiB) per thread; a larger product takes fresh scratch. The
 returned array is fresh, never a view of the workspace.
 
-A slab-path product with each of m, k and n at least _EIGHT_MIN (128)
-runs instead in the 8-product form of Howell and Lafon (The complexity of
-the quaternion product, Cornell TR 75-245, 1975), which holds for matrix
+A slab-path product with each of m, k and n at least _EIGHT_MIN (80) runs
+instead in the 8-product form of Howell and Lafon (The complexity of the
+quaternion product, Cornell TR 75-245, 1975), which holds for matrix
 entries: eight real (m, k) @ (k, n) GEMMs of sums and differences of the
 components of x and of y, and post-additions that give the four
 components, 8 m k n multiply-adds where the Hamilton form takes 16. The
@@ -54,67 +65,52 @@ scratch near the slab path's, 5mn + max(4 (mk + kn), 4mn + mk + kn)
 elements: m5..m8 first, from four combinations of each operand (two an
 op) and one batched GEMM call, then m1..m4 one GEMM at a time, each from
 one combination of each, where the first phase's combinations were; the
-post-additions write the fresh result. Against the Hamilton form a
-product took 0.80-0.99 of the time on the dense workload's 200-220
-shapes and 0.86-0.95 at 128-176, but 0.78-1.06 at 100-120 (the sketch
-workload's), 0.94-1.51 at its 50-70 shapes and 1.01-1.24 at 56 x 56 x 56
-(one BLAS thread, 2-core VM; the table is in the README, performance
-notes), so smaller products keep the Hamilton form. Its rounding is not
-the Hamilton form's: against a long-double product, each entry's error
-is 1.1-2.4 times the Hamilton form's, within 2.3e-15 (|x||y|)_ij, |x| the
-entries' moduli (Gaussian operands: 2.8e-16).
+post-additions write the fresh result. The threshold is read from a
+table of the two forms' times by shape (README, performance notes).
+Its rounding is not the Hamilton form's: against a long-double product,
+each entry's error is 1.1-2.4 times the Hamilton form's, within
+2.3e-15 (|x||y|)_ij, |x| the entries' moduli (Gaussian operands:
+2.8e-16).
 
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every
 item; the micro-solves use it to factor a block of sketches in one pass.
 The left side and the batched right side run the items' GEMMs as items
 of the same batched numpy calls, with each item's GEMM shapes and adds
-unchanged, so every item is bitwise its 2-D product; the slab path takes
-the items one at a time, each in the form of its 2-D product. ``qmatmul``
-is the product of one pair, the name a tracer wraps: a span's flops are
-computed from 2-D operand shapes, so stacked products do not pass through
-it.
+unchanged, so every item is bitwise its 2-D product; the batched right
+side takes at most _STACK_MAX (m + k) n of items per call, so that one
+call's slabs and products stay within 1 MiB. The slab path takes the
+items one at a time, each in the form of its 2-D product. ``qmatmul`` is
+the product of one pair, the name a tracer wraps: a span's flops are
+computed from 2-D operand shapes, so stacked products do not pass
+through it.
 
-``qmatmul_by(x)`` is the product by one fixed 2-D left factor, for the
-matvecs of a power or Lanczos run: it lays out the planes of x once, and
-each batched right-side product takes them as they are (``_right_batched``,
-the batched body of ``qmatmul_stack``), where qmatmul would copy them
-again on every call. Its products are bitwise qmatmul's; a left-side or
-slab-path product calls qmatmul, and the others do not pass through that
-name.
-
-``qmatmul_right(y)`` is its counterpart for one fixed 2-D right factor,
-for CGNE's steps, which multiply by the same n x n M. Every product that
-qmatmul would run on the slab path runs in the 8-product form, at any
-size, on y's eight combinations, formed once, at the first such product,
-and handed to the same kernel (``_eight_product``); x's are formed at
-each product. Where all eight of x's combinations fit in scratch with
-the eight products (9mn + 8mk elements up to _EIGHT_BATCH_MAX, as at
-CGNE's 50 x 50 steps), the eight GEMMs run as one batched call: few calls
-matter there, where a call per GEMM and per addition ran 1.45 times the
-Hamilton form's time. Larger products take the two phases. A product took
-0.71 of the Hamilton form's time on slabs of y built once at 200 x 200
-and 1.01-1.05 at 50 x 50; the two phases took 1.02 of the time of the
-two batched calls of four that they replaced at 200 x 200 (one BLAS
-thread, 2-core VM). Its products are bitwise the 8-product form's, so
-from 128 on they are bitwise qmatmul's too; any other product (the left
-side, the batched right side) is qmatmul's.
+``qmatmul_right(y)`` also runs every product that qmatmul would run on
+the slab path in the 8-product form, at any size, on y's eight
+combinations, formed once, at the first such product, and handed to the
+same kernel (``_eight_product``); x's are formed at each product. Where
+all eight of x's combinations fit in scratch with the eight products
+(9mn + 8mk elements up to _EIGHT_BATCH_MAX, as at CGNE's 50 x 50 steps),
+the eight GEMMs run as one batched call; larger products take the two
+phases. Its products are bitwise the 8-product form's, so from
+_EIGHT_MIN on they are bitwise qmatmul's too; a left-side product is
+qmatmul's.
 
 A product keeps its operands' dtype: two float32 operands give a float32
 product, formed with float32 sign tables, planes, slabs, combinations and
 GEMMs, and any other pair gives float64, bitwise as before. Float32
 scratch is a prefix of the same thread workspace's bytes, so a float32
 product never keeps a second workspace. ``qconj`` keeps float32 too. The
-Newton-Schulz family runs its first steps this way (``solvers._ns_solve``):
-at 200 x 220 by 220 x 200 a float32 product took 0.53 of the float64 one's
-time (one BLAS thread, 2-core VM).
+Newton-Schulz family runs its first steps this way
+(``solvers._ns_solve``).
 
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
 planes (8 m k n in the 8-product form), the expanded slabs, blocks or
-combinations of an operand live only inside one call (qmatmul_right's
-combinations of y, 8 k x n, as long as its product), and no 4m x 4n real
-counterpart of a whole matrix is ever formed.
+combinations of an operand live only inside one call or, prepared ahead,
+as long as the products by that operand (qmatmul_right's, a sketch
+stream's for one block), and no 4m x 4n real counterpart of a whole matrix
+is ever formed.
 """
 
 from __future__ import annotations
@@ -155,10 +151,9 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 _SIGN_LEFT = _SIGN.transpose(1, 2, 0).reshape(16, 4)  # [(u, t), s]
 # the tables in float64 and in float32, indexed by whether a product is
-# float32: _CONJ, _SIGN for a 2-D operand and for a stack ([s, u, t] and
-# [s, 0, u, t]) and _SIGN_LEFT
-_TABLES = tuple((_CONJ.astype(t), (_SIGN.astype(t), _SIGN.astype(t)[:, None]),
-                 _SIGN_LEFT.astype(t)) for t in (np.float64, np.float32))
+# float32: _CONJ, _SIGN and _SIGN_LEFT
+_TABLES = tuple((_CONJ.astype(t), _SIGN.astype(t), _SIGN_LEFT.astype(t))
+                for t in (np.float64, np.float32))
 _F32 = np.dtype(np.float32)
 # transposes of an operand to its planes, (4, [s,] r, c) and ([s,] 4, r, c),
 # and the einsum of the one-term products, by the operand's stack axes
@@ -182,9 +177,13 @@ def _term_rows(b: int) -> np.ndarray:
 
 # right-side products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
+# a stack's batched right-side products run in calls of at most this
+# (m + k) n summed over their items, so that the slabs and products of one
+# call, 16 (m + k) n elements in all, stay within 1 MiB
+_STACK_MAX = 8192
 # slab-path products with min(m, k, n) at least this run in the 8-product
 # form (README, performance notes: the shape table it was chosen from)
-_EIGHT_MIN = 128
+_EIGHT_MIN = 80
 # products by a fixed right factor (qmatmul_right) whose scratch with all
 # eight of x's combinations (9mn + 8mk elements) is at most this run as one
 # batched GEMM call (2 MiB); any other 8-product-form product runs in two
@@ -250,8 +249,18 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             Z = Z.reshape(4, b * m * n)
         return np.ascontiguousarray(Z.T).reshape(lead + (m, n, 4))
     if (m + k) * n <= _BATCH_MAX:
-        return _right_batched(
-            np.ascontiguousarray(x.transpose(_PLANES_FIRST[len(lx)])), y)
+        if not lead or lead[0] * (m + k) * n <= _STACK_MAX:
+            return _right_batched(_planes(x), _slabs(y))
+        # a long stack in calls of b items (at least 4), whose slabs and
+        # products stay within 16 _STACK_MAX elements
+        planes = _planes(x)
+        b = _STACK_MAX // ((m + k) * n)
+        out = np.empty(lead + (m, n, 4), _tables(x, y)[0].dtype)
+        for i in range(0, lead[0], b):
+            items = slice(i, i + b)
+            out[items] = _right_batched(planes[:, items] if lx else planes,
+                                        _slabs(y[items] if ly else y))
+        return out
     # the slab path takes one item at a time, each as a 2-D product
     if not lead:
         return _slab_path(x, y)
@@ -278,17 +287,46 @@ def _left_side(m: int, k: int, n: int) -> bool:
     return 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n
 
 
-def _right_batched(planes: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The batched right side, from the contiguous planes of x, (4, [s,]
-    m, k), and y, ([s,] k, n, 4); one of the two may be a stack."""
-    lx, ly = planes.shape[1:-2], y.shape[:-3]
+def _batched_right(m: int, k: int, n: int) -> bool:
+    """Whether qmatmul runs an (m, k) @ (k, n) product on the batched right
+    side."""
+    return not _left_side(m, k, n) and (m + k) * n <= _BATCH_MAX
+
+
+def _planes(x: np.ndarray) -> np.ndarray:
+    """The contiguous planes of x, ([s,] m, k, 4) -> (4, [s,] m, k)."""
+    return np.ascontiguousarray(x.transpose(_PLANES_FIRST[x.ndim - 3]))
+
+
+def _slabs(y: np.ndarray) -> np.ndarray:
+    """The sign slabs of y, ([s,] k, n, 4) -> (4, [s,] k, 4n), in y's dtype
+    (float32 for float32, else float64): S[s', .., p, (q, t)] =
+    sum_u y[.., p, q, u] _SIGN[s', u, t], each entry one component of y or
+    its negative, so that a product with planes of either dtype is bitwise
+    the one on slabs of its own dtype. A stack's entries are one
+    (s k n, 4) operand, four products in all, whose entries do not depend
+    on the order of their sums."""
+    S = y.reshape(-1, 4) @ _TABLES[y.dtype is _F32][1]
+    return S.reshape((4,) + y.shape[:-2] + (4 * y.shape[-2],))
+
+
+def _fill_slabs(S: np.ndarray) -> None:
+    """Slabs 1..3 of S, (4, e, 4), from slab 0, which holds the e entries of
+    the factors: unit 1 leaves each entry as it is. One product, whose
+    entries are ``_slabs``' bit for bit, but for the sign of a zero, which
+    no GEMM's sum carries (each starts from +0.0)."""
+    np.matmul(S[0], _TABLES[S.dtype is _F32][1][1:], out=S[1:])
+
+
+def _right_batched(planes: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The batched right side: the contiguous planes of x, (4, [s,] m, k),
+    times the slabs of y, (4, [s,] k, 4n) (``_slabs``), four GEMMs in one
+    batched call, added in the order s = 0..3; one of the two may be a
+    stack. The kernel of every batched right-side product."""
+    lx, ly = planes.shape[1:-2], S.shape[1:-2]
     lead = lx or ly
     m, k = planes.shape[-2:]
-    n = y.shape[-2]
-    # S[s, .., p, (q, t)] = sum_u y[.., p, q, u] _SIGN[s, u, t]
-    sign = _tables(planes, y)[1][len(ly)]
-    S = (y.reshape(ly + (k * n, 4)) @ sign).reshape(
-        (4,) + ly + (k, 4 * n))
+    n = S.shape[-1] // 4
     if lx != ly:  # one 2-D operand, used with every item
         if lx:
             S = np.broadcast_to(S[:, None], (4,) + lead + (k, 4 * n))
@@ -311,37 +349,42 @@ def qmatmul_by(x: np.ndarray):
     by one matrix, such as the matvecs of a power or Lanczos run; any other
     product (the left side, the slab path) is qmatmul's."""
     m, k = x.shape[:2]
-    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
+    planes = _planes(x)
 
     def product(y: np.ndarray) -> np.ndarray:
-        n = y.shape[1]
-        if _left_side(m, k, n) or (m + k) * n > _BATCH_MAX:
+        if not _batched_right(m, k, y.shape[1]):
             return qmatmul(x, y)
-        return _right_batched(planes, y)
+        return _right_batched(planes, _slabs(y))
     return product
 
 
 def qmatmul_right(y: np.ndarray):
     """x -> x y for one 2-D right factor y, for many products by one
-    matrix, such as CGNE's steps. A product that qmatmul would run on the
-    slab path runs in the 8-product form (``_eight_product``) at every
-    size, on y's eight combinations of components, formed once, at the
-    first such product, in that product's dtype (float32 for two float32
-    operands, float64 otherwise); x's are formed at every product. Any
-    other product (the left side, the batched right side) is qmatmul's,
-    bit for bit. Every result is a fresh array."""
+    matrix, such as CGNE's steps and a test sketch's residual. A product
+    that qmatmul would run on the batched right side runs on y's slabs
+    (``_slabs``), built once, at the first such product, bitwise
+    qmatmul's. A product that qmatmul would run on the slab path runs in
+    the 8-product form (``_eight_product``) at every size, on y's eight
+    combinations of components, formed once, at the first such product,
+    in that product's dtype (float32 for two float32 operands, float64
+    otherwise); x's are formed at every product. A left-side product is
+    qmatmul's. Every result is a fresh array."""
     k, n = y.shape[:2]
-    combos = {}
+    prepared = {}
 
     def product(x: np.ndarray) -> np.ndarray:
         m = x.shape[0]
-        if _left_side(m, k, n) or (m + k) * n <= _BATCH_MAX:
+        if _left_side(m, k, n):
             return qmatmul(x, y)
+        if (m + k) * n <= _BATCH_MAX:
+            if "slabs" not in prepared:
+                prepared["slabs"] = _slabs(y)
+            return _right_batched(_planes(x), prepared["slabs"])
         dtype = _tables(x, y)[0].dtype
-        if dtype not in combos:
-            combos[dtype] = np.empty((8, k, n), dtype)
-            _combine(y, _RIGHT_SUMS, combos[dtype])
-        return _eight_product(x, y, combos[dtype])
+        if dtype not in prepared:
+            prepared[dtype] = np.empty((8, k, n), dtype)
+            _combine(y, _RIGHT_SUMS, prepared[dtype])
+        return _eight_product(x, y, prepared[dtype])
     return product
 
 
@@ -472,7 +515,7 @@ def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the loop reaches it. The sum of the four products is a fresh array."""
     m, k, _ = x.shape
     n = y.shape[1]
-    sign = _tables(x, y)[1][0]
+    sign = _tables(x, y)[1]
     # the planes of x, one slab's product and one slab, in scratch
     mk, mn = 4 * m * k, 4 * m * n
     ws = _scratch(mk + mn + 4 * k * n, sign.dtype)

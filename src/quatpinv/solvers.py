@@ -44,7 +44,15 @@ embeddings, one LAPACK inverse of the factors and two complex products
 (``hpd_solve`` of the stack); the block's Omega come from one uniform
 draw (``QuatRNG.normals`` with a count). A block holds at most 8192
 quaternion entries of max(m, n) x r sketches. Only the two products with
-the iterate remain in the step: X + (Omega - X Y) Y^+.
+the iterate remain in the step: X + (Omega - X Y) Y^+. Where such a
+product runs on qmatmul's batched right side (the shapes decide, by
+qmatmul's rule), the factor is prepared with its block: its slabs are
+built once, for the whole block in one product, into a buffer the stream
+keeps from block to block, and the step multiplies on them
+(``_qops._right_batched``). Y's slabs also serve the block's Gram product
+Y^H Y. The residual's test sketch holds A Pi as its fixed-factor product
+(``_qops.qmatmul_right``), with its slabs built once per solve. Every
+such product is bitwise qmatmul's.
 A sketch whose Gram matrix fails its Cholesky pivot or residual check is
 rejected when its block is formed, and the step that reaches it draws the
 next; 10 rejected in a row raise SketchFailure.
@@ -96,7 +104,6 @@ and the rate diagnostic rsp_contraction_samples stay plain.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import time
@@ -560,59 +567,116 @@ class _SketchStream:
     steps take them and formed ahead of those steps, ``block`` sketches at
     a time: one draw, bitwise the one-sketch draws, and one stacked pass.
     None of it depends on the iterate, and every array is bitwise what the
-    step would form from that sketch alone. A sketch is (Omega, Y, Y^+)
-    with Omega n x r and Y = A Omega; Y^+ is the solve of
-    Y^H Y + _RIDGE I against Y^H (``hpd_solve`` of the stack, the ridge
-    added here). Y^+ is None for a rejected sketch, one whose Gram matrix
-    fails its Cholesky pivot or residual check; the step draws the next
-    one instead.
+    step would form from that sketch alone. A sketch is Omega (n x r),
+    Y = A Omega and Y^+, the solve of Y^H Y + _RIDGE I against Y^H
+    (``hpd_solve`` of the stack, the ridge added here), items of the
+    block's arrays ``omega``, Y and Y^+; ``ok`` is False for a rejected
+    sketch, one whose Gram matrix fails its Cholesky pivot or residual
+    check, and the step draws the next one instead.
+
+    A step multiplies an n x m iterate by Y and an n x r one by Y^+
+    (``times``). Where qmatmul would run such a product on the batched
+    right side (``_qops._batched_right``, decided once from the shapes),
+    the block's slabs of that factor are built with the block, in one
+    product for the whole block, into a buffer the stream allocates with
+    its first block and keeps from block to block, and the product runs
+    on them (``_qops._right_batched``); any other product is qmatmul's.
+    Either way it is bitwise qmatmul's. The slabs of Y also give the
+    Gram products Y^H Y, which are then on the batched right side too.
     """
 
     def __init__(self, A: QMatrix, sk: SketchConfig, rng: QuatRNG,
                  block: int | None = None):
         self.A, self.sk, self.rng = A, sk, rng
+        m, n = A.shape
+        r = sk.block_r
         if block is None:
-            block = _AHEAD_ENTRIES // (max(A.shape) * sk.block_r)
+            block = _AHEAD_ENTRIES // (max(m, n) * r)
         self.block = max(1, min(_AHEAD, block))
-        self._ready = collections.deque()
+        self._next = self.block
+        # which of Y and Y^+ the steps multiply by on the batched right side
+        self._slabbed = (_qops._batched_right(n, m, r),
+                         _qops._batched_right(n, r, m))
+        # the slabs of those factors' entries in a block, one factor after
+        # the other, allocated with the first block
+        self._slab_entries = sum(self._slabbed) * self.block * m * r
+        self._slabs = None
 
-    def take(self):
-        if not self._ready:
-            self._ready.extend(self._form())
-        return self._ready.popleft()
+    def take(self) -> int:
+        """The index in the block of the next sketch; the next block is
+        formed when this one is used up."""
+        if self._next == self.block:
+            self._form()
+            self._next = 0
+        self._next += 1
+        return self._next - 1
+
+    def times(self, x: np.ndarray, i: int, j: int) -> np.ndarray:
+        """x Y (j = 0) or x Y^+ (j = 1) of sketch i of the block, bitwise
+        qmatmul's."""
+        S = self._factor_slabs[j]
+        if S is None:
+            return _qops.qmatmul(x, self.factors[j][i])
+        return _qops._right_batched(_qops._planes(x), S[:, i])
+
+    def _prepared(self, j: int, F: np.ndarray):
+        """(F, S) for the block's factor j (Y or Y^+), F: S its slabs, built
+        in the stream's buffer, and F then slab 0 of S, a view, so that the
+        block holds F once; S is None, and F as it was, where the steps'
+        products by F are not on the batched right side."""
+        if not self._slabbed[j]:
+            return F, None
+        if self._slabs is None:
+            self._slabs = np.empty((4, self._slab_entries, 4))
+        e = F.size // 4  # Y and Y^+ have as many entries
+        at = e if j and self._slabbed[0] else 0
+        S = self._slabs[:, at:at + e]
+        S[0] = F.reshape(e, 4)
+        _qops._fill_slabs(S)
+        return (S[0].reshape(F.shape),
+                S.reshape((4,) + F.shape[:2] + (4 * F.shape[2],)))
 
     def _form(self):
-        Om = self.rng.normals((self.A.cols, self.sk.block_r, 4), self.block)
+        n, r, s = self.A.cols, self.sk.block_r, self.block
+        Om = self.rng.normals((n, r, 4), s)
         Y = _qops.qmatmul_stack(self.A.data, Om)
         Yh = _qops.qconj(Y.swapaxes(1, 2))
-        G = _qops.qmatmul_stack(Yh, Y)
-        ks = np.arange(self.sk.block_r)
+        # Y's slabs serve its Gram product too, which is on the batched
+        # right side wherever the steps' product by Y is
+        Y, S = self._prepared(0, Y)
+        G = (_qops.qmatmul_stack(Yh, Y) if S is None
+             else _qops._right_batched(_qops._planes(Yh), S))
+        ks = np.arange(r)
         G[:, ks, ks, 0] += _RIDGE
-        Ydag, ok = hpd_solve(G, Yh)
-        return [(QMatrix(om), QMatrix(y), QMatrix(yd) if good else None)
-                for om, y, yd, good in zip(Om, Y, Ydag, ok)]
+        Ydag, self.ok = hpd_solve(G, Yh)
+        Ydag, S_dag = self._prepared(1, Ydag)
+        self.omega, self.factors = Om, (Y, Ydag)
+        self._factor_slabs = (S, S_dag)
 
 
 def _update(X: QMatrix, stream: _SketchStream) -> QMatrix:
     """One sketch-and-project update X + (Omega - X Y) Y^+ with the
     stream's next usable sketch. Each rejected sketch counts as a redraw."""
     for _ in range(_MAX_REDRAWS):
-        Omega, Y, Ydag = stream.take()
-        if Ydag is not None:
-            return X + (Omega - X @ Y) @ Ydag
+        i = stream.take()
+        if stream.ok[i]:
+            x = X.data
+            C = stream.omega[i] - stream.times(x, i, 0)
+            return QMatrix._of(x + stream.times(C, i, 1))
     raise SketchFailure("10 consecutive rank-deficient sketches")
 
 
 def _test_sketch_measure(A: QMatrix, sk: SketchConfig, rng: QuatRNG):
     """Relative residual on a fixed Gaussian test sketch Pi, with A Pi
-    precomputed once: ||Pi - X A Pi||_F / ||Pi||_F estimates
-    ||I_n - XA||_F."""
+    precomputed once and held as its product (``_qops.qmatmul_right``):
+    ||Pi - X A Pi||_F / ||Pi||_F estimates ||I_n - XA||_F."""
     Pi = randn_qmat_rng(A.cols, sk.test_s, rng)
-    APi = A @ Pi
+    times_APi = _qops.qmatmul_right((A @ Pi).data)
     pi_norm = Pi.fro_norm()
 
     def measure(X):
-        return (Pi - X @ APi).fro_norm() / pi_norm, None
+        R = QMatrix._of(Pi.data - times_APi(X.data))
+        return R.fro_norm() / pi_norm, None
     return measure
 
 
@@ -818,13 +882,15 @@ def cgne_q(A: QMatrix, cfg: SolverConfig, precond: SketchConfig | None = None):
     M is held only as its product (``_qops.qmatmul_right``): for n > 32,
     S = R M runs in the 8-product form, eight real n x n GEMMs where the
     Hamilton form takes sixteen, on M's eight combinations of components,
-    formed once per solve. Below n = _qops._EIGHT_MIN (128) its rounding
-    differs from qmatmul's by a small factor (1.3-2.3 times, normwise), so
-    S is not bitwise qmatmul's R M there; from 128 on, qmatmul runs the
-    same form. S is a fresh array, where the step then forms its two
-    scaled copies. Neither X0 nor a scratch buffer is held through the
-    loop, so M's combinations, 8n^2 elements, are the loop's only memory
-    beside its state and S (README, performance notes).
+    formed once per solve; for n <= 32 it runs on M's slabs, built once
+    per solve, bitwise qmatmul's. Below n = _qops._EIGHT_MIN (80) the
+    8-product form's rounding differs from qmatmul's by a small factor
+    (1.3-2.3 times, normwise), so S is not bitwise qmatmul's R M there;
+    from 80 on, qmatmul runs the same form. S is a fresh array, where the
+    step then forms its two scaled copies. Neither X0 nor a scratch buffer
+    is held through the loop, so M's combinations, 8n^2 elements (or its
+    slabs, 16n^2), are the loop's only memory beside its state and S
+    (README, performance notes).
     """
     def solve(B, Bh, spec):
         BhP = (Bh if precond is None

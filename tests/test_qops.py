@@ -299,6 +299,25 @@ def test_qmatmul_stack_examples_cover_every_path():
     assert _side(40, 40, 40) == "right" and not _batched(40, 40, 40)
 
 
+# stacks longer than one batched call takes (s (m + k) n > _STACK_MAX): the
+# sketch stream's Y = A Omega of a 120 x 100 input, both operands stacked,
+# y shared, and k = 1
+@pytest.mark.parametrize("s, m, k, n, mode", [(8, 120, 100, 8, "x"),
+                                              (9, 40, 24, 32, "both"),
+                                              (9, 40, 24, 32, "y"),
+                                              (40, 30, 1, 8, "both")])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_qmatmul_stack_in_several_calls_bitwise_equal_2d(s, m, k, n, mode,
+                                                         dtype):
+    assert _side(m, k, n) == "right" and _batched(m, k, n)
+    assert s * (m + k) * n > _qops._STACK_MAX
+    x, y = (a.astype(dtype) for a in _stack_operands(s, m, k, n, mode, 8))
+    got = _qops.qmatmul_stack(x, y)
+    assert got.shape == (s, m, n, 4) and got.dtype == dtype
+    for i in range(s):
+        assert got[i].tobytes() == qmatmul(_item(x, i), _item(y, i)).tobytes()
+
+
 def test_qmatmul_stack_of_strided_views_bitwise_equal_2d():
     # the operands of the stacked micro-solves are strided views of stacks
     rng = np.random.default_rng(3)
@@ -356,20 +375,138 @@ def test_qmatmul_by_shapes_cover_every_path():
 
 
 # ---------------------------------------------------------------------------
+# the batched right side on slabs built ahead: the kernel of qmatmul,
+# qmatmul_by, qmatmul_right and the sketch stream
+# ---------------------------------------------------------------------------
+
+# batched right-side shapes: the sketch steps' (20 x 30 by 30 x 8, 20 x 8 by
+# 8 x 30, 100 x 120 by 120 x 8) and test-sketch products (20 x 30 by
+# 30 x 5), k = 1, n = 1, and (m + k) n = 2048
+_PREPARED_SHAPES = [(20, 30, 8), (20, 8, 30), (100, 120, 8), (20, 30, 5),
+                    (30, 1, 8), (60, 1, 1), (24, 40, 32)]
+
+
+def test_prepared_shapes_take_the_batched_right_side():
+    for m, k, n in _PREPARED_SHAPES:
+        assert _side(m, k, n) == "right" and _batched(m, k, n)
+        assert _qops._batched_right(m, k, n)
+    assert not _qops._batched_right(1, 20, 8)  # the left side
+    assert not _qops._batched_right(25, 40, 32)  # the slab path
+
+
+@pytest.mark.parametrize("m, k, n", _PREPARED_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_prepared_slabs_bitwise_equal_qmatmul(m, k, n, dtype):
+    # 2-D slabs, one item of a stack's slabs and one item of the stream's
+    # layout (the stack seen as one-column factors); entries include 0.0
+    # and -0.0
+    rng = np.random.default_rng(m * 4096 + k * 64 + n)
+    x = _wide_range_qarray((m, k), rng).astype(dtype)
+    ys = _wide_range_qarray((3, k, n), rng).astype(dtype)
+    kept = x.tobytes(), ys.tobytes()
+    planes = _qops._planes(x)
+    stacked = _qops._slabs(ys)
+    # the stream's layout: slab 0 the entries as they are, -0.0 kept
+    streamed = np.empty((4, 3 * k * n, 4), dtype)
+    streamed[0] = ys.reshape(-1, 4)
+    _qops._fill_slabs(streamed)
+    assert (streamed[1:].tobytes()
+            == _qops._slabs(ys).reshape(4, -1, 4)[1:].tobytes())
+    streamed = streamed.reshape(4, 3, k, 4 * n)
+    for i, y in enumerate(ys):
+        want = qmatmul(x, y)
+        assert want.dtype == dtype
+        for S in (_qops._slabs(y), stacked[:, i], streamed[:, i]):
+            got = _qops._right_batched(planes, S)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+    assert (x.tobytes(), ys.tobytes()) == kept
+
+
+def test_prepared_slabs_of_strided_views_bitwise_equal_qmatmul():
+    rng = np.random.default_rng(14)
+    W = _wide_range_qarray((60, 80), rng)
+    for x, y in [(W[:20, :60:2], W[30:60, 40:48]),
+                 (W[:30, 10:30].transpose(1, 0, 2), W[:30, ::10]),
+                 (W[40:, 7:8], W[:1, 3::9])]:
+        assert not (x.flags.c_contiguous and y.flags.c_contiguous)
+        got = _qops._right_batched(_qops._planes(x), _qops._slabs(y))
+        assert got.tobytes() == qmatmul(x, y).tobytes()
+
+
+@pytest.mark.parametrize("zero_side", ["x", "y"])
+@pytest.mark.parametrize("k", [1, 30])
+def test_prepared_slabs_signed_zeros_match_qmatmul(zero_side, k):
+    # a -0.0 operand gives 0.0 throughout, as qmatmul's product does
+    rng = np.random.default_rng(15)
+    x, y = rng.standard_normal((20, k, 4)), rng.standard_normal((k, 8, 4))
+    (x if zero_side == "x" else y)[:] = -0.0
+    got = _qops._right_batched(_qops._planes(x), _qops._slabs(y))
+    assert got.tobytes() == qmatmul(x, y).tobytes()
+    assert got.tobytes() == _qmatmul_parent(x, y).tobytes()
+
+
+@pytest.mark.parametrize("dx, dy", [(np.float64, np.float32),
+                                    (np.float32, np.float64)])
+def test_prepared_slabs_mixed_dtypes_bitwise_equal_qmatmul(dx, dy):
+    # slabs in y's dtype serve planes of the other dtype bit for bit
+    rng = np.random.default_rng(16)
+    x = _wide_range_qarray((20, 30), rng).astype(dx)
+    y = _wide_range_qarray((30, 8), rng).astype(dy)
+    S = _qops._slabs(y)
+    assert S.dtype == dy
+    got = _qops._right_batched(_qops._planes(x), S)
+    assert got.dtype == np.float64
+    assert got.tobytes() == qmatmul(x, y).tobytes()
+    assert got.tobytes() == qmatmul(x.astype(np.float64),
+                                    y.astype(np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("m, k, n", _PREPARED_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_qmatmul_right_batched_bitwise_equals_qmatmul(m, k, n, dtype):
+    rng = np.random.default_rng(m * 4096 + k * 64 + n + 1)
+    y = _wide_range_qarray((k, n), rng).astype(dtype)
+    kept = y.tobytes()
+    product = _qops.qmatmul_right(y)
+    for _ in range(2):
+        x = _wide_range_qarray((m, k), rng).astype(dtype)
+        got = product(x)
+        assert not np.shares_memory(got, y)
+        assert got.tobytes() == qmatmul(x, y).tobytes()
+    assert y.tobytes() == kept
+
+
+def test_qmatmul_right_builds_its_slabs_once(monkeypatch):
+    built = []
+    slabs = _qops._slabs
+    monkeypatch.setattr(_qops, "_slabs",
+                        lambda y: built.append(y.shape) or slabs(y))
+    rng = np.random.default_rng(17)
+    product = _qops.qmatmul_right(_wide_range_qarray((30, 8), rng))
+    for _ in range(3):
+        product(_wide_range_qarray((20, 30), rng))
+    assert built == [(30, 8, 4)]
+
+
+# ---------------------------------------------------------------------------
 # the 8-product form: large slab-path products, and products by one right
 # factor
 # ---------------------------------------------------------------------------
 
 _T8 = _qops._EIGHT_MIN
-# slab-path shapes in the 8-product form: at the threshold, the dense
-# workload's products (220 x 200 and 200 x 220 operands) and 200 x 200
-_EIGHT_SHAPES = [(_T8, _T8, _T8), (_T8, _T8 + 9, _T8 + 3), (200, 220, 200),
-                 (200, 200, 220), (220, 200, 220), (220, 220, 200),
-                 (220, 200, 200), (200, 200, 200)]
-# slab-path shapes one short of the threshold in each dimension, and the
-# sketch workload's, which stay in the Hamilton form
+# slab-path shapes in the 8-product form: at the threshold, at the earlier
+# threshold of 128, the dense workload's products (220 x 200 and 200 x 220
+# operands), 200 x 200 and two of the sketch workload's hybrid products
+# (120 x 100 operands)
+_EIGHT_SHAPES = [(_T8, _T8, _T8), (_T8, _T8 + 9, _T8 + 3), (128, 128, 128),
+                 (128, 137, 131), (200, 220, 200), (200, 200, 220),
+                 (220, 200, 220), (220, 220, 200), (220, 200, 200),
+                 (200, 200, 200), (100, 120, 100), (120, 120, 100)]
+# slab-path shapes one short of the threshold in each dimension, which stay
+# in the Hamilton form
 _HAMILTON_SHAPES = [(_T8 - 1, _T8, _T8), (_T8, _T8 - 1, _T8),
-                    (_T8, _T8, _T8 - 1), (100, 120, 100), (120, 120, 100)]
+                    (_T8, _T8, _T8 - 1)]
 
 
 def test_eight_product_reference_is_the_quaternion_product():
@@ -446,6 +583,7 @@ def test_qmatmul_eight_form_mixed_dtypes_bitwise_equal_reference():
 
 
 @pytest.mark.parametrize("m, k, n", [(_T8, _T8, _T8), (_T8, _T8 - 1, _T8),
+                                     (128, 128, 128), (128, 127, 128),
                                      (200, 220, 200), (220, 200, 220)])
 @pytest.mark.parametrize("mode", ["both", "x", "y"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -570,9 +708,9 @@ def test_qmatmul_right_rounding_is_normwise_small(make):
 @_NO_LONG_DOUBLE
 @pytest.mark.parametrize("make", ["gaussian", "wide-range"])
 def test_qmatmul_eight_form_rounding_is_normwise_small(make):
-    # measured at 128-200 sizes up to 2.8e-16 (Gaussian) and 2.3e-15 (wide
+    # measured at 80-200 sizes up to 2.8e-16 (Gaussian) and 2.3e-15 (wide
     # range), 1.1-2.4 times the Hamilton form's; bounds 2x that
-    shapes = [(_T8, _T8 + 9, _T8), (_T8 + 9, _T8, _T8 + 3)]
+    shapes = [(_T8, _T8 + 9, _T8), (_T8 + 9, _T8, _T8 + 3), (100, 120, 100)]
     assert all(_eight_form(*shape) for shape in shapes)
     _assert_normwise_small(qmatmul, shapes, make, np.random.default_rng(13))
 
@@ -595,14 +733,19 @@ def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
 
 
 def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
+    # a left-side product goes through qmatmul; a batched right-side one
+    # runs on y's slabs, built once, bitwise qmatmul's
     calls = []
     monkeypatch.setattr(_qops, "qmatmul",
                         lambda x, y: calls.append(x.shape) or qmatmul(x, y))
     rng = np.random.default_rng(11)
-    product = _qops.qmatmul_right(_wide_range_qarray((20, 20), rng))
-    product(_wide_range_qarray((20, 20), rng))
-    product(_wide_range_qarray((1, 20), rng))
-    assert calls == [(20, 20, 4), (1, 20, 4)]
+    y = _wide_range_qarray((20, 20), rng)
+    product = _qops.qmatmul_right(y)
+    for x in (_wide_range_qarray((20, 20), rng),
+              _wide_range_qarray((1, 20), rng)):
+        got = product(x)
+        assert got.tobytes() == qmatmul(x, y).tobytes()
+    assert calls == [(1, 20, 4)]
 
 
 # ---------------------------------------------------------------------------

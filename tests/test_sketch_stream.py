@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from quatpinv import factor, solvers
+from quatpinv import _qops, factor, solvers
 from quatpinv.errors import SketchFailure
 from quatpinv.qmatrix import QMatrix, randn_qmat
 from quatpinv.rng import QuatRNG
@@ -276,3 +276,33 @@ def test_rsp_col_step_draws_only_the_sketches_it_uses():
         assert X.data.tobytes() == Xr.data.tobytes()
         assert rng.draws == rng_ref.draws
     assert rng.normals((3,)).tobytes() == rng_ref.normals((3,)).tobytes()
+
+
+# (shape, block_r, the factors on slabs): Y and Y^+ both, Y alone (the
+# sketch workload's hybrid input), and neither
+@pytest.mark.parametrize("shape, r, slabbed",
+                         [((30, 20), 8, (True, True)),
+                          ((120, 100), 8, (True, False)),
+                          ((200, 150), 8, (False, False))])
+def test_stream_products_bitwise_equal_qmatmul(shape, r, slabbed):
+    # every product a block hands out, on the stream's slabs or through
+    # qmatmul, is qmatmul's on that block's Y and Y^+; the slabs of every
+    # block live in the one buffer the stream allocated with its first
+    A = randn_qmat(*shape, 5)
+    m, n = shape
+    stream = solvers._SketchStream(A, SketchConfig(block_r=r, test_s=5,
+                                                   seed=3), QuatRNG(3))
+    assert stream._slabbed == slabbed
+    rng = np.random.default_rng(1)
+    buffers = set()
+    for _ in range(2 * stream.block):
+        i = stream.take()
+        buffers.add(id(stream._slabs))
+        Y, Ydag = stream.factors[0][i], stream.factors[1][i]
+        x = rng.standard_normal((n, m, 4))
+        c = rng.standard_normal((n, r, 4))
+        assert stream.times(x, i, 0).tobytes() == _qops.qmatmul(x, Y).tobytes()
+        assert (stream.times(c, i, 1).tobytes()
+                == _qops.qmatmul(c, Ydag).tobytes())
+    assert len(buffers) == 1
+    assert (stream._slabs is None) == (slabbed == (False, False))

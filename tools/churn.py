@@ -33,6 +33,29 @@ while the sketch stream drew its sketches one call each, ``--seed 1
 and the same calls in benchmark order about 300. Compare fault counts
 only between runs of the same calls.
 
+Faults follow the allocator's thresholds, which move with what was freed
+before, so a change can move them in calls it does not touch. Two
+results from copies of the code with one change each, in benchmark order
+(seed 7):
+
+* Putting ``_qops._right_batched``'s stacked scratch (the slabs and the
+  four products of a stack) into the thread workspace made
+  ``rsp-column`` take 42 ms a call instead of 35, and 2931 minor faults a
+  call instead of 196. The likely cause, not verified: a large workspace
+  that is never freed keeps glibc's dynamic mmap threshold at 128 KB, so
+  that other temporaries of 128 KB to 1 MB fault on every allocation.
+  Do not retry it.
+* The sketch stream's slab buffer (``solvers._SketchStream``, 0.98 MB
+  per solve at 30 x 20 and 120 x 100) first cost ``rsp-column`` and
+  ``rsp-row`` about 540 faults a call each, and ``cgne-nystrom``, which
+  runs after them, 45, while the stream kept its fresh Y and Y^+ beside
+  their slabs. Keeping them only as slab 0 of their slabs took all three
+  to 0, and running the stream's Y = A Omega of a 120 x 100 input in two
+  batched calls instead of one (``_qops._STACK_MAX``) took ``hybrid``
+  from about 2650 to 825 (perfbench's order, with its speed probe
+  between calls). This tool, without the probe, reads ``hybrid`` 997
+  and ``rsp-column`` 450 for the same code (1971 and 303 at the parent).
+
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
 neither is modified. Faults are counted for the whole process, so run
