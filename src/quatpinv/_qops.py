@@ -2,35 +2,23 @@
 
 Quaternion arrays carry a trailing axis of length 4 holding (a, b, c, d)
 components. A quaternion matrix product runs in one of two forms. The
-Hamilton form is four real GEMMs, one per component of one operand:
+Hamilton form is four real GEMMs, one per component s of the left
+operand x: its contiguous (m, k) plane times the (k, 4n) slab of y whose
+entry (p, (q, t)) is component t of (unit s) * y[p, q], that is one
+component of y or its negative. The four (m, 4n) products are added in
+the order s = 0..3 and reshape to the (m, n, 4) result, so each output
+component is summed as the Hamilton formula writes it: four k-term
+products, added in the order a, b, c, d of the left factor.
 
-* for each component s of the left operand x, its contiguous (m, k) plane
-  times the (k, 4n) slab of y whose entry (p, (q, t)) is component t of
-  (unit s) * y[p, q], that is one component of y or its negative; the
-  four (m, 4n) products are added in the order s = 0..3 and reshape to
-  the (m, n, 4) result;
-* when x is the smaller operand (such as the 1 x k rows of a triangular
-  solve), the roles swap: for each component u of y, a (4m, k) block of
-  signed components of x times the (k, n) plane of y; one batched
-  product gives all four, and their terms are then added in the order of
-  the components of x.
-
-The side is picked from the shapes alone, as the one that moves fewer
-elements. Either way each output component is summed as the Hamilton
-formula writes it: four k-term products, added in the order a, b, c, d of
-the left factor.
-
-Each side keeps its numpy call count low, since small products, such as
-the sketch steps', cost mostly per-call overhead. The left side builds its
-four blocks with one product by a (16, 4) sign table and regroups the
-terms with one row gather. A right-side product with (m + k) n <=
-_BATCH_MAX (2048), the batched right side, builds all four slabs with one
-product by the sign table (``_slabs``) and runs its four GEMMs as one
-batched call (``_right_batched``; for k = 1 one einsum, which does the
-same faster than numpy's matmul). A larger right-side product, the slab
-path, builds and multiplies one slab at a time (each product an einsum
-too when k = 1). No path changes a GEMM's shape or the order of the adds,
-so the results are bitwise those of one call per GEMM.
+Small products, such as the sketch steps', cost mostly per-call overhead,
+so the numpy call count stays low. A product with (m + k) n <= _BATCH_MAX
+(2048), the batched right side, builds all four slabs with one product by
+the sign table (``_slabs``) and runs its four GEMMs as one batched call
+(``_right_batched``; for k = 1 one einsum, which does the same faster
+than numpy's matmul). A larger product, the slab path, builds and
+multiplies one slab at a time (each product an einsum too when k = 1).
+No path changes a GEMM's shape or the order of the adds, so the results
+are bitwise those of one call per GEMM.
 
 ``_right_batched(planes, slabs)`` is the one kernel of the batched right
 side: it takes the planes of x and the slabs of y as they are, so that a
@@ -75,15 +63,14 @@ each entry's error is 1.1-2.4 times the Hamilton form's, within
 ``qmatmul_stack`` runs stacks of products, (s, m, k, 4) @ (s, k, n, 4)
 -> (s, m, n, 4), with one operand possibly a single matrix shared by every
 item; the micro-solves use it to factor a block of sketches in one pass.
-The left side and the batched right side run the items' GEMMs as items
-of the same batched numpy calls, with each item's GEMM shapes and adds
-unchanged, so every item is bitwise its 2-D product; the batched right
-side takes at most _STACK_MAX (m + k) n of items per call, so that one
-call's slabs and products stay within 1 MiB. The slab path takes the
-items one at a time, each in the form of its 2-D product. ``qmatmul`` is
-the product of one pair, the name a tracer wraps: a span's flops are
-computed from 2-D operand shapes, so stacked products do not pass
-through it.
+The batched right side runs the items' GEMMs as items of the same
+batched numpy calls, with each item's GEMM shapes and adds unchanged, so
+every item is bitwise its 2-D product; it takes at most _STACK_MAX
+(m + k) n of items per call, so that one call's slabs and products stay
+within 1 MiB. The slab path takes the items one at a time, each in the
+form of its 2-D product. ``qmatmul`` is the product of one pair, the name
+a tracer wraps: a span's flops are computed from 2-D operand shapes, so
+stacked products do not pass through it.
 
 ``qmatmul_right(y)`` also runs every product that qmatmul would run on
 the slab path in the 8-product form, at any size, on y's eight
@@ -93,8 +80,7 @@ all eight of x's combinations fit in scratch with the eight products
 (9mn + 8mk elements up to _EIGHT_BATCH_MAX, as at CGNE's 50 x 50 steps),
 the eight GEMMs run as one batched call; larger products take the two
 phases. Its products are bitwise the 8-product form's, so from
-_EIGHT_MIN on they are bitwise qmatmul's too; a left-side product is
-qmatmul's.
+_EIGHT_MIN on they are bitwise qmatmul's too.
 
 A product keeps its operands' dtype: two float32 operands give a float32
 product, formed with float32 sign tables, planes, slabs, combinations and
@@ -106,7 +92,7 @@ Newton-Schulz family runs its first steps this way
 
 The products stay quaternion-native: the GEMMs do the same 16 m k n real
 multiply-adds as the Hamilton product written out over the component
-planes (8 m k n in the 8-product form), the expanded slabs, blocks or
+planes (8 m k n in the 8-product form), the expanded slabs or
 combinations of an operand live only inside one call or, prepared ahead,
 as long as the products by that operand (qmatmul_right's, a sketch
 stream's for one block), and no 4m x 4n real counterpart of a whole matrix
@@ -146,36 +132,20 @@ def qnormsq(x: np.ndarray) -> np.ndarray:
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # _SIGN[s, u, t]: component t of (unit s) * (unit u), each 0 or +-1. A
-# product with it builds a slab or block of an operand; every entry is then
+# product with it builds a slab of an operand; every entry is then
 # exactly one component or its negative.
 _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
-_SIGN_LEFT = _SIGN.transpose(1, 2, 0).reshape(16, 4)  # [(u, t), s]
 # the tables in float64 and in float32, indexed by whether a product is
-# float32: _CONJ, _SIGN and _SIGN_LEFT
-_TABLES = tuple((_CONJ.astype(t), _SIGN.astype(t), _SIGN_LEFT.astype(t))
+# float32: _CONJ and _SIGN
+_TABLES = tuple((_CONJ.astype(t), _SIGN.astype(t))
                 for t in (np.float64, np.float32))
 _F32 = np.dtype(np.float32)
-# transposes of an operand to its planes, (4, [s,] r, c) and ([s,] 4, r, c),
-# and the einsum of the one-term products, by the operand's stack axes
-_PLANES_FIRST = ((2, 0, 1), (3, 0, 1, 2))
-_PLANES_LAST = ((2, 0, 1), (0, 3, 1, 2))
+# transposes of an operand to its planes, (4, [s,] r, c), and the einsum of
+# the one-term products, by the operand's stack axes
+_PLANES = ((2, 0, 1), (3, 0, 1, 2))
 _ONE_TERM = ("smk,skn->smn", "sbmk,sbkn->sbmn")
-# _TERM_U[s, t]: the component of y that meets component s of x in
-# component t of the product
-_TERM_U = np.abs(_SIGN).argmax(axis=1)
-# the row (u, t) of the left side's block products that holds the term
-# (s, t), in the order (s, t)
-_TERM_ROWS = (4 * _TERM_U + np.arange(4)).ravel()
 
-
-@functools.lru_cache(maxsize=32)
-def _term_rows(b: int) -> np.ndarray:
-    """The rows of b stacked (16, m n) left-side block products that hold
-    the terms (s, t) of item b', as a (4, 4 b) array [s, (t, b')]."""
-    return np.add.outer(_TERM_ROWS, 16 * np.arange(b)).reshape(4, 4 * b)
-
-
-# right-side products with (m + k) n up to this run as one batched call
+# products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
 # a stack's batched right-side products run in calls of at most this
 # (m + k) n summed over their items, so that the slabs and products of one
@@ -232,23 +202,7 @@ def qmatmul_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, k, n = sx[-3], sx[-2], sy[-2]
     lx, ly = sx[:-3], sy[:-3]
     lead = lx or ly
-    if _left_side(m, k, n):
-        # L[.., (u, t, i), p] = sum_s _SIGN[s, u, t] x[.., i, p, s]: block
-        # u holds the rows (t, i), in any order a row's k-term sum is the
-        # same
-        L = _tables(x, y)[2] @ x.reshape(lx + (m * k, 4)).swapaxes(-1, -2)
-        planes = np.ascontiguousarray(y.transpose(_PLANES_LAST[len(ly)]))
-        P = np.matmul(L.reshape(lx + (4, 4 * m, k)), planes)
-        b = len(P) if lead else 1
-        # Q[s, (t, item)]: the term (s, t) of each item, added over s
-        Q = P.reshape(16 * b, m * n).take(_term_rows(b), axis=0)
-        Z = Q[0] + Q[1]
-        Z += Q[2]
-        Z += Q[3]
-        if lead:
-            Z = Z.reshape(4, b * m * n)
-        return np.ascontiguousarray(Z.T).reshape(lead + (m, n, 4))
-    if (m + k) * n <= _BATCH_MAX:
+    if _batched_right(m, k, n):
         if not lead or lead[0] * (m + k) * n <= _STACK_MAX:
             return _right_batched(_planes(x), _slabs(y))
         # a long stack in calls of b items (at least 4), whose slabs and
@@ -279,23 +233,15 @@ def _slab_path(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _slab_product(x, y)
 
 
-def _left_side(m: int, k: int, n: int) -> bool:
-    """Whether an (m, k) @ (k, n) product runs on the left side. The right
-    slabs are 16kn elements in all; the left side moves 16mk (its block),
-    4kn (the planes of y) and 36mn (the terms, their reordering and the
-    result)."""
-    return 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n
-
-
 def _batched_right(m: int, k: int, n: int) -> bool:
     """Whether qmatmul runs an (m, k) @ (k, n) product on the batched right
     side."""
-    return not _left_side(m, k, n) and (m + k) * n <= _BATCH_MAX
+    return (m + k) * n <= _BATCH_MAX
 
 
 def _planes(x: np.ndarray) -> np.ndarray:
     """The contiguous planes of x, ([s,] m, k, 4) -> (4, [s,] m, k)."""
-    return np.ascontiguousarray(x.transpose(_PLANES_FIRST[x.ndim - 3]))
+    return np.ascontiguousarray(x.transpose(_PLANES[x.ndim - 3]))
 
 
 def _slabs(y: np.ndarray) -> np.ndarray:
@@ -346,8 +292,8 @@ def qmatmul_by(x: np.ndarray):
     """y -> qmatmul(x, y) for one 2-D left factor x, bit for bit, with the
     planes of x laid out once: each batched right-side product uses them as
     they are, where qmatmul would copy them again. For many small products
-    by one matrix, such as the matvecs of a power or Lanczos run; any other
-    product (the left side, the slab path) is qmatmul's."""
+    by one matrix, such as the matvecs of a power or Lanczos run; a
+    slab-path product is qmatmul's."""
     m, k = x.shape[:2]
     planes = _planes(x)
 
@@ -367,16 +313,13 @@ def qmatmul_right(y: np.ndarray):
     the 8-product form (``_eight_product``) at every size, on y's eight
     combinations of components, formed once, at the first such product,
     in that product's dtype (float32 for two float32 operands, float64
-    otherwise); x's are formed at every product. A left-side product is
-    qmatmul's. Every result is a fresh array."""
+    otherwise); x's are formed at every product. Every result is a fresh
+    array."""
     k, n = y.shape[:2]
     prepared = {}
 
     def product(x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        if _left_side(m, k, n):
-            return qmatmul(x, y)
-        if (m + k) * n <= _BATCH_MAX:
+        if _batched_right(x.shape[0], k, n):
             if "slabs" not in prepared:
                 prepared["slabs"] = _slabs(y)
             return _right_batched(_planes(x), prepared["slabs"])

@@ -3,6 +3,8 @@ differ are named, and a changed benchmark verdict is shown and counted.
 The tool file is loaded by path and is not modified."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
@@ -47,3 +49,17 @@ def test_changed_verdict_is_shown_and_counted_but_keeps_exit(capsys):
     assert out[1] == ("# 1 calls: 1 bitwise equal, 0 with a changed "
                       "iteration count or error class or on one tree only, "
                       "1 with a changed verdict, largest Penrose gap 0")
+
+
+def test_oracle_pool_runs_in_a_subprocess():
+    # the oracle pool's qsvd calls on this checkout, one line per call: 8
+    # pool instances of 7 inputs each, the rank-deficient and zero ones
+    # among them
+    out = subprocess.run([sys.executable, str(PARITY), "--seed", "1",
+                          "--workload", "oracle", "--method", "qsvd"],
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 8 * 7
+    assert all(line.startswith("oracle ") and " qsvd " in line
+               for line in lines)
+    assert any(line.startswith("oracle zero30x20#0 qsvd ") for line in lines)

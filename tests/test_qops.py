@@ -110,28 +110,15 @@ def test_qmatmul_sums_in_hamilton_order(m, k, n, seed):
 # bitwise parity with the one-call-per-GEMM kernel
 # ---------------------------------------------------------------------------
 
-# the parent's sign tables, kept here so that the reference stands alone
+# the parent's sign table, kept here so that the reference stands alone
 _SIGN_REF = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])  # [s, u, t]
-_SIGN_LEFT_REF = _SIGN_REF.transpose(1, 2, 0).copy()  # [u, t, s]
-_TERM_U_REF = np.abs(_SIGN_REF).argmax(axis=1)
-_T = np.arange(4)
 
 
 def _qmatmul_parent(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The kernel before the small-product paths: one numpy call per GEMM,
-    the left blocks built by a broadcast product and regrouped by a fancy
-    index, the right slabs built and multiplied one at a time."""
+    the right slabs built and multiplied one at a time."""
     m, k, _ = x.shape
     n = y.shape[1]
-    if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n:
-        L = np.matmul(_SIGN_LEFT_REF[:, None], x.transpose(0, 2, 1)[None])
-        planes = np.ascontiguousarray(y.transpose(2, 0, 1))
-        P = np.matmul(L.reshape(4, 4 * m, k), planes).reshape(4, m, 4, n)
-        Q = P[_TERM_U_REF, :, _T]
-        Z = Q[0] + Q[1]
-        Z += Q[2]
-        Z += Q[3]
-        return np.ascontiguousarray(Z.transpose(1, 2, 0))
     planes = np.ascontiguousarray(x.transpose(2, 0, 1))
     yq = y.reshape(k * n, 4)
     Z = planes[0] @ yq.reshape(k, 4 * n)
@@ -159,8 +146,7 @@ def eight_product(x, y):
 def _eight_form(m, k, n):
     """Whether qmatmul runs an (m, k) @ (k, n) product in the 8-product
     form: a slab-path product with each dimension at least _EIGHT_MIN."""
-    return (_side(m, k, n) == "right" and not _batched(m, k, n)
-            and min(m, k, n) >= _qops._EIGHT_MIN)
+    return not _batched(m, k, n) and min(m, k, n) >= _qops._EIGHT_MIN
 
 
 def _qmatmul_reference(x, y):
@@ -182,10 +168,6 @@ def _wide_range_qarray(shape, rng) -> np.ndarray:
     return a
 
 
-def _side(m, k, n):
-    return "left" if 16 * m * k + 4 * k * n + 36 * m * n < 16 * k * n else "right"
-
-
 def _batched(m, k, n):
     return (m + k) * n <= _qops._BATCH_MAX
 
@@ -195,10 +177,10 @@ dims40 = st.integers(1, 40)
 
 @settings(deadline=None, max_examples=300)
 @given(dims40, dims40, dims40, st.integers(0, 2**31 - 1))
-# left side, m = 1 and m > 1
+# a small left operand, m = 1 and m > 1
 @example(1, 20, 8, 0)
 @example(3, 40, 40, 0)
-# right side on both sides of the batch rule: (m + k) n = 2048 and 2052,
+# both sides of the batch rule: (m + k) n = 2048 and 2052,
 # the next value reachable with m, k, n <= 40
 @example(24, 40, 32, 0)
 @example(1, 1, 1, 0)
@@ -214,13 +196,14 @@ def test_qmatmul_bitwise_equals_parent_kernel(m, k, n, seed):
 
 
 def test_parity_examples_cover_every_path():
-    # the explicit examples above reach the left side and both right paths,
-    # with the batch rule's boundary met exactly and just missed
-    assert _side(1, 20, 8) == _side(3, 40, 40) == "left"
-    assert _side(24, 40, 32) == "right" and (24 + 40) * 32 == _qops._BATCH_MAX
-    assert _side(27, 27, 38) == "right" and (27 + 27) * 38 == _qops._BATCH_MAX + 4
+    # the explicit examples above reach both paths: the small left operands
+    # take the batched right side, and the batch rule's boundary is met
+    # exactly and just missed
+    assert _batched(1, 20, 8) and _batched(3, 40, 40)
+    assert (24 + 40) * 32 == _qops._BATCH_MAX
+    assert (27 + 27) * 38 == _qops._BATCH_MAX + 4
     assert _batched(24, 40, 32) and not _batched(27, 27, 38)
-    assert _side(40, 40, 40) == "right" and not _batched(40, 40, 40)
+    assert not _batched(40, 40, 40)
 
 
 @pytest.mark.parametrize("m,k,n", [(1, 20, 8), (30, 1, 8), (9, 9, 1),
@@ -271,9 +254,9 @@ def _item(a, i):
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 4), dims130, dims130, dims130,
        st.sampled_from(["both", "x", "y"]), st.integers(0, 2**31 - 1))
-# the left side (m = 1 and m > 1), the batched right side with k > 1 and
-# k = 1, and the slab path, each with both operands stacked and with one
-# shared
+# the batched right side with a small left operand (m = 1 and m > 1), with
+# k > 1 and with k = 1, and the slab path, each with both operands stacked
+# and with one shared
 @example(3, 1, 20, 8, "both", 0)
 @example(3, 3, 40, 40, "x", 0)
 @example(16, 1, 7, 70, "both", 0)
@@ -292,11 +275,9 @@ def test_qmatmul_stack_items_bitwise_equal_2d(s, m, k, n, mode, seed):
 
 
 def test_qmatmul_stack_examples_cover_every_path():
-    assert _side(1, 20, 8) == _side(3, 40, 40) == _side(1, 7, 70) == "left"
-    assert _side(30, 8, 8) == "right" and _batched(30, 8, 8)
-    assert _side(30, 1, 8) == "right" and _batched(30, 1, 8)
-    assert _side(130, 1, 60) == "right" and not _batched(130, 1, 60)
-    assert _side(40, 40, 40) == "right" and not _batched(40, 40, 40)
+    assert _batched(1, 20, 8) and _batched(3, 40, 40) and _batched(1, 7, 70)
+    assert _batched(30, 8, 8) and _batched(30, 1, 8)
+    assert not _batched(130, 1, 60) and not _batched(40, 40, 40)
 
 
 # stacks longer than one batched call takes (s (m + k) n > _STACK_MAX): the
@@ -309,7 +290,7 @@ def test_qmatmul_stack_examples_cover_every_path():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_qmatmul_stack_in_several_calls_bitwise_equal_2d(s, m, k, n, mode,
                                                          dtype):
-    assert _side(m, k, n) == "right" and _batched(m, k, n)
+    assert _batched(m, k, n)
     assert s * (m + k) * n > _qops._STACK_MAX
     x, y = (a.astype(dtype) for a in _stack_operands(s, m, k, n, mode, 8))
     got = _qops.qmatmul_stack(x, y)
@@ -331,16 +312,19 @@ def test_qmatmul_stack_of_strided_views_bitwise_equal_2d():
             assert got[i].tobytes() == qmatmul(x[i], y[i]).tobytes()
 
 
-def test_qmatmul_left_side_departs_from_parent_kernel_at_large_shapes():
-    # the stacked and the 2-D left side agree bit for bit at 10 x 300 @
-    # 300 x 300; both order the block rows (t, i), and there OpenBLAS
-    # rounds a few entries in the last bit unlike the reference, whose
-    # rows are (i, t) (see the _qops docstring)
-    assert _side(10, 300, 300) == "left"
-    x, y = _stack_operands(2, 10, 300, 300, "both", 5)
+# slab-path products with a short left operand, 2-D and stacked: each GEMM
+# takes the rows of x's planes as they are, so every result is bitwise the
+# reference's
+@pytest.mark.parametrize("m, k, n", [(10, 300, 300), (9, 300, 300),
+                                     (14, 64, 300)])
+def test_short_left_operands_bitwise_equal_parent_kernel(m, k, n):
+    assert not _batched(m, k, n) and not _eight_form(m, k, n)
+    x, y = _stack_operands(2, m, k, n, "both", m + k + n)
     got = _qops.qmatmul_stack(x, y)
     for i in range(2):
-        assert got[i].tobytes() == qmatmul(x[i], y[i]).tobytes()
+        want = _qmatmul_parent(x[i], y[i]).tobytes()
+        assert qmatmul(x[i], y[i]).tobytes() == want
+        assert got[i].tobytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +333,7 @@ def test_qmatmul_left_side_departs_from_parent_kernel_at_large_shapes():
 
 # (m, k) of the left factor: the probes' matrices and adjoints in the dense,
 # sketch and apps workloads, k = 1, and m + k > _BATCH_MAX, where a matvec
-# takes the slab path; n = 8 puts the 1 x 20 factor on the left side
+# takes the slab path
 @pytest.mark.parametrize("m, k", [(220, 200), (200, 220), (120, 100),
                                   (100, 120), (30, 20), (20, 30), (70, 50),
                                   (50, 70), (50, 50), (60, 1), (1, 1),
@@ -369,9 +353,8 @@ def test_qmatmul_by_bitwise_equals_qmatmul(m, k):
 
 def test_qmatmul_by_shapes_cover_every_path():
     assert _batched(220, 200, 1) and _batched(60, 1, 1)
-    assert _side(1, 20, 8) == "left"
-    assert _side(2000, 60, 1) == "right" and not _batched(2000, 60, 1)
-    assert _side(60, 2000, 1) == "right" and not _batched(60, 2000, 1)
+    assert _batched(1, 20, 8)
+    assert not _batched(2000, 60, 1) and not _batched(60, 2000, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +371,8 @@ _PREPARED_SHAPES = [(20, 30, 8), (20, 8, 30), (100, 120, 8), (20, 30, 5),
 
 def test_prepared_shapes_take_the_batched_right_side():
     for m, k, n in _PREPARED_SHAPES:
-        assert _side(m, k, n) == "right" and _batched(m, k, n)
+        assert _batched(m, k, n)
         assert _qops._batched_right(m, k, n)
-    assert not _qops._batched_right(1, 20, 8)  # the left side
     assert not _qops._batched_right(25, 40, 32)  # the slab path
 
 
@@ -608,7 +590,7 @@ _RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
 
 def test_qmatmul_right_shapes_take_the_slab_path():
     for m, k, n in _RIGHT_SHAPES:
-        assert _side(m, k, n) == "right" and not _batched(m, k, n)
+        assert not _batched(m, k, n)
     batch = [9 * m * n + 8 * m * k <= _qops._EIGHT_BATCH_MAX
              for m, k, n in _RIGHT_SHAPES]
     assert batch == [False, True, True]
@@ -733,8 +715,8 @@ def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
 
 
 def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
-    # a left-side product goes through qmatmul; a batched right-side one
-    # runs on y's slabs, built once, bitwise qmatmul's
+    # batched right-side products, a 1 x 20 row among them, run on y's
+    # slabs, built once, bitwise qmatmul's, and none goes through qmatmul
     calls = []
     monkeypatch.setattr(_qops, "qmatmul",
                         lambda x, y: calls.append(x.shape) or qmatmul(x, y))
@@ -745,7 +727,7 @@ def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):
               _wide_range_qarray((1, 20), rng)):
         got = product(x)
         assert got.tobytes() == qmatmul(x, y).tobytes()
-    assert calls == [(1, 20, 4)]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +749,7 @@ def _slab_operands(seed):
 
 def test_slab_shapes_take_the_slab_path():
     for m, k, n in _SLAB_SHAPES:
-        assert _side(m, k, n) == "right" and not _batched(m, k, n)
+        assert not _batched(m, k, n)
 
 
 def test_workspace_products_grow_and_shrink_bitwise():

@@ -11,16 +11,15 @@ from quatpinv._qops import qconj, qmatmul, qmatmul_by, qmatmul_stack
 
 _EPS32 = float(np.finfo(np.float32).eps)
 
-# (m, k, n) on each path of a product: the left side, the batched right
-# side and the slab path, with k = 1 on the last two
-_PATHS = {"left": (1, 20, 8), "batched": (6, 9, 7), "batched-k1": (40, 1, 30),
-          "slab": (60, 50, 70), "slab-k1": (120, 1, 60)}
+# (m, k, n) on each path of a product: the batched right side, also with
+# one row and with k = 1, and the slab path, also with k = 1
+_PATHS = {"batched": (6, 9, 7), "batched-row": (1, 20, 8),
+          "batched-k1": (40, 1, 30), "slab": (60, 50, 70),
+          "slab-k1": (120, 1, 60)}
 
 
 def _path(m, k, n) -> str:
-    if _qops._left_side(m, k, n):
-        return "left"
-    return "batched" if (m + k) * n <= _qops._BATCH_MAX else "slab"
+    return "batched" if _qops._batched_right(m, k, n) else "slab"
 
 
 def _f32(shape, seed) -> np.ndarray:
@@ -100,7 +99,7 @@ def test_float32_strided_views_keep_dtype():
 @pytest.mark.parametrize("m, k, n", [(200, 220, 1), (60, 1, 1), (1, 20, 8),
                                      (60, 50, 70)])
 def test_float32_qmatmul_by_keeps_dtype(m, k, n):
-    # the batched products from the laid-out planes, and the left side and
+    # the batched products from the laid-out planes, 1 x 20 among them, and
     # the slab path through qmatmul
     x, y = _f32((m, k), 8), _f32((k, n), 9)
     got = qmatmul_by(x)(y)

@@ -6,8 +6,8 @@
     python3 tools/parity.py --seed 1 --workload sketch
     python3 tools/parity.py --seed 1 --workload sketch --method rsp-column
 
-Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
-``perfbench/workloads.py`` (each pool instance once, as round i of a
+Runs every call of the ``dense``, ``sketch``, ``apps`` and ``oracle`` pools
+of ``perfbench/workloads.py`` (each pool instance once, as round i of a
 benchmark run uses instance i; ``--workload`` picks pools and ``--method``
 the calls of the named methods) and prints one line per call: the workload,
 input and method, then either the error class the call raised or a digest
@@ -48,7 +48,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("dense", "sketch", "apps")
+WORKLOADS = ("dense", "sketch", "apps", "oracle")
 
 
 def _hash(data: bytes) -> str:
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     p.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                    help="checkout whose src/ and perfbench/ are imported")
     p.add_argument("--workload", choices=WORKLOADS, action="append",
-                   help="pool to run (repeatable; default: all three)")
+                   help="pool to run (repeatable; default: all four)")
     p.add_argument("--method", action="append",
                    help="run only this method's calls, e.g. rsp-row "
                         "(repeatable; default: every method)")
