@@ -38,8 +38,8 @@ workspace reused from call to call, so that a large product does not
 fault fresh pages in on every call. The workspace belongs to the calling
 thread (``threading.local``), so concurrent products never share it. It
 grows to the largest need seen and retains at most _WORKSPACE_MAX
-elements (8 MiB) per thread; a larger product takes fresh scratch. The
-returned array is fresh, never a view of the workspace.
+elements (10.5 MiB) per thread; a larger product takes fresh scratch.
+The returned array is fresh, never a view of the workspace.
 
 A slab-path product with each of m, k and n at least _EIGHT_MIN (80) runs
 instead in the 8-product form of Howell and Lafon (The complexity of the
@@ -47,14 +47,13 @@ quaternion product, Cornell TR 75-245, 1975), which holds for matrix
 entries: eight real (m, k) @ (k, n) GEMMs of sums and differences of the
 components of x and of y, and post-additions that give the four
 components, 8 m k n multiply-adds where the Hamilton form takes 16. The
-combinations of both operands are formed at each product, with
-elementwise ops on their component views, in two phases that keep the
-scratch near the slab path's, 5mn + max(4 (mk + kn), 4mn + mk + kn)
-elements: m5..m8 first, from four combinations of each operand (two an
-op) and one batched GEMM call, then m1..m4 one GEMM at a time, each from
-one combination of each, where the first phase's combinations were; the
-post-additions write the fresh result. The threshold is read from a
-table of the two forms' times by shape (README, performance notes).
+products run in two halves, m1..m4 and m5..m8: each forms its four
+combinations of each operand (two an op, on the component views) and
+runs its four GEMMs as one batched call, into the workspace, whose
+9mn + 4 (mk + kn) elements hold the eight products, their sum t and one
+half's combinations; the post-additions write the fresh result. The
+threshold is read from a table of the two forms' times by shape
+(README, performance notes).
 Its rounding is not the Hamilton form's: against a long-double product,
 each entry's error is 1.1-2.4 times the Hamilton form's, within
 2.3e-15 (|x||y|)_ij, |x| the entries' moduli (Gaussian operands:
@@ -75,16 +74,13 @@ stacked products do not pass through it.
 ``qmatmul_right(y)`` also runs every product that qmatmul would run on
 the slab path in the 8-product form, at any size, on y's eight
 combinations, formed once, at the first such product, and handed to the
-same kernel (``_eight_product``); x's are formed at each product. Where
-all eight of x's combinations fit in scratch with the eight products
-(9mn + 8mk elements up to _EIGHT_BATCH_MAX, as at CGNE's 50 x 50 steps),
-the eight GEMMs run as one batched call; larger products take the two
-phases. Its products are bitwise the 8-product form's, so from
-_EIGHT_MIN on they are bitwise qmatmul's too.
+same kernel (``_eight_product``), whose halves then form only x's. Its
+products are bitwise the 8-product form's, so from _EIGHT_MIN on they
+are bitwise qmatmul's too.
 
 A product keeps its operands' dtype: two float32 operands give a float32
 product, formed with float32 sign tables, planes, slabs, combinations and
-GEMMs, and any other pair gives float64, bitwise as before. Float32
+GEMMs, and any other pair gives float64. Float32
 scratch is a prefix of the same thread workspace's bytes, so a float32
 product never keeps a second workspace. ``qconj`` keeps float32 too. The
 Newton-Schulz family runs its first steps this way
@@ -154,13 +150,9 @@ _STACK_MAX = 8192
 # slab-path products with min(m, k, n) at least this run in the 8-product
 # form (README, performance notes: the shape table it was chosen from)
 _EIGHT_MIN = 80
-# products by a fixed right factor (qmatmul_right) whose scratch with all
-# eight of x's combinations (9mn + 8mk elements) is at most this run as one
-# batched GEMM call (2 MiB); any other 8-product-form product runs in two
-# phases, which keep its scratch near the slab path's
-_EIGHT_BATCH_MAX = 1 << 18
-# float64 elements of scratch a thread keeps between products (8 MiB)
-_WORKSPACE_MAX = 1 << 20
+# float64 elements of scratch a thread keeps between products (10.5 MiB):
+# the 17 s^2 of an 8-product-form s x s x s product up to s = 284
+_WORKSPACE_MAX = 17 * 284 ** 2
 _local = threading.local()
 
 
@@ -313,8 +305,8 @@ def qmatmul_right(y: np.ndarray):
     the 8-product form (``_eight_product``) at every size, on y's eight
     combinations of components, formed once, at the first such product,
     in that product's dtype (float32 for two float32 operands, float64
-    otherwise); x's are formed at every product. Every result is a fresh
-    array."""
+    otherwise); x's are formed at every product, one half at a time.
+    Every result is a fresh array."""
     k, n = y.shape[:2]
     prepared = {}
 
@@ -358,21 +350,6 @@ _RIGHT_SUMS = (
 )
 
 
-def _one_at_a_time(half) -> tuple:
-    """The combinations of a half table one by one, by slot: (ufunc,
-    component, component)."""
-    ones = [None] * 4
-    for op, i, j, slots in half:
-        for s, p, q in zip(range(4)[slots], range(4)[i], range(4)[j]):
-            ones[s] = (op, p, q)
-    return tuple(ones)
-
-
-# the combinations of m1..m4 of x and of y, one by one
-_LEFT_ONE = _one_at_a_time(_LEFT_SUMS[0])
-_RIGHT_ONE = _one_at_a_time(_RIGHT_SUMS[0])
-
-
 def _combine(q: np.ndarray, halves, out: np.ndarray) -> None:
     """The combinations of the components of q, (r, c, 4), that the halves
     of a table name, into out, (4 per half, r, c), each pair one
@@ -388,53 +365,29 @@ def _eight_product(x: np.ndarray, y: np.ndarray,
                    R: np.ndarray | None = None) -> np.ndarray:
     """x y in the 8-product form, a fresh (m, n, 4) array, for x (m, k, 4)
     and y (k, n, 4): eight real (m, k) @ (k, n) GEMMs of combinations of
-    the components of x (_LEFT_SUMS) and of y (_RIGHT_SUMS), then the
-    post-additions. R is y's eight combinations, (8, k, n) in the
-    product's dtype, formed ahead for many products by y
-    (``qmatmul_right``), or None to form them here."""
+    the components of x (_LEFT_SUMS) and of y (_RIGHT_SUMS), in two
+    halves of four, each formed in scratch and run as one batched call,
+    then the post-additions. R is y's eight combinations, (8, k, n) in
+    the product's dtype, formed ahead for many products by y
+    (``qmatmul_right``), or None to form each half's four here."""
     m, k = x.shape[:2]
     n = y.shape[1]
     dtype = _tables(x, y)[0].dtype
-    mk, mn = m * k, m * n
-    if R is not None and 9 * mn + 8 * mk <= _EIGHT_BATCH_MAX:
-        # one batch: m1..m8 and t, then the eight combinations of x, in
-        # scratch, and one batched GEMM call, whose few calls matter at
-        # 50 x 50
-        ws = _scratch(9 * mn + 8 * mk, dtype)
-        P = ws[:9 * mn].reshape(9, m, n)
-        L = ws[9 * mn:].reshape(8, m, k)
-        _combine(x, _LEFT_SUMS, L)
-        np.matmul(L, R, P[:8])
-        A, B = P[:4], P[4:]
-    else:
-        # two phases, so that the scratch stays near the slab path's:
-        # m5..m8 and t (B) first, from four combinations of each operand
-        # and one batched GEMM call; then m1..m4 (A), one GEMM at a time,
-        # each from one combination of each operand, where the first
-        # phase's combinations were
-        ky = k * n if R is None else 0  # one of y's combinations formed here
-        ws = _scratch(5 * mn + max(4 * (mk + ky), 4 * mn + mk + ky), dtype)
-        B = ws[:5 * mn].reshape(5, m, n)
-        F = ws[5 * mn:]
-        L = F[:4 * mk].reshape(4, m, k)
-        _combine(x, _LEFT_SUMS[1:], L)
+    mn, mk, kn = m * n, m * k, (k * n if R is None else 0)
+    # in scratch: m1..m8 and t, then one half's combinations of x and, when
+    # R is None, of y
+    ws = _scratch(9 * mn + 4 * (mk + kn), dtype)
+    P = ws[:9 * mn].reshape(9, m, n)
+    L = ws[9 * mn:9 * mn + 4 * mk].reshape(4, m, k)
+    for h in range(2):
+        _combine(x, _LEFT_SUMS[h:h + 1], L)
         if R is None:
-            R5 = F[4 * mk:4 * (mk + ky)].reshape(4, k, n)
-            _combine(y, _RIGHT_SUMS[1:], R5)
+            Rh = ws[9 * mn + 4 * mk:].reshape(4, k, n)
+            _combine(y, _RIGHT_SUMS[h:h + 1], Rh)
         else:
-            R5 = R[4:]
-        np.matmul(L, R5, B[:4])
-        A = F[:4 * mn].reshape(4, m, n)
-        Lx = F[4 * mn:4 * mn + mk].reshape(m, k)
-        Ry = F[4 * mn + mk:4 * mn + mk + ky].reshape(-1, n)  # (0, n) if R
-        xs, ys = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
-        for s in range(4):
-            op, p, q = _LEFT_ONE[s]
-            op(xs[p], xs[q], Lx, dtype=dtype)
-            if R is None:
-                op, p, q = _RIGHT_ONE[s]
-                op(ys[p], ys[q], Ry, dtype=dtype)
-            np.matmul(Lx, Ry if R is None else R[s], A[s])
+            Rh = R[4 * h:4 * h + 4]
+        np.matmul(L, Rh, P[4 * h:4 * h + 4])
+    A, B = P[:4], P[4:]
     # the post-additions, outputs passed by position, which spares numpy's
     # keyword handling, a few per cent of a 50 x 50 product
     t, u = B[4], B[0]

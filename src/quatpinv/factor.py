@@ -31,7 +31,11 @@ of G's eigendecomposition.
 tests' QR-based references use it. ``qsvd``, ``pinv_qsvd`` and
 ``pinv_normal_eq`` raise NonFinite at entry when A holds a NaN or
 infinite entry, and a 2-D ``hpd_solve`` when G or B does (as when A^H A
-overflows); in a stack such an item is flagged.
+overflows); in a stack such an item is flagged. The three oracles do not
+depend on A's scale: an A whose largest |entry| lies outside 2^+-64 is
+factored times the power of two that brings that entry into [0.5, 1),
+and the result scaled back exactly; a result that then leaves the float
+range raises NonFinite.
 """
 
 from __future__ import annotations
@@ -363,46 +367,86 @@ def _right_factor(A: QMatrix):
     return Uc, s[perm], V[:, perm], AV[:, perm]
 
 
+# the oracles take A as it is while the binary exponent of its largest
+# |entry| is within this band, and A 2^-e outside it
+_EXPONENT_BAND = 64
+
+
+def _equilibrated(A: QMatrix) -> tuple[QMatrix, int]:
+    """(A 2^-e, e), e from math.frexp of A's largest |entry|, as
+    ``solvers.rsp_rate_bound`` takes it: an exact scaling that brings that
+    entry into [0.5, 1). Inside _EXPONENT_BAND, (A, 0): A keeps its
+    bits."""
+    e = math.frexp(float(np.abs(A.data).max(initial=0.0)))[1]
+    if abs(e) <= _EXPONENT_BAND:
+        return A, 0
+    return QMatrix(np.ldexp(A.data, -e)), e
+
+
+def _rescaled(x: np.ndarray, e: int) -> np.ndarray:
+    """x 2^e, exact unless it underflows; an entry that overflows raises
+    NonFinite."""
+    if e == 0:
+        return x
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise NonFinite(f"the result leaves the float range at scale 2^{e}")
+    return x
+
+
 def qsvd(A: QMatrix) -> QSVDFactors:
     """Quaternion SVD A = U diag(S) V^H with full unitary U, V.
 
     Route: LAPACK SVD of the complex adjoint embedding -> V paired from
     its right singular vectors -> U = A V / sigma on the numerical range,
-    completed from the left singular vectors of the left null space.
+    completed from the left singular vectors of the left null space. An A
+    outside _EXPONENT_BAND is factored as A 2^-e (``_equilibrated``), and
+    S scaled back by 2^e.
     """
     m, n = A.shape
+    A, e = _equilibrated(A)
     Uc, s, V, AV = _right_factor(A)
     r = int(np.sum(s > 1e-13 * s.max(initial=0.0)))
     U = np.concatenate([AV[:, :r] / s[:r, None],
                         _quaternion_basis(Uc[:, 2 * r:], m - r)], axis=1)
-    return QSVDFactors(U=QMatrix(U), S=s[:min(m, n)], V=QMatrix(V))
+    return QSVDFactors(U=QMatrix(U), S=_rescaled(s[:min(m, n)], e),
+                       V=QMatrix(V))
 
 
 def pinv_qsvd(A: QMatrix) -> QMatrix:
     """Pseudoinverse V Sigma^+ U^H; sigma <= 1e-10 * max sigma -> 0.
 
     With U = A V / sigma on the kept columns this is
-    V diag(1 / sigma^2) (A V)^H, so U itself is never formed.
+    V diag(1 / sigma^2) (A V)^H, so U itself is never formed. An A outside
+    _EXPONENT_BAND is taken as A 2^-e (``_equilibrated``), and its
+    pseudoinverse scaled back by 2^-e.
     """
+    A, e = _equilibrated(A)
     _, s, V, AV = _right_factor(A)
     k = min(A.shape)
     s, V, AV = s[:k], V[:, :k], AV[:, :k]
     smax = s[0] if k else 0.0
     keep = s > 1e-10 * max(smax, 1e-300)
     sinv = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
-    return QMatrix(V * (sinv ** 2)[None, :, None]) @ QMatrix(AV).adjoint()
+    X = QMatrix(V * (sinv ** 2)[None, :, None]) @ QMatrix(AV).adjoint()
+    return QMatrix(_rescaled(X.data, -e))
 
 
 def pinv_normal_eq(A: QMatrix) -> QMatrix:
     """Closed-form full-rank pseudoinverse through the Gram system.
 
     Tall (and square) inputs use (A^H A)^{-1} A^H; wide inputs use
-    A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency.
+    A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency. An A
+    outside _EXPONENT_BAND is taken as A 2^-e (``_equilibrated``), and its
+    pseudoinverse scaled back by 2^-e.
     """
     require_finite(A)
+    A, e = _equilibrated(A)
     m, n = A.shape
     Ah = A.adjoint()
     if m >= n:
-        return hpd_solve(Ah @ A, Ah)
-    W = hpd_solve(A @ Ah, QMatrix.identity(m))
-    return Ah @ W
+        X = hpd_solve(Ah @ A, Ah)
+    else:
+        X = Ah @ hpd_solve(A @ Ah, QMatrix.identity(m))
+    return QMatrix(_rescaled(X.data, -e))

@@ -949,8 +949,11 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
     The ratio does not depend on A's scale, so it is computed on A times
     2^-e, e from math.frexp of A's largest |entry|: an exact scaling that
     brings that entry into [0.5, 1), where sigma_min^2 and ||A||_F^2
-    neither overflow nor underflow."""
+    neither overflow nor underflow. A zero A, rank-deficient like any A
+    with sigma_min = 0, gives 1.0."""
     require_finite(A)
+    if not np.any(A.data):
+        return 1.0
     e = math.frexp(float(np.abs(A.data).max()))[1]
     A = A.scale(math.ldexp(1.0, -e))
     # the embedding's singular values are A's, each twice
@@ -961,7 +964,10 @@ def rsp_rate_bound(A: QMatrix, block_r: int) -> float:
 
 def rsp_contraction_samples(A: QMatrix, sk: SketchConfig,
                             trials: int) -> np.ndarray:
-    """Per-trial one-step ratios ||X1 - Adag||_F^2 / ||X0 - Adag||_F^2."""
+    """Per-trial one-step ratios ||X1 - Adag||_F^2 / ||X0 - Adag||_F^2.
+    A zero A, whose X0 is its Adag, raises RankDeficient."""
+    if not np.any(A.data):
+        raise RankDeficient("A is zero")
     Xstar = pinv_normal_eq(A)
     Ah = A.adjoint()
     X0 = Ah.scale(auto_alpha(A, Ah))

@@ -735,13 +735,65 @@ def test_checked_solve_residual_is_the_quaternion_residual(s, r, p, seed):
 
 @pytest.mark.parametrize("c", [1e160, 1e300])
 @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
-def test_pinv_normal_eq_overflowing_gram_is_non_finite(c, wide):
-    # A is finite but A^H A (or A A^H) overflows; LAPACK's eigenvalue
-    # check used to fail on it with ConvergenceFailure
+def test_hpd_solve_overflowing_gram_is_non_finite(c, wide):
+    # A is finite but A^H A (or A A^H), pinv_normal_eq's Gram system before
+    # it scaled A, overflows; LAPACK's eigenvalue check used to fail on it
+    # with ConvergenceFailure
     A = randn_qmat(30, 20, 1).scale(c)
+    A = A.adjoint() if wide else A
+    Ah = A.adjoint()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite, match="G has"):
-            pinv_normal_eq(A.adjoint() if wide else A)
+            if wide:
+                hpd_solve(A @ Ah, QMatrix.identity(A.rows))
+            else:
+                hpd_solve(Ah @ A, Ah)
+
+
+_ORACLES = {"pinv_qsvd": pinv_qsvd, "pinv_normal_eq": pinv_normal_eq,
+            "qsvd": lambda A: qsvd(A).S}
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_oracles_at_extreme_scales(oracle, wide, c):
+    # unscaled, pinv_qsvd was 1 off at 1e-300, 1e160 and 1e300 and NaN at
+    # 1e-160, and pinv_normal_eq 1 off at 1e-300, Indefinite at 1e-160 and
+    # NonFinite from 1e160; (cA)^+ = A^+ / c and S(cA) = c S(A)
+    A = randn_qmat(30, 20, 1)
+    A = A.adjoint() if wide else A
+    ref, got = (_ORACLES[oracle](B) for B in (A, A.scale(c)))
+    if oracle == "qsvd":
+        assert _rel_gap(got / c, ref) <= 1e-12
+    else:
+        assert _rel_gap(got.data * c, ref.data) <= 1e-12
+
+
+@pytest.mark.parametrize("top, e", [(np.nextafter(2.0 ** 64, 0), 0),
+                                    (2.0 ** 64, 65), (2.0 ** -65, 0),
+                                    (np.nextafter(2.0 ** -65, 0), -65)],
+                         ids=["below-2^64", "2^64", "2^-65", "below-2^-65"])
+def test_oracles_take_an_a_within_the_band_as_it_is(top, e):
+    # the band is |e| <= 64, e from frexp of the largest |entry|
+    A = QMatrix.from_real(np.array([[top, -top / 3]]))
+    B, got = factor._equilibrated(A)
+    assert got == e and (B is A) == (e == 0)
+    assert np.array_equal(np.ldexp(B.data, e), A.data)
+
+
+@pytest.mark.parametrize("oracle", ["pinv_qsvd", "pinv_normal_eq"])
+def test_oracle_pseudoinverse_out_of_range_is_non_finite(oracle):
+    # A = 1e-309, subnormal, scales exactly to [0.5, 1); its inverse, about
+    # 1e309, does not fit in a float
+    with pytest.raises(NonFinite, match="float range"):
+        _ORACLES[oracle](QMatrix.from_real(np.array([[1e-309]])))
+
+
+def test_qsvd_singular_values_out_of_range_are_non_finite():
+    # every entry 1e308 fits; the largest singular value, 2e308, does not
+    with pytest.raises(NonFinite, match="float range"):
+        qsvd(QMatrix.from_real(np.full((2, 2), 1e308)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -582,18 +582,17 @@ def test_qmatmul_stack_eight_form_items_bitwise_equal_2d(m, k, n, mode,
 
 
 # (m, k, n) of products by one right factor on the slab path: CGNE's
-# 200 x 200 step (two phases), a rectangular pair and the smallest square
-# one (one batch), both below _EIGHT_MIN, where qmatmul keeps the Hamilton
-# form; entries include 0.0 and -0.0
-_RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40)]
+# 200 x 200 step, a rectangular pair and the smallest square one, both
+# below _EIGHT_MIN, where qmatmul keeps the Hamilton form, CGNE-Nystrom's
+# 50 x 50 step and a pair whose 9mn + 8mk elements just pass 2^18;
+# entries include 0.0 and -0.0
+_RIGHT_SHAPES = [(200, 200, 200), (100, 90, 100), (40, 40, 40),
+                 (50, 50, 50), (130, 120, 130)]
 
 
 def test_qmatmul_right_shapes_take_the_slab_path():
     for m, k, n in _RIGHT_SHAPES:
         assert not _batched(m, k, n)
-    batch = [9 * m * n + 8 * m * k <= _qops._EIGHT_BATCH_MAX
-             for m, k, n in _RIGHT_SHAPES]
-    assert batch == [False, True, True]
 
 
 @pytest.mark.parametrize("m, k, n", _RIGHT_SHAPES)
@@ -700,18 +699,19 @@ def test_qmatmul_eight_form_rounding_is_normwise_small(make):
 def test_qmatmul_right_forms_its_combinations_once(monkeypatch):
     formed = []
     combine = _qops._combine
-
-    def counting(q, table, out):
-        formed.append(table is _qops._RIGHT_SUMS)
-        combine(q, table, out)
-    monkeypatch.setattr(_qops, "_combine", counting)
     rng = np.random.default_rng(10)
     y = _wide_range_qarray((90, 100), rng)
+
+    def counting(q, table, out):
+        formed.append((q is y, len(table)))
+        combine(q, table, out)
+    monkeypatch.setattr(_qops, "_combine", counting)
     product = _qops.qmatmul_right(y)
     for _ in range(3):
         product(_wide_range_qarray((100, 90), rng))
-    # y's at the first product, then x's at each
-    assert formed == [True] + [False] * 3
+    # all eight of y's at the first product, then x's, one half at a time,
+    # at each
+    assert formed == [(True, 2)] + [(False, 1)] * 6
 
 
 def test_qmatmul_right_outside_the_slab_path_is_qmatmul(monkeypatch):

@@ -882,6 +882,19 @@ def test_rsp_rate_bound_is_scale_free(c):
     assert abs(rsp_rate_bound(A.scale(c), 4) - rsp_rate_bound(A, 4)) <= 1e-12
 
 
+def test_rsp_rate_bound_of_a_zero_matrix_is_one():
+    # a zero A is rank-deficient, sigma_min = 0; its ||A||_F^2 once
+    # divided by zero
+    assert rsp_rate_bound(QMatrix.zeros(3, 2), 1) == 1.0
+
+
+def test_rsp_contraction_samples_of_a_zero_matrix_is_rank_deficient():
+    # X0 = A^+ = 0: the ratios' denominator once divided by zero
+    with pytest.raises(RankDeficient, match="zero"):
+        solvers.rsp_contraction_samples(QMatrix.zeros(3, 2),
+                                        SketchConfig(block_r=1), 2)
+
+
 def test_rsp_rate_bound_svd_failure_is_typed(monkeypatch):
     def fail(a, compute_uv=True):
         raise np.linalg.LinAlgError("SVD did not converge")
