@@ -14,11 +14,9 @@ Small products, such as the sketch steps', cost mostly per-call overhead,
 so the numpy call count stays low. A product with (m + k) n <= _BATCH_MAX
 (2048), the batched right side, builds all four slabs with one product by
 the sign table (``_slabs``) and runs its four GEMMs as one batched call
-(``_right_batched``; for k = 1 one einsum, which does the same faster
-than numpy's matmul). A larger product, the slab path, builds and
-multiplies one slab at a time (each product an einsum too when k = 1).
-No path changes a GEMM's shape or the order of the adds, so the results
-are bitwise those of one call per GEMM.
+(``_right_batched``). A larger product, the slab path, builds and
+multiplies one slab at a time. No path changes a GEMM's shape or the
+order of the adds, so the results are bitwise those of one call per GEMM.
 
 ``_right_batched(planes, slabs)`` is the one kernel of the batched right
 side: it takes the planes of x and the slabs of y as they are, so that a
@@ -97,7 +95,6 @@ is ever formed.
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -136,10 +133,9 @@ _SIGN = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
 _TABLES = tuple((_CONJ.astype(t), _SIGN.astype(t))
                 for t in (np.float64, np.float32))
 _F32 = np.dtype(np.float32)
-# transposes of an operand to its planes, (4, [s,] r, c), and the einsum of
-# the one-term products, by the operand's stack axes
+# transposes of an operand to its planes, (4, [s,] r, c), by the operand's
+# stack axes
 _PLANES = ((2, 0, 1), (3, 0, 1, 2))
-_ONE_TERM = ("smk,skn->smn", "sbmk,sbkn->sbmn")
 
 # products with (m + k) n up to this run as one batched call
 _BATCH_MAX = 2048
@@ -270,10 +266,7 @@ def _right_batched(planes: np.ndarray, S: np.ndarray) -> np.ndarray:
             S = np.broadcast_to(S[:, None], (4,) + lead + (k, 4 * n))
         else:
             planes = np.broadcast_to(planes[:, None], (4,) + lead + (m, k))
-    # with k = 1 numpy's matmul runs its own loop, one rounded product
-    # added to +0.0 per entry; einsum does the same, faster
-    P = (np.einsum(_ONE_TERM[len(lead)], planes, S) if k == 1
-         else np.matmul(planes, S))
+    P = np.matmul(planes, S)
     Z = P[0] + P[1]
     Z += P[2]
     Z += P[3]
@@ -420,10 +413,8 @@ def _slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     P = ws[mk:mk + mn].reshape(m, 4 * n)
     S = ws[mk + mn:].reshape(k * n, 4)
     yq = y.reshape(k * n, 4)
-    # k = 1 runs as einsum, as in the batched call
-    gemm = np.matmul if k != 1 else functools.partial(np.einsum, "mk,kn->mn")
-    Z = gemm(planes[0], yq.reshape(k, 4 * n))
+    Z = planes[0] @ yq.reshape(k, 4 * n)
     for s in range(1, 4):
         slab = np.matmul(yq, sign[s], out=S).reshape(k, 4 * n)
-        Z += gemm(planes[s], slab, out=P)
+        Z += np.matmul(planes[s], slab, out=P)
     return Z.reshape(m, n, 4)

@@ -434,10 +434,13 @@ def pinv_qsvd(A: QMatrix) -> QMatrix:
 
 
 def pinv_normal_eq(A: QMatrix) -> QMatrix:
-    """Closed-form full-rank pseudoinverse through the Gram system.
+    """Closed-form pseudoinverse through the Gram system.
 
     Tall (and square) inputs use (A^H A)^{-1} A^H; wide inputs use
-    A^H (A A^H)^{-1}. Indefinite propagates on rank deficiency. An A
+    A^H (A A^H)^{-1}. A rank-deficient tall or square A still gives A^+,
+    the min-norm solve of its singular A^H A Z = A^H (``hpd_solve``'s
+    fallback); a rank-deficient wide A raises Indefinite, since I is not
+    in the range of its singular A A^H. An A
     outside _EXPONENT_BAND is taken as A 2^-e (``_equilibrated``), and its
     pseudoinverse scaled back by 2^-e.
     """

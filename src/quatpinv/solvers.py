@@ -83,10 +83,11 @@ phase's float32 copies are built with the private QMatrix._of
 (_float32), since QMatrix's constructor makes every array float64, so
 float32 data lives only in this phase.
 
-ns_damped and ns_hyperpower report Penrose residuals computed from the
-deviation F = I - XB of the returned X, which their loop measured last
-(_penrose_from_deviation, three products); cgne_q, hybrid_rsp_ns and the
-sketch solvers run penrose_residuals.
+Every solver reports Penrose residuals computed from the deviation
+F = I - XB of the returned X (_penrose_from_deviation, three products):
+the Newton-Schulz family's loop measured it last, and _solve_tall forms
+it for the others (_deviation, a fourth). Every solve also takes an A of
+extreme scale as A 2^-e, as the direct oracles do (_solve_tall).
 
 rsp_column and rsp_row depart from the paper's plain RSP-Q: they take the
 accelerated sketch-and-project step (Gower, Hanzely, Richtarik & Stich,
@@ -116,7 +117,8 @@ from ._loop import SolverReport, _dot, _drive, _fro_norm, _require_count
 from .errors import (Breakdown, DimensionMismatch, Divergence,
                      InvalidOrder, NonFinite, RankDeficient, SketchFailure,
                      _lapack)
-from .factor import _right_factor, hpd_solve, pinv_normal_eq, thin_qr
+from .factor import (_equilibrated, _rescaled, _right_factor, hpd_solve,
+                     pinv_normal_eq, thin_qr)
 from .qmatrix import QMatrix, _gram_ritz, randn_qmat_rng, require_finite
 from .rng import QuatRNG
 
@@ -217,11 +219,6 @@ def _deviation(A: QMatrix, X: QMatrix) -> QMatrix:
     return F
 
 
-def _verified(A: QMatrix, X: QMatrix, report: SolverReport):
-    report.penrose = penrose_residuals(A, X)
-    return X, report
-
-
 def _penrose_from_deviation(B: QMatrix, X: QMatrix, F: QMatrix):
     """penrose_residuals(B, X) from F = I - XB: XBX - X = -FX,
     BXB - B = -BF and (XB)^H - XB = F - F^H, so e1 = ||FX||, e2 = ||BF||,
@@ -239,27 +236,38 @@ def _solve_tall(A: QMatrix, cfg: SolverConfig, method: str, solve):
     or Bh. spec is the Spectrum of one probe of B (_probe), its alpha
     cfg's unless "auto". report.wall_time runs from after A^H is formed
     until solve returns, so it covers the probe and every set-up of the
-    solve, and leaves out the Penrose check. F is the
-    deviation I - XB of the returned X, or None; the Penrose residuals are
-    those of A and the returned X, from F when there is one
-    (_penrose_from_deviation, with e3 and e4 swapped for a wide A), and
-    from penrose_residuals otherwise. A zero A returns its pseudoinverse,
-    zero, at once: no iterations, converged and an empty residual
-    history."""
+    solve, and leaves out the Penrose check. F is the deviation I - XB of
+    the returned X, or None, and then formed here (_deviation); the
+    Penrose residuals of A and the returned X come from it
+    (_penrose_from_deviation, with e3 and e4 swapped for a wide A). A
+    zero A returns its pseudoinverse, zero, at once: no iterations,
+    converged, an empty residual history and zero residuals.
+
+    An A whose largest |entry| lies outside the oracles' exponent band is
+    solved as A 2^-e (factor._equilibrated), and X scaled back by 2^-e
+    (factor._rescaled, NonFinite where X leaves the float range); an
+    explicit alpha, A's, is taken as alpha 2^2e. Every step commutes with
+    that scale but the sketch stream's absolute ridge, and F is the same
+    for both pairs, so e1 is reported times 2^-e and e2 times 2^e. Inside
+    the band A keeps its bits; an A scaled down loses the bits of its
+    subnormal entries."""
     require_finite(A)
     if not A.data.any():
-        return _verified(A, QMatrix.zeros(A.cols, A.rows),
-                         SolverReport(method, 0, converged=True))
+        return (QMatrix.zeros(A.cols, A.rows),
+                SolverReport(method, 0, converged=True))
+    A, e = _equilibrated(A)
+    alpha = cfg.alpha if cfg.alpha == "auto" else np.ldexp(cfg.alpha, 2 * e)
     Ah = A.adjoint()
     t0 = time.perf_counter()
     wide = A.rows < A.cols
     B, Bh = (Ah, A) if wide else (A, Ah)
-    X, report, F = solve(B, Bh, _probe(B, Bh, cfg.alpha))
+    X, report, F = solve(B, Bh, _probe(B, Bh, alpha))
     report.wall_time = time.perf_counter() - t0
-    if F is None:
-        return _verified(A, X.adjoint() if wide else X, report)
-    e1, e2, e3, e4 = _penrose_from_deviation(B, X, F)
+    e1, e2, e3, e4 = _penrose_from_deviation(
+        B, X, _deviation(B, X) if F is None else F)
+    e1, e2 = np.ldexp((e1, e2), (-e, e)).tolist()
     report.penrose = (e1, e2, e4, e3) if wide else (e1, e2, e3, e4)
+    X = QMatrix._of(_rescaled(X.data, -e))
     return (X.adjoint() if wide else X), report
 
 
@@ -802,10 +810,10 @@ def hybrid_rsp_ns(A: QMatrix, cfg: SolverConfig, sk: SketchConfig):
     if sk.cycle_T:  # T = 0 draws no sketch of A
         _require_block(A, sk)
 
-    def cycle(X, stream):  # m >= n, so the solve runs on A itself
+    def cycle(X, stream):  # on the solve's B, A 2^-e at extreme scales
         for _ in range(sk.cycle_T):
             X = _update(X, stream)
-        return _ns_step(_deviation(A, X), X, cfg.order, SCHEDULE_PS)
+        return _ns_step(_deviation(stream.A, X), X, cfg.order, SCHEDULE_PS)
     return _sketch_solve(A, cfg, sk, f"hybrid-T{sk.cycle_T}-p{cfg.order}",
                          cycle)
 

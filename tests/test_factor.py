@@ -237,6 +237,18 @@ def test_qsvd_rejects_non_finite(bad):
         qsvd(A)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("oracle", [pinv_qsvd, pinv_normal_eq],
+                         ids=["pinv_qsvd", "pinv_normal_eq"])
+def test_pseudoinverse_oracles_reject_non_finite(oracle, wide, bad):
+    A = randn_qmat(5, 4, 13)
+    A.data[2, 1, 3] = bad
+    with pytest.raises(NonFinite):
+        oracle(A.adjoint() if wide else A)
+
+
 # ---------------------------------------------------------------------------
 # pseudoinverse routes
 # ---------------------------------------------------------------------------
@@ -472,11 +484,20 @@ def _low_rank(m: int, n: int, k: int, seed: int) -> QMatrix:
     _low_rank(220, 200, 199, 9),
     _C.scale(1e-150),
     _low_rank(40, 30, 15, 11).scale(1e100),
+    _low_rank(30, 30, 3, 13),
+    _low_rank(30, 40, 3, 13),
 ], ids=["duplicate-column", "rank-3", "rank-15", "rank-199",
-        "duplicate-column-1e-150", "rank-15-1e100"])
+        "duplicate-column-1e-150", "rank-15-1e100", "rank-3-square",
+        "rank-3-wide"])
 def test_pinv_normal_eq_rank_deficient_matches_qsvd(A):
     # a singular Gram matrix fails its Cholesky pivot; the fallback's
-    # min-norm solve of A^H A Z = A^H is A^+ (the last three once raised)
+    # min-norm solve of A^H A Z = A^H is A^+ (rank-199 and the two scaled
+    # cases once raised). A wide A's A A^H Z = I has no solution, since I
+    # is not in the singular Gram matrix's range
+    if A.rows < A.cols:
+        with pytest.raises(Indefinite):
+            pinv_normal_eq(A)
+        return
     ref = pinv_qsvd(A)
     with np.errstate(over="ignore"):
         X = pinv_normal_eq(A)

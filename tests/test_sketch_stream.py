@@ -66,13 +66,23 @@ def _ref_col_run(method, A, cfg, sk):
     return _ref_run(method, A, cfg, sk, step, 0.99 / top)
 
 
+def _verified(B, X, rep, wide=False):
+    # the report as _solve_tall makes it, for X of B = A or, for a wide A,
+    # B = A^H: the Penrose residuals from X's deviation I - XB, with e3
+    # and e4 swapped for a wide A; returns A's X
+    e1, e2, e3, e4 = solvers._penrose_from_deviation(
+        B, X, solvers._deviation(B, X))
+    rep.penrose = (e1, e2, e4, e3) if wide else (e1, e2, e3, e4)
+    return (X.adjoint() if wide else X), rep
+
+
 def _ref_rsp_column(A, cfg, sk):
-    return solvers._verified(A, *_ref_col_run("rsp", A, cfg, sk))
+    return _verified(A, *_ref_col_run("rsp", A, cfg, sk))
 
 
 def _ref_rsp_row(A, cfg, sk):
-    X, rep = _ref_col_run("rsp-row", A.adjoint(), cfg, sk)
-    return solvers._verified(A, X.adjoint(), rep)
+    B = A.adjoint()
+    return _verified(B, *_ref_col_run("rsp-row", B, cfg, sk), wide=True)
 
 
 def _ref_hybrid(A, cfg, sk):
@@ -83,7 +93,7 @@ def _ref_hybrid(A, cfg, sk):
             return solvers._ns_step(solvers._deviation(A, X), X, cfg.order,
                                     SCHEDULE_PS)
         return cycle
-    return solvers._verified(A, *_ref_run(
+    return _verified(A, *_ref_run(
         f"hybrid-T{sk.cycle_T}-p{cfg.order}", A, cfg, sk, step,
         solvers._probe(A, alpha=cfg.alpha).alpha))
 

@@ -555,10 +555,85 @@ def test_ns_probe_bound_covers_spectrum(spectrum, seed):
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_ns_probe_overflow_raises_non_finite(scale):
     # A^H A overflows in the Lanczos run, where numpy's eigvalsh once
-    # raised its own LinAlgError
+    # raised its own LinAlgError; the solvers take such an A 2^-e, so the
+    # probe is called on it directly
     A = randn_qmat(30, 20, 1).scale(scale)
-    with np.errstate(all="ignore"), pytest.raises(NonFinite):
-        ns_damped(A, SolverConfig())
+    for probe in (op_norm_est, solvers._probe):
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            probe(A, A.adjoint())
+
+
+# ---------------------------------------------------------------------------
+# extreme scales: every solve takes A 2^-e outside the exponent band
+# ---------------------------------------------------------------------------
+
+_SCALED = {
+    "ns": lambda A: ns_damped(A, SolverConfig()),
+    "hyperpower": lambda A: ns_hyperpower(A, SolverConfig()),
+    "cgne": lambda A: cgne_q(A, SolverConfig()),
+    "cgne-nystrom": lambda A: cgne_q(A, SolverConfig(), SketchConfig()),
+    "rsp": lambda A: (rsp_column if A.rows >= A.cols else rsp_row)(
+        A, SolverConfig(maxit=300), SketchConfig()),
+    "hybrid": lambda A: hybrid_rsp_ns(A, SolverConfig(), SketchConfig()),
+}
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e-100, 1e100, 1e160, 1e300])
+@pytest.mark.parametrize("solver, wide", [
+    pytest.param(solver, wide, id=f"{solver}-{'wide' if wide else 'tall'}")
+    for solver in sorted(_SCALED) for wide in (False, True)
+    if not (wide and solver == "hybrid")])  # hybrid is tall only
+def test_solvers_at_extreme_scales(solver, wide, c):
+    # unscaled, ns, hyperpower, rsp and hybrid returned an X 1 off at
+    # 1e-300 with only converged=False, cgne raised Breakdown there, and
+    # from 1e+-100 to 1e+-300 they raised; (cA)^+ = A^+ / c
+    A = randn_qmat(30, 20, 1)
+    A = A.adjoint() if wide else A
+    ref = pinv_qsvd(A).data
+    X, rep = _SCALED[solver](A.scale(c))
+    assert rep.converged
+    assert np.linalg.norm(X.data * c - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30), (120, 100)])
+@pytest.mark.parametrize("solver", ["ns", "hyperpower", "cgne"])
+def test_power_of_two_scale_returns_the_scaled_x(solver, shape):
+    # every step commutes with an exact scale 2^e, the float32 phase of
+    # the 120 x 100 Newton-Schulz solves included: X of A 2^+-200 is
+    # 2^-+200 X, bit for bit, with the same iteration count
+    A = randn_qmat(*shape, 5)
+    X, rep = _SCALED[solver](A)
+    for e in (200, -200):
+        Xe, rep_e = _SCALED[solver](QMatrix._of(np.ldexp(A.data, e)))
+        assert np.array_equal(Xe.data, np.ldexp(X.data, -e))
+        assert rep_e.iterations == rep.iterations
+        assert rep_e.float32_steps == rep.float32_steps
+
+
+def test_explicit_alpha_is_scaled_with_a():
+    # alpha is A's: the solve of A 2^-e takes alpha 2^2e; alpha itself,
+    # 2^-672 of that, leaves the solve at maxit unconverged
+    A = randn_qmat(30, 20, 1)
+    c = 2.0 ** 333
+    alpha = 0.5 / op_norm_est(A) ** 2
+    X, rep = ns_damped(A, SolverConfig(alpha=alpha, gamma=0.5))
+    Xc, rep_c = ns_damped(A.scale(c),
+                          SolverConfig(alpha=alpha / c ** 2, gamma=0.5))
+    assert rep_c.converged and rep_c.iterations == rep.iterations
+    assert np.array_equal(Xc.data * c, X.data)
+
+
+@pytest.mark.parametrize("e", [-600, 600])
+def test_extreme_scale_reports_the_penrose_residuals_of_a(e):
+    # e1 (on X's scale) and e2 (on A's) are reported scaled back, and e3
+    # and e4 do not depend on the scale; penrose_residuals' own norms
+    # leave the float range there, so the reference is taken at scale 1
+    A = randn_qmat(30, 20, 1)
+    X, rep = cgne_q(QMatrix._of(np.ldexp(A.data, e)), SolverConfig(maxit=5))
+    e1, e2, e3, e4 = penrose_residuals(A, QMatrix._of(np.ldexp(X.data, e)))
+    want = (np.ldexp(e1, -e), np.ldexp(e2, e), e3, e4)
+    for got, ref in zip(rep.penrose, want):
+        assert abs(got - ref) <= 1e-6 * ref
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +647,13 @@ def _assert_penrose_close(A, X, reported):
         assert abs(got - want) <= max(1e-3 * want, floor), (got, want)
 
 
+def _sketch(A):
+    return SketchConfig(block_r=min(8, *A.shape))
+
+
+# every solver, each with the shapes it is defined on; the sketch solvers
+# run up to 60 maxit steps, since rsp takes about 200 at 30 x 20 and 5700
+# at 25 x 25
 _VERIFIED = {
     "ns": ns_damped,
     "ns-gamma0.7": lambda A, c: ns_damped(
@@ -579,13 +661,25 @@ _VERIFIED = {
     "hyperpower-ps8": lambda A, c: ns_hyperpower(
         A, SolverConfig(order=8, schedule=SCHEDULE_PS, tol=c.tol,
                         maxit=c.maxit)),
+    "cgne": cgne_q,
+    "cgne-nystrom": lambda A, c: cgne_q(A, c, _sketch(A)),
+    "rsp-column": lambda A, c: rsp_column(
+        A, SolverConfig(tol=c.tol, maxit=60 * c.maxit), _sketch(A)),
+    "rsp-row": lambda A, c: rsp_row(
+        A, SolverConfig(tol=c.tol, maxit=60 * c.maxit), _sketch(A)),
+    "hybrid": lambda A, c: hybrid_rsp_ns(A, c, _sketch(A)),
 }
+_SHAPES = [(30, 20), (20, 30), (25, 25)]
+_UNDEFINED = {"rsp-column": (20, 30), "hybrid": (20, 30),
+              "rsp-row": (30, 20)}
 
 
 # maxit 2 stops far from A^+, where e1 and e2 stand well above rounding
 @pytest.mark.parametrize("maxit", [2, 100])
-@pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
-@pytest.mark.parametrize("solver", sorted(_VERIFIED))
+@pytest.mark.parametrize("solver, shape", [
+    pytest.param(solver, shape, id=f"{solver}-shape{i}")
+    for solver in sorted(_VERIFIED) for i, shape in enumerate(_SHAPES)
+    if _UNDEFINED.get(solver) != shape])
 def test_ns_family_penrose_from_deviation(solver, shape, maxit):
     A = randn_qmat(*shape, 50 + sum(shape))
     X, rep = _VERIFIED[solver](A, SolverConfig(tol=1e-10, maxit=maxit))
