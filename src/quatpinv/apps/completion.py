@@ -62,7 +62,9 @@ def cur_reconstruct(Afilled: QMatrix, I: Sequence[int], J: Sequence[int],
     C = Afilled.take_cols(J)
     R = Afilled.take_rows(I)
     if mode == MODE_U_OPT:
-        U = pinv_fn(C) @ Afilled @ pinv_fn(R)
+        # A R^dagger first: the product then lays out the slabs of the
+        # rank-column R^dagger, not those of the square A
+        U = pinv_fn(C) @ (Afilled @ pinv_fn(R))
     elif mode == MODE_W_PINV:
         W = R.take_cols(J)
         U = pinv_fn(W)
@@ -80,13 +82,17 @@ def complete(problem: CompletionProblem, pinv_fn: PinvFn,
     fill-in are restored bitwise from M each round.
     """
     mask = np.asarray(problem.mask, dtype=np.float64)
-    observed = problem.M.mask(mask)
-    unobserved = 1.0 - mask
+    # mask and 1 - mask over the four components, laid out once a call:
+    # QMatrix.mask's broadcast took 18 us at 60 x 60 against 4 us for
+    # the product with the laid-out mask, three times a round
+    keep = np.repeat(mask[:, :, None], 4, axis=2)
+    fill = np.repeat((1.0 - mask)[:, :, None], 4, axis=2)
+    observed = problem.M.data * keep
     C = problem.M.copy()
     X = C
     history = []
     for _ in range(problem.iters):
         X = cur_reconstruct(C, problem.row_idx, problem.col_idx, mode, pinv_fn)
-        history.append((X - problem.M).mask(mask).fro_norm())
-        C = observed + X.mask(unobserved)
+        history.append(QMatrix((X - problem.M).data * keep).fro_norm())
+        C = QMatrix(observed + X.data * fill)
     return X, history

@@ -12,6 +12,18 @@ real FFT pair (fftpack.rfft2 / irfft2), the three color channels in one
 call: the PSF spectrum, the blur, and both restorations. T is symmetric,
 T(-f) = T(f), so the half spectrum holds every value of T and the
 reciprocal takes the iterations it takes on the whole one.
+
+The blur, the noise and both restorations run on channel-major (3, H, W)
+planes, copied once from the image's i, j, k parts, so that every
+transformed row is contiguous: on (H, W, 3) arrays the rows are strided
+by the channel axis, and a 128 x 128 x 3 forward transform took 397 us
+instead of 222 us (2-core VM, one BLAS thread), with the same bits. The
+observation and the closed-form restoration are handed out as (H, W, 3)
+transposed views, and the PSNRs and norms sum in that order, so every
+result keeps the bits of the channel-last pipeline. The planes live only
+through the blur, and the spectra of the restorations only inside
+_restorations: the fewer arrays a call holds at once, the fewer fresh
+pages it faults in.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from .._loop import _drive, _require_count
 from ..qmatrix import QMatrix, require_pow2
 from ..rng import QuatRNG
 from .fftpack import irfft2, rfft2
-from .images import image_to_qmat, psnr, qmat_to_image
+from .images import image_to_qmat, psnr
 
 
 @dataclass
@@ -92,18 +104,17 @@ def psf_spectrum(psf: np.ndarray, h: int, w: int) -> np.ndarray:
     return rfft2(frame)
 
 
-def blur_and_noise(rgb: np.ndarray, h_hat: np.ndarray, snr_db: float,
+def blur_and_noise(planes: np.ndarray, h_hat: np.ndarray, snr_db: float,
                    seed: int) -> np.ndarray:
-    """Circular convolution of every channel by the PSF of half spectrum
-    h_hat, in one transform pair, plus Gaussian noise at snr_db, drawn
-    channel by channel."""
+    """Circular convolution of every plane of a (3, H, W) stack by the PSF
+    of half spectrum h_hat, in one transform pair, plus Gaussian noise at
+    snr_db, drawn plane by plane: the (3, H, W) observation."""
     rng = QuatRNG(seed)
-    h, w, _ = rgb.shape
-    spec = rfft2(rgb)
-    spec *= h_hat[:, :, None]
+    _, h, w = planes.shape
+    spec = rfft2(planes)
+    spec *= h_hat
     out = irfft2(spec, (h, w))
-    for c in range(3):
-        blurred = out[:, :, c]
+    for c, blurred in enumerate(out):
         p_sig = float(np.mean(blurred ** 2))
         sigma_n = math.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
         if not math.isfinite(sigma_n):
@@ -132,34 +143,49 @@ def scalar_ns_reciprocal(T: np.ndarray, tol: float, maxit: int):
     return y, report.iterations
 
 
+def _restorations(observed: np.ndarray, h_hat: np.ndarray, T: np.ndarray,
+                  y: np.ndarray):
+    """Both restorations of a (3, H, W) observation B: by the reciprocal
+    y, y conj(h_hat) B_hat, and by division, conj(h_hat) B_hat / T."""
+    s = observed.shape[-2:]
+    num = rfft2(observed)
+    num *= np.conj(h_hat)
+    restored = irfft2(y * num, s)
+    num /= T
+    return restored, irfft2(num, s)
+
+
 def deblur_fft_ns(problem: DeblurProblem):
     """Synthesize the blurred/noisy observation, then restore it twice:
     by the per-frequency Newton-Schulz route and by closed-form division.
 
     Returns (restored QMatrix, metrics dict); metrics include PSNR of
-    both routes, their relative Frobenius gap, and the observation."""
-    rgb = qmat_to_image(problem.image)
-    h, w, _ = rgb.shape
+    both routes, their relative Frobenius gap, and the (H, W, 3)
+    observation and closed-form restoration."""
+    h, w = problem.image.shape
     psf = gaussian_psf(problem.psf_radius, problem.psf_sigma)
     h_hat = psf_spectrum(psf, h, w)
-    observed = blur_and_noise(rgb, h_hat, problem.snr_db, problem.seed)
+    # the image's i, j, k parts as (3, H, W) planes, one copy, held only
+    # while the blur needs them
+    observed = blur_and_noise(problem.image.data.transpose(2, 0, 1)[1:].copy(),
+                              h_hat, problem.snr_db, problem.seed)
 
     t0 = time.perf_counter()
     T = np.abs(h_hat) ** 2 + problem.lam
     y, iters = scalar_ns_reciprocal(T, problem.tol, problem.maxit)
-    num = rfft2(observed)
-    num *= np.conj(h_hat)[:, :, None]
-    restored = irfft2(y[:, :, None] * num, (h, w))
-    num /= T[:, :, None]
-    closed = irfft2(num, (h, w))
+    restored, closed = _restorations(observed, h_hat, T, y)
     wall = time.perf_counter() - t0
 
-    denom = max(np.linalg.norm(closed), 1e-300)
+    rgb = problem.image.data[..., 1:]
+    observed, restored, closed = (
+        x.transpose(1, 2, 0) for x in (observed, restored, closed))
+    denom = max(np.linalg.norm(np.ascontiguousarray(closed)), 1e-300)
+    gap = np.linalg.norm(np.subtract(restored, closed, order="C"))
     metrics = {
         "psnr_ns": psnr(rgb, restored),
         "psnr_closed": psnr(rgb, closed),
         "psnr_observed": psnr(rgb, observed),
-        "rel_gap": float(np.linalg.norm(restored - closed)) / denom,
+        "rel_gap": float(gap) / denom,
         "iterations": iters,
         "wall_time": wall,
         "observed": observed,

@@ -48,7 +48,7 @@ import numpy as np
 from . import _qops
 from .errors import (DimensionMismatch, Indefinite, NonFinite, NotHermitian,
                      RankDeficient, _lapack)
-from .qmatrix import QMatrix, complex_adjoint, require_finite
+from .qmatrix import _FRO_TINY, QMatrix, complex_adjoint, require_finite
 
 
 @dataclass
@@ -72,11 +72,6 @@ def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     """Frobenius norm of each matrix of d, whose leading axes lead index
     them; each is bitwise its QMatrix.fro_norm()."""
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
-
-
-# the square root of the smallest normal float64: a Frobenius norm below
-# it comes from a squared sum that has underflowed
-_FRO_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def _fro_scaled(d: np.ndarray, lead: tuple) -> np.ndarray:

@@ -37,6 +37,9 @@ from .rng import QuatRNG
 
 
 _FLOAT64 = np.dtype(np.float64)
+# the square root of the smallest normal float64: a Frobenius norm below
+# it comes from a squared sum that has underflowed
+_FRO_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 class QMatrix:
@@ -136,7 +139,18 @@ class QMatrix:
     # -- norms --------------------------------------------------------------
 
     def fro_norm(self) -> float:
-        return math.sqrt((self.data * self.data).sum())
+        """sqrt of the sum of squares. Where that sum under- or overflows
+        (a norm below _FRO_TINY, or infinite), the norm is taken of the
+        matrix times 2^-e, e from frexp of its largest |entry|, and scaled
+        back exactly, as factor._fro_scaled does for a stack; any other
+        matrix keeps the plain sum's bits."""
+        d = self.data
+        norm = math.sqrt((d * d).sum())
+        if not (norm < _FRO_TINY or norm == math.inf):
+            return norm
+        e = math.frexp(float(np.abs(d).max(initial=0.0)))[1]
+        s = np.ldexp(d, -e)
+        return float(np.ldexp(math.sqrt((s * s).sum()), e))
 
     # -- embedding ----------------------------------------------------------
 

@@ -65,16 +65,16 @@ def test_fft_rejects_non_pow2():
             ifft2(np.zeros(shape))
 
 
-@pytest.mark.parametrize("shape", [(8, 16), (16, 8, 3), (8, 2, 3), (8, 1),
-                                   (1, 4, 2)])
+@pytest.mark.parametrize("shape", [(8, 16), (3, 16, 8), (3, 8, 2), (8, 1),
+                                   (2, 1, 4)])
 def test_rfft2_is_the_half_of_fft2(shape):
-    # each channel of an (H, W, C) stack is transformed on its own
+    # each plane of a (C, H, W) stack is transformed on its own
     x = np.random.default_rng(3).normal(size=shape)
     half = rfft2(x)
-    w = shape[1]
-    assert half.shape == (shape[0], w // 2 + 1) + shape[2:]
-    assert np.abs(half - fft2(x)[:, :w // 2 + 1]).max() <= 1e-12
-    assert np.abs(irfft2(half, shape[:2]) - x).max() <= 1e-12
+    w = shape[-1]
+    assert half.shape == shape[:-1] + (w // 2 + 1,)
+    assert np.abs(half - fft2(x)[..., :w // 2 + 1]).max() <= 1e-12
+    assert np.abs(irfft2(half, shape[-2:]) - x).max() <= 1e-12
 
 
 def test_rfft2_rejects_non_pow2_and_mismatched_spectra():
@@ -107,6 +107,19 @@ def test_psnr_values():
     b = np.full((4, 4, 3), 0.5)
     # MSE = 0.25 -> 10*log10(4) ~ 6.0206 dB
     assert psnr(a, b) == pytest.approx(6.0206, abs=1e-3)
+
+
+def test_psnr_sums_in_image_order_on_views():
+    # transposed views of (3, H, W) planes give the bits of their
+    # contiguous (H, W, 3) copies; summed in memory order, the mean of
+    # seed 3's views once differed in its last bit
+    for seed in range(5):
+        a, b = np.random.default_rng(seed).uniform(size=(2, 3, 64, 64))
+        views = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
+        copies = [np.ascontiguousarray(v) for v in views]
+        assert psnr(*views) == psnr(*copies)
+        mse = float(np.mean((copies[0] - copies[1]) ** 2))
+        assert psnr(*copies) == 10.0 * math.log10(1.0 / mse)
 
 
 def test_ppm_roundtrip(tmp_path):
@@ -450,21 +463,83 @@ def test_deblur_non_square_frames_match_numpy_closed_form(h, w):
 
 def test_deblur_transform_counts(monkeypatch):
     # one batched transform pair for the blur; one forward and two inverse
-    # transforms for both restorations, after the PSF's forward one
+    # transforms for both restorations, after the PSF's forward one; each
+    # records its leading axes, the three color planes
     calls = []
     for name in ("rfft2", "irfft2"):
         def counting(x, *args, _name=name, _fn=getattr(deblur, name)):
-            calls.append((_name, np.shape(x)[2:]))
+            calls.append((_name, np.shape(x)[:-2]))
             return _fn(x, *args)
         monkeypatch.setattr(deblur, name, counting)
     img = image_to_qmat(synthetic_image(16, seed=2))
-    rgb = qmat_to_image(img)
-    blur_and_noise(rgb, psf_spectrum(gaussian_psf(1, 1.0), 16, 16), 30.0, 0)
+    planes = qmat_to_image(img).transpose(2, 0, 1).copy()
+    blur_and_noise(planes, psf_spectrum(gaussian_psf(1, 1.0), 16, 16), 30.0,
+                   0)
     assert calls == [("rfft2", ()), ("rfft2", (3,)), ("irfft2", (3,))]
     calls.clear()
     deblur_fft_ns(DeblurProblem(image=img, psf_radius=1))
     assert calls == [("rfft2", ()), ("rfft2", (3,)), ("irfft2", (3,)),
                      ("rfft2", (3,)), ("irfft2", (3,)), ("irfft2", (3,))]
+
+
+def _channel_last_deblur(problem):
+    """deblur_fft_ns as it ran on (H, W, 3) arrays, every transform over
+    axes (0, 1), and its metrics; the channel-major pipeline must give
+    these bits."""
+    rgb = qmat_to_image(problem.image)
+    h, w, _ = rgb.shape
+    h_hat = psf_spectrum(gaussian_psf(problem.psf_radius, problem.psf_sigma),
+                         h, w)
+    rng = QuatRNG(problem.seed)
+    spec = np.fft.rfft2(rgb, axes=(0, 1))
+    spec *= h_hat[:, :, None]
+    observed = np.fft.irfft2(spec, s=(h, w), axes=(0, 1))
+    for c in range(3):
+        blurred = observed[:, :, c]
+        p_sig = float(np.mean(blurred ** 2))
+        sigma_n = math.sqrt(p_sig / (10.0 ** (problem.snr_db / 10.0)))
+        blurred += sigma_n * rng.normals((h, w))
+    T = np.abs(h_hat) ** 2 + problem.lam
+    y, iters = scalar_ns_reciprocal(T, problem.tol, problem.maxit)
+    num = np.fft.rfft2(observed, axes=(0, 1))
+    num *= np.conj(h_hat)[:, :, None]
+    restored = np.fft.irfft2(y[:, :, None] * num, s=(h, w), axes=(0, 1))
+    num /= T[:, :, None]
+    closed = np.fft.irfft2(num, s=(h, w), axes=(0, 1))
+    denom = max(np.linalg.norm(closed), 1e-300)
+    return restored, {
+        "psnr_ns": psnr(rgb, restored),
+        "psnr_closed": psnr(rgb, closed),
+        "psnr_observed": psnr(rgb, observed),
+        "rel_gap": float(np.linalg.norm(restored - closed)) / denom,
+        "iterations": iters,
+        "observed": observed,
+        "closed": closed,
+    }
+
+
+@pytest.mark.parametrize("h, w", [(128, 128), (32, 64), (32, 16), (16, 32),
+                                  (8, 2), (8, 1)])
+def test_deblur_matches_the_channel_last_pipeline_bitwise(h, w):
+    # the benchmark's N=128 instance (the CLI's image) and non-square frames
+    if h == 128:
+        rgb = synthetic_image(128, seed=1)
+    else:
+        rgb = np.random.default_rng(h + w).uniform(size=(h, w, 3))
+    prob = DeblurProblem(image=image_to_qmat(rgb),
+                         psf_radius=min(4, (min(h, w) - 1) // 2), lam=0.05,
+                         seed=h * w, tol=1e-13)
+    restored, metrics = deblur_fft_ns(prob)
+    ref, ref_metrics = _channel_last_deblur(prob)
+    assert restored.data.tobytes() == image_to_qmat(ref).data.tobytes()
+    assert set(metrics) == set(ref_metrics) | {"wall_time"}
+    for key, want in ref_metrics.items():
+        got = metrics[key]
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape == (h, w, 3)
+            assert got.tobytes() == want.tobytes(), key
+        else:
+            assert got == want and type(got) is type(want), key
 
 
 def test_deblur_validation():
@@ -508,7 +583,8 @@ def test_deblur_noise_level_beyond_float_range():
     prob = DeblurProblem(image=img, psf_radius=2, snr_db=-3200.0)
     h_hat = psf_spectrum(gaussian_psf(2, 1.0), 16, 16)
     with pytest.raises(ValueError, match="snr_db = -3200.0 sets the noise"):
-        blur_and_noise(qmat_to_image(img), h_hat, prob.snr_db, 0)
+        blur_and_noise(qmat_to_image(img).transpose(2, 0, 1), h_hat,
+                       prob.snr_db, 0)
     with pytest.raises(ValueError, match="snr_db"):
         deblur_fft_ns(prob)
 

@@ -57,6 +57,22 @@ def test_fro_norm_example():
     assert A.fro_norm() == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("e", [-1000, -600, -520, 520, 600, 1000])
+def test_fro_norm_at_any_scale(e):
+    # the plain sum of squares under- or overflows outside about 2^+-510,
+    # where the norm read 0.0 or inf; a matrix inside the range keeps the
+    # plain sum's bits
+    A = randn_qmat(30, 20, 1)
+    plain = float(np.sqrt((A.data * A.data).sum()))
+    assert A.fro_norm() == plain
+    with np.errstate(over="ignore"):
+        got = QMatrix(np.ldexp(A.data, e)).fro_norm()
+    assert abs(got - np.ldexp(plain, e)) <= 1e-15 * np.ldexp(plain, e)
+    assert QMatrix.zeros(3, 2).fro_norm() == 0.0
+    with np.errstate(over="ignore"):
+        assert QMatrix(np.full((1, 1, 4), 1.5e308)).fro_norm() == np.inf
+
+
 def test_submultiplicativity():
     rng = np.random.default_rng(0)
     for t in range(200):

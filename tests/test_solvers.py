@@ -626,8 +626,7 @@ def test_explicit_alpha_is_scaled_with_a():
 @pytest.mark.parametrize("e", [-600, 600])
 def test_extreme_scale_reports_the_penrose_residuals_of_a(e):
     # e1 (on X's scale) and e2 (on A's) are reported scaled back, and e3
-    # and e4 do not depend on the scale; penrose_residuals' own norms
-    # leave the float range there, so the reference is taken at scale 1
+    # and e4 do not depend on the scale; the reference is taken at scale 1
     A = randn_qmat(30, 20, 1)
     X, rep = cgne_q(QMatrix._of(np.ldexp(A.data, e)), SolverConfig(maxit=5))
     e1, e2, e3, e4 = penrose_residuals(A, QMatrix._of(np.ldexp(X.data, e)))
@@ -645,6 +644,29 @@ def _assert_penrose_close(A, X, reported):
     floor = 1e2 * np.finfo(float).eps * A.fro_norm() * X.fro_norm()
     for got, want in zip(reported, penrose_residuals(A, X)):
         assert abs(got - want) <= max(1e-3 * want, floor), (got, want)
+
+
+@pytest.mark.parametrize("e", [-600, 600])
+def test_penrose_residuals_at_extreme_scales(e):
+    # QMatrix.fro_norm's plain sum of squares once left the float range
+    # here: at 2^-600 penrose_residuals gave ns_damped's X (inf, 0.0, ...)
+    # where the report read (9.8e164, 4.4e-195, ...). Each residual is the
+    # scale-1 pair's, scaled as the report scales it; stopped early,
+    # cgne's stand above rounding and match its report
+    A = randn_qmat(30, 20, 1)
+    Ae = QMatrix._of(np.ldexp(A.data, e))
+    for X, rep in (ns_damped(Ae, SolverConfig()),
+                   cgne_q(Ae, SolverConfig(maxit=5))):
+        # fro_norm's plain sum overflows before it rescales
+        with np.errstate(over="ignore"):
+            got = penrose_residuals(Ae, X)
+        e1, e2, e3, e4 = penrose_residuals(A, QMatrix._of(np.ldexp(X.data,
+                                                                   e)))
+        want = (np.ldexp(e1, -e), np.ldexp(e2, e), e3, e4)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+    for g, r in zip(got, rep.penrose):
+        assert abs(g - r) <= 1e-6 * r
 
 
 def _sketch(A):

@@ -4,6 +4,7 @@
     python3 tools/churn.py --seed 1 --tree ../other-checkout > old.txt
     python3 tools/churn.py --seed 1 --workload dense
     python3 tools/churn.py --seed 1 --workload sketch --method cgne-nystrom
+    python3 tools/churn.py --seed 7 --workload apps --bench-order
 
 Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
@@ -56,6 +57,18 @@ results from copies of the code with one change each, in benchmark order
   between calls). This tool, without the probe, reads ``hybrid`` 997
   and ``rsp-column`` 450 for the same code (1971 and 303 at the parent).
 
+``--bench-order`` runs the calls as ``perfbench/run.py`` does: after its
+set-up (the GEMM reference and one warm-up call) and with its speed probe
+(``SpeedProbe``) before each call and the call's check after it, outside
+the timed and counted window. The probe and the check allocate too, so
+they can move the faults of the calls between them; use it for fault
+counts meant to stand for the benchmark's. On the ``apps`` pool (seed 7)
+``--bench-order`` read a median of 701 faults a ``deblur`` call on
+(H, W, 3) arrays and 324 on channel-major planes, the plain order 689
+and 325, and perfbench's own loop, counted around each call, 645 and
+325. With ``--method deblur`` alone the plain order read 774 and 581:
+the calls that run between two ``deblur`` calls change its faults.
+
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
 neither is modified. Faults are counted for the whole process, so run
@@ -88,28 +101,42 @@ def main(argv=None) -> int:
     p.add_argument("--method", action="append",
                    help="run only this method's calls, e.g. cgne-nystrom "
                         "(repeatable; default: every method)")
+    p.add_argument("--bench-order", action="store_true",
+                   help="set up as perfbench does, run its speed probe "
+                        "before each call and the call's check after it")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import quatpinv  # noqa: F401  (caps the BLAS threads before numpy loads)
+    import numpy as np
+    import run as bench
     import workloads
 
+    probe = bench.SpeedProbe(np) if args.bench_order else None
     samples: dict[tuple[str, str], list[tuple[float, int]]] = {}
     for name in args.workload or WORKLOADS:
-        wl = workloads.Workload(name, args.seed)
+        if probe is None:
+            wl = workloads.Workload(name, args.seed)
+        else:
+            wl, _ = bench.set_up(name, args.seed, np, workloads)
         for i in range(len(wl.pool)):
             for call in wl.round(i):
                 if args.method and call.method not in args.method:
                     continue
+                if probe is not None:
+                    probe()
+                result = None
                 f0 = _usage().ru_minflt
                 t0 = time.perf_counter()
                 try:
-                    call.run()
+                    result = call.run()
                 except workloads.QuatpinvError:
                     pass  # a failed call's cost counts like any other's
                 wall = time.perf_counter() - t0
                 after = _usage()
                 faults = after.ru_minflt - f0
+                if probe is not None and result is not None:
+                    call.check(result, wall)
                 samples.setdefault((name, call.method), []).append(
                     (wall, faults))
                 print(name, call.input, call.method, f"wall_s={wall:.4f}",
