@@ -21,8 +21,8 @@ instead of 222 us (2-core VM, one BLAS thread), with the same bits. The
 observation and the closed-form restoration are handed out as (H, W, 3)
 transposed views, and the PSNRs and norms sum in that order, so every
 result keeps the bits of the channel-last pipeline. The planes live only
-through the blur, and the spectra of the restorations only inside
-_restorations: the fewer arrays a call holds at once, the fewer fresh
+through the blur, and the spectrum of the restorations only until both
+are formed: the fewer arrays a call holds at once, the fewer fresh
 pages it faults in.
 """
 
@@ -143,18 +143,6 @@ def scalar_ns_reciprocal(T: np.ndarray, tol: float, maxit: int):
     return y, report.iterations
 
 
-def _restorations(observed: np.ndarray, h_hat: np.ndarray, T: np.ndarray,
-                  y: np.ndarray):
-    """Both restorations of a (3, H, W) observation B: by the reciprocal
-    y, y conj(h_hat) B_hat, and by division, conj(h_hat) B_hat / T."""
-    s = observed.shape[-2:]
-    num = rfft2(observed)
-    num *= np.conj(h_hat)
-    restored = irfft2(y * num, s)
-    num /= T
-    return restored, irfft2(num, s)
-
-
 def deblur_fft_ns(problem: DeblurProblem):
     """Synthesize the blurred/noisy observation, then restore it twice:
     by the per-frequency Newton-Schulz route and by closed-form division.
@@ -173,7 +161,12 @@ def deblur_fft_ns(problem: DeblurProblem):
     t0 = time.perf_counter()
     T = np.abs(h_hat) ** 2 + problem.lam
     y, iters = scalar_ns_reciprocal(T, problem.tol, problem.maxit)
-    restored, closed = _restorations(observed, h_hat, T, y)
+    num = rfft2(observed)
+    num *= np.conj(h_hat)
+    restored = irfft2(y * num, (h, w))
+    num /= T
+    closed = irfft2(num, (h, w))
+    del num  # the spectrum is not held through the metrics
     wall = time.perf_counter() - t0
 
     rgb = problem.image.data[..., 1:]

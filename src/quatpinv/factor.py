@@ -70,7 +70,8 @@ class QSVDFactors:
 
 def _fro(d: np.ndarray, lead: tuple) -> np.ndarray:
     """Frobenius norm of each matrix of d, whose leading axes lead index
-    them; each is bitwise its QMatrix.fro_norm()."""
+    them; each is bitwise its QMatrix.fro_norm() where its sum of squares
+    neither under- nor overflows (``_fro_scaled`` matches it everywhere)."""
     return np.sqrt((d * d).reshape(lead + (-1,)).sum(-1))
 
 
@@ -124,7 +125,7 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     that Q is orthonormal to rounding whatever Y's condition number.
 
     Raises RankDeficient when the smallest diagonal of R falls below
-    _RANK_TOL * ||Y||_F (``_fro_scaled``, so at any scale of Y; caller
+    _RANK_TOL * ||Y||_F (``QMatrix.fro_norm``, so at any scale of Y; caller
     typically redraws its sketch).
     """
     m, r = Y.shape
@@ -134,7 +135,7 @@ def thin_qr(Y: QMatrix) -> QRFactors:
     Q, R2 = _qr_pass(QMatrix(Q1))
     R = _qops.qmatmul(R2, R1)
     dmin = R[np.arange(r), np.arange(r), 0].min()
-    scale = _fro_scaled(Y.data, ())
+    scale = Y.fro_norm()
     if dmin <= _RANK_TOL * max(scale, 1e-300):
         raise RankDeficient(
             f"R diagonal {dmin:.3e} <= {_RANK_TOL:.1e} * {scale:.3e}")

@@ -1,7 +1,7 @@
-"""``tools/churn.py --bench-order``: the calls run in perfbench's order,
-with its speed probe before each call and the call's check after it, and
-print one line per call and the medians. The tool runs in a subprocess
-and is not modified."""
+"""``tools/churn.py``: the calls run in perfbench's order, with its speed
+probe before each call and the call's check after it, and print one line
+per call and the medians. The tool runs in a subprocess and is not
+modified."""
 
 import subprocess
 import sys
@@ -10,11 +10,10 @@ from pathlib import Path
 CHURN = Path(__file__).resolve().parents[1] / "tools" / "churn.py"
 
 
-def test_bench_order_runs_in_a_subprocess():
+def test_churn_runs_in_a_subprocess():
     # the apps pool's deblur calls: 108 pool instances, one call each
     out = subprocess.run([sys.executable, str(CHURN), "--seed", "1",
-                          "--workload", "apps", "--method", "deblur",
-                          "--bench-order"],
+                          "--workload", "apps", "--method", "deblur"],
                          stdout=subprocess.PIPE, text=True, check=True).stdout
     lines = out.splitlines()
     calls = [line for line in lines if not line.startswith("median ")]

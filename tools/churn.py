@@ -4,12 +4,18 @@
     python3 tools/churn.py --seed 1 --tree ../other-checkout > old.txt
     python3 tools/churn.py --seed 1 --workload dense
     python3 tools/churn.py --seed 1 --workload sketch --method cgne-nystrom
-    python3 tools/churn.py --seed 7 --workload apps --bench-order
+    python3 tools/churn.py --seed 7 --workload apps
 
 Runs every call of the ``dense``, ``sketch`` and ``apps`` pools of
 ``perfbench/workloads.py`` (each pool instance once, as round i of a
 benchmark run uses instance i; ``--workload`` picks pools and ``--method``
-the calls of the named methods) and prints one line per call: the
+the calls of the named methods) in the order ``perfbench/run.py`` runs
+them: after its set-up (the GEMM reference and one warm-up call), with
+its speed probe (``SpeedProbe``) before each call and the call's check
+after it, outside the timed and counted window. The probe and the check
+allocate too, so they move the faults of the calls between them; run
+without them, the sketch pool (seeds 1 and 7) read ``hybrid`` 997 faults
+a call where perfbench's loop (seed 7) read 825. It prints one line per call: the
 workload, input and method, the call's wall time, the minor page faults
 the process took during it and the process's peak resident set size
 after it (``resource.getrusage``; ``maxrss_mb`` is ``ru_maxrss`` in MB,
@@ -27,11 +33,11 @@ host-speed scaling.
 A call's fault count depends on the calls that ran before it in the same
 process: the allocator keeps memory that earlier calls freed and hands it
 back without a fault, or returns it to the system, so that the next call
-faults on it again. ``--method`` or ``--workload`` alone can therefore
-show many more faults per call than the benchmark's order of calls does:
+faults on it again. ``--method`` alone can therefore show many more
+faults per call than the whole pool does:
 while the sketch stream drew its sketches one call each, ``--seed 1
 --workload sketch --method rsp-column`` took about 5700 faults a call,
-and the same calls in benchmark order about 300. Compare fault counts
+and the same calls in the whole pool about 300. Compare fault counts
 only between runs of the same calls.
 
 Faults follow the allocator's thresholds, which move with what was freed
@@ -53,21 +59,14 @@ results from copies of the code with one change each, in benchmark order
   their slabs. Keeping them only as slab 0 of their slabs took all three
   to 0, and running the stream's Y = A Omega of a 120 x 100 input in two
   batched calls instead of one (``_qops._STACK_MAX``) took ``hybrid``
-  from about 2650 to 825 (perfbench's order, with its speed probe
-  between calls). This tool, without the probe, reads ``hybrid`` 997
-  and ``rsp-column`` 450 for the same code (1971 and 303 at the parent).
+  from about 2650 to 825 (perfbench's order).
 
-``--bench-order`` runs the calls as ``perfbench/run.py`` does: after its
-set-up (the GEMM reference and one warm-up call) and with its speed probe
-(``SpeedProbe``) before each call and the call's check after it, outside
-the timed and counted window. The probe and the check allocate too, so
-they can move the faults of the calls between them; use it for fault
-counts meant to stand for the benchmark's. On the ``apps`` pool (seed 7)
-``--bench-order`` read a median of 701 faults a ``deblur`` call on
-(H, W, 3) arrays and 324 on channel-major planes, the plain order 689
-and 325, and perfbench's own loop, counted around each call, 645 and
-325. With ``--method deblur`` alone the plain order read 774 and 581:
-the calls that run between two ``deblur`` calls change its faults.
+On the ``apps`` pool (seed 7) this tool read a median of 701 faults a
+``deblur`` call on (H, W, 3) arrays and 324 on channel-major planes, and
+perfbench's own loop, counted around each call, 645 and 325. Without the
+probe and the checks, but with the rest of the pool, it read 689 and
+325; with ``--method deblur`` alone, 774 and 581: the calls that run
+between two ``deblur`` calls change its faults.
 
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
@@ -101,9 +100,6 @@ def main(argv=None) -> int:
     p.add_argument("--method", action="append",
                    help="run only this method's calls, e.g. cgne-nystrom "
                         "(repeatable; default: every method)")
-    p.add_argument("--bench-order", action="store_true",
-                   help="set up as perfbench does, run its speed probe "
-                        "before each call and the call's check after it")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -112,19 +108,15 @@ def main(argv=None) -> int:
     import run as bench
     import workloads
 
-    probe = bench.SpeedProbe(np) if args.bench_order else None
+    probe = bench.SpeedProbe(np)
     samples: dict[tuple[str, str], list[tuple[float, int]]] = {}
     for name in args.workload or WORKLOADS:
-        if probe is None:
-            wl = workloads.Workload(name, args.seed)
-        else:
-            wl, _ = bench.set_up(name, args.seed, np, workloads)
+        wl, _ = bench.set_up(name, args.seed, np, workloads)
         for i in range(len(wl.pool)):
             for call in wl.round(i):
                 if args.method and call.method not in args.method:
                     continue
-                if probe is not None:
-                    probe()
+                probe()
                 result = None
                 f0 = _usage().ru_minflt
                 t0 = time.perf_counter()
@@ -135,7 +127,7 @@ def main(argv=None) -> int:
                 wall = time.perf_counter() - t0
                 after = _usage()
                 faults = after.ru_minflt - f0
-                if probe is not None and result is not None:
+                if result is not None:
                     call.check(result, wall)
                 samples.setdefault((name, call.method), []).append(
                     (wall, faults))
