@@ -43,7 +43,7 @@ class SolverReport:
     phase did not run or was discarded. iterations counts the steps of
     both phases, and residual_history holds the residual at each
     k = 0..iterations, in order; at k = float32_steps it is the float64
-    residual after the phase's clean-up."""
+    residual of the X the phase hands over."""
     method: str
     iterations: int
     residual_history: list = field(default_factory=list)

@@ -30,17 +30,20 @@ from .solvers import (SCHEDULES, SketchConfig, SolverConfig, cgne_q,
                       penrose_residuals, recurrence_deviations, rsp_column,
                       rsp_row)
 
-SOLVER_HEADER = "method,m,n,seed,iters,wall_s,e1,e2,e3,e4,final_residual"
+SOLVER_HEADER = ("method,m,n,seed,iters,wall_s,e1,e2,e3,e4,final_residual,"
+                 "converged,float32_steps,error")
 APP_HEADER = "app,param-set,iters,wall_s,psnr_db,residual"
 RECURRENCE_HEADER = "variant,param,iter,deviation"
 
 
 def _solver_row(method, A, seed, iters, wall, penrose=(np.nan,) * 4,
-                final=np.nan):
+                final=np.nan, converged=True, float32_steps=0, error=""):
     """One SOLVER_HEADER row; a failed run's row has iters -1, the seconds
-    it ran for and nan residuals."""
+    it ran for, nan residuals, converged False and the class of the error
+    it raised."""
     return (f"{method},{A.rows},{A.cols},{seed},{iters},{wall:.6f},"
-            + ",".join(f"{e:.17g}" for e in (*penrose, final)))
+            + ",".join(f"{e:.17g}" for e in (*penrose, final))
+            + f",{converged},{float32_steps},{error}")
 
 
 PINV_METHODS = ("ns", "hyperpower", "cgne", "rsp", "hybrid",
@@ -110,7 +113,8 @@ def _run_method(method, A, args, seed):
     else:
         raise QuatpinvError(f"unknown method {method!r}")
     return _solver_row(rep.method, A, seed, rep.iterations, rep.wall_time,
-                       rep.penrose, rep.final_residual)
+                       rep.penrose, rep.final_residual, rep.converged,
+                       rep.float32_steps)
 
 
 def cmd_pinv_bench(args):
@@ -123,10 +127,11 @@ def cmd_pinv_bench(args):
                 t0 = time.perf_counter()
                 try:
                     lines.append(_run_method(method, A, args, seed))
-                except QuatpinvError:
+                except QuatpinvError as exc:
                     # failed run: sentinel row, grid continues
-                    lines.append(_solver_row(method, A, seed, -1,
-                                             time.perf_counter() - t0))
+                    lines.append(_solver_row(
+                        method, A, seed, -1, time.perf_counter() - t0,
+                        converged=False, error=type(exc).__name__))
     _write_lines(args.out, lines)
     if args.out and args.out != "-":
         with open(args.out + ".gp", "w") as fh:

@@ -68,20 +68,24 @@ ns_hyperpower, gamma < 1, hybrid_rsp_ns's correction and
 recurrence_deviations stay plain.
 
 ns_damped at gamma = 1 and ns_hyperpower also depart from the paper in
-precision: on B with at least _F32_FROM (80) columns and a probe that
-reads bound / low <= _F32_KAPPA2 (1e3), their first steps run on float32
-planes, until ||F||^p < 1e-4 for the step's order p. One float64 clean-up,
-X <- (I + F)(X X^H) B^H (_cleaned), removes the part of X that float32
-rounding leaves outside B's row space, and the float64 steps, stop test and
-verify follow. The step depends on X only through F, so the float64 steps
-correct the float32 phase's rounding as they would any deviation. A run
-whose float32 phase fails in any way, or whose clean-up does not stay
-below the hand-over level, is discarded, and the solve returns the float64
-run bit for bit (_ns_solve); float64 steps that reach maxit end the solve
-unconverged. SolverReport.float32_steps counts the float32 steps. The
-phase's float32 copies are built with the private QMatrix._of
-(_float32), since QMatrix's constructor makes every array float64, so
-float32 data lives only in this phase.
+precision: on B with at least _F32_FROM (80) columns and a probe that reads
+bound / low <= _F32_KAPPA2 (1e3), their first steps run in float32, until
+||F||^p < 1e-4 for the step's order p. From X_0 = alpha B^H every iterate
+is X = P B^H, P a polynomial in G = B^H B (Pan & Schreiber, 1991), so those
+steps run on the n x n P, from P_0 = alpha I, with G formed once in
+float32: F = I - PG is X's deviation I - XB. They take B times a power of 2
+near alpha^(1/2), which keeps G and P near 1 at any scale of B and changes
+no bit of F. One float64 product, X = P B^H, hands over an X in B's row
+space, and the float64 steps, stop test and verify follow on X. The step
+depends on X only through F, so the float64 steps correct the float32
+phase's rounding as they would any deviation. A run whose float32 phase
+fails in any way, or whose X = P B^H does not lie below the hand-over
+level, is discarded, and the solve returns the float64 run bit for bit
+(_ns_solve); float64 steps that reach maxit end the solve unconverged.
+SolverReport.float32_steps counts the float32 steps. The phase's float32
+copies are built with the private QMatrix._of (_float32), since QMatrix's
+constructor makes every array float64, so float32 data lives only in this
+phase.
 
 Every solver reports Penrose residuals computed from the deviation
 F = I - XB of the returned X (_penrose_from_deviation, three products):
@@ -439,8 +443,9 @@ def recurrence_deviations(A: QMatrix, cfg: SolverConfig, kind: str = "ns",
 # least _F32_FROM columns, where whole 1.1n x n solves measured faster with
 # it (0.95x at n = 60, 0.91x at 80, 0.80-0.86x at 200), and where the
 # probe's bound / low, which underestimates kappa(B)^2 (about 300 on
-# 220 x 200 Gaussian inputs), is at most _F32_KAPPA2: above it the
-# clean-up's amplification of float32 rounding discards the phase.
+# 220 x 200 Gaussian inputs), is at most _F32_KAPPA2: above it float32
+# rounding can stall the phase short of the hand-over level, and the solve
+# then pays for the float32 steps it discards.
 # It hands over at the first ||F||^p < _F32_SWITCH for the step's order p,
 # so that the next step would bring F near float32's floor, ~1e-5 at
 # 220 x 200.
@@ -456,18 +461,18 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
     the solve's probe (_ns_scales).
 
     At gamma = 1, on B and probes that pass the gates above, the first
-    steps run on float32 copies of B and X_0, under the divergence guard
-    and a stagnation stop, until ||F|| < _F32_SWITCH^(1/p). X is then
-    cleaned up once in float64 (_cleaned), and the float64 steps follow,
-    with the scales carried over, to the stop test and the verify. The
-    run is discarded where its float32 phase raises NonFinite or
-    Divergence, stagnates or runs out of steps, where the cleaned X's
-    deviation is not below the hand-over level, or where the float64 steps
-    raise: the solve then runs again from X_0 in float64 alone and returns
-    what it returns without the phase. Float64 steps that reach maxit
-    end the run unconverged, as they do without the phase."""
-    order = step_kw.get("order", 2)
-
+    steps run in float32 on P of X = P B^H, from P_0 = alpha I, with
+    G = B^H B in B's place (both scaled by powers of 2, mixed() says how),
+    under the divergence guard and a stagnation stop, until
+    ||F|| < _F32_SWITCH^(1/p). One float64 product X = P B^H hands over,
+    and the float64 steps follow on X, with the scales carried over, to
+    the stop test and the verify. The run is discarded where its float32
+    phase raises NonFinite or Divergence, stagnates or runs out of steps,
+    where X = P B^H's deviation is not below the hand-over level, or where
+    the float64 steps raise: the solve then runs again from X_0 in float64
+    alone and returns what it returns without the phase. Float64 steps
+    that reach maxit end the run unconverged, as they do without the
+    phase."""
     def solve(B, Bh, spec):
         def scales():
             return _ns_scales(spec) if scaled else itertools.repeat(1.0)
@@ -488,15 +493,22 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
 
         def mixed():
             thetas = scales()
-            switch = _F32_SWITCH ** (1.0 / order)
-            # a discarded run's overflow is no warning
+            switch = _F32_SWITCH ** (1.0 / step_kw.get("order", 2))
+            # the phase steps P of X = P B^H on G = B^H B, from P_0 = alpha I:
+            # its deviation I - PG is X's, I - XB. It runs on B s, s a power
+            # of 2 with s^2 near alpha, where G and P are of order 1, far
+            # from float32's range ends, and P s^2 is the P of B, bit for
+            # bit. A discarded run's overflow is no warning.
+            s = 2.0 ** (math.frexp(spec.alpha)[1] // 2)
             with np.errstate(all="ignore"):
-                X, F, head = run(_float32(B), _float32(Bh.scale(spec.alpha)),
-                                 thetas, switch, cfg.maxit, stagnate=True)
-                if not head.converged:
-                    return None
-                X = _cleaned(X, F, Bh)
+                P, _, head = run(
+                    _float32(Bh, s) @ _float32(B, s),
+                    _float32(QMatrix.identity(B.cols), spec.alpha / s / s),
+                    thetas, switch, cfg.maxit, stagnate=True)
+            if not head.converged:
+                raise Divergence("stopped above the hand-over level")
             k = head.iterations
+            X = QMatrix(P.data).scale(s * s) @ Bh
             X, F, rep = run(B, X, thetas, cfg.tol, cfg.maxit - k,
                             entry=switch)
             rep.residual_history = head.residual_history[:-1] + [
@@ -508,37 +520,17 @@ def _ns_solve(A: QMatrix, cfg: SolverConfig, method: str, scaled: bool,
         if step_kw.get("gamma", 1.0) == 1.0 and B.cols >= _F32_FROM and \
                 spec.bound <= _F32_KAPPA2 * spec.low:
             try:
-                result = mixed()
+                return mixed()
             except (NonFinite, Divergence):
-                result = None
-            if result is not None:
-                return result
+                pass
         X, F, rep = run(B, Bh.scale(spec.alpha), scales(), cfg.tol, cfg.maxit)
         return X, rep, F
     return _solve_tall(A, cfg, method, solve)
 
 
-def _float32(M: QMatrix) -> QMatrix:
-    return QMatrix._of(M.data.astype(np.float32))
-
-
-def _cleaned(X: QMatrix, F: QMatrix, Bh: QMatrix) -> QMatrix:
-    """(I + F) (X X^H) B^H in float64, from the float32 phase's last X and
-    its deviation F = I - XB.
-
-    Float32 rounding leaves a part Z of X with ZB = 0, which the float64
-    steps keep and the stop test cannot see, but BX, and so the Penrose
-    residual e4, does. (X X^H) B^H lies in B's row space, with Z only in
-    its term Z Z^H B^H. On that space it maps the eigenvalues f of XB to
-    f^2, and I + F to f^2 (2 - f): a deviation 1 - f becomes
-    (1 - f)(1 + f - f^2), about what it was, where f^2 alone would double
-    it. The part of F's rounding that does not commute with B^H B comes
-    back amplified by up to kappa(B)^2, and the float64 steps then remove
-    it like any other deviation."""
-    X = QMatrix(X.data.astype(np.float64))
-    T = X @ X.adjoint()
-    np.add(T.data, (QMatrix(F.data.astype(np.float64)) @ T).data, out=T.data)
-    return T @ Bh
+def _float32(M: QMatrix, s: float) -> QMatrix:
+    """M rounded to float32, times s, a power of 2, in float32."""
+    return QMatrix._of(np.multiply(M.data, s, dtype=np.float32))
 
 
 def ns_damped(A: QMatrix, cfg: SolverConfig):

@@ -123,11 +123,28 @@ def test_pinv_bench_csv_schema(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         cols = line.split(",")
-        assert len(cols) == 11
+        assert len(cols) == 14
         assert cols[0] == "ns" and (cols[1], cols[2]) == ("40", "20")
         assert int(cols[4]) == 35
         assert all(float(c) <= 1e-8 for c in cols[6:10])
+        # tol 0 is never met; 20 columns run no float32 phase
+        assert cols[11:] == ["False", "0", ""]
     assert (tmp_path / "pinv.csv.gp").exists()
+
+
+def test_pinv_bench_rows_say_how_the_run_ended(tmp_path):
+    # 80 columns run the float32 phase; a direct baseline always converges;
+    # rsp stopped at maxit says it did not
+    out = tmp_path / "end.csv"
+    ended = {}
+    for method, maxit in [("ns", "100"), ("normal-eq", "100"), ("rsp", "3")]:
+        assert main(["pinv-bench", "--sizes", "80", "--method", method,
+                     "--maxit", maxit, "--out", str(out)]) == 0
+        cols = rows(out)[1].split(",")
+        ended[method] = (cols[11], int(cols[12]) > 0, cols[13])
+    assert ended == {"ns": ("True", True, ""),
+                     "normal-eq": ("True", False, ""),
+                     "rsp": ("False", False, "")}
 
 
 def test_pinv_bench_deterministic_apart_from_wall(tmp_path):
@@ -221,4 +238,5 @@ def test_pinv_bench_failure_row_records_elapsed_time(tmp_path, monkeypatch):
     cols = rows(out)[1].split(",")
     assert cols[:5] == ["ns", "25", "5", "0", "-1"]
     assert 0.05 <= float(cols[5]) < 5.0
-    assert cols[6:] == ["nan"] * 5
+    assert cols[6:11] == ["nan"] * 5
+    assert cols[11:] == ["False", "0", "SketchFailure"]

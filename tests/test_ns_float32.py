@@ -77,6 +77,41 @@ def test_float32_phase_runs_and_verifies(solver, seed, m, n, monkeypatch):
     assert rep64.iterations <= rep.iterations <= rep64.iterations + 1
 
 
+# the benchmark's shapes, and spectra of kappa 10 and 30 that the gate lets
+# through
+_HAND_OVER = {
+    "220x200": lambda: randn_qmat(220, 200, 1),
+    "200x220": lambda: randn_qmat(200, 220, 1),
+    "kappa10": lambda: _with_spectrum(220, np.geomspace(1.0, 1e-1, 200), 3),
+    "kappa30": lambda: _with_spectrum(220, np.geomspace(1.0, 1 / 30, 200),
+                                      3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_OVER))
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_hand_over_lies_in_the_row_space(solver, case, monkeypatch):
+    # the phase steps the n x n P of X = P B^H in float32, and the float64
+    # steps run on X: X lies in B's row space, so e4, which a part of X
+    # outside it would show, meets the bound the float64 run meets
+    solve, cfg = _SOLVERS[solver]
+    A = _HAND_OVER[case]()
+    n, m = sorted(A.shape)
+    _, rep64 = _float64_only(monkeypatch, solve, A, cfg)
+    states, real = [], solvers._drive
+
+    def drive(method, state, *args, **kw):
+        states.append((state.data.dtype, state.shape))
+        return real(method, state, *args, **kw)
+    monkeypatch.setattr(solvers, "_drive", drive)
+    X, rep = solve(A, cfg)
+    assert states == [(np.float32, (n, n)), (np.float64, (n, m))]
+    assert rep.converged and rep.float32_steps > 0
+    assert max(rep.penrose) <= 1e-7
+    assert max(penrose_residuals(A, X)) <= 1e-7
+    assert rep64.iterations <= rep.iterations <= rep64.iterations + 1
+
+
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_below_the_crossover_is_the_float64_run(solver, monkeypatch):
     solve, cfg = _SOLVERS[solver]
@@ -129,10 +164,19 @@ def _nan_float32_deviation(after):
     return deviation
 
 
-def _spoiled_cleanup(X, F, Bh):
-    # a start from which the float64 steps converge, as from X_0, but whose
+def _float32_phase_ends_at_its_start():
+    # the phase converges, but hands over its first P, alpha I: X = P B^H
+    # is then X_0, a start from which the float64 steps converge but whose
     # deviation lies above the hand-over level
-    return Bh.scale(1.0 / Bh.fro_norm() ** 2)
+    real = solvers._drive
+
+    def drive(method, state, *args, **kw):
+        end, F, rep = real(method, state, *args, **kw)
+        if state.data.dtype == np.float32:
+            assert rep.converged and rep.iterations > 0
+            end = state
+        return end, F, rep
+    return drive
 
 
 _PLANTS = {
@@ -140,7 +184,7 @@ _PLANTS = {
     "divergence": ("_drive", lambda: _raise_in_float32(Divergence)),
     "non-finite-drive": ("_drive", lambda: _raise_in_float32(NonFinite)),
     "stagnation": ("_ns_step", lambda: _stall_float32_steps(2)),
-    "clean-up-above-hand-over": ("_cleaned", lambda: _spoiled_cleanup),
+    "hand-over-above-level": ("_drive", _float32_phase_ends_at_its_start),
 }
 
 

@@ -599,11 +599,13 @@ def test_solvers_at_extreme_scales(solver, wide, c):
 @pytest.mark.parametrize("solver", ["ns", "hyperpower", "cgne"])
 def test_power_of_two_scale_returns_the_scaled_x(solver, shape):
     # every step commutes with an exact scale 2^e, the float32 phase of
-    # the 120 x 100 Newton-Schulz solves included: X of A 2^+-200 is
-    # 2^-+200 X, bit for bit, with the same iteration count
+    # the 120 x 100 Newton-Schulz solves included: X of A 2^e is 2^-e X,
+    # bit for bit, with the same iteration count, outside the exponent
+    # band and inside it (2^56 and 2^-60), where a float32 Gram phase on
+    # B itself overflows G or leaves P subnormal
     A = randn_qmat(*shape, 5)
     X, rep = _SCALED[solver](A)
-    for e in (200, -200):
+    for e in (200, -200, 56, -60):
         Xe, rep_e = _SCALED[solver](QMatrix._of(np.ldexp(A.data, e)))
         assert np.array_equal(Xe.data, np.ldexp(X.data, -e))
         assert rep_e.iterations == rep.iterations
