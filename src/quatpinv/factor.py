@@ -12,12 +12,15 @@ factor is that of the quaternion factor (F. Zhang, Linear Algebra Appl.
 applies the factor's inverse L^-1, one LAPACK call, and then L^-H to the
 even columns of B's embedding, from which Z is read back, and its
 residual is taken on the same embeddings. The SVD's quaternion factors
-are reassembled from its singular vectors, which come in pairs
-(v, phi(v)). A LAPACK failure raises ConvergenceFailure (``errors.
-_lapack``), except LAPACK's rejection of a Cholesky pivot, which is the
-factor's failed pivot. These routines serve as oracles for the iterative
-solvers and as micro-solvers inside the randomized methods; none of them
-iterates.
+(``qsvd``) are reassembled from its singular vectors, which come in pairs
+(v, phi(v)); ``pinv_qsvd`` needs no factor, since the embedding's
+pseudoinverse is the embedding of A^+ (Zhang, as above), and reads A^+
+off it. ``pinv_normal_eq`` solves the Gram system of the tall one of A
+and A^H, for every shape. A LAPACK failure raises ConvergenceFailure
+(``errors._lapack``), except LAPACK's rejection of a Cholesky pivot,
+which is the factor's failed pivot. These routines serve as oracles for
+the iterative solvers and as micro-solvers inside the randomized methods;
+none of them iterates.
 
 ``hpd_solve`` and its Cholesky kernels ``_cholesky`` and
 ``_checked_chol_solve`` also take a stack of s matrices as an
@@ -413,39 +416,37 @@ def qsvd(A: QMatrix) -> QSVDFactors:
 def pinv_qsvd(A: QMatrix) -> QMatrix:
     """Pseudoinverse V Sigma^+ U^H; sigma <= 1e-10 * max sigma -> 0.
 
-    With U = A V / sigma on the kept columns this is
-    V diag(1 / sigma^2) (A V)^H, so U itself is never formed. An A outside
-    _EXPONENT_BAND is taken as A 2^-e (``_equilibrated``), and its
-    pseudoinverse scaled back by 2^-e.
+    Read off the pseudoinverse of A's complex adjoint embedding, which is
+    the embedding of A^+ (F. Zhang, Linear Algebra Appl. 251, 1997): one
+    LAPACK SVD Uc diag(s) Vc^H of the embedding, in which each quaternion
+    singular value appears twice, as s[2j] and s[2j + 1]; the cutoff is
+    applied to s[2j], and both copies are kept or dropped together, so the
+    kept columns span subspaces closed under the quaternion structure.
+    A^+ is read from the even columns of Vc diag(1 / s) Uc^H over the
+    kept columns. An A outside _EXPONENT_BAND is taken as A 2^-e
+    (``_equilibrated``), and its pseudoinverse scaled back by 2^-e.
     """
+    require_finite(A)
     A, e = _equilibrated(A)
-    _, s, V, AV = _right_factor(A)
-    k = min(A.shape)
-    s, V, AV = s[:k], V[:, :k], AV[:, :k]
-    smax = s[0] if k else 0.0
-    keep = s > 1e-10 * max(smax, 1e-300)
-    sinv = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
-    X = QMatrix(V * (sinv ** 2)[None, :, None]) @ QMatrix(AV).adjoint()
-    return QMatrix(_rescaled(X.data, -e))
+    Uc, s, Vch = _lapack("SVD", np.linalg.svd, A.to_complex_adjoint(),
+                         full_matrices=False)
+    keep = np.repeat(s[0::2] > 1e-10 * s.max(initial=0.0), 2)
+    Xe = (Vch[keep].conj().T / s[keep]) @ Uc[0::2, keep].conj().T
+    return QMatrix(_rescaled(_from_complex(Xe), -e))
 
 
 def pinv_normal_eq(A: QMatrix) -> QMatrix:
-    """Closed-form pseudoinverse through the Gram system.
-
-    Tall (and square) inputs use (A^H A)^{-1} A^H; wide inputs use
-    A^H (A A^H)^{-1}. A rank-deficient tall or square A still gives A^+,
-    the min-norm solve of its singular A^H A Z = A^H (``hpd_solve``'s
-    fallback); a rank-deficient wide A raises Indefinite, since I is not
-    in the range of its singular A A^H. An A
+    """Closed-form pseudoinverse through the Gram system of B, the tall one
+    of A and A^H: (B^H B)^{-1} B^H, adjointed back for a wide A, since
+    (A^H)^+ = (A^+)^H. A rank-deficient A still gives A^+, the min-norm
+    solve of its singular B^H B Z = B^H (``hpd_solve``'s fallback). An A
     outside _EXPONENT_BAND is taken as A 2^-e (``_equilibrated``), and its
     pseudoinverse scaled back by 2^-e.
     """
     require_finite(A)
     A, e = _equilibrated(A)
-    m, n = A.shape
+    wide = A.rows < A.cols
     Ah = A.adjoint()
-    if m >= n:
-        X = hpd_solve(Ah @ A, Ah)
-    else:
-        X = Ah @ hpd_solve(A @ Ah, QMatrix.identity(m))
-    return QMatrix(_rescaled(X.data, -e))
+    B, Bh = (Ah, A) if wide else (A, Ah)
+    X = QMatrix(_rescaled(hpd_solve(Bh @ B, Bh).data, -e))
+    return X.adjoint() if wide else X

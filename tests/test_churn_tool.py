@@ -1,7 +1,7 @@
 """``tools/churn.py``: the calls run in perfbench's order, with its speed
 probe before each call and the call's check after it, and print one line
-per call and the medians. The tool runs in a subprocess and is not
-modified."""
+per call and the medians, and a closed output pipe ends it quietly. The
+tool runs in a subprocess and is not modified."""
 
 import subprocess
 import sys
@@ -25,3 +25,15 @@ def test_churn_runs_in_a_subprocess():
                if line.startswith("median ")]
     assert medians == [["median", "apps", "deblur", "calls=108"],
                        ["median", "apps", "all", "calls=108"]]
+
+
+def test_a_closed_output_pipe_ends_quietly():
+    # as ``churn.py ... | head -1`` closes it; a traceback was printed
+    p = subprocess.Popen([sys.executable, str(CHURN), "--seed", "1",
+                          "--workload", "apps", "--method", "deblur"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+    assert p.stdout.readline().startswith("apps N128#")
+    p.stdout.close()
+    assert p.wait(timeout=120) == 1
+    assert p.stderr.read() == ""

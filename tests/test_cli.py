@@ -204,6 +204,14 @@ def test_cur_complete_cmd(tmp_path):
         assert (tmp_path / f"cur_n60_s4_{tag}.ppm").exists()
 
 
+def test_cur_complete_with_a_repeated_row_index(tmp_path):
+    # at n = 3 the five sampled row indices repeat, so R is rank-deficient;
+    # its pseudoinverse once raised Indefinite and the command exited 1
+    out = tmp_path / "cur3.csv"
+    assert main(["cur-complete", "--sizes", "3", "--out", str(out)]) == 0
+    assert len(rows(out)) == 1 + 25
+
+
 def test_cur_complete_explicit_seed_zero(tmp_path):
     argv = ["cur-complete", "--sizes", "30", "--maxit", "3"]
     out = tmp_path / "zero.csv"

@@ -14,6 +14,7 @@ from quatpinv.rng import QuatRNG
 from quatpinv.solvers import (SketchConfig, SolverConfig, cgne_q,
                               penrose_residuals)
 from rsp_helpers import pinv_from_qr
+from test_solvers import _with_spectrum
 
 
 def is_identity(A: QMatrix, tol=1e-12) -> bool:
@@ -477,6 +478,21 @@ def _low_rank(m: int, n: int, k: int, seed: int) -> QMatrix:
     return randn_qmat(m, k, seed) @ randn_qmat(k, n, seed + 1)
 
 
+def _repeated_rows(m: int, n: int, rows: list, seed: int) -> QMatrix:
+    """R = A[rows, :] of a Gaussian m x n A, as cur-complete samples its R;
+    a repeated index repeats a row, and R is then rank-deficient."""
+    return QMatrix(randn_qmat(m, n, seed).data[rows])
+
+
+def _penrose_within_scale(A: QMatrix, X: QMatrix) -> bool:
+    """Whether every Penrose residual of (A, X) is at most 1e-8 times the
+    norm of the matrix its equation compares with (X, A, XA, AX), so that
+    the bound holds at any scale of A."""
+    sizes = (X.fro_norm(), A.fro_norm(), (X @ A).fro_norm(),
+             (A @ X).fro_norm())
+    return all(e <= 1e-8 * n for e, n in zip(penrose_residuals(A, X), sizes))
+
+
 @pytest.mark.parametrize("A", [
     _C,
     _low_rank(40, 30, 3, 13),
@@ -486,27 +502,72 @@ def _low_rank(m: int, n: int, k: int, seed: int) -> QMatrix:
     _low_rank(40, 30, 15, 11).scale(1e100),
     _low_rank(30, 30, 3, 13),
     _low_rank(30, 40, 3, 13),
+    _repeated_rows(60, 60, [3, 17, 41, 17, 52], 4),
 ], ids=["duplicate-column", "rank-3", "rank-15", "rank-199",
         "duplicate-column-1e-150", "rank-15-1e100", "rank-3-square",
-        "rank-3-wide"])
+        "rank-3-wide", "repeated-row-wide"])
 def test_pinv_normal_eq_rank_deficient_matches_qsvd(A):
     # a singular Gram matrix fails its Cholesky pivot; the fallback's
-    # min-norm solve of A^H A Z = A^H is A^+ (rank-199 and the two scaled
-    # cases once raised). A wide A's A A^H Z = I has no solution, since I
-    # is not in the singular Gram matrix's range
-    if A.rows < A.cols:
-        with pytest.raises(Indefinite):
-            pinv_normal_eq(A)
-        return
+    # min-norm solve of B^H B Z = B^H, B the tall one of A and A^H, is B^+
+    # (rank-199 and the two scaled cases once raised; the two wide cases
+    # raised Indefinite while a wide A was solved as A A^H Z = I, since I
+    # is not in that singular Gram matrix's range)
     ref = pinv_qsvd(A)
     with np.errstate(over="ignore"):
         X = pinv_normal_eq(A)
     assert (X - ref).fro_norm() <= 1e-10 * ref.fro_norm()
-    # each Penrose residual over the norm of the matrix its equation
-    # compares with (X, A, XA, AX), so the bound holds at any scale of A
-    sizes = (X.fro_norm(), A.fro_norm(), (X @ A).fro_norm(),
-             (A @ X).fro_norm())
-    assert all(e <= 1e-8 * n for e, n in zip(penrose_residuals(A, X), sizes))
+    assert _penrose_within_scale(A, X)
+
+
+@pytest.mark.parametrize("A", [
+    randn_qmat(1, 1, 1), randn_qmat(1, 5, 2), randn_qmat(5, 1, 3),
+    QMatrix(np.zeros((0, 3, 4))), QMatrix(np.zeros((3, 0, 4))),
+    QMatrix.zeros(3, 2), QMatrix.identity(4), _low_rank(8, 6, 1, 4),
+    _low_rank(40, 30, 3, 5), _low_rank(30, 30, 3, 6),
+    _low_rank(30, 40, 3, 7),
+], ids=["1x1", "1x5", "5x1", "0x3", "3x0", "zero-3x2", "identity-4",
+        "rank-1-8x6", "rank-3-40x30", "rank-3-30x30", "rank-3-30x40"])
+def test_oracles_agree_on_degenerate_shapes(A):
+    # rank-3-30x40 raised Indefinite from pinv_normal_eq while a wide A was
+    # solved as A A^H Z = I
+    X1, X2 = pinv_qsvd(A), pinv_normal_eq(A)
+    assert X1.shape == X2.shape == A.shape[::-1]
+    assert (X1 - X2).fro_norm() <= 1e-10 * X1.fro_norm()
+    assert _penrose_within_scale(A, X1) and _penrose_within_scale(A, X2)
+
+
+def _embedded_pinv_even(A: QMatrix, kept: np.ndarray) -> np.ndarray:
+    """A's pseudoinverse read, as pinv_qsvd reads it, from the even columns
+    of Vc diag(1 / s) Uc^H over the kept singular columns of the LAPACK
+    SVD of A's embedding (kept holds one flag per column)."""
+    Uc, s, Vch = np.linalg.svd(A.to_complex_adjoint(), full_matrices=False)
+    Xc = (Vch[kept].conj().T / s[kept]) @ Uc[:, kept].conj().T
+    return factor._from_complex(Xc[:, 0::2])
+
+
+@pytest.mark.parametrize("last, seed, above",
+                         [(1e-10, 2, 2), (1e-10, 0, 1), (1e-10, 9, 0),
+                          (1e-6, 2, 2), (1e-14, 2, 0)],
+                         ids=["at-cut-both-above", "at-cut-straddling",
+                              "at-cut-both-below", "well-above",
+                              "well-below"])
+def test_pinv_qsvd_keeps_or_drops_both_copies_of_a_singular_value(last, seed,
+                                                                  above):
+    # each quaternion singular value is two singular values of the
+    # embedding, equal up to rounding; at 1e-10 sigma_max the two copies
+    # may fall on either side of the cutoff (above counts those that fall
+    # above it), and keeping one alone gives an unstructured mix
+    A = _with_spectrum(8, [1.0, 0.5, 0.25, last], seed)
+    s = np.linalg.svd(A.to_complex_adjoint(), compute_uv=False)
+    assert np.sum(s[6:] > 1e-10 * s[0]) == above
+    X = pinv_qsvd(A).data
+    kept = np.ones(8, dtype=bool)
+    dropped, half = kept.copy(), kept.copy()
+    dropped[6:] = False
+    half[7] = False
+    gaps = [_rel_gap(X, _embedded_pinv_even(A, k))
+            for k in (kept, dropped, half)]
+    assert min(gaps[:2]) <= 1e-12 and gaps[2] >= 0.1
 
 
 @pytest.mark.parametrize("r", range(1, 11))

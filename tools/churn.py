@@ -71,12 +71,14 @@ between two ``deblur`` calls change its faults.
 ``--tree`` selects the checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this file), as in ``tools/parity.py``;
 neither is modified. Faults are counted for the whole process, so run
-nothing else in it.
+nothing else in it. A run whose output pipe is closed, as ``head``
+closes it, ends quietly with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import statistics
 import sys
@@ -149,4 +151,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed the pipe, as ``| head`` does: stop quietly, with
+        # stdout on /dev/null so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

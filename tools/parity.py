@@ -35,8 +35,11 @@ call matches (``ok=same``, or ``ok=False->True``: perfbench's check of the
 result, run with an elapsed time of 0, and False for a call that raised),
 and the largest absolute gap between the Penrose residuals the two report
 (``-`` for a call that reports none). A last line sums up, counting the
-changed verdicts too. The exit status is 1 when any iteration count or
-error class changed, or a call ran on one tree only, and 0 otherwise.
+verdicts that turned False->True and those that turned True->False apart,
+so that a change that only removes failures shows 0 in the second. The
+exit status is 1 when any iteration count or error class changed, or a
+call ran on one tree only, and 0 otherwise. A run whose output pipe is
+closed, as ``head`` closes it, ends quietly with status 1.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -145,7 +149,7 @@ def compare(own, other: list) -> int:
     """Print the per-call comparison of the records own, as they come,
     against the records other; return the exit status."""
     theirs = {r["key"]: r for r in other}
-    calls = bad = equal = verdicts = 0
+    calls = bad = equal = fixed = broken = 0
     worst = 0.0
     for r in own:
         calls += 1
@@ -163,7 +167,8 @@ def compare(own, other: list) -> int:
         ok = _changed(r["ok"], t["ok"])
         bits = _bits(r["digest"], t["digest"])
         equal += bits == "same"
-        verdicts += ok != "same"
+        fixed += ok == "False->True"
+        broken += ok == "True->False"
         bad += iters != "same" or error != "same"
         print(r["key"], f"bits={bits} iterations={iters} error={error} "
               f"ok={ok} penrose_gap={'-' if gap is None else f'{gap:.3g}'}",
@@ -172,8 +177,9 @@ def compare(own, other: list) -> int:
         print(key, "only-there")
         bad += 1
     print(f"# {calls} calls: {equal} bitwise equal, {bad} with a changed "
-          f"iteration count or error class or on one tree only, {verdicts} "
-          f"with a changed verdict, largest Penrose gap {worst:.3g}")
+          f"iteration count or error class or on one tree only, verdicts "
+          f"{fixed} False->True and {broken} True->False, largest Penrose "
+          f"gap {worst:.3g}")
     return 1 if bad else 0
 
 
@@ -212,4 +218,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed the pipe, as ``| head`` does: stop quietly, with
+        # stdout on /dev/null so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
